@@ -68,15 +68,18 @@ class AsvReport:
         }
 
 
-def _moments(model: NoiseModel, sigma, omega):
-    """(phi(s w), phi(2 s w), v_c, v_s): circular second moments of the
-    transmitted phasor about its mean direction. The variances come from
-    the model's cancellation-free kernels, not the raw char_fn values."""
-    phi = model.char_fn(sigma, omega)
-    phi2 = model.char_fn(sigma, 2.0 * omega)
-    v_c = model.phasor_cos_var(sigma, omega)
-    v_s = model.phasor_sin_var(sigma, omega)
-    return phi, phi2, v_c, v_s
+def _rotated_covariance(model: NoiseModel, sigma, omega, P, nv, c, s):
+    """(s11, s12, s22, det) of Sigma = R diag(a, b) R^T.
+
+    a = P v_c + nv/2 and b = P v_s + nv/2 come from the model's
+    cancellation-free phasor variance kernels, R is the rotation with
+    cosine c and sine s, and det = a b. Elementwise, so sigma and (c, s)
+    may be arrays that broadcast against each other.
+    """
+    half_nv = 0.5 * nv
+    a = P * model.phasor_cos_var(sigma, omega) + half_nv
+    b = P * model.phasor_sin_var(sigma, omega) + half_nv
+    return a * c * c + b * s * s, (a - b) * s * c, a * s * s + b * c * c, a * b
 
 
 def covariance_matrix(
@@ -93,18 +96,10 @@ def covariance_matrix(
     omega * theta; its trace is P (v_c + v_s) + nv independently of theta.
     """
     _check_point(sigma, omega, P, channel_noise_var)
-    _, _, v_c, v_s = _moments(model, sigma, omega)
-    half_nv = 0.5 * channel_noise_var
-    a = P * v_c + half_nv
-    b = P * v_s + half_nv
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    return np.array(
-        [
-            [a * c * c + b * s * s, (a - b) * s * c],
-            [(a - b) * s * c, a * s * s + b * c * c],
-        ]
-    )
+    s11, s12, s22, _ = _rotated_covariance(model, sigma, omega, P, channel_noise_var, c, s)
+    return np.array([[s11, s12], [s12, s22]])
 
 
 def jacobian(
@@ -177,7 +172,7 @@ def asv_generic(
     asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
     asv_g = None
     if theta is not None:
-        if theta <= 0.0:
+        if not theta > 0.0:
             raise ValueError(f"theta must be positive, got {theta}")
         asv_g = compose_gamma(asv_t, asv_s, theta, sigma)
     return AsvReport(
@@ -340,18 +335,20 @@ def asv_closed_form(
     mode = PowerMode(power_mode)
     nv = channel_noise_var if mode is PowerMode.TOTAL else 0.0
     if which == "gamma":
-        if gamma is None or gamma <= 0.0:
+        if gamma is None or not gamma > 0.0:
             raise ValueError("gamma (positive) is required for which='gamma'")
     value = _closed_form_value(model.kind, which, sigma, omega, P, nv, mode, gamma)
     return float(value), _closed_form_agrees(model.kind, which, mode.value)
 
 
-def _check_point(sigma: float, omega, P: float, nv: float) -> None:
-    if np.any(np.asarray(sigma) <= 0.0):
+def _check_point(sigma: float, omega: float, P: float, nv: float) -> None:
+    """Reject an operating point outside the domain; `not x > 0.0` also
+    rejects NaN."""
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if np.any(np.asarray(omega) <= 0.0):
+    if not omega > 0.0:
         raise ValueError(f"omega must be strictly positive, got {omega}")
-    if P <= 0.0:
+    if not P > 0.0:
         raise ValueError(f"P must be positive, got {P}")
-    if nv < 0.0:
+    if not nv >= 0.0:
         raise ValueError(f"channel_noise_var must be nonnegative, got {nv}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from .asymptotic import _check_point, _rotated_covariance
 from .noise import NoiseModel
 
 __all__ = [
@@ -74,7 +75,7 @@ class EstimateSet:
 
 def estimate_location(z: complex, omega: float) -> float:
     """theta_hat = arg(z) / omega with the argument reduced to (0, 2 pi]."""
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError(f"omega must be strictly positive, got {omega}")
     if z == 0:
         raise ZeroMagnitudeError("cannot estimate location from z = 0")
@@ -93,9 +94,9 @@ def estimate_scale(
     sigma_hat is 0.0 and saturated True. |z| = sqrt(P) exactly gives the
     boundary solution sigma_hat = 0.0 without the flag.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError(f"omega must be strictly positive, got {omega}")
-    if P <= 0.0:
+    if not P > 0.0:
         raise ValueError(f"P must be positive, got {P}")
     m = abs(z)
     if m == 0.0:
@@ -105,11 +106,7 @@ def estimate_scale(
         return 0.0, True
     if m == root_p:
         return 0.0, False
-    if model.kind == "gaussian":
-        return math.sqrt(math.log(P / (m * m))) / omega, False
-    if model.kind == "laplace":
-        return math.sqrt(2.0 * (root_p / m - 1.0)) / omega, False
-    return math.log(root_p / m) / omega, False
+    return model.inverse_abs_char_fn(m, P) / omega, False
 
 
 def estimate_snr(theta_hat: float, sigma_hat: float) -> float:
@@ -149,24 +146,16 @@ def joint_objective(
         ValueError: if det Sigma <= 0 (possible only with zero channel
             noise when a circular variance degenerates).
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
+    _check_point(sigma, omega, P, channel_noise_var)
     phi = model.char_fn(sigma, omega)
-    a = P * model.phasor_cos_var(sigma, omega) + 0.5 * channel_noise_var
-    b = P * model.phasor_sin_var(sigma, omega) + 0.5 * channel_noise_var
-    det = a * b
-    if det <= 0.0:
-        raise ValueError("singular covariance at this candidate point")
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
+    s11, s12, s22, det = _rotated_covariance(model, sigma, omega, P, channel_noise_var, c, s)
+    if det <= 0.0:
+        raise ValueError("singular covariance at this candidate point")
     sp = math.sqrt(P)
     r_re = z.real - sp * c * phi
     r_im = z.imag - sp * s * phi
-    s11 = a * c * c + b * s * s
-    s22 = a * s * s + b * c * c
-    s12 = (a - b) * s * c
     return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / det
 
 
@@ -180,21 +169,14 @@ def _objective_grid(
     model: NoiseModel,
 ) -> np.ndarray:
     """joint_objective on the outer grid thetas x sigmas, vectorized."""
-    c = np.cos(omega * thetas)
-    s = np.sin(omega * thetas)
+    c = np.cos(omega * thetas)[:, None]
+    s = np.sin(omega * thetas)[:, None]
     phi = model.char_fn(sigmas, omega)
-    a = P * model.phasor_cos_var(sigmas, omega) + 0.5 * nv
-    b = P * model.phasor_sin_var(sigmas, omega) + 0.5 * nv
+    s11, s12, s22, det = _rotated_covariance(model, sigmas, omega, P, nv, c, s)
     sp = math.sqrt(P)
-    r_re = z.real - sp * np.outer(c, phi)
-    r_im = z.imag - sp * np.outer(s, phi)
-    c2 = (c * c)[:, None]
-    s2 = (s * s)[:, None]
-    cs = (c * s)[:, None]
-    s11 = c2 * a + s2 * b
-    s22 = s2 * a + c2 * b
-    s12 = cs * (a - b)
-    return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / (a * b)
+    r_re = z.real - sp * (c * phi)
+    r_im = z.imag - sp * (s * phi)
+    return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / det
 
 
 def joint_minimum_variance(
@@ -217,7 +199,7 @@ def joint_minimum_variance(
     """
     if abs(z) == 0.0:
         raise ZeroMagnitudeError("cannot estimate from z = 0")
-    if theta_R <= 0.0:
+    if not theta_R > 0.0:
         raise ValueError(f"theta_R must be positive, got {theta_R}")
     n_t, n_s = grid
     if n_t < 200 or n_s < 200:

@@ -7,20 +7,15 @@ expressions and the two can be overlaid directly.
 
 Reproducibility contract: trial t of row i always draws from the
 substream keyed (i, t) of the base stream, so results are independent
-of thread count and of which rows of a sweep are run. Worker threads
-(CM_PHASE_THREADS, default 1) write into trial-indexed slots and the
-reductions are plain numpy sums over those arrays, which fixes the
-summation order regardless of completion order. CSV output carries no
-timestamps; a rerun with the same inputs is byte-identical.
+of which rows of a sweep are run. CSV output carries no timestamps; a
+rerun with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,15 +95,6 @@ class SweepRow:
     error: str | None = None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CM_PHASE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _stats(values: np.ndarray, truth: float, L: int) -> EstimandStats:
     mean = float(np.mean(values))
     var = float(np.var(values, ddof=1)) * L if values.size >= 2 else math.nan
@@ -148,7 +134,7 @@ def run_experiment(
     gamma_hat = np.full(trials, math.nan)
     saturated = np.zeros(trials, dtype=bool)
 
-    def one(t: int) -> None:
+    for t in range(trials):
         snap = simulate_snapshot(cfg, root_stream.substream(t))
         est = simple_estimates(snap.z, cfg.omega, cfg.P, cfg.model)
         theta_hat[t] = est.theta_hat
@@ -156,14 +142,6 @@ def run_experiment(
         if est.gamma_hat is not None:
             gamma_hat[t] = est.gamma_hat
         saturated[t] = est.saturated
-
-    threads = _thread_count()
-    if threads == 1:
-        for t in range(trials):
-            one(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(trials)))
 
     n_sat = int(np.count_nonzero(saturated))
     if n_sat == trials:

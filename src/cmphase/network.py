@@ -88,7 +88,7 @@ class NetworkConfig:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if not self.P > 0.0:
             raise ConfigError(f"P must be positive, got {self.P}")
-        if self.channel_noise_var < 0.0:
+        if not self.channel_noise_var >= 0.0:
             raise ConfigError(
                 f"channel_noise_var must be nonnegative, got {self.channel_noise_var}"
             )

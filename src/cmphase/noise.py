@@ -1,9 +1,16 @@
-"""Sensing-noise families and their characteristic functions.
+"""Sensing-noise families: the one place their formulas live.
 
 Three symmetric, zero-location families are supported, selected by string
-token: "gaussian", "laplace", "cauchy". The scale conventions are fixed
-package-wide so that the characteristic function of sigma * eta (eta a
-standardized draw) takes the closed forms below:
+token: "gaussian", "laplace", "cauchy". Everything the rest of the package
+needs to know about a family is a NoiseModel method: the characteristic
+function phi(sigma omega), its sigma-derivative, the cos/sin phasor
+variance kernels (each one expression per family, serving floats and
+numpy arrays alike), the inverse of |phi| used by the magnitude
+estimator, the Fisher constants and the sampler.
+
+The scale conventions are fixed package-wide so that the characteristic
+function of sigma * eta (eta a standardized draw) takes the closed forms
+below:
 
     gaussian  sigma = standard deviation      phi(w) = exp(-w^2 sigma^2 / 2)
     laplace   sigma = standard deviation      phi(w) = 1 / (1 + w^2 sigma^2 / 2)
@@ -25,6 +32,8 @@ from .numkit import RandomStream
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
+MODEL_TOKENS = ("gaussian", "laplace", "cauchy")
+
 _LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 
 # Standardized Fisher information per unit sigma^-2, validated by numeric
@@ -33,18 +42,43 @@ _FISHER_LOCATION = {"gaussian": 1.0, "laplace": 2.0, "cauchy": 0.5}
 _FISHER_SCALE = {"gaussian": 2.0, "laplace": 1.0, "cauchy": 0.5}
 
 
-def _check_positive(sigma, omega) -> None:
-    if np.any(np.asarray(sigma) <= 0.0):
+def _operands(sigma, omega):
+    """(sigma, omega, xp) for the kernels: floats with xp = math, or numpy
+    arrays (when either argument is one) with xp = numpy, so each kernel
+    writes one expression per family for both.
+
+    Every value must be > 0; the checks are written as `not x > 0.0` so
+    NaN is rejected too.
+    """
+    if isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray):
+        s, w, xp = np.asarray(sigma), np.asarray(omega), np
+        s_ok, w_ok = np.all(s > 0.0), np.all(w > 0.0)
+    else:
+        s, w, xp = float(sigma), float(omega), math
+        s_ok, w_ok = s > 0.0, w > 0.0
+    if not s_ok:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if np.any(np.asarray(omega) <= 0.0):
+    if not w_ok:
         raise ValueError(f"omega must be strictly positive, got {omega}")
+    return s, w, xp
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """One noise family; construct via noise_model(token)."""
+    """One noise family; construct via noise_model(token).
+
+    Each per-family formula is a method of this one class that branches
+    on kind, not an override in a per-family subclass, so every kernel
+    has exactly one definition that can be looked up on the class.
+    """
 
     kind: str
+
+    def __post_init__(self):
+        if self.kind not in MODEL_TOKENS:
+            raise ValueError(
+                f"unknown noise model {self.kind!r}; expected one of {MODEL_TOKENS}"
+            )
 
     def char_fn(self, sigma, omega):
         """Characteristic function of sigma * eta evaluated at omega.
@@ -52,21 +86,13 @@ class NoiseModel:
         Accepts scalars or numpy arrays (broadcast); always in (0, 1) for
         omega > 0 and strictly decreasing in omega.
         """
-        _check_positive(sigma, omega)
-        scalar = not (isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray))
-        if scalar:
-            t = float(sigma) * float(omega)
-            if self.kind == "gaussian":
-                return math.exp(-0.5 * t * t)
-            if self.kind == "laplace":
-                return 1.0 / (1.0 + 0.5 * t * t)
-            return math.exp(-t)
-        t = np.asarray(sigma) * np.asarray(omega)
+        s, w, xp = _operands(sigma, omega)
+        t = s * w
         if self.kind == "gaussian":
-            return np.exp(-0.5 * t * t)
+            return xp.exp(-0.5 * t * t)
         if self.kind == "laplace":
             return 1.0 / (1.0 + 0.5 * t * t)
-        return np.exp(-t)
+        return xp.exp(-t)  # cauchy
 
     def phasor_cos_var(self, sigma, omega):
         """Var cos(omega (x - theta)) = 1/2 + phi(2 omega)/2 - phi^2.
@@ -75,10 +101,8 @@ class NoiseModel:
         combination of char_fn values loses all precision for small
         sigma * omega, where this quantity is O((sigma omega)^4).
         """
-        _check_positive(sigma, omega)
-        scalar = not (isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray))
-        t = (float(sigma) * float(omega)) if scalar else np.asarray(sigma) * np.asarray(omega)
-        xp = math if scalar else np
+        s, w, xp = _operands(sigma, omega)
+        t = s * w
         if self.kind == "gaussian":
             # 1/2 + e^{-2 t^2}/2 - e^{-t^2} = (1 - e^{-t^2})^2 / 2
             e = xp.expm1(-(t * t))
@@ -86,21 +110,19 @@ class NoiseModel:
         if self.kind == "laplace":
             a = 0.5 * t * t
             return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
-        return -0.5 * xp.expm1(-2.0 * t)
+        return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 
     def phasor_sin_var(self, sigma, omega):
         """Var sin(omega (x - theta)) = (1 - phi(2 omega)) / 2,
         cancellation-free for small sigma * omega."""
-        _check_positive(sigma, omega)
-        scalar = not (isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray))
-        t = (float(sigma) * float(omega)) if scalar else np.asarray(sigma) * np.asarray(omega)
-        xp = math if scalar else np
+        s, w, xp = _operands(sigma, omega)
+        t = s * w
         if self.kind == "gaussian":
             return -0.5 * xp.expm1(-2.0 * t * t)
         if self.kind == "laplace":
             a = 0.5 * t * t
             return 2.0 * a / (1.0 + 4.0 * a)
-        return -0.5 * xp.expm1(-2.0 * t)
+        return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 
     def char_fn_dsigma(self, sigma, omega):
         """Partial derivative of char_fn with respect to sigma (omega fixed).
@@ -111,26 +133,25 @@ class NoiseModel:
 
         Strictly negative for omega > 0.
         """
-        _check_positive(sigma, omega)
-        scalar = not (isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray))
-        if scalar:
-            s, w = float(sigma), float(omega)
-            t = s * w
-            if self.kind == "gaussian":
-                return -w * w * s * math.exp(-0.5 * t * t)
-            if self.kind == "laplace":
-                den = 1.0 + 0.5 * t * t
-                return -w * w * s / (den * den)
-            return -w * math.exp(-t)
-        s = np.asarray(sigma)
-        w = np.asarray(omega)
+        s, w, xp = _operands(sigma, omega)
         t = s * w
         if self.kind == "gaussian":
-            return -w * w * s * np.exp(-0.5 * t * t)
+            return -w * w * s * xp.exp(-0.5 * t * t)
         if self.kind == "laplace":
             den = 1.0 + 0.5 * t * t
             return -w * w * s / (den * den)
-        return -w * np.exp(-t)
+        return -w * xp.exp(-t)  # cauchy
+
+    def inverse_abs_char_fn(self, m: float, P: float) -> float:
+        """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.
+
+        Defined for 0 < m < sqrt(P); the caller checks that range.
+        """
+        if self.kind == "gaussian":
+            return math.sqrt(math.log(P / (m * m)))
+        if self.kind == "laplace":
+            return math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
+        return math.log(math.sqrt(P) / m)  # cauchy
 
     def sample(self, stream: RandomStream, size: int | None = None):
         """Standardized draws (zero location, unit scale per the module
@@ -149,7 +170,7 @@ class NoiseModel:
             e1 = -np.log1p(-u[:n])
             e2 = -np.log1p(-u[n:])
             out = _LAPLACE_B * (e1 - e2)
-        else:
+        else:  # cauchy
             u = stream.uniform(n)
             out = np.tan(math.pi * (u - 0.5))
         if size is None:
@@ -158,12 +179,12 @@ class NoiseModel:
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
-        _check_positive(sigma, 1.0)
+        _operands(sigma, 1.0)
         return _FISHER_LOCATION[self.kind] / (sigma * sigma)
 
     def fisher_scale(self, sigma: float) -> float:
         """Fisher information for sigma in x = theta + sigma * eta."""
-        _check_positive(sigma, 1.0)
+        _operands(sigma, 1.0)
         return _FISHER_SCALE[self.kind] / (sigma * sigma)
 
 
@@ -171,7 +192,6 @@ GAUSSIAN = NoiseModel("gaussian")
 LAPLACE = NoiseModel("laplace")
 CAUCHY = NoiseModel("cauchy")
 
-MODEL_TOKENS = ("gaussian", "laplace", "cauchy")
 _BY_TOKEN = {"gaussian": GAUSSIAN, "laplace": LAPLACE, "cauchy": CAUCHY}
 
 

@@ -11,7 +11,7 @@ bit-exactly regardless of platform or worker scheduling.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "NoSignChangeError",
     "lambert_w0",
     "find_root_bracketed",
+    "sign_change_brackets",
     "minimize_quasiconvex",
     "real_roots_in_interval",
     "RandomStream",
@@ -90,13 +91,13 @@ def find_root_bracketed(
 
     Unconditionally convergent and deterministic given (f, lo, hi, tol).
     Requires f(lo) and f(hi) to have opposite signs (an endpoint equal to
-    zero is returned directly).
+    zero is returned directly, so [x, x] is a valid bracket of a zero at x).
 
     Raises:
         NoSignChangeError: if f(lo) * f(hi) > 0.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -119,6 +120,30 @@ def find_root_bracketed(
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def sign_change_brackets(
+    f: Callable[[float], float], lo: float, hi: float, steps: int
+) -> Iterator[tuple[float, float]]:
+    """Brackets of the roots of f seen on a uniform scan of [lo, hi].
+
+    f is evaluated once at each x_i = lo + (hi - lo) * i / steps,
+    i = 0..steps, lazily and in ascending order. A grid point where f is
+    exactly zero yields (x_i, x_i); neighbours x_{i-1}, x_i where f is
+    nonzero with opposite signs yield (x_{i-1}, x_i). Each bracket is a
+    valid input to find_root_bracketed.
+    """
+    x0, v0 = lo, f(lo)
+    if v0 == 0.0:
+        yield lo, lo
+    for i in range(1, steps + 1):
+        x1 = lo + (hi - lo) * i / steps
+        v1 = f(x1)
+        if v1 == 0.0:
+            yield x1, x1
+        elif v0 != 0.0 and (v1 > 0.0) != (v0 > 0.0):
+            yield x0, x1
+        x0, v0 = x1, v1
 
 
 def minimize_quasiconvex(
@@ -178,10 +203,10 @@ def real_roots_in_interval(
 
     coeffs are in ascending order (coeffs[k] multiplies x**k). The
     interval is scanned on a fixed uniform grid of `scan_points` steps
-    (deterministic), and every sign change is refined by bisection. Roots
-    of even multiplicity that do not produce a sign change on the grid
-    are not detected; the polynomials handled here (degree <= 6 tuning
-    equations) have simple roots.
+    (deterministic, sign_change_brackets), and every sign change is
+    refined by bisection. Roots of even multiplicity that do not produce
+    a sign change on the grid are not detected; the polynomials handled
+    here (degree <= 6 tuning equations) have simple roots.
     """
     cs = [float(c) for c in coeffs]
     if len(cs) > 7:
@@ -195,21 +220,11 @@ def real_roots_in_interval(
             acc = acc * x + c
         return acc
 
-    xs = [lo + (hi - lo) * i / scan_points for i in range(scan_points + 1)]
-    vals = [poly(x) for x in xs]
-    roots: list[float] = []
-    for i in range(scan_points):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(xs[i])
-            continue
-        if (v0 > 0.0) != (v1 > 0.0) and v1 != 0.0:
-            roots.append(
-                find_root_bracketed(poly, xs[i], xs[i + 1], tol=1e-14 * max(1.0, abs(hi)))
-            )
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-
+    tol = 1e-14 * max(1.0, abs(hi))
+    roots = [
+        find_root_bracketed(poly, a, b, tol=tol)
+        for a, b in sign_change_brackets(poly, lo, hi, scan_points)
+    ]
     deduped: list[float] = []
     for r in sorted(roots):
         if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):

@@ -28,11 +28,11 @@ from .asymptotic import _asv_components, compose_gamma
 from .network import PowerMode
 from .noise import NoiseModel
 from .numkit import (
-    NoSignChangeError,
     find_root_bracketed,
     lambert_w0,
     minimize_quasiconvex,
     real_roots_in_interval,
+    sign_change_brackets,
 )
 
 __all__ = [
@@ -173,20 +173,8 @@ def omega_optima(
 
 def _scan_root(f, lo: float, hi: float, steps: int = 2000) -> float | None:
     """First sign-change root of f on [lo, hi] over a fixed uniform scan."""
-    prev_x, prev_v = lo, f(lo)
-    if prev_v == 0.0:
-        return lo
-    for i in range(1, steps + 1):
-        x = lo + (hi - lo) * i / steps
-        v = f(x)
-        if v == 0.0:
-            return x
-        if (v > 0.0) != (prev_v > 0.0):
-            try:
-                return find_root_bracketed(f, prev_x, x, tol=1e-13)
-            except NoSignChangeError:  # pragma: no cover
-                return x
-        prev_x, prev_v = x, v
+    for a, b in sign_change_brackets(f, lo, hi, steps):
+        return find_root_bracketed(f, a, b, tol=1e-13)
     return None
 
 

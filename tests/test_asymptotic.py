@@ -154,7 +154,9 @@ class TestAsvGeneric:
             {"sigma": 0.0},
             {"omega": 0.0},
             {"P": 0.0},
+            {"P": math.nan},
             {"channel_noise_var": -1.0},
+            {"channel_noise_var": math.nan},
         ],
         ids=str,
     )

@@ -61,6 +61,8 @@ class TestEstimateLocation:
     def test_bad_omega(self):
         with pytest.raises(ValueError):
             estimate_location(1.0 + 0.0j, 0.0)
+        with pytest.raises(ValueError):
+            estimate_location(1j, math.nan)
 
 
 class TestEstimateScale:
@@ -90,6 +92,8 @@ class TestEstimateScale:
             estimate_scale(0.5 + 0.0j, -1.0, 1.0, GAUSSIAN)
         with pytest.raises(ValueError):
             estimate_scale(0.5 + 0.0j, 1.0, 0.0, GAUSSIAN)
+        with pytest.raises(ValueError):
+            estimate_scale(0.5 + 0.0j, 1.0, math.nan, GAUSSIAN)
 
 
 class TestEstimateSnr:
@@ -156,6 +160,8 @@ class TestJointObjective:
             joint_objective(0.5j, 1.0, -1.0, 1.0, 1.0, 1.0, GAUSSIAN)
         with pytest.raises(ValueError):
             joint_objective(0.5j, 1.0, 1.0, 0.0, 1.0, 1.0, GAUSSIAN)
+        with pytest.raises(ValueError):
+            joint_objective(0.5j, 1.0, 1.0, 1.0, math.nan, 1.0, GAUSSIAN)
 
 
 class TestJointMinimumVariance:

@@ -61,16 +61,6 @@ class TestRunExperiment:
             != run_experiment(cfg, 32).theta.mean
         )
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = make_config()
-        monkeypatch.setenv("CM_PHASE_THREADS", "1")
-        serial = run_experiment(cfg, 48)
-        monkeypatch.setenv("CM_PHASE_THREADS", "4")
-        threaded = run_experiment(cfg, 48)
-        assert serial.theta.mean == threaded.theta.mean
-        assert serial.sigma.mean == threaded.sigma.mean
-        assert serial.gamma.variance_l == threaded.gamma.variance_l
-
     def test_location_wrap_at_period_edge(self):
         """Truth on the phase-period edge: raw location estimates split
         between ~0 and ~2 pi, and only the wrapped deviation statistics

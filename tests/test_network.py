@@ -53,6 +53,7 @@ class TestNetworkConfig:
             {"sigma": 0.0},
             {"P": 0.0},
             {"channel_noise_var": -0.1},
+            {"channel_noise_var": math.nan},
             {"omega": 0.0},
             {"omega": 6.4},  # above 2 pi / theta_R with theta_R = 2 pi -> cap 1.0
             {"model": "poisson"},

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
+from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
 from cmphase.numkit import RandomStream
 
 LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
@@ -66,15 +66,25 @@ class TestCharFn:
     def test_array_broadcast_matches_scalar(self):
         sigmas = np.array([0.5, 1.0, 2.0])
         for model in ALL_MODELS:
-            arr = model.char_fn(sigmas, 0.7)
-            scalars = [model.char_fn(float(s), 0.7) for s in sigmas]
-            np.testing.assert_allclose(arr, scalars, rtol=1e-15)
+            for kernel in (
+                model.char_fn,
+                model.char_fn_dsigma,
+                model.phasor_cos_var,
+                model.phasor_sin_var,
+            ):
+                arr = kernel(sigmas, 0.7)
+                scalars = [kernel(float(s), 0.7) for s in sigmas]
+                np.testing.assert_allclose(arr, scalars, rtol=1e-15)
 
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             GAUSSIAN.char_fn(-1.0, 1.0)
         with pytest.raises(ValueError):
             GAUSSIAN.char_fn(1.0, 0.0)
+        with pytest.raises(ValueError):
+            GAUSSIAN.char_fn(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            GAUSSIAN.fisher_location(math.nan)
 
 
 class TestCharFnDsigma:
@@ -245,6 +255,9 @@ class TestFactory:
         assert MODEL_TOKENS == ("gaussian", "laplace", "cauchy")
         for token in MODEL_TOKENS:
             assert noise_model(token).kind == token
+        assert noise_model("gaussian") is GAUSSIAN
+        assert noise_model("laplace") is LAPLACE
+        assert noise_model("cauchy") is CAUCHY
 
     def test_case_and_whitespace(self):
         assert noise_model(" Gaussian ").kind == "gaussian"
@@ -252,3 +265,8 @@ class TestFactory:
     def test_unknown_token(self):
         with pytest.raises(ValueError, match="unknown noise model"):
             noise_model("students-t")
+
+    def test_unknown_kind_rejected_at_construction(self):
+        """A direct construction must not fall through to another family."""
+        with pytest.raises(ValueError, match="unknown noise model"):
+            NoiseModel("student-t")
