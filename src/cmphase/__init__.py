@@ -50,7 +50,7 @@ from .network import (
     simulate_snapshot,
 )
 from .noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
-from .numkit import RandomStream
+from .numkit import ConvergenceError, RandomStream
 from .tuning import (
     AnalyticOmega,
     OmegaOptima,
@@ -99,6 +99,7 @@ __all__ = [
     "MODEL_TOKENS",
     "NoiseModel",
     "noise_model",
+    "ConvergenceError",
     "RandomStream",
     "AnalyticOmega",
     "OmegaOptima",

@@ -68,17 +68,25 @@ class AsvReport:
         }
 
 
+def _phasor_variances(model: NoiseModel, sigma, omega, P, nv):
+    """(a, b) = (P v_c + nv/2, P v_s + nv/2): the fluctuation variances
+    along and across the mean phasor, from the model's cancellation-free
+    phasor variance kernels. Elementwise in sigma."""
+    half_nv = 0.5 * nv
+    return (
+        P * model.phasor_cos_var(sigma, omega) + half_nv,
+        P * model.phasor_sin_var(sigma, omega) + half_nv,
+    )
+
+
 def _rotated_covariance(model: NoiseModel, sigma, omega, P, nv, c, s):
     """(s11, s12, s22, det) of Sigma = R diag(a, b) R^T.
 
-    a = P v_c + nv/2 and b = P v_s + nv/2 come from the model's
-    cancellation-free phasor variance kernels, R is the rotation with
-    cosine c and sine s, and det = a b. Elementwise, so sigma and (c, s)
-    may be arrays that broadcast against each other.
+    (a, b) come from _phasor_variances, R is the rotation with cosine c
+    and sine s, and det = a b. Elementwise, so sigma and (c, s) may be
+    arrays that broadcast against each other.
     """
-    half_nv = 0.5 * nv
-    a = P * model.phasor_cos_var(sigma, omega) + half_nv
-    b = P * model.phasor_sin_var(sigma, omega) + half_nv
+    a, b = _phasor_variances(model, sigma, omega, P, nv)
     return a * c * c + b * s * s, (a - b) * s * c, a * s * s + b * c * c, a * b
 
 

@@ -14,10 +14,12 @@ magnitude), sigma_hat is reported as 0.0 with a flag, and the SNR
 estimate is undefined.
 
 joint_minimum_variance minimizes the full quadratic form
-[z - zbar]^T Sigma^-1 [z - zbar] over (theta, sigma) by grid search plus
-local refinement. It must agree with the simple estimators whenever
-|z| <= sqrt(P); the test suite enforces that equivalence, so the two
-routes are kept strictly independent here.
+[z - zbar]^T Sigma^-1 [z - zbar] over (theta, sigma) by a grid search
+followed by bounded Gauss-Newton refinement on analytic derivatives,
+both in the frame rotated by omega theta, where Sigma is diagonal. It
+must agree with the simple estimators whenever |z| <= sqrt(P); the test
+suite enforces that equivalence, so the two routes are kept strictly
+independent here.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .asymptotic import _check_point, _rotated_covariance
+from .asymptotic import _check_point, _phasor_variances, _rotated_covariance
 from .noise import NoiseModel
+from .numkit import ConvergenceError, gauss_newton_box
 
 __all__ = [
     "ZeroMagnitudeError",
@@ -168,15 +170,60 @@ def _objective_grid(
     nv: float,
     model: NoiseModel,
 ) -> np.ndarray:
-    """joint_objective on the outer grid thetas x sigmas, vectorized."""
-    c = np.cos(omega * thetas)[:, None]
-    s = np.sin(omega * thetas)[:, None]
-    phi = model.char_fn(sigmas, omega)
-    s11, s12, s22, det = _rotated_covariance(model, sigmas, omega, P, nv, c, s)
+    """joint_objective on the outer grid thetas x sigmas, vectorized.
+
+    Evaluated in the frame rotated by omega theta, where Sigma is
+    diag(a, b): Q = u^2 / a + v^2 / b with u = Re(z e^{-j omega theta})
+    - sqrt(P) phi(sigma omega) and v = Im(z e^{-j omega theta}).
+    """
+    c = np.cos(omega * thetas)
+    s = np.sin(omega * thetas)
+    a, b = _phasor_variances(model, sigmas, omega, P, nv)
+    # Fresh 2-D arrays and 2-D divisions are the costly passes: the grid
+    # is built in place, with products by 1/a and 1/b.
+    q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.char_fn(sigmas, omega))
+    q *= q
+    q *= 1.0 / a
+    q += np.multiply.outer(np.square(z.imag * c - z.real * s), 1.0 / b)
+    return q
+
+
+def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: NoiseModel):
+    """The residual e(theta, sigma) = (u / sqrt(a), v / sqrt(b)) of the
+    rotated frame, with |e|^2 = joint_objective, and its Jacobian.
+
+    d(Re, Im)(z e^{-j omega theta})/d theta = omega (v, -Re), du/d sigma =
+    -sqrt(P) d phi/d sigma, and the sigma-derivatives of a = P v_c + nv/2
+    and b = P v_s + nv/2 follow from v_s = (1 - phi(2 omega)) / 2 and
+    v_c = 1/2 + phi(2 omega) / 2 - phi(omega)^2.
+    """
     sp = math.sqrt(P)
-    r_re = z.real - sp * (c * phi)
-    r_im = z.imag - sp * (s * phi)
-    return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / det
+
+    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta, sigma = float(x[0]), float(x[1])
+        c = math.cos(omega * theta)
+        s = math.sin(omega * theta)
+        re = z.real * c + z.imag * s
+        v = z.imag * c - z.real * s
+        a, b = _phasor_variances(model, sigma, omega, P, nv)
+        phi = model.char_fn(sigma, omega)
+        dphi = model.char_fn_dsigma(sigma, omega)
+        dphi2 = model.char_fn_dsigma(sigma, 2.0 * omega)
+        da = P * (0.5 * dphi2 - 2.0 * phi * dphi)
+        db = -0.5 * P * dphi2
+        u = re - sp * phi
+        ra = 1.0 / math.sqrt(a)
+        rb = 1.0 / math.sqrt(b)
+        e = np.array([u * ra, v * rb])
+        jac = np.array(
+            [
+                [omega * v * ra, (-sp * dphi - 0.5 * u * da / a) * ra],
+                [-omega * re * rb, -0.5 * v * db / b * rb],
+            ]
+        )
+        return e, jac
+
+    return residual
 
 
 def joint_minimum_variance(
@@ -191,11 +238,16 @@ def joint_minimum_variance(
 ) -> EstimateSet:
     """Minimize joint_objective over (0, theta_R] x (0, sigma_max].
 
-    Coarse grid (at least 200 x 200) plus Nelder-Mead refinement of the
-    best cell to ~1e-8 in the parameters. When sigma_max is omitted it is
-    taken as 10x the magnitude-inversion scale of z, capped at 1e3.
-    Saturated samples (|z| > sqrt(P)) push the minimizer onto the
-    sigma -> 0 boundary; they are flagged and not searched.
+    Coarse grid (at least 200 x 200), then numkit.gauss_newton_box from
+    the best cell on the whitened residual of the rotated frame, to 1e-10
+    of the box width in each parameter; the box (1e-12 theta_R, theta_R]
+    x (1e-12 sigma_max, sigma_max] is kept by projection. When sigma_max
+    is omitted it is taken as 10x the magnitude-inversion scale of z,
+    capped at 1e3. Saturated samples (|z| > sqrt(P)) push the minimizer
+    onto the sigma -> 0 boundary; they are flagged and not searched.
+
+    Raises:
+        ConvergenceError: if the refinement does not converge.
     """
     if abs(z) == 0.0:
         raise ZeroMagnitudeError("cannot estimate from z = 0")
@@ -212,27 +264,21 @@ def joint_minimum_variance(
 
     if sigma_max is None:
         sigma_max = min(10.0 * max(sigma_inv, 1e-3 / omega), 1e3)
+    _check_point(sigma_max, omega, P, channel_noise_var)
     thetas = np.linspace(theta_R / n_t, theta_R, n_t)
     sigmas = np.linspace(sigma_max / n_s, sigma_max, n_s)
     q = _objective_grid(z, thetas, sigmas, omega, P, channel_noise_var, model)
     i, j = np.unravel_index(np.argmin(q), q.shape)
-    t0, s0 = float(thetas[i]), float(sigmas[j])
 
-    t_lo, t_hi = 1e-12 * theta_R, theta_R
-    s_lo, s_hi = 1e-12 * sigma_max, sigma_max
-
-    def fun(p):
-        th = min(max(p[0], t_lo), t_hi)
-        sg = min(max(p[1], s_lo), s_hi)
-        penalty = (p[0] - th) ** 2 + (p[1] - sg) ** 2
-        return joint_objective(z, th, sg, omega, P, channel_noise_var, model) + penalty
-
-    res = optimize.minimize(
-        fun,
-        x0=np.array([t0, s0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 600, "maxfev": 1200},
+    x, iterations, converged = gauss_newton_box(
+        _whitened_residual(z, omega, P, channel_noise_var, model),
+        (thetas[i], sigmas[j]),
+        (1e-12 * theta_R, 1e-12 * sigma_max),
+        (theta_R, sigma_max),
     )
-    th = float(min(max(res.x[0], t_lo), t_hi))
-    sg = float(min(max(res.x[1], s_lo), s_hi))
+    if not converged:
+        raise ConvergenceError(
+            f"joint refinement did not converge in {iterations} iterations at z={z!r}"
+        )
+    th, sg = float(x[0]), float(x[1])
     return EstimateSet(th, sg, (th / sg) ** 2, False)

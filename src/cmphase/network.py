@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,21 @@ def _power_mode(value) -> PowerMode:
         ) from None
 
 
+def _whole_number(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum. Integral floats (10.0) are accepted;
+    bools, fractional or non-finite floats and other types are not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value != int(value)
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Validated description of one sensing/transmission setup.
@@ -75,22 +91,21 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "model", self._coerce_model(self.model))
         object.__setattr__(self, "power_mode", _power_mode(self.power_mode))
-        if int(self.L) < 1:
-            raise ConfigError(f"L must be a positive integer, got {self.L}")
-        object.__setattr__(self, "L", int(self.L))
-        if not self.theta_R > 0.0:
-            raise ConfigError(f"theta_R must be positive, got {self.theta_R}")
+        object.__setattr__(self, "L", _whole_number("L", self.L, 1))
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
+        if not 0.0 < self.theta_R < math.inf:
+            raise ConfigError(f"theta_R must be positive and finite, got {self.theta_R}")
         if not 0.0 < self.theta <= self.theta_R:
             raise ConfigError(
                 f"theta must lie in (0, theta_R]; got theta={self.theta}, theta_R={self.theta_R}"
             )
-        if not self.sigma > 0.0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.P > 0.0:
-            raise ConfigError(f"P must be positive, got {self.P}")
-        if not self.channel_noise_var >= 0.0:
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0.0 < self.P < math.inf:
+            raise ConfigError(f"P must be positive and finite, got {self.P}")
+        if not 0.0 <= self.channel_noise_var < math.inf:
             raise ConfigError(
-                f"channel_noise_var must be nonnegative, got {self.channel_noise_var}"
+                f"channel_noise_var must be nonnegative and finite, got {self.channel_noise_var}"
             )
         omega_cap = 2.0 * math.pi / self.theta_R
         if not 0.0 < self.omega <= omega_cap * (1.0 + 1e-12):
@@ -153,7 +168,7 @@ class NetworkConfig:
             P=float(data["P"]),
             channel_noise_var=float(data["channel_noise_var"]),
             omega=float(data["omega"]),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
 
 

@@ -3,7 +3,9 @@
 Root finding and scalar minimization are deliberately bracket based
 (bisection, golden section): the tuning equations solved downstream mix
 steep exponentials with polynomials, and derivative-based iterations can
-escape their bracket there. Random streams wrap numpy's PCG64 with
+escape their bracket there. The one derivative-based minimizer,
+gauss_newton_box, serves a smooth least-squares problem on a box and
+keeps every iterate inside it. Random streams wrap numpy's PCG64 with
 explicit, documented variate transforms so that seeded runs reproduce
 bit-exactly regardless of platform or worker scheduling.
 """
@@ -17,20 +19,27 @@ import numpy as np
 
 __all__ = [
     "NoSignChangeError",
+    "ConvergenceError",
     "lambert_w0",
     "find_root_bracketed",
     "sign_change_brackets",
     "minimize_quasiconvex",
+    "gauss_newton_box",
     "real_roots_in_interval",
     "RandomStream",
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = 2.0 ** -52
 
 
 class NoSignChangeError(ValueError):
     """The bracket endpoints do not straddle a sign change."""
+
+
+class ConvergenceError(ValueError):
+    """An iteration reached its cap without meeting its tolerance."""
 
 
 def lambert_w0(x: float) -> float:
@@ -43,6 +52,9 @@ def lambert_w0(x: float) -> float:
 
     Raises:
         ValueError: if x < -1/e (no real principal-branch value).
+        ConvergenceError: if within 100 Halley iterations neither the
+            step falls below 1e-16 (1 + |w|) nor the residual w e^w - x
+            to its rounding level.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -79,9 +91,13 @@ def lambert_w0(x: float) -> float:
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+        # f carries a rounding error of about eps |x| (2 + |w|), the |w|
+        # part from rounding w inside exp. A step computed from a residual
+        # at that level is noise (near the branch point, where w e^w is
+        # flat, it can far exceed 1e-16 and cycle), so w is final.
+        if abs(step) <= 1e-16 * (1.0 + abs(w)) or abs(f) <= 2.0 * _EPS * abs(x) * (2.0 + abs(w)):
+            return w
+    raise ConvergenceError(f"lambert_w0 did not converge at x = {x!r}")
 
 
 def find_root_bracketed(
@@ -194,6 +210,84 @@ def minimize_quasiconvex(
     if f_hi <= fx + plateau:
         return hi, "upper"
     return x, "interior"
+
+
+def gauss_newton_box(
+    residual: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x0: Sequence[float],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    xtol: float = 1e-10,
+    max_iter: int = 50,
+) -> tuple[np.ndarray, int, bool]:
+    """Minimize |r(x)|^2 over the box lo <= x <= hi by damped Gauss-Newton.
+
+    residual(x) returns (r, J): the residual vector and its Jacobian
+    dr/dx. Each iteration holds fixed the variables that sit on a bound
+    with the gradient J^T r pushing outward (the active set) and takes the
+    least-squares Gauss-Newton step in the others. The trial point is
+    x + t step projected onto the box, and it must meet the Armijo
+    condition, so every accepted step descends (up to the rounding of
+    |r|^2): t = 1 is halved until it does, or else doubled while that
+    descends further, since where |r|^2 is nearly flat or concave along
+    the step (a large residual) Gauss-Newton steps fall far short.
+
+    The iteration has converged at a step no larger than xtol times the
+    box width in every coordinate, or one for which the linear model
+    r + J step predicts a decrease of |r|^2 below its rounding error
+    (where |r|^2 is that flat, no step can be told from another); that
+    last step is taken when it does not ascend. |r|^2 = 0 also ends it.
+
+    Returns (x, iterations, converged). converged is False when max_iter
+    iterations pass, or no step length along the Gauss-Newton direction
+    is accepted, before the tolerance is met; x is then the last
+    accepted iterate.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    width = hi - lo
+    r, J = residual(x)
+    f = float(r @ r)
+    for iteration in range(1, max_iter + 1):
+        if f == 0.0:
+            return x, iteration - 1, True
+        g = J.T @ r  # half the gradient of |r|^2
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        step = np.zeros_like(x)
+        if free.any():
+            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        rounding = 8.0 * _EPS * f
+        r_model = r + J @ step
+        small = bool(
+            np.all(np.abs(step) <= xtol * width) or f - float(r_model @ r_model) <= rounding
+        )
+        bound = f + rounding
+
+        def trial(t):
+            """(x, r, J, |r|^2) at step length t, or None if not Armijo."""
+            x_t = np.minimum(np.maximum(x + t * step, lo), hi)
+            r_t, J_t = residual(x_t)
+            f_t = float(r_t @ r_t)
+            if f_t <= bound + 2e-4 * float(g @ (x_t - x)):
+                return x_t, r_t, J_t, f_t
+            return None
+
+        t, best = 1.0, trial(1.0)
+        while best is None and not small and t > 1e-18:
+            t *= 0.5
+            best = trial(t)
+        if best is None:
+            return x, iteration, small
+        while t >= 1.0 and not small and t < 2.0**60:
+            longer = trial(2.0 * t)
+            if longer is None or longer[3] >= best[3]:
+                break
+            t, best = 2.0 * t, longer
+        x, r, J, f = best
+        if small:
+            return x, iteration, True
+    return x, max_iter, False
 
 
 def real_roots_in_interval(

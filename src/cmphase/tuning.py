@@ -134,8 +134,12 @@ def optimal_omega(
     Returns (omega_star, flag); flag "lower" or "upper" marks an infimum
     on the interval edge (monotone curve), "interior" a proper minimum.
     """
-    if sigma <= 0.0 or P <= 0.0:
-        raise ValueError("sigma and P must be positive")
+    if not (0.0 < sigma < math.inf and 0.0 < P < math.inf):
+        raise ValueError(f"sigma and P must be positive and finite, got {sigma}, {P}")
+    if not 0.0 <= channel_noise_var < math.inf:
+        raise ValueError(
+            f"channel_noise_var must be nonnegative and finite, got {channel_noise_var}"
+        )
     if not 0.0 < omega_min < omega_max:
         raise ValueError(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
     nv = _effective_nv(power_mode, channel_noise_var)

@@ -6,6 +6,9 @@ payloads and stderr diagnostics are all observable without subprocesses.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +47,41 @@ class TestParsing:
             main(["--version"])
         assert exc.value.code == 0
         assert "cmphase" in capsys.readouterr().out
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma", math.inf),
+            ("P", math.inf),
+            ("channel_noise_var", math.inf),
+            ("L", 2.7),
+            ("L", True),
+            ("seed", -1),
+        ],
+        ids=str,
+    )
+    def test_bad_config_value_is_an_error(self, capsys, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        rc, out, err = run(capsys, "simulate", "--omega", "0.9", "--config", str(path))
+        assert rc == 1 and out == ""
+        assert key in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cmphase.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulate:

@@ -7,11 +7,15 @@ strong end-to-end check of each.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmphase import estimators, numkit
 from cmphase.estimators import (
     DegenerateScaleError,
     ZeroMagnitudeError,
@@ -23,6 +27,7 @@ from cmphase.estimators import (
     simple_estimates,
 )
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
+from cmphase.numkit import ConvergenceError
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
@@ -203,3 +208,74 @@ class TestJointMinimumVariance:
     def test_theta_r_validation(self):
         with pytest.raises(ValueError):
             joint_minimum_variance(0.5 + 0.1j, 1.0, 1.0, 1.0, GAUSSIAN, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        nv=st.sampled_from([0.0, 1.0]),
+        omega=st.floats(0.2, 2.0),
+        window=st.floats(0.3, 1.0),
+        position=st.floats(0.02, 0.98),
+        sigma_omega=st.floats(0.05, 3.0),
+        P=st.floats(0.25, 4.0),
+    )
+    def test_agrees_with_simple_route_property(
+        self, model, nv, omega, window, position, sigma_omega, P
+    ):
+        theta_R = window * TWO_PI / omega
+        z = mean_signal(position * theta_R, sigma_omega / omega, omega, P, model)
+        simple = simple_estimates(z, omega, P, model)
+        joint = joint_minimum_variance(z, omega, P, nv, model, theta_R)
+        assert not joint.saturated
+        np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-8)
+        np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-8)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("beyond", [1.3, 1.8], ids=["near-upper", "near-lower"])
+    def test_off_window_matches_brute_force_and_is_stationary(self, model, beyond):
+        """arg z / omega beyond theta_R: the minimum lies on a theta face
+        of the box (the upper one, or the lower one across the phase
+        wrap). The estimate must be at least as good as every point of a
+        dense joint_objective grid, lie within one cell of its best point,
+        and satisfy the projected first-order conditions."""
+        omega, P, nv, sigma_max = 0.8, 1.0, 1.0, 5.0
+        theta_R = math.pi / omega
+        z = 0.9 * mean_signal(beyond * theta_R, 0.7, omega, P, model)
+        assert estimate_location(z, omega) > theta_R
+        est = joint_minimum_variance(z, omega, P, nv, model, theta_R, sigma_max=sigma_max)
+        x = np.array([est.theta_hat, est.sigma_hat])
+        lo = np.array([1e-12 * theta_R, 1e-12 * sigma_max])
+        hi = np.array([theta_R, sigma_max])
+
+        def q(theta, sigma):
+            return joint_objective(z, theta, sigma, omega, P, nv, model)
+
+        n = 241
+        thetas, sigmas = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
+        brute = np.array([[q(t, s) for s in sigmas] for t in thetas])
+        i, j = np.unravel_index(np.argmin(brute), brute.shape)
+        q_hat = q(*x)
+        assert q_hat <= brute[i, j] * (1.0 + 1e-12)
+        assert abs(x[0] - thetas[i]) <= thetas[1] - thetas[0]
+        assert abs(x[1] - sigmas[j]) <= sigmas[1] - sigmas[0]
+
+        h = 1e-6 * (hi - lo)
+        for k in range(2):
+            up, down = x.copy(), x.copy()
+            up[k] = min(x[k] + h[k], hi[k])
+            down[k] = max(x[k] - h[k], lo[k])
+            slope = (q(*up) - q(*down)) / (up[k] - down[k]) * (hi[k] - lo[k])
+            if x[k] == lo[k]:
+                assert slope >= 0.0
+            elif x[k] == hi[k]:
+                assert slope <= 0.0
+            else:
+                assert abs(slope) <= 1e-6 * q_hat
+
+    def test_non_convergence_raises(self, monkeypatch):
+        """A refinement that stops at its cap is an error, not an estimate."""
+        capped = functools.partial(numkit.gauss_newton_box, max_iter=1)
+        monkeypatch.setattr(estimators, "gauss_newton_box", capped)
+        z = mean_signal(2.4, 1.3, 0.6, 1.0, LAPLACE)
+        with pytest.raises(ConvergenceError):
+            joint_minimum_variance(z, 0.6, 1.0, 1.0, LAPLACE, TWO_PI)

@@ -35,6 +35,18 @@ def make_config(**overrides):
     return NetworkConfig(**base)
 
 
+# Inputs that used to be accepted: inf sigma gave a NaN snapshot, L was
+# truncated by int() and a negative seed failed later inside numpy.
+NON_FINITE_OR_NON_INTEGRAL = [
+    {"sigma": math.inf},
+    {"P": math.inf},
+    {"channel_noise_var": math.inf},
+    {"L": 2.7},
+    {"L": True},
+    {"seed": -1},
+]
+
+
 class TestNetworkConfig:
     def test_coercions(self):
         cfg = make_config(model="laplace", power_mode="per-sensor", L=10.0)
@@ -66,6 +78,23 @@ class TestNetworkConfig:
             overrides = dict(overrides, theta=1.0, theta_R=2.0 * math.pi)
         with pytest.raises(ConfigError):
             make_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", NON_FINITE_OR_NON_INTEGRAL, ids=str)
+    def test_rejects_non_finite_or_non_integral(self, overrides):
+        with pytest.raises(ConfigError):
+            make_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", NON_FINITE_OR_NON_INTEGRAL, ids=str)
+    def test_json_rejects_non_finite_or_non_integral(self, overrides):
+        data = make_config().to_json_dict()
+        data.update(overrides)
+        with pytest.raises(ConfigError):
+            NetworkConfig.from_json_dict(data)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = make_config(L=np.int64(20), seed=np.int32(3))
+        assert (cfg.L, cfg.seed) == (20, 3)
+        assert type(cfg.L) is int and type(cfg.seed) is int
 
     def test_omega_cap_scales_with_theta_range(self):
         # theta_R = pi allows omega up to 2

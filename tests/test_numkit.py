@@ -6,14 +6,20 @@ identity w e^w = x rather than trusting the implementation under test.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmphase import numkit
 from cmphase.numkit import (
+    ConvergenceError,
     NoSignChangeError,
     RandomStream,
     find_root_bracketed,
+    gauss_newton_box,
     lambert_w0,
     minimize_quasiconvex,
     real_roots_in_interval,
@@ -60,6 +66,66 @@ class TestLambertW:
         xs = np.linspace(-1.0 / math.e + 1e-9, 5.0, 200)
         ws = [lambert_w0(float(x)) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1.0 / math.e, max_value=1e300))
+    def test_defining_identity_property(self, x):
+        w = lambert_w0(x)
+        assert w >= -1.0
+        assert math.isclose(w * math.exp(w), x, rel_tol=1e-12, abs_tol=1e-300)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        """A residual that never settles (exp perturbed on every call)
+        must end in an error, not in the last iterate."""
+        jitter = iter(np.random.default_rng(0).uniform(-1e-6, 1e-6, 1000))
+        noisy = types.SimpleNamespace(**vars(math))
+        noisy.exp = lambda w: math.exp(w) * (1.0 + next(jitter))
+        monkeypatch.setattr(numkit, "math", noisy)
+        with pytest.raises(ConvergenceError):
+            lambert_w0(1.0)
+
+
+def _rosenbrock(x):
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return r, jac
+
+
+class TestGaussNewtonBox:
+    def test_zero_residual_interior(self):
+        x, iterations, converged = gauss_newton_box(
+            _rosenbrock, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0)
+        )
+        assert converged and iterations < 50
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-12)
+
+    def test_minimum_outside_the_box_lands_on_its_face(self):
+        """|x - (2, -1)|^2 on [0, 1]^2: both coordinates end on a bound."""
+
+        def shifted(x):
+            return x - np.array([2.0, -1.0]), np.eye(2)
+
+        x, iterations, converged = gauss_newton_box(shifted, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0))
+        assert converged
+        assert x.tolist() == [1.0, 0.0]
+
+    def test_iterates_stay_in_the_box(self):
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return _rosenbrock(x)
+
+        gauss_newton_box(recording, (-1.2, 1.0), (-1.5, 0.5), (1.5, 1.2))
+        assert all(np.all(p >= [-1.5, 0.5]) and np.all(p <= [1.5, 1.2]) for p in seen)
+
+    def test_reports_non_convergence_at_the_cap(self):
+        x, iterations, converged = gauss_newton_box(
+            _rosenbrock, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0), max_iter=2
+        )
+        assert not converged and iterations == 2
+        assert np.all(np.isfinite(x))
 
 
 class TestFindRootBracketed:

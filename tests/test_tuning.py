@@ -283,3 +283,14 @@ class TestResolveOmega:
             GAUSSIAN, 1.0, 1.0, 1.0, "theta", power_mode=PER_SENSOR, omega_max=0.005
         )
         assert substituted and w == 0.005
+
+
+@pytest.mark.parametrize("solver", [optimal_omega, resolve_omega], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "P, nv", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)], ids=str
+)
+def test_non_finite_power_or_channel_noise_rejected(solver, P, nv):
+    """A NaN power used to slip through the <= checks and come back as
+    the lower edge of the omega interval."""
+    with pytest.raises(ValueError, match="finite"):
+        solver(GAUSSIAN, 1.0, P, nv, "theta")
