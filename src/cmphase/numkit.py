@@ -32,6 +32,9 @@ __all__ = [
 _BRANCH_POINT = -math.exp(-1.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = 2.0 ** -52
+# gauss_newton_box: step tolerance relative to the box width, iteration cap.
+_GN_XTOL = 1e-10
+_GN_MAX_ITER = 50
 
 
 class NoSignChangeError(ValueError):
@@ -217,8 +220,6 @@ def gauss_newton_box(
     x0: Sequence[float],
     lo: Sequence[float],
     hi: Sequence[float],
-    xtol: float = 1e-10,
-    max_iter: int = 50,
 ) -> tuple[np.ndarray, int, bool]:
     """Minimize |r(x)|^2 over the box lo <= x <= hi by damped Gauss-Newton.
 
@@ -232,13 +233,13 @@ def gauss_newton_box(
     descends further, since where |r|^2 is nearly flat or concave along
     the step (a large residual) Gauss-Newton steps fall far short.
 
-    The iteration has converged at a step no larger than xtol times the
+    The iteration has converged at a step no larger than 1e-10 times the
     box width in every coordinate, or one for which the linear model
     r + J step predicts a decrease of |r|^2 below its rounding error
     (where |r|^2 is that flat, no step can be told from another); that
     last step is taken when it does not ascend. |r|^2 = 0 also ends it.
 
-    Returns (x, iterations, converged). converged is False when max_iter
+    Returns (x, iterations, converged). converged is False when 50
     iterations pass, or no step length along the Gauss-Newton direction
     is accepted, before the tolerance is met; x is then the last
     accepted iterate.
@@ -247,6 +248,7 @@ def gauss_newton_box(
     hi = np.asarray(hi, dtype=float)
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     width = hi - lo
+    max_iter = _GN_MAX_ITER
     r, J = residual(x)
     f = float(r @ r)
     for iteration in range(1, max_iter + 1):
@@ -260,7 +262,7 @@ def gauss_newton_box(
         rounding = 8.0 * _EPS * f
         r_model = r + J @ step
         small = bool(
-            np.all(np.abs(step) <= xtol * width) or f - float(r_model @ r_model) <= rounding
+            np.all(np.abs(step) <= _GN_XTOL * width) or f - float(r_model @ r_model) <= rounding
         )
         bound = f + rounding
 

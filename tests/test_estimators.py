@@ -7,7 +7,6 @@ strong end-to-end check of each.
 """
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmphase import estimators, numkit
+from cmphase import numkit
 from cmphase.estimators import (
     DegenerateScaleError,
     ZeroMagnitudeError,
@@ -209,7 +208,7 @@ class TestJointMinimumVariance:
         with pytest.raises(ValueError):
             joint_minimum_variance(0.5 + 0.1j, 1.0, 1.0, 1.0, GAUSSIAN, 0.0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         model=st.sampled_from(ALL_MODELS),
         nv=st.sampled_from([0.0, 1.0]),
@@ -274,8 +273,7 @@ class TestJointMinimumVariance:
 
     def test_non_convergence_raises(self, monkeypatch):
         """A refinement that stops at its cap is an error, not an estimate."""
-        capped = functools.partial(numkit.gauss_newton_box, max_iter=1)
-        monkeypatch.setattr(estimators, "gauss_newton_box", capped)
+        monkeypatch.setattr(numkit, "_GN_MAX_ITER", 1)
         z = mean_signal(2.4, 1.3, 0.6, 1.0, LAPLACE)
         with pytest.raises(ConvergenceError):
             joint_minimum_variance(z, 0.6, 1.0, 1.0, LAPLACE, TWO_PI)

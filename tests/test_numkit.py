@@ -68,7 +68,7 @@ class TestLambertW:
         assert all(b > a for a, b in zip(ws, ws[1:]))
 
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=-1.0 / math.e, max_value=1e300))
     def test_defining_identity_property(self, x):
         w = lambert_w0(x)
@@ -120,9 +120,10 @@ class TestGaussNewtonBox:
         gauss_newton_box(recording, (-1.2, 1.0), (-1.5, 0.5), (1.5, 1.2))
         assert all(np.all(p >= [-1.5, 0.5]) and np.all(p <= [1.5, 1.2]) for p in seen)
 
-    def test_reports_non_convergence_at_the_cap(self):
+    def test_reports_non_convergence_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_GN_MAX_ITER", 2)
         x, iterations, converged = gauss_newton_box(
-            _rosenbrock, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0), max_iter=2
+            _rosenbrock, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0)
         )
         assert not converged and iterations == 2
         assert np.all(np.isfinite(x))
