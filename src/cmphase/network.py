@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .noise import NoiseModel, noise_model
-from .numkit import RandomStream
+from .numkit import RandomStream, box_muller, whole_number
 
 __all__ = [
     "PowerMode",
     "ConfigError",
     "NetworkConfig",
     "Snapshot",
+    "snapshot_uniforms",
+    "simulate_block",
     "simulate_snapshot",
     "normalize",
 ]
@@ -55,18 +56,11 @@ def _power_mode(value) -> PowerMode:
 
 
 def _whole_number(name: str, value, minimum: int) -> int:
-    """value as an int >= minimum. Integral floats (10.0) are accepted;
-    bools, fractional or non-finite floats and other types are not."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or value != int(value)
-    ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    """numkit.whole_number, raising ConfigError."""
+    try:
+        return whole_number(name, value, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -174,12 +168,10 @@ class NetworkConfig:
 
 @dataclass(eq=False)
 class Snapshot:
-    """One received sample: raw y, normalized z, and optionally the
-    per-sensor observations x that produced it."""
+    """One received sample: raw y and normalized z."""
 
     y: complex
     z: complex
-    x: np.ndarray | None = None
 
 
 def _normalize_y(y: complex, cfg: NetworkConfig) -> complex:
@@ -198,31 +190,55 @@ def normalize(snapshot, cfg: NetworkConfig) -> complex:
     return _normalize_y(y, cfg)
 
 
-def simulate_snapshot(
-    cfg: NetworkConfig,
-    stream: RandomStream,
-    keep_observations: bool = False,
-    eta_override: np.ndarray | None = None,
-) -> Snapshot:
-    """Draw one received sample for cfg from the given stream.
+def snapshot_uniforms(cfg: NetworkConfig) -> int:
+    """Uniforms one snapshot consumes, in this order: the L sensing draws,
+    then (only if channel_noise_var > 0) two normals for the channel
+    noise."""
+    channel = 2 if cfg.channel_noise_var > 0.0 else 0
+    return cfg.model.uniforms_needed(cfg.L) + channel
 
-    Consumption order is fixed: the L sensing draws first, then (only if
-    channel_noise_var > 0) two normals for the channel noise.
-    eta_override injects fixed standardized noise in place of sampling;
-    it exists for tests and is never used by production paths.
+
+def simulate_block(cfg: NetworkConfig, u: np.ndarray) -> list[Snapshot]:
+    """One snapshot per row of u, a (B, snapshot_uniforms(cfg)) block of
+    uniforms laid out in each snapshot's consumption order."""
+    if u.ndim != 2 or u.shape[1] != snapshot_uniforms(cfg):
+        raise ValueError(
+            f"uniform block must have shape (B, {snapshot_uniforms(cfg)}), got {u.shape}"
+        )
+    k = cfg.model.uniforms_needed(cfg.L)
+    eta = cfg.model.from_uniforms(u[:, :k], cfg.L)
+    channel = box_muller(u[:, k:]) if cfg.channel_noise_var > 0.0 else None
+    return _snapshots(cfg, eta, channel)
+
+
+def _snapshots(
+    cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None
+) -> list[Snapshot]:
+    """Snapshots from standardized sensing noise eta, shape (B, L), and,
+    for a noisy channel, standard normal pairs channel, shape (B, 2).
+
+    The phasor sums run over the block; y and z are then formed per
+    snapshot in Python complex arithmetic, whose division rounds
+    differently from numpy's complex division.
     """
-    if eta_override is not None:
-        eta = np.asarray(eta_override, dtype=float)
-        if eta.shape != (cfg.L,):
-            raise ValueError(f"eta_override must have shape ({cfg.L},), got {eta.shape}")
-    else:
-        eta = cfg.model.sample(stream, cfg.L)
-    x = cfg.theta + cfg.sigma * eta
-    phase = cfg.omega * x
+    phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
+    re = np.cos(phase).sum(axis=-1).tolist()
+    im = np.sin(phase).sum(axis=-1).tolist()
     amp = math.sqrt(cfg.per_sensor_power)
-    y = amp * complex(np.sum(np.cos(phase)), np.sum(np.sin(phase)))
-    if cfg.channel_noise_var > 0.0:
-        root = math.sqrt(0.5 * cfg.channel_noise_var)
-        g = stream.normal(2)
-        y = y + complex(root * g[0], root * g[1])
-    return Snapshot(y=y, z=_normalize_y(y, cfg), x=x if keep_observations else None)
+    noise = None
+    if channel is not None:
+        noise = (math.sqrt(0.5 * cfg.channel_noise_var) * channel).tolist()
+    out = []
+    for b in range(len(re)):
+        y = amp * complex(re[b], im[b])
+        if noise is not None:
+            y = y + complex(noise[b][0], noise[b][1])
+        out.append(Snapshot(y=y, z=_normalize_y(y, cfg)))
+    return out
+
+
+def simulate_snapshot(cfg: NetworkConfig, stream: RandomStream) -> Snapshot:
+    """Draw one received sample for cfg from the given stream: the block
+    of one, consuming snapshot_uniforms(cfg) uniforms."""
+    u = stream.uniform(snapshot_uniforms(cfg))
+    return simulate_block(cfg, u[np.newaxis])[0]

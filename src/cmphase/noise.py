@@ -6,7 +6,8 @@ needs to know about a family is a NoiseModel method: the characteristic
 function phi(sigma omega), its sigma-derivative, the cos/sin phasor
 variance kernels (each one expression per family, serving floats and
 numpy arrays alike), the inverse of |phi| used by the magnitude
-estimator, the Fisher constants and the sampler.
+estimator, the Fisher constants, and the uniform-to-draw transform
+behind both the sampler and the Monte Carlo block engine.
 
 The scale conventions are fixed package-wide so that the characteristic
 function of sigma * eta (eta a standardized draw) takes the closed forms
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import RandomStream
+from .numkit import RandomStream, box_muller
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
@@ -145,34 +146,63 @@ class NoiseModel:
     def inverse_abs_char_fn(self, m: float, P: float) -> float:
         """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.
 
-        Defined for 0 < m < sqrt(P); the caller checks that range.
+        Defined for 0 < m < sqrt(P); the caller checks that range. For m
+        so small that the direct expression overflows (m * m underflows
+        to 0, or P / m^2 or sqrt(P) / m is inf) the same t is computed
+        from log(m) or sqrt(m) instead, so every finite direct result is
+        kept bit for bit and no m > 0 gives inf.
         """
         if self.kind == "gaussian":
-            return math.sqrt(math.log(P / (m * m)))
+            q = m * m
+            t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
+            if t == math.inf:
+                t = math.sqrt(math.log(P) - 2.0 * math.log(m))
+            return t
         if self.kind == "laplace":
-            return math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
-        return math.log(math.sqrt(P) / m)  # cauchy
+            t = math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
+            if t == math.inf:
+                # sqrt(P) / m > 1e307 here, so the -1 is below rounding.
+                t = math.sqrt(2.0 * math.sqrt(P)) / math.sqrt(m)
+            return t
+        t = math.log(math.sqrt(P) / m)  # cauchy
+        if t == math.inf:
+            t = 0.5 * math.log(P) - math.log(m)
+        return t
+
+    def uniforms_needed(self, n: int) -> int:
+        """Uniforms that n standardized draws consume: 2 ceil(n/2)
+        (gaussian), 2n (laplace) or n (cauchy)."""
+        if self.kind == "gaussian":
+            return 2 * ((n + 1) // 2)
+        if self.kind == "laplace":
+            return 2 * n
+        return n  # cauchy
+
+    def from_uniforms(self, u: np.ndarray, n: int) -> np.ndarray:
+        """n standardized draws (zero location, unit scale per the module
+        conventions) from uniforms_needed(n) uniforms, over the last axis
+        of u, so one call serves a single draw vector or a block of them.
+
+        gaussian: box_muller, truncated to n.
+        laplace: difference of two unit exponentials scaled by 1/sqrt(2),
+            each exponential -log(1 - u); the first n uniforms give the
+            first exponential, the last n the second.
+        cauchy: tangent transform tan(pi (u - 1/2)).
+        """
+        if self.kind == "gaussian":
+            return box_muller(u)[..., :n]
+        if self.kind == "laplace":
+            e1 = -np.log1p(-u[..., :n])
+            e2 = -np.log1p(-u[..., n:])
+            return _LAPLACE_B * (e1 - e2)
+        return np.tan(math.pi * (u - 0.5))  # cauchy
 
     def sample(self, stream: RandomStream, size: int | None = None):
-        """Standardized draws (zero location, unit scale per the module
-        conventions) from the given RandomStream.
-
-        gaussian: Box-Muller normals from the stream.
-        laplace: difference of two unit exponentials scaled by 1/sqrt(2),
-            each exponential from -log(1 - u); consumes 2n uniforms.
-        cauchy: tangent transform tan(pi (u - 1/2)); consumes n uniforms.
-        """
-        if self.kind == "gaussian":
-            return stream.normal(size)
+        """Standardized draws from the given RandomStream: from_uniforms
+        on the next uniforms_needed(size) uniforms; a scalar (one draw)
+        when size is None."""
         n = 1 if size is None else int(size)
-        if self.kind == "laplace":
-            u = stream.uniform(2 * n)
-            e1 = -np.log1p(-u[:n])
-            e2 = -np.log1p(-u[n:])
-            out = _LAPLACE_B * (e1 - e2)
-        else:  # cauchy
-            u = stream.uniform(n)
-            out = np.tan(math.pi * (u - 0.5))
+        out = self.from_uniforms(stream.uniform(self.uniforms_needed(n)), n)
         if size is None:
             return float(out[0])
         return out

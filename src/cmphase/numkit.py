@@ -13,6 +13,7 @@ bit-exactly regardless of platform or worker scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ __all__ = [
     "minimize_quasiconvex",
     "gauss_newton_box",
     "real_roots_in_interval",
+    "whole_number",
+    "box_muller",
+    "uniforms_from_states",
     "RandomStream",
 ]
 
@@ -35,6 +39,18 @@ _EPS = 2.0 ** -52
 # gauss_newton_box: step tolerance relative to the box width, iteration cap.
 _GN_XTOL = 1e-10
 _GN_MAX_ITER = 50
+
+# numpy.random.SeedSequence: pool size, hash constants and shift of its
+# documented mixing algorithm (numpy/random/bit_generator.pyx).
+_SS_POOL = 4
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 class NoSignChangeError(ValueError):
@@ -328,27 +344,138 @@ def real_roots_in_interval(
     return deduped
 
 
+def whole_number(name: str, value, minimum: int = 0) -> int:
+    """value as an int >= minimum.
+
+    Integers (numpy's included) and integral floats such as 10.0 are
+    accepted; bools, fractional or non-finite floats and other types
+    raise ValueError, as does a value below minimum.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)))
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms by the paired trigonometric
+    (Box-Muller) transform, over the last axis of u.
+
+    For a last axis of even length 2m, the first m uniforms feed the
+    radius and the last m the angle: r = sqrt(-2 log(1 - u_i)), and the
+    output interleaves (r cos(2 pi u_{m+i}), r sin(2 pi u_{m+i})).
+    """
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+    ang = (2.0 * math.pi) * u[..., m:]
+    out = np.empty(u.shape)
+    out[..., 0::2] = r * np.cos(ang)
+    out[..., 1::2] = r * np.sin(ang)
+    return out
+
+
+def _words32(value: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int, as numpy's
+    SeedSequence splits its entropy (0 is the one word 0)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_sequence_states(entropy: list, n: int) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) for n sequences at once.
+
+    entropy holds the assembled entropy words of numpy's SeedSequence,
+    one entry per word position: an int where all n sequences share the
+    word, a uint64 array of shape (n,) of 32-bit words where each has its
+    own. The shared words are mixed in plain int arithmetic and the rest
+    on the arrays, both masked to numpy's arithmetic modulo 2**32 (a
+    product of two 32-bit words fits in uint64). Returns (n, 4) uint64.
+    """
+    hash_a = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = (hash_a * _SS_MULT_A) & _MASK32
+        value = (value * hash_a) & _MASK32
+        return value ^ (value >> _SS_XSHIFT)
+
+    def mix(x, y):
+        result = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
+        return result ^ (result >> _SS_XSHIFT)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_b = _SS_INIT_B
+    state = np.empty((n, 2 * _SS_POOL), dtype=np.uint64)
+    for i in range(2 * _SS_POOL):
+        value = pool[i % _SS_POOL] ^ hash_b
+        hash_b = (hash_b * _SS_MULT_B) & _MASK32
+        value = (value * hash_b) & _MASK32
+        state[:, i] = value ^ (value >> _SS_XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def uniforms_from_states(states: np.ndarray, n: int) -> np.ndarray:
+    """The first n uniforms of the stream seeded by each row of states
+    (RandomStream.substream_states), one row per stream: row r equals
+    RandomStream(seed, key + (t,)).uniform(n) for the t of that row, bit
+    for bit, since numpy's PCG64 still does the seeding and the double
+    conversion."""
+    out = np.empty((len(states), n))
+    for row, words in zip(out, states):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).random(out=row)
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands precomputed SeedSequence state words to numpy's PCG64,
+    which seeds itself from generate_state(4, uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's request generate_state(4, uint64) is precomputed")
+        return self._words
+
+
 class RandomStream:
     """Seeded, reproducible stream of uniforms and derived variates.
 
     The integer engine is numpy's PCG64 keyed by
     SeedSequence(entropy=seed, spawn_key=key), so two streams built with
     the same (seed, key) yield bit-identical output on any platform, and
-    substreams for distinct keys are statistically independent.
+    substreams for distinct keys are statistically independent. The seed
+    and the key elements are nonnegative integers (ValueError otherwise).
 
     Variate transforms are fixed by this class, not by the numpy version:
 
     * uniform(n): float64 in [0, 1) straight from the generator.
-    * normal(n): paired trigonometric (Box-Muller) transform. For n
-      variates, m = ceil(n/2) pairs are formed from 2m consecutive
-      uniforms u (first m feed the radius, last m the angle):
-      r = sqrt(-2 log(1 - u_i)), z = (r cos(2 pi u_{m+i}),
-      r sin(2 pi u_{m+i})) interleaved, truncated to n.
+    * normal(n): box_muller on 2m = 2 ceil(n/2) consecutive uniforms,
+      truncated to n.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
+        self.seed = whole_number("seed", seed)
+        self.key = tuple(whole_number("key element", k) for k in key)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self.key))
         )
@@ -360,12 +487,38 @@ class RandomStream:
         """Independent stream for (seed, self.key + key)."""
         return RandomStream(self.seed, self.key + key)
 
+    def substream_states(self, start: int, stop: int) -> np.ndarray:
+        """PCG64 seed words of substream(t) for t = start, ..., stop - 1.
+
+        Row t - start is SeedSequence(entropy=seed, spawn_key=key + (t,))
+        .generate_state(4, uint64), derived for the whole range in one
+        vectorized pass. Indices below 2**64 take one or two 32-bit words
+        and go through that pass; larger ones through numpy's
+        SeedSequence.
+        """
+        start = whole_number("start", start)
+        stop = whole_number("stop", stop, start)
+        shared = _words32(self.seed)
+        shared += [0] * (_SS_POOL - len(shared))  # numpy pads before a spawn key
+        for k in self.key:
+            shared += _words32(k)
+        out = np.empty((stop - start, 4), dtype=np.uint64)
+        for lo, hi in ((start, min(stop, 2**32)), (max(start, 2**32), min(stop, 2**64))):
+            if lo < hi:
+                t = np.arange(lo, hi, dtype=np.uint64)
+                words = [t & _MASK32, t >> 32] if lo >= 2**32 else [t]
+                out[lo - start : hi - start] = _seed_sequence_states(shared + words, hi - lo)
+        for t in range(max(start, 2**64), stop):
+            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key + (t,))
+            out[t - start] = seq.generate_state(4, np.uint64)
+        return out
+
     def uniform(self, size: int | None = None):
         """Uniform float64 draws in [0, 1); scalar when size is None."""
         return self._gen.random(size)
 
     def normal(self, size: int | None = None):
-        """Standard normal draws via the documented Box-Muller transform.
+        """Standard normal draws via box_muller.
 
         A call for n variates consumes exactly 2*ceil(n/2) uniforms; a
         scalar call consumes 2.
@@ -375,13 +528,7 @@ class RandomStream:
             raise ValueError("size must be nonnegative")
         if n == 0:
             return np.empty(0)
-        m = (n + 1) // 2
-        u = self._gen.random(2 * m)
-        r = np.sqrt(-2.0 * np.log1p(-u[:m]))
-        ang = (2.0 * math.pi) * u[m:]
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
+        out = box_muller(self._gen.random(2 * ((n + 1) // 2)))
         if size is None:
             return float(out[0])
         return out[:n]

@@ -289,6 +289,16 @@ class TestSweep:
         assert rc == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trial_count(self, capsys, trials):
+        """Used to write a CSV of all-NaN error rows and exit 0."""
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "omega", "--grid", "0.5", "--trials", trials,
+        )
+        assert rc == 1
+        assert "trials must be an integer >= 1" in err
+        assert out == ""
+
     def test_file_rerun_byte_identical(self, capsys, tmp_path):
         # The manifest line embeds the output path, so byte identity is
         # defined for reruns of the same command writing the same file.

@@ -8,6 +8,7 @@ strong end-to-end check of each.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,40 @@ class TestEstimateScale:
     def test_zero_z(self):
         with pytest.raises(ZeroMagnitudeError):
             estimate_scale(0.0j, 1.0, 1.0, GAUSSIAN)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_tiny_magnitude_finite(self, model):
+        """|z| down to the smallest subnormal gives a finite, positive
+        sigma_hat that still falls as |z| grows (Gaussian m * m used to
+        underflow to a ZeroDivisionError, Laplace and Cauchy gave inf)."""
+        tiny = [5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-160, 1e-154, 1e-100]
+        sigmas = []
+        for m in tiny:
+            sigma_hat, saturated = estimate_scale(complex(m, 0.0), 1.0, 1.0, model)
+            assert 0.0 < sigma_hat < math.inf and not saturated
+            sigmas.append(sigma_hat)
+        assert sigmas == sorted(sigmas, reverse=True)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_inversion_unchanged_where_direct_form_finite(self, model):
+        """Wherever the direct closed form is finite the result is that
+        form, bit for bit (the Monte Carlo digests rest on it)."""
+        direct = {
+            "gaussian": lambda m, P: math.sqrt(math.log(P / (m * m))),
+            "laplace": lambda m, P: math.sqrt(2.0 * (math.sqrt(P) / m - 1.0)),
+            "cauchy": lambda m, P: math.log(math.sqrt(P) / m),
+        }[model.kind]
+        compared = 0
+        for P in (0.5, 1.0, 4.0):
+            for m in np.geomspace(sys.float_info.min, 0.999 * math.sqrt(P), 400).tolist():
+                try:
+                    expected = direct(m, P)
+                except ZeroDivisionError:
+                    continue
+                if expected < math.inf:
+                    assert model.inverse_abs_char_fn(m, P) == expected
+                    compared += 1
+        assert compared >= 600
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,146 @@
+"""Byte-for-byte gate on the Monte Carlo engine.
+
+The CSVs under tests/golden/ were written by the per-trial engine (one
+RandomStream and one simulate_snapshot call per trial) before the block
+engine replaced it. Every case must still reproduce its file exactly:
+the (i, t) substream contract, the uniforms, the variate transforms and
+the summation order are all frozen.
+
+z_sha256.json holds, per case and valid row, the sha256 of the complex128
+bytes of every trial's normalized received sample z from that engine,
+so a last-bit change anywhere before the CSV's nine digits shows too.
+
+The cases cover the three noise families, both power budgets, a clean
+and a noisy channel, odd L (Gaussian Box-Muller truncation), L larger
+than one block, trial counts that leave a partial last block, saturated
+trials and an error row.
+"""
+
+import hashlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cmphase import montecarlo
+from cmphase.montecarlo import run_experiment, sweep, write_sweep_csv
+from cmphase.network import NetworkConfig
+from cmphase.numkit import RandomStream
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (config fields, axis, grid, trials, omega_rule)
+CASES = {
+    "gaussian-total-odd-L": (
+        dict(model="gaussian", power_mode="total", L=101, channel_noise_var=1.0,
+             sigma=1.0, omega=0.9, seed=3),
+        "omega", [0.5, 0.9, 1.2], 50, None,
+    ),
+    "gaussian-per-sensor-L1-saturating": (
+        dict(model="gaussian", power_mode="per-sensor", L=1, channel_noise_var=1.0,
+             sigma=0.05, omega=0.2, seed=5),
+        "sigma", [0.05, 0.08], 400, None,
+    ),
+    "gaussian-per-sensor-clean-large-odd-L": (
+        dict(model="gaussian", power_mode="per-sensor", L=34001, channel_noise_var=0.0,
+             sigma=1.0, omega=0.7, seed=8),
+        "omega", [0.7], 3, None,
+    ),
+    "laplace-total-auto-theta": (
+        dict(model="laplace", power_mode="total", L=100, channel_noise_var=1.0,
+             sigma=1.0, omega=0.8, theta_R=math.pi, seed=0),
+        "sigma", [0.5, 1.0, 2.0], 500, "auto:theta",
+    ),
+    "laplace-per-sensor-clean-large-L": (
+        dict(model="laplace", power_mode="per-sensor", L=33000, channel_noise_var=0.0,
+             sigma=1.0, omega=0.3, seed=16),
+        "omega", [0.3], 3, None,
+    ),
+    "cauchy-total-clean": (
+        dict(model="cauchy", power_mode="total", L=64, channel_noise_var=0.0,
+             sigma=1.0, omega=0.4, seed=2024),
+        "omega", [0.4, 0.8], 200, None,
+    ),
+    "cauchy-per-sensor-large-L": (
+        dict(model="cauchy", power_mode="per-sensor", L=40000, channel_noise_var=0.5,
+             sigma=0.5, omega=0.6, seed=7),
+        "sigma", [0.5], 3, None,
+    ),
+}
+
+
+def make_config(**fields):
+    base = dict(theta=1.0, theta_R=2.0 * math.pi, P=1.0)
+    base.update(fields)
+    return NetworkConfig(**base)
+
+
+def sweep_csv(name: str) -> str:
+    fields, axis, grid, trials, omega_rule = CASES[name]
+    rows = sweep(make_config(**fields), axis, grid, trials, omega_rule=omega_rule)
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf, manifest={"case": name})
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_csv_matches_golden(name):
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    assert sweep_csv(name) == expected
+
+
+def row_configs(name: str):
+    """(row index, config) of each row of the case's sweep that ran."""
+    fields, axis, grid, trials, omega_rule = CASES[name]
+    cfg = make_config(**fields)
+    for i, row in enumerate(sweep(cfg, axis, grid, trials, omega_rule=omega_rule)):
+        if row.summary is None:
+            continue
+        if axis == "omega":
+            yield i, cfg.with_updates(omega=row.omega)
+        else:
+            yield i, cfg.with_updates(sigma=row.value, omega=row.omega)
+
+
+def trial_z(cfg: NetworkConfig, trials: int, row: int) -> np.ndarray:
+    root = RandomStream(cfg.seed).substream(row)
+    return np.array(list(montecarlo._received_z(cfg, trials, root)), dtype=complex)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trial_z_matches_golden(name):
+    expected = json.loads((GOLDEN / "z_sha256.json").read_text(encoding="utf-8"))[name]
+    trials = CASES[name][3]
+    got = {
+        str(i): hashlib.sha256(trial_z(cfg_i, trials, i).tobytes()).hexdigest()
+        for i, cfg_i in row_configs(name)
+    }
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "fields, trials",
+    [
+        (dict(model="gaussian", power_mode="total", L=7, channel_noise_var=1.0), 40),
+        (dict(model="laplace", power_mode="per-sensor", L=10, channel_noise_var=0.0), 700),
+        (dict(model="cauchy", power_mode="total", L=3, channel_noise_var=0.3), 50),
+    ],
+)
+def test_block_size_independence(monkeypatch, fields, trials):
+    """One trial per block, a prime block size (13, 9 and 32 trials per
+    block here, each leaving a partial last block) and the default give
+    the same samples and the same summary."""
+    cfg = make_config(sigma=1.0, omega=0.8, seed=12, **fields)
+    results = []
+    for block in (1, 97, montecarlo._BLOCK_SAMPLES):
+        monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
+        z = trial_z(cfg, trials, 0)
+        summary = run_experiment(cfg, trials).to_json_dict()
+        summary.pop("wall_time_s")
+        results.append((z, summary))
+    for z, summary in results[1:]:
+        np.testing.assert_array_equal(z, results[0][0])
+        assert summary == results[0][1]

@@ -106,6 +106,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trials"):
             run_experiment(make_config(), 0)
 
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True, math.nan, math.inf, "8"])
+    def test_bad_trial_counts_rejected(self, trials):
+        """2.5 and True used to raise raw numpy TypeErrors."""
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_experiment(make_config(), trials)
+
+    def test_integral_float_trial_count(self):
+        cfg = make_config(L=10)
+        assert run_experiment(cfg, 8.0).to_json_dict() | {"wall_time_s": 0} == (
+            run_experiment(cfg, 8).to_json_dict() | {"wall_time_s": 0}
+        )
+
     def test_json_shape(self):
         data = run_experiment(make_config(), 16).to_json_dict()
         assert set(data) == {
@@ -175,6 +187,13 @@ class TestSweep:
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="axis"):
             sweep(make_config(), "theta", [1.0], trials=4)
+
+    @pytest.mark.parametrize("trials", [0, 2.5, False])
+    def test_bad_trial_count_rejected_before_rows(self, trials):
+        """Used to return one error row per grid point (0) or raise a raw
+        numpy TypeError (2.5)."""
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            sweep(make_config(), "omega", [0.5, 0.9], trials=trials)
 
 
 class TestWriteSweepCsv:

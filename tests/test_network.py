@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from cmphase import network
 from cmphase.network import (
     ConfigError,
     NetworkConfig,
     PowerMode,
     Snapshot,
     normalize,
+    simulate_block,
     simulate_snapshot,
+    snapshot_uniforms,
 )
 from cmphase.noise import GAUSSIAN, LAPLACE
-from cmphase.numkit import RandomStream
+from cmphase.numkit import RandomStream, uniforms_from_states
 
 
 def make_config(**overrides):
@@ -159,7 +162,7 @@ class TestSimulateSnapshot:
         coherent sum of the three unit-power phasors."""
         cfg = make_config(L=3, channel_noise_var=0.0, power_mode="per-sensor", P=4.0)
         eta = np.array([0.1, -0.2, 0.3])
-        snap = simulate_snapshot(cfg, RandomStream(0), eta_override=eta)
+        snap = network._snapshots(cfg, eta[np.newaxis], None)[0]
         expected = 2.0 * sum(
             cmath.exp(1j * cfg.omega * (cfg.theta + cfg.sigma * e)) for e in eta
         )
@@ -201,33 +204,31 @@ class TestSimulateSnapshot:
         GAUSSIAN.sample(s2, 8)
         np.testing.assert_array_equal(s1.uniform(4), s2.uniform(4))
 
-    def test_keep_observations(self):
-        cfg = make_config(L=6, channel_noise_var=0.0)
-        eta = np.linspace(-1.0, 1.0, 6)
-        snap = simulate_snapshot(cfg, RandomStream(0), keep_observations=True, eta_override=eta)
-        np.testing.assert_allclose(snap.x, cfg.theta + cfg.sigma * eta, rtol=1e-15)
-        assert simulate_snapshot(cfg, RandomStream(0), eta_override=eta).x is None
-
-    def test_eta_override_shape_checked(self):
+    def test_block_shape_checked(self):
         cfg = make_config(L=4)
-        with pytest.raises(ValueError, match="shape"):
-            simulate_snapshot(cfg, RandomStream(0), eta_override=np.zeros(3))
+        assert snapshot_uniforms(cfg) == 6
+        for shape in [(2, 5), (2, 7), (6,)]:
+            with pytest.raises(ValueError, match="shape"):
+                simulate_block(cfg, np.zeros(shape))
+
+    def test_block_rows_are_snapshots(self):
+        """Row t of a block gives the snapshot of the stream that drew it."""
+        cfg = make_config(L=5, model="laplace", channel_noise_var=0.4)
+        root = RandomStream(4)
+        u = uniforms_from_states(root.substream_states(0, 3), snapshot_uniforms(cfg))
+        block = simulate_block(cfg, u)
+        for t, snap in enumerate(block):
+            single = simulate_snapshot(cfg, root.substream(t))
+            assert (snap.y, snap.z) == (single.y, single.z)
 
     def test_channel_noise_variance(self):
         """Real and imaginary noise parts each carry noise_var / 2."""
         cfg = make_config(L=1, channel_noise_var=0.8, power_mode="per-sensor")
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
-        parts = np.array(
-            [
-                [
-                    (s := simulate_snapshot(cfg, root.substream(t), eta_override=np.zeros(1))).y.real
-                    - clean.real,
-                    s.y.imag - clean.imag,
-                ]
-                for t in range(4000)
-            ]
-        )
+        channel = np.array([root.substream(t).normal(2) for t in range(4000)])
+        snaps = network._snapshots(cfg, np.zeros((4000, 1)), channel)
+        parts = np.array([[s.y.real - clean.real, s.y.imag - clean.imag] for s in snaps])
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)
         np.testing.assert_allclose(parts.mean(axis=0), [0.0, 0.0], atol=0.05)
 

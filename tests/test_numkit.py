@@ -18,11 +18,13 @@ from cmphase.numkit import (
     ConvergenceError,
     NoSignChangeError,
     RandomStream,
+    box_muller,
     find_root_bracketed,
     gauss_newton_box,
     lambert_w0,
     minimize_quasiconvex,
     real_roots_in_interval,
+    uniforms_from_states,
 )
 
 # Reference values, 40-dps mpmath, frozen.
@@ -259,3 +261,81 @@ class TestRandomStream:
         assert isinstance(x, float)
         u = s.uniform()
         assert isinstance(u, float) and 0.0 <= u < 1.0
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, math.nan, math.inf, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        """RandomStream(1.5) used to become seed 1 and True seed 1."""
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomStream(seed)
+
+    @pytest.mark.parametrize("key", [(True,), (0.5,), (-1,), (1, math.inf)])
+    def test_bad_key_rejected(self, key):
+        with pytest.raises(ValueError, match="key element must be an integer"):
+            RandomStream(0, key)
+        with pytest.raises(ValueError, match="key element must be an integer"):
+            RandomStream(0).substream(*key)
+
+    def test_integral_values_accepted(self):
+        s = RandomStream(np.int64(7), (3.0,))
+        assert (s.seed, s.key) == (7, (3,))
+
+    def test_box_muller_over_last_axis(self):
+        """A block of uniform rows gives each row's own normals."""
+        u = RandomStream(3).uniform(24).reshape(4, 6)
+        block = box_muller(u)
+        for row, normals in zip(u, block):
+            np.testing.assert_array_equal(box_muller(row), normals)
+
+
+class TestSubstreamStates:
+    """The vectorized SeedSequence derivation against numpy's own."""
+
+    @staticmethod
+    def numpy_states(seed, key, start, stop):
+        rows = [
+            np.random.SeedSequence(entropy=seed, spawn_key=key + (t,)).generate_state(4, np.uint64)
+            for t in range(start, stop)
+        ]
+        return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**128 - 1),
+            st.integers(2**128, 2**200),
+        ),
+        key=st.lists(
+            st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
+            max_size=3,
+        ),
+        start=st.one_of(
+            st.integers(0, 1000),
+            st.integers(2**32 - 4, 2**32 + 4),
+            st.integers(2**64 - 3, 2**64 + 1),
+        ),
+        count=st.integers(0, 6),
+    )
+    def test_matches_numpy_seed_sequence(self, seed, key, start, count):
+        stream = RandomStream(seed, tuple(key))
+        got = stream.substream_states(start, start + count)
+        np.testing.assert_array_equal(got, self.numpy_states(seed, tuple(key), start, start + count))
+
+    def test_row_of_a_sweep(self):
+        """The shape the Monte Carlo engine uses: a row key, 500 trials."""
+        root = RandomStream(2024).substream(7)
+        np.testing.assert_array_equal(
+            root.substream_states(0, 500), self.numpy_states(2024, (7,), 0, 500)
+        )
+
+    def test_uniforms_from_states(self):
+        root = RandomStream(5, (1,))
+        u = uniforms_from_states(root.substream_states(2**32 - 2, 2**32 + 2), 9)
+        for row, t in zip(u, range(2**32 - 2, 2**32 + 2)):
+            np.testing.assert_array_equal(row, root.substream(t).uniform(9))
+
+    def test_bad_range_rejected(self):
+        with pytest.raises(ValueError, match="stop"):
+            RandomStream(0).substream_states(5, 4)
+        with pytest.raises(ValueError, match="start"):
+            RandomStream(0).substream_states(-1, 4)
