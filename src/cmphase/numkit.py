@@ -12,6 +12,7 @@ bit-exactly regardless of platform or worker scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Iterator, Sequence
@@ -438,23 +439,30 @@ def uniforms_from_states(states: np.ndarray, n: int) -> np.ndarray:
     RandomStream(seed, key + (t,)).uniform(n) for the t of that row, bit
     for bit, since numpy's PCG64 still does the seeding and the double
     conversion."""
+    seed_words = _seed_words_type()
     out = np.empty((len(states), n))
     for row, words in zip(out, states):
-        np.random.Generator(np.random.PCG64(_SeedWords(words))).random(out=row)
+        np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
     return out
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands precomputed SeedSequence state words to numpy's PCG64,
-    which seeds itself from generate_state(4, uint64)."""
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands precomputed SeedSequence state words
+    to numpy's PCG64, which seeds itself from generate_state(4, uint64).
+    Built on first use: subclassing at import would import numpy.random
+    with cmphase, which commands that draw nothing do not need."""
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only PCG64's request generate_state(4, uint64) is precomputed")
-        return self._words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's request generate_state(4, uint64) is precomputed")
+            return self._words
+
+    return SeedWords
 
 
 class RandomStream:

@@ -84,6 +84,19 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_defers_numpy_random():
+    """numpy.random is imported by the first random draw, not with the
+    package, so commands that draw nothing do not pay for it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cmphase.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestSimulate:
     def test_default_payload(self, capsys):
         payload = run_json(capsys, "simulate", "--omega", "0.9")
