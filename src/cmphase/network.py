@@ -201,10 +201,9 @@ def snapshot_uniforms(cfg: NetworkConfig) -> int:
 def simulate_block(cfg: NetworkConfig, u: np.ndarray) -> list[Snapshot]:
     """One snapshot per row of u, a (B, snapshot_uniforms(cfg)) block of
     uniforms laid out in each snapshot's consumption order."""
-    if u.ndim != 2 or u.shape[1] != snapshot_uniforms(cfg):
-        raise ValueError(
-            f"uniform block must have shape (B, {snapshot_uniforms(cfg)}), got {u.shape}"
-        )
+    n = snapshot_uniforms(cfg)
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"uniform block must have shape (B, {n}), got {u.shape}")
     k = cfg.model.uniforms_needed(cfg.L)
     eta = cfg.model.from_uniforms(u[:, :k], cfg.L)
     channel = box_muller(u[:, k:]) if cfg.channel_noise_var > 0.0 else None
