@@ -4,6 +4,9 @@ Everything runs in-process through main(argv) so exit codes, stdout
 payloads and stderr diagnostics are all observable without subprocesses.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -143,6 +146,39 @@ class TestSimulate:
         rc, out, err = run(capsys, "simulate", "--omega", "0.9", "--sigma", "-1")
         assert rc == 1
         assert "sigma" in err
+
+    # sha256 of the simulate stdout, recorded before RandomStream stopped
+    # building numpy's SeedSequence: all three families, a clean and a
+    # noisy channel, odd L, the joint estimator and a seed >= 2**32.
+    DIGESTS = {
+        "gaussian-odd-L-seed7": (
+            ["--model", "gaussian", "--L", "10001", "--seed", "7"],
+            "a0192547e417c1861ee279826c4cdc7d672c6d892848d34a6c7e337ec7575a56",
+        ),
+        "laplace-clean-seed-2**32": (
+            ["--model", "laplace", "--seed", str(2**32), "--channel-noise-var", "0",
+             "--power-mode", "per-sensor"],
+            "122a565da273c3f8c6ff889c3a25d64a28769770c7409309677ef2e83fdd7e3e",
+        ),
+        "cauchy-joint-seed3": (
+            ["--model", "cauchy", "--seed", "3", "--channel-noise-var", "0.5",
+             "--estimator", "joint"],
+            "c3e33b55f1648a5a519997fcff01160af2246b87304d253b8c738fc31f113821",
+        ),
+        "gaussian-clean-odd-L-joint-seed1": (
+            ["--model", "gaussian", "--L", "10001", "--seed", "1", "--channel-noise-var", "0",
+             "--omega", "0.7", "--estimator", "joint"],
+            "ea0c9cc598311a94b38b5a1046b73bcb4694b16458c77913f274e173b700ab8b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_stdout_digest(self, name):
+        argv, expected = self.DIGESTS[name]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", *argv]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == expected
 
 
 class TestConfigFile:

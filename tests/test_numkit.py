@@ -262,6 +262,27 @@ class TestRandomStream:
         u = s.uniform()
         assert isinstance(u, float) and 0.0 <= u < 1.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**128 - 1),
+            st.integers(2**128, 2**200),
+        ),
+        key=st.lists(
+            st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
+            max_size=3,
+        ),
+        n=st.integers(0, 9),
+    )
+    def test_uniform_matches_numpy_generator(self, seed, key, n):
+        """uniform(n) is the first n uniforms of numpy's PCG64 seeded by
+        SeedSequence(entropy=seed, spawn_key=key), with or without a key."""
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+        ).random(n)
+        np.testing.assert_array_equal(RandomStream(seed, tuple(key)).uniform(n), expected)
+
     @pytest.mark.parametrize("seed", [True, 1.5, -1, math.nan, math.inf, "3", None])
     def test_bad_seed_rejected(self, seed):
         """RandomStream(1.5) used to become seed 1 and True seed 1."""
