@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import PowerMode
+from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel, noise_model
 
 __all__ = [
@@ -129,7 +129,7 @@ def jacobian(
 
 
 def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
-    """(asv_theta, asv_sigma); accepts scalar or array omega.
+    """(asv_theta, asv_sigma) at one scalar operating point.
 
     Where phi or its sigma-derivative underflow to zero (u = sigma*omega
     deep in the tail) the variances are returned as inf rather than
@@ -142,15 +142,10 @@ def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
     dphi = model.char_fn_dsigma(sigma, omega)
     v_c = model.phasor_cos_var(sigma, omega)
     v_s = model.phasor_sin_var(sigma, omega)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        den_t = 2.0 * P * omega**2 * phi * phi
-        den_s = 2.0 * P * dphi * dphi
-        asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
-        asv_s = (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
-        return asv_t, asv_s
-    with np.errstate(divide="ignore"):
-        asv_t = (2.0 * P * v_s + nv) / (2.0 * P * omega**2 * phi * phi)
-        asv_s = (2.0 * P * v_c + nv) / (2.0 * P * dphi * dphi)
+    den_t = 2.0 * P * omega**2 * phi * phi
+    den_s = 2.0 * P * dphi * dphi
+    asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
+    asv_s = (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
     return asv_t, asv_s
 
 
@@ -176,7 +171,7 @@ def asv_generic(
     """
     _check_point(sigma, omega, P, channel_noise_var)
     mode = PowerMode(power_mode)
-    nv = channel_noise_var if mode is PowerMode.TOTAL else 0.0
+    nv = effective_noise_var(mode, channel_noise_var)
     asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
     asv_g = None
     if theta is not None:
@@ -341,7 +336,7 @@ def asv_closed_form(
         raise ValueError(f"which must be theta|sigma|gamma, got {which!r}")
     _check_point(sigma, omega, P, channel_noise_var)
     mode = PowerMode(power_mode)
-    nv = channel_noise_var if mode is PowerMode.TOTAL else 0.0
+    nv = effective_noise_var(mode, channel_noise_var)
     if which == "gamma":
         if gamma is None or not gamma > 0.0:
             raise ValueError("gamma (positive) is required for which='gamma'")

@@ -30,7 +30,7 @@ from .asymptotic import asv_closed_form, asv_generic
 from .efficiency import asymptotic_relative_efficiency
 from .estimators import joint_minimum_variance, simple_estimates
 from .montecarlo import AllTrialsSaturatedError, sweep, write_sweep_csv
-from .network import ConfigError, NetworkConfig, PowerMode, simulate_snapshot
+from .network import ConfigError, NetworkConfig, PowerMode, effective_noise_var, simulate_snapshot
 from .noise import MODEL_TOKENS, noise_model
 from .numkit import RandomStream
 from .tuning import analytic_omega, optimal_omega, resolve_omega
@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
     cfg, notes = _build_config(args)
     snap = simulate_snapshot(cfg, RandomStream(cfg.seed))
     if args.estimator == "joint":
-        nv_eff = cfg.channel_noise_var if cfg.power_mode is PowerMode.TOTAL else 0.0
+        nv_eff = effective_noise_var(cfg.power_mode, cfg.channel_noise_var)
         est = joint_minimum_variance(
             snap.z, cfg.omega, cfg.P, nv_eff, cfg.model, cfg.theta_R
         )

@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_GRID = 200  # points per parameter of the joint minimizer's starting grid
+# Smallest |z| / sqrt(P + nv) the joint minimizer accepts. The objective
+# near its minimum is of order |z|^2 / (P + nv) and underflows below about
+# 1e-145, where the grid and the refinement can no longer tell points
+# apart; below about 3e-101 the sigma search (up to 10x the inverted
+# scale) also reaches sigma omega where the Laplace phasor kernels
+# overflow.
+_Z_FLOOR = 1e-100
 
 
 class ZeroMagnitudeError(ValueError):
@@ -233,29 +241,28 @@ def joint_minimum_variance(
     channel_noise_var: float,
     model: NoiseModel,
     theta_R: float,
-    grid: tuple[int, int] = (200, 200),
     sigma_max: float | None = None,
 ) -> EstimateSet:
     """Minimize joint_objective over (0, theta_R] x (0, sigma_max].
 
-    Coarse grid (at least 200 x 200), then numkit.gauss_newton_box from
+    Coarse 200 x 200 grid, then numkit.gauss_newton_box from
     the best cell on the whitened residual of the rotated frame, to 1e-10
     of the box width in each parameter; the box (1e-12 theta_R, theta_R]
     x (1e-12 sigma_max, sigma_max] is kept by projection. When sigma_max
-    is omitted it is taken as 10x the magnitude-inversion scale of z,
-    capped at 1e3. Saturated samples (|z| > sqrt(P)) push the minimizer
-    onto the sigma -> 0 boundary; they are flagged and not searched.
+    is omitted it is taken as 10x the magnitude-inversion scale of z
+    (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
+    minimizer onto the sigma -> 0 boundary; they are flagged and not
+    searched.
 
     Raises:
+        ValueError: if |z| < 1e-100 sqrt(P + channel_noise_var), where
+            the objective underflows or its kernels overflow.
         ConvergenceError: if the refinement does not converge.
     """
     if abs(z) == 0.0:
         raise ZeroMagnitudeError("cannot estimate from z = 0")
     if not theta_R > 0.0:
         raise ValueError(f"theta_R must be positive, got {theta_R}")
-    n_t, n_s = grid
-    if n_t < 200 or n_s < 200:
-        raise ValueError("grid must be at least 200 x 200")
 
     theta_hat = estimate_location(z, omega)
     sigma_inv, saturated = estimate_scale(z, omega, P, model)
@@ -263,10 +270,15 @@ def joint_minimum_variance(
         return EstimateSet(min(theta_hat, theta_R), 0.0, None, True)
 
     if sigma_max is None:
-        sigma_max = min(10.0 * max(sigma_inv, 1e-3 / omega), 1e3)
+        sigma_max = 10.0 * max(sigma_inv, 1e-3 / omega)
     _check_point(sigma_max, omega, P, channel_noise_var)
-    thetas = np.linspace(theta_R / n_t, theta_R, n_t)
-    sigmas = np.linspace(sigma_max / n_s, sigma_max, n_s)
+    if not abs(z) >= _Z_FLOOR * math.sqrt(P + channel_noise_var):
+        raise ValueError(
+            f"|z| = {abs(z)!r} is below {_Z_FLOOR} sqrt(P + channel_noise_var): the joint "
+            "objective is out of floating-point range there"
+        )
+    thetas = np.linspace(theta_R / _GRID, theta_R, _GRID)
+    sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)
     q = _objective_grid(z, thetas, sigmas, omega, P, channel_noise_var, model)
     i, j = np.unravel_index(np.argmin(q), q.shape)
 

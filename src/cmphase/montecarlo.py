@@ -5,9 +5,10 @@ Empirical variances are reported L-scaled (sample variance times the
 sensor count) so they sit on the same scale as the asymptotic variance
 expressions and the two can be overlaid directly.
 
-Reproducibility contract: trial t of row i always draws from the
-substream keyed (i, t) of the base stream, so results are independent
-of which rows of a sweep are run. CSV output carries no timestamps; a
+Reproducibility contract: trial t of row i always draws the first
+uniforms of RandomStream(cfg.seed, (i, t)), so results are independent
+of which rows of a sweep are run. cfg.seed is the one seed; another run
+is cfg.with_updates(seed=...). CSV output carries no timestamps; a
 rerun with the same inputs is byte-identical.
 
 Trials run in blocks. The substream seeds of all trials of a run are
@@ -133,12 +134,12 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream):
 
 
 def run_experiment(
-    cfg: NetworkConfig,
-    trials: int,
-    base_seed: int | None = None,
-    root_stream: RandomStream | None = None,
+    cfg: NetworkConfig, trials: int, stream: RandomStream | None = None
 ) -> McSummary:
     """Run repeated snapshots of cfg and summarize the simple estimators.
+
+    Trial t draws from stream.substream(t); stream defaults to
+    RandomStream(cfg.seed).
 
     Location estimates are compared to the truth modulo the phase period
     2*pi/omega: the reported deviation is the wrapped one nearest zero,
@@ -147,8 +148,8 @@ def run_experiment(
     SNR statistics cover only non-saturated trials.
     """
     trials = whole_number("trials", trials, 1)
-    if root_stream is None:
-        root_stream = RandomStream(cfg.seed if base_seed is None else base_seed)
+    if stream is None:
+        stream = RandomStream(cfg.seed)
 
     t0 = time.perf_counter()
     theta_hat = np.empty(trials)
@@ -156,7 +157,7 @@ def run_experiment(
     gamma_hat = np.full(trials, math.nan)
     saturated = np.zeros(trials, dtype=bool)
 
-    for t, z in enumerate(_received_z(cfg, trials, root_stream)):
+    for t, z in enumerate(_received_z(cfg, trials, stream)):
         est = simple_estimates(z, cfg.omega, cfg.P, cfg.model)
         theta_hat[t] = est.theta_hat
         sigma_hat[t] = est.sigma_hat
@@ -197,16 +198,13 @@ def run_experiment(
 def _resolve_sweep_omega(
     cfg: NetworkConfig, sigma: float, omega_rule
 ) -> float:
-    """Omega for one sigma-axis point. omega_rule is None (keep cfg.omega),
-    a callable sigma -> omega, or an 'auto:<target>' token resolved with
-    the true SNR of the point."""
+    """Omega for one sigma-axis point. omega_rule is None (keep cfg.omega)
+    or an 'auto:<target>' token resolved with the true SNR of the point."""
     if omega_rule is None:
         return cfg.omega
-    if callable(omega_rule):
-        return float(omega_rule(sigma))
     token = str(omega_rule)
     if not token.startswith("auto:"):
-        raise ValueError(f"omega_rule must be None, callable, or 'auto:<target>', got {token!r}")
+        raise ValueError(f"omega_rule must be None or 'auto:<target>', got {token!r}")
     target = token[len("auto:") :]
     gamma = (cfg.theta / sigma) ** 2 if target == "gamma" else None
     omega, _ = resolve_omega(
@@ -222,12 +220,11 @@ def sweep(
     axis: str,
     grid,
     trials: int,
-    base_seed: int | None = None,
-    omega_rule=None,
+    omega_rule: str | None = None,
 ) -> list[SweepRow]:
     """Monte Carlo sweep along omega or sigma.
 
-    Row i of the sweep draws from substream (i,) of the base stream, so
+    Row i of the sweep draws from RandomStream(cfg.seed).substream(i), so
     a row's result depends only on its index and the seed: editing one
     grid value or appending points never changes the other rows. A point
     that fails validation or saturates entirely yields a row with the
@@ -238,7 +235,7 @@ def sweep(
     if axis == "omega" and omega_rule is not None:
         raise ValueError("omega_rule applies only to sigma sweeps")
     trials = whole_number("trials", trials, 1)
-    root = RandomStream(cfg.seed if base_seed is None else base_seed)
+    root = RandomStream(cfg.seed)
 
     rows: list[SweepRow] = []
     for i, raw in enumerate(grid):
@@ -257,7 +254,7 @@ def sweep(
                 channel_noise_var=cfg_i.channel_noise_var,
                 theta=cfg_i.theta, power_mode=cfg_i.power_mode,
             )
-            summary = run_experiment(cfg_i, trials, root_stream=root.substream(i))
+            summary = run_experiment(cfg_i, trials, root.substream(i))
         except (ConfigError, ValueError, AllTrialsSaturatedError) as exc:
             rows.append(SweepRow(axis, value, omega, None, asv, str(exc)))
             continue

@@ -28,6 +28,7 @@ __all__ = [
     "ConfigError",
     "NetworkConfig",
     "Snapshot",
+    "effective_noise_var",
     "snapshot_uniforms",
     "simulate_block",
     "simulate_snapshot",
@@ -38,6 +39,13 @@ __all__ = [
 class PowerMode(str, enum.Enum):
     TOTAL = "total"
     PER_SENSOR = "per-sensor"
+
+
+def effective_noise_var(power_mode, channel_noise_var: float) -> float:
+    """The channel noise variance the large-L statistics see: all of it
+    under the total budget, none under the per-sensor budget, whose 1/L
+    normalization scales the channel noise away."""
+    return channel_noise_var if PowerMode(power_mode) is PowerMode.TOTAL else 0.0
 
 
 class ConfigError(ValueError):
@@ -237,7 +245,7 @@ def _snapshots(
 
 
 def simulate_snapshot(cfg: NetworkConfig, stream: RandomStream) -> Snapshot:
-    """Draw one received sample for cfg from the given stream: the block
-    of one, consuming snapshot_uniforms(cfg) uniforms."""
+    """The received sample for cfg drawn from the first
+    snapshot_uniforms(cfg) uniforms of stream: the block of one."""
     u = stream.uniform(snapshot_uniforms(cfg))
     return simulate_block(cfg, u[np.newaxis])[0]

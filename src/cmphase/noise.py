@@ -7,7 +7,9 @@ function phi(sigma omega), its sigma-derivative, the cos/sin phasor
 variance kernels (each one expression per family, serving floats and
 numpy arrays alike), the inverse of |phi| used by the magnitude
 estimator, the Fisher constants, and the uniform-to-draw transform
-behind both the sampler and the Monte Carlo block engine.
+(uniforms_needed and from_uniforms, the only way to draw a family's
+noise: snapshots and Monte Carlo blocks apply it to a stream's
+uniforms).
 
 The scale conventions are fixed package-wide so that the characteristic
 function of sigma * eta (eta a standardized draw) takes the closed forms
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import RandomStream, box_muller
+from .numkit import box_muller
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
@@ -196,16 +198,6 @@ class NoiseModel:
             e2 = -np.log1p(-u[..., n:])
             return _LAPLACE_B * (e1 - e2)
         return np.tan(math.pi * (u - 0.5))  # cauchy
-
-    def sample(self, stream: RandomStream, size: int | None = None):
-        """Standardized draws from the given RandomStream: from_uniforms
-        on the next uniforms_needed(size) uniforms; a scalar (one draw)
-        when size is None."""
-        n = 1 if size is None else int(size)
-        out = self.from_uniforms(stream.uniform(self.uniforms_needed(n)), n)
-        if size is None:
-            return float(out[0])
-        return out
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""

@@ -5,9 +5,10 @@ Root finding and scalar minimization are deliberately bracket based
 steep exponentials with polynomials, and derivative-based iterations can
 escape their bracket there. The one derivative-based minimizer,
 gauss_newton_box, serves a smooth least-squares problem on a box and
-keeps every iterate inside it. Random streams wrap numpy's PCG64 with
-explicit, documented variate transforms so that seeded runs reproduce
-bit-exactly regardless of platform or worker scheduling.
+keeps every iterate inside it. A random stream is a (seed, key) address
+of numpy's PCG64; its seed words are derived here for many substreams at
+once, and the draws of a seeded run reproduce bit-exactly on any
+platform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -465,31 +467,38 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+@dataclass(frozen=True)
 class RandomStream:
-    """Seeded, reproducible stream of uniforms and derived variates.
+    """Address of one reproducible stream of uniforms: (seed, key).
 
-    The integer engine is numpy's PCG64 keyed by
-    SeedSequence(entropy=seed, spawn_key=key), so two streams built with
-    the same (seed, key) yield bit-identical output on any platform, and
-    substreams for distinct keys are statistically independent. The seed
-    and the key elements are nonnegative integers (ValueError otherwise).
-
-    Variate transforms are fixed by this class, not by the numpy version:
-
-    * uniform(n): float64 in [0, 1) straight from the generator.
-    * normal(n): box_muller on 2m = 2 ceil(n/2) consecutive uniforms,
-      truncated to n.
+    The stream is numpy's PCG64 keyed by
+    SeedSequence(entropy=seed, spawn_key=key), so equal (seed, key) give
+    bit-identical uniforms on any platform, and substreams for distinct
+    keys are statistically independent. The seed and the key elements are
+    nonnegative integers (ValueError otherwise). A stream holds no
+    position: uniform(n) is always its first n uniforms, float64 in
+    [0, 1). The SeedSequence state words are derived here
+    (_seed_sequence_states), numpy's PCG64 seeds itself from them and
+    converts to doubles (uniforms_from_states).
     """
 
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = whole_number("seed", seed)
-        self.key = tuple(whole_number("key element", k) for k in key)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self.key))
-        )
+    seed: int
+    key: tuple[int, ...] = ()
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomStream(seed={self.seed}, key={self.key})"
+    def __post_init__(self):
+        object.__setattr__(self, "seed", whole_number("seed", self.seed))
+        object.__setattr__(self, "key", tuple(whole_number("key element", k) for k in self.key))
+
+    def _entropy(self) -> list[int]:
+        """SeedSequence's assembled entropy words: the seed's, padded with
+        zeros to the pool size, then each key element's. numpy pads only
+        before a non-empty spawn key, but entropy shorter than the pool
+        mixes as if zero-padded, so padding always gives the same state."""
+        words = _words32(self.seed)
+        words += [0] * (_SS_POOL - len(words))
+        for k in self.key:
+            words += _words32(k)
+        return words
 
     def substream(self, *key: int) -> "RandomStream":
         """Independent stream for (seed, self.key + key)."""
@@ -499,17 +508,13 @@ class RandomStream:
         """PCG64 seed words of substream(t) for t = start, ..., stop - 1.
 
         Row t - start is SeedSequence(entropy=seed, spawn_key=key + (t,))
-        .generate_state(4, uint64), derived for the whole range in one
-        vectorized pass. Indices below 2**64 take one or two 32-bit words
-        and go through that pass; larger ones through numpy's
-        SeedSequence.
+        .generate_state(4, uint64). Indices below 2**64 take one or two
+        32-bit words and are derived in one vectorized pass per word
+        count; larger ones one at a time.
         """
         start = whole_number("start", start)
         stop = whole_number("stop", stop, start)
-        shared = _words32(self.seed)
-        shared += [0] * (_SS_POOL - len(shared))  # numpy pads before a spawn key
-        for k in self.key:
-            shared += _words32(k)
+        shared = self._entropy()
         out = np.empty((stop - start, 4), dtype=np.uint64)
         for lo, hi in ((start, min(stop, 2**32)), (max(start, 2**32), min(stop, 2**64))):
             if lo < hi:
@@ -517,26 +522,9 @@ class RandomStream:
                 words = [t & _MASK32, t >> 32] if lo >= 2**32 else [t]
                 out[lo - start : hi - start] = _seed_sequence_states(shared + words, hi - lo)
         for t in range(max(start, 2**64), stop):
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key + (t,))
-            out[t - start] = seq.generate_state(4, np.uint64)
+            out[t - start] = _seed_sequence_states(shared + _words32(t), 1)[0]
         return out
 
-    def uniform(self, size: int | None = None):
-        """Uniform float64 draws in [0, 1); scalar when size is None."""
-        return self._gen.random(size)
-
-    def normal(self, size: int | None = None):
-        """Standard normal draws via box_muller.
-
-        A call for n variates consumes exactly 2*ceil(n/2) uniforms; a
-        scalar call consumes 2.
-        """
-        n = 1 if size is None else int(size)
-        if n < 0:
-            raise ValueError("size must be nonnegative")
-        if n == 0:
-            return np.empty(0)
-        out = box_muller(self._gen.random(2 * ((n + 1) // 2)))
-        if size is None:
-            return float(out[0])
-        return out[:n]
+    def uniform(self, n: int) -> np.ndarray:
+        """The first n uniforms of the stream."""
+        return uniforms_from_states(_seed_sequence_states(self._entropy(), 1), n)[0]

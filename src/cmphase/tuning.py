@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .asymptotic import _asv_components, compose_gamma
-from .network import PowerMode
+from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel
 from .numkit import (
     find_root_bracketed,
@@ -48,6 +48,7 @@ _TARGETS = ("theta", "sigma", "gamma")
 _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
+_OMEGA_TOL = 1e-10  # golden-section bracket width at which optimal_omega stops
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,6 @@ def _target_curve(
     return f
 
 
-def _effective_nv(power_mode: PowerMode, channel_noise_var: float) -> float:
-    return channel_noise_var if PowerMode(power_mode) is PowerMode.TOTAL else 0.0
-
-
 def optimal_omega(
     model: NoiseModel,
     sigma: float,
@@ -127,12 +124,12 @@ def optimal_omega(
     gamma: float | None = None,
     omega_max: float = 2.0 * math.pi,
     omega_min: float = 1e-4,
-    tol: float = 1e-10,
 ) -> tuple[float, str]:
     """Numeric argmin of the target asymptotic variance over omega.
 
     Returns (omega_star, flag); flag "lower" or "upper" marks an infimum
     on the interval edge (monotone curve), "interior" a proper minimum.
+    The golden-section bracket is narrowed to 1e-10 in omega.
     """
     if not (0.0 < sigma < math.inf and 0.0 < P < math.inf):
         raise ValueError(f"sigma and P must be positive and finite, got {sigma}, {P}")
@@ -142,9 +139,9 @@ def optimal_omega(
         )
     if not 0.0 < omega_min < omega_max:
         raise ValueError(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
-    nv = _effective_nv(power_mode, channel_noise_var)
+    nv = effective_noise_var(power_mode, channel_noise_var)
     f = _target_curve(model, sigma, P, nv, target, gamma)
-    return minimize_quasiconvex(f, omega_min, omega_max, tol=tol)
+    return minimize_quasiconvex(f, omega_min, omega_max, tol=_OMEGA_TOL)
 
 
 def omega_optima(
@@ -156,7 +153,6 @@ def omega_optima(
     gamma: float | None = None,
     omega_max: float = 2.0 * math.pi,
     omega_min: float = 1e-4,
-    tol: float = 1e-10,
 ) -> OmegaOptima:
     """Numeric minimizers for theta, sigma and gamma (gamma needs gamma)."""
     out: dict[str, float] = {}
@@ -165,7 +161,7 @@ def omega_optima(
         w, flag = optimal_omega(
             model, sigma, P, channel_noise_var, target,
             power_mode=power_mode, gamma=gamma,
-            omega_max=omega_max, omega_min=omega_min, tol=tol,
+            omega_max=omega_max, omega_min=omega_min,
         )
         out[target] = w
         flags[target] = flag
@@ -284,7 +280,7 @@ def analytic_omega(
     if target not in _TARGETS:
         raise ValueError(f"target must be one of {_TARGETS}, got {target!r}")
     mode = PowerMode(power_mode)
-    nv = _effective_nv(mode, channel_noise_var)
+    nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
     if target == "gamma" and (gamma is None or gamma <= 0.0):
         raise ValueError("target='gamma' requires a positive gamma value")

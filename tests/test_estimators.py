@@ -229,11 +229,35 @@ class TestJointMinimumVariance:
         assert est.sigma_hat == 0.0 and est.gamma_hat is None
         assert est.theta_hat <= TWO_PI
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError, match="grid"):
-            joint_minimum_variance(
-                0.5 + 0.1j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI, grid=(100, 200)
-            )
+    @pytest.mark.parametrize("model", [GAUSSIAN, CAUCHY], ids=lambda m: m.kind)
+    def test_underflowing_objective_raises(self, model):
+        """At |z| ~ 1e-170 the objective underflows to 0 on the grid; the
+        first cell (theta 0.0628, simple 0.1993) used to come back as
+        converged."""
+        z, omega = 1e-170 + 1e-171j, 0.5
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            joint_minimum_variance(z, omega, 1.0, 1.0, model, TWO_PI / omega)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_smallest_accepted_z_matches_simple(self, model):
+        """Just above the |z| floor the objective still resolves the
+        minimum, and the Laplace kernels do not overflow anywhere in the
+        sigma search."""
+        omega = 0.5
+        z = 1.001e-100 * math.sqrt(2.0) * (0.6 + 0.8j)
+        simple = simple_estimates(z, omega, 1.0, model)
+        joint = joint_minimum_variance(z, omega, 1.0, 1.0, model, TWO_PI / omega)
+        np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-8)
+        np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-8)
+
+    def test_sigma_beyond_former_cap_matches_simple(self):
+        """The default sigma_max used to be capped at 1e3, below the simple
+        sigma 4227.1, and the estimate came back as sigma = 1000."""
+        z, omega = 0.001 + 0.0005j, 0.01
+        simple = simple_estimates(z, omega, 1.0, LAPLACE)
+        joint = joint_minimum_variance(z, omega, 1.0, 1.0, LAPLACE, TWO_PI / omega)
+        np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-4)
+        np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-4)
 
     def test_zero_z(self):
         with pytest.raises(ZeroMagnitudeError):

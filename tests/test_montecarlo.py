@@ -21,6 +21,7 @@ from cmphase.montecarlo import (
     write_sweep_csv,
 )
 from cmphase.network import NetworkConfig
+from cmphase.numkit import RandomStream
 from cmphase.tuning import resolve_omega
 
 
@@ -50,14 +51,15 @@ class TestRunExperiment:
         assert a.sigma.variance_l == b.sigma.variance_l
         assert a.saturated == b.saturated
 
-    def test_base_seed_overrides_config_seed(self):
+    def test_stream_defaults_to_config_seed(self):
         cfg = make_config(seed=3)
         assert (
-            run_experiment(cfg, 32, base_seed=3).theta.mean
+            run_experiment(cfg, 32, RandomStream(3)).theta.mean
             == run_experiment(cfg, 32).theta.mean
         )
         assert (
-            run_experiment(cfg, 32, base_seed=4).theta.mean
+            run_experiment(cfg, 32, RandomStream(4)).theta.mean
+            == run_experiment(cfg.with_updates(seed=4), 32).theta.mean
             != run_experiment(cfg, 32).theta.mean
         )
 
@@ -161,11 +163,6 @@ class TestSweep:
         assert rows[0].error is not None
         assert rows[0].asv is not None
         assert rows[0].summary is None
-
-    def test_sigma_axis_callable_omega_rule(self):
-        cfg = make_config(L=100)
-        rows = sweep(cfg, "sigma", [0.5, 2.0], trials=8, omega_rule=lambda s: 0.3 / s)
-        np.testing.assert_allclose([r.omega for r in rows], [0.6, 0.15], rtol=1e-12)
 
     def test_sigma_axis_auto_rule(self):
         cfg = make_config(L=100, theta_R=math.pi, theta=1.0)

@@ -18,7 +18,7 @@ from cmphase.network import (
     snapshot_uniforms,
 )
 from cmphase.noise import GAUSSIAN, LAPLACE
-from cmphase.numkit import RandomStream, uniforms_from_states
+from cmphase.numkit import RandomStream, box_muller, uniforms_from_states
 
 
 def make_config(**overrides):
@@ -187,9 +187,10 @@ class TestSimulateSnapshot:
         cfg = make_config(L=20, model="laplace", channel_noise_var=0.7)
         snap = simulate_snapshot(cfg, RandomStream(9))
 
-        stream = RandomStream(9)
-        eta = cfg.model.sample(stream, cfg.L)
-        g = stream.normal(2)
+        u = RandomStream(9).uniform(snapshot_uniforms(cfg))
+        k = cfg.model.uniforms_needed(cfg.L)
+        eta = cfg.model.from_uniforms(u[:k], cfg.L)
+        g = box_muller(u[k:])
         phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
         amp = math.sqrt(cfg.per_sensor_power)
         y = amp * complex(np.sum(np.cos(phase)), np.sum(np.sin(phase)))
@@ -198,11 +199,11 @@ class TestSimulateSnapshot:
 
     def test_clean_channel_consumes_no_channel_draws(self):
         cfg = make_config(L=8, channel_noise_var=0.0)
-        s1 = RandomStream(2)
-        simulate_snapshot(cfg, s1)
-        s2 = RandomStream(2)
-        GAUSSIAN.sample(s2, 8)
-        np.testing.assert_array_equal(s1.uniform(4), s2.uniform(4))
+        assert snapshot_uniforms(cfg) == GAUSSIAN.uniforms_needed(8) == 8
+        snap = simulate_snapshot(cfg, RandomStream(2))
+        eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8)
+        expected = network._snapshots(cfg, eta[np.newaxis], None)[0]
+        assert (snap.y, snap.z) == (expected.y, expected.z)
 
     def test_block_shape_checked(self):
         cfg = make_config(L=4)
@@ -212,12 +213,16 @@ class TestSimulateSnapshot:
                 simulate_block(cfg, np.zeros(shape))
 
     def test_block_rows_are_snapshots(self):
-        """Row t of a block gives the snapshot of the stream that drew it."""
+        """Row t of a block holds the uniforms of numpy's generator for
+        substream t and gives that stream's snapshot."""
         cfg = make_config(L=5, model="laplace", channel_noise_var=0.4)
         root = RandomStream(4)
-        u = uniforms_from_states(root.substream_states(0, 3), snapshot_uniforms(cfg))
+        n = snapshot_uniforms(cfg)
+        u = uniforms_from_states(root.substream_states(0, 3), n)
         block = simulate_block(cfg, u)
         for t, snap in enumerate(block):
+            seq = np.random.SeedSequence(entropy=4, spawn_key=(t,))
+            np.testing.assert_array_equal(u[t], np.random.Generator(np.random.PCG64(seq)).random(n))
             single = simulate_snapshot(cfg, root.substream(t))
             assert (snap.y, snap.z) == (single.y, single.z)
 
@@ -226,7 +231,7 @@ class TestSimulateSnapshot:
         cfg = make_config(L=1, channel_noise_var=0.8, power_mode="per-sensor")
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
-        channel = np.array([root.substream(t).normal(2) for t in range(4000)])
+        channel = box_muller(uniforms_from_states(root.substream_states(0, 4000), 2))
         snaps = network._snapshots(cfg, np.zeros((4000, 1)), channel)
         parts = np.array([[s.y.real - clean.real, s.y.imag - clean.imag] for s in snaps])
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)

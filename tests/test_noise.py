@@ -211,20 +211,23 @@ class TestFisherConstants:
             )
 
 
+def draw(model, seed, n):
+    """n standardized draws of model from the first uniforms of a stream."""
+    return model.from_uniforms(RandomStream(seed).uniform(model.uniforms_needed(n)), n)
+
+
 class TestSampling:
     def test_reproducible(self):
         for model in ALL_MODELS:
-            a = model.sample(RandomStream(11), 32)
-            b = model.sample(RandomStream(11), 32)
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(draw(model, 11, 32), draw(model, 11, 32))
 
     def test_gaussian_moments(self):
-        x = GAUSSIAN.sample(RandomStream(42), 200_000)
+        x = draw(GAUSSIAN, 42, 200_000)
         np.testing.assert_allclose(x.mean(), 0.0, atol=1e-2)
         np.testing.assert_allclose(x.var(), 1.0, rtol=1e-2)
 
     def test_laplace_moments(self):
-        x = LAPLACE.sample(RandomStream(42), 200_000)
+        x = draw(LAPLACE, 42, 200_000)
         np.testing.assert_allclose(x.mean(), 0.0, atol=1e-2)
         np.testing.assert_allclose(x.var(), 1.0, rtol=2e-2)
         # unit-variance Laplace has E[x^4] = 6
@@ -232,22 +235,17 @@ class TestSampling:
 
     def test_cauchy_quantiles(self):
         """No moments exist; check median 0 and quartiles at +-1."""
-        x = CAUCHY.sample(RandomStream(42), 200_000)
+        x = draw(CAUCHY, 42, 200_000)
         np.testing.assert_allclose(np.median(x), 0.0, atol=2e-2)
         np.testing.assert_allclose(np.mean(np.abs(x) > 1.0), 0.5, atol=5e-3)
 
     def test_laplace_consumes_two_uniforms_each(self):
-        s1 = RandomStream(3)
-        LAPLACE.sample(s1, 5)  # 10 uniforms
-        tail1 = s1.uniform(4)
-        s2 = RandomStream(3)
-        s2.uniform(10)
-        tail2 = s2.uniform(4)
-        np.testing.assert_array_equal(tail1, tail2)
-
-    def test_scalar_draw(self):
-        for model in ALL_MODELS:
-            assert isinstance(model.sample(RandomStream(1)), float)
+        """Draw i is the difference of the exponentials of uniforms i and
+        n + i."""
+        assert LAPLACE.uniforms_needed(5) == 10
+        u = RandomStream(3).uniform(10)
+        expected = [LAPLACE_B * (math.log1p(-u[5 + i]) - math.log1p(-u[i])) for i in range(5)]
+        np.testing.assert_allclose(LAPLACE.from_uniforms(u, 5), expected, rtol=1e-14)
 
 
 class TestFactory:

@@ -239,28 +239,22 @@ class TestRandomStream:
         np.testing.assert_allclose(u.var(), 1.0 / 12.0, rtol=2e-2)
 
     def test_normal_moments(self):
-        g = RandomStream(42).normal(200_000)
+        g = box_muller(RandomStream(42).uniform(200_000))
         np.testing.assert_allclose(g.mean(), 0.0, atol=1e-2)
         np.testing.assert_allclose(g.var(), 1.0, rtol=1e-2)
         # standardized fourth moment of a Gaussian is 3
         np.testing.assert_allclose((g**4).mean(), 3.0, rtol=5e-2)
 
     def test_normal_consumes_two_uniforms_per_pair(self):
-        """normal(n) consumes 2*ceil(n/2) uniforms from the stream."""
-        s1 = RandomStream(9)
-        s1.normal(3)  # 4 uniforms
-        tail1 = s1.uniform(4)
-        s2 = RandomStream(9)
-        s2.uniform(4)
-        tail2 = s2.uniform(4)
-        np.testing.assert_array_equal(tail1, tail2)
-
-    def test_scalar_draws(self):
-        s = RandomStream(5)
-        x = s.normal()
-        assert isinstance(x, float)
-        u = s.uniform()
-        assert isinstance(u, float) and 0.0 <= u < 1.0
+        """Normal pair i of 2m uniforms takes its radius from uniform i and
+        its angle from uniform m + i."""
+        u = RandomStream(9).uniform(6)
+        g = box_muller(u)
+        for i in range(3):
+            r = math.sqrt(-2.0 * math.log1p(-u[i]))
+            ang = 2.0 * math.pi * u[3 + i]
+            np.testing.assert_allclose(g[2 * i : 2 * i + 2], [r * math.cos(ang), r * math.sin(ang)],
+                                       rtol=1e-14)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -353,7 +347,8 @@ class TestSubstreamStates:
         root = RandomStream(5, (1,))
         u = uniforms_from_states(root.substream_states(2**32 - 2, 2**32 + 2), 9)
         for row, t in zip(u, range(2**32 - 2, 2**32 + 2)):
-            np.testing.assert_array_equal(row, root.substream(t).uniform(9))
+            seq = np.random.SeedSequence(entropy=5, spawn_key=(1, t))
+            np.testing.assert_array_equal(row, np.random.Generator(np.random.PCG64(seq)).random(9))
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError, match="stop"):
