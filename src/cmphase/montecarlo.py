@@ -13,10 +13,12 @@ rerun with the same inputs is byte-identical.
 
 Trials run in blocks. The substream seeds of all trials of a run are
 derived in one vectorized pass; a block's uniforms are drawn into one
-array, and the draw transforms and phasor sums run over the whole
-block. The inversions stay one scalar simple_estimates call per trial
-(numpy's arctan2, abs and log on arrays may differ from math's in the
-last bit). Results do not depend on the block size.
+array, and the draw transforms, phasor sums and channel noise run over
+the whole block, giving z as a complex array. The inversions then run
+per trial over z.tolist() through the scalar estimate_location and
+estimate_scale (numpy's arctan2, abs and log on arrays may differ from
+math's in the last bit); no per-trial object is built. Results do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsvReport, asv_generic
-from .estimators import simple_estimates
+from .estimators import estimate_location, estimate_scale, estimate_snr
 from .network import ConfigError, NetworkConfig, simulate_block, snapshot_uniforms
 from .numkit import RandomStream, uniforms_from_states, whole_number
 from .tuning import resolve_omega
@@ -121,16 +123,20 @@ def _trimmed_variance_l(values: np.ndarray, L: int) -> float:
     return float(np.var(kept, ddof=1)) * L
 
 
-def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream):
+def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarray:
     """Normalized received samples z of trials 0, ..., trials - 1, trial t
     drawn from root.substream(t), simulated block by block."""
     per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
     states = root.substream_states(0, trials)
+    # Filled in place: per-block arrays kept alive until one concatenate
+    # fragment the heap under the block temporaries (5x the page faults
+    # at L = 10^4).
+    z = np.empty(trials, dtype=complex)
     for start in range(0, trials, per_block):
         u = uniforms_from_states(states[start : start + per_block], n)
-        for snap in simulate_block(cfg, u):
-            yield snap.z
+        z[start : start + per_block] = simulate_block(cfg, u)[1]
+    return z
 
 
 def run_experiment(
@@ -152,20 +158,20 @@ def run_experiment(
         stream = RandomStream(cfg.seed)
 
     t0 = time.perf_counter()
-    theta_hat = np.empty(trials)
-    sigma_hat = np.empty(trials)
-    gamma_hat = np.full(trials, math.nan)
-    saturated = np.zeros(trials, dtype=bool)
+    omega, P, model = cfg.omega, cfg.P, cfg.model
+    thetas: list[float] = []
+    sigmas: list[float] = []
+    gammas: list[float] = []  # trials with sigma_hat > 0 only, in trial order
+    n_sat = 0
+    for z in _received_z(cfg, trials, stream).tolist():
+        theta_t = estimate_location(z, omega)
+        sigma_t, saturated = estimate_scale(z, omega, P, model)
+        thetas.append(theta_t)
+        sigmas.append(sigma_t)
+        if sigma_t > 0.0:
+            gammas.append(estimate_snr(theta_t, sigma_t))
+        n_sat += saturated
 
-    for t, z in enumerate(_received_z(cfg, trials, stream)):
-        est = simple_estimates(z, cfg.omega, cfg.P, cfg.model)
-        theta_hat[t] = est.theta_hat
-        sigma_hat[t] = est.sigma_hat
-        if est.gamma_hat is not None:
-            gamma_hat[t] = est.gamma_hat
-        saturated[t] = est.saturated
-
-    n_sat = int(np.count_nonzero(saturated))
     if n_sat == trials:
         raise AllTrialsSaturatedError(
             f"all {trials} trials saturated (|z| > sqrt(P)); "
@@ -173,11 +179,10 @@ def run_experiment(
         )
 
     # Wrap location deviations into (-pi, pi] in phase before comparing.
-    delta = np.mod(cfg.omega * (theta_hat - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
+    delta = np.mod(cfg.omega * (np.array(thetas) - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
     theta_unwrapped = cfg.theta + delta / cfg.omega
 
-    usable = ~np.isnan(gamma_hat)
-    gamma_vals = gamma_hat[usable]
+    gamma_vals = np.array(gammas)
     gamma_truth = (cfg.theta / cfg.sigma) ** 2
     gamma_stats = _stats(gamma_vals, gamma_truth, cfg.L) if gamma_vals.size else None
     trimmed = _trimmed_variance_l(gamma_vals, cfg.L) if gamma_vals.size else math.nan
@@ -186,7 +191,7 @@ def run_experiment(
         trials=trials,
         L=cfg.L,
         theta=_stats(theta_unwrapped, cfg.theta, cfg.L),
-        sigma=_stats(sigma_hat, cfg.sigma, cfg.L),
+        sigma=_stats(np.array(sigmas), cfg.sigma, cfg.L),
         gamma=gamma_stats,
         gamma_trimmed_variance_l=trimmed,
         gamma_trials=int(gamma_vals.size),

@@ -63,14 +63,6 @@ def _power_mode(value) -> PowerMode:
         ) from None
 
 
-def _whole_number(name: str, value, minimum: int) -> int:
-    """numkit.whole_number, raising ConfigError."""
-    try:
-        return whole_number(name, value, minimum)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Validated description of one sensing/transmission setup.
@@ -93,8 +85,11 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "model", self._coerce_model(self.model))
         object.__setattr__(self, "power_mode", _power_mode(self.power_mode))
-        object.__setattr__(self, "L", _whole_number("L", self.L, 1))
-        object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
+        try:
+            object.__setattr__(self, "L", whole_number("L", self.L, 1))
+            object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 < self.theta_R < math.inf:
             raise ConfigError(f"theta_R must be positive and finite, got {self.theta_R}")
         if not 0.0 < self.theta <= self.theta_R:
@@ -182,10 +177,11 @@ class Snapshot:
     z: complex
 
 
-def _normalize_y(y: complex, cfg: NetworkConfig) -> complex:
+def _divisor(cfg: NetworkConfig) -> float:
+    """z = y / _divisor(cfg): sqrt(L) under the total budget, L per sensor."""
     if cfg.power_mode is PowerMode.TOTAL:
-        return y / math.sqrt(cfg.L)
-    return y / cfg.L
+        return math.sqrt(cfg.L)
+    return cfg.L
 
 
 def normalize(snapshot, cfg: NetworkConfig) -> complex:
@@ -195,7 +191,7 @@ def normalize(snapshot, cfg: NetworkConfig) -> complex:
     sqrt(L); per-sensor power divides by L.
     """
     y = snapshot.y if isinstance(snapshot, Snapshot) else complex(snapshot)
-    return _normalize_y(y, cfg)
+    return y / _divisor(cfg)
 
 
 def snapshot_uniforms(cfg: NetworkConfig) -> int:
@@ -206,46 +202,45 @@ def snapshot_uniforms(cfg: NetworkConfig) -> int:
     return cfg.model.uniforms_needed(cfg.L) + channel
 
 
-def simulate_block(cfg: NetworkConfig, u: np.ndarray) -> list[Snapshot]:
-    """One snapshot per row of u, a (B, snapshot_uniforms(cfg)) block of
-    uniforms laid out in each snapshot's consumption order."""
+def simulate_block(cfg: NetworkConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Received samples (y, z), each a complex array of shape (B,), one
+    per row of u, a (B, snapshot_uniforms(cfg)) block of uniforms laid
+    out in each snapshot's consumption order."""
     n = snapshot_uniforms(cfg)
     if u.ndim != 2 or u.shape[1] != n:
         raise ValueError(f"uniform block must have shape (B, {n}), got {u.shape}")
     k = cfg.model.uniforms_needed(cfg.L)
     eta = cfg.model.from_uniforms(u[:, :k], cfg.L)
     channel = box_muller(u[:, k:]) if cfg.channel_noise_var > 0.0 else None
-    return _snapshots(cfg, eta, channel)
+    return _received(cfg, eta, channel)
 
 
-def _snapshots(
+def _received(
     cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None
-) -> list[Snapshot]:
-    """Snapshots from standardized sensing noise eta, shape (B, L), and,
-    for a noisy channel, standard normal pairs channel, shape (B, 2).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(y, z) from standardized sensing noise eta, shape (B, L), and, for
+    a noisy channel, standard normal pairs channel, shape (B, 2).
 
-    The phasor sums run over the block; y and z are then formed per
-    snapshot in Python complex arithmetic, whose division rounds
-    differently from numpy's complex division.
+    y and z are built as (B, 2) arrays of real and imaginary parts by
+    real operations, then viewed as complex. For finite values these give
+    the bits of Python's complex arithmetic (sqrt(rho) * complex,
+    + complex, / divisor), whose zero imaginary operands only add exact
+    zeros; numpy's complex division rounds differently.
     """
     phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
-    re = np.cos(phase).sum(axis=-1).tolist()
-    im = np.sin(phase).sum(axis=-1).tolist()
-    amp = math.sqrt(cfg.per_sensor_power)
-    noise = None
+    y = np.empty((len(phase), 2))
+    y[:, 0] = np.cos(phase).sum(axis=-1)
+    y[:, 1] = np.sin(phase).sum(axis=-1)
+    y *= math.sqrt(cfg.per_sensor_power)
     if channel is not None:
-        noise = (math.sqrt(0.5 * cfg.channel_noise_var) * channel).tolist()
-    out = []
-    for b in range(len(re)):
-        y = amp * complex(re[b], im[b])
-        if noise is not None:
-            y = y + complex(noise[b][0], noise[b][1])
-        out.append(Snapshot(y=y, z=_normalize_y(y, cfg)))
-    return out
+        y += math.sqrt(0.5 * cfg.channel_noise_var) * channel
+    z = y / _divisor(cfg)
+    return y.view(complex)[:, 0], z.view(complex)[:, 0]
 
 
 def simulate_snapshot(cfg: NetworkConfig, stream: RandomStream) -> Snapshot:
     """The received sample for cfg drawn from the first
     snapshot_uniforms(cfg) uniforms of stream: the block of one."""
     u = stream.uniform(snapshot_uniforms(cfg))
-    return simulate_block(cfg, u[np.newaxis])[0]
+    y, z = simulate_block(cfg, u[np.newaxis])
+    return Snapshot(y=complex(y[0]), z=complex(z[0]))

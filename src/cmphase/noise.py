@@ -38,6 +38,12 @@ __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_
 MODEL_TOKENS = ("gaussian", "laplace", "cauchy")
 
 _LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
+# The largest sigma * omega at which the denominator of the Laplace
+# phasor_cos_var, (1 + a)^2 (1 + 4a) with a = (sigma omega)^2 / 2, is
+# finite. Both Laplace phasor variances round to exactly 1/2 from about
+# sigma * omega = 1e10 on, so clamping sigma * omega here keeps every
+# finite result and turns the overflow beyond into that limit.
+_LAPLACE_T_MAX = float.fromhex("0x1.c823e074ec129p+170")  # ~2.67e51
 
 # Standardized Fisher information per unit sigma^-2, validated by numeric
 # quadrature of the squared score in the test suite.
@@ -64,6 +70,16 @@ def _operands(sigma, omega):
     if not w_ok:
         raise ValueError(f"omega must be strictly positive, got {omega}")
     return s, w, xp
+
+
+def _laplace_half_square(t, xp):
+    """a = t^2 / 2 for the Laplace phasor variances, t clamped at
+    _LAPLACE_T_MAX so that no intermediate overflows."""
+    if xp is np:
+        t = np.minimum(t, _LAPLACE_T_MAX)
+    elif t > _LAPLACE_T_MAX:
+        t = _LAPLACE_T_MAX
+    return 0.5 * t * t
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,7 @@ class NoiseModel:
             e = xp.expm1(-(t * t))
             return 0.5 * e * e
         if self.kind == "laplace":
-            a = 0.5 * t * t
+            a = _laplace_half_square(t, xp)
             return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
         return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 
@@ -123,7 +139,7 @@ class NoiseModel:
         if self.kind == "gaussian":
             return -0.5 * xp.expm1(-2.0 * t * t)
         if self.kind == "laplace":
-            a = 0.5 * t * t
+            a = _laplace_half_square(t, xp)
             return 2.0 * a / (1.0 + 4.0 * a)
         return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 

@@ -133,13 +133,14 @@ def find_root_bracketed(
 
     Raises:
         NoSignChangeError: if f(lo) * f(hi) > 0.
+        ValueError: if f returns NaN at an endpoint or a midpoint.
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    flo = f(lo)
+    flo = _checked(f, lo)
     if flo == 0.0:
         return lo
-    fhi = f(hi)
+    fhi = _checked(f, hi)
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
@@ -148,7 +149,7 @@ def find_root_bracketed(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval no longer representable
-        fmid = f(mid)
+        fmid = _checked(f, mid)
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
@@ -158,6 +159,14 @@ def find_root_bracketed(
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def _checked(f: Callable[[float], float], x: float) -> float:
+    """f(x), raising ValueError if it is NaN, which has no sign."""
+    fx = f(x)
+    if math.isnan(fx):
+        raise ValueError(f"f({x}) is nan")
+    return fx
 
 
 def sign_change_brackets(

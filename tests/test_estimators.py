@@ -126,6 +126,26 @@ class TestEstimateScale:
                     compared += 1
         assert compared >= 600
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        fraction=st.floats(0.0, 1.0),
+        omega=st.floats(0.2, 2.0),
+        P=st.floats(0.25, 4.0),
+        alpha=st.floats(-math.pi, math.pi),
+    )
+    def test_inverts_char_fn_property(self, model, fraction, omega, P, alpha):
+        """sigma omega log-uniform on [1e-2, T], with phi(T) >= 1e-80:
+        below 1e-2 the inversion is ill-conditioned (|z| near sqrt(P)),
+        beyond T phi underflows."""
+        t_max = {"gaussian": 18.0, "laplace": 1e6, "cauchy": 180.0}[model.kind]
+        sigma_omega = 1e-2 * (t_max / 1e-2) ** fraction
+        sigma = sigma_omega / omega
+        z = math.sqrt(P) * model.char_fn(sigma, omega) * cmath.exp(1j * alpha)
+        sigma_hat, saturated = estimate_scale(z, omega, P, model)
+        assert not saturated
+        np.testing.assert_allclose(sigma_hat, sigma, rtol=1e-9)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_scale(0.5 + 0.0j, -1.0, 1.0, GAUSSIAN)

@@ -26,8 +26,9 @@ import numpy as np
 import pytest
 
 from cmphase import montecarlo
+from cmphase.estimators import simple_estimates
 from cmphase.montecarlo import run_experiment, sweep, write_sweep_csv
-from cmphase.network import NetworkConfig
+from cmphase.network import NetworkConfig, simulate_snapshot
 from cmphase.numkit import RandomStream
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,3 +145,53 @@ def test_block_size_independence(monkeypatch, fields, trials):
     for z, summary in results[1:]:
         np.testing.assert_array_equal(z, results[0][0])
         assert summary == results[0][1]
+
+
+def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:
+    """run_experiment's summary, without wall_time_s, rebuilt from one
+    simulate_snapshot and one simple_estimates call per trial."""
+    root = RandomStream(cfg.seed)
+    ests = [
+        simple_estimates(simulate_snapshot(cfg, root.substream(t)).z, cfg.omega, cfg.P, cfg.model)
+        for t in range(trials)
+    ]
+    theta = np.array([e.theta_hat for e in ests])
+    sigma = np.array([e.sigma_hat for e in ests])
+    gamma = np.array([e.gamma_hat for e in ests if e.gamma_hat is not None])
+    delta = np.mod(cfg.omega * (theta - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
+
+    def stats(values, truth):
+        mean = float(np.mean(values))
+        var = float(np.var(values, ddof=1)) * cfg.L
+        return {"mean": mean, "variance_l": var, "bias": mean - truth}
+
+    k = math.floor(0.01 * gamma.size)
+    kept = np.sort(gamma)[k : gamma.size - k]
+    return {
+        "trials": trials,
+        "L": cfg.L,
+        "theta": stats(cfg.theta + delta / cfg.omega, cfg.theta),
+        "sigma": stats(sigma, cfg.sigma),
+        "gamma": stats(gamma, (cfg.theta / cfg.sigma) ** 2),
+        "gamma_trimmed_variance_l": float(np.var(kept, ddof=1)) * cfg.L,
+        "gamma_trials": int(gamma.size),
+        "saturated": sum(e.saturated for e in ests),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, trials",
+    [
+        ("gaussian-per-sensor-L1-saturating", 400),
+        ("laplace-total-auto-theta", 300),
+        ("cauchy-total-clean", 200),
+    ],
+)
+def test_summary_matches_one_trial_route(name, trials):
+    """Every field of the summary, the means and biases the CSVs do not
+    carry included, equals the one-trial-at-a-time route exactly: a
+    saturating, a noisy total-budget and a clean config."""
+    cfg = make_config(**CASES[name][0])
+    got = run_experiment(cfg, trials).to_json_dict()
+    del got["wall_time_s"]
+    assert got == one_trial_summary(cfg, trials)

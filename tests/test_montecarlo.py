@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cmphase import estimators, network
 from cmphase.asymptotic import asv_generic
 from cmphase.montecarlo import (
     CSV_HEADER,
@@ -119,6 +120,18 @@ class TestRunExperiment:
         assert run_experiment(cfg, 8.0).to_json_dict() | {"wall_time_s": 0} == (
             run_experiment(cfg, 8).to_json_dict() | {"wall_time_s": 0}
         )
+
+    def test_builds_no_per_trial_objects(self, monkeypatch):
+        """The engine works on arrays and lists: no Snapshot and no
+        EstimateSet is built, in a saturating run either."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-trial object built")
+
+        monkeypatch.setattr(network, "Snapshot", forbidden)
+        monkeypatch.setattr(estimators, "EstimateSet", forbidden)
+        summary = run_experiment(make_config(L=1, sigma=0.05, omega=0.2, seed=5), 100)
+        assert 0 < summary.saturated < 100
 
     def test_json_shape(self):
         data = run_experiment(make_config(), 16).to_json_dict()

@@ -162,15 +162,15 @@ class TestSimulateSnapshot:
         coherent sum of the three unit-power phasors."""
         cfg = make_config(L=3, channel_noise_var=0.0, power_mode="per-sensor", P=4.0)
         eta = np.array([0.1, -0.2, 0.3])
-        snap = network._snapshots(cfg, eta[np.newaxis], None)[0]
+        y, z = network._received(cfg, eta[np.newaxis], None)
         expected = 2.0 * sum(
             cmath.exp(1j * cfg.omega * (cfg.theta + cfg.sigma * e)) for e in eta
         )
         np.testing.assert_allclose(
-            [snap.y.real, snap.y.imag], [expected.real, expected.imag], rtol=1e-14
+            [y[0].real, y[0].imag], [expected.real, expected.imag], rtol=1e-14
         )
         np.testing.assert_allclose(
-            [snap.z.real, snap.z.imag],
+            [z[0].real, z[0].imag],
             [expected.real / 3.0, expected.imag / 3.0],
             rtol=1e-14,
         )
@@ -202,8 +202,8 @@ class TestSimulateSnapshot:
         assert snapshot_uniforms(cfg) == GAUSSIAN.uniforms_needed(8) == 8
         snap = simulate_snapshot(cfg, RandomStream(2))
         eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8)
-        expected = network._snapshots(cfg, eta[np.newaxis], None)[0]
-        assert (snap.y, snap.z) == (expected.y, expected.z)
+        y, z = network._received(cfg, eta[np.newaxis], None)
+        assert (snap.y, snap.z) == (y[0], z[0])
 
     def test_block_shape_checked(self):
         cfg = make_config(L=4)
@@ -219,12 +219,13 @@ class TestSimulateSnapshot:
         root = RandomStream(4)
         n = snapshot_uniforms(cfg)
         u = uniforms_from_states(root.substream_states(0, 3), n)
-        block = simulate_block(cfg, u)
-        for t, snap in enumerate(block):
+        y, z = simulate_block(cfg, u)
+        assert y.shape == z.shape == (3,)
+        for t in range(3):
             seq = np.random.SeedSequence(entropy=4, spawn_key=(t,))
             np.testing.assert_array_equal(u[t], np.random.Generator(np.random.PCG64(seq)).random(n))
             single = simulate_snapshot(cfg, root.substream(t))
-            assert (snap.y, snap.z) == (single.y, single.z)
+            assert (y[t], z[t]) == (single.y, single.z)
 
     def test_channel_noise_variance(self):
         """Real and imaginary noise parts each carry noise_var / 2."""
@@ -232,8 +233,8 @@ class TestSimulateSnapshot:
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
         channel = box_muller(uniforms_from_states(root.substream_states(0, 4000), 2))
-        snaps = network._snapshots(cfg, np.zeros((4000, 1)), channel)
-        parts = np.array([[s.y.real - clean.real, s.y.imag - clean.imag] for s in snaps])
+        y, _ = network._received(cfg, np.zeros((4000, 1)), channel)
+        parts = np.stack([y.real - clean.real, y.imag - clean.imag], axis=-1)
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)
         np.testing.assert_allclose(parts.mean(axis=0), [0.0, 0.0], atol=0.05)
 

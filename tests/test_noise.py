@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cmphase import noise
+from cmphase.asymptotic import asv_generic
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
 from cmphase.numkit import RandomStream
 
@@ -147,6 +149,50 @@ class TestPhasorVariances:
         vs = model.phasor_sin_var(0.8, omegas)
         assert np.all(vc >= 0.0) and np.all(vc <= 1.0)
         assert np.all(vs >= 0.0) and np.all(vs <= 0.5)
+
+    @pytest.mark.parametrize("t", [1e52, 1e100, 1e300])
+    def test_laplace_large_argument_limit(self, t):
+        """The direct Laplace forms overflow near sigma omega = 2.7e51 (nan
+        for floats, OverflowError or RuntimeWarning beyond); both
+        variances must stay on their finite 1/2 limit, for floats and
+        arrays alike."""
+        for kernel in (LAPLACE.phasor_cos_var, LAPLACE.phasor_sin_var):
+            scalar = kernel(t, 1.0)
+            array = kernel(np.array([t, 1.0]), 1.0)
+            assert math.isfinite(scalar) and abs(scalar - 0.5) <= 1e-12
+            assert np.all(np.isfinite(array)) and abs(array[0] - 0.5) <= 1e-12
+            assert array[1] == kernel(1.0, 1.0)
+
+    def test_laplace_scale_asv_past_the_overflow_is_not_nan(self):
+        """asv_sigma grows as sigma^6 (3.1e298 at sigma omega = 1e50), so
+        at 1e52 it overflows to inf; the nan phasor variance made it nan."""
+        assert asv_generic(LAPLACE, 1e52, 1.0, 1.0).asv_sigma == math.inf
+
+    def test_laplace_direct_form_kept_bit_for_bit(self):
+        """Below 1e50 the Laplace kernels are the direct expressions, for
+        arrays and floats alike."""
+
+        def cos_direct(a):
+            return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
+
+        def sin_direct(a):
+            return 2.0 * a / (1.0 + 4.0 * a)
+
+        t = np.logspace(-8, 50, 581)
+        np.testing.assert_array_equal(LAPLACE.phasor_cos_var(t, 1.0), cos_direct(0.5 * t * t))
+        np.testing.assert_array_equal(LAPLACE.phasor_sin_var(t, 1.0), sin_direct(0.5 * t * t))
+        for x in t.tolist():
+            assert LAPLACE.phasor_cos_var(x, 1.0) == cos_direct(0.5 * x * x)
+            assert LAPLACE.phasor_sin_var(x, 1.0) == sin_direct(0.5 * x * x)
+
+    def test_laplace_clamp_is_where_the_denominator_overflows(self):
+        def denominator(t):
+            a = 0.5 * t * t
+            return (1.0 + a) ** 2 * (1.0 + 4.0 * a)
+
+        t_max = noise._LAPLACE_T_MAX
+        assert math.isfinite(denominator(t_max))
+        assert denominator(math.nextafter(t_max, math.inf)) == math.inf
 
     def test_cauchy_isotropic(self):
         """Both phasor components of the Cauchy family share one variance."""

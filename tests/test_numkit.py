@@ -147,6 +147,23 @@ class TestFindRootBracketed:
         root = find_root_bracketed(lambda x: x**3 - 2.0, 0.0, 2.0, tol=1e-14)
         np.testing.assert_allclose(root, 2.0 ** (1.0 / 3.0), rtol=1e-13)
 
+    def test_nan_at_a_midpoint_raises(self):
+        """NaN has no sign: treating it as nonpositive walked this bracket
+        to 0.7 instead of failing."""
+        def f(x):
+            return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+        with pytest.raises(ValueError, match="nan"):
+            find_root_bracketed(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_nan_at_an_endpoint_raises(self, lo, hi):
+        def f(x):
+            return math.nan if x == 0.0 else x - 0.5
+
+        with pytest.raises(ValueError, match="nan"):
+            find_root_bracketed(f, lo, hi)
+
 
 class TestMinimizeQuasiconvex:
     def test_interior_quadratic(self):
