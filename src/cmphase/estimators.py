@@ -248,7 +248,11 @@ def joint_minimum_variance(
     Coarse 200 x 200 grid, then numkit.gauss_newton_box from
     the best cell on the whitened residual of the rotated frame, to 1e-10
     of the box width in each parameter; the box (1e-12 theta_R, theta_R]
-    x (1e-12 sigma_max, sigma_max] is kept by projection. When sigma_max
+    x (1e-12 sigma_max, sigma_max] is kept by projection. When omega
+    theta_R is 2 pi (to 1e-12 relative) theta is periodic on the window:
+    its box is instead the period centred on the best cell, and the
+    result is reduced into (0, theta_R], so a theta near phase 0 is not
+    held at the edge theta_R. When sigma_max
     is omitted it is taken as 10x the magnitude-inversion scale of z
     (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
     minimizer onto the sigma -> 0 boundary; they are flagged and not
@@ -282,15 +286,25 @@ def joint_minimum_variance(
     q = _objective_grid(z, thetas, sigmas, omega, P, channel_noise_var, model)
     i, j = np.unravel_index(np.argmin(q), q.shape)
 
+    if math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12):
+        # theta enters only through omega theta: the window is one period
+        # and has no theta edge.
+        theta_lo, theta_hi = thetas[i] - 0.5 * theta_R, thetas[i] + 0.5 * theta_R
+    else:
+        theta_lo, theta_hi = 1e-12 * theta_R, theta_R
     x, iterations, converged = gauss_newton_box(
         _whitened_residual(z, omega, P, channel_noise_var, model),
         (thetas[i], sigmas[j]),
-        (1e-12 * theta_R, 1e-12 * sigma_max),
-        (theta_R, sigma_max),
+        (theta_lo, 1e-12 * sigma_max),
+        (theta_hi, sigma_max),
     )
     if not converged:
         raise ConvergenceError(
             f"joint refinement did not converge in {iterations} iterations at z={z!r}"
         )
     th, sg = float(x[0]), float(x[1])
+    if th <= 0.0:
+        th += theta_R
+    elif th > theta_R:
+        th -= theta_R
     return EstimateSet(th, sg, (th / sg) ** 2, False)

@@ -57,11 +57,12 @@ def _operands(sigma, omega):
     writes one expression per family for both.
 
     Every value must be > 0; the checks are written as `not x > 0.0` so
-    NaN is rejected too.
+    NaN is rejected too. An array is checked by one reduction (min
+    propagates NaN), a 0-d one as a float; an empty array passes.
     """
     if isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray):
         s, w, xp = np.asarray(sigma), np.asarray(omega), np
-        s_ok, w_ok = np.all(s > 0.0), np.all(w > 0.0)
+        s_ok, w_ok = _all_positive(s), _all_positive(w)
     else:
         s, w, xp = float(sigma), float(omega), math
         s_ok, w_ok = s > 0.0, w > 0.0
@@ -70,6 +71,38 @@ def _operands(sigma, omega):
     if not w_ok:
         raise ValueError(f"omega must be strictly positive, got {omega}")
     return s, w, xp
+
+
+def _kernel(formula):
+    """The NoiseModel kernel kernel(self, sigma, omega) that evaluates
+    formula(self, s, w, xp) on the _operands of (sigma, omega); two
+    positive Python floats are passed on as they are.
+
+    On arrays overflow is silent, as it is for floats, so both give the
+    same values: t * t, and the Laplace den * den, reach inf at large
+    sigma omega, and what the formulas make of it (exp(-inf) = 0,
+    1 / inf = 0, expm1(-inf) = -1) is the kernel's limit there.
+    """
+
+    def kernel(self, sigma, omega):
+        if type(sigma) is float and type(omega) is float and sigma > 0.0 and omega > 0.0:
+            return formula(self, sigma, omega, math)
+        s, w, xp = _operands(sigma, omega)
+        if xp is math:
+            return formula(self, s, w, xp)
+        with np.errstate(over="ignore"):
+            return formula(self, s, w, xp)
+
+    kernel.__name__, kernel.__qualname__ = formula.__name__, formula.__qualname__
+    kernel.__doc__ = formula.__doc__
+    return kernel
+
+
+def _all_positive(a: np.ndarray) -> bool:
+    """Whether every element of a is > 0 (NaN is not); True when empty."""
+    if a.ndim == 0:
+        return float(a) > 0.0
+    return a.size == 0 or bool(a.min() > 0.0)
 
 
 def _laplace_half_square(t, xp):
@@ -99,13 +132,13 @@ class NoiseModel:
                 f"unknown noise model {self.kind!r}; expected one of {MODEL_TOKENS}"
             )
 
-    def char_fn(self, sigma, omega):
+    @_kernel
+    def char_fn(self, s, w, xp):
         """Characteristic function of sigma * eta evaluated at omega.
 
         Accepts scalars or numpy arrays (broadcast); always in (0, 1) for
         omega > 0 and strictly decreasing in omega.
         """
-        s, w, xp = _operands(sigma, omega)
         t = s * w
         if self.kind == "gaussian":
             return xp.exp(-0.5 * t * t)
@@ -113,14 +146,14 @@ class NoiseModel:
             return 1.0 / (1.0 + 0.5 * t * t)
         return xp.exp(-t)  # cauchy
 
-    def phasor_cos_var(self, sigma, omega):
+    @_kernel
+    def phasor_cos_var(self, s, w, xp):
         """Var cos(omega (x - theta)) = 1/2 + phi(2 omega)/2 - phi^2.
 
         Evaluated in a cancellation-free form per model; the naive
         combination of char_fn values loses all precision for small
         sigma * omega, where this quantity is O((sigma omega)^4).
         """
-        s, w, xp = _operands(sigma, omega)
         t = s * w
         if self.kind == "gaussian":
             # 1/2 + e^{-2 t^2}/2 - e^{-t^2} = (1 - e^{-t^2})^2 / 2
@@ -131,10 +164,10 @@ class NoiseModel:
             return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
         return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 
-    def phasor_sin_var(self, sigma, omega):
+    @_kernel
+    def phasor_sin_var(self, s, w, xp):
         """Var sin(omega (x - theta)) = (1 - phi(2 omega)) / 2,
         cancellation-free for small sigma * omega."""
-        s, w, xp = _operands(sigma, omega)
         t = s * w
         if self.kind == "gaussian":
             return -0.5 * xp.expm1(-2.0 * t * t)
@@ -143,7 +176,8 @@ class NoiseModel:
             return 2.0 * a / (1.0 + 4.0 * a)
         return -0.5 * xp.expm1(-2.0 * t)  # cauchy
 
-    def char_fn_dsigma(self, sigma, omega):
+    @_kernel
+    def char_fn_dsigma(self, s, w, xp):
         """Partial derivative of char_fn with respect to sigma (omega fixed).
 
         gaussian: -omega^2 sigma exp(-omega^2 sigma^2 / 2)
@@ -152,7 +186,6 @@ class NoiseModel:
 
         Strictly negative for omega > 0.
         """
-        s, w, xp = _operands(sigma, omega)
         t = s * w
         if self.kind == "gaussian":
             return -w * w * s * xp.exp(-0.5 * t * t)

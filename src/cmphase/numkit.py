@@ -326,11 +326,25 @@ def real_roots_in_interval(
     """Real roots of a low-degree polynomial on [lo, hi], sorted ascending.
 
     coeffs are in ascending order (coeffs[k] multiplies x**k). The
-    interval is scanned on a fixed uniform grid of `scan_points` steps
-    (deterministic, sign_change_brackets), and every sign change is
-    refined by bisection. Roots of even multiplicity that do not produce
-    a sign change on the grid are not detected; the polynomials handled
-    here (degree <= 6 tuning equations) have simple roots.
+    polynomial is evaluated on the uniform grid
+    x_i = lo + (hi - lo) * i / scan_points, i = 0..scan_points, in one
+    array pass, and every sign change is refined by bisection
+    (find_root_bracketed, on the scalar Horner polynomial). A grid zero
+    gives the bracket (x_i, x_i); nonzero neighbours of opposite sign give
+    (x_{i-1}, x_i). Roots of even multiplicity that do not produce a sign
+    change on the grid are not detected; the polynomials handled here
+    (degree <= 6 tuning equations) have simple roots.
+
+    The result equals, bit for bit, that of scanning the scalar Horner
+    polynomial with sign_change_brackets(poly, lo, hi, scan_points): each
+    array step is one IEEE-rounded multiply or add, in the scalar order
+    (the grid as ((hi - lo) * i) / scan_points + lo with i exact in
+    float64, Horner as v = v * x + c from v = 0 over the coefficients
+    highest first), so every grid value, and with it every bracket and
+    root, is the scalar one. x_0 is lo itself, as in the scalar scan,
+    which keeps the sign of a zero lo. Overflow gives the same inf and
+    NaN silently; a NaN grid value counts as nonpositive, as in the
+    scalar rule, and fails bisection with ValueError.
     """
     cs = [float(c) for c in coeffs]
     if len(cs) > 7:
@@ -344,10 +358,24 @@ def real_roots_in_interval(
             acc = acc * x + c
         return acc
 
+    with np.errstate(all="ignore"):
+        x = lo + (hi - lo) * np.arange(scan_points + 1) / scan_points
+        x[0] = lo
+        v = np.zeros_like(x)
+        for c in reversed(cs):
+            v *= x
+            v += c
+    zero = v == 0.0
+    positive = v > 0.0
+    ends = zero.copy()
+    ends[1:] |= ~zero[:-1] & (positive[1:] != positive[:-1])
+    i = np.flatnonzero(ends)
+    starts = np.where(zero[i], x[i], x[i - 1])
+
     tol = 1e-14 * max(1.0, abs(hi))
     roots = [
         find_root_bracketed(poly, a, b, tol=tol)
-        for a, b in sign_change_brackets(poly, lo, hi, scan_points)
+        for a, b in zip(starts.tolist(), x[i].tolist())
     ]
     deduped: list[float] = []
     for r in sorted(roots):

@@ -279,6 +279,30 @@ class TestJointMinimumVariance:
         np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-4)
         np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-4)
 
+    def test_theta_near_phase_zero_in_a_full_period(self):
+        """A theta in the first grid cell of a one-period window used to
+        come back as the edge theta_R = 34.4745, against the simple 0.0020."""
+        z = 0.00024946096274284656 + 9.092401827886052e-08j
+        omega, P = 0.18225589798561947, 7.0178074816566625
+        simple = simple_estimates(z, omega, P, GAUSSIAN)
+        joint = joint_minimum_variance(z, omega, P, 0.0, GAUSSIAN, TWO_PI / omega)
+        np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-4)
+        np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-4)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("phase", [1e-6, 1e-3, 0.01, TWO_PI - 0.01, TWO_PI - 1e-6])
+    def test_full_period_window_wraps_theta(self, model, phase):
+        """With omega theta_R = 2 pi the estimate is the simple one on
+        either side of the phase wrap and lies in (0, theta_R]."""
+        omega, P = 0.8, 1.0
+        theta_R = TWO_PI / omega
+        z = 0.5 * (math.cos(phase) + 1j * math.sin(phase))
+        simple = simple_estimates(z, omega, P, model)
+        joint = joint_minimum_variance(z, omega, P, 1.0, model, theta_R)
+        assert 0.0 < joint.theta_hat <= theta_R
+        np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-6)
+        np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-6)
+
     def test_zero_z(self):
         with pytest.raises(ZeroMagnitudeError):
             joint_minimum_variance(0.0j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI)

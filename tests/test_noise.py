@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from cmphase import noise
@@ -40,6 +42,7 @@ def _char_fn_quad(kind, sigma, omega):
 
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
+KERNELS = ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var")
 
 
 class TestCharFn:
@@ -87,6 +90,54 @@ class TestCharFn:
             GAUSSIAN.char_fn(math.nan, 1.0)
         with pytest.raises(ValueError):
             GAUSSIAN.fisher_location(math.nan)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "sigma, omega, name",
+        [
+            (np.array([1.0, -1.0]), 1.0, "sigma"),
+            (np.array([1.0, math.nan]), 1.0, "sigma"),
+            (np.array(0.0), 1.0, "sigma"),
+            (np.array(math.nan), 1.0, "sigma"),
+            (np.float64(-1.0), np.array([1.0]), "sigma"),
+            (np.array([1.0, 2.0]), np.array([0.5, 0.0]), "omega"),
+            (np.array([1.0]), np.array(math.nan), "omega"),
+            (1.0, np.array([[1.0, 2.0], [math.nan, 3.0]]), "omega"),
+        ],
+    )
+    def test_rejects_nonpositive_array_elements(self, kernel, sigma, omega, name):
+        """Every element is checked, NaN and 0-d arrays included."""
+        with pytest.raises(ValueError, match=name):
+            getattr(LAPLACE, kernel)(sigma, omega)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_arrays_accepted(self, kernel):
+        for sigma, omega in ((np.array([]), 1.0), (1.0, np.empty((0, 3)))):
+            assert getattr(GAUSSIAN, kernel)(sigma, omega).size == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        kernel=st.sampled_from(KERNELS),
+        log_t=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
+        log_omega=st.floats(-3.0, 3.0),
+    )
+    def test_arrays_equal_floats_without_warnings(self, model, kernel, log_t, log_omega):
+        """For sigma omega log-uniform in [1e-300, 1e300] an array call
+        returns, bit for bit, the finite float results elementwise, with
+        no RuntimeWarning: t * t and the Laplace den * den overflow to inf
+        there, silently for floats."""
+        f = getattr(model, kernel)
+        omega = 10.0**log_omega
+        sigmas = [10.0**x / omega for x in log_t]
+        scalars = np.array([f(s, omega) for s in sigmas])
+        assert np.all(np.isfinite(scalars))
+        for got in (
+            f(np.array(sigmas), omega),
+            f(np.array(sigmas), np.full(len(sigmas), omega)),
+            np.array([f(np.array(s), omega) for s in sigmas]),
+        ):
+            assert got.tobytes() == scalars.tobytes()
 
 
 class TestCharFnDsigma:

@@ -24,13 +24,63 @@ from cmphase.numkit import (
     lambert_w0,
     minimize_quasiconvex,
     real_roots_in_interval,
+    sign_change_brackets,
     uniforms_from_states,
 )
+from cmphase.tuning import _laplace_gamma_quintic, _laplace_sigma_quintic
 
 # Reference values, 40-dps mpmath, frozen.
 W_AT_1 = 0.5671432904097838  # the omega constant
 W_AT_M2E2 = -0.4063757399599599  # W0(-2 e^-2)
 W_AT_ME2 = -0.15859433956303936  # W0(-e^-2)
+
+# Scan intervals for the real_roots_in_interval oracle; the last is the
+# tuning quintics' beta range.
+_LAPLACE_BETA = (1e-9, 50.0)
+_INTERVALS = ((0.0, 1.0), (-5.0, 5.0), (-0.0, 3.0), _LAPLACE_BETA)
+
+
+def _scalar_scan_roots(coeffs, lo, hi):
+    """The scalar route real_roots_in_interval must reproduce: a Python
+    Horner polynomial scanned lazily by sign_change_brackets on 4096
+    steps, each bracket bisected, the roots sorted and deduped."""
+    cs = [float(c) for c in coeffs]
+
+    def poly(x):
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    tol = 1e-14 * max(1.0, abs(hi))
+    roots = [
+        find_root_bracketed(poly, a, b, tol=tol)
+        for a, b in sign_change_brackets(poly, lo, hi, 4096)
+    ]
+    deduped = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):
+            deduped.append(r)
+    return deduped
+
+
+def _outcome(route, coeffs, lo, hi):
+    """The roots' bit patterns, or the type and message of the error."""
+    try:
+        return [r.hex() for r in route(coeffs, lo, hi)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _from_roots(case):
+    """(interval, ascending coefficients) of lead * prod (x - r) with the
+    roots r placed inside the interval."""
+    (lo, hi), fractions, lead = case
+    coeffs = [lead]  # descending
+    for f in fractions:
+        root = lo + (hi - lo) * f
+        coeffs = [a - root * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return (lo, hi), coeffs[::-1]
 
 
 class TestLambertW:
@@ -219,6 +269,42 @@ class TestRealRootsInInterval:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             real_roots_in_interval([0.0] * 8, 0.0, 1.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.one_of(
+            st.tuples(
+                st.sampled_from(_INTERVALS),
+                st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+                st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-3),
+            ).map(_from_roots),
+            st.tuples(
+                st.sampled_from(_INTERVALS),
+                st.lists(
+                    st.one_of(
+                        st.floats(-1e3, 1e3),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+                    ),
+                    min_size=1,
+                    max_size=7,
+                ),
+            ),
+            st.tuples(st.just(_LAPLACE_BETA), st.floats(-6.0, 3.0)).map(
+                lambda c: (c[0], _laplace_sigma_quintic(10.0 ** c[1]))
+            ),
+            st.tuples(st.just(_LAPLACE_BETA), st.floats(-6.0, 3.0), st.floats(-3.0, 3.0)).map(
+                lambda c: (c[0], _laplace_gamma_quintic(10.0 ** c[1], 10.0 ** c[2]))
+            ),
+        )
+    )
+    def test_matches_the_lazy_scalar_scan(self, case):
+        """Bit for bit the scalar route: bisection over the brackets of
+        sign_change_brackets on 4096 steps, sorted and deduped, including
+        the errors it raises (a NaN grid value from overflow)."""
+        (lo, hi), coeffs = case
+        assert _outcome(real_roots_in_interval, coeffs, lo, hi) == _outcome(
+            _scalar_scan_roots, coeffs, lo, hi
+        )
 
 
 class TestRandomStream:

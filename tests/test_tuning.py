@@ -8,6 +8,7 @@ minimum the objective is flat to machine precision within ~1e-8
 relative of the true minimizer, so tighter demands would test noise.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ GAUSS_TPC_R1_THETA = 0.9081137742012796  # sqrt of transcendental root
 GAUSS_TPC_R1_SIGMA = 1.3019622
 LAPLACE_TPC_R1_THETA = 1.2769597038217232  # true minimizer
 LAPLACE_TPC_R1_THETA_CARDANO = 0.9029468658743058  # as-printed mapping
+ANALYTIC_DIGEST = "2f7d6652b776bbb0e6f7fa9126ba3eeb81ab0b2a7c647fdfc0e2182b52171e0a"
 
 
 def numeric(model, mode, nv, target, gamma=None, sigma=1.0):
@@ -264,6 +266,24 @@ class TestAnalyticOmega:
         a = analytic_omega(CAUCHY, 1.0, 1.0, 1.0, "theta")
         assert isinstance(a, AnalyticOmega)
         assert {"numeric_omega", "numeric_flag"} <= a.details.keys()
+
+    def test_results_are_pinned(self):
+        """sha256 of every result's (value, verdict, details) over the
+        three families, four budgets, three targets, three SNRs and three
+        scales, recorded before the polynomial scan was vectorized: the
+        quintic roots and everything derived from them keep their bits."""
+        digest = hashlib.sha256()
+        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+            for mode, nv in ((TOTAL, 0.5), (TOTAL, 1.0), (TOTAL, 2.0), (PER_SENSOR, 0.0)):
+                for target in ("theta", "sigma", "gamma"):
+                    for gamma in (0.1, 1.0, 10.0):
+                        for sigma in (0.5, 1.0, 2.0):
+                            a = analytic_omega(
+                                model, sigma, 1.0, nv, target, power_mode=mode, gamma=gamma
+                            )
+                            line = repr((a.value, a.agrees_with_numeric, a.details)) + "\n"
+                            digest.update(line.encode())
+        assert digest.hexdigest() == ANALYTIC_DIGEST
 
 
 class TestResolveOmega:
