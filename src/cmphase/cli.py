@@ -33,7 +33,7 @@ from .montecarlo import AllTrialsSaturatedError, sweep, write_sweep_csv
 from .network import ConfigError, NetworkConfig, PowerMode, effective_noise_var, simulate_snapshot
 from .noise import MODEL_TOKENS, noise_model
 from .numkit import RandomStream
-from .tuning import analytic_omega, optimal_omega, resolve_omega
+from .tuning import OMEGA_TARGETS, OmegaOptima, analytic_omega, optimal_omega, rule_omega
 
 _CONFIG_DEFAULTS = {
     "L": 100,
@@ -48,14 +48,20 @@ _CONFIG_DEFAULTS = {
     "seed": 0,
 }
 
-_AUTO_TARGETS = ("theta", "sigma", "gamma")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with status 2; the contract here is 1."""
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _omega_arg(text: str) -> float | str:
+    """--omega: a number, or else an auto:<target> rule for tuning to parse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -75,7 +81,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         help="channel noise variance at the fusion center",
     )
     p.add_argument(
-        "--omega", help="modulation frequency: a float or auto:theta|sigma|gamma"
+        "--omega", type=_omega_arg,
+        help="modulation frequency: a float or auto:theta|sigma|gamma",
     )
     p.add_argument("--seed", type=int, help="base RNG seed")
     p.add_argument(
@@ -84,7 +91,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _merged_config_dict(args) -> dict:
+def _build_config(args) -> tuple[NetworkConfig, dict]:
+    """The validated config of defaults, --config file and flags, and the
+    manifest notes of its omega rule if the omega setting is one."""
     merged = dict(_CONFIG_DEFAULTS)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -99,48 +108,17 @@ def _merged_config_dict(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    return merged
-
-
-def _resolve_omega_setting(merged: dict, gamma_guess: float | None) -> tuple[float, dict]:
-    """Turn the omega setting (float or auto token) into a number.
-
-    Returns (omega, manifest_notes). A boundary infimum is substituted
-    by a small operational omega and noted in the manifest.
-    """
-    setting = merged["omega"]
-    try:
-        return float(setting), {}
-    except (TypeError, ValueError):
-        pass
-    token = str(setting)
-    if not token.startswith("auto:") or token[5:] not in _AUTO_TARGETS:
-        raise ConfigError(
-            f"omega must be a number or auto:theta|sigma|gamma, got {token!r}"
-        )
-    target = token[5:]
-    model = noise_model(merged["model"])
-    sigma = float(merged["sigma"])
-    gamma = None
-    if target == "gamma":
-        gamma = gamma_guess if gamma_guess is not None else (float(merged["theta"]) / sigma) ** 2
-    omega, substituted = resolve_omega(
-        model, sigma, float(merged["P"]), float(merged["channel_noise_var"]),
-        target, power_mode=PowerMode(merged["power_mode"]), gamma=gamma,
-        omega_max=2.0 * math.pi / float(merged["theta_R"]),
+    rule = merged["omega"]
+    if not isinstance(rule, str):
+        return NetworkConfig.from_json_dict(merged), {}
+    # Validated with the least positive omega, which every theta_R admits,
+    # before the rule reads the config.
+    cfg = NetworkConfig.from_json_dict({**merged, "omega": math.ulp(0.0)})
+    omega, notes = rule_omega(
+        rule, cfg.model, cfg.sigma, cfg.P, cfg.channel_noise_var, cfg.power_mode,
+        cfg.theta, 2.0 * math.pi / cfg.theta_R, gamma=args.gamma_guess,
     )
-    notes = {"omega_rule": token, "omega_substituted": substituted}
-    if gamma is not None:
-        notes["omega_rule_gamma"] = gamma
-    return omega, notes
-
-
-def _build_config(args) -> tuple[NetworkConfig, dict]:
-    merged = _merged_config_dict(args)
-    omega, notes = _resolve_omega_setting(merged, getattr(args, "gamma_guess", None))
-    merged["omega"] = omega
-    cfg = NetworkConfig.from_json_dict(merged)
-    return cfg, notes
+    return cfg.with_updates(omega=omega), notes
 
 
 def _manifest(command: str, config: dict, seed, output, **extra) -> dict:
@@ -201,27 +179,21 @@ def _point_args(p: argparse.ArgumentParser, with_omega: bool) -> None:
         choices=[m.value for m in PowerMode], default="total",
     )
     if with_omega:
-        p.add_argument("--omega", required=True,
+        p.add_argument("--omega", required=True, type=_omega_arg,
                        help="a float or auto:theta|sigma|gamma")
 
 
 def _cmd_asv(args) -> int:
     model = noise_model(args.model)
     mode = PowerMode(args.power_mode)
-    merged = {
-        "model": args.model, "sigma": args.sigma, "P": args.P,
-        "channel_noise_var": args.channel_noise_var, "power_mode": args.power_mode,
-        "omega": args.omega,
-        "theta": args.theta if args.theta is not None else 1.0,
-        "theta_R": 1.0,  # only bounds the auto-omega search here
-    }
-    notes: dict = {}
-    try:
-        omega = float(args.omega)
-    except ValueError:
-        if args.theta is None and args.omega == "auto:gamma":
+    omega, notes = args.omega, {}
+    if isinstance(omega, str):
+        if args.theta is None and omega == "auto:gamma":
             raise ConfigError("--omega auto:gamma requires --theta")
-        omega, notes = _resolve_omega_setting(merged, None)
+        omega, notes = rule_omega(
+            omega, model, args.sigma, args.P, args.channel_noise_var, mode,
+            args.theta, 2.0 * math.pi,
+        )
     report = asv_generic(
         model, args.sigma, omega, args.P,
         channel_noise_var=args.channel_noise_var,
@@ -254,7 +226,7 @@ def _cmd_asv(args) -> int:
 def _cmd_opt_omega(args) -> int:
     model = noise_model(args.model)
     mode = PowerMode(args.power_mode)
-    targets = _AUTO_TARGETS if args.target == "all" else (args.target,)
+    targets = OMEGA_TARGETS if args.target == "all" else (args.target,)
     if "gamma" in targets and args.gamma is None:
         raise ConfigError("--target gamma (or all) requires --gamma")
     results = {}
@@ -278,13 +250,10 @@ def _cmd_opt_omega(args) -> int:
         results[target] = entry
     payload: dict = {"results": results, "method": "golden-section"}
     if args.target == "all":
-        payload["optima"] = {
-            "omega_theta": results["theta"]["omega_star"],
-            "omega_sigma": results["sigma"]["omega_star"],
-            "omega_gamma": results["gamma"]["omega_star"],
-            "flags": {t: results[t]["flag"] for t in _AUTO_TARGETS},
-            "method": "golden-section",
-        }
+        payload["optima"] = OmegaOptima(
+            *(results[t]["omega_star"] for t in OMEGA_TARGETS),
+            flags={t: results[t]["flag"] for t in OMEGA_TARGETS},
+        ).to_json_dict()
     config = {
         "model": args.model, "sigma": args.sigma, "P": args.P,
         "channel_noise_var": args.channel_noise_var,
@@ -340,28 +309,21 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    merged = _merged_config_dict(args)
-    omega_rule = None
-    setting = merged["omega"]
-    if args.axis == "sigma" and isinstance(setting, str) and setting.startswith("auto:"):
-        omega_rule = setting
     cfg, notes = _build_config(args)
+    omega_rule = notes.get("omega_rule") if args.axis == "sigma" else None
+    if omega_rule == "auto:gamma" and args.gamma_guess is not None:
+        raise ConfigError(
+            "--gamma-guess does not apply to a sigma-axis sweep: auto:gamma tunes"
+            " each row at that row's true SNR (theta / sigma)^2"
+        )
     grid = _parse_grid(args.grid)
     rows = sweep(cfg, args.axis, grid, args.trials, omega_rule=omega_rule)
-    # On sigma-axis auto sweeps the per-row rule and the base-config note
-    # carry the same token; the merge must not pass the key twice.
-    extra = {"axis": args.axis, "grid": grid, "trials": args.trials, **notes}
-    if omega_rule is not None:
-        extra["omega_rule"] = omega_rule
     manifest = _manifest(
         "sweep", cfg.to_json_dict(), cfg.seed,
         None if args.out == "-" else args.out,
-        **extra,
+        axis=args.axis, grid=grid, trials=args.trials, **notes,
     )
-    if args.out == "-":
-        write_sweep_csv(rows, sys.stdout, manifest)
-    else:
-        write_sweep_csv(rows, args.out, manifest)
+    write_sweep_csv(rows, sys.stdout if args.out == "-" else args.out, manifest)
     return 0
 
 
@@ -386,7 +348,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("opt-omega", help="omega tuning")
     _point_args(p, with_omega=False)
-    p.add_argument("--target", choices=list(_AUTO_TARGETS) + ["all"], default="all")
+    p.add_argument("--target", choices=[*OMEGA_TARGETS, "all"], default="all")
     p.add_argument("--gamma", type=float, help="SNR value for the gamma target")
     p.add_argument("--omega-min", dest="omega_min", type=float, default=1e-4)
     p.add_argument("--omega-max", dest="omega_max", type=float, default=2.0 * math.pi)

@@ -34,7 +34,7 @@ from .asymptotic import AsvReport, asv_generic
 from .estimators import estimate_location, estimate_scale, estimate_snr
 from .network import ConfigError, NetworkConfig, simulate_block, snapshot_uniforms
 from .numkit import RandomStream, uniforms_from_states, whole_number
-from .tuning import resolve_omega
+from .tuning import rule_omega
 
 __all__ = [
     "EstimandStats",
@@ -200,26 +200,6 @@ def run_experiment(
     )
 
 
-def _resolve_sweep_omega(
-    cfg: NetworkConfig, sigma: float, omega_rule
-) -> float:
-    """Omega for one sigma-axis point. omega_rule is None (keep cfg.omega)
-    or an 'auto:<target>' token resolved with the true SNR of the point."""
-    if omega_rule is None:
-        return cfg.omega
-    token = str(omega_rule)
-    if not token.startswith("auto:"):
-        raise ValueError(f"omega_rule must be None or 'auto:<target>', got {token!r}")
-    target = token[len("auto:") :]
-    gamma = (cfg.theta / sigma) ** 2 if target == "gamma" else None
-    omega, _ = resolve_omega(
-        cfg.model, sigma, cfg.P, cfg.channel_noise_var, target,
-        power_mode=cfg.power_mode, gamma=gamma,
-        omega_max=2.0 * math.pi / cfg.theta_R,
-    )
-    return omega
-
-
 def sweep(
     cfg: NetworkConfig,
     axis: str,
@@ -251,7 +231,12 @@ def sweep(
             if axis == "omega":
                 cfg_i = cfg.with_updates(omega=value)
             else:
-                omega = _resolve_sweep_omega(cfg, value, omega_rule)
+                omega = cfg.omega
+                if omega_rule is not None:
+                    omega, _ = rule_omega(
+                        omega_rule, cfg.model, value, cfg.P, cfg.channel_noise_var,
+                        cfg.power_mode, cfg.theta, 2.0 * math.pi / cfg.theta_R,
+                    )
                 cfg_i = cfg.with_updates(sigma=value, omega=omega)
             omega = cfg_i.omega
             asv = asv_generic(

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class ConfigError(ValueError):
     """A NetworkConfig field violates its constraint."""
 
 
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _power_mode(value) -> PowerMode:
     if isinstance(value, PowerMode):
         return value
@@ -85,6 +92,8 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "model", self._coerce_model(self.model))
         object.__setattr__(self, "power_mode", _power_mode(self.power_mode))
+        for name in ("theta", "theta_R", "sigma", "P", "channel_noise_var", "omega"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         try:
             object.__setattr__(self, "L", whole_number("L", self.L, 1))
             object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
@@ -145,28 +154,14 @@ class NetworkConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkConfig":
-        required = {
-            "L", "theta", "theta_R", "sigma", "model",
-            "power_mode", "P", "channel_noise_var", "omega",
-        }
-        missing = required - data.keys()
+        keys = {f.name for f in fields(cls)}
+        missing = keys - {"seed"} - data.keys()
         if missing:
             raise ConfigError(f"config is missing keys: {sorted(missing)}")
-        unknown = data.keys() - (required | {"seed"})
+        unknown = data.keys() - keys
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-        return cls(
-            L=data["L"],
-            theta=float(data["theta"]),
-            theta_R=float(data["theta_R"]),
-            sigma=float(data["sigma"]),
-            model=data["model"],
-            power_mode=data["power_mode"],
-            P=float(data["P"]),
-            channel_noise_var=float(data["channel_noise_var"]),
-            omega=float(data["omega"]),
-            seed=data.get("seed", 0),
-        )
+        return cls(**data)
 
 
 @dataclass(eq=False)

@@ -78,10 +78,12 @@ def _kernel(formula):
     formula(self, s, w, xp) on the _operands of (sigma, omega); two
     positive Python floats are passed on as they are.
 
-    On arrays overflow is silent, as it is for floats, so both give the
-    same values: t * t, and the Laplace den * den, reach inf at large
-    sigma omega, and what the formulas make of it (exp(-inf) = 0,
-    1 / inf = 0, expm1(-inf) = -1) is the kernel's limit there.
+    On arrays overflow and inf * 0 are silent, as they are for floats:
+    t * t, and the Laplace den * den, reach inf at large sigma omega, and
+    what the formulas make of it (exp(-inf) = 0, 1 / inf = 0,
+    expm1(-inf) = -1) is the kernel's limit there. Arrays and floats are
+    then finite at the same points and agree to a few ulps, not bit for
+    bit: numpy's exp, expm1 and power round differently from math's.
     """
 
     def kernel(self, sigma, omega):
@@ -90,7 +92,7 @@ def _kernel(formula):
         s, w, xp = _operands(sigma, omega)
         if xp is math:
             return formula(self, s, w, xp)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return formula(self, s, w, xp)
 
     kernel.__name__, kernel.__qualname__ = formula.__name__, formula.__qualname__
@@ -103,6 +105,16 @@ def _all_positive(a: np.ndarray) -> bool:
     if a.ndim == 0:
         return float(a) > 0.0
     return a.size == 0 or bool(a.min() > 0.0)
+
+
+def _finite_or(direct, fallback, xp):
+    """direct, with each non-finite element replaced by fallback's, so that
+    every finite result of a kernel's direct form keeps its bits. The
+    kernels, whose direct forms are never +inf, return a float direct
+    above -inf themselves: the call would cost as much as their arithmetic."""
+    if xp is math:
+        return direct if math.isfinite(direct) else fallback
+    return np.where(np.isfinite(direct), direct, fallback)
 
 
 def _laplace_half_square(t, xp):
@@ -184,14 +196,19 @@ class NoiseModel:
         laplace:  -omega^2 sigma / (1 + omega^2 sigma^2 / 2)^2
         cauchy:   -omega exp(-sigma omega)
 
-        Strictly negative for omega > 0.
+        Strictly negative for omega > 0. Where -omega^2 sigma overflows
+        (omega above about 1.3e154) the same value is taken with t = sigma
+        omega as -omega (t exp(-t^2 / 2)) and -(omega / den) (t / den).
         """
         t = s * w
         if self.kind == "gaussian":
-            return -w * w * s * xp.exp(-0.5 * t * t)
+            e = xp.exp(-0.5 * t * t)
+            d = -w * w * s * e
+            return d if xp is math and -math.inf < d else _finite_or(d, -w * (t * e), xp)
         if self.kind == "laplace":
             den = 1.0 + 0.5 * t * t
-            return -w * w * s / (den * den)
+            d = -w * w * s / (den * den)
+            return d if xp is math and -math.inf < d else _finite_or(d, -(w / den) * (t / den), xp)
         return -w * xp.exp(-t)  # cauchy
 
     def inverse_abs_char_fn(self, m: float, P: float) -> float:

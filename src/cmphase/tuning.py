@@ -42,9 +42,12 @@ __all__ = [
     "omega_optima",
     "analytic_omega",
     "resolve_omega",
+    "rule_omega",
+    "OMEGA_TARGETS",
 ]
 
-_TARGETS = ("theta", "sigma", "gamma")
+OMEGA_TARGETS = ("theta", "sigma", "gamma")
+_BOUNDARY_OMEGA = 0.01  # stands in for an infimum at omega -> 0, which carries no information
 _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
@@ -93,11 +96,11 @@ def _target_curve(
     target: str,
     gamma: float | None,
 ):
-    if target not in _TARGETS:
-        raise ValueError(f"target must be one of {_TARGETS}, got {target!r}")
+    if target not in OMEGA_TARGETS:
+        raise ValueError(f"target must be one of {OMEGA_TARGETS}, got {target!r}")
     if target == "gamma":
-        if gamma is None or gamma <= 0.0:
-            raise ValueError("target='gamma' requires a positive gamma value")
+        if gamma is None or not 0.0 < gamma < math.inf:
+            raise ValueError(f"target='gamma' requires a positive finite gamma, got {gamma}")
         theta = math.sqrt(gamma) * sigma
 
         def f(w: float) -> float:
@@ -112,6 +115,15 @@ def _target_curve(
         return _asv_components(model, sigma, w, P, nv)[idx]
 
     return f
+
+
+def _check_point(sigma: float, P: float, channel_noise_var: float) -> None:
+    if not (0.0 < sigma < math.inf and 0.0 < P < math.inf):
+        raise ValueError(f"sigma and P must be positive and finite, got {sigma}, {P}")
+    if not 0.0 <= channel_noise_var < math.inf:
+        raise ValueError(
+            f"channel_noise_var must be nonnegative and finite, got {channel_noise_var}"
+        )
 
 
 def optimal_omega(
@@ -131,12 +143,7 @@ def optimal_omega(
     on the interval edge (monotone curve), "interior" a proper minimum.
     The golden-section bracket is narrowed to 1e-10 in omega.
     """
-    if not (0.0 < sigma < math.inf and 0.0 < P < math.inf):
-        raise ValueError(f"sigma and P must be positive and finite, got {sigma}, {P}")
-    if not 0.0 <= channel_noise_var < math.inf:
-        raise ValueError(
-            f"channel_noise_var must be nonnegative and finite, got {channel_noise_var}"
-        )
+    _check_point(sigma, P, channel_noise_var)
     if not 0.0 < omega_min < omega_max:
         raise ValueError(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
     nv = effective_noise_var(power_mode, channel_noise_var)
@@ -157,7 +164,7 @@ def omega_optima(
     """Numeric minimizers for theta, sigma and gamma (gamma needs gamma)."""
     out: dict[str, float] = {}
     flags: dict[str, str] = {}
-    for target in _TARGETS:
+    for target in OMEGA_TARGETS:
         w, flag = optimal_omega(
             model, sigma, P, channel_noise_var, target,
             power_mode=power_mode, gamma=gamma,
@@ -277,13 +284,10 @@ def analytic_omega(
     reports the comparison at 1e-4 relative; a missing root (value None)
     agrees only when the numeric search also lands on the lower boundary.
     """
-    if target not in _TARGETS:
-        raise ValueError(f"target must be one of {_TARGETS}, got {target!r}")
+    _check_point(sigma, P, channel_noise_var)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
-    if target == "gamma" and (gamma is None or gamma <= 0.0):
-        raise ValueError("target='gamma' requires a positive gamma value")
     curve = _target_curve(model, sigma, P, nv, target, gamma)
 
     value: float | None = None
@@ -366,15 +370,48 @@ def resolve_omega(
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
     omega_max: float = 2.0 * math.pi,
-    boundary_substitute: float = 0.01,
 ) -> tuple[float, bool]:
-    """Numeric omega for a target, with the lower-boundary infimum mapped
-    to a small operational value (default 0.01) since omega = 0 carries
-    no information. Returns (omega, substituted)."""
+    """Numeric omega for a target, with a lower-boundary infimum mapped to
+    _BOUNDARY_OMEGA (omega_max if less). Returns (omega, substituted)."""
     w, flag = optimal_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,
     )
     if flag == "lower":
-        return min(boundary_substitute, omega_max), True
+        return min(_BOUNDARY_OMEGA, omega_max), True
     return w, False
+
+
+def rule_omega(
+    rule: str,
+    model: NoiseModel,
+    sigma: float,
+    P: float,
+    channel_noise_var: float,
+    power_mode: PowerMode,
+    theta: float | None,
+    omega_max: float,
+    gamma: float | None = None,
+) -> tuple[float, dict]:
+    """The omega that the rule 'auto:<target>' picks at an operating point
+    (resolve_omega for the target; omega_max is 2 pi / theta_R), and the
+    manifest notes that record how. The gamma target is tuned at gamma if
+    given, else at the true SNR (theta / sigma)^2; theta is read for that
+    alone.
+    """
+    head, _, target = str(rule).partition(":")
+    if head != "auto" or target not in OMEGA_TARGETS:
+        raise ValueError(f"omega_rule must be auto:theta|sigma|gamma, got {rule!r}")
+    _check_point(sigma, P, channel_noise_var)
+    if target != "gamma":
+        gamma = None
+    elif gamma is None:
+        gamma = (theta / sigma) ** 2
+    omega, substituted = resolve_omega(
+        model, sigma, P, channel_noise_var, target,
+        power_mode=power_mode, gamma=gamma, omega_max=omega_max,
+    )
+    notes = {"omega_rule": rule, "omega_substituted": substituted}
+    if gamma is not None:
+        notes["omega_rule_gamma"] = gamma
+    return omega, notes

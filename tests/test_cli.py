@@ -62,13 +62,55 @@ class TestConfigRejections:
             ("L", 2.7),
             ("L", True),
             ("seed", -1),
+            ("sigma", None),
+            ("theta", "1.0"),
+            ("P", [1.0]),
+            ("channel_noise_var", False),
+            ("omega", None),
         ],
         ids=str,
     )
     def test_bad_config_value_is_an_error(self, capsys, tmp_path, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
-        rc, out, err = run(capsys, "simulate", "--omega", "0.9", "--config", str(path))
+        omega = [] if key == "omega" else ["--omega", "0.9"]
+        rc, out, err = run(capsys, "simulate", *omega, "--config", str(path))
+        assert rc == 1 and out == ""
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("sigma", None, "auto:theta"),
+            ("sigma", 0.0, "auto:gamma"),
+            ("theta", "1.0", "auto:gamma"),
+            ("theta_R", 0.0, "auto:theta"),
+            ("P", math.inf, "auto:sigma"),
+        ],
+        ids=str,
+    )
+    def test_bad_config_value_under_an_omega_rule(self, capsys, tmp_path, key, value, rule):
+        """The config is validated before the rule reads it: these raised
+        TypeError or ZeroDivisionError while the rule was resolved from the
+        raw values."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value, "omega": rule}))
+        rc, out, err = run(capsys, "simulate", "--config", str(path))
+        assert rc == 1 and out == ""
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "--theta-R", "0"], "theta_R"),
+            (["sweep", "--axis", "omega", "--grid", "0.5", "--theta-R", "0"], "theta_R"),
+            (["asv", "--omega", "auto:gamma", "--theta", "1", "--sigma", "0"], "sigma"),
+            (["simulate", "--omega", "auto:fastest"], "omega_rule"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_under_an_omega_rule(self, capsys, argv, key):
+        rc, out, err = run(capsys, *argv)
         assert rc == 1 and out == ""
         assert key in err
 
@@ -175,10 +217,79 @@ class TestSimulate:
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_stdout_digest(self, name):
         argv, expected = self.DIGESTS[name]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["simulate", *argv]) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == expected
+        assert stdout_sha256(["simulate", *argv]) == expected
+
+
+def stdout_sha256(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# sha256 of the stdout of every command that applies an auto:<target>
+# omega rule (and of opt-omega, which reports the optima the rule uses),
+# recorded before the rule moved into tuning: each target, a given and
+# the default gamma, both power budgets, the boundary substitution
+# (Gaussian per-sensor), an omega-axis sweep from an auto base config and
+# sigma-axis sweeps that re-tune every row.
+OMEGA_RULE_DIGESTS = {
+    "simulate-auto-gamma": (
+        ["simulate", "--omega", "auto:gamma", "--seed", "5"],
+        "a52124de52a37f69f22b82691fc38f33afcaa6bf13abe3aeaa071dc11aa43a83",
+    ),
+    "simulate-auto-gamma-guess": (
+        ["simulate", "--omega", "auto:gamma", "--gamma-guess", "4", "--seed", "5"],
+        "3af81dd0262130631e783446a3eb0a2c380eea34cdd5ba45fffa0b02cbaca3c1",
+    ),
+    "simulate-per-sensor-auto-sigma": (
+        ["simulate", "--omega", "auto:sigma", "--power-mode", "per-sensor",
+         "--model", "laplace", "--seed", "2"],
+        "4b5bd3c4239c916b1f64be3004a0b59e58e61c5e8e3ca862dc5954131a3181f8",
+    ),
+    "simulate-per-sensor-auto-sigma-substituted": (
+        ["simulate", "--omega", "auto:sigma", "--power-mode", "per-sensor", "--seed", "2"],
+        "efcfa1da3b8e31ee7af8406bcf9b52631b0b326cb874a09b70cae3a8d92947eb",
+    ),
+    "asv-auto-theta": (
+        ["asv", "--omega", "auto:theta", "--model", "laplace", "--closed-forms"],
+        "adf82089c03cbb012d4c758134d9a174987c8293e909e1c693ca278e544a31c1",
+    ),
+    "asv-auto-sigma": (
+        ["asv", "--omega", "auto:sigma", "--model", "cauchy", "--closed-forms",
+         "--theta", "1.5"],
+        "9cf64c9efc7996dfd7c81778a81e326ef3628edebb2460c1fcfe9987256d1449",
+    ),
+    "asv-auto-gamma": (
+        ["asv", "--omega", "auto:gamma", "--theta", "1.5", "--closed-forms"],
+        "ec91fc5cd79b074cc335ad9dc42348535ee38062a28911b130248247e792ce91",
+    ),
+    "sweep-omega-axis-auto-base": (
+        ["sweep", "--axis", "omega", "--grid", "0.4,0.8", "--trials", "8", "--L", "50",
+         "--omega", "auto:sigma", "--model", "laplace"],
+        "1e2d669a9f82f229f966e5110d7ee7c1f4145105391828873cd54c14a4d16433",
+    ),
+    "sweep-sigma-axis-auto-gamma": (
+        ["sweep", "--axis", "sigma", "--grid", "0.8,1.6", "--trials", "8", "--L", "50",
+         "--omega", "auto:gamma", "--seed", "4"],
+        "b5af51cab2b1f30b143cc4f33894a4a1147f0399de30572e2c41382782e93f60",
+    ),
+    "sweep-sigma-axis-per-sensor-auto-theta": (
+        ["sweep", "--axis", "sigma", "--grid", "0.8,1.6", "--trials", "8", "--L", "50",
+         "--omega", "auto:theta", "--power-mode", "per-sensor", "--model", "laplace"],
+        "0db4d6305503d117fb468ecc2bcfd63909aa3019968fe96e5cfe3111fe634cce",
+    ),
+    "opt-omega-analytic-all": (
+        ["opt-omega", "--analytic", "--target", "all", "--gamma", "2.0", "--model", "laplace"],
+        "8836a735851365434f15d7515dc55416cd4a288bd3d2fdc887dcdee98d97392a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_RULE_DIGESTS))
+def test_omega_rule_stdout_digest(name):
+    argv, expected = OMEGA_RULE_DIGESTS[name]
+    assert stdout_sha256(argv) == expected
 
 
 class TestConfigFile:
@@ -360,6 +471,16 @@ class TestSweep:
         first = out.read_bytes()
         assert run(capsys, *args)[0] == 0
         assert out.read_bytes() == first
+
+    def test_gamma_guess_rejected_where_rows_are_retuned(self, capsys):
+        """Each row of a sigma-axis auto:gamma sweep is tuned at its own true
+        SNR, so a guess would be recorded in the manifest but never used."""
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "sigma", "--grid", "0.8,1.6", "--trials", "8",
+            "--L", "50", "--omega", "auto:gamma", "--gamma-guess", "5",
+        )
+        assert rc == 1 and out == ""
+        assert "--gamma-guess" in err and "true SNR" in err
 
     def test_sigma_axis_auto_omega_rule(self, capsys):
         rc, out, _ = run(

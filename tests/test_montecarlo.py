@@ -190,6 +190,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="sigma sweeps"):
             sweep(make_config(), "omega", [0.5], trials=4, omega_rule="auto:theta")
 
+    def test_zero_sigma_row_under_auto_gamma(self):
+        """The true SNR (theta / sigma)^2 of a sigma = 0 row raised
+        ZeroDivisionError out of the sweep; it is an error row now."""
+        rows = sweep(make_config(L=20), "sigma", [0.0, 1.0], trials=4, omega_rule="auto:gamma")
+        assert rows[0].error is not None and "sigma" in rows[0].error
+        assert rows[1].error is None
+
     def test_bad_omega_rule_token_errors_rows(self):
         rows = sweep(make_config(L=50), "sigma", [1.0], trials=4, omega_rule="fastest")
         assert rows[0].error is not None and "omega_rule" in rows[0].error

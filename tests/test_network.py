@@ -94,6 +94,24 @@ class TestNetworkConfig:
         with pytest.raises(ConfigError):
             NetworkConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma", None), ("theta", "1.0"), ("P", [1.0]), ("channel_noise_var", False),
+         ("omega", True), ("theta_R", {"v": 1.0})],
+        ids=str,
+    )
+    def test_json_rejects_non_numbers(self, key, value):
+        """None, strings, lists and bools raised TypeError (or passed
+        through float()); each is a ConfigError naming its key."""
+        data = make_config().to_json_dict()
+        data[key] = value
+        with pytest.raises(ConfigError, match=key):
+            NetworkConfig.from_json_dict(data)
+
+    def test_real_fields_stored_as_floats(self):
+        cfg = make_config(theta=np.float32(1.0), P=2, channel_noise_var=np.int64(0))
+        assert all(type(getattr(cfg, k)) is float for k in ("theta", "P", "channel_noise_var"))
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = make_config(L=np.int64(20), seed=np.int32(3))
         assert (cfg.L, cfg.seed) == (20, 3)

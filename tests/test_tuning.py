@@ -22,6 +22,7 @@ from cmphase.tuning import (
     omega_optima,
     optimal_omega,
     resolve_omega,
+    rule_omega,
 )
 
 TOTAL = PowerMode.TOTAL
@@ -305,6 +306,57 @@ class TestResolveOmega:
         assert substituted and w == 0.005
 
 
+class TestRuleOmega:
+    def test_gamma_defaults_to_the_true_snr(self):
+        w, notes = rule_omega("auto:gamma", GAUSSIAN, 2.0, 1.0, 1.0, TOTAL, 1.0, math.pi)
+        assert notes == {
+            "omega_rule": "auto:gamma", "omega_substituted": False, "omega_rule_gamma": 0.25,
+        }
+        assert w == optimal_omega(GAUSSIAN, 2.0, 1.0, 1.0, "gamma", gamma=0.25,
+                                  omega_max=math.pi)[0]
+
+    def test_given_gamma_wins(self):
+        w, notes = rule_omega(
+            "auto:gamma", LAPLACE, 1.0, 1.0, 0.0, PER_SENSOR, 1.0, 2.0 * math.pi, gamma=1.0
+        )
+        assert notes["omega_rule_gamma"] == 1.0
+        np.testing.assert_allclose(w, LAPLACE_PSPC_GAMMA1, rtol=1e-6)
+
+    def test_gamma_ignored_by_the_other_targets(self):
+        w, notes = rule_omega("auto:theta", CAUCHY, 1.0, 1.0, 1.0, TOTAL, None, 2.0 * math.pi,
+                              gamma=9.0)
+        assert notes == {"omega_rule": "auto:theta", "omega_substituted": False}
+        np.testing.assert_allclose(w, CAUCHY_TPC_R1, rtol=1e-6)
+
+    def test_boundary_substitution_is_noted(self):
+        w, notes = rule_omega("auto:sigma", GAUSSIAN, 1.0, 1.0, 1.0, PER_SENSOR, 1.0, 0.005)
+        assert w == 0.005 and notes["omega_substituted"] is True
+
+    @pytest.mark.parametrize("rule", ["fastest", "auto:", "auto:snr", "theta", None, 0.9])
+    def test_bad_rule(self, rule):
+        with pytest.raises(ValueError, match="omega_rule"):
+            rule_omega(rule, GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, 1.0, 2.0 * math.pi)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_snr_rejected(self, theta):
+        with pytest.raises(ValueError, match="gamma"):
+            rule_omega("auto:gamma", GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, theta, 2.0 * math.pi)
+
+    def test_point_checked_before_the_snr(self):
+        with pytest.raises(ValueError, match="sigma"):
+            rule_omega("auto:gamma", GAUSSIAN, 0.0, 1.0, 1.0, TOTAL, 1.0, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("solver", [optimal_omega, resolve_omega, analytic_omega],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0], ids=str)
+def test_gamma_target_needs_positive_finite_gamma(solver, gamma):
+    """A NaN gamma used to give a NaN curve, and golden section returned
+    its upper edge as the optimum."""
+    with pytest.raises(ValueError, match="gamma"):
+        solver(GAUSSIAN, 1.0, 1.0, 1.0, "gamma", gamma=gamma)
+
+
 @pytest.mark.parametrize("solver", [optimal_omega, resolve_omega], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
     "P, nv", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)], ids=str
@@ -314,3 +366,10 @@ def test_non_finite_power_or_channel_noise_rejected(solver, P, nv):
     the lower edge of the omega interval."""
     with pytest.raises(ValueError, match="finite"):
         solver(GAUSSIAN, 1.0, P, nv, "theta")
+
+
+@pytest.mark.parametrize("P", [0.0, math.nan], ids=str)
+def test_analytic_rejects_a_bad_power(P):
+    """P = 0 raised ZeroDivisionError in nv / P before any check."""
+    with pytest.raises(ValueError, match="P must be positive"):
+        analytic_omega(GAUSSIAN, 1.0, P, 1.0, "theta")
