@@ -222,10 +222,15 @@ def _received(
     + complex, / divisor), whose zero imaginary operands only add exact
     zeros; numpy's complex division rounds differently.
     """
-    phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
+    # omega (theta + sigma eta) in place, one rounding per step as written;
+    # one buffer then takes the cosines and the sines in turn.
+    phase = np.multiply(eta, cfg.sigma)
+    phase += cfg.theta
+    phase *= cfg.omega
     y = np.empty((len(phase), 2))
-    y[:, 0] = np.cos(phase).sum(axis=-1)
-    y[:, 1] = np.sin(phase).sum(axis=-1)
+    trig = np.cos(phase)
+    y[:, 0] = trig.sum(axis=-1)
+    y[:, 1] = np.sin(phase, out=trig).sum(axis=-1)
     y *= math.sqrt(cfg.per_sensor_power)
     if channel is not None:
         y += math.sqrt(0.5 * cfg.channel_noise_var) * channel

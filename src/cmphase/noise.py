@@ -44,6 +44,9 @@ _LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 # sigma * omega = 1e10 on, so clamping sigma * omega here keeps every
 # finite result and turns the overflow beyond into that limit.
 _LAPLACE_T_MAX = float.fromhex("0x1.c823e074ec129p+170")  # ~2.67e51
+# Past sigma * omega = 64 the Gaussian char_fn_dsigma, omega t e^{-t^2/2}
+# in magnitude, is below the least subnormal at every finite omega.
+_GAUSS_T_MAX = 64.0
 
 # Standardized Fisher information per unit sigma^-2, validated by numeric
 # quadrature of the squared score in the test suite.
@@ -81,7 +84,8 @@ def _kernel(formula):
     On arrays overflow and inf * 0 are silent, as they are for floats:
     t * t, and the Laplace den * den, reach inf at large sigma omega, and
     what the formulas make of it (exp(-inf) = 0, 1 / inf = 0,
-    expm1(-inf) = -1) is the kernel's limit there. Arrays and floats are
+    expm1(-inf) = -1) is the kernel's limit there. So is a division by a
+    zero t in a branch that np.where discards. Arrays and floats are
     then finite at the same points and agree to a few ulps, not bit for
     bit: numpy's exp, expm1 and power round differently from math's.
     """
@@ -92,7 +96,7 @@ def _kernel(formula):
         s, w, xp = _operands(sigma, omega)
         if xp is math:
             return formula(self, s, w, xp)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return formula(self, s, w, xp)
 
     kernel.__name__, kernel.__qualname__ = formula.__name__, formula.__qualname__
@@ -107,23 +111,17 @@ def _all_positive(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() > 0.0)
 
 
-def _finite_or(direct, fallback, xp):
-    """direct, with each non-finite element replaced by fallback's, so that
-    every finite result of a kernel's direct form keeps its bits. The
-    kernels, whose direct forms are never +inf, return a float direct
-    above -inf themselves: the call would cost as much as their arithmetic."""
-    if xp is math:
-        return direct if math.isfinite(direct) else fallback
-    return np.where(np.isfinite(direct), direct, fallback)
+def _clamped(t, cap, xp):
+    """min(t, cap) for a float or an array t."""
+    if xp is np:
+        return np.minimum(t, cap)
+    return cap if t > cap else t
 
 
 def _laplace_half_square(t, xp):
     """a = t^2 / 2 for the Laplace phasor variances, t clamped at
     _LAPLACE_T_MAX so that no intermediate overflows."""
-    if xp is np:
-        t = np.minimum(t, _LAPLACE_T_MAX)
-    elif t > _LAPLACE_T_MAX:
-        t = _LAPLACE_T_MAX
+    t = _clamped(t, _LAPLACE_T_MAX, xp)
     return 0.5 * t * t
 
 
@@ -196,20 +194,45 @@ class NoiseModel:
         laplace:  -omega^2 sigma / (1 + omega^2 sigma^2 / 2)^2
         cauchy:   -omega exp(-sigma omega)
 
-        Strictly negative for omega > 0. Where -omega^2 sigma overflows
-        (omega above about 1.3e154) the same value is taken with t = sigma
-        omega as -omega (t exp(-t^2 / 2)) and -(omega / den) (t / den).
+        Strictly negative for omega > 0 until it underflows to -0.0. Where
+        the direct form is not finite, or rounds to zero, _dsigma_scaled
+        gives the same value, so every finite nonzero direct result keeps
+        its bits.
         """
         t = s * w
         if self.kind == "gaussian":
-            e = xp.exp(-0.5 * t * t)
-            d = -w * w * s * e
-            return d if xp is math and -math.inf < d else _finite_or(d, -w * (t * e), xp)
-        if self.kind == "laplace":
+            d = -w * w * s * xp.exp(-0.5 * t * t)
+        elif self.kind == "laplace":
             den = 1.0 + 0.5 * t * t
             d = -w * w * s / (den * den)
-            return d if xp is math and -math.inf < d else _finite_or(d, -(w / den) * (t / den), xp)
-        return -w * xp.exp(-t)  # cauchy
+        else:
+            return -w * xp.exp(-t)  # cauchy
+        if xp is math:
+            return d if -math.inf < d < 0.0 else self._dsigma_scaled(w, t, xp)
+        return np.where(np.isfinite(d) & (d != 0.0), d, self._dsigma_scaled(w, t, xp))
+
+    def _dsigma_scaled(self, w, t, xp):
+        """char_fn_dsigma of the Gaussian or Laplace family from omega and
+        t = sigma omega, in a form whose intermediates do not overflow or
+        underflow before the result does; t may be inf (sigma omega past
+        the float range):
+
+        gaussian: -(omega e) (t e) with e = exp(-t^2 / 4), t clamped at
+            _GAUSS_T_MAX, past which the value is below the float range.
+        laplace:  -(omega / den) (t / den), or, where den = 1 + t^2 / 2
+            overflows (the 1 is then below rounding), -(2 omega / t / t)
+            (2 / t).
+        """
+        if self.kind == "gaussian":
+            t = _clamped(t, _GAUSS_T_MAX, xp)
+            e = xp.exp(-0.25 * t * t)
+            return -(w * e) * (t * e)
+        den = 1.0 + 0.5 * t * t
+        if xp is math:
+            if den < math.inf:
+                return -(w / den) * (t / den)
+            return -(2.0 * w / t / t) * (2.0 / t)
+        return np.where(den < math.inf, -(w / den) * (t / den), -(2.0 * w / t / t) * (2.0 / t))
 
     def inverse_abs_char_fn(self, m: float, P: float) -> float:
         """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.
@@ -260,9 +283,14 @@ class NoiseModel:
         if self.kind == "gaussian":
             return box_muller(u)[..., :n]
         if self.kind == "laplace":
-            e1 = -np.log1p(-u[..., :n])
-            e2 = -np.log1p(-u[..., n:])
-            return _LAPLACE_B * (e1 - e2)
+            # -log1p(-u) for each half, differenced and scaled in place.
+            e1 = np.negative(u[..., :n])
+            np.negative(np.log1p(e1, out=e1), out=e1)
+            e2 = np.negative(u[..., n:])
+            np.negative(np.log1p(e2, out=e2), out=e2)
+            e1 -= e2
+            e1 *= _LAPLACE_B
+            return e1
         return np.tan(math.pi * (u - 0.5))  # cauchy
 
     def fisher_location(self, sigma: float) -> float:

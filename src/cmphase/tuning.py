@@ -43,6 +43,7 @@ __all__ = [
     "analytic_omega",
     "resolve_omega",
     "rule_omega",
+    "rule_target",
     "OMEGA_TARGETS",
 ]
 
@@ -382,6 +383,15 @@ def resolve_omega(
     return w, False
 
 
+def rule_target(rule: str) -> str:
+    """The target of the omega rule 'auto:<target>' (one of
+    OMEGA_TARGETS); ValueError naming omega_rule for any other rule."""
+    head, _, target = str(rule).partition(":")
+    if head != "auto" or target not in OMEGA_TARGETS:
+        raise ValueError(f"omega_rule must be auto:theta|sigma|gamma, got {rule!r}")
+    return target
+
+
 def rule_omega(
     rule: str,
     model: NoiseModel,
@@ -399,9 +409,7 @@ def rule_omega(
     given, else at the true SNR (theta / sigma)^2; theta is read for that
     alone.
     """
-    head, _, target = str(rule).partition(":")
-    if head != "auto" or target not in OMEGA_TARGETS:
-        raise ValueError(f"omega_rule must be auto:theta|sigma|gamma, got {rule!r}")
+    target = rule_target(rule)
     _check_point(sigma, P, channel_noise_var)
     if target != "gamma":
         gamma = None

@@ -129,17 +129,28 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_importing_the_cli_defers_numpy_random():
-    """numpy.random is imported by the first random draw, not with the
-    package, so commands that draw nothing do not pay for it."""
+def imported_with_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter that imports cmphase.cli has module."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, cmphase.cli; print('numpy.random' in sys.modules)"
+    code = f"import sys, cmphase.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_importing_the_cli_defers_numpy_random():
+    """numpy.random is imported by the first random draw, not with the
+    package, so commands that draw nothing do not pay for it."""
+    assert not imported_with_the_cli("numpy.random")
+
+
+def test_importing_the_cli_defers_concurrent_futures():
+    """The Monte Carlo block pool imports concurrent.futures when a run
+    first spreads its blocks over several CPUs, not with the package."""
+    assert not imported_with_the_cli("concurrent.futures")
 
 
 class TestSimulate:

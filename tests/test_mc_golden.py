@@ -20,6 +20,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +134,93 @@ def test_trial_z_matches_golden(name):
 )
 def test_block_size_independence(monkeypatch, fields, trials):
     """One trial per block, a prime block size (13, 9 and 32 trials per
-    block here, each leaving a partial last block) and the default give
-    the same samples and the same summary."""
+    block here, each leaving a partial last block) and the default, each
+    run on 1, 2 and 3 usable CPUs (the serial loop, then the calling
+    thread and one or two pool threads, whatever the host has), give the
+    same samples and the same summary."""
     cfg = make_config(sigma=1.0, omega=0.8, seed=12, **fields)
     results = []
+    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
     for block in (1, 97, montecarlo._BLOCK_SAMPLES):
         monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
-        z = trial_z(cfg, trials, 0)
-        summary = run_experiment(cfg, trials).to_json_dict()
-        summary.pop("wall_time_s")
-        results.append((z, summary))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+            z = trial_z(cfg, trials, 0)
+            summary = run_experiment(cfg, trials).to_json_dict()
+            summary.pop("wall_time_s")
+            results.append((z, summary))
     for z, summary in results[1:]:
         np.testing.assert_array_equal(z, results[0][0])
         assert summary == results[0][1]
+
+
+def test_many_threads_many_switches(monkeypatch):
+    """Eight threads on however many cores, a 1 us switch interval and 600
+    one-trial blocks give the serial loop's z: no block is left unfilled
+    (a slice of np.empty) and none is written from another's uniforms."""
+    cfg = make_config(model="laplace", power_mode="total", L=3, channel_noise_var=0.5,
+                      sigma=1.0, omega=0.8, seed=21)
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 1)
+    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    serial = trial_z(cfg, 600, 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = trial_z(cfg, 600, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(concurrent, serial)
+
+
+@pytest.mark.parametrize(
+    "cpus, L, trials",
+    [(1, 20000, 4), (2, 20000, 1), (2, 100, 400)],
+    ids=["one-cpu", "one-block", "small-L"],
+)
+def test_plain_loop_builds_no_pool(monkeypatch, cpus, L, trials):
+    """One usable CPU, a single block, or trials below _CONCURRENT_MIN_L
+    samples run the plain loop on the calling thread."""
+    cfg = make_config(model="cauchy", power_mode="total", L=L, channel_noise_var=0.0,
+                      sigma=1.0, omega=0.8, seed=4)
+
+    def no_pool(threads):
+        raise AssertionError("a block pool was requested")
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_block_pool", no_pool)
+    assert run_experiment(cfg, trials).trials == trials
+
+
+@pytest.mark.parametrize("raiser", ["calling", "pool"])
+def test_block_exception_propagates(monkeypatch, raiser):
+    """An exception raised in a block on the calling thread or on a pool
+    thread leaves run_experiment, rather than a z with an unfilled slice.
+    The calling thread waits in its first block until a pool thread has
+    taken one, so both threads run blocks."""
+    cfg = make_config(model="cauchy", power_mode="total", L=4, channel_noise_var=0.0,
+                      sigma=1.0, omega=0.8, seed=3)
+    pool_started = threading.Event()
+    simulate_block = montecarlo.simulate_block
+
+    def failing(cfg_b, u):
+        if threading.current_thread() is threading.main_thread():
+            if raiser == "calling":
+                raise ArithmeticError("block failed")
+            assert pool_started.wait(timeout=30)
+        else:
+            pool_started.set()
+            if raiser == "pool":
+                raise ArithmeticError("block failed")
+        return simulate_block(cfg_b, u)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
+    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "simulate_block", failing)
+    with pytest.raises(ArithmeticError, match="block failed"):
+        run_experiment(cfg, 20)
 
 
 def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:

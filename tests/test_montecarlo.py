@@ -198,8 +198,10 @@ class TestSweep:
         assert rows[1].error is None
 
     def test_bad_omega_rule_token_errors_rows(self):
-        rows = sweep(make_config(L=50), "sigma", [1.0], trials=4, omega_rule="fastest")
-        assert rows[0].error is not None and "omega_rule" in rows[0].error
+        """A bad token is wrong for the whole call: it raises once instead
+        of turning every row into an all-NaN error row."""
+        with pytest.raises(ValueError, match="omega_rule"):
+            sweep(make_config(L=50), "sigma", [1.0, 2.0], trials=4, omega_rule="fastest")
 
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="axis"):
