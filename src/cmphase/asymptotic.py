@@ -345,13 +345,13 @@ def asv_closed_form(
 
 
 def _check_point(sigma: float, omega: float, P: float, nv: float) -> None:
-    """Reject an operating point outside the domain; `not x > 0.0` also
-    rejects NaN."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
-    if not P > 0.0:
-        raise ValueError(f"P must be positive, got {P}")
-    if not nv >= 0.0:
-        raise ValueError(f"channel_noise_var must be nonnegative, got {nv}")
+    """Reject an operating point outside the domain: non-finite values
+    and NaN (every comparison with NaN is False) included."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+    if not 0.0 < P < math.inf:
+        raise ValueError(f"P must be positive and finite, got {P}")
+    if not 0.0 <= nv < math.inf:
+        raise ValueError(f"channel_noise_var must be nonnegative and finite, got {nv}")

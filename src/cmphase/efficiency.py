@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotic import _asv_components
 from .noise import NoiseModel
 from .numkit import minimize_quasiconvex
+from .tuning import _target_curve
 
 __all__ = ["EfficiencyReport", "REFERENCE_ARE", "asymptotic_relative_efficiency"]
 
@@ -66,11 +66,7 @@ class EfficiencyReport:
 
 
 def _inf_asv(model: NoiseModel, parameter: str, sigma: float, omega_max: float) -> float:
-    idx = 0 if parameter == "theta" else 1
-
-    def f(w: float) -> float:
-        return _asv_components(model, sigma, w, 1.0, 0.0)[idx]
-
+    f = _target_curve(model, sigma, 1.0, 0.0, parameter, None)
     lo = _BOUNDARY_U / sigma
     x, flag = minimize_quasiconvex(f, lo, omega_max / sigma, tol=1e-12)
     if flag == "lower":

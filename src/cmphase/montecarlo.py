@@ -20,14 +20,15 @@ estimate_scale (numpy's arctan2, abs and log on arrays may differ from
 math's in the last bit); no per-trial object is built.
 
 Blocks run concurrently on the CPUs this process may use: the calling
-thread and a pool of one thread per further CPU each take the next block.
-A block reads its own substream states and writes only its own slice of
-z, so the samples do not depend on the block size, the worker count or
-the scheduling. The kernels that take a block's time (the PCG64 fill,
-the draw transforms, cos, sin and the sums) release the GIL. A process
-with one usable CPU, a run of one block, or trials of fewer than
-_CONCURRENT_MIN_L sensor samples (where the GIL-bound per-trial generator
-construction dominates) take the plain loop and build no pool.
+thread and a pool of one thread per further CPU, built for the run and
+joined when it ends, each take the next block. A block reads its own
+substream states and writes only its own slice of z, so the samples do
+not depend on the block size, the worker count or the scheduling. The
+kernels that take a block's time (the PCG64 fill, the draw transforms,
+cos, sin and the sums) release the GIL. A process with one usable CPU, a
+run of one block, or trials of fewer than _CONCURRENT_MIN_L sensor
+samples (where the GIL-bound per-trial generator construction dominates)
+run every block on the calling thread and build no pool.
 """
 
 from __future__ import annotations
@@ -147,75 +148,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool = None  # (executor, its thread count), built on the first concurrent run
-
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has none of its threads."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _block_pool(threads: int):
-    """A thread pool of at least the given number of threads, built on
-    first use so that importing cmphase does not import
-    concurrent.futures."""
-    global _pool
-    if _pool is None or _pool[1] < threads:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool[0].shutdown(wait=False)
-        _pool = (ThreadPoolExecutor(threads, thread_name_prefix="cmphase-block"), threads)
-    return _pool[0]
-
-
-def _run_blocks(fill, starts: range, workers: int) -> None:
-    """fill(start) for every start, on the calling thread and workers - 1
-    pool threads, each taking the next start when it is free.
-
-    The first exception raised by any fill is re-raised once every thread
-    has stopped; it also stops the others from taking further starts.
-    """
-    lock = threading.Lock()
-    pending = iter(starts)
-
-    def drain():
-        try:
-            while True:
-                with lock:
-                    start = next(pending, None)
-                if start is None:
-                    return
-                fill(start)
-        except BaseException:
-            with lock:
-                for _ in pending:
-                    pass
-            raise
-
-    pool = _block_pool(workers - 1)
-    futures = [pool.submit(drain) for _ in range(workers - 1)]
-    try:
-        drain()
-    finally:
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
-
-
 def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarray:
     """Normalized received samples z of trials 0, ..., trials - 1, trial t
     drawn from root.substream(t), simulated block by block, the blocks
     spread over the usable CPUs.
 
-    Block code does not depend on the calling thread's numpy errstate,
-    which pool threads do not inherit.
+    The calling thread and, for a concurrent run, workers - 1 threads of
+    a pool built for this run each take the next block start under a
+    lock. The pool is joined before the first exception raised by any
+    block is re-raised. Block code does not depend on the calling
+    thread's numpy errstate, which pool threads do not inherit.
     """
     per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
@@ -224,18 +166,31 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     # fragment the heap under the block temporaries (5x the page faults
     # at L = 10^4).
     z = np.empty(trials, dtype=complex)
-
-    def fill(start: int) -> None:
-        stop = start + per_block
-        z[start:stop] = simulate_block(cfg, uniforms_from_states(states[start:stop], n))[1]
-
     starts = range(0, trials, per_block)
     workers = min(_usable_cpus(), len(starts)) if cfg.L >= _CONCURRENT_MIN_L else 1
+    lock = threading.Lock()
+    pending = iter(starts)
+
+    def drain() -> None:
+        while True:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            stop = start + per_block
+            z[start:stop] = simulate_block(cfg, uniforms_from_states(states[start:stop], n))[1]
+
     if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        _run_blocks(fill, starts, workers)
+        drain()
+        return z
+    # Imported here so that importing cmphase does not import it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cmphase-block") as pool:
+        futures = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for future in futures:
+        future.result()
     return z
 
 

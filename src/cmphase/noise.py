@@ -47,6 +47,9 @@ _LAPLACE_T_MAX = float.fromhex("0x1.c823e074ec129p+170")  # ~2.67e51
 # Past sigma * omega = 64 the Gaussian char_fn_dsigma, omega t e^{-t^2/2}
 # in magnitude, is below the least subnormal at every finite omega.
 _GAUSS_T_MAX = 64.0
+# Below this omega (2^-511, about 1.49e-154) omega^2 is subnormal and the
+# direct char_fn_dsigma, -omega omega sigma ..., has lost bits.
+_W_SQUARE_NORMAL = 2.0**-511
 
 # Standardized Fisher information per unit sigma^-2, validated by numeric
 # quadrature of the squared score in the test suite.
@@ -195,9 +198,9 @@ class NoiseModel:
         cauchy:   -omega exp(-sigma omega)
 
         Strictly negative for omega > 0 until it underflows to -0.0. Where
-        the direct form is not finite, or rounds to zero, _dsigma_scaled
-        gives the same value, so every finite nonzero direct result keeps
-        its bits.
+        the direct form is not finite, rounds to zero, or omega^2 is
+        subnormal (omega < 2^-511), _dsigma_scaled gives the same value,
+        so every other finite nonzero direct result keeps its bits.
         """
         t = s * w
         if self.kind == "gaussian":
@@ -208,8 +211,11 @@ class NoiseModel:
         else:
             return -w * xp.exp(-t)  # cauchy
         if xp is math:
-            return d if -math.inf < d < 0.0 else self._dsigma_scaled(w, t, xp)
-        return np.where(np.isfinite(d) & (d != 0.0), d, self._dsigma_scaled(w, t, xp))
+            if -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
+                return d
+            return self._dsigma_scaled(w, t, xp)
+        keep = np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL)
+        return np.where(keep, d, self._dsigma_scaled(w, t, xp))
 
     def _dsigma_scaled(self, w, t, xp):
         """char_fn_dsigma of the Gaussian or Laplace family from omega and

@@ -42,6 +42,8 @@ _EPS = 2.0 ** -52
 # gauss_newton_box: step tolerance relative to the box width, iteration cap.
 _GN_XTOL = 1e-10
 _GN_MAX_ITER = 50
+# real_roots_in_interval: steps of the uniform scan for sign changes.
+_ROOT_SCAN_STEPS = 4096
 
 # numpy.random.SeedSequence: pool size, hash constants and shift of its
 # documented mixing algorithm (numpy/random/bit_generator.pyx).
@@ -320,31 +322,29 @@ def gauss_newton_box(
     return x, max_iter, False
 
 
-def real_roots_in_interval(
-    coeffs: Sequence[float], lo: float, hi: float, scan_points: int = 4096
-) -> list[float]:
+def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
     """Real roots of a low-degree polynomial on [lo, hi], sorted ascending.
 
     coeffs are in ascending order (coeffs[k] multiplies x**k). The
-    polynomial is evaluated on the uniform grid
-    x_i = lo + (hi - lo) * i / scan_points, i = 0..scan_points, in one
-    array pass, and every sign change is refined by bisection
-    (find_root_bracketed, on the scalar Horner polynomial). A grid zero
-    gives the bracket (x_i, x_i); nonzero neighbours of opposite sign give
-    (x_{i-1}, x_i). Roots of even multiplicity that do not produce a sign
-    change on the grid are not detected; the polynomials handled here
-    (degree <= 6 tuning equations) have simple roots.
+    polynomial is evaluated on the uniform grid x_i = lo + (hi - lo) * i
+    / n, i = 0..n with n = _ROOT_SCAN_STEPS, in one array pass, and every
+    sign change is refined by bisection (find_root_bracketed, on the
+    scalar Horner polynomial). A grid zero gives the bracket (x_i, x_i);
+    nonzero neighbours of opposite sign give (x_{i-1}, x_i). Roots of
+    even multiplicity that do not produce a sign change on the grid are
+    not detected; the polynomials handled here (degree <= 6 tuning
+    equations) have simple roots.
 
     The result equals, bit for bit, that of scanning the scalar Horner
-    polynomial with sign_change_brackets(poly, lo, hi, scan_points): each
-    array step is one IEEE-rounded multiply or add, in the scalar order
-    (the grid as ((hi - lo) * i) / scan_points + lo with i exact in
-    float64, Horner as v = v * x + c from v = 0 over the coefficients
-    highest first), so every grid value, and with it every bracket and
-    root, is the scalar one. x_0 is lo itself, as in the scalar scan,
-    which keeps the sign of a zero lo. Overflow gives the same inf and
-    NaN silently; a NaN grid value counts as nonpositive, as in the
-    scalar rule, and fails bisection with ValueError.
+    polynomial with sign_change_brackets(poly, lo, hi, n): each array
+    step is one IEEE-rounded multiply or add, in the scalar order (the
+    grid as ((hi - lo) * i) / n + lo with i exact in float64, Horner as
+    v = v * x + c from v = 0 over the coefficients highest first), so
+    every grid value, and with it every bracket and root, is the scalar
+    one. x_0 is lo itself, as in the scalar scan, which keeps the sign of
+    a zero lo. Overflow gives the same inf and NaN silently; a NaN grid
+    value counts as nonpositive, as in the scalar rule, and fails
+    bisection with ValueError.
     """
     cs = [float(c) for c in coeffs]
     if len(cs) > 7:
@@ -359,7 +359,7 @@ def real_roots_in_interval(
         return acc
 
     with np.errstate(all="ignore"):
-        x = lo + (hi - lo) * np.arange(scan_points + 1) / scan_points
+        x = lo + (hi - lo) * np.arange(_ROOT_SCAN_STEPS + 1) / _ROOT_SCAN_STEPS
         x[0] = lo
         v = np.zeros_like(x)
         for c in reversed(cs):

@@ -53,6 +53,7 @@ _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
 _OMEGA_TOL = 1e-10  # golden-section bracket width at which optimal_omega stops
+_SCAN_STEPS = 2000  # steps of the uniform sign-change scan in _scan_root
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,9 @@ def omega_optima(
 # ---------------------------------------------------------------------------
 # Closed-form route.
 
-def _scan_root(f, lo: float, hi: float, steps: int = 2000) -> float | None:
+def _scan_root(f, lo: float, hi: float) -> float | None:
     """First sign-change root of f on [lo, hi] over a fixed uniform scan."""
-    for a, b in sign_change_brackets(f, lo, hi, steps):
+    for a, b in sign_change_brackets(f, lo, hi, _SCAN_STEPS):
         return find_root_bracketed(f, a, b, tol=1e-13)
     return None
 

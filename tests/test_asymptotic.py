@@ -157,6 +157,10 @@ class TestAsvGeneric:
             {"P": math.nan},
             {"channel_noise_var": -1.0},
             {"channel_noise_var": math.nan},
+            {"P": math.inf},
+            {"sigma": math.inf},
+            {"omega": math.inf},
+            {"channel_noise_var": math.inf},
         ],
         ids=str,
     )

@@ -221,6 +221,10 @@ class TestJointObjective:
             joint_objective(0.5j, 1.0, 1.0, 0.0, 1.0, 1.0, GAUSSIAN)
         with pytest.raises(ValueError):
             joint_objective(0.5j, 1.0, 1.0, 1.0, math.nan, 1.0, GAUSSIAN)
+        with pytest.raises(ValueError):
+            joint_objective(0.5j, 1.0, 1.0, 1.0, math.inf, 1.0, GAUSSIAN)
+        with pytest.raises(ValueError):
+            joint_objective(0.5j, 1.0, 1.0, 1.0, 1.0, math.inf, GAUSSIAN)
 
 
 class TestJointMinimumVariance:

@@ -16,6 +16,7 @@ than one block, trial counts that leave a partial last block, saturated
 trials and an error row.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -181,38 +182,52 @@ def test_many_threads_many_switches(monkeypatch):
 )
 def test_plain_loop_builds_no_pool(monkeypatch, cpus, L, trials):
     """One usable CPU, a single block, or trials below _CONCURRENT_MIN_L
-    samples run the plain loop on the calling thread."""
+    samples run every block on the calling thread."""
     cfg = make_config(model="cauchy", power_mode="total", L=L, channel_noise_var=0.0,
                       sigma=1.0, omega=0.8, seed=4)
 
-    def no_pool(threads):
+    def no_pool(*args, **kwargs):
         raise AssertionError("a block pool was requested")
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_block_pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert run_experiment(cfg, trials).trials == trials
+
+
+def block_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("cmphase-block")]
+
+
+def test_pool_joined_when_the_run_returns(monkeypatch):
+    """A concurrent run leaves no pool thread alive once it returns."""
+    cfg = make_config(model="cauchy", power_mode="total", L=4, channel_noise_var=0.0,
+                      sigma=1.0, omega=0.8, seed=3)
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
+    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    assert run_experiment(cfg, 20).trials == 20
+    assert block_threads() == []
 
 
 @pytest.mark.parametrize("raiser", ["calling", "pool"])
 def test_block_exception_propagates(monkeypatch, raiser):
     """An exception raised in a block on the calling thread or on a pool
-    thread leaves run_experiment, rather than a z with an unfilled slice.
-    The calling thread waits in its first block until a pool thread has
-    taken one, so both threads run blocks."""
+    thread leaves run_experiment, rather than a z with an unfilled slice,
+    and only after the pool has been joined. Each thread waits at a
+    barrier in its first block, so both threads run blocks."""
     cfg = make_config(model="cauchy", power_mode="total", L=4, channel_noise_var=0.0,
                       sigma=1.0, omega=0.8, seed=3)
-    pool_started = threading.Event()
+    barrier = threading.Barrier(2, timeout=30)
+    started = threading.local()
     simulate_block = montecarlo.simulate_block
 
     def failing(cfg_b, u):
-        if threading.current_thread() is threading.main_thread():
-            if raiser == "calling":
-                raise ArithmeticError("block failed")
-            assert pool_started.wait(timeout=30)
-        else:
-            pool_started.set()
-            if raiser == "pool":
-                raise ArithmeticError("block failed")
+        if not getattr(started, "value", False):
+            started.value = True
+            barrier.wait()
+        calling = threading.current_thread() is threading.main_thread()
+        if calling == (raiser == "calling"):
+            raise ArithmeticError("block failed")
         return simulate_block(cfg_b, u)
 
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
@@ -221,6 +236,7 @@ def test_block_exception_propagates(monkeypatch, raiser):
     monkeypatch.setattr(montecarlo, "simulate_block", failing)
     with pytest.raises(ArithmeticError, match="block failed"):
         run_experiment(cfg, 20)
+    assert block_threads() == []
 
 
 def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:

@@ -205,16 +205,22 @@ class TestCharFnDsigma:
             ("gaussian", 1e-170, 1e100),
             ("laplace", 1e-170, 1e100),
             ("gaussian", 1e-300, 1e-300),
+            ("gaussian", 1e100, 1.234e-160),
+            ("laplace", 1e100, 1.234e-160),
+            ("gaussian", 7e20, 1e-155),
+            ("laplace", 7e20, 1e-155),
         ],
     )
     def test_past_the_direct_forms_range(self, kind, sigma, omega):
-        """Where the direct form is nan or rounds to zero but the value
-        does not: sigma omega past the float range (nan, true value below
-        the float range, so -0.0), the Laplace (1 + t^2/2)^2 overflowing
-        while omega^2 sigma does not (-0.0 against -4e-80), the Gaussian
-        e^{-t^2/2} underflowing while omega t e^{-t^2/2} does not, and
-        omega^2 underflowing. Checked against the exact formula in
-        50-digit decimal arithmetic."""
+        """Where the direct form is nan, rounds to zero or has lost bits:
+        sigma omega past the float range (nan, true value below the float
+        range, so -0.0), the Laplace (1 + t^2/2)^2 overflowing while
+        omega^2 sigma does not (-0.0 against -4e-80), the Gaussian
+        e^{-t^2/2} underflowing while omega t e^{-t^2/2} does not,
+        omega^2 underflowing, and omega^2 subnormal (omega < 2^-511:
+        -1.52271e-220 against -1.52276e-220 at omega = 1.234e-160).
+        Checked against the exact formula in 50-digit decimal
+        arithmetic."""
         with localcontext() as ctx:
             ctx.prec = 50
             s, w = Decimal(sigma), Decimal(omega)
