@@ -46,7 +46,6 @@ from .network import (
     NetworkConfig,
     PowerMode,
     Snapshot,
-    normalize,
     simulate_snapshot,
 )
 from .noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
@@ -91,7 +90,6 @@ __all__ = [
     "NetworkConfig",
     "PowerMode",
     "Snapshot",
-    "normalize",
     "simulate_snapshot",
     "CAUCHY",
     "GAUSSIAN",

@@ -37,6 +37,7 @@ import numpy as np
 
 from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel, noise_model
+from .numkit import real_number
 
 __all__ = [
     "AsvReport",
@@ -103,7 +104,9 @@ def covariance_matrix(
     Sigma = R diag(P v_c + nv/2, P v_s + nv/2) R^T with R the rotation by
     omega * theta; its trace is P (v_c + v_s) + nv independently of theta.
     """
-    _check_point(sigma, omega, P, channel_noise_var)
+    theta = real_number("theta", theta)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
     s11, s12, s22, _ = _rotated_covariance(model, sigma, omega, P, channel_noise_var, c, s)
@@ -114,7 +117,8 @@ def jacobian(
     model: NoiseModel, theta: float, sigma: float, omega: float, P: float
 ) -> np.ndarray:
     """Jacobian of (Re zbar, Im zbar) with respect to (theta, sigma)."""
-    _check_point(sigma, omega, P, 0.0)
+    theta = real_number("theta", theta)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     phi = model.char_fn(sigma, omega)
     dphi = model.char_fn_dsigma(sigma, omega)
     sp = math.sqrt(P)
@@ -150,9 +154,13 @@ def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
 
 
 def compose_gamma(asv_theta, asv_sigma, theta, sigma):
-    """Delta-method asymptotic variance of gamma = theta^2 / sigma^2."""
-    gamma = (theta / sigma) ** 2
-    return (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
+    """Delta-method asymptotic variance of gamma = theta^2 / sigma^2;
+    ValueError where gamma or sigma^2 overflows."""
+    try:
+        gamma = (theta / sigma) ** 2
+        return (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
+    except OverflowError:
+        raise ValueError(f"asv_gamma overflows at theta={theta!r}, sigma={sigma!r}") from None
 
 
 def asv_generic(
@@ -169,15 +177,14 @@ def asv_generic(
     Per-sensor mode evaluates the same expressions with the channel noise
     zeroed. asv_gamma requires theta and is None when theta is omitted.
     """
-    _check_point(sigma, omega, P, channel_noise_var)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
     asv_g = None
     if theta is not None:
-        if not theta > 0.0:
-            raise ValueError(f"theta must be positive, got {theta}")
-        asv_g = compose_gamma(asv_t, asv_s, theta, sigma)
+        asv_g = compose_gamma(asv_t, asv_s, real_number("theta", theta), sigma)
     return AsvReport(
         omega=float(omega),
         asv_theta=float(asv_t),
@@ -334,24 +341,12 @@ def asv_closed_form(
     """
     if which not in ("theta", "sigma", "gamma"):
         raise ValueError(f"which must be theta|sigma|gamma, got {which!r}")
-    _check_point(sigma, omega, P, channel_noise_var)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     if which == "gamma":
-        if gamma is None or not gamma > 0.0:
-            raise ValueError("gamma (positive) is required for which='gamma'")
+        gamma = real_number("gamma", gamma)
     value = _closed_form_value(model.kind, which, sigma, omega, P, nv, mode, gamma)
     return float(value), _closed_form_agrees(model.kind, which, mode.value)
 
-
-def _check_point(sigma: float, omega: float, P: float, nv: float) -> None:
-    """Reject an operating point outside the domain: non-finite values
-    and NaN (every comparison with NaN is False) included."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if not 0.0 < P < math.inf:
-        raise ValueError(f"P must be positive and finite, got {P}")
-    if not 0.0 <= nv < math.inf:
-        raise ValueError(f"channel_noise_var must be nonnegative and finite, got {nv}")

@@ -32,7 +32,7 @@ from .estimators import joint_minimum_variance, simple_estimates
 from .montecarlo import AllTrialsSaturatedError, sweep, write_sweep_csv
 from .network import ConfigError, NetworkConfig, PowerMode, effective_noise_var, simulate_snapshot
 from .noise import MODEL_TOKENS, noise_model
-from .numkit import RandomStream
+from .numkit import RandomStream, real_number, whole_number
 from .tuning import OMEGA_TARGETS, OmegaOptima, analytic_omega, optimal_omega, rule_omega
 
 _CONFIG_DEFAULTS = {
@@ -297,15 +297,19 @@ def _cmd_are(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:count or a comma list, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ConfigError("grid count must be >= 1")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in text.split(",")]
+    """--grid, start:stop:count or a comma list, as finite values."""
+    parts = text.split(":")
+    try:
+        if len(parts) == 3:
+            start, stop = (real_number("each value", float(v), -math.inf) for v in parts[:2])
+            count = whole_number("count", float(parts[2]), 1)
+            with np.errstate(all="ignore"):  # stop - start may overflow
+                values = np.linspace(start, stop, count).tolist()
+        else:
+            values = [float(v) for v in text.split(",")]
+        return [real_number("each value", v, -math.inf) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"--grid {text!r}: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:

@@ -24,14 +24,16 @@ independent here.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import _check_point, _phasor_variances, _rotated_covariance
+from .asymptotic import _phasor_variances, _rotated_covariance
 from .noise import NoiseModel
-from .numkit import ConvergenceError, gauss_newton_box
+from .numkit import ConvergenceError, gauss_newton_box, real_number
 
 __all__ = [
     "ZeroMagnitudeError",
@@ -83,10 +85,24 @@ class EstimateSet:
         }
 
 
+def _finite_z(z) -> complex:
+    """z as a complex; ValueError naming z unless it is a finite number."""
+    if isinstance(z, numbers.Complex) and cmath.isfinite(z):
+        return complex(z)
+    raise ValueError(f"z must be a finite complex number, got {z!r}")
+
+
 def estimate_location(z: complex, omega: float) -> float:
-    """theta_hat = arg(z) / omega with the argument reduced to (0, 2 pi]."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
+    """theta_hat = arg(z) / omega with the argument reduced to (0, 2 pi];
+    ValueError if it overflows (omega below about 3.5e-308)."""
+    theta = _location(_finite_z(z), real_number("omega", omega))
+    if theta == math.inf:
+        raise ValueError(f"theta_hat = arg(z) / omega overflows at omega = {omega!r}")
+    return theta
+
+
+def _location(z: complex, omega: float) -> float:
+    """estimate_location's inversion alone: no argument or overflow check."""
     if z == 0:
         raise ZeroMagnitudeError("cannot estimate location from z = 0")
     ang = math.atan2(z.imag, z.real)
@@ -102,12 +118,17 @@ def estimate_scale(
 
     Returns (sigma_hat, saturated). |z| > sqrt(P) has no solution:
     sigma_hat is 0.0 and saturated True. |z| = sqrt(P) exactly gives the
-    boundary solution sigma_hat = 0.0 without the flag.
+    boundary solution sigma_hat = 0.0 without the flag, and a sigma_hat
+    beyond the float range raises ValueError.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
-    if not P > 0.0:
-        raise ValueError(f"P must be positive, got {P}")
+    sg, saturated = _scale(_finite_z(z), real_number("omega", omega), real_number("P", P), model)
+    if sg == math.inf:
+        raise ValueError(f"sigma_hat overflows at z = {z!r}, omega = {omega!r}")
+    return sg, saturated
+
+
+def _scale(z: complex, omega: float, P: float, model: NoiseModel) -> tuple[float, bool]:
+    """estimate_scale's inversion alone: no argument or overflow check."""
     m = abs(z)
     if m == 0.0:
         raise ZeroMagnitudeError("cannot estimate scale from z = 0")
@@ -156,7 +177,8 @@ def joint_objective(
         ValueError: if det Sigma <= 0 (possible only with zero channel
             noise when a circular variance degenerates).
     """
-    _check_point(sigma, omega, P, channel_noise_var)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     phi = model.char_fn(sigma, omega)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
@@ -263,10 +285,10 @@ def joint_minimum_variance(
             the objective underflows or its kernels overflow.
         ConvergenceError: if the refinement does not converge.
     """
-    if abs(z) == 0.0:
-        raise ZeroMagnitudeError("cannot estimate from z = 0")
-    if not theta_R > 0.0:
-        raise ValueError(f"theta_R must be positive, got {theta_R}")
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
+    theta_R = real_number("theta_R", theta_R)
+    if sigma_max is not None:
+        sigma_max = real_number("sigma_max", sigma_max)
 
     theta_hat = estimate_location(z, omega)
     sigma_inv, saturated = estimate_scale(z, omega, P, model)
@@ -274,8 +296,7 @@ def joint_minimum_variance(
         return EstimateSet(min(theta_hat, theta_R), 0.0, None, True)
 
     if sigma_max is None:
-        sigma_max = 10.0 * max(sigma_inv, 1e-3 / omega)
-    _check_point(sigma_max, omega, P, channel_noise_var)
+        sigma_max = real_number("sigma_max", 10.0 * max(sigma_inv, 1e-3 / omega))
     if not abs(z) >= _Z_FLOOR * math.sqrt(P + channel_noise_var):
         raise ValueError(
             f"|z| = {abs(z)!r} is below {_Z_FLOOR} sqrt(P + channel_noise_var): the joint "

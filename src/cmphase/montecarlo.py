@@ -14,10 +14,11 @@ rerun with the same inputs is byte-identical.
 Trials run in blocks. The substream seeds of all trials of a run are
 derived in one vectorized pass; a block's uniforms are drawn into one
 array, and the draw transforms, phasor sums and channel noise run over
-the whole block, giving z as a complex array. The inversions then run
-per trial over z.tolist() through the scalar estimate_location and
-estimate_scale (numpy's arctan2, abs and log on arrays may differ from
-math's in the last bit); no per-trial object is built.
+the whole block, giving z as a complex array, checked finite once. The
+inversions then run per trial over z.tolist() through the unchecked
+scalar steps of estimate_location and estimate_scale (numpy's arctan2,
+abs and log on arrays may differ from math's in the last bit); no
+per-trial object is built.
 
 Blocks run concurrently on the CPUs this process may use: the calling
 thread and a pool of one thread per further CPU, built for the run and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsvReport, asv_generic
-from .estimators import estimate_location, estimate_scale, estimate_snr
+from .estimators import _location, _scale, estimate_snr
 from .network import ConfigError, NetworkConfig, simulate_block, snapshot_uniforms
 from .numkit import RandomStream, uniforms_from_states, whole_number
 from .tuning import rule_omega, rule_target
@@ -156,8 +157,9 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     The calling thread and, for a concurrent run, workers - 1 threads of
     a pool built for this run each take the next block start under a
     lock. The pool is joined before the first exception raised by any
-    block is re-raised. Block code does not depend on the calling
-    thread's numpy errstate, which pool threads do not inherit.
+    block is re-raised. Each thread sets its own numpy errstate, which
+    pool threads do not inherit: a phase past the float range gives a
+    NaN z without a warning, for run_experiment to reject.
     """
     per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
@@ -172,13 +174,14 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     pending = iter(starts)
 
     def drain() -> None:
-        while True:
-            with lock:
-                start = next(pending, None)
-            if start is None:
-                return
-            stop = start + per_block
-            z[start:stop] = simulate_block(cfg, uniforms_from_states(states[start:stop], n))[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                stop = start + per_block
+                z[start:stop] = simulate_block(cfg, uniforms_from_states(states[start:stop], n))[1]
 
     if workers == 1:
         drain()
@@ -206,7 +209,8 @@ def run_experiment(
     2*pi/omega: the reported deviation is the wrapped one nearest zero,
     so a truth near the interval edge does not show a spurious O(theta_R)
     error. Scale statistics include saturated trials (sigma_hat = 0);
-    SNR statistics cover only non-saturated trials.
+    SNR statistics cover only non-saturated trials. A non-finite z or
+    estimate raises ValueError.
     """
     trials = whole_number("trials", trials, 1)
     if stream is None:
@@ -218,9 +222,12 @@ def run_experiment(
     sigmas: list[float] = []
     gammas: list[float] = []  # trials with sigma_hat > 0 only, in trial order
     n_sat = 0
-    for z in _received_z(cfg, trials, stream).tolist():
-        theta_t = estimate_location(z, omega)
-        sigma_t, saturated = estimate_scale(z, omega, P, model)
+    zs = _received_z(cfg, trials, stream)
+    if not np.isfinite(zs).all():
+        raise ValueError(f"non-finite z at sigma={cfg.sigma!r}, omega={cfg.omega!r}")
+    for z in zs.tolist():
+        theta_t = _location(z, omega)
+        sigma_t, saturated = _scale(z, omega, P, model)
         thetas.append(theta_t)
         sigmas.append(sigma_t)
         if sigma_t > 0.0:
@@ -233,8 +240,11 @@ def run_experiment(
             "omega is likely too large for this sigma"
         )
 
+    theta_hats, sigma_hats = np.array(thetas), np.array(sigmas)
+    if not (np.isfinite(theta_hats).all() and np.isfinite(sigma_hats).all()):
+        raise ValueError(f"theta_hat or sigma_hat overflows at omega={cfg.omega!r}")
     # Wrap location deviations into (-pi, pi] in phase before comparing.
-    delta = np.mod(cfg.omega * (np.array(thetas) - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
+    delta = np.mod(cfg.omega * (theta_hats - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
     theta_unwrapped = cfg.theta + delta / cfg.omega
 
     gamma_vals = np.array(gammas)
@@ -246,7 +256,7 @@ def run_experiment(
         trials=trials,
         L=cfg.L,
         theta=_stats(theta_unwrapped, cfg.theta, cfg.L),
-        sigma=_stats(np.array(sigmas), cfg.sigma, cfg.L),
+        sigma=_stats(sigma_hats, cfg.sigma, cfg.L),
         gamma=gamma_stats,
         gamma_trimmed_variance_l=trimmed,
         gamma_trials=int(gamma_vals.size),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import box_muller
+from .numkit import box_muller, real_number
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
@@ -301,12 +301,12 @@ class NoiseModel:
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
-        _operands(sigma, 1.0)
+        sigma = real_number("sigma", sigma)
         return _FISHER_LOCATION[self.kind] / (sigma * sigma)
 
     def fisher_scale(self, sigma: float) -> float:
         """Fisher information for sigma in x = theta + sigma * eta."""
-        _operands(sigma, 1.0)
+        sigma = real_number("sigma", sigma)
         return _FISHER_SCALE[self.kind] / (sigma * sigma)
 
 

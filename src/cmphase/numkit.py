@@ -30,6 +30,7 @@ __all__ = [
     "minimize_quasiconvex",
     "gauss_newton_box",
     "real_roots_in_interval",
+    "real_number",
     "whole_number",
     "box_muller",
     "uniforms_from_states",
@@ -382,6 +383,22 @@ def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> lis
         if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):
             deduped.append(r)
     return deduped
+
+
+def real_number(name: str, value, minimum: float = 0.0, closed: bool = False) -> float:
+    """value as a finite float > minimum (>= minimum when closed). Reals
+    of any type (numpy's included) are accepted; bools, other types, NaN,
+    +-inf and values out of range raise a ValueError naming name."""
+    # float first: it spares floats the slower numbers.Real check.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if math.isfinite(x) and (x >= minimum if closed else x > minimum):
+        return x
+    bound = f"{'>=' if closed else '>'} {minimum!r}"
+    if minimum == 0.0:
+        bound = "nonnegative" if closed else "positive"
+    raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
 def whole_number(name: str, value, minimum: int = 0) -> int:

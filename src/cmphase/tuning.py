@@ -31,6 +31,7 @@ from .numkit import (
     find_root_bracketed,
     lambert_w0,
     minimize_quasiconvex,
+    real_number,
     real_roots_in_interval,
     sign_change_brackets,
 )
@@ -101,9 +102,7 @@ def _target_curve(
     if target not in OMEGA_TARGETS:
         raise ValueError(f"target must be one of {OMEGA_TARGETS}, got {target!r}")
     if target == "gamma":
-        if gamma is None or not 0.0 < gamma < math.inf:
-            raise ValueError(f"target='gamma' requires a positive finite gamma, got {gamma}")
-        theta = math.sqrt(gamma) * sigma
+        theta = math.sqrt(real_number("gamma", gamma)) * sigma
 
         def f(w: float) -> float:
             asv_t, asv_s = _asv_components(model, sigma, w, P, nv)
@@ -117,15 +116,6 @@ def _target_curve(
         return _asv_components(model, sigma, w, P, nv)[idx]
 
     return f
-
-
-def _check_point(sigma: float, P: float, channel_noise_var: float) -> None:
-    if not (0.0 < sigma < math.inf and 0.0 < P < math.inf):
-        raise ValueError(f"sigma and P must be positive and finite, got {sigma}, {P}")
-    if not 0.0 <= channel_noise_var < math.inf:
-        raise ValueError(
-            f"channel_noise_var must be nonnegative and finite, got {channel_noise_var}"
-        )
 
 
 def optimal_omega(
@@ -145,9 +135,10 @@ def optimal_omega(
     on the interval edge (monotone curve), "interior" a proper minimum.
     The golden-section bracket is narrowed to 1e-10 in omega.
     """
-    _check_point(sigma, P, channel_noise_var)
-    if not 0.0 < omega_min < omega_max:
-        raise ValueError(f"need 0 < omega_min < omega_max, got ({omega_min}, {omega_max})")
+    sigma, P = real_number("sigma", sigma), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
+    omega_min = real_number("omega_min", omega_min)
+    omega_max = real_number("omega_max", omega_max, omega_min)
     nv = effective_noise_var(power_mode, channel_noise_var)
     f = _target_curve(model, sigma, P, nv, target, gamma)
     return minimize_quasiconvex(f, omega_min, omega_max, tol=_OMEGA_TOL)
@@ -286,7 +277,11 @@ def analytic_omega(
     reports the comparison at 1e-4 relative; a missing root (value None)
     agrees only when the numeric search also lands on the lower boundary.
     """
-    _check_point(sigma, P, channel_noise_var)
+    # The numeric route runs first: it validates the operating point.
+    numeric, flag = optimal_omega(
+        model, sigma, P, channel_noise_var, target,
+        power_mode=power_mode, gamma=gamma, omega_max=omega_max,
+    )
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
@@ -348,10 +343,6 @@ def analytic_omega(
                 inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
                 value = math.sqrt(-13.0 * g - 16.0 + inner) / (4.0 * sigma * math.sqrt(g))
 
-    numeric, flag = optimal_omega(
-        model, sigma, P, channel_noise_var, target,
-        power_mode=mode, gamma=gamma, omega_max=omega_max,
-    )
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag
     if value is None:
@@ -411,7 +402,7 @@ def rule_omega(
     alone.
     """
     target = rule_target(rule)
-    _check_point(sigma, P, channel_noise_var)
+    sigma = real_number("sigma", sigma)
     if target != "gamma":
         gamma = None
     elif gamma is None:

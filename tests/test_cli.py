@@ -355,6 +355,13 @@ class TestAsv:
         )
         assert payload["manifest"]["omega_rule"] == "auto:theta"
 
+    def test_overflowing_asv_gamma_is_an_error(self, capsys):
+        """sigma^2 beyond the float range raised a bare OverflowError out
+        of main."""
+        rc, out, err = run(capsys, "asv", "--sigma", "1e200", "--omega", "1e-200", "--theta", "1")
+        assert rc == 1 and out == ""
+        assert "asv_gamma" in err and "sigma=1e+200" in err
+
     def test_auto_gamma_requires_theta(self, capsys):
         rc, _, err = run(capsys, "asv", "--omega", "auto:gamma")
         assert rc == 1
@@ -459,6 +466,33 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", "--axis", "omega", "--grid", "1:2")
         assert rc == 1
         assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ("1:2:0.5", "count must be an integer"),
+            ("1:2:x", "could not convert"),
+            ("0.5,x", "could not convert"),
+            ("nan,1", "finite, got nan"),
+            ("0.5,inf", "finite, got inf"),
+            ("-inf:1:3", "finite, got -inf"),
+            ("0:nan:2", "finite, got nan"),
+            ("1:2:3:4", "could not convert"),
+        ],
+    )
+    def test_grid_errors_name_the_flag(self, capsys, grid, reason):
+        """'1:2:0.5' reported only int()'s message, and 'nan,1' exited 0
+        with a NaN row."""
+        rc, out, err = run(capsys, "sweep", "--axis", "omega", f"--grid={grid}", "--trials", "4")
+        assert rc == 1 and out == ""
+        assert "--grid" in err and reason in err
+
+    def test_sigma_row_with_overflowing_asv_gamma(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "sigma", "--grid", "1e200", "--trials", "5", "--L", "20",
+        )
+        assert rc == 0, err
+        assert out.splitlines()[2] == "sigma,1e+200,nan,nan,nan,nan,nan,nan,nan,0,0"
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_bad_trial_count(self, capsys, trials):

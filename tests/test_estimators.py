@@ -7,8 +7,10 @@ strong end-to-end check of each.
 """
 
 import cmath
+import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +70,64 @@ class TestEstimateLocation:
             estimate_location(1.0 + 0.0j, 0.0)
         with pytest.raises(ValueError):
             estimate_location(1j, math.nan)
+
+
+def _extreme_reals():
+    """Signed reals log-uniform in 1e-300..1e300, and 0, +-inf, NaN."""
+    mags = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    return st.one_of(
+        mags, mags.map(lambda x: -x), st.sampled_from([0.0, math.inf, -math.inf, math.nan])
+    )
+
+
+class TestExtremeInputs:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        re=_extreme_reals(),
+        im=_extreme_reals(),
+        omega=_extreme_reals(),
+        P=_extreme_reals(),
+    )
+    def test_finite_or_value_error(self, model, re, im, omega, P):
+        """Every simple estimator returns finite values or raises
+        ValueError, without a RuntimeWarning. estimate_scale returned
+        (inf, False) for P = inf or a tiny omega, and NaN for a NaN z."""
+        z = complex(re, im)
+        calls = (
+            lambda: (estimate_location(z, omega),),
+            lambda: estimate_scale(z, omega, P, model),
+            lambda: dataclasses.astuple(simple_estimates(z, omega, P, model)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in calls:
+                try:
+                    values = call()
+                except ValueError:
+                    continue
+                numbers = [v for v in values if v is not None and not isinstance(v, bool)]
+                assert all(math.isfinite(v) for v in numbers), values
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_overflowing_sigma_hat_raises(self, model):
+        """Laplace gave (inf, False) and simple_estimates gamma_hat = 0.0."""
+        z, omega = 1e-300 + 0j, 1e-300
+        if model is LAPLACE:
+            with pytest.raises(ValueError, match="sigma_hat overflows"):
+                estimate_scale(z, omega, 1.0, model)
+            with pytest.raises(ValueError, match="sigma_hat overflows"):
+                simple_estimates(z, omega, 1.0, model)
+        else:
+            # t = sigma omega grows only like sqrt(log) or log of 1/|z|.
+            sigma_hat, _ = estimate_scale(z, omega, 1.0, model)
+            assert math.isfinite(sigma_hat)
+
+    def test_overflowing_theta_hat_raises(self):
+        """arg(z) / omega overflowed to inf once 2 pi / omega did."""
+        with pytest.raises(ValueError, match="theta_hat = arg"):
+            estimate_location(-1.0 + 0j, 1e-308)
+        assert estimate_location(1e-3j, 1e-300) == (math.pi / 2.0) / 1e-300
 
 
 class TestEstimateScale:

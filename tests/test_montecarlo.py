@@ -44,6 +44,19 @@ def make_config(**overrides):
 
 
 class TestRunExperiment:
+    def test_non_finite_samples_raise(self):
+        """sigma = 1e308 puts the phases beyond the float range: the run
+        returned NaN means with no saturation and numpy warnings."""
+        cfg = make_config(sigma=1e308, omega=1.0)
+        with pytest.raises(ValueError, match=r"non-finite z at sigma=1e\+308, omega=1.0"):
+            run_experiment(cfg, 16)
+
+    def test_overflowing_estimates_raise(self):
+        """arg(z) / omega is beyond the float range at a subnormal omega,
+        which the config admits; the run returned inf means."""
+        with pytest.raises(ValueError, match="theta_hat or sigma_hat overflows"):
+            run_experiment(make_config(omega=1e-309), 16)
+
     def test_reproducible(self):
         cfg = make_config()
         a = run_experiment(cfg, 64)
@@ -167,6 +180,18 @@ class TestSweep:
         assert rows[1].summary is None
         assert rows[0].error is None and rows[2].error is None
         assert rows[2].summary is not None
+
+    def test_overflowing_asv_gamma_is_an_error_row(self):
+        """sigma^2 = inf raised a bare OverflowError that aborted the
+        sweep; the row records it and the other rows are unchanged."""
+        cfg = make_config(L=50)
+        rows = sweep(cfg, "sigma", [1.0, 1e200, 2.0], trials=8)
+        assert rows[1].error is not None and "asv_gamma" in rows[1].error
+        assert rows[1].summary is None and rows[1].asv is None
+        alone = sweep(cfg, "sigma", [1.0], trials=8)[0]
+        assert rows[0].error is None and rows[2].error is None
+        assert rows[0].summary.theta == alone.summary.theta
+        assert rows[0].asv == alone.asv
 
     def test_saturated_row_keeps_asymptote(self):
         """A point whose trials all saturate still reports its asymptotic

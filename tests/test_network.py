@@ -11,8 +11,6 @@ from cmphase.network import (
     ConfigError,
     NetworkConfig,
     PowerMode,
-    Snapshot,
-    normalize,
     simulate_block,
     simulate_snapshot,
     snapshot_uniforms,
@@ -157,21 +155,6 @@ class TestNetworkConfig:
         data = make_config().to_json_dict()
         del data["seed"]
         assert NetworkConfig.from_json_dict(data).seed == 0
-
-
-class TestNormalize:
-    def test_total_power_scales_by_sqrt_l(self):
-        cfg = make_config(L=16)
-        assert normalize(4.0 + 8.0j, cfg) == 1.0 + 2.0j
-
-    def test_per_sensor_power_scales_by_l(self):
-        cfg = make_config(L=16, power_mode="per-sensor")
-        assert normalize(4.0 + 8.0j, cfg) == 0.25 + 0.5j
-
-    def test_accepts_snapshot(self):
-        cfg = make_config(L=4)
-        snap = Snapshot(y=2.0 + 0.0j, z=0.0j)
-        assert normalize(snap, cfg) == 1.0 + 0.0j
 
 
 class TestSimulateSnapshot:

@@ -23,6 +23,7 @@ from cmphase.numkit import (
     gauss_newton_box,
     lambert_w0,
     minimize_quasiconvex,
+    real_number,
     real_roots_in_interval,
     sign_change_brackets,
     uniforms_from_states,
@@ -81,6 +82,45 @@ def _from_roots(case):
         root = lo + (hi - lo) * f
         coeffs = [a - root * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
     return (lo, hi), coeffs[::-1]
+
+
+class TestRealNumber:
+    @pytest.mark.parametrize("value", [2, 2.0, np.float32(2.0), np.int64(2), np.float64(2.0)])
+    def test_reals_become_floats(self, value):
+        x = real_number("x", value)
+        assert type(x) is float and x == 2.0
+
+    def test_bounds(self):
+        assert real_number("x", 0.0, closed=True) == 0.0
+        assert real_number("x", 5e-324) == 5e-324
+        assert real_number("x", -1e300, -math.inf) == -1e300
+        assert real_number("x", 2.0, 2.0, closed=True) == 2.0
+        assert real_number("x", 1.7976931348623157e308) == 1.7976931348623157e308
+
+    @pytest.mark.parametrize(
+        "value, minimum, closed, message",
+        [
+            (0.0, 0.0, False, "P must be positive and finite, got 0.0"),
+            (-0.0, 0.0, False, "P must be positive and finite, got -0.0"),
+            (-1e-300, 0.0, True, "P must be nonnegative and finite, got -1e-300"),
+            (math.nan, 0.0, True, "P must be nonnegative and finite, got nan"),
+            (math.inf, 0.0, False, "P must be positive and finite, got inf"),
+            (-math.inf, -math.inf, False, "P must be > -inf and finite, got -inf"),
+            (math.inf, -math.inf, True, "P must be >= -inf and finite, got inf"),
+            (1.0, 2.0, False, "P must be > 2.0 and finite, got 1.0"),
+            (2.0, 2.0, False, "P must be > 2.0 and finite, got 2.0"),
+            (np.float64(math.nan), 0.0, False, "P must be positive and finite, got "),
+        ],
+    )
+    def test_rejections_name_the_argument(self, value, minimum, closed, message):
+        with pytest.raises(ValueError) as info:
+            real_number("P", value, minimum, closed)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("value", [True, False, None, "1.0", [1.0], 1j, np.array(1.0)])
+    def test_non_reals_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^omega must be a real number, got "):
+            real_number("omega", value)
 
 
 class TestLambertW:

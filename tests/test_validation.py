@@ -1,0 +1,130 @@
+"""Every numeric entry point rejects a bad operating point by name.
+
+Each real argument of each entry point gets NaN, +inf, -inf and values
+out of its range; the call must raise ValueError (ConfigError for
+NetworkConfig) whose message names that argument. All other arguments
+are valid, so the error can only come from the one under test.
+"""
+
+import math
+import re
+
+import pytest
+
+from cmphase.asymptotic import (
+    asv_closed_form,
+    asv_generic,
+    asv_via_sandwich,
+    covariance_matrix,
+    jacobian,
+)
+from cmphase.estimators import (
+    estimate_location,
+    estimate_scale,
+    joint_minimum_variance,
+    joint_objective,
+    simple_estimates,
+)
+from cmphase.network import ConfigError, NetworkConfig
+from cmphase.noise import GAUSSIAN, LAPLACE
+from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, resolve_omega, rule_omega
+
+Z = 0.5 + 0.1j
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+# Out-of-range values per argument; every other real argument is positive.
+OUT_OF_RANGE = {
+    "z": {"0": 0j},
+    "channel_noise_var": {"-1e-300": -1e-300, "-1": -1.0},
+    "omega_max": {"below-omega_min": 1e-5},
+}
+POSITIVE_OUT_OF_RANGE = {"0": 0.0, "-1": -1.0}
+
+CONFIG = dict(
+    L=10, theta=1.0, theta_R=2.0 * math.pi, sigma=1.0, model="gaussian",
+    power_mode="total", P=1.0, channel_noise_var=1.0, omega=0.5,
+)
+
+# (label, function, valid keyword arguments, the real arguments to break)
+ENTRY_POINTS = [
+    ("estimate_location", estimate_location, dict(z=Z, omega=1.0), ["z", "omega"]),
+    ("estimate_scale", estimate_scale, dict(z=Z, omega=1.0, P=1.0, model=LAPLACE),
+     ["z", "omega", "P"]),
+    ("simple_estimates", simple_estimates, dict(z=Z, omega=1.0, P=1.0, model=LAPLACE),
+     ["z", "omega", "P"]),
+    ("joint_minimum_variance", joint_minimum_variance,
+     dict(z=Z, omega=1.0, P=1.0, channel_noise_var=1.0, model=GAUSSIAN,
+          theta_R=2.0 * math.pi, sigma_max=10.0),
+     ["z", "omega", "P", "channel_noise_var", "theta_R", "sigma_max"]),
+    ("joint_objective", joint_objective,
+     dict(z=Z, theta=1.0, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0, model=GAUSSIAN),
+     ["sigma", "omega", "P", "channel_noise_var"]),
+    ("asv_generic", asv_generic,
+     dict(model=GAUSSIAN, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0, theta=1.0),
+     ["sigma", "omega", "P", "channel_noise_var", "theta"]),
+    ("jacobian", jacobian, dict(model=GAUSSIAN, theta=1.0, sigma=1.0, omega=1.0, P=1.0),
+     ["theta", "sigma", "omega", "P"]),
+    ("covariance_matrix", covariance_matrix,
+     dict(model=GAUSSIAN, theta=1.0, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0),
+     ["theta", "sigma", "omega", "P", "channel_noise_var"]),
+    ("asv_via_sandwich", asv_via_sandwich,
+     dict(model=GAUSSIAN, theta=1.0, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0),
+     ["theta", "sigma", "omega", "P", "channel_noise_var"]),
+    ("asv_closed_form", asv_closed_form,
+     dict(model=GAUSSIAN, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0, which="gamma",
+          gamma=1.0),
+     ["sigma", "omega", "P", "channel_noise_var", "gamma"]),
+    ("optimal_omega", optimal_omega,
+     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "gamma", "omega_min", "omega_max"]),
+    ("omega_optima", omega_optima,
+     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "gamma", "omega_min", "omega_max"]),
+    ("resolve_omega", resolve_omega,
+     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
+    ("analytic_omega", analytic_omega,
+     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
+    # theta enters rule_omega only through the SNR gamma = (theta / sigma)^2
+    # that the gamma target tunes at when gamma is omitted.
+    ("rule_omega", rule_omega,
+     dict(rule="auto:gamma", model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
+          power_mode="total", theta=1.0, omega_max=2.0 * math.pi, gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "omega_max", "gamma"]),
+    ("fisher_location", GAUSSIAN.fisher_location, dict(sigma=1.0), ["sigma"]),
+    ("fisher_scale", GAUSSIAN.fisher_scale, dict(sigma=1.0), ["sigma"]),
+    ("NetworkConfig", NetworkConfig, CONFIG,
+     ["theta", "theta_R", "sigma", "P", "channel_noise_var", "omega"]),
+]
+
+
+def _cases():
+    for label, fn, kwargs, names in ENTRY_POINTS:
+        for name in names:
+            bad = dict(NON_FINITE, **OUT_OF_RANGE.get(name, POSITIVE_OUT_OF_RANGE))
+            for tag, value in bad.items():
+                if name == "z" and tag in NON_FINITE:
+                    value = complex(value, 0.1)
+                yield pytest.param(fn, kwargs, name, value, id=f"{label}-{name}-{tag}")
+
+
+@pytest.mark.parametrize("fn, kwargs, name, value", _cases())
+def test_bad_argument_is_named(fn, kwargs, name, value):
+    error = ConfigError if fn is NetworkConfig else ValueError
+    with pytest.raises(error) as info:
+        fn(**dict(kwargs, **{name: value}))
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+def test_valid_calls_pass():
+    """The table's base arguments are valid, so each rejection above is
+    caused by the one argument it changes."""
+    for _, fn, kwargs, _ in ENTRY_POINTS:
+        fn(**kwargs)
+
+
+def test_joint_names_p_before_the_derived_sigma_max():
+    """P = inf was reported as a bad sigma: the check ran on the sigma_max
+    derived from the infinite P."""
+    with pytest.raises(ValueError, match=r"^P must be positive and finite, got inf$"):
+        joint_minimum_variance(Z, 1.0, math.inf, 1.0, GAUSSIAN, 2.0 * math.pi)
