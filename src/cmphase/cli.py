@@ -12,8 +12,9 @@ seed, output target) and the sweep CSV carries the same manifest as a
 leading comment line. Outputs contain no timestamps, so a rerun with
 identical inputs is byte-identical.
 
-Exit codes: 0 success, 1 usage or validation error, 2 saturation under
---strict.
+Exit codes: 0 success, 1 usage or validation error, 2 under --strict: a
+saturated simulate snapshot or a failed sweep row. sweep names each
+failed row and its reason on stderr.
 """
 
 from __future__ import annotations
@@ -328,7 +329,13 @@ def _cmd_sweep(args) -> int:
         axis=args.axis, grid=grid, trials=args.trials, **notes,
     )
     write_sweep_csv(rows, sys.stdout if args.out == "-" else args.out, manifest)
-    return 0
+    failed = [(i, row) for i, row in enumerate(rows) if row.error is not None]
+    for i, row in failed:
+        print(
+            f"cmphase: sweep row {i} ({row.axis} = {row.value!r}) failed: {row.error}",
+            file=sys.stderr,
+        )
+    return 2 if args.strict and failed else 0
 
 
 def build_parser() -> _Parser:
@@ -372,6 +379,8 @@ def build_parser() -> _Parser:
                    help="start:stop:count or comma-separated values")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--out", default="-", help="CSV path, or - for stdout")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 2 if any row failed (its CSV row is all NaN)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -16,10 +16,11 @@ estimate is undefined.
 joint_minimum_variance minimizes the full quadratic form
 [z - zbar]^T Sigma^-1 [z - zbar] over (theta, sigma) by a grid search
 followed by bounded Gauss-Newton refinement on analytic derivatives,
-both in the frame rotated by omega theta, where Sigma is diagonal. It
-must agree with the simple estimators whenever |z| <= sqrt(P); the test
-suite enforces that equivalence, so the two routes are kept strictly
-independent here.
+both in the frame rotated by omega theta, where Sigma is diagonal. The
+grid is evaluated in blocks of theta rows that reuse two small buffers,
+so a call allocates no whole-grid array. It must agree with the simple
+estimators whenever |z| <= sqrt(P); the test suite enforces that
+equivalence, so the two routes are kept strictly independent here.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _GRID = 200  # points per parameter of the joint minimizer's starting grid
+_ROWS = 40  # theta rows per block of that grid: 64 KB buffers
 # Smallest |z| / sqrt(P + nv) the joint minimizer accepts. The objective
 # near its minimum is of order |z|^2 / (P + nv) and underflows below about
 # 1e-145, where the grid and the refinement can no longer tell points
@@ -191,31 +193,36 @@ def joint_objective(
     return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / det
 
 
-def _objective_grid(
-    z: complex,
-    thetas: np.ndarray,
-    sigmas: np.ndarray,
-    omega: float,
-    P: float,
-    nv: float,
+def _grid_argmin(
+    z: complex, thetas: np.ndarray, sigmas: np.ndarray, omega: float, P: float, nv: float,
     model: NoiseModel,
-) -> np.ndarray:
-    """joint_objective on the outer grid thetas x sigmas, vectorized.
+) -> tuple[int, int]:
+    """(i, j) of the least joint_objective on the grid thetas x sigmas.
 
-    Evaluated in the frame rotated by omega theta, where Sigma is
-    diag(a, b): Q = u^2 / a + v^2 / b with u = Re(z e^{-j omega theta})
-    - sqrt(P) phi(sigma omega) and v = Im(z e^{-j omega theta}).
+    In the frame rotated by omega theta, where Sigma = diag(a, b): cell
+    (i, j) is (u_i - w_j)^2 (1/a_j) + v_i^2 (1/b_j), with u + jv =
+    z e^{-j omega theta} and w = sqrt(P) phi(sigma omega). It is formed
+    _ROWS theta rows at a time in two buffers below the allocator's mmap
+    threshold. The first least cell in row-major order wins, and a NaN
+    cell wins, as in np.argmin.
     """
-    c = np.cos(omega * thetas)
-    s = np.sin(omega * thetas)
+    c, s = np.cos(omega * thetas), np.sin(omega * thetas)
     a, b = _phasor_variances(model, sigmas, omega, P, nv)
-    # Fresh 2-D arrays and 2-D divisions are the costly passes: the grid
-    # is built in place, with products by 1/a and 1/b.
-    q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.char_fn(sigmas, omega))
-    q *= q
-    q *= 1.0 / a
-    q += np.multiply.outer(np.square(z.imag * c - z.real * s), 1.0 / b)
-    return q
+    u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
+    w, ra, rb = math.sqrt(P) * model.char_fn(sigmas, omega), 1.0 / a, 1.0 / b
+    q_buf, t_buf = np.empty((_ROWS, sigmas.size)), np.empty((_ROWS, sigmas.size))
+    least = []  # (flat index, value) of each block's first least cell
+    for top in range(0, thetas.size, _ROWS):
+        q, t = q_buf[: thetas.size - top], t_buf[: thetas.size - top]
+        np.subtract.outer(u[top : top + _ROWS], w, out=q)
+        q *= q
+        q *= ra
+        np.multiply.outer(vsq[top : top + _ROWS], rb, out=t)
+        q += t
+        k = int(np.argmin(q))
+        least.append((top * sigmas.size + k, q.flat[k]))
+    flat, values = zip(*least)
+    return divmod(flat[int(np.argmin(values))], sigmas.size)
 
 
 def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: NoiseModel):
@@ -304,8 +311,7 @@ def joint_minimum_variance(
         )
     thetas = np.linspace(theta_R / _GRID, theta_R, _GRID)
     sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)
-    q = _objective_grid(z, thetas, sigmas, omega, P, channel_noise_var, model)
-    i, j = np.unravel_index(np.argmin(q), q.shape)
+    i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
 
     if math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12):
         # theta enters only through omega theta: the window is one period

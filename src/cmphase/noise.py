@@ -301,13 +301,21 @@ class NoiseModel:
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
-        sigma = real_number("sigma", sigma)
-        return _FISHER_LOCATION[self.kind] / (sigma * sigma)
+        return _fisher(_FISHER_LOCATION[self.kind], sigma)
 
     def fisher_scale(self, sigma: float) -> float:
         """Fisher information for sigma in x = theta + sigma * eta."""
-        sigma = real_number("sigma", sigma)
-        return _FISHER_SCALE[self.kind] / (sigma * sigma)
+        return _fisher(_FISHER_SCALE[self.kind], sigma)
+
+
+def _fisher(unit: float, sigma: float) -> float:
+    """unit / sigma^2, unit being the information at sigma = 1; ValueError
+    naming sigma where sigma^2 underflows to 0 or the quotient overflows."""
+    sigma = real_number("sigma", sigma)
+    info = unit / (sigma * sigma) if sigma * sigma > 0.0 else math.inf
+    if info == math.inf:
+        raise ValueError(f"the Fisher information overflows at sigma = {sigma!r}")
+    return info
 
 
 GAUSSIAN = NoiseModel("gaussian")

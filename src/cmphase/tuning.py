@@ -406,7 +406,13 @@ def rule_omega(
     if target != "gamma":
         gamma = None
     elif gamma is None:
-        gamma = (theta / sigma) ** 2
+        try:
+            gamma = (theta / sigma) ** 2
+        except OverflowError:
+            raise ValueError(
+                f"the true SNR gamma = (theta / sigma)^2 overflows at theta = {theta!r}, "
+                f"sigma = {sigma!r}"
+            ) from None
     omega, substituted = resolve_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +487,34 @@ class TestSweep:
         rc, out, err = run(capsys, "sweep", "--axis", "omega", f"--grid={grid}", "--trials", "4")
         assert rc == 1 and out == ""
         assert "--grid" in err and reason in err
+
+    @pytest.mark.parametrize("strict, code", [([], 0), (["--strict"], 2)])
+    def test_failed_row_says_why(self, capsys, strict, code):
+        """The golden case gaussian-total-odd-L through the CLI: its row
+        omega = 1.2 lies beyond 2 pi / theta_R. The reason goes to stderr,
+        --strict exits 2, and the CSV rows stay the golden's bytes."""
+        golden = Path(__file__).parent / "golden" / "gaussian-total-odd-L.csv"
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "omega", "--grid", "0.5,0.9,1.2", "--trials", "50",
+            "--L", "101", "--model", "gaussian", "--power-mode", "total",
+            "--channel-noise-var", "1", "--sigma", "1", "--omega", "0.9", "--seed", "3",
+            *strict,
+        )
+        assert rc == code
+        # The manifest line differs: the golden embeds its case name.
+        assert out.splitlines()[1:] == golden.read_text(encoding="utf-8").splitlines()[1:]
+        assert err.splitlines() == [
+            "cmphase: sweep row 2 (omega = 1.2) failed: omega must lie in"
+            " (0, 2 pi / theta_R] = (0, 1]; got 1.2"
+        ]
+
+    def test_strict_passes_a_clean_sweep(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "omega", "--grid", "0.5", "--trials", "8", "--L", "20",
+            "--strict",
+        )
+        assert rc == 0 and err == ""
+        assert len(out.splitlines()) == 3
 
     def test_sigma_row_with_overflowing_asv_gamma(self, capsys):
         rc, out, err = run(

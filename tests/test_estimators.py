@@ -8,8 +8,10 @@ strong end-to-end check of each.
 
 import cmath
 import dataclasses
+import hashlib
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmphase import numkit
+from cmphase.asymptotic import _phasor_variances
 from cmphase.estimators import (
+    _GRID,
     DegenerateScaleError,
     ZeroMagnitudeError,
+    _grid_argmin,
     estimate_location,
     estimate_scale,
     estimate_snr,
@@ -33,6 +38,10 @@ from cmphase.numkit import ConvergenceError
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
+# sha256 of float.hex (theta_hat, sigma_hat) of joint_minimum_variance over
+# _joint_points(), recorded from the full-grid search before the grid was
+# evaluated in row blocks.
+JOINT_DIGEST = "56d3433ca1b861421bbe56ad8145c61cd6210badc92414b0267626e9d1f33a07"
 
 
 def mean_signal(theta, sigma, omega, P, model):
@@ -444,3 +453,135 @@ class TestJointMinimumVariance:
         z = mean_signal(2.4, 1.3, 0.6, 1.0, LAPLACE)
         with pytest.raises(ConvergenceError):
             joint_minimum_variance(z, 0.6, 1.0, 1.0, LAPLACE, TWO_PI)
+
+
+def _joint_points():
+    """108 fixed (model, z, omega, P, nv, theta_R): three families, nv in
+    {0, 0.3, 1}, one-period and edged theta windows, and phases up to
+    1.2 theta_R, so some minima lie on a theta face of the box."""
+    rng = np.random.default_rng(12)
+    for model in ALL_MODELS:
+        for nv in (0.0, 0.3, 1.0):
+            for periodic in (True, False):
+                for _ in range(6):
+                    omega = float(rng.uniform(0.2, 2.0))
+                    window = 1.0 if periodic else float(rng.uniform(0.3, 0.9))
+                    theta_R = window * TWO_PI / omega
+                    theta = float(rng.uniform(0.0, 1.2)) * theta_R
+                    sigma = float(rng.uniform(0.05, 3.0)) / omega
+                    P = float(rng.uniform(0.5, 2.0))
+                    gain = float(rng.uniform(0.8, 1.0))
+                    z = gain * mean_signal(theta, sigma, omega, P, model)
+                    yield model, z, omega, P, nv, theta_R
+
+
+def _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model):
+    """Oracle: the whole thetas x sigmas grid in one array, as the joint
+    search formed it before the row blocks, with numpy's argmin."""
+    c = np.cos(omega * thetas)
+    s = np.sin(omega * thetas)
+    a, b = _phasor_variances(model, sigmas, omega, P, nv)
+    q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.char_fn(sigmas, omega))
+    q *= q
+    q *= 1.0 / a
+    q += np.multiply.outer(np.square(z.imag * c - z.real * s), 1.0 / b)
+    return np.unravel_index(np.argmin(q), q.shape), q
+
+
+class TestGridArgmin:
+    def test_joint_results_are_pinned(self):
+        digest = hashlib.sha256()
+        for model, z, omega, P, nv, theta_R in _joint_points():
+            est = joint_minimum_variance(z, omega, P, nv, model, theta_R)
+            digest.update(f"{est.theta_hat.hex()} {est.sigma_hat.hex()}\n".encode())
+        assert digest.hexdigest() == JOINT_DIGEST
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        nv=st.sampled_from([0.0, 0.3, 1.0]),
+        omega=st.floats(0.1, 2.0),
+        P=st.floats(0.25, 4.0),
+        exact_z=st.booleans(),
+        radius=st.floats(0.0, 1.2),
+        phase=st.floats(0.0, TWO_PI),
+        theta_pool=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=1, max_size=200
+        ),
+        n_theta=st.integers(1, 200),
+        sigma_exp=st.floats(-250.0, 2.0),
+        n_sigma=st.integers(1, 200),
+        sigma_period=st.integers(1, 200),
+    )
+    def test_matches_the_full_grid(
+        self, model, nv, omega, P, exact_z, radius, phase,
+        theta_pool, n_theta, sigma_exp, n_sigma, sigma_period,
+    ):
+        """Same cell as argmin over the whole grid. A repeated theta pool
+        or sigma period makes exact ties across rows, blocks and columns;
+        a tiny sigma at nv = 0 makes 1/a infinite, and z = sqrt(P) with
+        theta = 0 then gives NaN cells."""
+        root_p = math.sqrt(P)
+        z = complex(root_p, 0.0) if exact_z else root_p * radius * cmath.exp(1j * phase)
+        thetas = np.resize(np.array(theta_pool), n_theta)
+        sigma_max = 10.0**sigma_exp
+        sigmas = np.resize(np.linspace(sigma_max / sigma_period, sigma_max, sigma_period), n_sigma)
+        with np.errstate(all="ignore"):
+            expected, _ = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model)
+            got = _grid_argmin(z, thetas, sigmas, omega, P, nv, model)
+        assert got == tuple(int(k) for k in expected)
+
+    @pytest.mark.parametrize(
+        "nan_rows",
+        [
+            pytest.param([150, 170], id="nan-in-a-later-block-beats-an-earlier-minimum"),
+            pytest.param([3, 9], id="first-nan-of-the-first-block"),
+            pytest.param([], id="ties-across-blocks"),
+        ],
+    )
+    def test_nan_and_tie_cells(self, nan_rows):
+        """Hand-built grids that do hold NaN cells or exact ties: the first
+        NaN wins over any number, and the first of equal minima wins."""
+        omega, P, nv = 1.0, 1.0, 0.0
+        z = complex(math.sqrt(P), 0.0)
+        if nan_rows:
+            # theta = 0 puts u on sqrt(P) phi(0+) exactly, and sigma = 1e-170
+            # underflows a: those cells are 0 * inf. The others are finite.
+            thetas = np.full(_GRID, 1.0)
+            thetas[nan_rows] = 0.0
+            sigmas = np.resize([1e-170, 0.5], _GRID)
+        else:
+            thetas = np.resize([0.3, 0.7, 1.1], _GRID)
+            sigmas = np.linspace(0.01, 2.0, _GRID)
+        with np.errstate(all="ignore"):
+            (i, j), q = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN)
+            got = _grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN)
+        assert got == (i, j)
+        if nan_rows:
+            assert math.isnan(q[i, j]) and i == nan_rows[0]
+            assert np.isfinite(q).any()
+        else:
+            assert np.count_nonzero(q == q[i, j]) > 1 and i == 0
+
+    def test_least_cell_in_a_partial_last_block(self):
+        """190 theta rows leave a last block of 30; the phase of z lies
+        just past the last theta, so the least cell is in its last row."""
+        z, omega, P = 0.5 * cmath.exp(0.7j), 1.0, 1.0
+        thetas = np.linspace(0.0, 0.69, 190)
+        sigmas = np.linspace(0.01, 2.0, _GRID)
+        (i, j), _ = _full_grid_argmin(z, thetas, sigmas, omega, P, 1.0, LAPLACE)
+        assert i == 189
+        assert _grid_argmin(z, thetas, sigmas, omega, P, 1.0, LAPLACE) == (i, j)
+
+    def test_peak_memory_below_one_grid(self):
+        """A warm call allocates less than one 200 x 200 float64 grid; the
+        full-grid search peaked at about 780 KB."""
+        z, omega = mean_signal(1.3, 0.8, 0.8, 1.0, LAPLACE), 0.8
+        joint_minimum_variance(z, omega, 1.0, 1.0, LAPLACE, math.pi / omega)
+        tracemalloc.start()
+        try:
+            joint_minimum_variance(z, omega, 1.0, 1.0, LAPLACE, math.pi / omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _GRID * _GRID * 8, peak

@@ -98,6 +98,22 @@ ENTRY_POINTS = [
 ]
 
 
+# Valid arguments whose derived quantity leaves the float range: (label,
+# function, keyword arguments, the name the ValueError must carry).
+OVERFLOWS = [
+    # (theta / sigma)^2 raised a bare OverflowError.
+    ("rule_omega-true-snr", rule_omega,
+     dict(rule="auto:gamma", model=GAUSSIAN, sigma=1e-100, P=1.0, channel_noise_var=1.0,
+          power_mode="total", theta=1e200, omega_max=2.0 * math.pi),
+     "gamma"),
+    # sigma * sigma underflowed to 0 and the quotient raised ZeroDivisionError.
+    ("fisher_location-tiny-sigma", GAUSSIAN.fisher_location, dict(sigma=1e-200), "sigma"),
+    ("fisher_scale-tiny-sigma", LAPLACE.fisher_scale, dict(sigma=1e-200), "sigma"),
+    # sigma * sigma is subnormal: the quotient overflows to inf.
+    ("fisher_location-subnormal-square", GAUSSIAN.fisher_location, dict(sigma=1e-160), "sigma"),
+]
+
+
 def _cases():
     for label, fn, kwargs, names in ENTRY_POINTS:
         for name in names:
@@ -113,6 +129,15 @@ def test_bad_argument_is_named(fn, kwargs, name, value):
     error = ConfigError if fn is NetworkConfig else ValueError
     with pytest.raises(error) as info:
         fn(**dict(kwargs, **{name: value}))
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, name", [pytest.param(*row[1:], id=row[0]) for row in OVERFLOWS]
+)
+def test_overflow_is_named(fn, kwargs, name):
+    with pytest.raises(ValueError) as info:
+        fn(**kwargs)
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
 
 
