@@ -14,7 +14,9 @@ rerun with the same inputs is byte-identical.
 Trials run in blocks. The substream seeds of all trials of a run are
 derived in one vectorized pass; a block's uniforms are drawn into one
 array, and the draw transforms, phasor sums and channel noise run over
-the whole block, giving z as a complex array, checked finite once. The
+the whole block, giving z as a complex array, checked finite once. Each
+thread allocates its uniform array and scratch (network.block_work) once
+per run and forms every block it takes in them: no block allocates. The
 inversions then run per trial over z.tolist() through the unchecked
 scalar steps of estimate_location and estimate_scale (numpy's arctan2,
 abs and log on arrays may differ from math's in the last bit); no
@@ -45,7 +47,7 @@ import numpy as np
 
 from .asymptotic import AsvReport, asv_generic
 from .estimators import _location, _scale, estimate_snr
-from .network import ConfigError, NetworkConfig, simulate_block, snapshot_uniforms
+from .network import ConfigError, NetworkConfig, block_work, simulate_block, snapshot_uniforms
 from .numkit import RandomStream, uniforms_from_states, whole_number
 from .tuning import rule_omega, rule_target
 
@@ -66,10 +68,12 @@ CSV_HEADER = (
 )
 
 _TRIM_FRACTION = 0.01  # two-sided trim on the SNR sample before its variance
-# Sensor samples per block of trials (at least one trial per block). It
-# bounds the block's arrays at any L; at L = 10^4 a block of 2^15 samples
-# (three trials) ran slower than one trial per block.
-_BLOCK_SAMPLES = 1 << 14
+# Sensor samples per block of trials (at least one trial per block), which
+# sizes each thread's buffers. At L = 100, 2^13 ran 3-6% faster than 2^12
+# or 2^14; every run maps the 256 KB buffers of 2^14 afresh (about 770
+# minor page faults per 8-row sweep against 3). At L = 10^4 a block of
+# 2^15 samples (three trials) ran slower than one trial per block.
+_BLOCK_SAMPLES = 1 << 13
 # Sensor samples per trial from which blocks run concurrently. Below it
 # the per-trial PCG64 construction, which holds the GIL, is a large share
 # of a block, and a second thread contending for the GIL made L = 100
@@ -142,6 +146,12 @@ def _trimmed_variance_l(values: np.ndarray, L: int) -> float:
     return float(np.var(kept, ddof=1)) * L
 
 
+def _phase_deviation(theta_hats: np.ndarray, theta: float, omega: float) -> np.ndarray:
+    """omega (theta_hat - theta) wrapped into [-pi, pi], both ends
+    included: np.mod(x, 2 pi) rounds a tiny negative x to exactly 2 pi."""
+    return np.mod(omega * (theta_hats - theta) + math.pi, 2.0 * math.pi) - math.pi
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -156,17 +166,19 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
 
     The calling thread and, for a concurrent run, workers - 1 threads of
     a pool built for this run each take the next block start under a
-    lock. The pool is joined before the first exception raised by any
-    block is re-raised. Each thread sets its own numpy errstate, which
-    pool threads do not inherit: a phase past the float range gives a
-    NaN z without a warning, for run_experiment to reject.
+    lock. Each thread allocates one uniform array and one block_work of
+    min(trials, per_block) rows and refills them for every block it
+    takes, a shorter last block their first rows. The pool is joined
+    before the first exception raised by any block is re-raised. Each
+    thread sets its own numpy errstate, which pool threads do not
+    inherit: a phase past the float range gives a NaN z without a
+    warning, for run_experiment to reject.
     """
     per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
     states = root.substream_states(0, trials)
     # Filled in place: per-block arrays kept alive until one concatenate
-    # fragment the heap under the block temporaries (5x the page faults
-    # at L = 10^4).
+    # fragmented the heap (5x the page faults at L = 10^4).
     z = np.empty(trials, dtype=complex)
     starts = range(0, trials, per_block)
     workers = min(_usable_cpus(), len(starts)) if cfg.L >= _CONCURRENT_MIN_L else 1
@@ -174,14 +186,17 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     pending = iter(starts)
 
     def drain() -> None:
+        rows = min(per_block, trials)
+        u, work = np.empty((rows, n)), block_work(cfg, rows)
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 with lock:
                     start = next(pending, None)
                 if start is None:
                     return
-                stop = start + per_block
-                z[start:stop] = simulate_block(cfg, uniforms_from_states(states[start:stop], n))[1]
+                m = min(per_block, trials - start)
+                uniforms_from_states(states[start : start + m], n, out=u[:m])
+                z[start : start + m] = simulate_block(cfg, u[:m], work)[1]
 
     if workers == 1:
         drain()
@@ -243,9 +258,7 @@ def run_experiment(
     theta_hats, sigma_hats = np.array(thetas), np.array(sigmas)
     if not (np.isfinite(theta_hats).all() and np.isfinite(sigma_hats).all()):
         raise ValueError(f"theta_hat or sigma_hat overflows at omega={cfg.omega!r}")
-    # Wrap location deviations into (-pi, pi] in phase before comparing.
-    delta = np.mod(cfg.omega * (theta_hats - cfg.theta) + math.pi, 2.0 * math.pi) - math.pi
-    theta_unwrapped = cfg.theta + delta / cfg.omega
+    theta_unwrapped = cfg.theta + _phase_deviation(theta_hats, cfg.theta, cfg.omega) / cfg.omega
 
     gamma_vals = np.array(gammas)
     gamma_truth = (cfg.theta / cfg.sigma) ** 2

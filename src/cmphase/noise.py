@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import box_muller, real_number
+from .numkit import box_muller, buffer_view, real_number
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
@@ -275,7 +275,7 @@ class NoiseModel:
             return 2 * n
         return n  # cauchy
 
-    def from_uniforms(self, u: np.ndarray, n: int) -> np.ndarray:
+    def from_uniforms(self, u: np.ndarray, n: int, work: np.ndarray | None = None) -> np.ndarray:
         """n standardized draws (zero location, unit scale per the module
         conventions) from uniforms_needed(n) uniforms, over the last axis
         of u, so one call serves a single draw vector or a block of them.
@@ -285,19 +285,30 @@ class NoiseModel:
             each exponential -log(1 - u); the first n uniforms give the
             first exponential, the last n the second.
         cauchy: tangent transform tan(pi (u - 1/2)).
+
+        Given work, (2, s) float64 with s >= 2 ceil(n/2) per draw vector,
+        the draws are a C-contiguous view of work[0] and work[1] is
+        overwritten; else they are a new array. u is not modified.
         """
+        if work is None:
+            work = np.empty((2, u.size))
         if self.kind == "gaussian":
-            return box_muller(u)[..., :n]
+            return box_muller(u, n, work)
+        shape = u.shape[:-1] + (n,)
+        e1 = buffer_view(work[0], shape)
+        e1[...] = u[..., :n]
         if self.kind == "laplace":
             # -log1p(-u) for each half, differenced and scaled in place.
-            e1 = np.negative(u[..., :n])
-            np.negative(np.log1p(e1, out=e1), out=e1)
-            e2 = np.negative(u[..., n:])
-            np.negative(np.log1p(e2, out=e2), out=e2)
+            e2 = buffer_view(work[1], shape)
+            e2[...] = u[..., n:]
+            for e in (e1, e2):
+                np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
             e1 -= e2
             e1 *= _LAPLACE_B
             return e1
-        return np.tan(math.pi * (u - 0.5))  # cauchy
+        e1 -= 0.5  # cauchy
+        e1 *= math.pi
+        return np.tan(e1, out=e1)
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""

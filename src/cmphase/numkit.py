@@ -32,6 +32,7 @@ __all__ = [
     "real_roots_in_interval",
     "real_number",
     "whole_number",
+    "buffer_view",
     "box_muller",
     "uniforms_from_states",
     "RandomStream",
@@ -419,20 +420,39 @@ def whole_number(name: str, value, minimum: int = 0) -> int:
     return int(value)
 
 
-def box_muller(u: np.ndarray) -> np.ndarray:
+def buffer_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of shape on the start of the 1-D array buf.
+    Contiguous operands spare numpy's ufuncs their iteration buffers."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def box_muller(u: np.ndarray, n: int | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Standard normals from uniforms by the paired trigonometric
     (Box-Muller) transform, over the last axis of u.
 
     For a last axis of even length 2m, the first m uniforms feed the
     radius and the last m the angle: r = sqrt(-2 log(1 - u_i)), and the
-    output interleaves (r cos(2 pi u_{m+i}), r sin(2 pi u_{m+i})).
+    output interleaves (r cos(2 pi u_{m+i}), r sin(2 pi u_{m+i})),
+    truncated to its first n <= 2m entries (all 2m by default).
+
+    Given work, (2, s) float64 with s >= u.size, the normals are a view
+    of work[0] and work[1] is overwritten; else they are a new array. u
+    is not modified.
     """
     m = u.shape[-1] // 2
-    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
-    ang = (2.0 * math.pi) * u[..., m:]
-    out = np.empty(u.shape)
-    out[..., 0::2] = r * np.cos(ang)
-    out[..., 1::2] = r * np.sin(ang)
+    if work is None:
+        work = np.empty((2, u.size))
+    half = u.shape[:-1] + (m,)
+    r, cos = buffer_view(work[0], half), buffer_view(work[1], half)
+    ang = buffer_view(work[1, cos.size :], half)
+    r[...], ang[...] = u[..., :m], u[..., m:]
+    np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
+    ang *= 2.0 * math.pi
+    np.multiply(r, np.cos(ang, out=cos), out=cos)
+    np.multiply(r, np.sin(ang, out=ang), out=ang)
+    n = 2 * m if n is None else n  # the normals overwrite the spent r
+    out = buffer_view(work[0], u.shape[:-1] + (n,))
+    out[..., 0::2], out[..., 1::2] = cos[..., : (n + 1) // 2], ang[..., : n // 2]
     return out
 
 
@@ -489,14 +509,17 @@ def _seed_sequence_states(entropy: list, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def uniforms_from_states(states: np.ndarray, n: int) -> np.ndarray:
+def uniforms_from_states(states: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """The first n uniforms of the stream seeded by each row of states
     (RandomStream.substream_states), one row per stream: row r equals
     RandomStream(seed, key + (t,)).uniform(n) for the t of that row, bit
     for bit, since numpy's PCG64 still does the seeding and the double
-    conversion."""
+    conversion. They fill out, (len(states), n) float64, if given."""
     seed_words = _seed_words_type()
-    out = np.empty((len(states), n))
+    if out is None:
+        out = np.empty((len(states), n))
+    elif out.shape != (len(states), n):
+        raise ValueError(f"out must have shape {(len(states), n)}, got {out.shape}")
     for row, words in zip(out, states):
         np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
     return out

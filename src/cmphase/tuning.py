@@ -398,14 +398,15 @@ def rule_omega(
     """The omega that the rule 'auto:<target>' picks at an operating point
     (resolve_omega for the target; omega_max is 2 pi / theta_R), and the
     manifest notes that record how. The gamma target is tuned at gamma if
-    given, else at the true SNR (theta / sigma)^2; theta is read for that
-    alone.
+    given, else at the true SNR (theta / sigma)^2; theta is read, and
+    must be positive and finite, for that alone.
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
     if target != "gamma":
         gamma = None
     elif gamma is None:
+        theta = real_number("theta", theta)
         try:
             gamma = (theta / sigma) ** 2
         except OverflowError:

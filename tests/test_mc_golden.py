@@ -221,14 +221,14 @@ def test_block_exception_propagates(monkeypatch, raiser):
     started = threading.local()
     simulate_block = montecarlo.simulate_block
 
-    def failing(cfg_b, u):
+    def failing(cfg_b, *args):
         if not getattr(started, "value", False):
             started.value = True
             barrier.wait()
         calling = threading.current_thread() is threading.main_thread()
         if calling == (raiser == "calling"):
             raise ArithmeticError("block failed")
-        return simulate_block(cfg_b, u)
+        return simulate_block(cfg_b, *args)
 
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
     monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)

@@ -8,11 +8,14 @@ suite at its stated sample sizes.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cmphase import estimators, network
+from cmphase import estimators, montecarlo, network
 from cmphase.asymptotic import asv_generic
 from cmphase.montecarlo import (
     CSV_HEADER,
@@ -21,7 +24,7 @@ from cmphase.montecarlo import (
     sweep,
     write_sweep_csv,
 )
-from cmphase.network import NetworkConfig
+from cmphase.network import NetworkConfig, snapshot_uniforms
 from cmphase.numkit import RandomStream
 from cmphase.tuning import resolve_omega
 
@@ -153,6 +156,96 @@ class TestRunExperiment:
             "gamma_trimmed_variance_l", "gamma_trials", "saturated", "wall_time_s",
         }
         assert set(data["theta"]) == {"mean", "variance_l", "bias"}
+
+
+class TestPhaseDeviation:
+    """run_experiment compares location estimates through the wrapped
+    phase deviation delta and the unwrapped estimate theta + delta / omega."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        theta=st.floats(1e-6, 1e3),
+        omega=st.floats(1e-3, 1e3),
+        periods=st.integers(-3, 3),
+        half=st.sampled_from([-1.0, 0.0, 1.0]),
+        nudge=st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-4.0, 4.0)),
+    )
+    # x = omega (theta_hat - theta) + pi is exactly 0: delta = -pi.
+    @example(theta=math.pi, omega=1.0, periods=0, half=-1.0, nudge=0.0)
+    def test_within_half_a_period(self, theta, omega, periods, half, nudge):
+        """|delta| <= pi and the unwrapped estimate lies within pi / omega
+        of theta (to rounding), for estimates whole periods plus about a
+        half period from theta, where the wrap changes sides."""
+        theta_hat = theta + ((2 * periods + half) * math.pi + nudge) / omega
+        delta = montecarlo._phase_deviation(np.array([theta_hat]), theta, omega)[0]
+        assert abs(delta) <= math.pi
+        bound = math.pi / omega * (1.0 + 2.0**-50) + math.ulp(theta)
+        assert abs((theta + delta / omega) - theta) <= bound
+
+    def test_both_ends_reached(self):
+        """x exactly 0 gives -pi; x = -ulp(pi), whose np.mod rounds to 2 pi,
+        gives +pi: the range is [-pi, pi], not (-pi, pi]."""
+        low = montecarlo._phase_deviation(np.array([0.0]), math.pi, 1.0)
+        high = montecarlo._phase_deviation(np.array([4.0 - np.nextafter(math.pi, 4.0)]), 4.0, 1.0)
+        assert (low[0], high[0]) == (-math.pi, math.pi)
+
+
+class TestBlockLoopAllocations:
+    @pytest.mark.parametrize("blocks", [4, 40])
+    @pytest.mark.parametrize("model, L", [("laplace", 100), ("gaussian", 101), ("cauchy", 100)])
+    def test_blocks_reuse_their_buffers(self, monkeypatch, model, L, blocks):
+        """A warm run at the mc-small-L shape (Laplace, L = 100, a noisy
+        channel), and Gaussian pairs at odd L, holds at most one set of
+        block buffers (the uniforms and two (B, L) scratch arrays, L
+        rounded up to even), z and 16 KB of small arrays, however many
+        blocks it drains: no block allocates a block-sized array. The
+        substream states are derived before tracing, since their
+        derivation allocates about 100 B per trial."""
+        cfg = make_config(model=model, L=L, channel_noise_var=1.0, omega=0.8)
+        per_block = montecarlo._BLOCK_SAMPLES // cfg.L
+        trials = blocks * per_block
+        root = RandomStream(cfg.seed)
+        states = root.substream_states(0, trials)
+        monkeypatch.setattr(RandomStream, "substream_states", lambda self, start, stop: states)
+        montecarlo._received_z(cfg, trials, root)
+        buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
+        tracemalloc.start()
+        try:
+            z = montecarlo._received_z(cfg, trials, root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + z.nbytes + 16 * 1024, (peak, buffers, z.nbytes)
+
+    def test_no_block_allocates(self, monkeypatch):
+        """What one block of a warm run allocates, from its uniforms to its
+        z, stays below 16 KB at the mc-small-L shape: a peak over the run
+        would not tell buffers held for the run from buffers allocated
+        and freed by every block."""
+        cfg = make_config(model="laplace", L=100, channel_noise_var=1.0, omega=0.8)
+        trials = 8 * (montecarlo._BLOCK_SAMPLES // cfg.L) + 5
+        montecarlo._received_z(cfg, trials, RandomStream(cfg.seed))
+        grown = []
+        fill, simulate = montecarlo.uniforms_from_states, montecarlo.simulate_block
+
+        def traced_fill(*args, **kwargs):
+            grown.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return fill(*args, **kwargs)
+
+        def traced_simulate(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            grown[-1] = tracemalloc.get_traced_memory()[1] - grown[-1]
+            return result
+
+        monkeypatch.setattr(montecarlo, "uniforms_from_states", traced_fill)
+        monkeypatch.setattr(montecarlo, "simulate_block", traced_simulate)
+        tracemalloc.start()
+        try:
+            montecarlo._received_z(cfg, trials, RandomStream(cfg.seed))
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 9 and max(grown) <= 16 * 1024, grown
 
 
 class TestSweep:

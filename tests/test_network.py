@@ -11,6 +11,7 @@ from cmphase.network import (
     ConfigError,
     NetworkConfig,
     PowerMode,
+    block_work,
     simulate_block,
     simulate_snapshot,
     snapshot_uniforms,
@@ -250,3 +251,50 @@ class TestSimulateSnapshot:
             * cfg.model.char_fn(cfg.sigma, cfg.omega)
         )
         assert abs(snap.z - target) < 0.02
+
+
+def block_uniforms(cfg, trials):
+    n = snapshot_uniforms(cfg)
+    return uniforms_from_states(RandomStream(cfg.seed).substream_states(0, trials), n)
+
+
+class TestBlockBuffers:
+    """simulate_block given reused buffers against simulate_block without."""
+
+    @pytest.mark.parametrize("model", ["gaussian", "laplace", "cauchy"])
+    @pytest.mark.parametrize("power_mode", ["total", "per-sensor"])
+    @pytest.mark.parametrize("nv", [0.0, 0.6])
+    @pytest.mark.parametrize("L", [1, 6, 7])
+    def test_matches_the_unbuffered_block(self, model, power_mode, nv, L):
+        """Bit for bit, for a full block and for a partial last block in
+        the leading rows of the same buffers, which held NaN at first;
+        odd L truncates the Gaussian pairs. u is left as it was."""
+        cfg = make_config(model=model, power_mode=power_mode, channel_noise_var=nv, L=L, seed=6)
+        u = block_uniforms(cfg, 9)
+        kept = u.copy()
+        expected = simulate_block(cfg, u)
+        work = np.full(block_work(cfg, 5).shape, np.nan)
+        for rows in (slice(0, 5), slice(5, 9)):
+            got = simulate_block(cfg, u[rows], work)
+            np.testing.assert_array_equal(got[0], expected[0][rows])
+            np.testing.assert_array_equal(got[1], expected[1][rows])
+        np.testing.assert_array_equal(u, kept)
+
+    def test_no_stale_values_across_configs(self):
+        """One work array serves two configs in a row, the second with a
+        different family, L, channel and block size, and each result
+        equals a fresh call: nothing the first block left is read."""
+        first = make_config(model="gaussian", L=9, channel_noise_var=0.5, seed=1)
+        second = make_config(model="laplace", L=4, channel_noise_var=0.0, sigma=2.0, seed=2)
+        work = np.full(block_work(first, 6).shape, np.nan)
+        for cfg, trials in ((first, 6), (second, 11), (first, 3)):
+            u = block_uniforms(cfg, trials)
+            expected = simulate_block(cfg, u)
+            got = simulate_block(cfg, u, work)
+            np.testing.assert_array_equal(got[1], expected[1])
+            np.testing.assert_array_equal(got[0], expected[0])
+
+    def test_too_small_work_refused(self):
+        cfg = make_config(L=6)
+        with pytest.raises(ValueError):
+            simulate_block(cfg, block_uniforms(cfg, 4), block_work(cfg, 3))

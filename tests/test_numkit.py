@@ -444,6 +444,18 @@ class TestRandomStream:
         for row, normals in zip(u, block):
             np.testing.assert_array_equal(box_muller(row), normals)
 
+    @pytest.mark.parametrize("n", [6, 5, 1])
+    def test_box_muller_into_work(self, n):
+        """Given work, the first n normals come back bit for bit as a
+        contiguous view of work[0], whatever work held, and u is kept."""
+        u = RandomStream(3).uniform(24).reshape(4, 6)
+        kept = u.copy()
+        work = np.full((2, 30), np.nan)
+        got = box_muller(u, n, work)
+        np.testing.assert_array_equal(got, box_muller(u)[:, :n])
+        np.testing.assert_array_equal(u, kept)
+        assert got.flags.c_contiguous and np.shares_memory(got, work[0])
+
 
 class TestSubstreamStates:
     """The vectorized SeedSequence derivation against numpy's own."""
@@ -492,6 +504,19 @@ class TestSubstreamStates:
         for row, t in zip(u, range(2**32 - 2, 2**32 + 2)):
             seq = np.random.SeedSequence(entropy=5, spawn_key=(1, t))
             np.testing.assert_array_equal(row, np.random.Generator(np.random.PCG64(seq)).random(9))
+
+    def test_uniforms_into_out(self):
+        """Filling the leading rows of a reused array gives the rows of a
+        fresh call; an out of another shape is refused."""
+        states = RandomStream(5, (1,)).substream_states(0, 3)
+        buf = np.full((5, 9), np.nan)
+        got = uniforms_from_states(states, 9, out=buf[:3])
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(buf[:3], uniforms_from_states(states, 9))
+        assert np.isnan(buf[3:]).all()
+        for shape in [(3, 8), (4, 9), (27,)]:
+            with pytest.raises(ValueError, match="shape"):
+                uniforms_from_states(states, 9, out=np.empty(shape))
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError, match="stop"):

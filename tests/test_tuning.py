@@ -337,9 +337,12 @@ class TestRuleOmega:
         with pytest.raises(ValueError, match="omega_rule"):
             rule_omega(rule, GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, 1.0, 2.0 * math.pi)
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_snr_rejected(self, theta):
-        with pytest.raises(ValueError, match="gamma"):
+        """The SNR (theta / sigma)^2 is only formed from a valid theta: a
+        non-finite or zero theta was reported as a bad gamma, and theta =
+        -1 was tuned at the SNR of theta = +1."""
+        with pytest.raises(ValueError, match=r"^theta must be positive"):
             rule_omega("auto:gamma", GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, theta, 2.0 * math.pi)
 
     def test_point_checked_before_the_snr(self):

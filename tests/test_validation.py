@@ -85,12 +85,13 @@ ENTRY_POINTS = [
     ("analytic_omega", analytic_omega,
      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
      ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
-    # theta enters rule_omega only through the SNR gamma = (theta / sigma)^2
-    # that the gamma target tunes at when gamma is omitted.
+    # gamma is omitted, so the gamma target tunes at the SNR (theta / sigma)^2;
+    # a gamma given by the test replaces it. theta = -1 was tuned at the SNR
+    # of theta = +1, and a non-finite or zero theta was reported as gamma.
     ("rule_omega", rule_omega,
      dict(rule="auto:gamma", model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
-          power_mode="total", theta=1.0, omega_max=2.0 * math.pi, gamma=1.0),
-     ["sigma", "P", "channel_noise_var", "omega_max", "gamma"]),
+          power_mode="total", theta=1.0, omega_max=2.0 * math.pi),
+     ["sigma", "P", "channel_noise_var", "omega_max", "gamma", "theta"]),
     ("fisher_location", GAUSSIAN.fisher_location, dict(sigma=1.0), ["sigma"]),
     ("fisher_scale", GAUSSIAN.fisher_scale, dict(sigma=1.0), ["sigma"]),
     ("NetworkConfig", NetworkConfig, CONFIG,
