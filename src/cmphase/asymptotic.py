@@ -30,7 +30,7 @@ reports (and tests pin).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,13 +60,7 @@ class AsvReport:
     mode: PowerMode
 
     def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "asv_theta": self.asv_theta,
-            "asv_sigma": self.asv_sigma,
-            "asv_gamma": self.asv_gamma,
-            "mode": self.mode.value,
-        }
+        return asdict(self)
 
 
 def _phasor_variances(model: NoiseModel, sigma, omega, P, nv):
@@ -137,18 +131,28 @@ def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
 
     Where phi or its sigma-derivative underflow to zero (u = sigma*omega
     deep in the tail) the variances are returned as inf rather than
-    raising, so omega searches can probe the whole interval. The
-    numerators P + nv - P phi(2w) and P + nv - 2 P phi^2 + P phi(2w)
-    are formed from the phasor variance kernels (2 P v_s + nv and
-    2 P v_c + nv) to stay accurate at small sigma * omega.
+    raising, so omega searches can probe the whole interval, up to the
+    largest float. The numerators P + nv - P phi(2w) and
+    P + nv - 2 P phi^2 + P phi(2w) are formed from the phasor variance
+    kernels (2 P v_s + nv and 2 P v_c + nv) to stay accurate at small
+    sigma * omega.
     """
     phi = model.char_fn(sigma, omega)
     dphi = model.char_fn_dsigma(sigma, omega)
     v_c = model.phasor_cos_var(sigma, omega)
     v_s = model.phasor_sin_var(sigma, omega)
-    den_t = 2.0 * P * omega**2 * phi * phi
+    try:
+        den_t = 2.0 * P * omega**2 * phi * phi
+    except OverflowError:  # omega^2 past the float range, omega above ~1.34e154
+        den_t = math.inf
+    if den_t < math.inf:
+        asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
+    else:
+        # The denominator is past the float range (or inf * 0): divide by
+        # omega phi twice, which overflows only where the quotient does.
+        w_phi = omega * phi
+        asv_t = (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
     den_s = 2.0 * P * dphi * dphi
-    asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
     asv_s = (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
     return asv_t, asv_s
 
@@ -338,6 +342,8 @@ def asv_closed_form(
     that are inconsistent with the characteristic-function definition
     (the generic route is authoritative; these stay only as anchors).
     which is "theta" | "sigma" | "gamma"; gamma is required for "gamma".
+    ValueError where the closed form leaves the float range (deep in the
+    tail, where asv_generic gives inf, or at very large omega).
     """
     if which not in ("theta", "sigma", "gamma"):
         raise ValueError(f"which must be theta|sigma|gamma, got {which!r}")
@@ -347,6 +353,14 @@ def asv_closed_form(
     nv = effective_noise_var(mode, channel_noise_var)
     if which == "gamma":
         gamma = real_number("gamma", gamma)
-    value = _closed_form_value(model.kind, which, sigma, omega, P, nv, mode, gamma)
-    return float(value), _closed_form_agrees(model.kind, which, mode.value)
+    try:
+        value = float(_closed_form_value(model.kind, which, sigma, omega, P, nv, mode, gamma))
+    except (OverflowError, ZeroDivisionError):  # a power overflows or an exp underflows
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the {model.kind} {which} closed form overflows at sigma={sigma!r}, "
+            f"omega={omega!r}, P={P!r}, channel_noise_var={channel_noise_var!r}"
+        )
+    return value, _closed_form_agrees(model.kind, which, mode.value)
 

@@ -101,9 +101,6 @@ def _build_config(args) -> tuple[NetworkConfig, dict]:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_CONFIG_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
     for key in _CONFIG_DEFAULTS:
         value = getattr(args, key, None)

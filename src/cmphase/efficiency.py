@@ -20,7 +20,7 @@ the comparison honestly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .noise import NoiseModel
 from .numkit import minimize_quasiconvex
@@ -54,15 +54,7 @@ class EfficiencyReport:
     matches_reference: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "parameter": self.parameter,
-            "inf_asv": self.inf_asv,
-            "fisher_bound": self.fisher_bound,
-            "are": self.are,
-            "reference_are": self.reference_are,
-            "matches_reference": self.matches_reference,
-        }
+        return asdict(self)
 
 
 def _inf_asv(model: NoiseModel, parameter: str, sigma: float, omega_max: float) -> float:

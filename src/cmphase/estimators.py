@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,12 +79,7 @@ class EstimateSet:
     saturated: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "sigma_hat": self.sigma_hat,
-            "gamma_hat": self.gamma_hat,
-            "saturated": self.saturated,
-        }
+        return asdict(self)
 
 
 def _finite_z(z) -> complex:

@@ -40,8 +40,7 @@ import json
 import math
 import os
 import threading
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,7 +92,7 @@ class EstimandStats:
     bias: float
 
     def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "variance_l": self.variance_l, "bias": self.bias}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,9 @@ class McSummary:
     gamma_trimmed_variance_l: float  # trimmed variant of gamma.variance_l
     gamma_trials: int
     saturated: int
-    wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "L": self.L,
-            "theta": self.theta.to_json_dict(),
-            "sigma": self.sigma.to_json_dict(),
-            "gamma": None if self.gamma is None else self.gamma.to_json_dict(),
-            "gamma_trimmed_variance_l": self.gamma_trimmed_variance_l,
-            "gamma_trials": self.gamma_trials,
-            "saturated": self.saturated,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -231,7 +219,6 @@ def run_experiment(
     if stream is None:
         stream = RandomStream(cfg.seed)
 
-    t0 = time.perf_counter()
     omega, P, model = cfg.omega, cfg.P, cfg.model
     thetas: list[float] = []
     sigmas: list[float] = []
@@ -274,7 +261,6 @@ def run_experiment(
         gamma_trimmed_variance_l=trimmed,
         gamma_trials=int(gamma_vals.size),
         saturated=n_sat,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 

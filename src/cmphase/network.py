@@ -111,18 +111,7 @@ class NetworkConfig:
         return replace(self, **changes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "theta": self.theta,
-            "theta_R": self.theta_R,
-            "sigma": self.sigma,
-            "model": self.model.kind,
-            "power_mode": self.power_mode.value,
-            "P": self.P,
-            "channel_noise_var": self.channel_noise_var,
-            "omega": self.omega,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"model": self.model.kind}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkConfig":

@@ -22,7 +22,7 @@ between theirs; the test suite checks that betweenness on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .asymptotic import _asv_components, compose_gamma
 from .network import PowerMode, effective_noise_var
@@ -68,13 +68,7 @@ class OmegaOptima:
     method: str = "golden-section"
 
     def to_json_dict(self) -> dict:
-        return {
-            "omega_theta": self.omega_theta,
-            "omega_sigma": self.omega_sigma,
-            "omega_gamma": self.omega_gamma,
-            "flags": dict(self.flags),
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -213,14 +207,18 @@ def _gaussian_gamma_equation(r: float, gamma: float):
 
 
 def _laplace_theta_beta(r: float) -> float:
-    """Cardano closed form for the Laplace location target (beta value)."""
-    c3 = (
-        125.0 * r**3
-        + 258.0 * r**2
-        + 141.0 * r
-        + 3.0 * math.sqrt(3.0) * math.sqrt(r * (r + 1.0) ** 3 * (375.0 * r + 32.0))
-        + 8.0
-    )
+    """Cardano closed form for the Laplace location target (beta value);
+    inf where r^3 is past the float range."""
+    try:
+        c3 = (
+            125.0 * r**3
+            + 258.0 * r**2
+            + 141.0 * r
+            + 3.0 * math.sqrt(3.0) * math.sqrt(r * (r + 1.0) ** 3 * (375.0 * r + 32.0))
+            + 8.0
+        )
+    except OverflowError:
+        return math.inf
     c = c3 ** (1.0 / 3.0)
     return (c / (r + 1.0) + (25.0 * r + 4.0) / c + 2.0) / 12.0
 
@@ -276,6 +274,7 @@ def analytic_omega(
     The numeric minimizer is recomputed alongside and agrees_with_numeric
     reports the comparison at 1e-4 relative; a missing root (value None)
     agrees only when the numeric search also lands on the lower boundary.
+    ValueError where the closed form leaves the float range.
     """
     # The numeric route runs first: it validates the operating point.
     numeric, flag = optimal_omega(
@@ -343,6 +342,11 @@ def analytic_omega(
                 inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
                 value = math.sqrt(-13.0 * g - 16.0 + inner) / (4.0 * sigma * math.sqrt(g))
 
+    if value is not None and not math.isfinite(value):
+        raise ValueError(
+            f"the {model.kind} {target} tuning equation overflows at sigma={sigma!r}, "
+            f"P={P!r}, channel_noise_var={channel_noise_var!r}, gamma={gamma!r}"
+        )
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag
     if value is None:

@@ -8,6 +8,7 @@ agree/disagree status against the generic definition.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestAsvGeneric:
         rep = asv_generic(GAUSSIAN, 8.0, 6.0, 1.0, 0.0)
         assert math.isinf(rep.asv_theta) and math.isinf(rep.asv_sigma)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_omega_past_the_square_range(self, model):
+        """omega^2 leaves the float range above ~1.34e154 (asv_generic
+        raised OverflowError) and 2 P omega^2 above ~9.5e153 at P = 1
+        (asv_theta read 0.0). At sigma = 1 both variances are past the
+        float range, inf; where phi = 1, asv_theta * omega^2 = nv / 2P
+        across both points."""
+        for omega in (2e154, 1e300):
+            rep = asv_generic(model, 1.0, omega, 1.0)
+            assert math.isinf(rep.asv_theta) and math.isinf(rep.asv_sigma)
+        omegas = (9e153, 1e154, 1.4e154, 1e155)
+        scaled = [asv_generic(model, 1e-300, w, 1.0, 1e10).asv_theta * w * w for w in omegas]
+        np.testing.assert_allclose(scaled, 5e9, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -281,3 +296,21 @@ class TestClosedForms:
     def test_which_validation(self):
         with pytest.raises(ValueError, match="which"):
             asv_closed_form(GAUSSIAN, 1.0, 0.8, 1.0, 0.5, "snr")
+
+    @pytest.mark.parametrize(
+        "kind, which, mode, sigma, omega",
+        [
+            ("gaussian", "theta", PowerMode.TOTAL, 1.0, 38.0),  # was ZeroDivisionError
+            ("gaussian", "gamma", PowerMode.PER_SENSOR, 1.0, 38.0),
+            ("cauchy", "theta", PowerMode.TOTAL, 0.5, 746.0),  # was ZeroDivisionError
+            ("cauchy", "sigma", PowerMode.TOTAL, 1.0, 372.0),  # was (inf, True)
+            ("cauchy", "gamma", PowerMode.PER_SENSOR, 1.0, 372.0),
+            ("laplace", "sigma", PowerMode.TOTAL, 1.0, 1e78),  # was OverflowError
+            ("laplace", "theta", PowerMode.PER_SENSOR, 1.0, 1e78),
+        ],
+        ids=lambda v: v.value if isinstance(v, PowerMode) else str(v),
+    )
+    def test_past_the_float_range_raises(self, kind, which, mode, sigma, omega):
+        """A closed form is finite or raises ValueError naming the point."""
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}, omega={omega!r}")):
+            asv_closed_form(noise_model(kind), sigma, omega, 1.0, 1.0, which, mode, gamma=1.0)

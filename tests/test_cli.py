@@ -408,6 +408,33 @@ class TestOptOmega:
         assert "--gamma" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # omega^2 overflowed in the omega search
+        ("opt-omega", "--omega-max", "1e300", "--target", "theta"),
+        # the Gaussian closed form divided by an underflowed exp(-u)
+        ("asv", "--omega", "50", "--closed-forms"),
+        # the Laplace Cardano form overflowed at nv / P = 1e300
+        ("opt-omega", "--model", "laplace", "--channel-noise-var", "1e300", "--analytic",
+         "--gamma", "1"),
+        # the Laplace per-sensor gamma radical gave inf
+        ("opt-omega", "--model", "laplace", "--power-mode", "per-sensor", "--analytic",
+         "--target", "gamma", "--gamma", "1e300"),
+    ],
+    ids=" ".join,
+)
+def test_float_range_edges_exit_cleanly(capsys, argv):
+    """Each of these raised a traceback out of main or printed inf as a
+    closed-form result; now the command prints finite numbers or exits 1
+    saying why."""
+    rc, out, err = run(capsys, *argv)
+    assert rc in (0, 1)
+    assert "Infinity" not in out and "NaN" not in out
+    if rc == 1:
+        assert err.startswith("cmphase: error: ")
+
+
 class TestAre:
     def test_text_table(self, capsys):
         rc, out, err = run(capsys, "are")

@@ -148,7 +148,6 @@ def test_block_size_independence(monkeypatch, fields, trials):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
             z = trial_z(cfg, trials, 0)
             summary = run_experiment(cfg, trials).to_json_dict()
-            summary.pop("wall_time_s")
             results.append((z, summary))
     for z, summary in results[1:]:
         np.testing.assert_array_equal(z, results[0][0])
@@ -240,8 +239,8 @@ def test_block_exception_propagates(monkeypatch, raiser):
 
 
 def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:
-    """run_experiment's summary, without wall_time_s, rebuilt from one
-    simulate_snapshot and one simple_estimates call per trial."""
+    """run_experiment's summary, rebuilt from one simulate_snapshot and
+    one simple_estimates call per trial."""
     root = RandomStream(cfg.seed)
     ests = [
         simple_estimates(simulate_snapshot(cfg, root.substream(t)).z, cfg.omega, cfg.P, cfg.model)
@@ -285,5 +284,4 @@ def test_summary_matches_one_trial_route(name, trials):
     saturating, a noisy total-budget and a clean config."""
     cfg = make_config(**CASES[name][0])
     got = run_experiment(cfg, trials).to_json_dict()
-    del got["wall_time_s"]
     assert got == one_trial_summary(cfg, trials)

@@ -153,7 +153,7 @@ class TestRunExperiment:
         data = run_experiment(make_config(), 16).to_json_dict()
         assert set(data) == {
             "trials", "L", "theta", "sigma", "gamma",
-            "gamma_trimmed_variance_l", "gamma_trials", "saturated", "wall_time_s",
+            "gamma_trimmed_variance_l", "gamma_trials", "saturated",
         }
         assert set(data["theta"]) == {"mean", "variance_l", "bias"}
 

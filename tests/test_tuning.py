@@ -263,6 +263,20 @@ class TestAnalyticOmega:
         with pytest.raises(ValueError, match="target"):
             analytic_omega(LAPLACE, 1.0, 1.0, 1.0, "snr")
 
+    @pytest.mark.parametrize(
+        "nv, target, mode, gamma",
+        [
+            (1e100, "theta", TOTAL, None),  # the Cardano form gave value inf
+            (1e103, "theta", TOTAL, None),  # r**3 raised OverflowError
+            (0.0, "gamma", PER_SENSOR, 1e300),  # the gamma radical gave value inf
+        ],
+        ids=str,
+    )
+    def test_past_the_float_range_raises(self, nv, target, mode, gamma):
+        """A closed form is finite, None or a ValueError naming the point."""
+        with pytest.raises(ValueError, match=f"laplace {target} tuning equation overflows"):
+            analytic_omega(LAPLACE, 1.0, 1.0, nv, target, power_mode=mode, gamma=gamma)
+
     def test_result_type(self):
         a = analytic_omega(CAUCHY, 1.0, 1.0, 1.0, "theta")
         assert isinstance(a, AnalyticOmega)
