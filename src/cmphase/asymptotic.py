@@ -127,7 +127,8 @@ def jacobian(
 
 
 def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
-    """(asv_theta, asv_sigma) at one scalar operating point.
+    """(asv_theta, asv_sigma) at one scalar operating point: _asv_theta
+    and _asv_sigma, each from its own two noise kernels.
 
     Where phi or its sigma-derivative underflow to zero (u = sigma*omega
     deep in the tail) the variances are returned as inf rather than
@@ -137,24 +138,32 @@ def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
     kernels (2 P v_s + nv and 2 P v_c + nv) to stay accurate at small
     sigma * omega.
     """
+    return _asv_theta(model, sigma, omega, P, nv), _asv_sigma(model, sigma, omega, P, nv)
+
+
+def _asv_theta(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
+    """asv_theta of _asv_components, from char_fn and phasor_sin_var."""
     phi = model.char_fn(sigma, omega)
-    dphi = model.char_fn_dsigma(sigma, omega)
-    v_c = model.phasor_cos_var(sigma, omega)
     v_s = model.phasor_sin_var(sigma, omega)
     try:
         den_t = 2.0 * P * omega**2 * phi * phi
     except OverflowError:  # omega^2 past the float range, omega above ~1.34e154
         den_t = math.inf
     if den_t < math.inf:
-        asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
-    else:
-        # The denominator is past the float range (or inf * 0): divide by
-        # omega phi twice, which overflows only where the quotient does.
-        w_phi = omega * phi
-        asv_t = (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+        return (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
+    # The denominator is past the float range (or inf * 0): divide by
+    # omega phi twice, which overflows only where the quotient does.
+    w_phi = omega * phi
+    return (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+
+
+def _asv_sigma(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
+    """asv_sigma of _asv_components, from char_fn_dsigma and
+    phasor_cos_var."""
+    dphi = model.char_fn_dsigma(sigma, omega)
+    v_c = model.phasor_cos_var(sigma, omega)
     den_s = 2.0 * P * dphi * dphi
-    asv_s = (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
-    return asv_t, asv_s
+    return (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
 
 
 def compose_gamma(asv_theta, asv_sigma, theta, sigma):

@@ -229,23 +229,27 @@ def _cmd_opt_omega(args) -> int:
         raise ConfigError("--target gamma (or all) requires --gamma")
     results = {}
     for target in targets:
-        omega, flag = optimal_omega(
-            model, args.sigma, args.P, args.channel_noise_var, target,
+        operating_point = dict(
+            model=model, sigma=args.sigma, P=args.P,
+            channel_noise_var=args.channel_noise_var, target=target,
             power_mode=mode, gamma=args.gamma,
             omega_max=args.omega_max, omega_min=args.omega_min,
         )
-        entry = {"omega_star": omega, "flag": flag}
         if args.analytic:
-            an = analytic_omega(
-                model, args.sigma, args.P, args.channel_noise_var, target,
-                power_mode=mode, gamma=args.gamma, omega_max=args.omega_max,
-            )
-            entry["analytic"] = {
-                "value": an.value,
-                "agrees_with_numeric": an.agrees_with_numeric,
-                "note": an.note,
+            # analytic_omega runs the numeric search too; its result is reused.
+            an = analytic_omega(**operating_point)
+            results[target] = {
+                "omega_star": an.details["numeric_omega"],
+                "flag": an.details["numeric_flag"],
+                "analytic": {
+                    "value": an.value,
+                    "agrees_with_numeric": an.agrees_with_numeric,
+                    "note": an.note,
+                },
             }
-        results[target] = entry
+        else:
+            omega, flag = optimal_omega(**operating_point)
+            results[target] = {"omega_star": omega, "flag": flag}
     payload: dict = {"results": results, "method": "golden-section"}
     if args.target == "all":
         payload["optima"] = OmegaOptima(

@@ -227,18 +227,23 @@ class NoiseModel:
             _GAUSS_T_MAX, past which the value is below the float range.
         laplace:  -(omega / den) (t / den), or, where den = 1 + t^2 / 2
             overflows (the 1 is then below rounding), -(2 omega / t / t)
-            (2 / t).
+            (2 / t), or, where 2 omega overflows too (omega above about
+            9e307), -(omega / t / t) (4 / t).
         """
         if self.kind == "gaussian":
             t = _clamped(t, _GAUSS_T_MAX, xp)
             e = xp.exp(-0.25 * t * t)
             return -(w * e) * (t * e)
         den = 1.0 + 0.5 * t * t
+        w2 = 2.0 * w
         if xp is math:
             if den < math.inf:
                 return -(w / den) * (t / den)
-            return -(2.0 * w / t / t) * (2.0 / t)
-        return np.where(den < math.inf, -(w / den) * (t / den), -(2.0 * w / t / t) * (2.0 / t))
+            if w2 < math.inf:
+                return -(w2 / t / t) * (2.0 / t)
+            return -(w / t / t) * (4.0 / t)
+        tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
+        return np.where(den < math.inf, -(w / den) * (t / den), tail)
 
     def inverse_abs_char_fn(self, m: float, P: float) -> float:
         """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.

@@ -27,6 +27,8 @@ __all__ = [
     "lambert_w0",
     "find_root_bracketed",
     "sign_change_brackets",
+    "uniform_grid",
+    "grid_brackets",
     "minimize_quasiconvex",
     "gauss_newton_box",
     "real_roots_in_interval",
@@ -197,6 +199,31 @@ def sign_change_brackets(
         x0, v0 = x1, v1
 
 
+def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """The scan grid of sign_change_brackets as an array: x_i = lo + (hi
+    - lo) * i / steps, i = 0..steps, each element rounded as the scalar
+    expression is (i is exact in float64), and x_0 = lo itself, which
+    keeps the sign of a zero lo."""
+    with np.errstate(all="ignore"):
+        x = lo + (hi - lo) * np.arange(steps + 1) / steps
+    x[0] = lo
+    return x
+
+
+def grid_brackets(x: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
+    """The brackets that sign_change_brackets yields, in its order, given
+    the values v of f on its grid x (uniform_grid): (x_i, x_i) where v_i
+    is zero, (x_{i-1}, x_i) where nonzero neighbours differ in sign. A
+    NaN value counts as nonpositive, as in the scalar rule."""
+    zero = v == 0.0
+    positive = v > 0.0
+    ends = zero.copy()
+    ends[1:] |= ~zero[:-1] & (positive[1:] != positive[:-1])
+    i = np.flatnonzero(ends)
+    starts = np.where(zero[i], x[i], x[i - 1])
+    return list(zip(starts.tolist(), x[i].tolist()))
+
+
 def minimize_quasiconvex(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
 ) -> tuple[float, str]:
@@ -214,6 +241,11 @@ def minimize_quasiconvex(
     than the interior candidate beyond 1e-9 relative also wins the
     matching boundary flag. A genuine interior dip shallower than that is
     indistinguishable from flat and reported as the boundary it touches.
+
+    Raises:
+        ConvergenceError: if the best probe's value is not finite (f is
+            inf or NaN at every probe, as on a wide interval whose finite
+            part is narrower than the final bracket).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -234,6 +266,11 @@ def minimize_quasiconvex(
             d = a + _INVPHI * (b - a)
             fd = f(d)
     x, fx = (c, fc) if fc <= fd else (d, fd)
+    if not math.isfinite(fx):
+        raise ConvergenceError(
+            f"golden section saw no finite value on [{lo!r}, {hi!r}]; "
+            f"best probe f({x!r}) = {fx!r}"
+        )
     if x - lo <= 2.0 * width_goal:
         return x, "lower"
     if hi - x <= 2.0 * width_goal:
@@ -332,10 +369,10 @@ def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> lis
     / n, i = 0..n with n = _ROOT_SCAN_STEPS, in one array pass, and every
     sign change is refined by bisection (find_root_bracketed, on the
     scalar Horner polynomial). A grid zero gives the bracket (x_i, x_i);
-    nonzero neighbours of opposite sign give (x_{i-1}, x_i). Roots of
-    even multiplicity that do not produce a sign change on the grid are
-    not detected; the polynomials handled here (degree <= 6 tuning
-    equations) have simple roots.
+    nonzero neighbours of opposite sign give (x_{i-1}, x_i)
+    (grid_brackets). Roots of even multiplicity that do not produce a
+    sign change on the grid are not detected; the polynomials handled
+    here (degree <= 6 tuning equations) have simple roots.
 
     The result equals, bit for bit, that of scanning the scalar Horner
     polynomial with sign_change_brackets(poly, lo, hi, n): each array
@@ -360,25 +397,15 @@ def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> lis
             acc = acc * x + c
         return acc
 
+    x = uniform_grid(lo, hi, _ROOT_SCAN_STEPS)
     with np.errstate(all="ignore"):
-        x = lo + (hi - lo) * np.arange(_ROOT_SCAN_STEPS + 1) / _ROOT_SCAN_STEPS
-        x[0] = lo
         v = np.zeros_like(x)
         for c in reversed(cs):
             v *= x
             v += c
-    zero = v == 0.0
-    positive = v > 0.0
-    ends = zero.copy()
-    ends[1:] |= ~zero[:-1] & (positive[1:] != positive[:-1])
-    i = np.flatnonzero(ends)
-    starts = np.where(zero[i], x[i], x[i - 1])
 
     tol = 1e-14 * max(1.0, abs(hi))
-    roots = [
-        find_root_bracketed(poly, a, b, tol=tol)
-        for a, b in zip(starts.tolist(), x[i].tolist())
-    ]
+    roots = [find_root_bracketed(poly, a, b, tol=tol) for a, b in grid_brackets(x, v)]
     deduped: list[float] = []
     for r in sorted(roots):
         if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):

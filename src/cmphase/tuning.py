@@ -21,19 +21,23 @@ between theirs; the test suite checks that betweenness on a grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
-from .asymptotic import _asv_components, compose_gamma
+import numpy as np
+
+from .asymptotic import _asv_components, _asv_sigma, _asv_theta, compose_gamma
 from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel
 from .numkit import (
     find_root_bracketed,
+    grid_brackets,
     lambert_w0,
     minimize_quasiconvex,
     real_number,
     real_roots_in_interval,
-    sign_change_brackets,
+    uniform_grid,
 )
 
 __all__ = [
@@ -104,10 +108,10 @@ def _target_curve(
 
         return f
 
-    idx = 0 if target == "theta" else 1
+    component = _asv_theta if target == "theta" else _asv_sigma
 
     def f(w: float) -> float:
-        return _asv_components(model, sigma, w, P, nv)[idx]
+        return component(model, sigma, w, P, nv)
 
     return f
 
@@ -127,7 +131,10 @@ def optimal_omega(
 
     Returns (omega_star, flag); flag "lower" or "upper" marks an infimum
     on the interval edge (monotone curve), "interior" a proper minimum.
-    The golden-section bracket is narrowed to 1e-10 in omega.
+    The golden-section bracket is narrowed to 1e-10 in omega (or 4 ulps
+    of omega_max, if wider). ConvergenceError where the curve is not
+    finite at any probe, as when its finite part, near omega_min, is
+    narrower than that bracket.
     """
     sigma, P = real_number("sigma", sigma), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
@@ -165,43 +172,64 @@ def omega_optima(
 # ---------------------------------------------------------------------------
 # Closed-form route.
 
-def _scan_root(f, lo: float, hi: float) -> float | None:
-    """First sign-change root of f on [lo, hi] over a fixed uniform scan."""
-    for a, b in sign_change_brackets(f, lo, hi, _SCAN_STEPS):
-        return find_root_bracketed(f, a, b, tol=1e-13)
+@functools.cache
+def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b, e^b, e^{2b}) on the _SCAN_STEPS-step grid of [_BETA_LO,
+    _BETA_HI], each exponential by math.exp as the scalar equations take
+    it. Constants, built on first use: about 48 KB that commands without
+    a Gaussian tuning equation do not need."""
+    b = uniform_grid(_BETA_LO, _BETA_HI, _SCAN_STEPS)
+    e1 = np.array([math.exp(x) for x in b.tolist()])
+    e2 = np.array([math.exp(2.0 * x) for x in b.tolist()])
+    return b, e1, e2
+
+
+def _scan_root(equation) -> float | None:
+    """First sign-change root in beta of equation(b, e^b, e^{2b}) on
+    [_BETA_LO, _BETA_HI], bisected to 1e-13, or None.
+
+    The equation is evaluated on the whole _SCAN_STEPS-step grid in one
+    array pass against _scan_tables, and its first bracket (grid_brackets)
+    is bisected on the scalar form. The equations are adds and multiplies
+    only, each one IEEE-rounded step in the same order on floats and
+    arrays, so the result is, bit for bit, that of scanning the scalar
+    equation lazily with sign_change_brackets on the same grid.
+    """
+    b, e1, e2 = _scan_tables()
+    with np.errstate(all="ignore"):
+        values = equation(b, e1, e2)
+    for lo, hi in grid_brackets(b, values):
+        return find_root_bracketed(
+            lambda x: equation(x, math.exp(x), math.exp(2.0 * x)), lo, hi, tol=1e-13
+        )
     return None
 
 
+# The Gaussian tuning equations in beta, as functions of (b, e^b, e^{2b})
+# for floats and arrays alike.
+
 def _gaussian_theta_equation(r: float):
-    return lambda b: (r + 1.0) * (b - 1.0) * math.exp(2.0 * b) + (b + 1.0)
+    return lambda b, e1, e2: (r + 1.0) * (b - 1.0) * e2 + (b + 1.0)
 
 
 def _gaussian_sigma_equation(r: float):
     # As-printed stationarity display for the scale target.
-    def f(b: float) -> float:
-        e2 = math.exp(2.0 * b)
-        return b * ((r + 1.0) * e2 - 1.0) - (r + 1.0) * e2 + 2.0 * math.exp(b) - 1.0
-
-    return f
+    return lambda b, e1, e2: b * ((r + 1.0) * e2 - 1.0) - (r + 1.0) * e2 + 2.0 * e1 - 1.0
 
 
 def _gaussian_sigma_equation_fixed(r: float):
     # Direct stationarity of the scale-target curve (factor 2 on the
     # second group); kept because the printed display's root does not
     # minimize the curve.
-    def f(b: float) -> float:
-        e2 = math.exp(2.0 * b)
-        return b * ((r + 1.0) * e2 - 1.0) - 2.0 * ((r + 1.0) * e2 - 2.0 * math.exp(b) + 1.0)
-
-    return f
+    return lambda b, e1, e2: b * ((r + 1.0) * e2 - 1.0) - 2.0 * ((r + 1.0) * e2 - 2.0 * e1 + 1.0)
 
 
 def _gaussian_gamma_equation(r: float, gamma: float):
-    def f(b: float) -> float:
-        e2 = math.exp(2.0 * b)
+    fixed = _gaussian_sigma_equation_fixed(r)
+
+    def f(b, e1, e2):
         first = b * (b * ((r + 1.0) * e2 + 1.0) - (r + 1.0) * e2 + 1.0)
-        second = b * ((r + 1.0) * e2 - 1.0) - 2.0 * ((r + 1.0) * e2 - 2.0 * math.exp(b) + 1.0)
-        return first + gamma * second
+        return first + gamma * fixed(b, e1, e2)
 
     return f
 
@@ -268,23 +296,23 @@ def analytic_omega(
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
     omega_max: float = 2.0 * math.pi,
+    omega_min: float = 1e-4,
 ) -> AnalyticOmega:
     """Evaluate the bundled closed-form tuning equation for one target.
 
-    The numeric minimizer is recomputed alongside and agrees_with_numeric
-    reports the comparison at 1e-4 relative; a missing root (value None)
-    agrees only when the numeric search also lands on the lower boundary.
-    ValueError where the closed form leaves the float range.
+    The numeric minimizer (optimal_omega on [omega_min, omega_max]) is
+    computed alongside, and details carry it as numeric_omega and
+    numeric_flag; agrees_with_numeric reports the comparison at 1e-4
+    relative; a missing root (value None) agrees only when the numeric
+    search also lands on the lower boundary. ValueError where the closed
+    form leaves the float range.
     """
-    # The numeric route runs first: it validates the operating point.
-    numeric, flag = optimal_omega(
-        model, sigma, P, channel_noise_var, target,
-        power_mode=power_mode, gamma=gamma, omega_max=omega_max,
-    )
+    sigma, P = real_number("sigma", sigma), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
-    curve = _target_curve(model, sigma, P, nv, target, gamma)
+    curve = _target_curve(model, sigma, P, nv, target, gamma)  # checks target and gamma
 
     value: float | None = None
     note = ""
@@ -296,10 +324,10 @@ def analytic_omega(
         note = "single Lambert-W minimizer shared by all three targets"
     elif model.kind == "gaussian":
         if target == "theta":
-            beta = _scan_root(_gaussian_theta_equation(r), _BETA_LO, _BETA_HI)
+            beta = _scan_root(_gaussian_theta_equation(r))
         elif target == "sigma":
-            beta = _scan_root(_gaussian_sigma_equation(r), _BETA_LO, _BETA_HI)
-            fixed = _scan_root(_gaussian_sigma_equation_fixed(r), _BETA_LO, _BETA_HI)
+            beta = _scan_root(_gaussian_sigma_equation(r))
+            fixed = _scan_root(_gaussian_sigma_equation_fixed(r))
             if fixed is not None:
                 details["stationarity_root_beta"] = fixed
                 details["stationarity_root_omega"] = math.sqrt(fixed) / sigma
@@ -308,7 +336,7 @@ def analytic_omega(
                     "details carry the direct stationarity root"
                 )
         else:
-            beta = _scan_root(_gaussian_gamma_equation(r, gamma), _BETA_LO, _BETA_HI)
+            beta = _scan_root(_gaussian_gamma_equation(r, gamma))
         if beta is None:
             note = note or "no root in range: infimum at the lower omega boundary"
         else:
@@ -347,6 +375,12 @@ def analytic_omega(
             f"the {model.kind} {target} tuning equation overflows at sigma={sigma!r}, "
             f"P={P!r}, channel_noise_var={channel_noise_var!r}, gamma={gamma!r}"
         )
+    # The numeric route runs last, so a closed form past the float range
+    # is reported as such even where no probe of the curve is finite.
+    numeric, flag = optimal_omega(
+        model, sigma, P, channel_noise_var, target,
+        power_mode=mode, gamma=gamma, omega_max=omega_max, omega_min=omega_min,
+    )
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag
     if value is None:

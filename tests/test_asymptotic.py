@@ -15,6 +15,9 @@ import pytest
 
 from cmphase.asymptotic import (
     AsvReport,
+    _asv_components,
+    _asv_sigma,
+    _asv_theta,
     asv_closed_form,
     asv_generic,
     asv_via_sandwich,
@@ -162,6 +165,22 @@ class TestAsvGeneric:
         omegas = (9e153, 1e154, 1.4e154, 1e155)
         scaled = [asv_generic(model, 1e-300, w, 1.0, 1e10).asv_theta * w * w for w in omegas]
         np.testing.assert_allclose(scaled, 5e9, rtol=1e-12)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_components_one_at_a_time(self, model):
+        """_asv_theta and _asv_sigma are the components of _asv_components
+        bit for bit, from omega = 1e-300 to 1e300, past the omega^2 range
+        and deep in the tail where phi underflows to 0."""
+        omegas = np.logspace(-300, 300, 61).tolist() + [38.0, 1.4e154, 2e154]
+        underflowed = 0
+        for sigma in (1e-300, 1e-3, 1.0, 8.0, 1e3):
+            for omega in omegas:
+                underflowed += model.char_fn(sigma, omega) == 0.0
+                for P, nv in ((1.0, 0.0), (2.0, 0.5), (1e-3, 1e10)):
+                    asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
+                    assert _asv_theta(model, sigma, omega, P, nv).hex() == asv_t.hex()
+                    assert _asv_sigma(model, sigma, omega, P, nv).hex() == asv_s.hex()
+        assert underflowed
 
     @pytest.mark.parametrize(
         "kwargs",

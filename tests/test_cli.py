@@ -17,7 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmphase import tuning
 from cmphase.cli import main
+from cmphase.noise import GAUSSIAN
+from cmphase.tuning import OMEGA_TARGETS, optimal_omega
 
 GAUSS_TPC_R1_THETA = 0.9081137742012796
 CAUCHY_TPC_R1 = 0.9207028302184803
@@ -401,6 +404,34 @@ class TestOptOmega:
         analytic = payload["results"]["theta"]["analytic"]
         assert set(analytic) == {"value", "agrees_with_numeric", "note"}
         assert analytic["agrees_with_numeric"] is False  # beta-convention slip
+
+    def test_analytic_runs_one_search_per_target(self, capsys, monkeypatch):
+        """analytic_omega's numeric result is the one printed; the golden
+        section is not run a second time."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return minimize(*args, **kwargs)
+
+        minimize = tuning.minimize_quasiconvex
+        monkeypatch.setattr(tuning, "minimize_quasiconvex", counted)
+        payload = run_json(
+            capsys, "opt-omega", "--analytic", "--target", "all", "--gamma", "2",
+            "--omega-min", "0.01",
+        )
+        assert calls == [(0.01, 2.0 * math.pi)] * 3
+        for target in OMEGA_TARGETS:
+            w, flag = optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, target, gamma=2.0, omega_min=0.01)
+            assert payload["results"][target]["omega_star"] == w
+            assert payload["results"][target]["flag"] == flag
+
+    def test_no_finite_probe_exits_1(self, capsys):
+        """The theta curve is inf at every probe of [1e-4, 1e20]; the
+        command printed 21180.05 flagged "lower"."""
+        rc, out, err = run(capsys, "opt-omega", "--target", "theta", "--omega-max", "1e20")
+        assert rc == 1 and out == ""
+        assert err.startswith("cmphase: error: ") and "[0.0001, 1e+20]" in err
 
     def test_gamma_target_requires_gamma(self, capsys):
         rc, _, err = run(capsys, "opt-omega", "--target", "gamma")

@@ -6,6 +6,8 @@ densities, not against re-derived formulas.
 """
 
 import math
+import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -235,6 +237,28 @@ class TestCharFnDsigma:
                     model.char_fn_dsigma(np.array([sigma]), omega)[0]):
             assert math.copysign(1.0, got) == -1.0
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("omega", [1e308, sys.float_info.max])
+    def test_laplace_where_two_omega_overflows(self, sigma, omega):
+        """The Laplace tail form -(2 omega / t / t) (2 / t) gave -inf where
+        2 omega overflows (omega above ~9e307, with den = 1 + t^2/2 past
+        the float range); the value is about -4 / (sigma^3 omega^2),
+        -4e-166 at sigma 1e-150, omega 1e308, and -0.0 at sigma 1. Floats
+        and arrays, checked against 50-digit decimal arithmetic, without
+        warnings."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            s, w = Decimal(sigma), Decimal(omega)
+            t = s * w
+            expected = float(-w * w * s / (1 + t * t / 2) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [LAPLACE.char_fn_dsigma(sigma, omega),
+                   LAPLACE.char_fn_dsigma(np.array([sigma]), np.array([omega]))[0]]
+        for x in got:
+            assert math.copysign(1.0, x) == -1.0 and math.isfinite(x)
+            np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-323)
 
     def test_direct_form_kept_bit_for_bit(self):
         """Wherever the direct derivative is finite and nonzero it is the

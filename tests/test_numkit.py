@@ -281,6 +281,13 @@ class TestMinimizeQuasiconvex:
         with pytest.raises(ValueError):
             minimize_quasiconvex(math.exp, 2.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_no_finite_probe_raises(self, value):
+        """A curve finite only on [0, 1e-3] of [0, 1e20] is never probed
+        there (the final bracket is 4 ulps of 1e20 wide)."""
+        with pytest.raises(ConvergenceError, match=r"\[0\.0, 1e\+20\]"):
+            minimize_quasiconvex(lambda x: 1.0 if x < 1e-3 else value, 0.0, 1e20)
+
 
 class TestRealRootsInInterval:
     def test_cubic_known_roots(self):

@@ -13,10 +13,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmphase import tuning
 from cmphase.network import PowerMode
-from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
+from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, NoiseModel
+from cmphase.numkit import ConvergenceError, find_root_bracketed, sign_change_brackets
 from cmphase.tuning import (
+    OMEGA_TARGETS,
     AnalyticOmega,
     analytic_omega,
     omega_optima,
@@ -137,6 +142,133 @@ class TestOptimalOmega:
         data = opt.to_json_dict()
         assert set(data) == {"omega_theta", "omega_sigma", "omega_gamma", "flags", "method"}
         assert data["method"] == "golden-section"
+
+
+    def test_curve_with_no_finite_probe_raises(self):
+        """On [1e-4, 1e20] the theta curve is finite only below ~40, far
+        narrower than the final bracket (4 ulps of 1e20, 65536): every
+        probe is inf, and the search used to return 21180.05 flagged
+        "lower"."""
+        with pytest.raises(ConvergenceError, match=r"\[0\.0001, 1e\+20\]"):
+            optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_max=1e20)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        mode=st.sampled_from([TOTAL, PER_SENSOR]),
+        target=st.sampled_from(OMEGA_TARGETS),
+        log_omega_max=st.floats(0.0, 300.0),
+    )
+    def test_finite_or_raises(self, model, mode, target, log_omega_max):
+        """With omega_max log-uniform over 1..1e300 the optimum is finite
+        at a finite curve value, or the search raises ConvergenceError."""
+        omega_max = 10.0**log_omega_max
+        try:
+            w, _ = optimal_omega(
+                model, 1.0, 1.0, 1.0, target, power_mode=mode, gamma=2.0, omega_max=omega_max
+            )
+        except ConvergenceError:
+            return
+        assert 1e-4 <= w <= omega_max
+        curve = tuning._target_curve(model, 1.0, 1.0, 1.0 if mode is TOTAL else 0.0, target, 2.0)
+        assert math.isfinite(curve(w))
+
+
+class TestTargetCurves:
+    @pytest.mark.parametrize(
+        "target, kernels",
+        [("theta", ["char_fn", "phasor_sin_var"]), ("sigma", ["char_fn_dsigma", "phasor_cos_var"])],
+    )
+    def test_one_probe_calls_two_kernels(self, monkeypatch, target, kernels):
+        calls = []
+        for name in ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var"):
+            kernel = getattr(NoiseModel, name)
+
+            def counted(self, sigma, omega, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(self, sigma, omega)
+
+            monkeypatch.setattr(NoiseModel, name, counted)
+        curve = tuning._target_curve(GAUSSIAN, 1.0, 1.0, 0.5, target, None)
+        curve(0.9)
+        assert sorted(calls) == kernels
+
+
+def _lazy_scan_root(f):
+    """The scalar route _scan_root must reproduce: the first bracket of a
+    lazy sign_change_brackets scan of f, bisected."""
+    for a, b in sign_change_brackets(f, tuning._BETA_LO, tuning._BETA_HI, tuning._SCAN_STEPS):
+        return find_root_bracketed(f, a, b, tol=1e-13)
+    return None
+
+
+# The Gaussian tuning equations as scalar functions of beta, written with
+# math.exp inside, as the lazy scan evaluated them.
+_SCALAR_GAUSSIAN_EQUATIONS = {
+    "theta": lambda r, g: lambda b: (r + 1.0) * (b - 1.0) * math.exp(2.0 * b) + (b + 1.0),
+    "sigma": lambda r, g: lambda b: (
+        b * ((r + 1.0) * math.exp(2.0 * b) - 1.0) - (r + 1.0) * math.exp(2.0 * b)
+        + 2.0 * math.exp(b) - 1.0
+    ),
+    "sigma_fixed": lambda r, g: lambda b: (
+        b * ((r + 1.0) * math.exp(2.0 * b) - 1.0)
+        - 2.0 * ((r + 1.0) * math.exp(2.0 * b) - 2.0 * math.exp(b) + 1.0)
+    ),
+    "gamma": lambda r, g: lambda b: (
+        b * (b * ((r + 1.0) * math.exp(2.0 * b) + 1.0) - (r + 1.0) * math.exp(2.0 * b) + 1.0)
+        + g * (
+            b * ((r + 1.0) * math.exp(2.0 * b) - 1.0)
+            - 2.0 * ((r + 1.0) * math.exp(2.0 * b) - 2.0 * math.exp(b) + 1.0)
+        )
+    ),
+}
+
+_ARRAY_GAUSSIAN_EQUATIONS = {
+    "theta": lambda r, g: tuning._gaussian_theta_equation(r),
+    "sigma": lambda r, g: tuning._gaussian_sigma_equation(r),
+    "sigma_fixed": lambda r, g: tuning._gaussian_sigma_equation_fixed(r),
+    "gamma": lambda r, g: tuning._gaussian_gamma_equation(r, g),
+}
+
+
+def _root_outcome(route, *args):
+    """The root's bit pattern, None, or the type and message of the error."""
+    try:
+        root = route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None if root is None else root.hex()
+
+
+class TestGaussianScan:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        r=st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+        gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_matches_the_lazy_scalar_scan(self, r, gamma):
+        """Bit for bit the scalar route for all four equations: the first
+        bracket of the lazy scan over 2000 steps, bisected, or None,
+        including any error it raises."""
+        for name, scalar in _SCALAR_GAUSSIAN_EQUATIONS.items():
+            expected = _root_outcome(_lazy_scan_root, scalar(r, gamma))
+            got = _root_outcome(tuning._scan_root, _ARRAY_GAUSSIAN_EQUATIONS[name](r, gamma))
+            assert got == expected, name
+
+    def test_both_outcomes_are_reached(self):
+        """r = 1 has an interior root for every equation; per-sensor power
+        (r = 0) has none for the location target."""
+        for make in _ARRAY_GAUSSIAN_EQUATIONS.values():
+            assert tuning._scan_root(make(1.0, 2.0)) is not None
+        assert tuning._scan_root(tuning._gaussian_theta_equation(0.0)) is None
+
+    def test_tables_are_the_scalar_grid_and_exponentials(self):
+        lo, hi, n = tuning._BETA_LO, tuning._BETA_HI, tuning._SCAN_STEPS
+        grid = [lo + (hi - lo) * i / n for i in range(n + 1)]
+        b, e1, e2 = tuning._scan_tables()
+        assert b.tolist() == grid
+        assert e1.tolist() == [math.exp(x) for x in grid]
+        assert e2.tolist() == [math.exp(2.0 * x) for x in grid]
 
 
 class TestGammaBetweenness:
@@ -276,6 +408,14 @@ class TestAnalyticOmega:
         """A closed form is finite, None or a ValueError naming the point."""
         with pytest.raises(ValueError, match=f"laplace {target} tuning equation overflows"):
             analytic_omega(LAPLACE, 1.0, 1.0, nv, target, power_mode=mode, gamma=gamma)
+
+    def test_numeric_route_takes_omega_min(self):
+        """details carry optimal_omega's result on [omega_min, omega_max]."""
+        for omega_min in (1e-4, 0.5, 1.2):
+            a = analytic_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_min=omega_min)
+            w, flag = optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_min=omega_min)
+            assert (a.details["numeric_omega"], a.details["numeric_flag"]) == (w, flag)
+        assert flag == "lower"
 
     def test_result_type(self):
         a = analytic_omega(CAUCHY, 1.0, 1.0, 1.0, "theta")
