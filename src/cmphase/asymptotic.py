@@ -168,12 +168,14 @@ def _asv_sigma(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
 
 def compose_gamma(asv_theta, asv_sigma, theta, sigma):
     """Delta-method asymptotic variance of gamma = theta^2 / sigma^2;
-    ValueError where gamma or sigma^2 overflows."""
+    ValueError where gamma overflows or sigma^2 underflows."""
     try:
         gamma = (theta / sigma) ** 2
         return (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
-    except OverflowError:
-        raise ValueError(f"asv_gamma overflows at theta={theta!r}, sigma={sigma!r}") from None
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
+        ) from None
 
 
 def asv_generic(
@@ -222,9 +224,13 @@ def asv_via_sandwich(
     """
     J = jacobian(model, theta, sigma, omega, P)
     S = covariance_matrix(model, theta, sigma, omega, P, channel_noise_var)
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if det <= 0.0:
-        raise ValueError("covariance matrix is singular at this operating point")
+    (s11, s12), (s21, s22) = S.tolist()
+    det = s11 * s22 - s12 * s21
+    if not 0.0 < det < math.inf:
+        raise ValueError(
+            f"covariance matrix is singular or out of floating-point range at this "
+            f"operating point (det = {det!r})"
+        )
     M = J.T @ np.linalg.inv(S) @ J
     return np.linalg.inv(M)
 

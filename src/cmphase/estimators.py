@@ -17,8 +17,12 @@ joint_minimum_variance minimizes the full quadratic form
 [z - zbar]^T Sigma^-1 [z - zbar] over (theta, sigma) by a grid search
 followed by bounded Gauss-Newton refinement on analytic derivatives,
 both in the frame rotated by omega theta, where Sigma is diagonal. The
-grid is evaluated in blocks of theta rows that reuse two small buffers,
-so a call allocates no whole-grid array. It must agree with the simple
+grid is evaluated only on the theta rows that can hold its least cell:
+every cell of row i is at least v_i^2 min(1/b), exactly so under IEEE
+rounding, and rows whose bound exceeds a value already formed are
+skipped, so the grid's best cell is the full grid's, bit for bit. The
+rows are formed in blocks that reuse two small buffers, so a call
+allocates no whole-grid array. It must agree with the simple
 estimators whenever |z| <= sqrt(P); the test suite enforces that
 equivalence, so the two routes are kept strictly independent here.
 """
@@ -196,28 +200,61 @@ def _grid_argmin(
 
     In the frame rotated by omega theta, where Sigma = diag(a, b): cell
     (i, j) is (u_i - w_j)^2 (1/a_j) + v_i^2 (1/b_j), with u + jv =
-    z e^{-j omega theta} and w = sqrt(P) phi(sigma omega). It is formed
-    _ROWS theta rows at a time in two buffers below the allocator's mmap
-    threshold. The first least cell in row-major order wins, and a NaN
-    cell wins, as in np.argmin.
+    z e^{-j omega theta} and w = sqrt(P) phi(sigma omega). The first
+    least cell in row-major order wins, and a NaN cell wins, as in
+    np.argmin.
+
+    Only the rows that can hold that cell are formed. Where every
+    operand is finite and 1/a, 1/b > 0, no cell is NaN, both terms are
+    >= 0 and rounding is monotone, so every cell of row i is >= lb_i =
+    v_i^2 min(1/b). The row of least lb is formed first, by the blocks'
+    own operations, so its least cell is a grid value: rows with lb_i
+    above it hold no least cell and are skipped. Otherwise every row is
+    formed. The rows are formed _ROWS at
+    a time, in ascending order, in two buffers below the allocator's
+    mmap threshold.
     """
-    c, s = np.cos(omega * thetas), np.sin(omega * thetas)
+    phase = omega * thetas
+    c, s = np.cos(phase), np.sin(phase)
     a, b = _phasor_variances(model, sigmas, omega, P, nv)
     u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
     w, ra, rb = math.sqrt(P) * model.char_fn(sigmas, omega), 1.0 / a, 1.0 / b
-    q_buf, t_buf = np.empty((_ROWS, sigmas.size)), np.empty((_ROWS, sigmas.size))
-    least = []  # (flat index, value) of each block's first least cell
-    for top in range(0, thetas.size, _ROWS):
-        q, t = q_buf[: thetas.size - top], t_buf[: thetas.size - top]
-        np.subtract.outer(u[top : top + _ROWS], w, out=q)
-        q *= q
-        q *= ra
-        np.multiply.outer(vsq[top : top + _ROWS], rb, out=t)
-        q += t
-        k = int(np.argmin(q))
-        least.append((top * sigmas.size + k, q.flat[k]))
-    flat, values = zip(*least)
-    return divmod(flat[int(np.argmin(values))], sigmas.size)
+    rb_min = rb.min()
+    if min(ra.min(), rb_min) > 0.0 and np.isfinite(np.concatenate((u, vsq, w, ra, rb))).all():
+        lb = vsq * rb_min
+        k = int(lb.argmin())
+        row = np.empty((2, sigmas.size))
+        best = _form_rows(u[k : k + 1], vsq[k : k + 1], w, ra, rb, row[:1], row[1:]).min()
+        rows = (lb <= best).nonzero()[0]
+        u, vsq = u[rows], vsq[rows]
+    else:
+        rows = np.arange(thetas.size)
+    q_buf = np.empty((min(rows.size, _ROWS), sigmas.size))
+    t_buf = np.empty_like(q_buf)
+    tops = range(0, rows.size, _ROWS)
+    flat, least = [], np.empty(len(tops))  # each block's first least cell: index, value
+    for n, top in enumerate(tops):
+        q = _form_rows(u[top : top + _ROWS], vsq[top : top + _ROWS], w, ra, rb, q_buf, t_buf)
+        k = int(q.argmin())
+        flat.append(top * sigmas.size + k)
+        least[n] = q.flat[k]
+    i, j = divmod(flat[int(least.argmin())], sigmas.size)
+    return int(rows[i]), j
+
+
+def _form_rows(
+    u: np.ndarray, vsq: np.ndarray, w: np.ndarray, ra: np.ndarray, rb: np.ndarray,
+    q_buf: np.ndarray, t_buf: np.ndarray,
+) -> np.ndarray:
+    """The grid cells (u_i - w_j)^2 ra_j + vsq_i rb_j of the given rows,
+    formed in place in the top rows of q_buf, with t_buf as scratch."""
+    q, t = q_buf[: u.size], t_buf[: u.size]
+    np.subtract.outer(u, w, out=q)
+    q *= q
+    q *= ra
+    np.multiply.outer(vsq, rb, out=t)
+    q += t
+    return q
 
 
 def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: NoiseModel):
@@ -283,12 +320,19 @@ def joint_minimum_variance(
     searched.
 
     Raises:
-        ValueError: if |z| < 1e-100 sqrt(P + channel_noise_var), where
-            the objective underflows or its kernels overflow.
-        ConvergenceError: if the refinement does not converge.
+        ValueError: if omega theta_R > 2 pi (to 1e-12 relative), where
+            distinct theta share a phase, or if |z| < 1e-100 sqrt(P +
+            channel_noise_var), where the objective underflows or its
+            kernels overflow.
+        ConvergenceError: if the refinement does not converge, also
+            where the residual or its Jacobian is not finite.
     """
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     theta_R = real_number("theta_R", theta_R)
+    if not real_number("omega", omega) * theta_R <= _TWO_PI * (1.0 + 1e-12):
+        raise ValueError(
+            f"theta_R must satisfy omega theta_R <= 2 pi, got theta_R={theta_R!r} at omega={omega!r}"
+        )
     if sigma_max is not None:
         sigma_max = real_number("sigma_max", sigma_max)
 

@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "ConvergenceError",
     "lambert_w0",
     "find_root_bracketed",
-    "sign_change_brackets",
     "uniform_grid",
     "grid_brackets",
     "minimize_quasiconvex",
@@ -175,35 +174,12 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-def sign_change_brackets(
-    f: Callable[[float], float], lo: float, hi: float, steps: int
-) -> Iterator[tuple[float, float]]:
-    """Brackets of the roots of f seen on a uniform scan of [lo, hi].
-
-    f is evaluated once at each x_i = lo + (hi - lo) * i / steps,
-    i = 0..steps, lazily and in ascending order. A grid point where f is
-    exactly zero yields (x_i, x_i); neighbours x_{i-1}, x_i where f is
-    nonzero with opposite signs yield (x_{i-1}, x_i). Each bracket is a
-    valid input to find_root_bracketed.
-    """
-    x0, v0 = lo, f(lo)
-    if v0 == 0.0:
-        yield lo, lo
-    for i in range(1, steps + 1):
-        x1 = lo + (hi - lo) * i / steps
-        v1 = f(x1)
-        if v1 == 0.0:
-            yield x1, x1
-        elif v0 != 0.0 and (v1 > 0.0) != (v0 > 0.0):
-            yield x0, x1
-        x0, v0 = x1, v1
-
-
 def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """The scan grid of sign_change_brackets as an array: x_i = lo + (hi
-    - lo) * i / steps, i = 0..steps, each element rounded as the scalar
-    expression is (i is exact in float64), and x_0 = lo itself, which
-    keeps the sign of a zero lo."""
+    """A uniform scan grid as an array: x_i = lo + (hi - lo) * i / steps,
+    i = 0..steps, each element rounded as the scalar expression is (i is
+    exact in float64), and x_0 = lo itself, which keeps the sign of a
+    zero lo. It is the grid of the lazy scalar scan that the tests keep
+    as the oracle (sign_change_brackets in tests/test_numkit.py)."""
     with np.errstate(all="ignore"):
         x = lo + (hi - lo) * np.arange(steps + 1) / steps
     x[0] = lo
@@ -211,10 +187,13 @@ def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def grid_brackets(x: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
-    """The brackets that sign_change_brackets yields, in its order, given
-    the values v of f on its grid x (uniform_grid): (x_i, x_i) where v_i
-    is zero, (x_{i-1}, x_i) where nonzero neighbours differ in sign. A
-    NaN value counts as nonpositive, as in the scalar rule."""
+    """The brackets of the roots of f seen on its grid x (uniform_grid),
+    given its values v there, in ascending order: (x_i, x_i) where v_i is
+    zero, (x_{i-1}, x_i) where nonzero neighbours differ in sign. A NaN
+    value counts as nonpositive, as in the lazy scalar scan the tests
+    keep as the oracle (sign_change_brackets in tests/test_numkit.py),
+    which yields the same brackets in the same order. Each is a valid
+    input to find_root_bracketed."""
     zero = v == 0.0
     positive = v > 0.0
     ends = zero.copy()
@@ -309,9 +288,9 @@ def gauss_newton_box(
     last step is taken when it does not ascend. |r|^2 = 0 also ends it.
 
     Returns (x, iterations, converged). converged is False when 50
-    iterations pass, or no step length along the Gauss-Newton direction
-    is accepted, before the tolerance is met; x is then the last
-    accepted iterate.
+    iterations pass, no step length along the Gauss-Newton direction is
+    accepted, or r or J at the iterate is not finite, before the
+    tolerance is met; x is then the last accepted iterate.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -323,6 +302,8 @@ def gauss_newton_box(
     for iteration in range(1, max_iter + 1):
         if f == 0.0:
             return x, iteration - 1, True
+        if not (np.isfinite(r).all() and np.isfinite(J).all()):
+            return x, iteration - 1, False
         g = J.T @ r  # half the gradient of |r|^2
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         step = np.zeros_like(x)
@@ -375,9 +356,10 @@ def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> lis
     here (degree <= 6 tuning equations) have simple roots.
 
     The result equals, bit for bit, that of scanning the scalar Horner
-    polynomial with sign_change_brackets(poly, lo, hi, n): each array
-    step is one IEEE-rounded multiply or add, in the scalar order (the
-    grid as ((hi - lo) * i) / n + lo with i exact in float64, Horner as
+    polynomial with the tests' lazy oracle sign_change_brackets(poly,
+    lo, hi, n) (tests/test_numkit.py): each array step is one
+    IEEE-rounded multiply or add, in the scalar order (the grid as
+    ((hi - lo) * i) / n + lo with i exact in float64, Horner as
     v = v * x + c from v = 0 over the coefficients highest first), so
     every grid value, and with it every bracket and root, is the scalar
     one. x_0 is lo itself, as in the scalar scan, which keeps the sign of

@@ -193,7 +193,8 @@ def _scan_root(equation) -> float | None:
     is bisected on the scalar form. The equations are adds and multiplies
     only, each one IEEE-rounded step in the same order on floats and
     arrays, so the result is, bit for bit, that of scanning the scalar
-    equation lazily with sign_change_brackets on the same grid.
+    equation lazily on the same grid, as the tests' oracle does
+    (sign_change_brackets in tests/test_numkit.py).
     """
     b, e1, e2 = _scan_tables()
     with np.errstate(all="ignore"):

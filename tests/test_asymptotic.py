@@ -9,6 +9,7 @@ agree/disagree status against the generic definition.
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ class TestGenericVsSandwich:
         with pytest.raises(ValueError, match="singular"):
             asv_via_sandwich(GAUSSIAN, 1.0, 1e-170, 1.0, 1.0, 0.0)
 
+    def test_overflowing_determinant_raises(self):
+        """det Sigma overflows to inf here; the numpy-scalar product used to
+        raise an overflow RuntimeWarning instead."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"out of floating-point range .*det = inf"):
+                asv_via_sandwich(
+                    CAUCHY, 183230561.54516667, 1.4448136191454214e-64, 22.03611651852593,
+                    2.0600791112257162e162, 1.4923385312024212e216,
+                )
+
 
 class TestAsvGeneric:
     def test_per_sensor_ignores_channel_noise(self):
@@ -146,6 +158,17 @@ class TestAsvGeneric:
         np.testing.assert_allclose(
             compose_gamma(0.25, 0.125, 1.0, 0.5), 64.0 * (0.25 + 4.0 * 0.125), rtol=1e-15
         )
+
+    def test_underflowing_sigma_squared_raises(self):
+        """sigma^2 underflows to 0 in compose_gamma, which raised a bare
+        ZeroDivisionError."""
+        with pytest.raises(ValueError, match=r"asv_gamma .*sigma=7\.59545573258183e-249"):
+            asv_generic(
+                CAUCHY, 7.59545573258183e-249, 5.737956565607304e-236, 9.352426153029314e203,
+                4.565468525855855e139, theta=1.311161403989803e-115,
+            )
+        with pytest.raises(ValueError, match="asv_gamma"):
+            compose_gamma(1.0, 1.0, 1.0, 1e-200)
 
     def test_deep_tail_returns_inf(self):
         """phi underflow far in the tail reports inf, not an exception."""

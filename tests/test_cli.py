@@ -366,6 +366,16 @@ class TestAsv:
         assert rc == 1 and out == ""
         assert "asv_gamma" in err and "sigma=1e+200" in err
 
+    def test_underflowing_sigma_squared_is_an_error(self, capsys):
+        """sigma^2 below the float range ended in a ZeroDivisionError
+        traceback."""
+        rc, out, err = run(
+            capsys, "asv", "--model", "cauchy", "--sigma", "1e-200", "--omega", "1e-190",
+            "--theta", "1e-150",
+        )
+        assert rc == 1 and out == ""
+        assert "asv_gamma" in err and "sigma=1e-200" in err and "Traceback" not in err
+
     def test_auto_gamma_requires_theta(self, capsys):
         rc, _, err = run(capsys, "asv", "--omega", "auto:gamma")
         assert rc == 1

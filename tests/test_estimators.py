@@ -23,6 +23,7 @@ from cmphase import numkit
 from cmphase.asymptotic import _phasor_variances
 from cmphase.estimators import (
     _GRID,
+    _ROWS,
     DegenerateScaleError,
     ZeroMagnitudeError,
     _grid_argmin,
@@ -447,6 +448,48 @@ class TestJointMinimumVariance:
             else:
                 assert abs(slope) <= 1e-6 * q_hat
 
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            pytest.param(
+                (82.49440708815082 - 1.1765776711848314e120j, 1.7275711782961176e-23,
+                 4.17923788330623e256, 5.423831060547662e-199, GAUSSIAN, 7.513300079782229e-225),
+                ConvergenceError, "did not converge in 0 iterations",
+                id="gaussian-non-finite-residual",
+            ),
+            pytest.param(
+                (-0.0001365409823311565 - 3.1899576639889487e-145j, 8.480256275421983e99,
+                 1.4057702553499298e111, 2.7709037077605715e-14, LAPLACE, 5.437166739500571e173),
+                ValueError, "theta_R must satisfy omega theta_R <= 2 pi",
+                id="laplace-window-past-one-period",
+            ),
+            pytest.param(
+                (5.0383048494236383e30 - 9.106587849605822e-57j, 2.9492367019240787e155,
+                 4.7787842482952236e204, 1.4829994883516026e-96, GAUSSIAN, 5.495740806370145e294),
+                ValueError, "theta_R must satisfy omega theta_R <= 2 pi",
+                id="gaussian-window-product-overflows",
+            ),
+        ],
+    )
+    def test_extreme_points_raise_documented_errors(self, capfd, args, error, message):
+        """These raised LinAlgError after six LAPACK DLASCL lines on stdout,
+        a bare OverflowError from gamma = (theta / sigma)^2, and an
+        overflow RuntimeWarning from the grid."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=message):
+                joint_minimum_variance(*args)
+        assert capfd.readouterr().out == ""
+
+    def test_window_at_one_period_is_accepted(self):
+        """theta_R = 2 pi / omega, one phase period, is the largest window,
+        as in NetworkConfig; a window 1e-9 wider is refused."""
+        omega = 0.9
+        z = mean_signal(2.0, 0.8, omega, 1.0, GAUSSIAN)
+        joint_minimum_variance(z, omega, 1.0, 1.0, GAUSSIAN, TWO_PI / omega)
+        with pytest.raises(ValueError, match="theta_R="):
+            joint_minimum_variance(z, omega, 1.0, 1.0, GAUSSIAN, TWO_PI / omega * (1.0 + 1e-9))
+
     def test_non_convergence_raises(self, monkeypatch):
         """A refinement that stops at its cap is an error, not an estimate."""
         monkeypatch.setattr(numkit, "_GN_MAX_ITER", 1)
@@ -531,6 +574,63 @@ class TestGridArgmin:
             got = _grid_argmin(z, thetas, sigmas, omega, P, nv, model)
         assert got == tuple(int(k) for k in expected)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        nv=st.sampled_from([0.0, 0.3, 1.0]),
+        omega=st.floats(0.1, 2.0),
+        P=st.floats(0.25, 4.0),
+        on_cell=st.booleans(),
+        column=st.integers(0, 199),
+        radius=st.floats(0.0, 1.2),
+        phase=st.floats(0.0, TWO_PI),
+        theta_pool=st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-200, 1e-160, 1e-9]), st.floats(0.0, 10.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        n_theta=st.integers(1, 200),
+        sigma_exp=st.floats(-250.0, 2.0),
+        n_sigma=st.integers(1, 200),
+    )
+    def test_row_bound_keeps_the_full_grid_cell(
+        self, model, nv, omega, P, on_cell, column, radius, phase,
+        theta_pool, n_theta, sigma_exp, n_sigma,
+    ):
+        """The rows skipped by the bound v_i^2 min(1/b) never hold the full
+        grid's first least cell. z on a cell's mean (theta = 0, so v = 0,
+        and z = w_j) makes the least cell exactly 0, and a short theta
+        pool, resized, repeats the row of least bound, so bounds tie at 0
+        and across rows. A tiny sigma at nv = 0 makes 1/a or 1/b
+        infinite, and every row is formed."""
+        thetas = np.resize(np.array(theta_pool), n_theta)
+        sigma_max = 10.0**sigma_exp
+        sigmas = np.linspace(sigma_max / n_sigma, sigma_max, n_sigma)
+        if on_cell:
+            w = math.sqrt(P) * model.char_fn(sigmas, omega)
+            z = complex(w[column % n_sigma], 0.0)
+        else:
+            z = math.sqrt(P) * radius * cmath.exp(1j * phase)
+        with np.errstate(all="ignore"):
+            expected, _ = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model)
+            got = _grid_argmin(z, thetas, sigmas, omega, P, nv, model)
+        assert got == tuple(int(k) for k in expected)
+
+    def test_ties_at_zero_keep_the_first_row(self):
+        """z on the mean of column 37 at theta = 0 (rows 5, 77 and 150), and
+        theta = 1e-200 at row 3, where v^2 underflows to 0 and cos is 1:
+        the bound is 0 on all four rows, each holds a least cell of 0 in
+        column 37, and the first of them, row 3, wins."""
+        omega, P, nv = 0.9, 1.0, 0.5
+        thetas = np.linspace(0.05, 3.0, _GRID)
+        thetas[[5, 77, 150]] = 0.0
+        thetas[3] = 1e-200
+        sigmas = np.linspace(0.01, 2.0, _GRID)
+        z = complex((math.sqrt(P) * GAUSSIAN.char_fn(sigmas, omega))[37], 0.0)
+        (i, j), q = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN)
+        assert (i, j) == (3, 37) and np.count_nonzero(q == 0.0) == 4
+        assert _grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN) == (3, 37)
+
     @pytest.mark.parametrize(
         "nan_rows",
         [
@@ -572,6 +672,21 @@ class TestGridArgmin:
         (i, j), _ = _full_grid_argmin(z, thetas, sigmas, omega, P, 1.0, LAPLACE)
         assert i == 189
         assert _grid_argmin(z, thetas, sigmas, omega, P, 1.0, LAPLACE) == (i, j)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_peak_memory_below_one_row_block(self, model):
+        """On a clean point the row bound leaves one or two rows to form, so
+        a warm call peaks below one _ROWS-row block (64 KB), where forming
+        every row peaked at about 280 KB."""
+        z, omega = mean_signal(1.3, 0.8, 0.8, 1.0, model), 0.8
+        joint_minimum_variance(z, omega, 1.0, 1.0, model, math.pi / omega)
+        tracemalloc.start()
+        try:
+            joint_minimum_variance(z, omega, 1.0, 1.0, model, math.pi / omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _ROWS * _GRID * 8, peak
 
     def test_peak_memory_below_one_grid(self):
         """A warm call allocates less than one 200 x 200 float64 grid; the

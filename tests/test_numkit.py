@@ -25,7 +25,6 @@ from cmphase.numkit import (
     minimize_quasiconvex,
     real_number,
     real_roots_in_interval,
-    sign_change_brackets,
     uniforms_from_states,
 )
 from cmphase.tuning import _laplace_gamma_quintic, _laplace_sigma_quintic
@@ -39,6 +38,29 @@ W_AT_ME2 = -0.15859433956303936  # W0(-e^-2)
 # tuning quintics' beta range.
 _LAPLACE_BETA = (1e-9, 50.0)
 _INTERVALS = ((0.0, 1.0), (-5.0, 5.0), (-0.0, 3.0), _LAPLACE_BETA)
+
+
+def sign_change_brackets(f, lo, hi, steps):
+    """Brackets of the roots of f seen on a uniform scan of [lo, hi]: the
+    lazy scalar oracle of numkit.uniform_grid and numkit.grid_brackets.
+
+    f is evaluated once at each x_i = lo + (hi - lo) * i / steps,
+    i = 0..steps, lazily and in ascending order. A grid point where f is
+    exactly zero yields (x_i, x_i); neighbours x_{i-1}, x_i where f is
+    nonzero with opposite signs yield (x_{i-1}, x_i). Each bracket is a
+    valid input to find_root_bracketed.
+    """
+    x0, v0 = lo, f(lo)
+    if v0 == 0.0:
+        yield lo, lo
+    for i in range(1, steps + 1):
+        x1 = lo + (hi - lo) * i / steps
+        v1 = f(x1)
+        if v1 == 0.0:
+            yield x1, x1
+        elif v0 != 0.0 and (v1 > 0.0) != (v0 > 0.0):
+            yield x0, x1
+        x0, v0 = x1, v1
 
 
 def _scalar_scan_roots(coeffs, lo, hi):
@@ -219,6 +241,22 @@ class TestGaussNewtonBox:
         )
         assert not converged and iterations == 2
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("bad", ["residual", "jacobian"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_stops_where_the_residual_is_not_finite(self, capfd, bad, value):
+        """A non-finite r or J used to reach lstsq, which raised LinAlgError
+        after LAPACK printed DLASCL complaints to stdout."""
+
+        def broken(x):
+            r, jac = _rosenbrock(x)
+            (r if bad == "residual" else jac)[0] = value
+            return r, jac
+
+        x, iterations, converged = gauss_newton_box(broken, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0))
+        assert not converged and iterations == 0
+        assert x.tolist() == [-1.2, 1.0]
+        assert capfd.readouterr().out == ""
 
 
 class TestFindRootBracketed:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cmphase import tuning
 from cmphase.network import PowerMode
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, NoiseModel
-from cmphase.numkit import ConvergenceError, find_root_bracketed, sign_change_brackets
+from cmphase.numkit import ConvergenceError, find_root_bracketed
 from cmphase.tuning import (
     OMEGA_TARGETS,
     AnalyticOmega,
@@ -29,6 +29,7 @@ from cmphase.tuning import (
     resolve_omega,
     rule_omega,
 )
+from test_numkit import sign_change_brackets
 
 TOTAL = PowerMode.TOTAL
 PER_SENSOR = PowerMode.PER_SENSOR
