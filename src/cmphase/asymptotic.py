@@ -21,22 +21,22 @@ gamma = theta^2 / sigma^2 composes by the delta method:
     asv_gamma = (4 gamma / sigma^2) (asv_theta + gamma * asv_sigma).
 
 These characteristic-function formulas are the authoritative definition
-throughout the package. The distribution-specific closed forms kept in
-asv_closed_form are regression anchors only; a few of them are known to
-be inconsistent with the definition above, which the `verified` flag
-reports (and tests pin).
+throughout the package. The distribution-specific closed forms that
+asv_closed_form looks up, one per (family, power mode, which), are
+regression anchors only. A few of them are known to be inconsistent with
+the definition above; each form's `verified` flag, frozen beside it,
+says so, and the tests recompute every flag from asv_generic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .network import PowerMode, effective_noise_var
-from .noise import NoiseModel, noise_model
+from .noise import NoiseModel
 from .numkit import real_number
 
 __all__ = [
@@ -51,7 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AsvReport:
-    """Asymptotic variances at one operating point."""
+    """Asymptotic variances at one operating point. A component reads inf
+    where it is not estimable there: phi (asv_theta) or its
+    sigma-derivative (asv_sigma) underflows, or the variance is past the
+    float range; asv_gamma is inf where either component is."""
 
     omega: float
     asv_theta: float
@@ -167,15 +170,21 @@ def _asv_sigma(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
 
 
 def compose_gamma(asv_theta, asv_sigma, theta, sigma):
-    """Delta-method asymptotic variance of gamma = theta^2 / sigma^2;
-    ValueError where gamma overflows or sigma^2 underflows."""
+    """Delta-method asymptotic variance of gamma = theta^2 / sigma^2; inf
+    where a component is inf or the result is past the float range.
+    ValueError where gamma overflows, sigma^2 underflows or the product
+    is 0 * inf (gamma underflows to 0 against an inf component, or the
+    prefactor overflows against a 0 sum)."""
     try:
         gamma = (theta / sigma) ** 2
-        return (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
+        asv_gamma = (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
-        ) from None
+        gamma = asv_gamma = math.nan
+    if gamma < math.inf and asv_gamma == asv_gamma:  # both false for NaN
+        return asv_gamma
+    raise ValueError(
+        f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
+    )
 
 
 def asv_generic(
@@ -191,6 +200,8 @@ def asv_generic(
 
     Per-sensor mode evaluates the same expressions with the channel noise
     zeroed. asv_gamma requires theta and is None when theta is omitted.
+    A component is inf where it is not estimable here (see AsvReport),
+    never NaN; ValueError where compose_gamma cannot form asv_gamma.
     """
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
@@ -237,108 +248,84 @@ def asv_via_sandwich(
 
 # ---------------------------------------------------------------------------
 # Distribution-specific closed forms (regression anchors).
+#
+# _CLOSED_FORMS maps (family, power mode, which) to (verified, form). A
+# form takes (w, s, u, a, P, nv, r, g): omega, sigma, the Gaussian/Laplace
+# variable u = (omega sigma)^2, the Cauchy variable a = omega sigma, the
+# power, the effective channel noise variance, r = nv / P and the SNR
+# gamma. verified is True where the form matches asv_generic to 1e-9
+# relative on a fixed grid of operating points. The flags are frozen
+# data: the tests recompute them from asv_generic and compose_gamma.
 
-def _closed_form_value(
-    kind: str,
-    which: str,
-    sigma: float,
-    omega: float,
-    P: float,
-    nv: float,
-    mode: PowerMode,
-    gamma: float | None,
-) -> float:
-    w, s = omega, sigma
-    u = w * w * s * s  # Gaussian/Laplace natural variable
-    a = w * s          # Cauchy natural variable
-    r = nv / P
-    g = gamma
-    if mode is PowerMode.TOTAL:
-        if kind == "gaussian":
-            if which == "theta":
-                return (P + nv - P * math.exp(-2 * u)) / (2 * P * w**2 * math.exp(-u))
-            if which == "sigma":
-                return (P + nv - 2 * P * math.exp(-u) + P * math.exp(-2 * u)) / (
-                    2 * P * w**4 * s**2 * math.exp(-u)
-                )
-            return (
-                2 * g * (
-                    w**2 * (P + nv - 2 * P * math.exp(-2 * u))
-                    + g * (P + nv - 2 * P * math.exp(-u) + P * math.exp(-2 * u))
-                )
-                / (P * w**4 * s**4 * math.exp(-u))
-            )
-        if kind == "laplace":
-            if which == "theta":
-                return (2 + u) ** 2 * ((r + 1) * (1 + 2 * u) - 1) / (8 * w**2 * (1 + 2 * u))
-            if which == "sigma":
-                return (2 + u) ** 2 * (r * (2 + u) ** 2 + u * (6 + u)) / (32 * w**4 * s**2)
-            return (
-                g * (2 + u) ** 2
-                * (
-                    4 * u * (2 * P * u + nv * (1 + 2 * u))
-                    + g * (1 + 2 * u) * (P * u * (6 + u) + nv * (2 + u) ** 2)
-                )
-                / (8 * P * w**4 * s**4 * (1 + 2 * u))
-            )
-        # cauchy
-        if which in ("theta", "sigma"):
-            return (P + nv - P * math.exp(-2 * a)) / (2 * P * w**2 * math.exp(-2 * a))
-        return (
-            2 * g * (g + 1) * (P + nv - P * math.exp(-2 * a))
-            / (P * w**2 * s**2 * math.exp(-2 * a))
+def _cauchy_total_theta_sigma(w, s, u, a, P, nv, r, g):
+    return (P + nv - P * math.exp(-2 * a)) / (2 * P * w**2 * math.exp(-2 * a))
+
+
+def _cauchy_per_sensor_theta_sigma(w, s, u, a, P, nv, r, g):
+    # The inner exponent sign is normalized so the value is a variance.
+    return (1 - math.exp(-2 * a)) / (2 * w**2 * math.exp(-2 * a))
+
+
+_TOTAL, _PER_SENSOR = PowerMode.TOTAL, PowerMode.PER_SENSOR
+_CLOSED_FORMS = {
+    ("gaussian", _TOTAL, "theta"): (True, lambda w, s, u, a, P, nv, r, g: (
+        (P + nv - P * math.exp(-2 * u)) / (2 * P * w**2 * math.exp(-u))
+    )),
+    ("gaussian", _TOTAL, "sigma"): (True, lambda w, s, u, a, P, nv, r, g: (
+        (P + nv - 2 * P * math.exp(-u) + P * math.exp(-2 * u))
+        / (2 * P * w**4 * s**2 * math.exp(-u))
+    )),
+    ("gaussian", _TOTAL, "gamma"): (False, lambda w, s, u, a, P, nv, r, g: (
+        2 * g * (
+            w**2 * (P + nv - 2 * P * math.exp(-2 * u))
+            + g * (P + nv - 2 * P * math.exp(-u) + P * math.exp(-2 * u))
         )
-    # per-sensor
-    if kind == "gaussian":
-        if which == "theta":
-            return (1 - math.exp(-2 * u)) / (2 * w**2 * math.exp(-u))
-        if which == "sigma":
-            return (1 - math.exp(-u)) ** 2 / (2 * w**4 * s**2 * math.exp(-u))
-        return (
-            g * (1 - 2 * math.exp(-u) + math.exp(-2 * u)) + u * (1 - math.exp(-2 * u))
-        ) / (2 * w**4 * s**2 * math.exp(-u))
-    if kind == "laplace":
-        if which == "theta":
-            return s**2 * (2 + u) ** 2 / (4 * (1 + 2 * u))
-        if which == "sigma":
-            return s**2 * (2 + u) ** 2 * (5 + u) / (16 * (1 + 2 * u))
-        return (
-            g * (2 + u) ** 2 * (8 * u + g * (1 + 2 * u) * (6 + u))
-            / (8 * u * (1 + 2 * u))
+        / (P * w**4 * s**4 * math.exp(-u))
+    )),
+    ("laplace", _TOTAL, "theta"): (True, lambda w, s, u, a, P, nv, r, g: (
+        (2 + u) ** 2 * ((r + 1) * (1 + 2 * u) - 1) / (8 * w**2 * (1 + 2 * u))
+    )),
+    ("laplace", _TOTAL, "sigma"): (False, lambda w, s, u, a, P, nv, r, g: (
+        (2 + u) ** 2 * (r * (2 + u) ** 2 + u * (6 + u)) / (32 * w**4 * s**2)
+    )),
+    ("laplace", _TOTAL, "gamma"): (False, lambda w, s, u, a, P, nv, r, g: (
+        g * (2 + u) ** 2
+        * (
+            4 * u * (2 * P * u + nv * (1 + 2 * u))
+            + g * (1 + 2 * u) * (P * u * (6 + u) + nv * (2 + u) ** 2)
         )
-    # cauchy; the inner exponent sign is normalized so the value is a variance
-    if which in ("theta", "sigma"):
-        return (1 - math.exp(-2 * a)) / (2 * w**2 * math.exp(-2 * a))
-    return 2 * g * (g + 1) * (1 - math.exp(-2 * a)) / (w**2 * s**2 * math.exp(-2 * a))
-
-
-@lru_cache(maxsize=None)
-def _closed_form_agrees(kind: str, which: str, mode_token: str) -> bool:
-    """True when the closed form matches asv_generic to 1e-9 relative on a
-    fixed grid of operating points (sigma, omega, noise ratio, gamma)."""
-    mode = PowerMode(mode_token)
-    model = noise_model(kind)
-    ratios = (0.0, 0.5, 1.0) if mode is PowerMode.TOTAL else (0.0,)
-    for sigma in (0.5, 1.0, 2.0):
-        for omega in np.linspace(0.1, 2.0, 20):
-            for r in ratios:
-                nv = r  # with P = 1
-                asv_t, asv_s = _asv_components(model, sigma, float(omega), 1.0, nv)
-                for gamma in (0.5, 1.0, 2.0):
-                    theta = math.sqrt(gamma) * sigma
-                    expected = {
-                        "theta": asv_t,
-                        "sigma": asv_s,
-                        "gamma": compose_gamma(asv_t, asv_s, theta, sigma),
-                    }[which]
-                    got = _closed_form_value(
-                        kind, which, sigma, float(omega), 1.0, nv, mode, gamma
-                    )
-                    if not math.isclose(got, expected, rel_tol=1e-9, abs_tol=0.0):
-                        return False
-                    if which != "gamma":
-                        break  # gamma-independent, one pass suffices
-    return True
+        / (8 * P * w**4 * s**4 * (1 + 2 * u))
+    )),
+    ("cauchy", _TOTAL, "theta"): (True, _cauchy_total_theta_sigma),
+    ("cauchy", _TOTAL, "sigma"): (True, _cauchy_total_theta_sigma),
+    ("cauchy", _TOTAL, "gamma"): (True, lambda w, s, u, a, P, nv, r, g: (
+        2 * g * (g + 1) * (P + nv - P * math.exp(-2 * a))
+        / (P * w**2 * s**2 * math.exp(-2 * a))
+    )),
+    ("gaussian", _PER_SENSOR, "theta"): (True, lambda w, s, u, a, P, nv, r, g: (
+        (1 - math.exp(-2 * u)) / (2 * w**2 * math.exp(-u))
+    )),
+    ("gaussian", _PER_SENSOR, "sigma"): (True, lambda w, s, u, a, P, nv, r, g: (
+        (1 - math.exp(-u)) ** 2 / (2 * w**4 * s**2 * math.exp(-u))
+    )),
+    ("gaussian", _PER_SENSOR, "gamma"): (False, lambda w, s, u, a, P, nv, r, g: (
+        g * (1 - 2 * math.exp(-u) + math.exp(-2 * u)) + u * (1 - math.exp(-2 * u))
+    ) / (2 * w**4 * s**2 * math.exp(-u))),
+    ("laplace", _PER_SENSOR, "theta"): (True, lambda w, s, u, a, P, nv, r, g: (
+        s**2 * (2 + u) ** 2 / (4 * (1 + 2 * u))
+    )),
+    ("laplace", _PER_SENSOR, "sigma"): (True, lambda w, s, u, a, P, nv, r, g: (
+        s**2 * (2 + u) ** 2 * (5 + u) / (16 * (1 + 2 * u))
+    )),
+    ("laplace", _PER_SENSOR, "gamma"): (False, lambda w, s, u, a, P, nv, r, g: (
+        g * (2 + u) ** 2 * (8 * u + g * (1 + 2 * u) * (6 + u)) / (8 * u * (1 + 2 * u))
+    )),
+    ("cauchy", _PER_SENSOR, "theta"): (True, _cauchy_per_sensor_theta_sigma),
+    ("cauchy", _PER_SENSOR, "sigma"): (True, _cauchy_per_sensor_theta_sigma),
+    ("cauchy", _PER_SENSOR, "gamma"): (True, lambda w, s, u, a, P, nv, r, g: (
+        2 * g * (g + 1) * (1 - math.exp(-2 * a)) / (w**2 * s**2 * math.exp(-2 * a))
+    )),
+}
 
 
 def asv_closed_form(
@@ -358,18 +345,25 @@ def asv_closed_form(
     (the generic route is authoritative; these stay only as anchors).
     which is "theta" | "sigma" | "gamma"; gamma is required for "gamma".
     ValueError where the closed form leaves the float range (deep in the
-    tail, where asv_generic gives inf, or at very large omega).
+    tail, where asv_generic gives inf, or at very large omega), and where
+    the table holds no form for the family, mode and which.
     """
-    if which not in ("theta", "sigma", "gamma"):
-        raise ValueError(f"which must be theta|sigma|gamma, got {which!r}")
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
+    try:
+        verified, form = _CLOSED_FORMS[model.kind, mode, which]
+    except (KeyError, TypeError):  # TypeError: an unhashable which
+        raise ValueError(
+            f"no closed form for the {model.kind!r} family in {mode.value} mode with "
+            f"which={which!r}"
+        ) from None
     nv = effective_noise_var(mode, channel_noise_var)
     if which == "gamma":
         gamma = real_number("gamma", gamma)
+    u = omega * omega * sigma * sigma
     try:
-        value = float(_closed_form_value(model.kind, which, sigma, omega, P, nv, mode, gamma))
+        value = float(form(omega, sigma, u, omega * sigma, P, nv, nv / P, gamma))
     except (OverflowError, ZeroDivisionError):  # a power overflows or an exp underflows
         value = math.inf
     if not math.isfinite(value):
@@ -377,5 +371,4 @@ def asv_closed_form(
             f"the {model.kind} {which} closed form overflows at sigma={sigma!r}, "
             f"omega={omega!r}, P={P!r}, channel_noise_var={channel_noise_var!r}"
         )
-    return value, _closed_form_agrees(model.kind, which, mode.value)
-
+    return value, verified

@@ -197,6 +197,12 @@ def _cmd_asv(args) -> int:
         channel_noise_var=args.channel_noise_var,
         theta=args.theta, power_mode=mode,
     )
+    for name in ("asv_theta", "asv_sigma", "asv_gamma"):
+        value = getattr(report, name)
+        if value == math.inf:  # not estimable here; JSON has no inf
+            raise ValueError(
+                f"{name} is inf (not estimable) at sigma={args.sigma!r}, omega={omega!r}"
+            )
     payload = {"asv": report.to_json_dict()}
     if args.closed_forms:
         forms = {}

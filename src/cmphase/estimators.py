@@ -142,10 +142,20 @@ def _scale(z: complex, omega: float, P: float, model: NoiseModel) -> tuple[float
 
 
 def estimate_snr(theta_hat: float, sigma_hat: float) -> float:
-    """gamma_hat = theta_hat^2 / sigma_hat^2."""
+    """gamma_hat = theta_hat^2 / sigma_hat^2; ValueError where it
+    overflows from a finite theta_hat (an inf theta_hat is the caller's
+    to report)."""
     if sigma_hat <= 0.0:
         raise DegenerateScaleError("sigma_hat = 0: SNR estimate undefined")
-    return (theta_hat / sigma_hat) ** 2
+    try:
+        gamma_hat = (theta_hat / sigma_hat) ** 2
+    except OverflowError:
+        gamma_hat = math.inf
+    if gamma_hat == math.inf and math.isfinite(theta_hat):
+        raise ValueError(
+            f"the SNR estimate overflows at theta_hat={theta_hat!r}, sigma_hat={sigma_hat!r}"
+        )
+    return gamma_hat
 
 
 def simple_estimates(
@@ -323,7 +333,8 @@ def joint_minimum_variance(
         ValueError: if omega theta_R > 2 pi (to 1e-12 relative), where
             distinct theta share a phase, or if |z| < 1e-100 sqrt(P +
             channel_noise_var), where the objective underflows or its
-            kernels overflow.
+            kernels overflow, or where gamma_hat overflows (a small
+            sigma_max).
         ConvergenceError: if the refinement does not converge, also
             where the residual or its Jacobian is not finite.
     """
@@ -373,4 +384,4 @@ def joint_minimum_variance(
         th += theta_R
     elif th > theta_R:
         th -= theta_R
-    return EstimateSet(th, sg, (th / sg) ** 2, False)
+    return EstimateSet(th, sg, estimate_snr(th, sg), False)

@@ -2,9 +2,10 @@
 
 The numeric route (optimal_omega) golden-sections the authoritative
 characteristic-function asymptotic variance and is what the rest of the
-package trusts. The companion closed-form tuning equations collected in
-analytic_omega (Lambert-W expressions, transcendental equations in
-beta = omega^2 sigma^2, a Cardano closed form and two quintics) are kept
+package trusts. The companion closed-form tuning equations that
+analytic_omega looks up, one per (family, power mode, target)
+(Lambert-W expressions, transcendental equations in beta =
+omega^2 sigma^2, a Cardano closed form and two quintics), are kept
 as cross-checks: each analytic result carries an agrees_with_numeric
 verdict at 1e-4 relative, and several of the bundled equations are known
 not to match the numeric minimizer (wrong stationarity displays or a
@@ -235,23 +236,6 @@ def _gaussian_gamma_equation(r: float, gamma: float):
     return f
 
 
-def _laplace_theta_beta(r: float) -> float:
-    """Cardano closed form for the Laplace location target (beta value);
-    inf where r^3 is past the float range."""
-    try:
-        c3 = (
-            125.0 * r**3
-            + 258.0 * r**2
-            + 141.0 * r
-            + 3.0 * math.sqrt(3.0) * math.sqrt(r * (r + 1.0) ** 3 * (375.0 * r + 32.0))
-            + 8.0
-        )
-    except OverflowError:
-        return math.inf
-    c = c3 ** (1.0 / 3.0)
-    return (c / (r + 1.0) + (25.0 * r + 4.0) / c + 2.0) / 12.0
-
-
 def _laplace_sigma_quintic(r: float) -> list[float]:
     # Ascending coefficients in beta.
     return [
@@ -275,17 +259,118 @@ def _laplace_gamma_quintic(r: float, g: float) -> list[float]:
     ]
 
 
-def _best_beta_root(roots: list[float], curve, sigma: float) -> float | None:
-    """Among candidate beta roots, the one whose omega minimizes the curve."""
-    best, best_val = None, math.inf
+# The tuning equations, keyed by (family, power mode, target). Each takes
+# (sigma, P, nv, r, g, curve): nv is the effective channel noise
+# variance, r = nv / P, g the SNR gamma and curve the target's
+# authoritative asymptotic-variance curve in omega. It returns
+# AnalyticOmega's (value, note, details).
+
+def _cauchy_omega(sigma, P, nv, r, g, curve):
+    arg = -2.0 * P / (math.e**2 * (P + nv))
+    value = (2.0 + lambert_w0(arg)) / (2.0 * sigma)
+    return value, "single Lambert-W minimizer shared by all three targets", {}
+
+
+def _beta_omega(beta, sigma, note, details):
+    """omega = sqrt(beta) / sigma for a scanned root beta, or no value
+    where the scan found none."""
+    if beta is None:
+        return None, note or "no root in range: infimum at the lower omega boundary", details
+    details["beta"] = beta
+    return math.sqrt(beta) / sigma, note, details
+
+
+def _gaussian_theta_omega(sigma, P, nv, r, g, curve):
+    return _beta_omega(_scan_root(_gaussian_theta_equation(r)), sigma, "", {})
+
+
+def _gaussian_sigma_omega(sigma, P, nv, r, g, curve):
+    beta = _scan_root(_gaussian_sigma_equation(r))
+    fixed = _scan_root(_gaussian_sigma_equation_fixed(r))
+    if fixed is None:
+        return _beta_omega(beta, sigma, "", {})
+    note = (
+        "the bundled scale display's root is not the curve minimizer; "
+        "details carry the direct stationarity root"
+    )
+    details = {
+        "stationarity_root_beta": fixed,
+        "stationarity_root_omega": math.sqrt(fixed) / sigma,
+    }
+    return _beta_omega(beta, sigma, note, details)
+
+
+def _gaussian_gamma_omega(sigma, P, nv, r, g, curve):
+    return _beta_omega(_scan_root(_gaussian_gamma_equation(r, g)), sigma, "", {})
+
+
+def _laplace_theta_omega(sigma, P, nv, r, g, curve):
+    """Cardano closed form for the Laplace location target; value inf
+    where r^3 is past the float range."""
+    try:
+        c3 = (
+            125.0 * r**3
+            + 258.0 * r**2
+            + 141.0 * r
+            + 3.0 * math.sqrt(3.0) * math.sqrt(r * (r + 1.0) ** 3 * (375.0 * r + 32.0))
+            + 8.0
+        )
+    except OverflowError:
+        return math.inf, "", {}
+    c = c3 ** (1.0 / 3.0)
+    beta = (c / (r + 1.0) + (25.0 * r + 4.0) / c + 2.0) / 12.0
+    note = "Cardano closed form under the stated omega = sqrt(beta)/sigma mapping"
+    return math.sqrt(beta) / sigma, note, {"beta": beta}
+
+
+def _laplace_quintic_omega(coeffs, sigma, curve):
+    """Among the quintic's roots in beta, the one whose omega minimizes
+    the curve; no value where none is positive."""
+    roots = real_roots_in_interval(coeffs, _BETA_LO, _BETA_HI)
+    value, best = None, math.inf
     for b in roots:
         if b <= 0.0:
             continue
         w = math.sqrt(b) / sigma
         val = curve(w)
-        if val < best_val:
-            best, best_val = w, val
-    return best
+        if val < best:
+            value, best = w, val
+    note = "quintic has no positive root in range" if value is None else ""
+    return value, note, {"beta_roots": roots}
+
+
+def _laplace_per_sensor_gamma_omega(sigma, P, nv, r, g, curve):
+    inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
+    return math.sqrt(-13.0 * g - 16.0 + inner) / (4.0 * sigma * math.sqrt(g)), "", {}
+
+
+_TOTAL, _PER_SENSOR = PowerMode.TOTAL, PowerMode.PER_SENSOR
+_EQUATIONS = {
+    ("gaussian", _TOTAL, "theta"): _gaussian_theta_omega,
+    ("gaussian", _TOTAL, "sigma"): _gaussian_sigma_omega,
+    ("gaussian", _TOTAL, "gamma"): _gaussian_gamma_omega,
+    ("laplace", _TOTAL, "theta"): _laplace_theta_omega,
+    ("laplace", _TOTAL, "sigma"): lambda sigma, P, nv, r, g, curve: _laplace_quintic_omega(
+        _laplace_sigma_quintic(r), sigma, curve
+    ),
+    ("laplace", _TOTAL, "gamma"): lambda sigma, P, nv, r, g, curve: _laplace_quintic_omega(
+        _laplace_gamma_quintic(r, g), sigma, curve
+    ),
+    ("cauchy", _TOTAL, "theta"): _cauchy_omega,
+    ("cauchy", _TOTAL, "sigma"): _cauchy_omega,
+    ("cauchy", _TOTAL, "gamma"): _cauchy_omega,
+    ("gaussian", _PER_SENSOR, "theta"): _gaussian_theta_omega,
+    ("gaussian", _PER_SENSOR, "sigma"): _gaussian_sigma_omega,
+    ("gaussian", _PER_SENSOR, "gamma"): _gaussian_gamma_omega,
+    ("laplace", _PER_SENSOR, "theta"): lambda sigma, P, nv, r, g, curve: (1.0 / sigma, "", {}),
+    ("laplace", _PER_SENSOR, "sigma"): lambda sigma, P, nv, r, g, curve: (
+        math.sqrt((3.0 * math.sqrt(33.0) - 13.0) / 8.0) / sigma, "", {}
+    ),
+    ("laplace", _PER_SENSOR, "gamma"): _laplace_per_sensor_gamma_omega,
+    ("cauchy", _PER_SENSOR, "theta"): _cauchy_omega,
+    ("cauchy", _PER_SENSOR, "sigma"): _cauchy_omega,
+    ("cauchy", _PER_SENSOR, "gamma"): _cauchy_omega,
+}
 
 
 def analytic_omega(
@@ -306,7 +391,8 @@ def analytic_omega(
     numeric_flag; agrees_with_numeric reports the comparison at 1e-4
     relative; a missing root (value None) agrees only when the numeric
     search also lands on the lower boundary. ValueError where the closed
-    form leaves the float range.
+    form leaves the float range, and where the table holds no equation
+    for the family.
     """
     sigma, P = real_number("sigma", sigma), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
@@ -315,61 +401,13 @@ def analytic_omega(
     r = nv / P
     curve = _target_curve(model, sigma, P, nv, target, gamma)  # checks target and gamma
 
-    value: float | None = None
-    note = ""
-    details: dict = {}
-
-    if model.kind == "cauchy":
-        arg = -2.0 * P / (math.e**2 * (P + nv))
-        value = (2.0 + lambert_w0(arg)) / (2.0 * sigma)
-        note = "single Lambert-W minimizer shared by all three targets"
-    elif model.kind == "gaussian":
-        if target == "theta":
-            beta = _scan_root(_gaussian_theta_equation(r))
-        elif target == "sigma":
-            beta = _scan_root(_gaussian_sigma_equation(r))
-            fixed = _scan_root(_gaussian_sigma_equation_fixed(r))
-            if fixed is not None:
-                details["stationarity_root_beta"] = fixed
-                details["stationarity_root_omega"] = math.sqrt(fixed) / sigma
-                note = (
-                    "the bundled scale display's root is not the curve minimizer; "
-                    "details carry the direct stationarity root"
-                )
-        else:
-            beta = _scan_root(_gaussian_gamma_equation(r, gamma))
-        if beta is None:
-            note = note or "no root in range: infimum at the lower omega boundary"
-        else:
-            value = math.sqrt(beta) / sigma
-            details["beta"] = beta
-    else:  # laplace
-        if mode is PowerMode.TOTAL:
-            if target == "theta":
-                beta = _laplace_theta_beta(r)
-                value = math.sqrt(beta) / sigma
-                details["beta"] = beta
-                note = "Cardano closed form under the stated omega = sqrt(beta)/sigma mapping"
-            else:
-                coeffs = (
-                    _laplace_sigma_quintic(r)
-                    if target == "sigma"
-                    else _laplace_gamma_quintic(r, gamma)
-                )
-                roots = real_roots_in_interval(coeffs, _BETA_LO, _BETA_HI)
-                details["beta_roots"] = roots
-                value = _best_beta_root(roots, curve, sigma)
-                if value is None:
-                    note = "quintic has no positive root in range"
-        else:
-            if target == "theta":
-                value = 1.0 / sigma
-            elif target == "sigma":
-                value = math.sqrt((3.0 * math.sqrt(33.0) - 13.0) / 8.0) / sigma
-            else:
-                g = gamma
-                inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
-                value = math.sqrt(-13.0 * g - 16.0 + inner) / (4.0 * sigma * math.sqrt(g))
+    try:
+        equation = _EQUATIONS[model.kind, mode, target]
+    except KeyError:
+        raise ValueError(
+            f"no tuning equation for the {model.kind!r} family in {mode.value} mode"
+        ) from None
+    value, note, details = equation(sigma, P, nv, r, gamma, curve)
 
     if value is not None and not math.isfinite(value):
         raise ValueError(

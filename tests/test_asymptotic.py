@@ -7,12 +7,16 @@ agree/disagree status against the generic definition.
 """
 
 import cmath
+import hashlib
+import itertools
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmphase.asymptotic import (
     AsvReport,
@@ -27,7 +31,8 @@ from cmphase.asymptotic import (
     jacobian,
 )
 from cmphase.network import PowerMode
-from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, noise_model
+from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
+from cmphase.tuning import OMEGA_TARGETS
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 
@@ -175,6 +180,26 @@ class TestAsvGeneric:
         rep = asv_generic(GAUSSIAN, 8.0, 6.0, 1.0, 0.0)
         assert math.isinf(rep.asv_theta) and math.isinf(rep.asv_sigma)
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        mode=st.sampled_from(list(PowerMode)),
+        exponents=st.tuples(*[st.floats(-300.0, 300.0)] * 5),
+    )
+    def test_finite_inf_or_value_error(self, model, mode, exponents):
+        """Over log-uniform 1e-300..1e300 operating points every component
+        is finite or inf (not estimable here), or asv_generic raises
+        ValueError; never NaN, and no RuntimeWarning."""
+        sigma, omega, P, nv, theta = (10.0**e for e in exponents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rep = asv_generic(model, sigma, omega, P, nv, theta=theta, power_mode=mode)
+            except ValueError:
+                return
+        for value in (rep.asv_theta, rep.asv_sigma, rep.asv_gamma):
+            assert value >= 0.0, (sigma, omega, P, nv, theta, rep)  # also fails for NaN
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_omega_past_the_square_range(self, model):
         """omega^2 leaves the float range above ~1.34e154 (asv_generic
@@ -257,6 +282,7 @@ CLOSED_FORM_AGREES = {
     ("cauchy", "sigma", PowerMode.PER_SENSOR): True,
     ("cauchy", "gamma", PowerMode.PER_SENSOR): True,
 }
+CLOSED_FORM_DIGEST = "6f706ba7afe8768e3440510dccfc288ddce44faa25ae753ef5c997ab81959871"
 
 
 class TestClosedForms:
@@ -266,10 +292,26 @@ class TestClosedForms:
         ids=lambda v: v.value if isinstance(v, PowerMode) else str(v),
     )
     def test_verified_flags_frozen(self, kind, which, mode):
-        _, verified = asv_closed_form(
-            noise_model(kind), 1.0, 0.8, 1.0, 0.5, which, mode, gamma=1.0
-        )
-        assert verified is CLOSED_FORM_AGREES[(kind, which, mode)]
+        """Each verified flag, frozen in src, is what the oracle finds: the
+        form matches asv_generic (through compose_gamma for gamma) to 1e-9
+        relative at every point of a 3 sigma x 20 omega x noise ratio x 3
+        gamma grid at P = 1. CLOSED_FORM_AGREES keeps a second copy."""
+        model = noise_model(kind)
+        ratios = GRID_RATIOS if mode is PowerMode.TOTAL else (0.0,)
+        gammas = (0.5, 1.0, 2.0) if which == "gamma" else (1.0,)  # theta, sigma ignore gamma
+        agrees, flags = True, set()
+        for sigma, omega, nv, gamma in itertools.product(
+            GRID_SIGMAS, GRID_OMEGAS.tolist(), ratios, gammas
+        ):
+            value, verified = asv_closed_form(model, sigma, omega, 1.0, nv, which, mode, gamma=gamma)
+            rep = asv_generic(
+                model, sigma, omega, 1.0, nv, theta=math.sqrt(gamma) * sigma, power_mode=mode
+            )
+            expected = getattr(rep, f"asv_{which}")
+            agrees = agrees and math.isclose(value, expected, rel_tol=1e-9, abs_tol=0.0)
+            flags.add(verified)
+        assert flags == {agrees}
+        assert agrees is CLOSED_FORM_AGREES[(kind, which, mode)]
 
     @pytest.mark.parametrize(
         "kind,which,mode",
@@ -331,6 +373,30 @@ class TestClosedForms:
                 worst = max(worst, abs(value - expected) / expected)
         assert worst > 1e-3
 
+    def test_values_flags_and_errors_are_pinned(self):
+        """sha256 of every closed form's (value, verified) as float.hex, or
+        of its ValueError text, over all 18 (family, mode, which) keys at
+        P = 2, recorded before the forms moved into one table: values past
+        the float range (omega = 38, 746, 1e78), per-sensor forms and a
+        missing gamma included."""
+        digest = hashlib.sha256()
+        for kind, mode, which in itertools.product(MODEL_TOKENS, PowerMode, OMEGA_TARGETS):
+            model = noise_model(kind)
+            for sigma, omega, nv, gamma in itertools.product(
+                (0.5, 1.0, 2.0), (0.3, 1.1, 38.0, 746.0, 1e78), (0.0, 0.5, 1e10),
+                (None, 0.5, 2.0),
+            ):
+                try:
+                    value, verified = asv_closed_form(
+                        model, sigma, omega, 2.0, nv, which, mode, gamma=gamma
+                    )
+                    out = f"{value.hex()} {verified}"
+                except ValueError as exc:
+                    out = f"ValueError: {exc}"
+                line = f"{kind} {mode.value} {which} {sigma!r} {omega!r} {nv!r} {gamma!r} {out}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == CLOSED_FORM_DIGEST
+
     def test_gamma_requires_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             asv_closed_form(GAUSSIAN, 1.0, 0.8, 1.0, 0.5, "gamma")
@@ -338,6 +404,12 @@ class TestClosedForms:
     def test_which_validation(self):
         with pytest.raises(ValueError, match="which"):
             asv_closed_form(GAUSSIAN, 1.0, 0.8, 1.0, 0.5, "snr")
+
+    def test_unhashable_which_is_a_value_error(self):
+        """The table lookup hashes which; a list must not escape as a
+        TypeError."""
+        with pytest.raises(ValueError, match=r"which=\['theta'\]"):
+            asv_closed_form(GAUSSIAN, 1.0, 0.8, 1.0, 0.5, ["theta"])
 
     @pytest.mark.parametrize(
         "kind, which, mode, sigma, omega",

@@ -366,6 +366,13 @@ class TestAsv:
         assert rc == 1 and out == ""
         assert "asv_gamma" in err and "sigma=1e+200" in err
 
+    def test_inf_component_is_an_error(self, capsys):
+        """phi underflows at sigma omega = 40: asv_theta is inf, which
+        printed as Infinity, not JSON, with exit status 0."""
+        rc, out, err = run(capsys, "asv", "--sigma", "1", "--omega", "40", "--theta", "1")
+        assert rc == 1 and out == ""
+        assert err.startswith("cmphase: error: asv_theta is inf")
+
     def test_underflowing_sigma_squared_is_an_error(self, capsys):
         """sigma^2 below the float range ended in a ZeroDivisionError
         traceback."""
@@ -462,6 +469,8 @@ class TestOptOmega:
         # the Laplace per-sensor gamma radical gave inf
         ("opt-omega", "--model", "laplace", "--power-mode", "per-sensor", "--analytic",
          "--target", "gamma", "--gamma", "1e300"),
+        # phi underflowed and asv printed Infinity, which is not JSON
+        ("asv", "--sigma", "1", "--omega", "40", "--theta", "1"),
     ],
     ids=" ".join,
 )

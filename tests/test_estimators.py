@@ -10,6 +10,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -232,6 +233,14 @@ class TestEstimateSnr:
     def test_degenerate_scale(self):
         with pytest.raises(DegenerateScaleError):
             estimate_snr(1.0, 0.0)
+
+    @pytest.mark.parametrize("theta_hat, sigma_hat", [(1.0, 1e-200), (1e300, 1e-300)])
+    def test_overflow_raises(self, theta_hat, sigma_hat):
+        """The square overflowed with a bare OverflowError (1e-200), and the
+        ratio to inf with no error at all (1e-300)."""
+        message = re.escape(f"theta_hat={theta_hat!r}, sigma_hat={sigma_hat!r}")
+        with pytest.raises(ValueError, match=message):
+            estimate_snr(theta_hat, sigma_hat)
 
 
 class TestSimpleEstimates:
@@ -468,6 +477,16 @@ class TestJointMinimumVariance:
                  4.7787842482952236e204, 1.4829994883516026e-96, GAUSSIAN, 5.495740806370145e294),
                 ValueError, "theta_R must satisfy omega theta_R <= 2 pi",
                 id="gaussian-window-product-overflows",
+            ),
+            pytest.param(
+                (0.5 + 0.5j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI, 1e-300),
+                ValueError, r"SNR estimate overflows at theta_hat=.*, sigma_hat=",
+                id="gaussian-snr-overflows-at-sigma-max-1e-300",
+            ),
+            pytest.param(
+                (0.5 + 0.5j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI, 1e-160),
+                ValueError, r"SNR estimate overflows at theta_hat=.*, sigma_hat=",
+                id="gaussian-snr-overflows-at-sigma-max-1e-160",
             ),
         ],
     )

@@ -9,6 +9,7 @@ relative of the true minimizer, so tighter demands would test noise.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmphase import tuning
+from cmphase import asymptotic, tuning
 from cmphase.network import PowerMode
-from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, NoiseModel
+from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel
 from cmphase.numkit import ConvergenceError, find_root_bracketed
 from cmphase.tuning import (
     OMEGA_TARGETS,
@@ -45,6 +46,7 @@ GAUSS_TPC_R1_SIGMA = 1.3019622
 LAPLACE_TPC_R1_THETA = 1.2769597038217232  # true minimizer
 LAPLACE_TPC_R1_THETA_CARDANO = 0.9029468658743058  # as-printed mapping
 ANALYTIC_DIGEST = "2f7d6652b776bbb0e6f7fa9126ba3eeb81ab0b2a7c647fdfc0e2182b52171e0a"
+NOTE_DIGEST = "af9a3fc8bb8fa4aa9744edfcd04d37bf037a574bf416f53d3966d3b1bc801cc8"
 
 
 def numeric(model, mode, nv, target, gamma=None, sigma=1.0):
@@ -410,6 +412,24 @@ class TestAnalyticOmega:
         with pytest.raises(ValueError, match=f"laplace {target} tuning equation overflows"):
             analytic_omega(LAPLACE, 1.0, 1.0, nv, target, power_mode=mode, gamma=gamma)
 
+    def test_tables_hold_every_key(self):
+        """Both closed-form tables hold exactly one entry per family, power
+        mode and target, so no family falls through to another's."""
+        keys = set(itertools.product(MODEL_TOKENS, PowerMode, OMEGA_TARGETS))
+        assert set(tuning._EQUATIONS) == keys
+        assert set(asymptotic._CLOSED_FORMS) == keys
+
+    def test_unknown_family_raises(self):
+        """A family with no entry raises ValueError naming it from both
+        tables; it used to get Cauchy's variance forms and Laplace's tuning
+        equations. NoiseModel refuses the name, so it is forced here."""
+        model = object.__new__(NoiseModel)
+        object.__setattr__(model, "kind", "students-t")
+        with pytest.raises(ValueError, match="'students-t' family"):
+            asymptotic.asv_closed_form(model, 1.0, 0.8, 1.0, 0.5, "theta")
+        with pytest.raises(ValueError, match="'students-t' family"):
+            analytic_omega(model, 1.0, 1.0, 1.0, "theta")
+
     def test_numeric_route_takes_omega_min(self):
         """details carry optimal_omega's result on [omega_min, omega_max]."""
         for omega_min in (1e-4, 0.5, 1.2):
@@ -440,6 +460,23 @@ class TestAnalyticOmega:
                             line = repr((a.value, a.agrees_with_numeric, a.details)) + "\n"
                             digest.update(line.encode())
         assert digest.hexdigest() == ANALYTIC_DIGEST
+
+    def test_notes_are_pinned(self):
+        """sha256 of every result's note over test_results_are_pinned's
+        grid, which ANALYTIC_DIGEST leaves out, recorded before the
+        equations moved into one table."""
+        digest = hashlib.sha256()
+        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+            for mode, nv in ((TOTAL, 0.5), (TOTAL, 1.0), (TOTAL, 2.0), (PER_SENSOR, 0.0)):
+                for target in ("theta", "sigma", "gamma"):
+                    for gamma in (0.1, 1.0, 10.0):
+                        for sigma in (0.5, 1.0, 2.0):
+                            a = analytic_omega(
+                                model, sigma, 1.0, nv, target, power_mode=mode, gamma=gamma
+                            )
+                            line = f"{model.kind} {mode.value} {nv!r} {target} {gamma!r} "
+                            digest.update(f"{line}{sigma!r} {a.note}\n".encode())
+        assert digest.hexdigest() == NOTE_DIGEST
 
 
 class TestResolveOmega:
