@@ -28,10 +28,13 @@ joined when it ends, each take the next block. A block reads its own
 substream states and writes only its own slice of z, so the samples do
 not depend on the block size, the worker count or the scheduling. The
 kernels that take a block's time (the PCG64 fill, the draw transforms,
-cos, sin and the sums) release the GIL. A process with one usable CPU, a
-run of one block, or trials of fewer than _CONCURRENT_MIN_L sensor
-samples (where the GIL-bound per-trial generator construction dominates)
-run every block on the calling thread and build no pool.
+cos, sin and the sums) release the GIL, but every numpy call also hands
+the GIL over, so concurrent blocks are _CONCURRENT_BLOCK_FACTOR times
+larger: fewer calls per trial. A process with one usable CPU or trials
+of fewer than _CONCURRENT_MIN_L sensor samples (where the GIL-bound
+per-trial generator construction dominates) run every block on the
+calling thread, in blocks of _BLOCK_SAMPLES, and build no pool; nor does
+a run whose trials fit in one concurrent block.
 """
 
 from __future__ import annotations
@@ -67,12 +70,20 @@ CSV_HEADER = (
 )
 
 _TRIM_FRACTION = 0.01  # two-sided trim on the SNR sample before its variance
-# Sensor samples per block of trials (at least one trial per block), which
-# sizes each thread's buffers. At L = 100, 2^13 ran 3-6% faster than 2^12
-# or 2^14; every run maps the 256 KB buffers of 2^14 afresh (about 770
-# minor page faults per 8-row sweep against 3). At L = 10^4 a block of
-# 2^15 samples (three trials) ran slower than one trial per block.
+# Sensor samples per block of trials on the calling thread alone (at least
+# one trial per block), which sizes its buffers. At L = 100, 2^13 ran 3-6%
+# faster than 2^12 or 2^14; every run maps the 256 KB buffers of 2^14
+# afresh (about 770 minor page faults per 8-row sweep against 3).
 _BLOCK_SAMPLES = 1 << 13
+# Blocks run concurrently hold this many times _BLOCK_SAMPLES. Each block
+# makes a few dozen numpy calls, each releasing and retaking the GIL; with
+# one trial per block at L = 10^4 two threads spent much of a block on
+# that handoff. On two CPUs 2^15-sample blocks (three trials at L = 10^4)
+# cut the acceptance points' time by 23% (bench mc-large-L wall_s 0.442 s
+# to 0.340 s, medians of ten pairs) for 0.96 MB more peak RSS; 2^16 ran
+# 4% faster again but cost 1.9 MB more, +7% peak RSS over one-trial
+# blocks.
+_CONCURRENT_BLOCK_FACTOR = 4
 # Sensor samples per trial from which blocks run concurrently. Below it
 # the per-trial PCG64 construction, which holds the GIL, is a large share
 # of a block, and a second thread contending for the GIL made L = 100
@@ -152,24 +163,29 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     drawn from root.substream(t), simulated block by block, the blocks
     spread over the usable CPUs.
 
-    The calling thread and, for a concurrent run, workers - 1 threads of
-    a pool built for this run each take the next block start under a
-    lock. Each thread allocates one uniform array and one block_work of
-    min(trials, per_block) rows and refills them for every block it
-    takes, a shorter last block their first rows. The pool is joined
-    before the first exception raised by any block is re-raised. Each
-    thread sets its own numpy errstate, which pool threads do not
+    A block holds _BLOCK_SAMPLES sensor samples, _CONCURRENT_BLOCK_FACTOR
+    times as many where blocks may run concurrently (L of at least
+    _CONCURRENT_MIN_L and more than one usable CPU), and at least one
+    trial. The calling thread and, for a concurrent run, workers - 1
+    threads of a pool built for this run each take the next block start
+    under a lock. Each thread allocates one uniform array and one
+    block_work of min(trials, per_block) rows and refills them for every
+    block it takes, a shorter last block their first rows. The pool is
+    joined before the first exception raised by any block is re-raised.
+    Each thread sets its own numpy errstate, which pool threads do not
     inherit: a phase past the float range gives a NaN z without a
     warning, for run_experiment to reject.
     """
-    per_block = max(1, _BLOCK_SAMPLES // cfg.L)
+    threaded = cfg.L >= _CONCURRENT_MIN_L and _usable_cpus() > 1
+    block_samples = _BLOCK_SAMPLES * (_CONCURRENT_BLOCK_FACTOR if threaded else 1)
+    per_block = max(1, block_samples // cfg.L)
     n = snapshot_uniforms(cfg)
     states = root.substream_states(0, trials)
     # Filled in place: per-block arrays kept alive until one concatenate
     # fragmented the heap (5x the page faults at L = 10^4).
     z = np.empty(trials, dtype=complex)
     starts = range(0, trials, per_block)
-    workers = min(_usable_cpus(), len(starts)) if cfg.L >= _CONCURRENT_MIN_L else 1
+    workers = min(_usable_cpus(), len(starts)) if threaded else 1
     lock = threading.Lock()
     pending = iter(starts)
 
@@ -248,7 +264,7 @@ def run_experiment(
     theta_unwrapped = cfg.theta + _phase_deviation(theta_hats, cfg.theta, cfg.omega) / cfg.omega
 
     gamma_vals = np.array(gammas)
-    gamma_truth = (cfg.theta / cfg.sigma) ** 2
+    gamma_truth = estimate_snr(cfg.theta, cfg.sigma)
     gamma_stats = _stats(gamma_vals, gamma_truth, cfg.L) if gamma_vals.size else None
     trimmed = _trimmed_variance_l(gamma_vals, cfg.L) if gamma_vals.size else math.nan
 

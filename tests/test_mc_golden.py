@@ -128,30 +128,77 @@ def test_trial_z_matches_golden(name):
 @pytest.mark.parametrize(
     "fields, trials",
     [
-        (dict(model="gaussian", power_mode="total", L=7, channel_noise_var=1.0), 40),
+        (dict(model="gaussian", power_mode="total", L=7, channel_noise_var=1.0), 140),
         (dict(model="laplace", power_mode="per-sensor", L=10, channel_noise_var=0.0), 700),
-        (dict(model="cauchy", power_mode="total", L=3, channel_noise_var=0.3), 50),
+        (dict(model="cauchy", power_mode="total", L=3, channel_noise_var=0.3), 300),
     ],
 )
 def test_block_size_independence(monkeypatch, fields, trials):
     """One trial per block, a prime block size (13, 9 and 32 trials per
-    block here, each leaving a partial last block) and the default, each
-    run on 1, 2 and 3 usable CPUs (the serial loop, then the calling
-    thread and one or two pool threads, whatever the host has), give the
-    same samples and the same summary."""
+    block here on the serial loop, 55, 38 and 129 in concurrent blocks,
+    each leaving a partial last block) and the default, each run on 1, 2
+    and 3 usable CPUs (the serial loop, then the calling thread and one
+    or two pool threads, whatever the host has), give the same samples
+    and the same summary. Below the default block size every run on more
+    than one CPU builds a pool and drains more than one block through
+    it, rather than falling back to the serial loop."""
     cfg = make_config(sigma=1.0, omega=0.8, seed=12, **fields)
     results = []
+    pools, blocks = [], []
+    executor, simulate_block = concurrent.futures.ThreadPoolExecutor, montecarlo.simulate_block
+
+    def counted_pool(workers, **kwargs):
+        pools.append(workers)
+        return executor(workers, **kwargs)
+
+    def counted_block(*args):
+        blocks.append(len(args[1]))
+        return simulate_block(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(montecarlo, "simulate_block", counted_block)
     monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
-    for block in (1, 97, montecarlo._BLOCK_SAMPLES):
+    default = montecarlo._BLOCK_SAMPLES
+    for block in (1, 97, default):
         monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+            pools.clear()
+            blocks.clear()
             z = trial_z(cfg, trials, 0)
+            if cpus > 1 and block < default:
+                assert len(blocks) > 1 and pools == [min(cpus, len(blocks)) - 1], (
+                    block, cpus, pools, len(blocks))
             summary = run_experiment(cfg, trials).to_json_dict()
             results.append((z, summary))
     for z, summary in results[1:]:
         np.testing.assert_array_equal(z, results[0][0])
         assert summary == results[0][1]
+
+
+@pytest.mark.parametrize(
+    "model, L", [("gaussian", 1001), ("laplace", 1000), ("cauchy", 1000)],
+)
+def test_default_concurrent_blocks_match_serial(monkeypatch, model, L):
+    """With the default block constants, 70 trials at L = 1000 on two CPUs
+    run in blocks of 32 trials (two full, one partial) and give the z of
+    the serial loop on one CPU (blocks of 8 trials) bit for bit."""
+    cfg = make_config(model=model, power_mode="total", L=L, channel_noise_var=0.5,
+                      sigma=1.0, omega=0.8, seed=30)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    serial = trial_z(cfg, 70, 0)
+    rows = []
+    simulate_block = montecarlo.simulate_block
+
+    def counted_block(cfg_b, u, work):
+        rows.append(len(u))
+        return simulate_block(cfg_b, u, work)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "simulate_block", counted_block)
+    concurrent = trial_z(cfg, 70, 0)
+    assert sorted(rows) == [6, 32, 32]
+    np.testing.assert_array_equal(concurrent, serial)
 
 
 def test_many_threads_many_switches(monkeypatch):

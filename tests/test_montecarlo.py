@@ -60,6 +60,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="theta_hat or sigma_hat overflows"):
             run_experiment(make_config(omega=1e-309), 16)
 
+    def test_overflowing_snr_truth_raises(self):
+        """The true SNR (theta / sigma)^2 overflows at sigma = 1e-200: the
+        run raised a bare OverflowError from it after every trial ran."""
+        cfg = NetworkConfig(
+            L=10, sigma=1e-200, theta=1.0, omega=1.0, model="gaussian", seed=1,
+            theta_R=3.0, power_mode="total", P=1.0, channel_noise_var=1.0,
+        )
+        with pytest.raises(ValueError, match=r"overflows at theta_hat=1\.0, sigma_hat=1e-200"):
+            run_experiment(cfg, 8)
+
     def test_reproducible(self):
         cfg = make_config()
         a = run_experiment(cfg, 64)
@@ -216,6 +226,33 @@ class TestBlockLoopAllocations:
         finally:
             tracemalloc.stop()
         assert peak <= buffers + z.nbytes + 16 * 1024, (peak, buffers, z.nbytes)
+
+    @pytest.mark.parametrize("model, L", [("laplace", 1000), ("gaussian", 1001), ("cauchy", 1000)])
+    def test_concurrent_blocks_reuse_their_buffers(self, monkeypatch, model, L):
+        """A warm run on two CPUs at L = 1000, in the default concurrent
+        blocks, holds at most one set of block buffers per worker, z and
+        16 KB per worker of small arrays and pool objects: the larger
+        concurrent blocks cost their buffers and nothing per block. The
+        slack is per worker because two blocks' generator objects (about
+        5 KB each) are alive at once beside the pool's threads, futures
+        and locks (about 8.5 KB), 15-17 KB in all; a block-sized array is
+        256 KB."""
+        cfg = make_config(model=model, L=L, channel_noise_var=1.0, omega=0.8)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        per_block = montecarlo._CONCURRENT_BLOCK_FACTOR * montecarlo._BLOCK_SAMPLES // L
+        trials = 6 * per_block + 5
+        root = RandomStream(cfg.seed)
+        states = root.substream_states(0, trials)
+        monkeypatch.setattr(RandomStream, "substream_states", lambda self, start, stop: states)
+        montecarlo._received_z(cfg, trials, root)
+        buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
+        tracemalloc.start()
+        try:
+            z = montecarlo._received_z(cfg, trials, root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (buffers + 16 * 1024) + z.nbytes, (peak, buffers, z.nbytes)
 
     def test_no_block_allocates(self, monkeypatch):
         """What one block of a warm run allocates, from its uniforms to its
