@@ -77,17 +77,6 @@ def _phasor_variances(model: NoiseModel, sigma, omega, P, nv):
     )
 
 
-def _rotated_covariance(model: NoiseModel, sigma, omega, P, nv, c, s):
-    """(s11, s12, s22, det) of Sigma = R diag(a, b) R^T.
-
-    (a, b) come from _phasor_variances, R is the rotation with cosine c
-    and sine s, and det = a b. Elementwise, so sigma and (c, s) may be
-    arrays that broadcast against each other.
-    """
-    a, b = _phasor_variances(model, sigma, omega, P, nv)
-    return a * c * c + b * s * s, (a - b) * s * c, a * s * s + b * c * c, a * b
-
-
 def covariance_matrix(
     model: NoiseModel,
     theta: float,
@@ -106,8 +95,9 @@ def covariance_matrix(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    s11, s12, s22, _ = _rotated_covariance(model, sigma, omega, P, channel_noise_var, c, s)
-    return np.array([[s11, s12], [s12, s22]])
+    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var)
+    s12 = (a - b) * s * c
+    return np.array([[a * c * c + b * s * s, s12], [s12, a * s * s + b * c * c]])
 
 
 def jacobian(
@@ -232,6 +222,9 @@ def asv_via_sandwich(
 
     Kept as an independent route: its diagonal must reproduce asv_generic
     and its off-diagonal vanish, which the acceptance suite checks.
+    ValueError where det Sigma is not positive and finite, where
+    J^T Sigma^-1 J or its inverse is not finite, and (numpy's
+    LinAlgError) where J^T Sigma^-1 J is singular.
     """
     J = jacobian(model, theta, sigma, omega, P)
     S = covariance_matrix(model, theta, sigma, omega, P, channel_noise_var)
@@ -242,8 +235,16 @@ def asv_via_sandwich(
             f"covariance matrix is singular or out of floating-point range at this "
             f"operating point (det = {det!r})"
         )
-    M = J.T @ np.linalg.inv(S) @ J
-    return np.linalg.inv(M)
+    with np.errstate(all="ignore"):  # a non-finite M is refused below
+        M = J.T @ np.linalg.inv(S) @ J
+    # Python's isfinite on the four entries: a numpy reduction costs more here.
+    if all(map(math.isfinite, M.ravel().tolist())):
+        cov = np.linalg.inv(M)
+        if all(map(math.isfinite, cov.ravel().tolist())):
+            return cov
+    raise ValueError(
+        "J^T Sigma^-1 J or its inverse is out of floating-point range at this operating point"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,22 +65,31 @@ def _omega_arg(text: str) -> float | str:
         return text
 
 
+def _add_point_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
+    """The operating-point flags, each defaulting to its entry in defaults
+    (None where it has none)."""
+    p.add_argument("--sigma", type=float, default=defaults.get("sigma"), help="true noise scale")
+    p.add_argument(
+        "--model", choices=MODEL_TOKENS, default=defaults.get("model"), help="sensing noise model"
+    )
+    p.add_argument(
+        "--power-mode", dest="power_mode", choices=[m.value for m in PowerMode],
+        default=defaults.get("power_mode"), help="power budget convention",
+    )
+    p.add_argument("--P", type=float, default=defaults.get("P"), help="power budget")
+    p.add_argument(
+        "--channel-noise-var", dest="channel_noise_var", type=float,
+        default=defaults.get("channel_noise_var"),
+        help="channel noise variance at the fusion center",
+    )
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="JSON file with configuration keys")
     p.add_argument("--L", type=int, help="number of sensors")
     p.add_argument("--theta", type=float, help="true location")
     p.add_argument("--theta-R", dest="theta_R", type=float, help="location range bound")
-    p.add_argument("--sigma", type=float, help="true noise scale")
-    p.add_argument("--model", choices=MODEL_TOKENS, help="sensing noise model")
-    p.add_argument(
-        "--power-mode", dest="power_mode", choices=[m.value for m in PowerMode],
-        help="power budget convention",
-    )
-    p.add_argument("--P", type=float, help="power budget")
-    p.add_argument(
-        "--channel-noise-var", dest="channel_noise_var", type=float,
-        help="channel noise variance at the fusion center",
-    )
+    _add_point_flags(p, {})
     p.add_argument(
         "--omega", type=_omega_arg,
         help="modulation frequency: a float or auto:theta|sigma|gamma",
@@ -165,20 +174,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _point_args(p: argparse.ArgumentParser, with_omega: bool) -> None:
-    p.add_argument("--model", choices=MODEL_TOKENS, default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--P", type=float, default=1.0)
-    p.add_argument(
-        "--channel-noise-var", dest="channel_noise_var", type=float, default=1.0
-    )
-    p.add_argument(
-        "--power-mode", dest="power_mode",
-        choices=[m.value for m in PowerMode], default="total",
-    )
-    if with_omega:
-        p.add_argument("--omega", required=True, type=_omega_arg,
-                       help="a float or auto:theta|sigma|gamma")
+def _point_config(args, *extra: str) -> dict:
+    """The manifest config of an asv or opt-omega run: its operating-point
+    flags and the named extra ones."""
+    names = ("model", "sigma", "P", "channel_noise_var", "power_mode") + extra
+    return {name: getattr(args, name) for name in names}
 
 
 def _cmd_asv(args) -> int:
@@ -217,11 +217,7 @@ def _cmd_asv(args) -> int:
             )
             forms[which] = {"value": value, "verified": verified}
         payload["closed_forms"] = forms
-    config = {
-        "model": args.model, "sigma": args.sigma, "omega": omega, "P": args.P,
-        "channel_noise_var": args.channel_noise_var,
-        "power_mode": args.power_mode, "theta": args.theta,
-    }
+    config = {**_point_config(args, "theta"), "omega": omega}
     payload["manifest"] = _manifest("asv", config, None, None, **notes)
     _emit(payload)
     return 0
@@ -262,13 +258,7 @@ def _cmd_opt_omega(args) -> int:
             *(results[t]["omega_star"] for t in OMEGA_TARGETS),
             flags={t: results[t]["flag"] for t in OMEGA_TARGETS},
         ).to_json_dict()
-    config = {
-        "model": args.model, "sigma": args.sigma, "P": args.P,
-        "channel_noise_var": args.channel_noise_var,
-        "power_mode": args.power_mode, "target": args.target,
-        "gamma": args.gamma, "omega_min": args.omega_min,
-        "omega_max": args.omega_max,
-    }
+    config = _point_config(args, "target", "gamma", "omega_min", "omega_max")
     payload["manifest"] = _manifest("opt-omega", config, None, None)
     _emit(payload)
     return 0
@@ -358,14 +348,16 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("asv", help="asymptotic variances at an operating point")
-    _point_args(p, with_omega=True)
+    _add_point_flags(p, _CONFIG_DEFAULTS)
+    p.add_argument("--omega", required=True, type=_omega_arg,
+                   help="a float or auto:theta|sigma|gamma")
     p.add_argument("--theta", type=float, help="true location (enables the SNR row)")
     p.add_argument("--closed-forms", dest="closed_forms", action="store_true",
                    help="include closed-form values with verification flags")
     p.set_defaults(func=_cmd_asv)
 
     p = sub.add_parser("opt-omega", help="omega tuning")
-    _point_args(p, with_omega=False)
+    _add_point_flags(p, _CONFIG_DEFAULTS)
     p.add_argument("--target", choices=[*OMEGA_TARGETS, "all"], default="all")
     p.add_argument("--gamma", type=float, help="SNR value for the gamma target")
     p.add_argument("--omega-min", dest="omega_min", type=float, default=1e-4)

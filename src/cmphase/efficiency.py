@@ -1,10 +1,11 @@
 """Asymptotic relative efficiency of the phase scheme in clean channels.
 
 With per-sensor power and no channel noise the best achievable
-asymptotic variance over omega is compared against the centralized
-Cramer-Rao bound (1 over the per-sample Fisher information). Both the
-infimum and the bound scale as sigma^2, so the ratio is scale-free; the
-computation asserts that invariance numerically instead of assuming it.
+asymptotic variance over omega (asv_generic at optimal_omega's
+minimizer) is compared against the centralized Cramer-Rao bound (1 over
+the per-sample Fisher information). Both the infimum and the bound scale
+as sigma^2, so the ratio is scale-free; the computation asserts that
+invariance numerically instead of assuming it.
 
 For the Gaussian model the variance curves decrease monotonically as
 omega -> 0, so the infimum is a boundary limit rather than a minimum;
@@ -22,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .asymptotic import asv_generic
 from .noise import NoiseModel
-from .numkit import minimize_quasiconvex
-from .tuning import _target_curve
+from .tuning import optimal_omega
 
 __all__ = ["EfficiencyReport", "REFERENCE_ARE", "asymptotic_relative_efficiency"]
 
@@ -58,14 +59,14 @@ class EfficiencyReport:
 
 
 def _inf_asv(model: NoiseModel, parameter: str, sigma: float, omega_max: float) -> float:
-    f = _target_curve(model, sigma, 1.0, 0.0, parameter, None)
+    """The clean-channel variance at optimal_omega's minimizer, or at
+    exactly u = _BOUNDARY_U where the infimum is the omega -> 0 limit."""
     lo = _BOUNDARY_U / sigma
-    x, flag = minimize_quasiconvex(f, lo, omega_max / sigma, tol=1e-12)
-    if flag == "lower":
-        # Monotone-decreasing curve: the infimum is the omega -> 0 limit,
-        # read off at exactly u = _BOUNDARY_U.
-        return f(lo)
-    return f(x)
+    w, flag = optimal_omega(
+        model, sigma, 1.0, 0.0, parameter, omega_max=omega_max / sigma, omega_min=lo
+    )
+    report = asv_generic(model, sigma, lo if flag == "lower" else w, 1.0)
+    return report.asv_theta if parameter == "theta" else report.asv_sigma
 
 
 def asymptotic_relative_efficiency(

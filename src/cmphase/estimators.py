@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asymptotic import _phasor_variances, _rotated_covariance
+from .asymptotic import _phasor_variances
 from .noise import NoiseModel
 from .numkit import ConvergenceError, gauss_newton_box, real_number
 
@@ -182,24 +182,28 @@ def joint_objective(
     """Quadratic form [z - zbar]^T Sigma^-1 [z - zbar] at (theta, sigma).
 
     Sigma is the asymptotic fluctuation covariance evaluated at the same
-    candidate point. Nonnegative wherever Sigma is positive definite.
+    candidate point. It is formed in the frame rotated by omega theta,
+    where Sigma = diag(a, b), each term as x (x / a): nonnegative, and
+    inf only where the form is past the float range.
 
     Raises:
         ValueError: if det Sigma <= 0 (possible only with zero channel
-            noise when a circular variance degenerates).
+            noise when a circular variance degenerates) or is not finite.
     """
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
-    phi = model.char_fn(sigma, omega)
+    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var)
+    det = a * b
+    if not 0.0 < det < math.inf:
+        raise ValueError(
+            f"singular covariance, or out of floating-point range, at this candidate point "
+            f"(det = {det!r})"
+        )
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    s11, s12, s22, det = _rotated_covariance(model, sigma, omega, P, channel_noise_var, c, s)
-    if det <= 0.0:
-        raise ValueError("singular covariance at this candidate point")
-    sp = math.sqrt(P)
-    r_re = z.real - sp * c * phi
-    r_im = z.imag - sp * s * phi
-    return (s22 * r_re * r_re - 2.0 * s12 * r_re * r_im + s11 * r_im * r_im) / det
+    u = z.real * c + z.imag * s - math.sqrt(P) * model.char_fn(sigma, omega)
+    v = z.imag * c - z.real * s
+    return u * (u / a) + v * (v / b)
 
 
 def _grid_argmin(

@@ -3,7 +3,9 @@
 Root finding and scalar minimization are deliberately bracket based
 (bisection, golden section): the tuning equations solved downstream mix
 steep exponentials with polynomials, and derivative-based iterations can
-escape their bracket there. The one derivative-based minimizer,
+escape their bracket there. grid_roots is the one root scan: it brackets
+the sign changes of a uniform grid and bisects each (find_root_bracketed).
+The one derivative-based minimizer,
 gauss_newton_box, serves a smooth least-squares problem on a box and
 keeps every iterate inside it. A random stream is a (seed, key) address
 of numpy's PCG64; its seed words are derived here for many substreams at
@@ -17,7 +19,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,10 +29,9 @@ __all__ = [
     "lambert_w0",
     "find_root_bracketed",
     "uniform_grid",
-    "grid_brackets",
+    "grid_roots",
     "minimize_quasiconvex",
     "gauss_newton_box",
-    "real_roots_in_interval",
     "real_number",
     "whole_number",
     "buffer_view",
@@ -45,8 +46,6 @@ _EPS = 2.0 ** -52
 # gauss_newton_box: step tolerance relative to the box width, iteration cap.
 _GN_XTOL = 1e-10
 _GN_MAX_ITER = 50
-# real_roots_in_interval: steps of the uniform scan for sign changes.
-_ROOT_SCAN_STEPS = 4096
 
 # numpy.random.SeedSequence: pool size, hash constants and shift of its
 # documented mixing algorithm (numpy/random/bit_generator.pyx).
@@ -186,21 +185,26 @@ def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return x
 
 
-def grid_brackets(x: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
-    """The brackets of the roots of f seen on its grid x (uniform_grid),
-    given its values v there, in ascending order: (x_i, x_i) where v_i is
-    zero, (x_{i-1}, x_i) where nonzero neighbours differ in sign. A NaN
-    value counts as nonpositive, as in the lazy scalar scan the tests
-    keep as the oracle (sign_change_brackets in tests/test_numkit.py),
-    which yields the same brackets in the same order. Each is a valid
-    input to find_root_bracketed."""
-    zero = v == 0.0
-    positive = v > 0.0
+def grid_roots(
+    x: np.ndarray, values: np.ndarray, f: Callable[[float], float], tol: float
+) -> Iterator[float]:
+    """The roots of f seen on its grid x (uniform_grid), given its values
+    there, ascending and one at a time, each bisected to tol on the scalar
+    f (find_root_bracketed). The brackets are (x_i, x_i) where values_i is
+    zero and (x_{i-1}, x_i) where nonzero neighbours differ in sign, a NaN
+    counting as nonpositive; roots of even multiplicity go unseen. They
+    are, in order, those of the tests' lazy scalar scan (sign_change_brackets
+    in tests/test_numkit.py), so where f rounds alike on floats and arrays
+    every root is the lazy scan's, bit for bit.
+    """
+    zero = values == 0.0
+    positive = values > 0.0
     ends = zero.copy()
     ends[1:] |= ~zero[:-1] & (positive[1:] != positive[:-1])
     i = np.flatnonzero(ends)
     starts = np.where(zero[i], x[i], x[i - 1])
-    return list(zip(starts.tolist(), x[i].tolist()))
+    for lo, hi in zip(starts.tolist(), x[i].tolist()):
+        yield find_root_bracketed(f, lo, hi, tol=tol)
 
 
 def minimize_quasiconvex(
@@ -340,59 +344,6 @@ def gauss_newton_box(
         if small:
             return x, iteration, True
     return x, max_iter, False
-
-
-def real_roots_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Real roots of a low-degree polynomial on [lo, hi], sorted ascending.
-
-    coeffs are in ascending order (coeffs[k] multiplies x**k). The
-    polynomial is evaluated on the uniform grid x_i = lo + (hi - lo) * i
-    / n, i = 0..n with n = _ROOT_SCAN_STEPS, in one array pass, and every
-    sign change is refined by bisection (find_root_bracketed, on the
-    scalar Horner polynomial). A grid zero gives the bracket (x_i, x_i);
-    nonzero neighbours of opposite sign give (x_{i-1}, x_i)
-    (grid_brackets). Roots of even multiplicity that do not produce a
-    sign change on the grid are not detected; the polynomials handled
-    here (degree <= 6 tuning equations) have simple roots.
-
-    The result equals, bit for bit, that of scanning the scalar Horner
-    polynomial with the tests' lazy oracle sign_change_brackets(poly,
-    lo, hi, n) (tests/test_numkit.py): each array step is one
-    IEEE-rounded multiply or add, in the scalar order (the grid as
-    ((hi - lo) * i) / n + lo with i exact in float64, Horner as
-    v = v * x + c from v = 0 over the coefficients highest first), so
-    every grid value, and with it every bracket and root, is the scalar
-    one. x_0 is lo itself, as in the scalar scan, which keeps the sign of
-    a zero lo. Overflow gives the same inf and NaN silently; a NaN grid
-    value counts as nonpositive, as in the scalar rule, and fails
-    bisection with ValueError.
-    """
-    cs = [float(c) for c in coeffs]
-    if len(cs) > 7:
-        raise ValueError("intended for polynomials of degree <= 6")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-
-    def poly(x: float) -> float:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    x = uniform_grid(lo, hi, _ROOT_SCAN_STEPS)
-    with np.errstate(all="ignore"):
-        v = np.zeros_like(x)
-        for c in reversed(cs):
-            v *= x
-            v += c
-
-    tol = 1e-14 * max(1.0, abs(hi))
-    roots = [find_root_bracketed(poly, a, b, tol=tol) for a, b in grid_brackets(x, v)]
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):
-            deduped.append(r)
-    return deduped
 
 
 def real_number(name: str, value, minimum: float = 0.0, closed: bool = False) -> float:

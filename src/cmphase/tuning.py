@@ -4,13 +4,13 @@ The numeric route (optimal_omega) golden-sections the authoritative
 characteristic-function asymptotic variance and is what the rest of the
 package trusts. The companion closed-form tuning equations that
 analytic_omega looks up, one per (family, power mode, target)
-(Lambert-W expressions, transcendental equations in beta =
-omega^2 sigma^2, a Cardano closed form and two quintics), are kept
-as cross-checks: each analytic result carries an agrees_with_numeric
-verdict at 1e-4 relative, and several of the bundled equations are known
-not to match the numeric minimizer (wrong stationarity displays or a
-beta-convention mismatch); the verdict records this rather than hiding
-it.
+(Lambert-W expressions, a Cardano closed form, and transcendental
+equations in beta = omega^2 sigma^2 and two quintics, both scanned for
+roots by numkit.grid_roots), are kept as cross-checks: each analytic
+result carries an agrees_with_numeric verdict at 1e-4 relative, and
+several of the bundled equations are known not to match the numeric
+minimizer (wrong stationarity displays or a beta-convention mismatch);
+the verdict records this rather than hiding it.
 
 Quasi-convexity of the underlying curves means an interior minimum is
 unique and a monotone curve pushes the infimum onto an interval edge;
@@ -31,15 +31,7 @@ import numpy as np
 from .asymptotic import _asv_components, _asv_sigma, _asv_theta, compose_gamma
 from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel
-from .numkit import (
-    find_root_bracketed,
-    grid_brackets,
-    lambert_w0,
-    minimize_quasiconvex,
-    real_number,
-    real_roots_in_interval,
-    uniform_grid,
-)
+from .numkit import grid_roots, lambert_w0, minimize_quasiconvex, real_number, uniform_grid
 
 __all__ = [
     "OmegaOptima",
@@ -186,25 +178,17 @@ def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _scan_root(equation) -> float | None:
-    """First sign-change root in beta of equation(b, e^b, e^{2b}) on
-    [_BETA_LO, _BETA_HI], bisected to 1e-13, or None.
-
-    The equation is evaluated on the whole _SCAN_STEPS-step grid in one
-    array pass against _scan_tables, and its first bracket (grid_brackets)
-    is bisected on the scalar form. The equations are adds and multiplies
-    only, each one IEEE-rounded step in the same order on floats and
-    arrays, so the result is, bit for bit, that of scanning the scalar
-    equation lazily on the same grid, as the tests' oracle does
-    (sign_change_brackets in tests/test_numkit.py).
-    """
+    """First root in beta of equation(b, e^b, e^{2b}) that grid_roots
+    sees on the _SCAN_STEPS-step grid of [_BETA_LO, _BETA_HI], evaluated
+    in one array pass against _scan_tables and bisected to 1e-13, or
+    None. The equations are adds and multiplies only, which round alike
+    on floats and arrays, so the root is the lazy scalar scan's."""
     b, e1, e2 = _scan_tables()
     with np.errstate(all="ignore"):
         values = equation(b, e1, e2)
-    for lo, hi in grid_brackets(b, values):
-        return find_root_bracketed(
-            lambda x: equation(x, math.exp(x), math.exp(2.0 * x)), lo, hi, tol=1e-13
-        )
-    return None
+    return next(
+        grid_roots(b, values, lambda x: equation(x, math.exp(x), math.exp(2.0 * x)), 1e-13), None
+    )
 
 
 # The Gaussian tuning equations in beta, as functions of (b, e^b, e^{2b})
@@ -325,12 +309,27 @@ def _laplace_theta_omega(sigma, P, nv, r, g, curve):
 
 def _laplace_quintic_omega(coeffs, sigma, curve):
     """Among the quintic's roots in beta, the one whose omega minimizes
-    the curve; no value where none is positive."""
-    roots = real_roots_in_interval(coeffs, _BETA_LO, _BETA_HI)
+    the curve; no value where it has none in range. The roots are
+    grid_roots' on the 4096-step grid of [_BETA_LO, _BETA_HI], bisected
+    to 1e-14 _BETA_HI, each within 1e-9 (1 + beta) of the last one kept
+    merged into it. One Horner closure serves the grid and the bisection.
+    """
+
+    def poly(b):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * b + c
+        return acc
+
+    grid = uniform_grid(_BETA_LO, _BETA_HI, 4096)
+    with np.errstate(all="ignore"):
+        values = poly(grid)
+    roots: list[float] = []
+    for b in grid_roots(grid, values, poly, 1e-14 * _BETA_HI):
+        if not roots or b - roots[-1] > 1e-9 * (1.0 + b):
+            roots.append(b)
     value, best = None, math.inf
     for b in roots:
-        if b <= 0.0:
-            continue
         w = math.sqrt(b) / sigma
         val = curve(w)
         if val < best:
@@ -340,8 +339,15 @@ def _laplace_quintic_omega(coeffs, sigma, curve):
 
 
 def _laplace_per_sensor_gamma_omega(sigma, P, nv, r, g, curve):
+    """The printed radical, bit for bit, where its radicand is positive
+    and 4 sigma sqrt(g) is not 0; elsewhere (the radicand cancels at small
+    g, or the product underflows) the same value from the cancellation-free
+    -13 g - 16 + inner = 128 g (g + 2) / (inner + 13 g + 16)."""
     inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
-    return math.sqrt(-13.0 * g - 16.0 + inner) / (4.0 * sigma * math.sqrt(g)), "", {}
+    radicand, den = -13.0 * g - 16.0 + inner, 4.0 * sigma * math.sqrt(g)
+    if radicand > 0.0 and den > 0.0:
+        return math.sqrt(radicand) / den, "", {}
+    return math.sqrt(8.0 * (g + 2.0) / (inner + 13.0 * g + 16.0)) / sigma, "", {}
 
 
 _TOTAL, _PER_SENSOR = PowerMode.TOTAL, PowerMode.PER_SENSOR

@@ -30,9 +30,10 @@ from cmphase.asymptotic import (
     covariance_matrix,
     jacobian,
 )
-from cmphase.network import PowerMode
+from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
 from cmphase.tuning import OMEGA_TARGETS
+from test_numkit import WIDE, WIDE_SETTINGS
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 
@@ -129,6 +130,42 @@ class TestGenericVsSandwich:
                     CAUCHY, 183230561.54516667, 1.4448136191454214e-64, 22.03611651852593,
                     2.0600791112257162e162, 1.4923385312024212e216,
                 )
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # J is NaN (inf * 0 where phi underflows): the result was all NaN.
+            (GAUSSIAN, 1.2854757021298693e-143, 4.820855566657087e263, 3.827294612773737e287,
+             2.5824243026244386e146, 3.6790575718709664e84),
+            # J^T Sigma^-1 J overflowed with a RuntimeWarning from matmul.
+            (LAPLACE, 1.8316204029874502e263, 7.669107840939936e-215, 4.0179318492568368e-28,
+             1.5159863268707909e215, 6.336375792850059e-152),
+        ],
+        ids=["nan-jacobian", "matmul-overflow"],
+    )
+    def test_information_past_the_float_range_raises(self, point):
+        with pytest.raises(ValueError, match=r"J\^T Sigma\^-1 J or its inverse is out of"):
+            asv_via_sandwich(*point)
+
+    @WIDE_SETTINGS
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        mode=st.sampled_from(list(PowerMode)),
+        point=st.tuples(*[WIDE] * 5),
+    )
+    def test_wide_inputs_finite_or_raise(self, capfd, model, mode, point):
+        """Over log-uniform 1e-300..1e300 inputs and 0, with the channel
+        noise of either power mode, every entry is finite or the call
+        raises ValueError; never NaN, a RuntimeWarning or output on
+        stdout (LAPACK's included)."""
+        theta, sigma, omega, P, nv = point
+        try:
+            C = asv_via_sandwich(model, theta, sigma, omega, P, effective_noise_var(mode, nv))
+        except ValueError:
+            pass
+        else:
+            assert np.isfinite(C).all(), (point, C)
+        assert capfd.readouterr().out == ""
 
 
 class TestAsvGeneric:

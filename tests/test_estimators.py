@@ -35,8 +35,10 @@ from cmphase.estimators import (
     joint_objective,
     simple_estimates,
 )
+from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
 from cmphase.numkit import ConvergenceError
+from test_numkit import WIDE, WIDE_SETTINGS
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
@@ -292,6 +294,46 @@ class TestJointObjective:
         z = 0.5 + 0.1j
         with pytest.raises(ValueError, match="singular"):
             joint_objective(z, 1.0, 1e-170, 1.0, 1.0, 0.0, GAUSSIAN)
+
+    def test_form_past_the_square_range(self):
+        """The numerator s22 r_re^2 overflowed where the form is about 2e4,
+        which read inf. The rotated frame keeps it finite."""
+        value = joint_objective(0.0, 0.0, 1.0, 0.1, 1e156, 0.0, GAUSSIAN)
+        a, b = _phasor_variances(GAUSSIAN, 1.0, 0.1, 1e156, 0.0)
+        w = 1e78 * GAUSSIAN.char_fn(1.0, 0.1)
+        np.testing.assert_allclose(value, w / a * w, rtol=1e-15)
+
+    def test_covariance_past_the_float_range(self):
+        """det Sigma = a b overflows, as does the numerator: the quotient
+        was NaN."""
+        z = 3.4628806227524484e99 + 3.4448428406981315e-42j
+        with pytest.raises(ValueError, match=r"det = inf"):
+            joint_objective(
+                z, 0.0969672741616056, 1.1993689224305582e96, 3.2701192505164915e-95,
+                7.096944489063349e237, 8.55512836605835e-215, GAUSSIAN,
+            )
+
+    @WIDE_SETTINGS
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        mode=st.sampled_from(list(PowerMode)),
+        point=st.tuples(*[WIDE] * 7),
+    )
+    def test_wide_inputs_finite_or_raise(self, capfd, model, mode, point):
+        """Over log-uniform 1e-300..1e300 inputs and 0, with the channel
+        noise of either power mode, the form is >= 0 (inf past the float
+        range) or ValueError; never NaN, a RuntimeWarning or output on
+        stdout."""
+        re_z, im_z, theta, sigma, omega, P, nv = point
+        try:
+            value = joint_objective(
+                complex(re_z, im_z), theta, sigma, omega, P, effective_noise_var(mode, nv), model
+            )
+        except ValueError:
+            pass
+        else:
+            assert value >= 0.0, (point, value)  # also fails for NaN
+        assert capfd.readouterr().out == ""
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmphase import numkit
@@ -21,20 +21,29 @@ from cmphase.numkit import (
     box_muller,
     find_root_bracketed,
     gauss_newton_box,
+    grid_roots,
     lambert_w0,
     minimize_quasiconvex,
     real_number,
-    real_roots_in_interval,
+    uniform_grid,
     uniforms_from_states,
 )
-from cmphase.tuning import _laplace_gamma_quintic, _laplace_sigma_quintic
+from cmphase.tuning import _laplace_gamma_quintic, _laplace_quintic_omega, _laplace_sigma_quintic
 
 # Reference values, 40-dps mpmath, frozen.
 W_AT_1 = 0.5671432904097838  # the omega constant
 W_AT_M2E2 = -0.4063757399599599  # W0(-2 e^-2)
 W_AT_ME2 = -0.15859433956303936  # W0(-e^-2)
 
-# Scan intervals for the real_roots_in_interval oracle; the last is the
+# Log-uniform over 1e-300..1e300, plus 0: the inputs of the finite-or-raise
+# properties of the public entry points (capfd is read once per example).
+WIDE = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+WIDE_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Scan intervals for the grid_roots polynomial oracle; the last is the
 # tuning quintics' beta range.
 _LAPLACE_BETA = (1e-9, 50.0)
 _INTERVALS = ((0.0, 1.0), (-5.0, 5.0), (-0.0, 3.0), _LAPLACE_BETA)
@@ -42,7 +51,7 @@ _INTERVALS = ((0.0, 1.0), (-5.0, 5.0), (-0.0, 3.0), _LAPLACE_BETA)
 
 def sign_change_brackets(f, lo, hi, steps):
     """Brackets of the roots of f seen on a uniform scan of [lo, hi]: the
-    lazy scalar oracle of numkit.uniform_grid and numkit.grid_brackets.
+    lazy scalar oracle of numkit.uniform_grid and numkit.grid_roots.
 
     f is evaluated once at each x_i = lo + (hi - lo) * i / steps,
     i = 0..steps, lazily and in ascending order. A grid point where f is
@@ -63,10 +72,9 @@ def sign_change_brackets(f, lo, hi, steps):
         x0, v0 = x1, v1
 
 
-def _scalar_scan_roots(coeffs, lo, hi):
-    """The scalar route real_roots_in_interval must reproduce: a Python
-    Horner polynomial scanned lazily by sign_change_brackets on 4096
-    steps, each bracket bisected, the roots sorted and deduped."""
+def _horner(coeffs):
+    """The polynomial with ascending coefficients coeffs, by Horner's rule
+    from acc = 0, for floats and arrays alike."""
     cs = [float(c) for c in coeffs]
 
     def poly(x):
@@ -75,16 +83,46 @@ def _scalar_scan_roots(coeffs, lo, hi):
             acc = acc * x + c
         return acc
 
+    return poly
+
+
+def _scalar_scan_roots(coeffs, lo, hi):
+    """The scalar route grid_roots must reproduce: a Python Horner
+    polynomial scanned lazily by sign_change_brackets on 4096 steps, each
+    bracket bisected, in bracket order."""
+    poly = _horner(coeffs)
     tol = 1e-14 * max(1.0, abs(hi))
-    roots = [
+    return [
         find_root_bracketed(poly, a, b, tol=tol)
         for a, b in sign_change_brackets(poly, lo, hi, 4096)
     ]
-    deduped = []
+
+
+def _grid_scan_roots(coeffs, lo, hi):
+    """grid_roots of the Horner polynomial on the 4096-step uniform_grid of
+    [lo, hi], the grid values in one array pass."""
+    poly = _horner(coeffs)
+    x = uniform_grid(lo, hi, 4096)
+    with np.errstate(all="ignore"):
+        values = poly(x)
+    return list(grid_roots(x, values, poly, 1e-14 * max(1.0, abs(hi))))
+
+
+def _merged(roots):
+    """Ascending roots with each within 1e-9 (1 + |r|) of the last one
+    kept merged into it, the Laplace quintics' rule."""
+    kept = []
     for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 1e-9 * (1.0 + abs(r)):
-            deduped.append(r)
-    return deduped
+        if not kept or r - kept[-1] > 1e-9 * (1.0 + abs(r)):
+            kept.append(r)
+    return kept
+
+
+def _quintic_beta_roots(coeffs, lo, hi):
+    """The beta_roots of _laplace_quintic_omega, which scans [lo, hi] =
+    _LAPLACE_BETA."""
+    assert (lo, hi) == _LAPLACE_BETA
+    return _laplace_quintic_omega(coeffs, 1.0, lambda w: 0.0)[2]["beta_roots"]
 
 
 def _outcome(route, coeffs, lo, hi):
@@ -328,32 +366,31 @@ class TestMinimizeQuasiconvex:
 
 
 class TestRealRootsInInterval:
+    """Real polynomial roots on an interval, through grid_roots and the
+    Laplace quintics' scan (_laplace_quintic_omega)."""
+
     def test_cubic_known_roots(self):
         # (x - 0.3)(x - 1.2)(x - 2.5), ascending coefficients
         coeffs = [-0.9, 4.11, -4.0, 1.0]
-        roots = real_roots_in_interval(coeffs, 0.0, 3.0)
+        roots = _grid_scan_roots(coeffs, 0.0, 3.0)
         np.testing.assert_allclose(roots, [0.3, 1.2, 2.5], rtol=1e-9)
 
     def test_subinterval_filtering(self):
         coeffs = [-0.9, 4.11, -4.0, 1.0]
-        roots = real_roots_in_interval(coeffs, 1.0, 3.0)
+        roots = _grid_scan_roots(coeffs, 1.0, 3.0)
         np.testing.assert_allclose(roots, [1.2, 2.5], rtol=1e-9)
 
     def test_no_roots(self):
-        assert real_roots_in_interval([1.0, 0.0, 1.0], -5.0, 5.0) == []
+        assert _grid_scan_roots([1.0, 0.0, 1.0], -5.0, 5.0) == []
 
     def test_roots_satisfy_polynomial(self):
         coeffs = [-1.0, -9.0, -23.0, -15.0, 50.0, 32.0]
-        roots = real_roots_in_interval(coeffs, 1e-9, 50.0)
+        roots = _quintic_beta_roots(coeffs, *_LAPLACE_BETA)
         assert roots, "expected at least one positive root"
         for r in roots:
             value = sum(c * r**k for k, c in enumerate(coeffs))
             scale = sum(abs(c) * r**k for k, c in enumerate(coeffs))
             assert abs(value) <= 1e-10 * scale
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            real_roots_in_interval([0.0] * 8, 0.0, 1.0)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -384,12 +421,19 @@ class TestRealRootsInInterval:
     )
     def test_matches_the_lazy_scalar_scan(self, case):
         """Bit for bit the scalar route: bisection over the brackets of
-        sign_change_brackets on 4096 steps, sorted and deduped, including
-        the errors it raises (a NaN grid value from overflow)."""
+        sign_change_brackets on 4096 steps, in ascending order, including
+        the errors it raises (a NaN grid value from overflow). On the
+        quintics' beta range, _laplace_quintic_omega's beta_roots are the
+        same roots, merged."""
         (lo, hi), coeffs = case
-        assert _outcome(real_roots_in_interval, coeffs, lo, hi) == _outcome(
-            _scalar_scan_roots, coeffs, lo, hi
-        )
+        expected = _outcome(_scalar_scan_roots, coeffs, lo, hi)
+        assert _outcome(_grid_scan_roots, coeffs, lo, hi) == expected
+        if isinstance(expected, list):
+            assert expected == sorted(expected, key=float.fromhex)
+        if (lo, hi) == _LAPLACE_BETA:
+            assert _outcome(_quintic_beta_roots, coeffs, lo, hi) == _outcome(
+                lambda *a: _merged(_scalar_scan_roots(*a)), coeffs, lo, hi
+            )
 
 
 class TestRandomStream:

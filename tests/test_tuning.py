@@ -30,7 +30,7 @@ from cmphase.tuning import (
     resolve_omega,
     rule_omega,
 )
-from test_numkit import sign_change_brackets
+from test_numkit import WIDE, WIDE_SETTINGS, sign_change_brackets
 
 TOTAL = PowerMode.TOTAL
 PER_SENSOR = PowerMode.PER_SENSOR
@@ -392,6 +392,25 @@ class TestAnalyticOmega:
         np.testing.assert_allclose(a.details["numeric_omega"], LAPLACE_PSPC_GAMMA1, rtol=1e-6)
         assert a.value < LAPLACE_PSPC_SIGMA < a.details["numeric_omega"] < 1.0
 
+    def test_laplace_per_sensor_gamma_radicand_cancels(self):
+        """-13 g - 16 + sqrt((9 g + 16)(33 g + 16)) cancels to 0 at
+        g = 1e-16, and the radical read omega = 0; the cancellation-free
+        form gives the g -> 0 limit sqrt(1/2) / sigma."""
+        a = analytic_omega(LAPLACE, 1.0, 1.0, 0.0, "gamma", power_mode=PER_SENSOR, gamma=1e-16)
+        assert a.value == math.sqrt(0.5)
+
+    def test_laplace_per_sensor_gamma_quotient_underflow(self):
+        """4 sigma sqrt(g) underflows to 0 here, and analytic_omega raised a
+        bare ZeroDivisionError. The closed form now takes the
+        cancellation-free route; the numeric route's gamma curve raises the
+        documented ValueError, as theta = sqrt(g) sigma underflows."""
+        sigma, g = 3.0629478524513262e-226, 3.701996232805073e-293
+        equation = tuning._EQUATIONS["laplace", PER_SENSOR, "gamma"]
+        value, _, _ = equation(sigma, 1.0, 0.0, 0.0, g, None)
+        np.testing.assert_allclose(value * sigma, math.sqrt(0.5), rtol=1e-15)
+        with pytest.raises(ValueError, match="asv_gamma is out of floating-point range"):
+            analytic_omega(LAPLACE, sigma, 1.0, 0.0, "gamma", power_mode=PER_SENSOR, gamma=g)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             analytic_omega(LAPLACE, 1.0, 1.0, 1.0, "gamma")
@@ -568,3 +587,47 @@ def test_analytic_rejects_a_bad_power(P):
     """P = 0 raised ZeroDivisionError in nv / P before any check."""
     with pytest.raises(ValueError, match="P must be positive"):
         analytic_omega(GAUSSIAN, 1.0, P, 1.0, "theta")
+
+
+class TestWideInputs:
+    """Over log-uniform 1e-300..1e300 inputs and 0, for every family and
+    power mode, each omega is finite and > 0, or the call raises
+    ValueError (ConvergenceError among them); never NaN, a RuntimeWarning
+    (an error under pytest) or output on stdout."""
+
+    @settings(WIDE_SETTINGS, max_examples=1000)  # 300 miss the Laplace gamma radical's defects
+    @given(
+        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        mode=st.sampled_from([TOTAL, PER_SENSOR]),
+        target=st.sampled_from(OMEGA_TARGETS),
+        point=st.tuples(WIDE, WIDE, WIDE, WIDE),
+    )
+    def test_analytic_omega(self, capfd, model, mode, target, point):
+        """The closed form's value is None or an omega, and the numeric
+        route's an omega."""
+        sigma, P, nv, gamma = point
+        try:
+            a = analytic_omega(model, sigma, P, nv, target, power_mode=mode, gamma=gamma)
+        except ValueError:
+            pass
+        else:
+            assert a.value is None or 0.0 < a.value < math.inf, (point, a)
+            assert 0.0 < a.details["numeric_omega"] < math.inf, (point, a)
+        assert capfd.readouterr().out == ""
+
+    @WIDE_SETTINGS
+    @given(
+        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        mode=st.sampled_from([TOTAL, PER_SENSOR]),
+        point=st.tuples(WIDE, WIDE, WIDE, WIDE),
+    )
+    def test_omega_optima(self, capfd, model, mode, point):
+        sigma, P, nv, gamma = point
+        try:
+            optima = omega_optima(model, sigma, P, nv, power_mode=mode, gamma=gamma)
+        except ValueError:
+            pass
+        else:
+            for w in (optima.omega_theta, optima.omega_sigma, optima.omega_gamma):
+                assert 0.0 < w < math.inf, (point, optima)
+        assert capfd.readouterr().out == ""
