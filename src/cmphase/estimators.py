@@ -22,9 +22,15 @@ every cell of row i is at least v_i^2 min(1/b), exactly so under IEEE
 rounding, and rows whose bound exceeds a value already formed are
 skipped, so the grid's best cell is the full grid's, bit for bit. The
 rows are formed in blocks that reuse two small buffers, so a call
-allocates no whole-grid array. It must agree with the simple
-estimators whenever |z| <= sqrt(P); the test suite enforces that
-equivalence, so the two routes are kept strictly independent here.
+allocates no whole-grid array. The refinement starts from the grid's
+best cell and minimizes |e|^2 for the whitened residual e = (u / sqrt(a),
+v / sqrt(b)) of the rotated frame, with its analytic Jacobian, inside
+the search box (numkit.gauss_newton_box). It iterates on Python floats;
+only its inner products (BLAS) and least-squares steps (LAPACK) run in
+numpy, whose rounding fixes the estimates' last bits. It must agree
+with the simple estimators whenever |z| <= sqrt(P); the test suite
+enforces that equivalence, so the two routes are kept strictly
+independent here.
 """
 
 from __future__ import annotations
@@ -187,9 +193,12 @@ def joint_objective(
     inf only where the form is past the float range.
 
     Raises:
-        ValueError: if det Sigma <= 0 (possible only with zero channel
-            noise when a circular variance degenerates) or is not finite.
+        ValueError: naming z or theta where it is not finite (any finite
+            theta, and z = 0, are valid), and if det Sigma <= 0 (possible
+            only with zero channel noise when a circular variance
+            degenerates) or is not finite.
     """
+    z, theta = _finite_z(z), real_number("theta", theta, -math.inf)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var)
@@ -223,8 +232,10 @@ def _grid_argmin(
     >= 0 and rounding is monotone, so every cell of row i is >= lb_i =
     v_i^2 min(1/b). The row of least lb is formed first, by the blocks'
     own operations, so its least cell is a grid value: rows with lb_i
-    above it hold no least cell and are skipped. Otherwise every row is
-    formed. The rows are formed _ROWS at
+    above it hold no least cell and are skipped, and where that row is
+    the only one left, its first least cell is the grid's. Operands
+    whose sum is not finite (an inf or NaN among them, or a sum past the
+    float range) have every row formed. The rows are formed _ROWS at
     a time, in ascending order, in two buffers below the allocator's
     mmap threshold.
     """
@@ -234,12 +245,15 @@ def _grid_argmin(
     u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
     w, ra, rb = math.sqrt(P) * model.char_fn(sigmas, omega), 1.0 / a, 1.0 / b
     rb_min = rb.min()
-    if min(ra.min(), rb_min) > 0.0 and np.isfinite(np.concatenate((u, vsq, w, ra, rb))).all():
+    if min(ra.min(), rb_min) > 0.0 and math.isfinite(np.concatenate((u, vsq, w, ra, rb)).sum()):
         lb = vsq * rb_min
         k = int(lb.argmin())
         row = np.empty((2, sigmas.size))
-        best = _form_rows(u[k : k + 1], vsq[k : k + 1], w, ra, rb, row[:1], row[1:]).min()
-        rows = (lb <= best).nonzero()[0]
+        q_k = _form_rows(u[k : k + 1], vsq[k : k + 1], w, ra, rb, row[:1], row[1:])
+        j = int(q_k.argmin())
+        rows = (lb <= q_k.flat[j]).nonzero()[0]
+        if rows.size == 1:  # row k alone can hold the least cell
+            return k, j
         u, vsq = u[rows], vsq[rows]
     else:
         rows = np.arange(thetas.size)
@@ -278,7 +292,8 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
     d(Re, Im)(z e^{-j omega theta})/d theta = omega (v, -Re), du/d sigma =
     -sqrt(P) d phi/d sigma, and the sigma-derivatives of a = P v_c + nv/2
     and b = P v_s + nv/2 follow from v_s = (1 - phi(2 omega)) / 2 and
-    v_c = 1/2 + phi(2 omega) / 2 - phi(omega)^2.
+    v_c = 1/2 + phi(2 omega) / 2 - phi(omega)^2. Where a or b is 0 (no
+    channel noise and an underflowed variance) r and J are NaN.
     """
     sp = math.sqrt(P)
 
@@ -289,6 +304,8 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
         re = z.real * c + z.imag * s
         v = z.imag * c - z.real * s
         a, b = _phasor_variances(model, sigma, omega, P, nv)
+        if not (a > 0.0 and b > 0.0):  # Sigma singular: no whitened residual
+            return np.full(2, math.nan), np.full((2, 2), math.nan)
         phi = model.char_fn(sigma, omega)
         dphi = model.char_fn_dsigma(sigma, omega)
         dphi2 = model.char_fn_dsigma(sigma, 2.0 * omega)
@@ -365,20 +382,23 @@ def joint_minimum_variance(
         )
     thetas = np.linspace(theta_R / _GRID, theta_R, _GRID)
     sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)
-    i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
-
-    if math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12):
-        # theta enters only through omega theta: the window is one period
-        # and has no theta edge.
-        theta_lo, theta_hi = thetas[i] - 0.5 * theta_R, thetas[i] + 0.5 * theta_R
-    else:
-        theta_lo, theta_hi = 1e-12 * theta_R, theta_R
-    x, iterations, converged = gauss_newton_box(
-        _whitened_residual(z, omega, P, channel_noise_var, model),
-        (thetas[i], sigmas[j]),
-        (theta_lo, 1e-12 * sigma_max),
-        (theta_hi, sigma_max),
-    )
+    # At inputs far out in the float range, 1/a, the cells and the
+    # residual's products overflow or turn NaN: the grid then forms every
+    # row, and the refinement stops unconverged where r or J is not finite.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
+        if math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12):
+            # theta enters only through omega theta: the window is one
+            # period and has no theta edge.
+            theta_lo, theta_hi = thetas[i] - 0.5 * theta_R, thetas[i] + 0.5 * theta_R
+        else:
+            theta_lo, theta_hi = 1e-12 * theta_R, theta_R
+        x, iterations, converged = gauss_newton_box(
+            _whitened_residual(z, omega, P, channel_noise_var, model),
+            (thetas[i], sigmas[j]),
+            (theta_lo, 1e-12 * sigma_max),
+            (theta_hi, sigma_max),
+        )
     if not converged:
         raise ConvergenceError(
             f"joint refinement did not converge in {iterations} iterations at z={z!r}"

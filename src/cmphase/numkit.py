@@ -6,11 +6,11 @@ steep exponentials with polynomials, and derivative-based iterations can
 escape their bracket there. grid_roots is the one root scan: it brackets
 the sign changes of a uniform grid and bisects each (find_root_bracketed).
 The one derivative-based minimizer,
-gauss_newton_box, serves a smooth least-squares problem on a box and
-keeps every iterate inside it. A random stream is a (seed, key) address
-of numpy's PCG64; its seed words are derived here for many substreams at
-once, and the draws of a seeded run reproduce bit-exactly on any
-platform.
+gauss_newton_box, serves a smooth least-squares problem on a box in two
+variables and keeps every iterate inside it. A random stream is a (seed,
+key) address of numpy's PCG64; its seed words are derived here for many
+substreams at once, and the draws of a seeded run reproduce bit-exactly
+on any platform.
 """
 
 from __future__ import annotations
@@ -273,12 +273,14 @@ def gauss_newton_box(
     lo: Sequence[float],
     hi: Sequence[float],
 ) -> tuple[np.ndarray, int, bool]:
-    """Minimize |r(x)|^2 over the box lo <= x <= hi by damped Gauss-Newton.
+    """Minimize |r(x)|^2 over the box lo <= x <= hi of the plane by damped
+    Gauss-Newton.
 
     residual(x) returns (r, J): the residual vector and its Jacobian
-    dr/dx. Each iteration holds fixed the variables that sit on a bound
-    with the gradient J^T r pushing outward (the active set) and takes the
-    least-squares Gauss-Newton step in the others. The trial point is
+    dr/dx, x being a float64 array of shape (2,). Each iteration holds
+    fixed the variables that sit on a bound with the gradient J^T r
+    pushing outward (the active set) and takes the least-squares
+    Gauss-Newton step in the others. The trial point is
     x + t step projected onto the box, and it must meet the Armijo
     condition, so every accepted step descends (up to the rounding of
     |r|^2): t = 1 is halved until it does, or else doubled while that
@@ -291,42 +293,55 @@ def gauss_newton_box(
     (where |r|^2 is that flat, no step can be told from another); that
     last step is taken when it does not ascend. |r|^2 = 0 also ends it.
 
+    The iterate and its projection onto the box, the widths and step
+    tolerances, the active set and the step lengths are Python floats.
+    numpy keeps the operations whose rounding Python would not
+    reproduce: r @ r, J^T r, J step and g @ (x_t - x) go through BLAS
+    (ddot, dgemv), whose kernels fuse multiply-adds on FMA hardware, and
+    the step is LAPACK gelsd's least-squares solution (np.linalg.lstsq),
+    of J itself when both variables are free. So x, the iteration count
+    and the verdict are those of the numpy-array iteration that the tests
+    keep as the oracle (numpy_gauss_newton_box in tests/test_numkit.py).
+
     Returns (x, iterations, converged). converged is False when 50
     iterations pass, no step length along the Gauss-Newton direction is
     accepted, or r or J at the iterate is not finite, before the
     tolerance is met; x is then the last accepted iterate.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
-    width = hi - lo
+    (lo_p, lo_q), (hi_p, hi_q) = map(float, lo), map(float, hi)
+    p, q = _clip(float(x0[0]), lo_p, hi_p), _clip(float(x0[1]), lo_q, hi_q)
+    tol_p, tol_q = _GN_XTOL * (hi_p - lo_p), _GN_XTOL * (hi_q - lo_q)
     max_iter = _GN_MAX_ITER
-    r, J = residual(x)
+    r, J = residual(np.array((p, q)))
     f = float(r @ r)
     for iteration in range(1, max_iter + 1):
         if f == 0.0:
-            return x, iteration - 1, True
-        if not (np.isfinite(r).all() and np.isfinite(J).all()):
-            return x, iteration - 1, False
+            return np.array((p, q)), iteration - 1, True
+        if not all(map(math.isfinite, r.tolist() + J.ravel().tolist())):
+            return np.array((p, q)), iteration - 1, False
         g = J.T @ r  # half the gradient of |r|^2
-        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        step = np.zeros_like(x)
-        if free.any():
-            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        g_p, g_q = g.tolist()
+        free_p = not ((p <= lo_p and g_p > 0.0) or (p >= hi_p and g_p < 0.0))
+        free_q = not ((q <= lo_q and g_q > 0.0) or (q >= hi_q and g_q < 0.0))
+        dp = dq = 0.0
+        if free_p or free_q:
+            cols = J if free_p and free_q else J[:, :1] if free_p else J[:, 1:]
+            solved = np.linalg.lstsq(cols, -r, rcond=None)[0].tolist()
+            dp, dq = (solved[0] if free_p else 0.0), (solved[-1] if free_q else 0.0)
         rounding = 8.0 * _EPS * f
-        r_model = r + J @ step
-        small = bool(
-            np.all(np.abs(step) <= _GN_XTOL * width) or f - float(r_model @ r_model) <= rounding
-        )
+        small = abs(dp) <= tol_p and abs(dq) <= tol_q
+        if not small:
+            r_model = r + J @ np.array((dp, dq))
+            small = f - float(r_model @ r_model) <= rounding
         bound = f + rounding
 
         def trial(t):
-            """(x, r, J, |r|^2) at step length t, or None if not Armijo."""
-            x_t = np.minimum(np.maximum(x + t * step, lo), hi)
-            r_t, J_t = residual(x_t)
+            """(p, q, r, J, |r|^2) at step length t, or None if not Armijo."""
+            p_t, q_t = _clip(p + t * dp, lo_p, hi_p), _clip(q + t * dq, lo_q, hi_q)
+            r_t, J_t = residual(np.array((p_t, q_t)))
             f_t = float(r_t @ r_t)
-            if f_t <= bound + 2e-4 * float(g @ (x_t - x)):
-                return x_t, r_t, J_t, f_t
+            if f_t <= bound + 2e-4 * float(g @ np.array((p_t - p, q_t - q))):
+                return p_t, q_t, r_t, J_t, f_t
             return None
 
         t, best = 1.0, trial(1.0)
@@ -334,16 +349,24 @@ def gauss_newton_box(
             t *= 0.5
             best = trial(t)
         if best is None:
-            return x, iteration, small
+            return np.array((p, q)), iteration, small
         while t >= 1.0 and not small and t < 2.0**60:
             longer = trial(2.0 * t)
-            if longer is None or longer[3] >= best[3]:
+            if longer is None or longer[4] >= best[4]:
                 break
             t, best = 2.0 * t, longer
-        x, r, J, f = best
+        p, q, r, J, f = best
         if small:
-            return x, iteration, True
-    return x, max_iter, False
+            return np.array((p, q)), iteration, True
+    return np.array((p, q)), max_iter, False
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """np.minimum(np.maximum(v, lo), hi) on floats: a NaN propagates, and
+    v equal to a bound gives the bound (so -0.0 against 0.0 gives the
+    bound's sign), where Python's max and min would keep v."""
+    v = v if v > lo or v != v else lo
+    return v if v < hi or v != v else hi
 
 
 def real_number(name: str, value, minimum: float = 0.0, closed: bool = False) -> float:

@@ -339,13 +339,16 @@ def _laplace_quintic_omega(coeffs, sigma, curve):
 
 
 def _laplace_per_sensor_gamma_omega(sigma, P, nv, r, g, curve):
-    """The printed radical, bit for bit, where its radicand is positive
-    and 4 sigma sqrt(g) is not 0; elsewhere (the radicand cancels at small
-    g, or the product underflows) the same value from the cancellation-free
-    -13 g - 16 + inner = 128 g (g + 2) / (inner + 13 g + 16)."""
+    """The printed radical, bit for bit, where its radicand -13 g - 16 +
+    inner keeps at least 1/32 of 13 g + 16 (at most five bits cancelled:
+    g above about 0.065) and 4 sigma sqrt(g) is not 0; elsewhere (the
+    radicand cancels at small g, or the product underflows) the same value
+    from the cancellation-free -13 g - 16 + inner = 128 g (g + 2) /
+    (inner + 13 g + 16). The radical is 4e-5 relative off at g = 1e-12,
+    and 6% at 1e-15."""
     inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
     radicand, den = -13.0 * g - 16.0 + inner, 4.0 * sigma * math.sqrt(g)
-    if radicand > 0.0 and den > 0.0:
+    if radicand >= (13.0 * g + 16.0) / 32.0 and den > 0.0:
         return math.sqrt(radicand) / den, "", {}
     return math.sqrt(8.0 * (g + 2.0) / (inner + 13.0 * g + 16.0)) / sigma, "", {}
 

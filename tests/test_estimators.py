@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmphase import numkit
+from cmphase import estimators, numkit
 from cmphase.asymptotic import _phasor_variances
 from cmphase.estimators import (
     _GRID,
@@ -38,7 +38,7 @@ from cmphase.estimators import (
 from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
 from cmphase.numkit import ConvergenceError
-from test_numkit import WIDE, WIDE_SETTINGS
+from test_numkit import WIDE, WIDE_SETTINGS, gn_outcome, numpy_gauss_newton_box
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
@@ -542,6 +542,97 @@ class TestJointMinimumVariance:
                 joint_minimum_variance(*args)
         assert capfd.readouterr().out == ""
 
+    @settings(WIDE_SETTINGS, max_examples=1000)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        z_parts=st.tuples(WIDE, WIDE, st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+        omega=WIDE,
+        P=WIDE,
+        nv=WIDE,
+        window=st.one_of(WIDE.map(lambda v: ("theta_R", v)), st.floats(0.0, 1.0).map(
+            lambda v: ("share of the period", v)
+        )),
+        sigma_max=st.one_of(st.none(), WIDE),
+    )
+    def test_wide_inputs_finite_or_raise(
+        self, capfd, model, z_parts, omega, P, nv, window, sigma_max
+    ):
+        """Over log-uniform 1e-300..1e300 inputs and 0 (theta_R drawn as
+        such, or as a share of the phase period 2 pi / omega), the estimate
+        is finite, or ValueError or ConvergenceError is raised; never NaN,
+        a RuntimeWarning or output on stdout."""
+        re_z, im_z, re_sign, im_sign = z_parts
+        kind, value = window
+        theta_R = value if kind == "theta_R" else value * TWO_PI / omega if omega > 0.0 else 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                est = joint_minimum_variance(
+                    complex(re_sign * re_z, im_sign * im_z), omega, P, nv, model, theta_R,
+                    sigma_max=sigma_max,
+                )
+            except (ValueError, ConvergenceError):
+                pass
+            else:
+                assert math.isfinite(est.theta_hat) and math.isfinite(est.sigma_hat), est
+                assert est.gamma_hat is None or math.isfinite(est.gamma_hat), est
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            pytest.param(
+                (-7.8502843677752e130 + 0j, 6.638950688723613e-108, 1.557732791741283e273, 0.0,
+                 LAPLACE, 2.2035725740313587e106, 0.0004745345630564868),
+                ConvergenceError, id="laplace-variance-underflows-to-zero",
+            ),
+            pytest.param(
+                (-4.793452622609864e77 + 0j, 1.7694429014226364e-203, 2.922767741095824e229, 0.0,
+                 GAUSSIAN, 2.5200868495476233e203, 5.8035460953596386e-207),
+                ConvergenceError, id="gaussian-variance-underflows-to-zero",
+            ),
+            pytest.param(
+                (-2691808279.8610005 - 24839547637315.51j, 1.4675645522568438e-13,
+                 1.134352640899475e58, 0.0, CAUCHY, 6403272046476.162, 6.345547473972886e-191),
+                ConvergenceError, id="cauchy-gradient-overflows",
+            ),
+            pytest.param(
+                (-5.332434550596829e51j, 9.240935205659373e-286, 1.9104511066875963e216,
+                 4.94775000611786e88, GAUSSIAN, 456920.2169842166, 3.433509725281733e-122),
+                None, id="gaussian-linear-model-is-nan",
+            ),
+            pytest.param(
+                (1.753110730807359e-43 - 1.3735893549805875e68j, 5.182943384309274e-140,
+                 6.106217849661867e196, 1.714528993278682e-214, GAUSSIAN, 6.114465804456207e-168,
+                 1.40563254854839e-55),
+                None, id="gaussian-row-bound-overflows",
+            ),
+            pytest.param(
+                (-1.7802870372388577e-128 - 3.5824112576859374e39j, 6.893793394071381e-26,
+                 9.526136271277988e182, 9.47740608457887e-295, LAPLACE, 7.371447440148861e25,
+                 3.245933521298814e-95),
+                None, id="laplace-cells-overflow",
+            ),
+        ],
+    )
+    def test_float_range_edges_are_quiet(self, capfd, args, error):
+        """Far out in the float range 1/a, the grid's cells, the row bound
+        and the refinement's products overflow or turn NaN. Each point
+        raised an overflow, divide or invalid RuntimeWarning. With warnings
+        ignored, the first two then raised ZeroDivisionError from the
+        residual, the third ConvergenceError, and the last three gave the
+        finite estimates they give now, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if error is None:
+                est = joint_minimum_variance(*args[:-1], sigma_max=args[-1])
+                assert math.isfinite(est.theta_hat) and math.isfinite(est.sigma_hat)
+                assert math.isfinite(est.gamma_hat) and not est.saturated
+            else:
+                with pytest.raises(error):
+                    joint_minimum_variance(*args[:-1], sigma_max=args[-1])
+        assert capfd.readouterr().out == ""
+
     def test_window_at_one_period_is_accepted(self):
         """theta_R = 2 pi / omega, one phase period, is the largest window,
         as in NetworkConfig; a window 1e-9 wider is refused."""
@@ -579,6 +670,20 @@ def _joint_points():
                     yield model, z, omega, P, nv, theta_R
 
 
+def _analysis_points():
+    """The analysis benchmark's 60 joint points (seed 2024): noise-free z
+    at P = 1 on a half-period window, channel noise 1."""
+    rng = np.random.default_rng(2024)
+    for model in ALL_MODELS:
+        for _ in range(20):
+            omega = float(rng.uniform(0.3, 1.5))
+            theta_R = math.pi / omega
+            theta = float(rng.uniform(0.3, 0.9 * theta_R))
+            sigma = float(rng.uniform(0.1, 2.0))
+            z = cmath.exp(1j * omega * theta) * model.char_fn(sigma, omega)
+            yield model, z, omega, 1.0, 1.0, theta_R
+
+
 def _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model):
     """Oracle: the whole thetas x sigmas grid in one array, as the joint
     search formed it before the row blocks, with numpy's argmin."""
@@ -599,6 +704,27 @@ class TestGridArgmin:
             est = joint_minimum_variance(z, omega, P, nv, model, theta_R)
             digest.update(f"{est.theta_hat.hex()} {est.sigma_hat.hex()}\n".encode())
         assert digest.hexdigest() == JOINT_DIGEST
+
+    def test_refinement_matches_the_numpy_oracle(self, monkeypatch):
+        """Every refinement over _joint_points() (one-period windows, where
+        theta is periodic, and edged ones) and the analysis benchmark's
+        points gives the x bits, iterations and verdict of the numpy
+        iteration on the same whitened residual."""
+        outcomes = []
+
+        def both(residual, x0, lo, hi):
+            outcomes.append(
+                (gn_outcome(gauss_newton_box, residual, x0, lo, hi),
+                 gn_outcome(numpy_gauss_newton_box, residual, x0, lo, hi))
+            )
+            return gauss_newton_box(residual, x0, lo, hi)
+
+        gauss_newton_box = estimators.gauss_newton_box
+        monkeypatch.setattr(estimators, "gauss_newton_box", both)
+        for model, z, omega, P, nv, theta_R in [*_joint_points(), *_analysis_points()]:
+            joint_minimum_variance(z, omega, P, nv, model, theta_R)
+        assert len(outcomes) == 168
+        assert all(got == expected for got, expected in outcomes)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(

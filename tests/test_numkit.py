@@ -238,6 +238,89 @@ class TestLambertW:
             lambert_w0(1.0)
 
 
+def numpy_gauss_newton_box(residual, x0, lo, hi):
+    """numkit.gauss_newton_box as it iterated on numpy arrays: the oracle
+    whose x bits, iteration count and verdict the Python-float iteration
+    must reproduce. It reads numkit's tolerance and cap at call time."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    width = hi - lo
+    max_iter = numkit._GN_MAX_ITER
+    r, J = residual(x)
+    f = float(r @ r)
+    for iteration in range(1, max_iter + 1):
+        if f == 0.0:
+            return x, iteration - 1, True
+        if not (np.isfinite(r).all() and np.isfinite(J).all()):
+            return x, iteration - 1, False
+        g = J.T @ r  # half the gradient of |r|^2
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        step = np.zeros_like(x)
+        if free.any():
+            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        rounding = 8.0 * numkit._EPS * f
+        r_model = r + J @ step
+        small = bool(
+            np.all(np.abs(step) <= numkit._GN_XTOL * width)
+            or f - float(r_model @ r_model) <= rounding
+        )
+        bound = f + rounding
+
+        def trial(t):
+            """(x, r, J, |r|^2) at step length t, or None if not Armijo."""
+            x_t = np.minimum(np.maximum(x + t * step, lo), hi)
+            r_t, J_t = residual(x_t)
+            f_t = float(r_t @ r_t)
+            if f_t <= bound + 2e-4 * float(g @ (x_t - x)):
+                return x_t, r_t, J_t, f_t
+            return None
+
+        t, best = 1.0, trial(1.0)
+        while best is None and not small and t > 1e-18:
+            t *= 0.5
+            best = trial(t)
+        if best is None:
+            return x, iteration, small
+        while t >= 1.0 and not small and t < 2.0**60:
+            longer = trial(2.0 * t)
+            if longer is None or longer[3] >= best[3]:
+                break
+            t, best = 2.0 * t, longer
+        x, r, J, f = best
+        if small:
+            return x, iteration, True
+    return x, max_iter, False
+
+
+def gn_outcome(minimize, residual, x0, lo, hi):
+    """The bits of x, the iteration count and the verdict of one run."""
+    x, iterations, converged = minimize(residual, x0, lo, hi)
+    return [v.hex() for v in x.tolist()], iterations, converged
+
+
+def _feature_residual(m, c, bad):
+    """r = M f(x) + c over the features f = (p, q, p q, sin p, cos q, p^2)
+    of x = (p, q), and its Jacobian M df/dx. bad = (calls, k, value)
+    writes value into r (k < 2) or J (k >= 2) from that call on."""
+    m, c, calls = np.array(m).reshape(2, 6), np.array(c), [0]
+
+    def residual(x):
+        p, q = x
+        f = np.array([p, q, p * q, math.sin(p), math.cos(q), p * p])
+        df = np.array(
+            [[1.0, 0.0], [0.0, 1.0], [q, p], [math.cos(p), 0.0], [0.0, -math.sin(q)], [2 * p, 0.0]]
+        )
+        r, jac = m @ f + c, m @ df
+        if bad is not None and calls[0] >= bad[0]:
+            k, value = bad[1], bad[2]
+            (r if k < 2 else jac.reshape(-1))[k if k < 2 else k - 2] = value
+        calls[0] += 1
+        return r, jac
+
+    return residual
+
+
 def _rosenbrock(x):
     r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
     jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
@@ -295,6 +378,72 @@ class TestGaussNewtonBox:
         assert not converged and iterations == 0
         assert x.tolist() == [-1.2, 1.0]
         assert capfd.readouterr().out == ""
+
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(["nonlinear", "linear", "diagonal"]),
+        m=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+        c=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        x0=st.tuples(
+            *[st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-8.0, 8.0))] * 2
+        ),
+        lo=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))] * 2),
+        width=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 6.0))] * 2),
+        bad=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 5),
+                st.sampled_from([math.inf, -math.inf, math.nan]),
+            ),
+        ),
+    )
+    def test_matches_the_numpy_oracle(self, shape, m, c, x0, lo, width, bad):
+        """Same x bits, iterations and verdict as the numpy iteration, on
+        random residuals (nonlinear, or linear and so often least on a box
+        face, or diagonal, where one variable is pinned and the other
+        solved for alone), from starts inside and outside the box, signed
+        zeros on a bound and NaN starts, with zero widths, and with r or J
+        turning inf or NaN after some calls."""
+        if shape != "nonlinear":
+            m = m[:2] + [0.0] * 4 + m[6:8] + [0.0] * 4
+        if shape == "diagonal":
+            m[1] = m[6] = 0.0
+        hi = (lo[0] + width[0], lo[1] + width[1])
+        # The oracle's array arithmetic warns where t step overflows, as
+        # Python floats do not.
+        with np.errstate(all="ignore"):
+            expected = gn_outcome(numpy_gauss_newton_box, _feature_residual(m, c, bad), x0, lo, hi)
+            got = gn_outcome(gauss_newton_box, _feature_residual(m, c, bad), x0, lo, hi)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "c, free_shapes", [((-0.5, 0.9), {(2, 2), (2, 1)}), ((3.0, -4.0), {(2, 2)})]
+    )
+    def test_one_free_variable_steps_match_the_oracle(self, monkeypatch, c, free_shapes):
+        """r = A (x - c) on [0, 1]^2 with A coupled: when c lies beyond the
+        box in p alone, p ends on its face with the gradient pushing out
+        and q is solved for alone, through lstsq on one column of J; with
+        c beyond both faces, the iterate reaches the corner, where both
+        variables are held."""
+        a = np.array([[2.0, 0.5], [0.25, 1.0]])
+
+        def residual(x):
+            return a @ (x - np.array(c)), a.copy()
+
+        shapes = set()
+        lstsq = np.linalg.lstsq
+
+        def recording(m, *args, **kwargs):
+            shapes.add(m.shape)
+            return lstsq(m, *args, **kwargs)
+
+        expected = gn_outcome(numpy_gauss_newton_box, residual, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0))
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        got = gn_outcome(gauss_newton_box, residual, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0))
+        assert got == expected and expected[2]
+        assert shapes == free_shapes
 
 
 class TestFindRootBracketed:

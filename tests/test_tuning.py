@@ -8,6 +8,7 @@ minimum the objective is flat to machine precision within ~1e-8
 relative of the true minimizer, so tighter demands would test noise.
 """
 
+import decimal
 import hashlib
 import itertools
 import math
@@ -410,6 +411,23 @@ class TestAnalyticOmega:
         np.testing.assert_allclose(value * sigma, math.sqrt(0.5), rtol=1e-15)
         with pytest.raises(ValueError, match="asv_gamma is out of floating-point range"):
             analytic_omega(LAPLACE, sigma, 1.0, 0.0, "gamma", power_mode=PER_SENSOR, gamma=g)
+
+    @pytest.mark.parametrize("exponent", range(9, 16))
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_laplace_per_sensor_gamma_small_snr_matches_decimal(self, sigma, exponent):
+        """At g = 1e-9..1e-15 the printed radical's radicand has cancelled
+        (4e-5 relative off at 1e-12, 6% at 1e-15); the value is within 2
+        ulps of the radical evaluated in 50-digit decimal arithmetic."""
+        g = 10.0**-exponent
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d, s = decimal.Decimal(g), decimal.Decimal(sigma)
+            inner = ((9 * d + 16) * (33 * d + 16)).sqrt()
+            expected = float((inner - 13 * d - 16).sqrt() / (4 * s * d.sqrt()))
+        value, _, _ = tuning._EQUATIONS["laplace", PER_SENSOR, "gamma"](
+            sigma, 1.0, 0.0, 0.0, g, None
+        )
+        assert abs(value - expected) <= 2.0 * math.ulp(expected), (value, expected)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="gamma"):
