@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .network import PowerMode, effective_noise_var
-from .noise import NoiseModel
+from .noise import Family, NoiseModel
 from .numkit import real_number
 
 __all__ = [
@@ -66,14 +66,15 @@ class AsvReport:
         return asdict(self)
 
 
-def _phasor_variances(model: NoiseModel, sigma, omega, P, nv):
+def _phasor_variances(family: Family, sigma, omega, P, nv, xp):
     """(a, b) = (P v_c + nv/2, P v_s + nv/2): the fluctuation variances
-    along and across the mean phasor, from the model's cancellation-free
-    phasor variance kernels. Elementwise in sigma."""
+    along and across the mean phasor, from the family record's
+    cancellation-free phasor variance kernels on checked operands: floats
+    with xp = math, or arrays, elementwise in sigma, with xp = numpy."""
     half_nv = 0.5 * nv
     return (
-        P * model.phasor_cos_var(sigma, omega) + half_nv,
-        P * model.phasor_sin_var(sigma, omega) + half_nv,
+        P * family.phasor_cos_var(sigma, omega, xp) + half_nv,
+        P * family.phasor_sin_var(sigma, omega, xp) + half_nv,
     )
 
 
@@ -95,7 +96,7 @@ def covariance_matrix(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var)
+    a, b = _phasor_variances(model.family, sigma, omega, P, channel_noise_var, math)
     s12 = (a - b) * s * c
     return np.array([[a * c * c + b * s * s, s12], [s12, a * s * s + b * c * c]])
 
@@ -106,8 +107,9 @@ def jacobian(
     """Jacobian of (Re zbar, Im zbar) with respect to (theta, sigma)."""
     theta = real_number("theta", theta)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
-    phi = model.char_fn(sigma, omega)
-    dphi = model.char_fn_dsigma(sigma, omega)
+    family = model.family
+    phi = family.char_fn(sigma, omega, math)
+    dphi = family.char_fn_dsigma(sigma, omega, math)
     sp = math.sqrt(P)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
@@ -119,9 +121,10 @@ def jacobian(
     )
 
 
-def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
-    """(asv_theta, asv_sigma) at one scalar operating point: _asv_theta
-    and _asv_sigma, each from its own two noise kernels.
+def _asv_curves(family: Family, sigma: float, P: float, nv: float):
+    """(asv_theta, asv_sigma) at one operating point as functions of a
+    float omega > 0, each from two of the family record's functions;
+    sigma, P and nv are the caller's to check.
 
     Where phi or its sigma-derivative underflow to zero (u = sigma*omega
     deep in the tail) the variances are returned as inf rather than
@@ -131,32 +134,31 @@ def _asv_components(model: NoiseModel, sigma, omega, P: float, nv: float):
     kernels (2 P v_s + nv and 2 P v_c + nv) to stay accurate at small
     sigma * omega.
     """
-    return _asv_theta(model, sigma, omega, P, nv), _asv_sigma(model, sigma, omega, P, nv)
+    char_fn, sin_var = family.char_fn, family.phasor_sin_var
+    dsigma, cos_var = family.char_fn_dsigma, family.phasor_cos_var
+    two_p = 2.0 * P
 
+    def asv_theta(omega: float) -> float:
+        phi = char_fn(sigma, omega, math)
+        v_s = sin_var(sigma, omega, math)
+        try:
+            den_t = two_p * omega**2 * phi * phi
+        except OverflowError:  # omega^2 past the float range, omega above ~1.34e154
+            den_t = math.inf
+        if den_t < math.inf:
+            return (two_p * v_s + nv) / den_t if den_t > 0.0 else math.inf
+        # The denominator is past the float range (or inf * 0): divide by
+        # omega phi twice, which overflows only where the quotient does.
+        w_phi = omega * phi
+        return (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
 
-def _asv_theta(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
-    """asv_theta of _asv_components, from char_fn and phasor_sin_var."""
-    phi = model.char_fn(sigma, omega)
-    v_s = model.phasor_sin_var(sigma, omega)
-    try:
-        den_t = 2.0 * P * omega**2 * phi * phi
-    except OverflowError:  # omega^2 past the float range, omega above ~1.34e154
-        den_t = math.inf
-    if den_t < math.inf:
-        return (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
-    # The denominator is past the float range (or inf * 0): divide by
-    # omega phi twice, which overflows only where the quotient does.
-    w_phi = omega * phi
-    return (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+    def asv_sigma(omega: float) -> float:
+        dphi = dsigma(sigma, omega, math)
+        v_c = cos_var(sigma, omega, math)
+        den_s = two_p * dphi * dphi
+        return (two_p * v_c + nv) / den_s if den_s > 0.0 else math.inf
 
-
-def _asv_sigma(model: NoiseModel, sigma, omega, P: float, nv: float) -> float:
-    """asv_sigma of _asv_components, from char_fn_dsigma and
-    phasor_cos_var."""
-    dphi = model.char_fn_dsigma(sigma, omega)
-    v_c = model.phasor_cos_var(sigma, omega)
-    den_s = 2.0 * P * dphi * dphi
-    return (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
+    return asv_theta, asv_sigma
 
 
 def compose_gamma(asv_theta, asv_sigma, theta, sigma):
@@ -165,16 +167,27 @@ def compose_gamma(asv_theta, asv_sigma, theta, sigma):
     ValueError where gamma overflows, sigma^2 underflows or the product
     is 0 * inf (gamma underflows to 0 against an inf component, or the
     prefactor overflows against a 0 sum)."""
+    return _composer(theta, sigma)(asv_theta, asv_sigma)
+
+
+def _composer(theta, sigma):
+    """compose_gamma at (theta, sigma) as a function of (asv_theta,
+    asv_sigma), gamma and the prefactor 4 gamma / sigma^2 formed once."""
     try:
         gamma = (theta / sigma) ** 2
-        asv_gamma = (4.0 * gamma / sigma**2) * (asv_theta + gamma * asv_sigma)
+        scale = 4.0 * gamma / sigma**2
     except (OverflowError, ZeroDivisionError):
-        gamma = asv_gamma = math.nan
-    if gamma < math.inf and asv_gamma == asv_gamma:  # both false for NaN
-        return asv_gamma
-    raise ValueError(
-        f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
-    )
+        gamma = scale = math.nan
+
+    def compose(asv_theta: float, asv_sigma: float) -> float:
+        asv_gamma = scale * (asv_theta + gamma * asv_sigma)
+        if gamma < math.inf and asv_gamma == asv_gamma:  # both false for NaN
+            return asv_gamma
+        raise ValueError(
+            f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
+        )
+
+    return compose
 
 
 def asv_generic(
@@ -197,7 +210,8 @@ def asv_generic(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
-    asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
+    theta_curve, sigma_curve = _asv_curves(model.family, sigma, P, nv)
+    asv_t, asv_s = theta_curve(omega), sigma_curve(omega)
     asv_g = None
     if theta is not None:
         asv_g = compose_gamma(asv_t, asv_s, real_number("theta", theta), sigma)

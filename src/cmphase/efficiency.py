@@ -60,12 +60,13 @@ class EfficiencyReport:
 
 def _inf_asv(model: NoiseModel, parameter: str, sigma: float, omega_max: float) -> float:
     """The clean-channel variance at optimal_omega's minimizer, or at
-    exactly u = _BOUNDARY_U where the infimum is the omega -> 0 limit."""
-    lo = _BOUNDARY_U / sigma
-    w, flag = optimal_omega(
-        model, sigma, 1.0, 0.0, parameter, omega_max=omega_max / sigma, omega_min=lo
-    )
-    report = asv_generic(model, sigma, lo if flag == "lower" else w, 1.0)
+    exactly u = _BOUNDARY_U where the infimum is the omega -> 0 limit, or
+    at exactly u = omega_max where it is on the upper edge (a probe
+    within the bracket of that edge would make the ratio depend on
+    sigma)."""
+    lo, hi = _BOUNDARY_U / sigma, omega_max / sigma
+    w, flag = optimal_omega(model, sigma, 1.0, 0.0, parameter, omega_max=hi, omega_min=lo)
+    report = asv_generic(model, sigma, {"lower": lo, "upper": hi}.get(flag, w), 1.0)
     return report.asv_theta if parameter == "theta" else report.asv_sigma
 
 

@@ -128,14 +128,18 @@ def estimate_scale(
     boundary solution sigma_hat = 0.0 without the flag, and a sigma_hat
     beyond the float range raises ValueError.
     """
-    sg, saturated = _scale(_finite_z(z), real_number("omega", omega), real_number("P", P), model)
+    sg, saturated = _scale(
+        _finite_z(z), real_number("omega", omega), real_number("P", P),
+        model.family.inverse_abs_char_fn,
+    )
     if sg == math.inf:
         raise ValueError(f"sigma_hat overflows at z = {z!r}, omega = {omega!r}")
     return sg, saturated
 
 
-def _scale(z: complex, omega: float, P: float, model: NoiseModel) -> tuple[float, bool]:
-    """estimate_scale's inversion alone: no argument or overflow check."""
+def _scale(z: complex, omega: float, P: float, inverse) -> tuple[float, bool]:
+    """estimate_scale's inversion alone: no argument or overflow check;
+    inverse is the family record's inverse_abs_char_fn."""
     m = abs(z)
     if m == 0.0:
         raise ZeroMagnitudeError("cannot estimate scale from z = 0")
@@ -144,7 +148,7 @@ def _scale(z: complex, omega: float, P: float, model: NoiseModel) -> tuple[float
         return 0.0, True
     if m == root_p:
         return 0.0, False
-    return model.inverse_abs_char_fn(m, P) / omega, False
+    return inverse(m, P) / omega, False
 
 
 def estimate_snr(theta_hat: float, sigma_hat: float) -> float:
@@ -201,7 +205,7 @@ def joint_objective(
     z, theta = _finite_z(z), real_number("theta", theta, -math.inf)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
-    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var)
+    a, b = _phasor_variances(model.family, sigma, omega, P, channel_noise_var, math)
     det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(
@@ -219,7 +223,9 @@ def _grid_argmin(
     z: complex, thetas: np.ndarray, sigmas: np.ndarray, omega: float, P: float, nv: float,
     model: NoiseModel,
 ) -> tuple[int, int]:
-    """(i, j) of the least joint_objective on the grid thetas x sigmas.
+    """(i, j) of the least joint_objective on the grid thetas x sigmas
+    (sigmas > 0), from the family record's array kernels: the caller
+    holds an errstate that ignores overflow, divide and invalid.
 
     In the frame rotated by omega theta, where Sigma = diag(a, b): cell
     (i, j) is (u_i - w_j)^2 (1/a_j) + v_i^2 (1/b_j), with u + jv =
@@ -241,9 +247,10 @@ def _grid_argmin(
     """
     phase = omega * thetas
     c, s = np.cos(phase), np.sin(phase)
-    a, b = _phasor_variances(model, sigmas, omega, P, nv)
+    family = model.family
+    a, b = _phasor_variances(family, sigmas, omega, P, nv, np)
     u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
-    w, ra, rb = math.sqrt(P) * model.char_fn(sigmas, omega), 1.0 / a, 1.0 / b
+    w, ra, rb = math.sqrt(P) * family.char_fn(sigmas, omega, np), 1.0 / a, 1.0 / b
     rb_min = rb.min()
     if min(ra.min(), rb_min) > 0.0 and math.isfinite(np.concatenate((u, vsq, w, ra, rb)).sum()):
         lb = vsq * rb_min
@@ -293,9 +300,11 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
     -sqrt(P) d phi/d sigma, and the sigma-derivatives of a = P v_c + nv/2
     and b = P v_s + nv/2 follow from v_s = (1 - phi(2 omega)) / 2 and
     v_c = 1/2 + phi(2 omega) / 2 - phi(omega)^2. Where a or b is 0 (no
-    channel noise and an underflowed variance) r and J are NaN.
+    channel noise and an underflowed variance) r and J are NaN. The
+    kernels are the family record's, on floats.
     """
-    sp = math.sqrt(P)
+    sp, family = math.sqrt(P), model.family
+    char_fn, dsigma = family.char_fn, family.char_fn_dsigma
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta, sigma = float(x[0]), float(x[1])
@@ -303,12 +312,12 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
         s = math.sin(omega * theta)
         re = z.real * c + z.imag * s
         v = z.imag * c - z.real * s
-        a, b = _phasor_variances(model, sigma, omega, P, nv)
+        a, b = _phasor_variances(family, sigma, omega, P, nv, math)
         if not (a > 0.0 and b > 0.0):  # Sigma singular: no whitened residual
             return np.full(2, math.nan), np.full((2, 2), math.nan)
-        phi = model.char_fn(sigma, omega)
-        dphi = model.char_fn_dsigma(sigma, omega)
-        dphi2 = model.char_fn_dsigma(sigma, 2.0 * omega)
+        phi = char_fn(sigma, omega, math)
+        dphi = dsigma(sigma, omega, math)
+        dphi2 = dsigma(sigma, 2.0 * omega, math)
         da = P * (0.5 * dphi2 - 2.0 * phi * dphi)
         db = -0.5 * P * dphi2
         u = re - sp * phi
@@ -382,6 +391,8 @@ def joint_minimum_variance(
         )
     thetas = np.linspace(theta_R / _GRID, theta_R, _GRID)
     sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)
+    if not sigmas[0] > 0.0:  # sigma_max / _GRID underflows to 0
+        raise ValueError(f"sigma must be positive, got {sigmas}")
     # At inputs far out in the float range, 1/a, the cells and the
     # residual's products overflow or turn NaN: the grid then forms every
     # row, and the refinement stops unconverged where r or J is not finite.

@@ -235,7 +235,7 @@ def run_experiment(
     if stream is None:
         stream = RandomStream(cfg.seed)
 
-    omega, P, model = cfg.omega, cfg.P, cfg.model
+    omega, P, inverse = cfg.omega, cfg.P, cfg.model.family.inverse_abs_char_fn
     thetas: list[float] = []
     sigmas: list[float] = []
     gammas: list[float] = []  # trials with sigma_hat > 0 only, in trial order
@@ -245,7 +245,7 @@ def run_experiment(
         raise ValueError(f"non-finite z at sigma={cfg.sigma!r}, omega={cfg.omega!r}")
     for z in zs.tolist():
         theta_t = _location(z, omega)
-        sigma_t, saturated = _scale(z, omega, P, model)
+        sigma_t, saturated = _scale(z, omega, P, inverse)
         thetas.append(theta_t)
         sigmas.append(sigma_t)
         if sigma_t > 0.0:

@@ -1,15 +1,17 @@
 """Sensing-noise families: the one place their formulas live.
 
 Three symmetric, zero-location families are supported, selected by string
-token: "gaussian", "laplace", "cauchy". Everything the rest of the package
-needs to know about a family is a NoiseModel method: the characteristic
+token: "gaussian", "laplace", "cauchy". Each is one Family record of plain
+functions, and a new family is one more record: the characteristic
 function phi(sigma omega), its sigma-derivative, the cos/sin phasor
 variance kernels (each one expression per family, serving floats and
 numpy arrays alike), the inverse of |phi| used by the magnitude
-estimator, the Fisher constants, and the uniform-to-draw transform
-(uniforms_needed and from_uniforms, the only way to draw a family's
-noise: snapshots and Monte Carlo blocks apply it to a stream's
-uniforms).
+estimator, the uniform-to-draw transform (uniforms_needed and
+from_uniforms, the only way to draw a family's noise: snapshots and Monte
+Carlo blocks apply it to a stream's uniforms) and the Fisher constants.
+The record's functions check nothing; NoiseModel, the public face of a
+family, checks its arguments once and calls them. Hot loops that have
+checked theirs (the tuning curves, the joint minimizer) call the record.
 
 The scale conventions are fixed package-wide so that the characteristic
 function of sigma * eta (eta a standardized draw) takes the closed forms
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .numkit import box_muller, buffer_view, real_number
 
-__all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
+__all__ = ["Family", "NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
 MODEL_TOKENS = ("gaussian", "laplace", "cauchy")
 
@@ -51,38 +54,197 @@ _GAUSS_T_MAX = 64.0
 # direct char_fn_dsigma, -omega omega sigma ..., has lost bits.
 _W_SQUARE_NORMAL = 2.0**-511
 
-# Standardized Fisher information per unit sigma^-2, validated by numeric
-# quadrature of the squared score in the test suite.
-_FISHER_LOCATION = {"gaussian": 1.0, "laplace": 2.0, "cauchy": 0.5}
-_FISHER_SCALE = {"gaussian": 2.0, "laplace": 1.0, "cauchy": 0.5}
+
+@dataclass(frozen=True)
+class Family:
+    """The formulas of one noise family, as plain functions that check
+    nothing (NoiseModel's methods say what each computes).
+
+    char_fn, phasor_cos_var, phasor_sin_var and char_fn_dsigma take
+    (s, w, xp): sigma > 0 and omega > 0, as Python floats with xp = math
+    or as numpy arrays with xp = numpy, under an errstate that ignores
+    overflow, invalid and divide. inverse_abs_char_fn takes (m, P),
+    uniforms_needed n, and from_uniforms (u, n, work) with a work buffer.
+    fisher_location and fisher_scale are the informations at sigma = 1,
+    validated by numeric quadrature of the squared score in the tests.
+    """
+
+    char_fn: Callable
+    phasor_cos_var: Callable
+    phasor_sin_var: Callable
+    char_fn_dsigma: Callable
+    inverse_abs_char_fn: Callable
+    uniforms_needed: Callable
+    from_uniforms: Callable
+    fisher_location: float
+    fisher_scale: float
 
 
-def _operands(sigma, omega):
-    """(sigma, omega, xp) for the kernels: floats with xp = math, or numpy
-    arrays (when either argument is one) with xp = numpy, so each kernel
-    writes one expression per family for both.
+# Gaussian.
+
+def _gaussian_cos_var(s, w, xp):
+    # 1/2 + e^{-2 t^2}/2 - e^{-t^2} = (1 - e^{-t^2})^2 / 2
+    t = s * w
+    e = xp.expm1(-(t * t))
+    return 0.5 * e * e
+
+
+def _gaussian_dsigma(s, w, xp):
+    t = s * w
+    d = -w * w * s * xp.exp(-0.5 * t * t)
+    if xp is math and -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
+        return d
+    # Elsewhere -(omega e) (t e) with e = exp(-t^2 / 4), t clamped at
+    # _GAUSS_T_MAX, past which the value is below the float range.
+    t = np.minimum(t, _GAUSS_T_MAX) if xp is np else min(t, _GAUSS_T_MAX)
+    e = xp.exp(-0.25 * t * t)
+    scaled = -(w * e) * (t * e)
+    if xp is math:
+        return scaled
+    return np.where(np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL), d, scaled)
+
+
+def _gaussian_inverse(m, P):
+    q = m * m
+    t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
+    if t == math.inf:
+        t = math.sqrt(math.log(P) - 2.0 * math.log(m))
+    return t
+
+
+# Laplace.
+
+def _laplace_half_square(t, xp):
+    """a = t^2 / 2 for the Laplace phasor variances, t clamped at
+    _LAPLACE_T_MAX so that no intermediate overflows."""
+    if xp is np:
+        t = np.minimum(t, _LAPLACE_T_MAX)
+    elif t > _LAPLACE_T_MAX:
+        t = _LAPLACE_T_MAX
+    return 0.5 * t * t
+
+
+def _laplace_cos_var(s, w, xp):
+    a = _laplace_half_square(s * w, xp)
+    return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
+
+
+def _laplace_sin_var(s, w, xp):
+    a = _laplace_half_square(s * w, xp)
+    return 2.0 * a / (1.0 + 4.0 * a)
+
+
+def _laplace_dsigma(s, w, xp):
+    t = s * w
+    den = 1.0 + 0.5 * t * t
+    d = -w * w * s / (den * den)
+    if xp is math and -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
+        return d
+    # Elsewhere -(omega / den) (t / den), or, where den overflows (the 1
+    # is then below rounding), -(2 omega / t / t) (2 / t), or, where
+    # 2 omega overflows too (omega above about 9e307), -(omega / t / t)
+    # (4 / t); t may be inf (sigma omega past the float range).
+    w2 = 2.0 * w
+    if xp is math:
+        if den < math.inf:
+            return -(w / den) * (t / den)
+        if w2 < math.inf:
+            return -(w2 / t / t) * (2.0 / t)
+        return -(w / t / t) * (4.0 / t)
+    tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
+    scaled = np.where(den < math.inf, -(w / den) * (t / den), tail)
+    return np.where(np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL), d, scaled)
+
+
+def _laplace_inverse(m, P):
+    t = math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
+    if t == math.inf:
+        # sqrt(P) / m > 1e307 here, so the -1 is below rounding.
+        t = math.sqrt(2.0 * math.sqrt(P)) / math.sqrt(m)
+    return t
+
+
+def _laplace_draws(u, n, work):
+    """Differences of two unit exponentials -log(1 - u), scaled by
+    1/sqrt(2): the first n uniforms give the first exponential, the last
+    n the second."""
+    shape = u.shape[:-1] + (n,)
+    e1, e2 = buffer_view(work[0], shape), buffer_view(work[1], shape)
+    e1[...], e2[...] = u[..., :n], u[..., n:]
+    for e in (e1, e2):  # -log1p(-u) for each half, in place
+        np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
+    e1 -= e2
+    e1 *= _LAPLACE_B
+    return e1
+
+
+# Cauchy: both phasor components share one variance.
+
+def _cauchy_var(s, w, xp):
+    return -0.5 * xp.expm1(-2.0 * (s * w))
+
+
+def _cauchy_inverse(m, P):
+    t = math.log(math.sqrt(P) / m)
+    if t == math.inf:
+        t = 0.5 * math.log(P) - math.log(m)
+    return t
+
+
+def _cauchy_draws(u, n, work):
+    """The tangent transform tan(pi (u - 1/2))."""
+    e1 = buffer_view(work[0], u.shape[:-1] + (n,))
+    e1[...] = u[..., :n]
+    e1 -= 0.5
+    e1 *= math.pi
+    return np.tan(e1, out=e1)
+
+
+_FAMILIES = {
+    "gaussian": Family(
+        char_fn=lambda s, w, xp: xp.exp(-0.5 * (s * w) * (s * w)),
+        phasor_cos_var=_gaussian_cos_var,
+        phasor_sin_var=lambda s, w, xp: -0.5 * xp.expm1(-2.0 * (s * w) * (s * w)),
+        char_fn_dsigma=_gaussian_dsigma,
+        inverse_abs_char_fn=_gaussian_inverse,
+        uniforms_needed=lambda n: 2 * ((n + 1) // 2),
+        from_uniforms=box_muller,
+        fisher_location=1.0,
+        fisher_scale=2.0,
+    ),
+    "laplace": Family(
+        char_fn=lambda s, w, xp: 1.0 / (1.0 + 0.5 * (s * w) * (s * w)),
+        phasor_cos_var=_laplace_cos_var,
+        phasor_sin_var=_laplace_sin_var,
+        char_fn_dsigma=_laplace_dsigma,
+        inverse_abs_char_fn=_laplace_inverse,
+        uniforms_needed=lambda n: 2 * n,
+        from_uniforms=_laplace_draws,
+        fisher_location=2.0,
+        fisher_scale=1.0,
+    ),
+    "cauchy": Family(
+        char_fn=lambda s, w, xp: xp.exp(-(s * w)),
+        phasor_cos_var=_cauchy_var,
+        phasor_sin_var=_cauchy_var,
+        char_fn_dsigma=lambda s, w, xp: -w * xp.exp(-(s * w)),
+        inverse_abs_char_fn=_cauchy_inverse,
+        uniforms_needed=lambda n: n,
+        from_uniforms=_cauchy_draws,
+        fisher_location=0.5,
+        fisher_scale=0.5,
+    ),
+}
+
+
+def _evaluate(kernel, sigma, omega):
+    """kernel(s, w, xp) on the checked (sigma, omega): floats with xp =
+    math, or numpy arrays (when either argument is one) with xp = numpy,
+    so each kernel writes one expression per family for both.
 
     Every value must be > 0; the checks are written as `not x > 0.0` so
     NaN is rejected too. An array is checked by one reduction (min
     propagates NaN), a 0-d one as a float; an empty array passes.
-    """
-    if isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray):
-        s, w, xp = np.asarray(sigma), np.asarray(omega), np
-        s_ok, w_ok = _all_positive(s), _all_positive(w)
-    else:
-        s, w, xp = float(sigma), float(omega), math
-        s_ok, w_ok = s > 0.0, w > 0.0
-    if not s_ok:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not w_ok:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
-    return s, w, xp
-
-
-def _kernel(formula):
-    """The NoiseModel kernel kernel(self, sigma, omega) that evaluates
-    formula(self, s, w, xp) on the _operands of (sigma, omega); two
-    positive Python floats are passed on as they are.
 
     On arrays overflow and inf * 0 are silent, as they are for floats:
     t * t, and the Laplace den * den, reach inf at large sigma omega, and
@@ -92,105 +254,73 @@ def _kernel(formula):
     then finite at the same points and agree to a few ulps, not bit for
     bit: numpy's exp, expm1 and power round differently from math's.
     """
-
-    def kernel(self, sigma, omega):
-        if type(sigma) is float and type(omega) is float and sigma > 0.0 and omega > 0.0:
-            return formula(self, sigma, omega, math)
-        s, w, xp = _operands(sigma, omega)
-        if xp is math:
-            return formula(self, s, w, xp)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return formula(self, s, w, xp)
-
-    kernel.__name__, kernel.__qualname__ = formula.__name__, formula.__qualname__
-    kernel.__doc__ = formula.__doc__
-    return kernel
-
-
-def _all_positive(a: np.ndarray) -> bool:
-    """Whether every element of a is > 0 (NaN is not); True when empty."""
-    if a.ndim == 0:
-        return float(a) > 0.0
-    return a.size == 0 or bool(a.min() > 0.0)
-
-
-def _clamped(t, cap, xp):
-    """min(t, cap) for a float or an array t."""
-    if xp is np:
-        return np.minimum(t, cap)
-    return cap if t > cap else t
-
-
-def _laplace_half_square(t, xp):
-    """a = t^2 / 2 for the Laplace phasor variances, t clamped at
-    _LAPLACE_T_MAX so that no intermediate overflows."""
-    t = _clamped(t, _LAPLACE_T_MAX, xp)
-    return 0.5 * t * t
+    arrays = isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray)
+    if arrays:
+        s, w = np.asarray(sigma), np.asarray(omega)
+        s_ok, w_ok = (
+            float(a) > 0.0 if a.ndim == 0 else a.size == 0 or bool(a.min() > 0.0) for a in (s, w)
+        )
+    else:
+        s, w = float(sigma), float(omega)
+        s_ok, w_ok = s > 0.0, w > 0.0
+    if not s_ok:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not w_ok:
+        raise ValueError(f"omega must be strictly positive, got {omega}")
+    if not arrays:
+        return kernel(s, w, math)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return kernel(s, w, np)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """One noise family; construct via noise_model(token).
 
-    Each per-family formula is a method of this one class that branches
-    on kind, not an override in a per-family subclass, so every kernel
-    has exactly one definition that can be looked up on the class.
+    Each method checks its arguments and calls the family's record, so
+    every formula has exactly one definition, in that record.
     """
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in MODEL_TOKENS:
+        if self.kind not in _FAMILIES:
             raise ValueError(
                 f"unknown noise model {self.kind!r}; expected one of {MODEL_TOKENS}"
             )
 
-    @_kernel
-    def char_fn(self, s, w, xp):
+    @property
+    def family(self) -> Family:
+        """The record of this family's formulas; ValueError naming a kind
+        that has none."""
+        try:
+            return _FAMILIES[self.kind]
+        except KeyError:
+            raise ValueError(f"no formulas for the {self.kind!r} family") from None
+
+    def char_fn(self, sigma, omega):
         """Characteristic function of sigma * eta evaluated at omega.
 
         Accepts scalars or numpy arrays (broadcast); always in (0, 1) for
         omega > 0 and strictly decreasing in omega.
         """
-        t = s * w
-        if self.kind == "gaussian":
-            return xp.exp(-0.5 * t * t)
-        if self.kind == "laplace":
-            return 1.0 / (1.0 + 0.5 * t * t)
-        return xp.exp(-t)  # cauchy
+        return _evaluate(self.family.char_fn, sigma, omega)
 
-    @_kernel
-    def phasor_cos_var(self, s, w, xp):
+    def phasor_cos_var(self, sigma, omega):
         """Var cos(omega (x - theta)) = 1/2 + phi(2 omega)/2 - phi^2.
 
         Evaluated in a cancellation-free form per model; the naive
         combination of char_fn values loses all precision for small
         sigma * omega, where this quantity is O((sigma omega)^4).
         """
-        t = s * w
-        if self.kind == "gaussian":
-            # 1/2 + e^{-2 t^2}/2 - e^{-t^2} = (1 - e^{-t^2})^2 / 2
-            e = xp.expm1(-(t * t))
-            return 0.5 * e * e
-        if self.kind == "laplace":
-            a = _laplace_half_square(t, xp)
-            return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
-        return -0.5 * xp.expm1(-2.0 * t)  # cauchy
+        return _evaluate(self.family.phasor_cos_var, sigma, omega)
 
-    @_kernel
-    def phasor_sin_var(self, s, w, xp):
+    def phasor_sin_var(self, sigma, omega):
         """Var sin(omega (x - theta)) = (1 - phi(2 omega)) / 2,
         cancellation-free for small sigma * omega."""
-        t = s * w
-        if self.kind == "gaussian":
-            return -0.5 * xp.expm1(-2.0 * t * t)
-        if self.kind == "laplace":
-            a = _laplace_half_square(t, xp)
-            return 2.0 * a / (1.0 + 4.0 * a)
-        return -0.5 * xp.expm1(-2.0 * t)  # cauchy
+        return _evaluate(self.family.phasor_sin_var, sigma, omega)
 
-    @_kernel
-    def char_fn_dsigma(self, s, w, xp):
+    def char_fn_dsigma(self, sigma, omega):
         """Partial derivative of char_fn with respect to sigma (omega fixed).
 
         gaussian: -omega^2 sigma exp(-omega^2 sigma^2 / 2)
@@ -199,51 +329,10 @@ class NoiseModel:
 
         Strictly negative for omega > 0 until it underflows to -0.0. Where
         the direct form is not finite, rounds to zero, or omega^2 is
-        subnormal (omega < 2^-511), _dsigma_scaled gives the same value,
+        subnormal (omega < 2^-511), a scaled form gives the same value,
         so every other finite nonzero direct result keeps its bits.
         """
-        t = s * w
-        if self.kind == "gaussian":
-            d = -w * w * s * xp.exp(-0.5 * t * t)
-        elif self.kind == "laplace":
-            den = 1.0 + 0.5 * t * t
-            d = -w * w * s / (den * den)
-        else:
-            return -w * xp.exp(-t)  # cauchy
-        if xp is math:
-            if -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
-                return d
-            return self._dsigma_scaled(w, t, xp)
-        keep = np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL)
-        return np.where(keep, d, self._dsigma_scaled(w, t, xp))
-
-    def _dsigma_scaled(self, w, t, xp):
-        """char_fn_dsigma of the Gaussian or Laplace family from omega and
-        t = sigma omega, in a form whose intermediates do not overflow or
-        underflow before the result does; t may be inf (sigma omega past
-        the float range):
-
-        gaussian: -(omega e) (t e) with e = exp(-t^2 / 4), t clamped at
-            _GAUSS_T_MAX, past which the value is below the float range.
-        laplace:  -(omega / den) (t / den), or, where den = 1 + t^2 / 2
-            overflows (the 1 is then below rounding), -(2 omega / t / t)
-            (2 / t), or, where 2 omega overflows too (omega above about
-            9e307), -(omega / t / t) (4 / t).
-        """
-        if self.kind == "gaussian":
-            t = _clamped(t, _GAUSS_T_MAX, xp)
-            e = xp.exp(-0.25 * t * t)
-            return -(w * e) * (t * e)
-        den = 1.0 + 0.5 * t * t
-        w2 = 2.0 * w
-        if xp is math:
-            if den < math.inf:
-                return -(w / den) * (t / den)
-            if w2 < math.inf:
-                return -(w2 / t / t) * (2.0 / t)
-            return -(w / t / t) * (4.0 / t)
-        tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
-        return np.where(den < math.inf, -(w / den) * (t / den), tail)
+        return _evaluate(self.family.char_fn_dsigma, sigma, omega)
 
     def inverse_abs_char_fn(self, m: float, P: float) -> float:
         """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.
@@ -254,42 +343,19 @@ class NoiseModel:
         from log(m) or sqrt(m) instead, so every finite direct result is
         kept bit for bit and no m > 0 gives inf.
         """
-        if self.kind == "gaussian":
-            q = m * m
-            t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
-            if t == math.inf:
-                t = math.sqrt(math.log(P) - 2.0 * math.log(m))
-            return t
-        if self.kind == "laplace":
-            t = math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
-            if t == math.inf:
-                # sqrt(P) / m > 1e307 here, so the -1 is below rounding.
-                t = math.sqrt(2.0 * math.sqrt(P)) / math.sqrt(m)
-            return t
-        t = math.log(math.sqrt(P) / m)  # cauchy
-        if t == math.inf:
-            t = 0.5 * math.log(P) - math.log(m)
-        return t
+        return self.family.inverse_abs_char_fn(m, P)
 
     def uniforms_needed(self, n: int) -> int:
         """Uniforms that n standardized draws consume: 2 ceil(n/2)
         (gaussian), 2n (laplace) or n (cauchy)."""
-        if self.kind == "gaussian":
-            return 2 * ((n + 1) // 2)
-        if self.kind == "laplace":
-            return 2 * n
-        return n  # cauchy
+        return self.family.uniforms_needed(n)
 
     def from_uniforms(self, u: np.ndarray, n: int, work: np.ndarray | None = None) -> np.ndarray:
         """n standardized draws (zero location, unit scale per the module
         conventions) from uniforms_needed(n) uniforms, over the last axis
-        of u, so one call serves a single draw vector or a block of them.
-
-        gaussian: box_muller, truncated to n.
-        laplace: difference of two unit exponentials scaled by 1/sqrt(2),
-            each exponential -log(1 - u); the first n uniforms give the
-            first exponential, the last n the second.
-        cauchy: tangent transform tan(pi (u - 1/2)).
+        of u, so one call serves a single draw vector or a block of them:
+        box_muller truncated to n (gaussian), a difference of two unit
+        exponentials (laplace) or the tangent transform (cauchy).
 
         Given work, (2, s) float64 with s >= 2 ceil(n/2) per draw vector,
         the draws are a C-contiguous view of work[0] and work[1] is
@@ -297,31 +363,15 @@ class NoiseModel:
         """
         if work is None:
             work = np.empty((2, u.size))
-        if self.kind == "gaussian":
-            return box_muller(u, n, work)
-        shape = u.shape[:-1] + (n,)
-        e1 = buffer_view(work[0], shape)
-        e1[...] = u[..., :n]
-        if self.kind == "laplace":
-            # -log1p(-u) for each half, differenced and scaled in place.
-            e2 = buffer_view(work[1], shape)
-            e2[...] = u[..., n:]
-            for e in (e1, e2):
-                np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
-            e1 -= e2
-            e1 *= _LAPLACE_B
-            return e1
-        e1 -= 0.5  # cauchy
-        e1 *= math.pi
-        return np.tan(e1, out=e1)
+        return self.family.from_uniforms(u, n, work)
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
-        return _fisher(_FISHER_LOCATION[self.kind], sigma)
+        return _fisher(self.family.fisher_location, sigma)
 
     def fisher_scale(self, sigma: float) -> float:
         """Fisher information for sigma in x = theta + sigma * eta."""
-        return _fisher(_FISHER_SCALE[self.kind], sigma)
+        return _fisher(self.family.fisher_scale, sigma)
 
 
 def _fisher(unit: float, sigma: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .asymptotic import _asv_components, _asv_sigma, _asv_theta, compose_gamma
+from .asymptotic import _asv_curves, _composer
 from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel
 from .numkit import grid_roots, lambert_w0, minimize_quasiconvex, real_number, uniform_grid
@@ -90,23 +90,16 @@ def _target_curve(
     target: str,
     gamma: float | None,
 ):
+    """The target's asymptotic variance as a function of a float omega >
+    0, at checked sigma, P and nv: closures on the family's record, so a
+    probe makes no argument checks."""
     if target not in OMEGA_TARGETS:
         raise ValueError(f"target must be one of {OMEGA_TARGETS}, got {target!r}")
-    if target == "gamma":
-        theta = math.sqrt(real_number("gamma", gamma)) * sigma
-
-        def f(w: float) -> float:
-            asv_t, asv_s = _asv_components(model, sigma, w, P, nv)
-            return compose_gamma(asv_t, asv_s, theta, sigma)
-
-        return f
-
-    component = _asv_theta if target == "theta" else _asv_sigma
-
-    def f(w: float) -> float:
-        return component(model, sigma, w, P, nv)
-
-    return f
+    asv_theta, asv_sigma = _asv_curves(model.family, sigma, P, nv)
+    if target != "gamma":
+        return asv_theta if target == "theta" else asv_sigma
+    compose = _composer(math.sqrt(real_number("gamma", gamma)) * sigma, sigma)
+    return lambda w: compose(asv_theta(w), asv_sigma(w))
 
 
 def optimal_omega(
@@ -175,6 +168,13 @@ def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e1 = np.array([math.exp(x) for x in b.tolist()])
     e2 = np.array([math.exp(2.0 * x) for x in b.tolist()])
     return b, e1, e2
+
+
+@functools.cache
+def _quintic_grid() -> np.ndarray:
+    """The 4096-step grid of [_BETA_LO, _BETA_HI] that the Laplace
+    quintics are scanned on: a constant, built on first use."""
+    return uniform_grid(_BETA_LO, _BETA_HI, 4096)
 
 
 def _scan_root(equation) -> float | None:
@@ -312,7 +312,8 @@ def _laplace_quintic_omega(coeffs, sigma, curve):
     the curve; no value where it has none in range. The roots are
     grid_roots' on the 4096-step grid of [_BETA_LO, _BETA_HI], bisected
     to 1e-14 _BETA_HI, each within 1e-9 (1 + beta) of the last one kept
-    merged into it. One Horner closure serves the grid and the bisection.
+    merged into it. One Horner closure serves the grid (_quintic_grid)
+    and the bisection.
     """
 
     def poly(b):
@@ -321,7 +322,7 @@ def _laplace_quintic_omega(coeffs, sigma, curve):
             acc = acc * b + c
         return acc
 
-    grid = uniform_grid(_BETA_LO, _BETA_HI, 4096)
+    grid = _quintic_grid()
     with np.errstate(all="ignore"):
         values = poly(grid)
     roots: list[float] = []
@@ -345,8 +346,13 @@ def _laplace_per_sensor_gamma_omega(sigma, P, nv, r, g, curve):
     radicand cancels at small g, or the product underflows) the same value
     from the cancellation-free -13 g - 16 + inner = 128 g (g + 2) /
     (inner + 13 g + 16). The radical is 4e-5 relative off at g = 1e-12,
-    and 6% at 1e-15."""
-    inner = math.sqrt((9.0 * g + 16.0) * (33.0 * g + 16.0))
+    and 6% at 1e-15. Where (9 g + 16)(33 g + 16) overflows (g above about
+    7.8e152), that quotient is formed with every term divided by g."""
+    product = (9.0 * g + 16.0) * (33.0 * g + 16.0)
+    if product == math.inf:
+        inner = math.sqrt((9.0 + 16.0 / g) * (33.0 + 16.0 / g))
+        return math.sqrt(8.0 * (1.0 + 2.0 / g) / (inner + 13.0 + 16.0 / g)) / sigma, "", {}
+    inner = math.sqrt(product)
     radicand, den = -13.0 * g - 16.0 + inner, 4.0 * sigma * math.sqrt(g)
     if radicand >= (13.0 * g + 16.0) / 32.0 and den > 0.0:
         return math.sqrt(radicand) / den, "", {}

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmphase import tuning
 from cmphase.asymptotic import (
     AsvReport,
-    _asv_components,
-    _asv_sigma,
-    _asv_theta,
+    _asv_curves,
     asv_closed_form,
     asv_generic,
     asv_via_sandwich,
@@ -33,7 +32,36 @@ from cmphase.asymptotic import (
 from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
 from cmphase.tuning import OMEGA_TARGETS
+from test_noise import REFERENCE
 from test_numkit import WIDE, WIDE_SETTINGS
+
+
+def reference_components(kind, sigma, omega, P, nv):
+    """(asv_theta, asv_sigma) as each was formed from two kernels of the
+    reference model (test_noise.REFERENCE) before the tuning curves."""
+    model = REFERENCE[kind]
+    phi, v_s = model.char_fn(sigma, omega), model.phasor_sin_var(sigma, omega)
+    try:
+        den_t = 2.0 * P * omega**2 * phi * phi
+    except OverflowError:
+        den_t = math.inf
+    if den_t < math.inf:
+        asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
+    else:
+        w_phi = omega * phi
+        asv_t = (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+    dphi, v_c = model.char_fn_dsigma(sigma, omega), model.phasor_cos_var(sigma, omega)
+    den_s = 2.0 * P * dphi * dphi
+    return asv_t, (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
+
+
+def gamma_outcome(curve, omega):
+    """curve(omega)'s bits, or the type and message of its ValueError."""
+    try:
+        return curve(omega).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
 
 ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 
@@ -253,18 +281,29 @@ class TestAsvGeneric:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_components_one_at_a_time(self, model):
-        """_asv_theta and _asv_sigma are the components of _asv_components
-        bit for bit, from omega = 1e-300 to 1e300, past the omega^2 range
-        and deep in the tail where phi underflows to 0."""
+        """The curves of _asv_curves, which asv_generic and the tuning
+        probes evaluate, give the two-kernel components of
+        reference_components bit for bit, from omega = 1e-300 to 1e300,
+        past the omega^2 range and deep in the tail where phi underflows
+        to 0; the gamma tuning curve gives compose_gamma of them, or
+        raises its error."""
         omegas = np.logspace(-300, 300, 61).tolist() + [38.0, 1.4e154, 2e154]
         underflowed = 0
         for sigma in (1e-300, 1e-3, 1.0, 8.0, 1e3):
             for omega in omegas:
                 underflowed += model.char_fn(sigma, omega) == 0.0
                 for P, nv in ((1.0, 0.0), (2.0, 0.5), (1e-3, 1e10)):
-                    asv_t, asv_s = _asv_components(model, sigma, omega, P, nv)
-                    assert _asv_theta(model, sigma, omega, P, nv).hex() == asv_t.hex()
-                    assert _asv_sigma(model, sigma, omega, P, nv).hex() == asv_s.hex()
+                    asv_t, asv_s = reference_components(model.kind, sigma, omega, P, nv)
+                    curves = _asv_curves(model.family, sigma, P, nv)
+                    assert [f(omega).hex() for f in curves] == [asv_t.hex(), asv_s.hex()]
+                    rep = asv_generic(model, sigma, omega, P, nv)
+                    assert (rep.asv_theta.hex(), rep.asv_sigma.hex()) == (asv_t.hex(), asv_s.hex())
+                    for gamma in (1e-300, 0.5, 1e300):
+                        theta = math.sqrt(gamma) * sigma
+                        curve = tuning._target_curve(model, sigma, P, nv, "gamma", gamma)
+                        assert gamma_outcome(curve, omega) == gamma_outcome(
+                            lambda _: compose_gamma(asv_t, asv_s, theta, sigma), omega
+                        )
         assert underflowed
 
     @pytest.mark.parametrize(
@@ -465,3 +504,24 @@ class TestClosedForms:
         """A closed form is finite or raises ValueError naming the point."""
         with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}, omega={omega!r}")):
             asv_closed_form(noise_model(kind), sigma, omega, 1.0, 1.0, which, mode, gamma=1.0)
+
+    @settings(WIDE_SETTINGS, max_examples=500)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        mode=st.sampled_from(list(PowerMode)),
+        which=st.sampled_from(OMEGA_TARGETS),
+        point=st.tuples(*[WIDE] * 5),
+    )
+    def test_wide_inputs_finite_or_raise(self, capfd, model, mode, which, point):
+        """Over log-uniform 1e-300..1e300 inputs and 0, each closed form is
+        finite with its frozen flag, or the call raises ValueError; never
+        NaN, a RuntimeWarning or output on stdout."""
+        sigma, omega, P, nv, gamma = point
+        try:
+            value, verified = asv_closed_form(model, sigma, omega, P, nv, which, mode, gamma=gamma)
+        except ValueError:
+            pass
+        else:
+            assert math.isfinite(value), (point, value)
+            assert verified is CLOSED_FORM_AGREES[(model.kind, which, mode)]
+        assert capfd.readouterr().out == ""

@@ -11,13 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmphase.asymptotic import asv_generic
 from cmphase.efficiency import (
     REFERENCE_ARE,
     EfficiencyReport,
     asymptotic_relative_efficiency,
 )
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
+from test_numkit import WIDE, WIDE_SETTINGS
 
 CAUCHY_INF_ASV = 3.0882773047417402  # shared by theta and sigma, sigma = 1
 CAUCHY_ARE = 0.6476102378919149  # 2 / CAUCHY_INF_ASV
@@ -111,3 +115,40 @@ class TestReportShape:
         a = asymptotic_relative_efficiency(CAUCHY, "theta")
         b = asymptotic_relative_efficiency(CAUCHY, "theta", omega_max=4.0 * math.pi)
         np.testing.assert_allclose(a.are, b.are, rtol=1e-9)
+
+    @pytest.mark.parametrize("model", [LAPLACE, CAUCHY], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("parameter", ["theta", "sigma"])
+    @pytest.mark.parametrize("omega_max", [2e-4, 0.01, 0.5])
+    def test_upper_edge_infimum(self, model, parameter, omega_max):
+        """Below the interior optimum the infimum is on the upper edge, and
+        is read off at u = omega_max exactly. The last golden-section probe
+        there, 1e-10 from the edge at both scales, made the ratio differ by
+        about 1e-8 between sigma = 1 and 2, and the call raised
+        RuntimeError (Cauchy at omega_max = 2e-4 and 0.01)."""
+        rep = asymptotic_relative_efficiency(model, parameter, omega_max=omega_max)
+        clean = asv_generic(model, 1.0, omega_max, 1.0)
+        assert rep.inf_asv == getattr(clean, f"asv_{parameter}")
+        assert 0.0 < rep.are < 1.0
+
+
+class TestWideInputs:
+    @settings(WIDE_SETTINGS, max_examples=150)
+    @given(
+        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        parameter=st.sampled_from(["theta", "sigma"]),
+        omega_max=st.one_of(WIDE, st.floats(-4.1, 1.0).map(lambda e: 10.0**e)),
+    )
+    def test_finite_or_raise(self, capfd, model, parameter, omega_max):
+        """Over omega_max log-uniform in 1e-300..1e300, 0, and 10^-4.1..10
+        (around the interior optima), the ARE is finite and in (0, 1], or
+        the call raises ValueError (ConvergenceError where no probe of the
+        curve is finite); never NaN, RuntimeError, a RuntimeWarning or
+        output on stdout."""
+        try:
+            rep = asymptotic_relative_efficiency(model, parameter, omega_max=omega_max)
+        except ValueError:
+            pass
+        else:
+            assert 0.0 < rep.are <= 1.0 + 1e-9, (omega_max, rep)
+            assert math.isfinite(rep.inf_asv) and math.isfinite(rep.fisher_bound)
+        assert capfd.readouterr().out == ""

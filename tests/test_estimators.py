@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmphase import estimators, numkit
-from cmphase.asymptotic import _phasor_variances
 from cmphase.estimators import (
     _GRID,
     _ROWS,
@@ -299,7 +298,7 @@ class TestJointObjective:
         """The numerator s22 r_re^2 overflowed where the form is about 2e4,
         which read inf. The rotated frame keeps it finite."""
         value = joint_objective(0.0, 0.0, 1.0, 0.1, 1e156, 0.0, GAUSSIAN)
-        a, b = _phasor_variances(GAUSSIAN, 1.0, 0.1, 1e156, 0.0)
+        a = 1e156 * GAUSSIAN.phasor_cos_var(1.0, 0.1)
         w = 1e78 * GAUSSIAN.char_fn(1.0, 0.1)
         np.testing.assert_allclose(value, w / a * w, rtol=1e-15)
 
@@ -349,6 +348,14 @@ class TestJointObjective:
 
 
 class TestJointMinimumVariance:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_sigma_grid_underflow_raises(self, model):
+        """sigma_max / 200 underflows to 0 below about 1e-321, and the grid
+        is checked once for it, with the kernels' own message, which names
+        the grid."""
+        with pytest.raises(ValueError, match=r"^sigma must be positive, got \[0\.0e\+000"):
+            joint_minimum_variance(0.5 + 0.3j, 1.0, 1.0, 1.0, model, math.pi, sigma_max=1e-322)
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("nv", [0.0, 1.0])
     def test_matches_closed_forms_on_reachable_points(self, model, nv):
@@ -689,7 +696,8 @@ def _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model):
     search formed it before the row blocks, with numpy's argmin."""
     c = np.cos(omega * thetas)
     s = np.sin(omega * thetas)
-    a, b = _phasor_variances(model, sigmas, omega, P, nv)
+    a = P * model.phasor_cos_var(sigmas, omega) + 0.5 * nv
+    b = P * model.phasor_sin_var(sigmas, omega) + 0.5 * nv
     q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.char_fn(sigmas, omega))
     q *= q
     q *= 1.0 / a

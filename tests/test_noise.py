@@ -62,6 +62,182 @@ def ulp_distance(a, b):
     return np.abs(key_a - key_b)
 
 
+# The reference kernels: one method per kernel that branches on kind, the
+# form the per-family records were derived from. Every public kernel must
+# equal it bit for bit, and raise what it raises.
+
+def _reference_operands(sigma, omega):
+    if isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray):
+        s, w, xp = np.asarray(sigma), np.asarray(omega), np
+        s_ok, w_ok = (
+            float(a) > 0.0 if a.ndim == 0 else a.size == 0 or bool(a.min() > 0.0) for a in (s, w)
+        )
+    else:
+        s, w, xp = float(sigma), float(omega), math
+        s_ok, w_ok = s > 0.0, w > 0.0
+    if not s_ok:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not w_ok:
+        raise ValueError(f"omega must be strictly positive, got {omega}")
+    return s, w, xp
+
+
+def _reference_kernel(formula):
+    def kernel(self, sigma, omega):
+        s, w, xp = _reference_operands(sigma, omega)
+        if xp is math:
+            return formula(self, s, w, xp)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return formula(self, s, w, xp)
+
+    return kernel
+
+
+def _reference_clamped(t, cap, xp):
+    return np.minimum(t, cap) if xp is np else (cap if t > cap else t)
+
+
+class ReferenceNoiseModel:
+    def __init__(self, kind):
+        self.kind = kind
+
+    @_reference_kernel
+    def char_fn(self, s, w, xp):
+        t = s * w
+        if self.kind == "gaussian":
+            return xp.exp(-0.5 * t * t)
+        if self.kind == "laplace":
+            return 1.0 / (1.0 + 0.5 * t * t)
+        return xp.exp(-t)
+
+    @_reference_kernel
+    def phasor_cos_var(self, s, w, xp):
+        t = s * w
+        if self.kind == "gaussian":
+            e = xp.expm1(-(t * t))
+            return 0.5 * e * e
+        if self.kind == "laplace":
+            t = _reference_clamped(t, noise._LAPLACE_T_MAX, xp)
+            a = 0.5 * t * t
+            return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
+        return -0.5 * xp.expm1(-2.0 * t)
+
+    @_reference_kernel
+    def phasor_sin_var(self, s, w, xp):
+        t = s * w
+        if self.kind == "gaussian":
+            return -0.5 * xp.expm1(-2.0 * t * t)
+        if self.kind == "laplace":
+            t = _reference_clamped(t, noise._LAPLACE_T_MAX, xp)
+            a = 0.5 * t * t
+            return 2.0 * a / (1.0 + 4.0 * a)
+        return -0.5 * xp.expm1(-2.0 * t)
+
+    @_reference_kernel
+    def char_fn_dsigma(self, s, w, xp):
+        t = s * w
+        if self.kind == "gaussian":
+            d = -w * w * s * xp.exp(-0.5 * t * t)
+        elif self.kind == "laplace":
+            den = 1.0 + 0.5 * t * t
+            d = -w * w * s / (den * den)
+        else:
+            return -w * xp.exp(-t)
+        if xp is math:
+            if -math.inf < d < 0.0 and w >= noise._W_SQUARE_NORMAL:
+                return d
+            return self._dsigma_scaled(w, t, xp)
+        keep = np.isfinite(d) & (d != 0.0) & (w >= noise._W_SQUARE_NORMAL)
+        return np.where(keep, d, self._dsigma_scaled(w, t, xp))
+
+    def _dsigma_scaled(self, w, t, xp):
+        if self.kind == "gaussian":
+            t = _reference_clamped(t, noise._GAUSS_T_MAX, xp)
+            e = xp.exp(-0.25 * t * t)
+            return -(w * e) * (t * e)
+        den = 1.0 + 0.5 * t * t
+        w2 = 2.0 * w
+        if xp is math:
+            if den < math.inf:
+                return -(w / den) * (t / den)
+            if w2 < math.inf:
+                return -(w2 / t / t) * (2.0 / t)
+            return -(w / t / t) * (4.0 / t)
+        tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
+        return np.where(den < math.inf, -(w / den) * (t / den), tail)
+
+    def inverse_abs_char_fn(self, m, P):
+        if self.kind == "gaussian":
+            q = m * m
+            t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
+            if t == math.inf:
+                t = math.sqrt(math.log(P) - 2.0 * math.log(m))
+            return t
+        if self.kind == "laplace":
+            t = math.sqrt(2.0 * (math.sqrt(P) / m - 1.0))
+            if t == math.inf:
+                t = math.sqrt(2.0 * math.sqrt(P)) / math.sqrt(m)
+            return t
+        t = math.log(math.sqrt(P) / m)
+        if t == math.inf:
+            t = 0.5 * math.log(P) - math.log(m)
+        return t
+
+
+REFERENCE = {kind: ReferenceNoiseModel(kind) for kind in MODEL_TOKENS}
+
+
+def kernel_outcome(f, *args):
+    """f(*args) as bytes of float64, or the type and message it raised."""
+    try:
+        return np.asarray(f(*args), dtype=np.float64).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+LOG_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        kernel=st.sampled_from(KERNELS),
+        sigma=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+        omega=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+        sigmas=st.lists(st.one_of(LOG_WIDE, st.just(0.0)), max_size=6),
+        omegas=st.lists(LOG_WIDE, min_size=1, max_size=6),
+    )
+    def test_kernels_match_bit_for_bit(self, model, kernel, sigma, omega, sigmas, omegas):
+        """For s and w log-uniform in 1e-300..1e300 (and out-of-range
+        values, which both must reject with the same message), on floats,
+        numpy scalars, arrays and broadcasts, and without warnings."""
+        got, ref = getattr(model, kernel), getattr(REFERENCE[model.kind], kernel)
+        s_arr, w_arr = np.array(sigmas), np.resize(np.array(omegas), len(sigmas))
+        for args in (
+            (sigma, omega),
+            (np.float64(sigma), omega),
+            (np.array(sigma), omega),
+            (s_arr, omega),
+            (s_arr, w_arr),
+            (s_arr[:, None], np.array(omegas)),
+        ):
+            assert kernel_outcome(got, *args) == kernel_outcome(ref, *args), args
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        P=LOG_WIDE,
+        m=LOG_WIDE,
+    )
+    def test_inverse_matches_bit_for_bit(self, model, P, m):
+        """inverse_abs_char_fn at 0 < m < sqrt(P), its defined range."""
+        if m >= math.sqrt(P):
+            m = math.sqrt(P) * 0.5
+        got = model.inverse_abs_char_fn(m, P)
+        assert got.hex() == REFERENCE[model.kind].inverse_abs_char_fn(m, P).hex()
+
+
 class TestCharFn:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.3])

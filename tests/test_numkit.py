@@ -514,7 +514,7 @@ class TestMinimizeQuasiconvex:
             minimize_quasiconvex(lambda x: 1.0 if x < 1e-3 else value, 0.0, 1e20)
 
 
-class TestRealRootsInInterval:
+class TestGridRoots:
     """Real polynomial roots on an interval, through grid_roots and the
     Laplace quintics' scan (_laplace_quintic_omega)."""
 

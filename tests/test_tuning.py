@@ -12,13 +12,14 @@ import decimal
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmphase import asymptotic, tuning
+from cmphase import asymptotic, noise, numkit, tuning
 from cmphase.network import PowerMode
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel
 from cmphase.numkit import ConvergenceError, find_root_bracketed
@@ -179,23 +180,33 @@ class TestOptimalOmega:
 
 
 class TestTargetCurves:
-    @pytest.mark.parametrize(
-        "target, kernels",
-        [("theta", ["char_fn", "phasor_sin_var"]), ("sigma", ["char_fn_dsigma", "phasor_cos_var"])],
-    )
-    def test_one_probe_calls_two_kernels(self, monkeypatch, target, kernels):
+    def test_one_probe_calls_no_model_method(self, monkeypatch):
+        """A probe calls the family record's functions alone: no NoiseModel
+        method (its checks included) and no real_number, at any target."""
         calls = []
-        for name in ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var"):
-            kernel = getattr(NoiseModel, name)
 
-            def counted(self, sigma, omega, kernel=kernel, name=name):
+        def refuse(name):
+            def call(*args, **kwargs):
                 calls.append(name)
-                return kernel(self, sigma, omega)
+                raise AssertionError(f"a probe called {name}")
 
-            monkeypatch.setattr(NoiseModel, name, counted)
-        curve = tuning._target_curve(GAUSSIAN, 1.0, 1.0, 0.5, target, None)
-        curve(0.9)
-        assert sorted(calls) == kernels
+            return call
+
+        curves = [
+            tuning._target_curve(model, 1.0, 1.0, nv, target, 2.0)
+            for model in (GAUSSIAN, LAPLACE, CAUCHY)
+            for nv in (0.0, 0.5)
+            for target in OMEGA_TARGETS
+        ]
+        for name in ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var"):
+            monkeypatch.setattr(NoiseModel, name, refuse(name))
+        monkeypatch.setattr(NoiseModel, "family", property(refuse("family")))
+        for module in (noise, numkit, tuning, asymptotic):
+            monkeypatch.setattr(module, "real_number", refuse("real_number"))
+        for omega in (1e-4, 0.9, 6.0, 1e200):
+            for curve in curves:
+                assert curve(omega) > 0.0
+        assert calls == []
 
 
 def _lazy_scan_root(f):
@@ -429,6 +440,25 @@ class TestAnalyticOmega:
         )
         assert abs(value - expected) <= 2.0 * math.ulp(expected), (value, expected)
 
+    @pytest.mark.parametrize("g", [1e153, 1e200, 1e300, 1e307, sys.float_info.max])
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_laplace_per_sensor_gamma_large_snr(self, sigma, g):
+        """Above g = 7.8e152 the radical's (9 g + 16)(33 g + 16) overflows,
+        and analytic_omega raised "tuning equation overflows" (at g =
+        1e300 too); the value, about 0.51440 / sigma, is within 2 ulps of
+        the radical evaluated in 50-digit decimal arithmetic, up to the
+        largest float, where 33 g and 8 (g + 2) overflow too."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d, s = decimal.Decimal(g), decimal.Decimal(sigma)
+            inner = ((9 * d + 16) * (33 * d + 16)).sqrt()
+            expected = float((inner - 13 * d - 16).sqrt() / (4 * s * d.sqrt()))
+        value, _, _ = tuning._EQUATIONS["laplace", PER_SENSOR, "gamma"](
+            sigma, 1.0, 0.0, 0.0, g, None
+        )
+        assert abs(value - expected) <= 2.0 * math.ulp(expected), (value, expected)
+        assert abs(value * sigma - 0.51440) < 1e-5
+
     def test_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             analytic_omega(LAPLACE, 1.0, 1.0, 1.0, "gamma")
@@ -440,7 +470,6 @@ class TestAnalyticOmega:
         [
             (1e100, "theta", TOTAL, None),  # the Cardano form gave value inf
             (1e103, "theta", TOTAL, None),  # r**3 raised OverflowError
-            (0.0, "gamma", PER_SENSOR, 1e300),  # the gamma radical gave value inf
         ],
         ids=str,
     )
