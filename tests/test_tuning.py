@@ -8,6 +8,7 @@ minimum the objective is flat to machine precision within ~1e-8
 relative of the true minimizer, so tighter demands would test noise.
 """
 
+import dataclasses
 import decimal
 import hashlib
 import itertools
@@ -180,6 +181,31 @@ class TestOptimalOmega:
 
 
 class TestTargetCurves:
+    @pytest.mark.parametrize(
+        "target, kernels",
+        [("theta", ["char_fn", "phasor_sin_var"]), ("sigma", ["char_fn_dsigma", "phasor_cos_var"])],
+    )
+    def test_one_probe_calls_two_kernels(self, monkeypatch, target, kernels):
+        """A probe calls two of the family record's kernels, once each."""
+        calls = []
+        record = GAUSSIAN.family
+
+        def counted(name):
+            kernel = getattr(record, name)
+
+            def call(s, w, xp):
+                calls.append(name)
+                return kernel(s, w, xp)
+
+            return call
+
+        names = ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var")
+        counting = dataclasses.replace(record, **{name: counted(name) for name in names})
+        monkeypatch.setattr(NoiseModel, "family", property(lambda self: counting))
+        curve = tuning._target_curve(GAUSSIAN, 1.0, 1.0, 0.5, target, None)
+        curve(0.9)
+        assert sorted(calls) == kernels
+
     def test_one_probe_calls_no_model_method(self, monkeypatch):
         """A probe calls the family record's functions alone: no NoiseModel
         method (its checks included) and no real_number, at any target."""
