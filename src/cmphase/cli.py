@@ -237,21 +237,16 @@ def _cmd_opt_omega(args) -> int:
             power_mode=mode, gamma=args.gamma,
             omega_max=args.omega_max, omega_min=args.omega_min,
         )
-        if args.analytic:
-            # analytic_omega runs the numeric search too; its result is reused.
-            an = analytic_omega(**operating_point)
-            results[target] = {
-                "omega_star": an.details["numeric_omega"],
-                "flag": an.details["numeric_flag"],
-                "analytic": {
-                    "value": an.value,
-                    "agrees_with_numeric": an.agrees_with_numeric,
-                    "note": an.note,
-                },
+        # analytic_omega first, so its overflow errors win; its search is kept.
+        an = analytic_omega(**operating_point) if args.analytic else None
+        omega, flag = optimal_omega(**operating_point)
+        results[target] = {"omega_star": omega, "flag": flag}
+        if an is not None:
+            results[target]["analytic"] = {
+                "value": an.value,
+                "agrees_with_numeric": an.agrees_with_numeric,
+                "note": an.note,
             }
-        else:
-            omega, flag = optimal_omega(**operating_point)
-            results[target] = {"omega_star": omega, "flag": flag}
     payload: dict = {"results": results, "method": "golden-section"}
     if args.target == "all":
         payload["optima"] = OmegaOptima(

@@ -216,6 +216,9 @@ def minimize_quasiconvex(
     For f monotone on the interval the bracket collapses onto an endpoint
     and the matching boundary flag is set, signalling that the infimum is
     attained at (or beyond) that edge rather than at an interior point.
+    The argmin is then the last probe, within 2 * width_goal inside the
+    edge (width_goal = max(tol, 4 ulps of the wider end)), not the edge:
+    an "upper" result lies up to 2 * width_goal below hi.
     A true interior minimum closer than ~2*tol to an endpoint is reported
     as a boundary; tol is small enough that this is harmless in practice.
 

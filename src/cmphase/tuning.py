@@ -30,7 +30,7 @@ import numpy as np
 
 from .asymptotic import _asv_curves, _composer
 from .network import PowerMode, effective_noise_var
-from .noise import NoiseModel
+from .noise import Family, NoiseModel
 from .numkit import grid_roots, lambert_w0, minimize_quasiconvex, real_number, uniform_grid
 
 __all__ = [
@@ -82,24 +82,29 @@ class AnalyticOmega:
     details: dict = field(default_factory=dict)
 
 
-def _target_curve(
-    model: NoiseModel,
-    sigma: float,
-    P: float,
-    nv: float,
-    target: str,
-    gamma: float | None,
-):
-    """The target's asymptotic variance as a function of a float omega >
-    0, at checked sigma, P and nv: closures on the family's record, so a
-    probe makes no argument checks."""
+def _target_gamma(target: str, gamma) -> float | None:
+    """Checked gamma for the gamma target, None for the rest (ignored)."""
     if target not in OMEGA_TARGETS:
         raise ValueError(f"target must be one of {OMEGA_TARGETS}, got {target!r}")
-    asv_theta, asv_sigma = _asv_curves(model.family, sigma, P, nv)
+    return real_number("gamma", gamma) if target == "gamma" else None
+
+
+def _target_curve(family: Family, sigma: float, P: float, nv: float, target: str, gamma):
+    """The target's asymptotic variance as a function of a float omega >
+    0, at checked sigma, P, nv and gamma (_target_gamma): closures on the
+    family's record, so a probe makes no argument checks."""
+    asv_theta, asv_sigma = _asv_curves(family, sigma, P, nv)
     if target != "gamma":
         return asv_theta if target == "theta" else asv_sigma
-    compose = _composer(math.sqrt(real_number("gamma", gamma)) * sigma, sigma)
+    compose = _composer(math.sqrt(gamma) * sigma, sigma)
     return lambda w: compose(asv_theta(w), asv_sigma(w))
+
+
+@functools.lru_cache(maxsize=len(OMEGA_TARGETS))
+def _golden_section(family, sigma, P, nv, target, gamma, omega_min, omega_max):
+    """optimal_omega's search on checked arguments; it says what is kept."""
+    f = _target_curve(family, sigma, P, nv, target, gamma)
+    return minimize_quasiconvex(f, omega_min, omega_max, tol=_OMEGA_TOL)
 
 
 def optimal_omega(
@@ -121,14 +126,19 @@ def optimal_omega(
     of omega_max, if wider). ConvergenceError where the curve is not
     finite at any probe, as when its finite part, near omega_min, is
     narrower than that bracket.
+
+    The last len(OMEGA_TARGETS) results are kept, keyed by the family's
+    record and the checked arguments with the effective nv (gamma None
+    where ignored; nv = +-0.0 share a key, with bit-identical optima), so
+    analytic_omega after omega_optima reuses them. Nothing raised is kept.
     """
     sigma, P = real_number("sigma", sigma), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     omega_min = real_number("omega_min", omega_min)
     omega_max = real_number("omega_max", omega_max, omega_min)
     nv = effective_noise_var(power_mode, channel_noise_var)
-    f = _target_curve(model, sigma, P, nv, target, gamma)
-    return minimize_quasiconvex(f, omega_min, omega_max, tol=_OMEGA_TOL)
+    gamma = _target_gamma(target, gamma)
+    return _golden_section(model.family, sigma, P, nv, target, gamma, omega_min, omega_max)
 
 
 def omega_optima(
@@ -401,9 +411,9 @@ def analytic_omega(
 ) -> AnalyticOmega:
     """Evaluate the bundled closed-form tuning equation for one target.
 
-    The numeric minimizer (optimal_omega on [omega_min, omega_max]) is
-    computed alongside, and details carry it as numeric_omega and
-    numeric_flag; agrees_with_numeric reports the comparison at 1e-4
+    details carry the numeric minimizer as numeric_omega and numeric_flag:
+    optimal_omega's on [omega_min, omega_max], kept from omega_optima at
+    the same point if it ran last. agrees_with_numeric compares at 1e-4
     relative; a missing root (value None) agrees only when the numeric
     search also lands on the lower boundary. ValueError where the closed
     form leaves the float range, and where the table holds no equation
@@ -414,7 +424,8 @@ def analytic_omega(
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
-    curve = _target_curve(model, sigma, P, nv, target, gamma)  # checks target and gamma
+    g = _target_gamma(target, gamma)
+    curve = _target_curve(model.family, sigma, P, nv, target, g)
 
     try:
         equation = _EQUATIONS[model.kind, mode, target]
@@ -457,7 +468,9 @@ def resolve_omega(
     omega_max: float = 2.0 * math.pi,
 ) -> tuple[float, bool]:
     """Numeric omega for a target, with a lower-boundary infimum mapped to
-    _BOUNDARY_OMEGA (omega_max if less). Returns (omega, substituted)."""
+    _BOUNDARY_OMEGA (omega_max if less). Returns (omega, substituted). An
+    "upper" infimum is not mapped: it is optimal_omega's last probe, up to
+    twice its final bracket width below omega_max."""
     w, flag = optimal_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,
@@ -488,10 +501,11 @@ def rule_omega(
     gamma: float | None = None,
 ) -> tuple[float, dict]:
     """The omega that the rule 'auto:<target>' picks at an operating point
-    (resolve_omega for the target; omega_max is 2 pi / theta_R), and the
-    manifest notes that record how. The gamma target is tuned at gamma if
-    given, else at the true SNR (theta / sigma)^2; theta is read, and
-    must be positive and finite, for that alone.
+    (resolve_omega for the target; omega_max is 2 pi / theta_R, and an
+    infimum there gives the last probe below it), and the manifest notes
+    that record how. The gamma target is tuned at gamma if given, else at
+    the true SNR (theta / sigma)^2; theta is read, and must be positive
+    and finite, for that alone.
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)

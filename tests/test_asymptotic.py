@@ -300,7 +300,7 @@ class TestAsvGeneric:
                     assert (rep.asv_theta.hex(), rep.asv_sigma.hex()) == (asv_t.hex(), asv_s.hex())
                     for gamma in (1e-300, 0.5, 1e300):
                         theta = math.sqrt(gamma) * sigma
-                        curve = tuning._target_curve(model, sigma, P, nv, "gamma", gamma)
+                        curve = tuning._target_curve(model.family, sigma, P, nv, "gamma", gamma)
                         assert gamma_outcome(curve, omega) == gamma_outcome(
                             lambda _: compose_gamma(asv_t, asv_s, theta, sigma), omega
                         )

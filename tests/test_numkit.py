@@ -496,6 +496,15 @@ class TestMinimizeQuasiconvex:
         assert flag == "upper"
         assert x >= 2.0 - 1e-6
 
+    @pytest.mark.parametrize("hi", [2.0, 1e7])
+    def test_upper_edge_is_the_last_probe(self, hi):
+        """An "upper" argmin is the last probe, not hi: it lies within
+        2 * width_goal below hi, width_goal = max(tol, 4 ulps of hi)."""
+        width_goal = max(1e-10, 4.0 * math.ulp(hi))
+        x, flag = minimize_quasiconvex(lambda t: -t, 1.0, hi)
+        assert flag == "upper"
+        assert hi - 2.0 * width_goal <= x < hi
+
     def test_machine_flat_plateau_flags_boundary(self):
         """A monotone curve indistinguishable from constant near the lower
         edge must not report a spurious interior minimum."""
