@@ -55,10 +55,11 @@ _GAUSS_T_MAX = 64.0
 _W_SQUARE_NORMAL = 2.0**-511
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """The formulas of one noise family, as plain functions that check
-    nothing (NoiseModel's methods say what each computes).
+    nothing (NoiseModel's methods say what each computes). The records
+    are module singletons, hashed by identity.
 
     char_fn, phasor_cos_var, phasor_sin_var and char_fn_dsigma take
     (s, w, xp): sigma > 0 and omega > 0, as Python floats with xp = math

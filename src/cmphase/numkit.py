@@ -141,10 +141,14 @@ def find_root_bracketed(
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    flo = _checked(f, lo)
+    flo = f(lo)
+    if flo != flo:  # NaN, which has no sign
+        raise ValueError(f"f({lo}) is nan")
     if flo == 0.0:
         return lo
-    fhi = _checked(f, hi)
+    fhi = f(hi)
+    if fhi != fhi:
+        raise ValueError(f"f({hi}) is nan")
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
@@ -153,7 +157,9 @@ def find_root_bracketed(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval no longer representable
-        fmid = _checked(f, mid)
+        fmid = f(mid)
+        if fmid != fmid:
+            raise ValueError(f"f({mid}) is nan")
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
@@ -163,14 +169,6 @@ def find_root_bracketed(
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
-
-
-def _checked(f: Callable[[float], float], x: float) -> float:
-    """f(x), raising ValueError if it is NaN, which has no sign."""
-    fx = f(x)
-    if math.isnan(fx):
-        raise ValueError(f"f({x}) is nan")
-    return fx
 
 
 def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:

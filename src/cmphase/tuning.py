@@ -100,6 +100,16 @@ def _target_curve(family: Family, sigma: float, P: float, nv: float, target: str
     return lambda w: compose(asv_theta(w), asv_sigma(w))
 
 
+def _checked_point(sigma, P, channel_noise_var, power_mode, omega_min, omega_max):
+    """optimal_omega's checks in its order: (sigma, P, nv, omega_min,
+    omega_max) as checked floats, with the effective nv."""
+    sigma, P = real_number("sigma", sigma), real_number("P", P)
+    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
+    omega_min = real_number("omega_min", omega_min)
+    omega_max = real_number("omega_max", omega_max, omega_min)
+    return sigma, P, effective_noise_var(power_mode, channel_noise_var), omega_min, omega_max
+
+
 @functools.lru_cache(maxsize=len(OMEGA_TARGETS))
 def _golden_section(family, sigma, P, nv, target, gamma, omega_min, omega_max):
     """optimal_omega's search on checked arguments; it says what is kept."""
@@ -132,11 +142,9 @@ def optimal_omega(
     where ignored; nv = +-0.0 share a key, with bit-identical optima), so
     analytic_omega after omega_optima reuses them. Nothing raised is kept.
     """
-    sigma, P = real_number("sigma", sigma), real_number("P", P)
-    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
-    omega_min = real_number("omega_min", omega_min)
-    omega_max = real_number("omega_max", omega_max, omega_min)
-    nv = effective_noise_var(power_mode, channel_noise_var)
+    sigma, P, nv, omega_min, omega_max = _checked_point(
+        sigma, P, channel_noise_var, power_mode, omega_min, omega_max
+    )
     gamma = _target_gamma(target, gamma)
     return _golden_section(model.family, sigma, P, nv, target, gamma, omega_min, omega_max)
 
@@ -151,17 +159,17 @@ def omega_optima(
     omega_max: float = 2.0 * math.pi,
     omega_min: float = 1e-4,
 ) -> OmegaOptima:
-    """Numeric minimizers for theta, sigma and gamma (gamma needs gamma)."""
+    """optimal_omega for theta, sigma and gamma (gamma needs gamma)."""
+    sigma, P, nv, omega_min, omega_max = _checked_point(
+        sigma, P, channel_noise_var, power_mode, omega_min, omega_max
+    )
+    family = model.family
     out: dict[str, float] = {}
     flags: dict[str, str] = {}
     for target in OMEGA_TARGETS:
-        w, flag = optimal_omega(
-            model, sigma, P, channel_noise_var, target,
-            power_mode=power_mode, gamma=gamma,
-            omega_max=omega_max, omega_min=omega_min,
+        out[target], flags[target] = _golden_section(
+            family, sigma, P, nv, target, _target_gamma(target, gamma), omega_min, omega_max
         )
-        out[target] = w
-        flags[target] = flag
     return OmegaOptima(out["theta"], out["sigma"], out["gamma"], flags)
 
 
@@ -187,15 +195,16 @@ def _quintic_grid() -> np.ndarray:
     return uniform_grid(_BETA_LO, _BETA_HI, 4096)
 
 
-def _scan_root(equation) -> float | None:
+def _scan_root(equation, values=None) -> float | None:
     """First root in beta of equation(b, e^b, e^{2b}) that grid_roots
-    sees on the _SCAN_STEPS-step grid of [_BETA_LO, _BETA_HI], evaluated
-    in one array pass against _scan_tables and bisected to 1e-13, or
+    sees on the _SCAN_STEPS-step grid of [_BETA_LO, _BETA_HI] (values:
+    the equation's array pass on _scan_tables), bisected to 1e-13, or
     None. The equations are adds and multiplies only, which round alike
     on floats and arrays, so the root is the lazy scalar scan's."""
     b, e1, e2 = _scan_tables()
-    with np.errstate(all="ignore"):
-        values = equation(b, e1, e2)
+    if values is None:
+        with np.errstate(all="ignore"):
+            values = equation(b, e1, e2)
     return next(
         grid_roots(b, values, lambda x: equation(x, math.exp(x), math.exp(2.0 * x)), 1e-13), None
     )
@@ -220,14 +229,35 @@ def _gaussian_sigma_equation_fixed(r: float):
     return lambda b, e1, e2: b * ((r + 1.0) * e2 - 1.0) - 2.0 * ((r + 1.0) * e2 - 2.0 * e1 + 1.0)
 
 
+def _gaussian_gamma_first(r: float):
+    return lambda b, e1, e2: b * (b * ((r + 1.0) * e2 + 1.0) - (r + 1.0) * e2 + 1.0)
+
+
 def _gaussian_gamma_equation(r: float, gamma: float):
-    fixed = _gaussian_sigma_equation_fixed(r)
+    first, fixed = _gaussian_gamma_first(r), _gaussian_sigma_equation_fixed(r)
+    return lambda b, e1, e2: first(b, e1, e2) + gamma * fixed(b, e1, e2)
 
-    def f(b, e1, e2):
-        first = b * (b * ((r + 1.0) * e2 + 1.0) - (r + 1.0) * e2 + 1.0)
-        return first + gamma * fixed(b, e1, e2)
 
-    return f
+@functools.lru_cache(maxsize=3)
+def _gaussian_root(equation, r: float) -> float | None:
+    """_scan_root(equation(r)) for a Gaussian equation that depends on
+    the point only through r = nv / P (theta, printed sigma, direct
+    sigma): the last r's three roots are kept; each call maps beta to
+    omega itself."""
+    return _scan_root(equation(r))
+
+
+@functools.lru_cache(maxsize=1)
+def _gaussian_gamma_terms(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The gamma equation's two terms on _scan_tables, the g-free one and
+    the direct-sigma equation that g multiplies, read-only; kept for the
+    last r."""
+    b, e1, e2 = _scan_tables()
+    with np.errstate(all="ignore"):
+        terms = _gaussian_gamma_first(r)(b, e1, e2), _gaussian_sigma_equation_fixed(r)(b, e1, e2)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 def _laplace_sigma_quintic(r: float) -> list[float]:
@@ -275,12 +305,12 @@ def _beta_omega(beta, sigma, note, details):
 
 
 def _gaussian_theta_omega(sigma, P, nv, r, g, curve):
-    return _beta_omega(_scan_root(_gaussian_theta_equation(r)), sigma, "", {})
+    return _beta_omega(_gaussian_root(_gaussian_theta_equation, r), sigma, "", {})
 
 
 def _gaussian_sigma_omega(sigma, P, nv, r, g, curve):
-    beta = _scan_root(_gaussian_sigma_equation(r))
-    fixed = _scan_root(_gaussian_sigma_equation_fixed(r))
+    beta = _gaussian_root(_gaussian_sigma_equation, r)
+    fixed = _gaussian_root(_gaussian_sigma_equation_fixed, r)
     if fixed is None:
         return _beta_omega(beta, sigma, "", {})
     note = (
@@ -295,7 +325,10 @@ def _gaussian_sigma_omega(sigma, P, nv, r, g, curve):
 
 
 def _gaussian_gamma_omega(sigma, P, nv, r, g, curve):
-    return _beta_omega(_scan_root(_gaussian_gamma_equation(r, g)), sigma, "", {})
+    first, fixed = _gaussian_gamma_terms(r)
+    with np.errstate(all="ignore"):
+        values = first + g * fixed  # the operations of _gaussian_gamma_equation, so its bits
+    return _beta_omega(_scan_root(_gaussian_gamma_equation(r, g), values), sigma, "", {})
 
 
 def _laplace_theta_omega(sigma, P, nv, r, g, curve):
@@ -318,12 +351,27 @@ def _laplace_theta_omega(sigma, P, nv, r, g, curve):
 
 
 def _laplace_quintic_omega(coeffs, sigma, curve):
-    """Among the quintic's roots in beta, the one whose omega minimizes
-    the curve; no value where it has none in range. The roots are
+    """Among the quintic's roots in beta (_quintic_roots), the one whose
+    omega minimizes the curve; no value where it has none in range."""
+    roots = _quintic_roots(tuple(coeffs))
+    value, best = None, math.inf
+    for b in roots:
+        w = math.sqrt(b) / sigma
+        val = curve(w)
+        if val < best:
+            value, best = w, val
+    note = "quintic has no positive root in range" if value is None else ""
+    return value, note, {"beta_roots": list(roots)}
+
+
+@functools.lru_cache(maxsize=2)
+def _quintic_roots(coeffs: tuple) -> tuple[float, ...]:
+    """The roots in beta of the polynomial with ascending coeffs:
     grid_roots' on the 4096-step grid of [_BETA_LO, _BETA_HI], bisected
     to 1e-14 _BETA_HI, each within 1e-9 (1 + beta) of the last one kept
     merged into it. One Horner closure serves the grid (_quintic_grid)
-    and the bisection.
+    and the bisection. The last two are kept: the sigma quintic of one r
+    and the gamma quintic beside it.
     """
 
     def poly(b):
@@ -339,14 +387,7 @@ def _laplace_quintic_omega(coeffs, sigma, curve):
     for b in grid_roots(grid, values, poly, 1e-14 * _BETA_HI):
         if not roots or b - roots[-1] > 1e-9 * (1.0 + b):
             roots.append(b)
-    value, best = None, math.inf
-    for b in roots:
-        w = math.sqrt(b) / sigma
-        val = curve(w)
-        if val < best:
-            value, best = w, val
-    note = "quintic has no positive root in range" if value is None else ""
-    return value, note, {"beta_roots": roots}
+    return tuple(roots)
 
 
 def _laplace_per_sensor_gamma_omega(sigma, P, nv, r, g, curve):
@@ -425,7 +466,8 @@ def analytic_omega(
     nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
     g = _target_gamma(target, gamma)
-    curve = _target_curve(model.family, sigma, P, nv, target, g)
+    family = model.family
+    curve = _target_curve(family, sigma, P, nv, target, g)
 
     try:
         equation = _EQUATIONS[model.kind, mode, target]
@@ -442,10 +484,9 @@ def analytic_omega(
         )
     # The numeric route runs last, so a closed form past the float range
     # is reported as such even where no probe of the curve is finite.
-    numeric, flag = optimal_omega(
-        model, sigma, P, channel_noise_var, target,
-        power_mode=mode, gamma=gamma, omega_max=omega_max, omega_min=omega_min,
-    )
+    omega_min = real_number("omega_min", omega_min)
+    omega_max = real_number("omega_max", omega_max, omega_min)
+    numeric, flag = _golden_section(family, sigma, P, nv, target, g, omega_min, omega_max)
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag
     if value is None:

@@ -195,6 +195,52 @@ class TestGenericVsSandwich:
             assert np.isfinite(C).all(), (point, C)
         assert capfd.readouterr().out == ""
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        phase=st.floats(0.01, 6.28),
+        sigma=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        u=st.floats(-6.0, 2.0).map(lambda e: 10.0**e),
+        P=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        ratio=st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0**e)),
+    )
+    def test_oracle_pair_property(self, model, phase, sigma, u, P, ratio):
+        """omega theta in [0.01, 6.28], and sigma in [1e-2, 1e2], sigma
+        omega in [1e-6, 1e2] and P in [1e-3, 1e3] log-uniform, with nv / P
+        0 or log-uniform in [1e-12, 10]: the sandwich's diagonal is
+        asv_generic's to 1e-9 and its correlation below 1e-9, or it raises
+        its documented ValueError; outside one class, pinned in
+        test_noise_free_small_scale_disagreement: at nv = 0 the Gaussian
+        and Laplace sandwich loses about eps / (sigma omega)^2 relative,
+        past 1e-9 below sigma omega of about 5e-4."""
+        omega, nv = u / sigma, ratio * P
+        try:
+            C = asv_via_sandwich(model, phase / omega, sigma, omega, P, nv)
+        except ValueError:
+            return
+        rep = asv_generic(model, sigma, omega, P, nv)
+        (c00, c01), (_, c11) = C.tolist()
+        diag = max(abs(c00 / rep.asv_theta - 1.0), abs(c11 / rep.asv_sigma - 1.0))
+        correlation = abs(c01) / math.sqrt(c00) / math.sqrt(c11)
+        noise_free_small_scale = nv == 0.0 and model is not CAUCHY and u < 1e-3
+        assert (diag <= 1e-9 and correlation <= 1e-9) or noise_free_small_scale
+
+    def test_noise_free_small_scale_disagreement(self):
+        """Gaussian, sigma omega = 1e-5, omega theta = 0.7, nv = 0: the
+        sandwich's theta entry is off by about 1e-6 relative, while
+        asv_generic matches the cancellation-free form (1 - e^{-2u}) /
+        (2 omega^2 e^{-u}), u = (sigma omega)^2, to 1e-15. Channel noise
+        of 1e-12 P restores agreement to 1e-9."""
+        omega = 1e-5
+        u = omega * omega
+        exact = -math.expm1(-2.0 * u) / (2.0 * omega * omega * math.exp(-u))
+        assert math.isclose(asv_generic(GAUSSIAN, 1.0, omega, 1.0).asv_theta, exact, rel_tol=1e-15)
+        C = asv_via_sandwich(GAUSSIAN, 0.7 / omega, 1.0, omega, 1.0, 0.0)
+        assert 1e-8 < abs(C[0, 0] / exact - 1.0) < 1e-4
+        rep = asv_generic(GAUSSIAN, 1.0, omega, 1.0, 1e-12)
+        C = asv_via_sandwich(GAUSSIAN, 0.7 / omega, 1.0, omega, 1.0, 1e-12)
+        assert math.isclose(C[0, 0], rep.asv_theta, rel_tol=1e-9)
+
 
 class TestAsvGeneric:
     def test_per_sensor_ignores_channel_noise(self):
@@ -525,3 +571,38 @@ class TestClosedForms:
             assert math.isfinite(value), (point, value)
             assert verified is CLOSED_FORM_AGREES[(model.kind, which, mode)]
         assert capfd.readouterr().out == ""
+
+
+class TestDisagreementLedger:
+    """How each unverified closed form relates to the generic route (the
+    ledger in README.md)."""
+
+    @pytest.mark.parametrize("nv", [0.0, 0.5, 2.0])
+    def test_gaussian_total_gamma_location_term(self, nv):
+        """The bundled Gaussian total-budget gamma form is 2 g (L + g S) /
+        (P w^4 s^4 e^{-u}) with location term L = w^2 (P + nv - 2 P e^{-2u}).
+        The delta method on asv_generic (4 g / s^2 (asv_theta + g
+        asv_sigma)) has the same scale term g S but the location term
+        w^2 s^2 (P + nv - P e^{-2u}): the bundled one drops the s^2 factor
+        and doubles the P e^{-2u} term. At s = 1 the two differ by
+        -2 g w^2 P e^{-2u} / (P w^4 e^{-u}) alone."""
+        P = 1.5
+        for s, w, g in itertools.product((0.5, 1.0, 2.0), (0.3, 0.9, 1.7), (0.1, 1.0, 10.0)):
+            u = (w * s) ** 2
+            den = P * w**4 * s**4 * math.exp(-u)
+            bundled, verified = asv_closed_form(GAUSSIAN, s, w, P, nv, "gamma", gamma=g)
+            rep = asv_generic(GAUSSIAN, s, w, P, nv, theta=math.sqrt(g) * s)
+            location = 4.0 * g / s**2 * rep.asv_theta
+            scale = rep.asv_gamma - location
+            assert not verified
+            assert math.isclose(
+                location, 2.0 * g * w**2 * s**2 * (P + nv - P * math.exp(-2.0 * u)) / den,
+                rel_tol=1e-12,
+            )
+            bundled_location = 2.0 * g * w**2 * (P + nv - 2.0 * P * math.exp(-2.0 * u)) / den
+            assert abs(bundled - (bundled_location + scale)) <= 1e-12 * (
+                abs(bundled_location) + scale
+            )
+            if s == 1.0:
+                shift = -2.0 * g * w**2 * P * math.exp(-2.0 * u) / den
+                assert math.isclose(bundled - rep.asv_gamma, shift, rel_tol=1e-9)

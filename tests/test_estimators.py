@@ -464,6 +464,78 @@ class TestJointMinimumVariance:
         np.testing.assert_allclose(joint.theta_hat, simple.theta_hat, rtol=1e-8)
         np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-8)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        omega=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        window=st.one_of(
+            st.floats(0.05, 1.0), st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0**e)
+        ),
+        position=st.one_of(st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-3, 1e-2)),
+        sigma_omega=st.floats(-5.0, 2.0).map(lambda e: 10.0**e),
+        P=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+        ratio=st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+    )
+    def test_oracle_pair_with_simple_property(
+        self, model, omega, window, position, sigma_omega, P, ratio
+    ):
+        """On noise-free z with omega in [1e-3, 1e3], sigma omega in [1e-5,
+        1e2] and P in [1e-4, 1e4] log-uniform, theta inside a window of
+        0.05 to 1 period (often within 1e-9 to 0.1 of one), at least 1e-3
+        of it from either end (often near the lower one), and nv / P = 0
+        or log-uniform in [1e-3, 10]: the joint estimate is the simple one
+        to 1e-4 (the benchmark's check), or a route raises its documented
+        error; outside one class, pinned in test_known_disagreements as
+        near-wrap: the window falls short of a full period by less than
+        0.05 rad in omega theta_R, and omega theta is below 0.02 rad. There
+        the joint search can end on the far edge theta_R, whose phase is
+        next to the true one, at a higher objective than the true point's.
+        sigma omega stops at 1e-5: below it z fixes sigma only to about
+        eps / (sigma omega)^2 relative, past 1e-4 (flat-scale in
+        test_known_disagreements)."""
+        theta_R = window * TWO_PI / omega
+        z = mean_signal(position * theta_R, sigma_omega / omega, omega, P, model)
+        try:
+            simple = simple_estimates(z, omega, P, model)
+            joint = joint_minimum_variance(z, omega, P, ratio * P, model, theta_R)
+        except (ValueError, ConvergenceError):
+            return
+        assert not joint.saturated
+        err = max(
+            abs(joint.theta_hat / simple.theta_hat - 1.0),
+            abs(joint.sigma_hat / simple.sigma_hat - 1.0),
+        )
+        near_wrap = (1.0 - window) * TWO_PI < 0.05 and position * window * TWO_PI < 0.02
+        assert err <= 1e-4 or near_wrap, err
+
+    def test_known_disagreements(self):
+        """near-wrap: omega theta_R = 2 pi - 1e-3 and omega theta = 1e-3;
+        the joint estimate is theta_R, where the objective is 3.4e-6, not
+        the true theta, where it is 0. flat-scale: Gaussian at sigma omega
+        = 1.0034e-6, where eps / (sigma omega)^2 is 2.2e-4: theta agrees,
+        both sigmas lie within that of the generating one, 2.25e-4 apart."""
+        theta_R = TWO_PI - 1e-3
+        z = mean_signal(1e-3, 1.0, 1.0, 1.0, GAUSSIAN)
+        simple = simple_estimates(z, 1.0, 1.0, GAUSSIAN)
+        joint = joint_minimum_variance(z, 1.0, 1.0, 0.0, GAUSSIAN, theta_R)
+        assert math.isclose(simple.theta_hat, 1e-3, rel_tol=1e-12)
+        assert math.isclose(joint.theta_hat, theta_R, rel_tol=1e-12)
+        assert joint_objective(z, simple.theta_hat, simple.sigma_hat, 1.0, 1.0, 0.0, GAUSSIAN) < (
+            joint_objective(z, joint.theta_hat, joint.sigma_hat, 1.0, 1.0, 0.0, GAUSSIAN)
+        )
+
+        omega, sigma_omega, P = 4.045189816709068, 1.0034212427665879e-06, 26.620774950319845
+        theta_R = 0.44529115225178795 * TWO_PI / omega
+        sigma = sigma_omega / omega
+        z = mean_signal(0.2245529451272602 * theta_R, sigma, omega, P, GAUSSIAN)
+        simple = simple_estimates(z, omega, P, GAUSSIAN)
+        joint = joint_minimum_variance(z, omega, P, 234.28005248863985, GAUSSIAN, theta_R)
+        assert math.isclose(joint.theta_hat, simple.theta_hat, rel_tol=1e-12)
+        conditioning = sys.float_info.epsilon / sigma_omega**2
+        for estimate in (simple, joint):
+            assert abs(estimate.sigma_hat / sigma - 1.0) < conditioning
+        assert 1e-4 < abs(joint.sigma_hat / simple.sigma_hat - 1.0) < 2.0 * conditioning
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("beyond", [1.3, 1.8], ids=["near-upper", "near-lower"])
     def test_off_window_matches_brute_force_and_is_stationary(self, model, beyond):

@@ -33,6 +33,7 @@ from cmphase.tuning import (
     resolve_omega,
     rule_omega,
 )
+from conftest import clear_tuning_caches
 from test_numkit import WIDE, WIDE_SETTINGS, sign_change_brackets
 
 TOTAL = PowerMode.TOTAL
@@ -805,6 +806,140 @@ class TestKeptSearches:
         minus = _cold(model, 0.7, 1.0, -0.0, "theta")
         assert optimal_omega(model, 0.7, 1.0, 0.0, "theta") == minus
         assert tuning._golden_section.cache_info().hits == 1
+
+
+_KEPT = {
+    "_golden_section": len(OMEGA_TARGETS),
+    "_gaussian_root": 3,
+    "_gaussian_gamma_terms": 1,
+    "_quintic_roots": 2,
+}
+
+
+def _counts(*names):
+    """(hits, misses) of the named kept computations."""
+    infos = [getattr(tuning, name).cache_info() for name in names]
+    return [(info.hits, info.misses) for info in infos]
+
+
+def _bits(a):
+    """An AnalyticOmega with every float as float.hex."""
+
+    def hexed(x):
+        if isinstance(x, float):
+            return x.hex()
+        return [hexed(v) for v in x] if isinstance(x, list) else x
+
+    details = {key: hexed(v) for key, v in a.details.items()}
+    return hexed(a.value), a.agrees_with_numeric, a.note, details
+
+
+class TestKeptClosedForms:
+    """analytic_omega keeps the r = nv / P part of the closed forms: the
+    Gaussian r-only scans, the gamma equation's two r-only terms and the
+    Laplace quintic roots per coefficient tuple."""
+
+    def test_maxsizes(self):
+        for name, maxsize in _KEPT.items():
+            assert getattr(tuning, name).cache_info().maxsize == maxsize, name
+        assert {name for name, v in vars(tuning).items() if hasattr(v, "cache_info")} == {
+            *_KEPT, "_scan_tables", "_quintic_grid"
+        }
+
+    def test_three_points_at_one_r_share_the_work(self):
+        """r = 0.5 reached through three (P, nv) pairs, at three (sigma,
+        gamma): the r-only work runs at the first point alone."""
+        points = ((1.0, 0.5, 0.7, 0.1), (2.0, 1.0, 1.3, 1.0), (4.0, 2.0, 0.9, 10.0))
+        for model in (GAUSSIAN, LAPLACE):
+            for P, nv, sigma, gamma in points:
+                for target in OMEGA_TARGETS:
+                    analytic_omega(model, sigma, P, nv, target, gamma=gamma)
+        assert _counts("_gaussian_root", "_gaussian_gamma_terms", "_quintic_roots") == [
+            (6, 3), (2, 1), (2, 4)
+        ]
+
+    def test_alternating_r_never_hits(self):
+        for model in (GAUSSIAN, LAPLACE):
+            for nv in (0.5, 1.0, 0.5, 1.0):
+                for target in OMEGA_TARGETS:
+                    analytic_omega(model, 1.0, 1.0, nv, target, gamma=2.0)
+        counts = _counts("_gaussian_root", "_gaussian_gamma_terms", "_quintic_roots")
+        assert [hits for hits, _ in counts] == [0, 0, 0]
+
+    def test_a_nearby_r_is_not_served(self):
+        """r = 0.5 + 1e-9 after r = 0.5 gets its own roots and terms."""
+        for model in (GAUSSIAN, LAPLACE):
+            for target in OMEGA_TARGETS:
+                before = analytic_omega(model, 1.0, 1.0, 0.5, target, gamma=2.0)
+                warm = analytic_omega(model, 1.0, 1.0, 0.5 + 1e-9, target, gamma=2.0)
+                clear_tuning_caches()
+                cold = analytic_omega(model, 1.0, 1.0, 0.5 + 1e-9, target, gamma=2.0)
+                assert _bits(warm) == _bits(cold) and warm.value != before.value
+
+    def test_a_raising_scan_is_not_kept(self):
+        """A scan that raises (here a NaN at a bisection probe) raises on
+        every call, and nothing is kept."""
+
+        def nan_between(r):
+            return lambda b, e1, e2: b - 1.0 if isinstance(b, np.ndarray) else math.nan
+
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is nan"):
+                tuning._gaussian_root(nan_between, 1.0)
+        info = tuning._gaussian_root.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_results_do_not_share_kept_state(self):
+        """Kept roots are a tuple and kept terms read-only: a caller that
+        mutates its result's beta_roots leaves the next result unchanged."""
+        first = analytic_omega(LAPLACE, 1.0, 1.0, 0.5, "sigma")
+        cold = list(first.details["beta_roots"])
+        first.details["beta_roots"].append(1.0)
+        first.details["beta_roots"][0] = -1.0
+        again = analytic_omega(LAPLACE, 1.0, 1.0, 0.5, "sigma")
+        assert again.details["beta_roots"] == cold and cold
+        assert _counts("_quintic_roots") == [(1, 1)]
+        assert isinstance(tuning._quintic_roots(tuple(tuning._laplace_sigma_quintic(0.5))), tuple)
+        for term in tuning._gaussian_gamma_terms(0.5):
+            with pytest.raises(ValueError, match="read-only"):
+                term[0] = 0.0
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+                st.sampled_from([TOTAL, PER_SENSOR]),
+                st.sampled_from(OMEGA_TARGETS),
+                st.one_of(
+                    st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 2.0]),
+                    st.floats(0.0, 4.0),
+                ),
+                st.sampled_from([0.5, 1.0, 2.0]),
+                st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+                st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_warm_and_cold_give_the_same_bits(self, steps):
+        """Over a random sequence of (family, budget, target, r, P, sigma,
+        gamma), P a power of two so that nv / P is r exactly and r often
+        repeated or 1e-9 away, each result with whatever the steps
+        before it kept equals the result with nothing kept, bit for bit."""
+        calls = [
+            (model, sigma, P, r * P, target, mode, gamma)
+            for model, mode, target, r, P, sigma, gamma in steps
+        ]
+
+        def run(model, sigma, P, nv, target, mode, gamma):
+            return _bits(analytic_omega(model, sigma, P, nv, target, power_mode=mode, gamma=gamma))
+
+        warm = [run(*call) for call in calls]
+        for call, got in zip(calls, warm):
+            clear_tuning_caches()
+            assert got == run(*call), call
 
 
 # The (family, power mode, target) triples whose closed form agrees with
