@@ -235,22 +235,29 @@ def asv_via_sandwich(
     """Numeric [J^T Sigma^-1 J]^-1, the delta-method covariance matrix.
 
     Kept as an independent route: its diagonal must reproduce asv_generic
-    and its off-diagonal vanish, which the acceptance suite checks.
-    ValueError where det Sigma is not positive and finite, where
-    J^T Sigma^-1 J or its inverse is not finite, and (numpy's
-    LinAlgError) where J^T Sigma^-1 J is singular.
+    and its off-diagonal vanish, which the acceptance suite checks. It is
+    formed in the frame rotated by omega theta, where Sigma = diag(a, b):
+    the rows of R^T J are whitened by 1/sqrt(a) and 1/sqrt(b) into W, and
+    W^T W = J^T Sigma^-1 J is inverted numerically. ValueError where
+    det Sigma = a b is not positive and finite, where J^T Sigma^-1 J or
+    its inverse is not finite, and (numpy's LinAlgError) where
+    J^T Sigma^-1 J is singular.
     """
-    J = jacobian(model, theta, sigma, omega, P)
-    S = covariance_matrix(model, theta, sigma, omega, P, channel_noise_var)
-    (s11, s12), (s21, s22) = S.tolist()
-    det = s11 * s22 - s12 * s21
+    J = jacobian(model, theta, sigma, omega, P)  # checks theta, sigma, omega and P
+    theta, sigma, omega, P = float(theta), float(sigma), float(omega), float(P)
+    nv = real_number("channel_noise_var", channel_noise_var, closed=True)
+    a, b = _phasor_variances(model.family, sigma, omega, P, nv, math)
+    det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(
             f"covariance matrix is singular or out of floating-point range at this "
             f"operating point (det = {det!r})"
         )
+    c = math.cos(omega * theta)
+    s = math.sin(omega * theta)
     with np.errstate(all="ignore"):  # a non-finite M is refused below
-        M = J.T @ np.linalg.inv(S) @ J
+        W = np.array([[c, s], [-s, c]]) @ J / np.array([[math.sqrt(a)], [math.sqrt(b)]])
+        M = W.T @ W
     # Python's isfinite on the four entries: a numpy reduction costs more here.
     if all(map(math.isfinite, M.ravel().tolist())):
         cov = np.linalg.inv(M)

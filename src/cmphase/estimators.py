@@ -21,16 +21,16 @@ grid is evaluated only on the theta rows that can hold its least cell:
 every cell of row i is at least v_i^2 min(1/b), exactly so under IEEE
 rounding, and rows whose bound exceeds a value already formed are
 skipped, so the grid's best cell is the full grid's, bit for bit. The
-rows are formed in blocks that reuse two small buffers, so a call
-allocates no whole-grid array. The refinement starts from the grid's
-best cell and minimizes |e|^2 for the whitened residual e = (u / sqrt(a),
-v / sqrt(b)) of the rotated frame, with its analytic Jacobian, inside
-the search box (numkit.gauss_newton_box). It iterates on Python floats;
-only its inner products (BLAS) and least-squares steps (LAPACK) run in
-numpy, whose rounding fixes the estimates' last bits. It must agree
-with the simple estimators whenever |z| <= sqrt(P); the test suite
-enforces that equivalence, so the two routes are kept strictly
-independent here.
+rows left are formed in one pass; on finite operands they are one or a
+few, so a call allocates no whole-grid array there. The refinement
+starts from the grid's best cell and minimizes |e|^2 for the whitened
+residual e = (u / sqrt(a), v / sqrt(b)) of the rotated frame, with its
+analytic Jacobian, inside the search box (numkit.gauss_newton_box). It
+iterates on Python floats; only its inner products (BLAS) and
+least-squares steps (LAPACK) run in numpy, whose rounding fixes the
+estimates' last bits. It must agree with the simple estimators whenever
+|z| <= sqrt(P); the test suite enforces that equivalence, so the two
+routes are kept strictly independent here.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _GRID = 200  # points per parameter of the joint minimizer's starting grid
-_ROWS = 40  # theta rows per block of that grid: 64 KB buffers
 # Smallest |z| / sqrt(P + nv) the joint minimizer accepts. The objective
 # near its minimum is of order |z|^2 / (P + nv) and underflows below about
 # 1e-145, where the grid and the refinement can no longer tell points
@@ -236,14 +235,13 @@ def _grid_argmin(
     Only the rows that can hold that cell are formed. Where every
     operand is finite and 1/a, 1/b > 0, no cell is NaN, both terms are
     >= 0 and rounding is monotone, so every cell of row i is >= lb_i =
-    v_i^2 min(1/b). The row of least lb is formed first, by the blocks'
-    own operations, so its least cell is a grid value: rows with lb_i
-    above it hold no least cell and are skipped, and where that row is
-    the only one left, its first least cell is the grid's. Operands
-    whose sum is not finite (an inf or NaN among them, or a sum past the
-    float range) have every row formed. The rows are formed _ROWS at
-    a time, in ascending order, in two buffers below the allocator's
-    mmap threshold.
+    v_i^2 min(1/b). The row of least lb is formed first, by the same
+    operations as the rest, so its least cell is a grid value: rows with
+    lb_i above it hold no least cell and are skipped, and where that row
+    is the only one left, its first least cell is the grid's. Otherwise
+    the rows left (every row, where the operands' sum is not finite: an
+    inf or NaN among them, or a sum past the float range) are formed in
+    ascending order in one array, and its first least cell is the grid's.
     """
     phase = omega * thetas
     c, s = np.cos(phase), np.sin(phase)
@@ -255,40 +253,25 @@ def _grid_argmin(
     if min(ra.min(), rb_min) > 0.0 and math.isfinite(np.concatenate((u, vsq, w, ra, rb)).sum()):
         lb = vsq * rb_min
         k = int(lb.argmin())
-        row = np.empty((2, sigmas.size))
-        q_k = _form_rows(u[k : k + 1], vsq[k : k + 1], w, ra, rb, row[:1], row[1:])
+        q_k = _form_rows(u[k : k + 1], vsq[k : k + 1], w, ra, rb)
         j = int(q_k.argmin())
         rows = (lb <= q_k.flat[j]).nonzero()[0]
         if rows.size == 1:  # row k alone can hold the least cell
             return k, j
-        u, vsq = u[rows], vsq[rows]
     else:
         rows = np.arange(thetas.size)
-    q_buf = np.empty((min(rows.size, _ROWS), sigmas.size))
-    t_buf = np.empty_like(q_buf)
-    tops = range(0, rows.size, _ROWS)
-    flat, least = [], np.empty(len(tops))  # each block's first least cell: index, value
-    for n, top in enumerate(tops):
-        q = _form_rows(u[top : top + _ROWS], vsq[top : top + _ROWS], w, ra, rb, q_buf, t_buf)
-        k = int(q.argmin())
-        flat.append(top * sigmas.size + k)
-        least[n] = q.flat[k]
-    i, j = divmod(flat[int(least.argmin())], sigmas.size)
+    i, j = divmod(int(_form_rows(u[rows], vsq[rows], w, ra, rb).argmin()), sigmas.size)
     return int(rows[i]), j
 
 
 def _form_rows(
-    u: np.ndarray, vsq: np.ndarray, w: np.ndarray, ra: np.ndarray, rb: np.ndarray,
-    q_buf: np.ndarray, t_buf: np.ndarray,
+    u: np.ndarray, vsq: np.ndarray, w: np.ndarray, ra: np.ndarray, rb: np.ndarray
 ) -> np.ndarray:
-    """The grid cells (u_i - w_j)^2 ra_j + vsq_i rb_j of the given rows,
-    formed in place in the top rows of q_buf, with t_buf as scratch."""
-    q, t = q_buf[: u.size], t_buf[: u.size]
-    np.subtract.outer(u, w, out=q)
+    """The grid cells (u_i - w_j)^2 ra_j + vsq_i rb_j of the given rows."""
+    q = np.subtract.outer(u, w)
     q *= q
     q *= ra
-    np.multiply.outer(vsq, rb, out=t)
-    q += t
+    q += np.multiply.outer(vsq, rb)
     return q
 
 

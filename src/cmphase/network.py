@@ -173,13 +173,13 @@ def simulate_block(
 
 
 def _received(
-    cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None, trig: np.ndarray | None = None
+    cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None, trig: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y, z) from standardized sensing noise eta, shape (B, L), and, for
     a noisy channel, standard normal pairs channel, shape (B, 2).
 
-    Given trig (float64, eta's shape), the phase overwrites eta and trig
-    takes the cosines, then the sines; otherwise both are new arrays.
+    The phase overwrites eta, and trig (float64, eta's shape) takes the
+    cosines, then the sines.
 
     y and z are built as (B, 2) arrays of real and imaginary parts by
     real operations, then viewed as complex. For finite values these give
@@ -188,11 +188,9 @@ def _received(
     zeros; numpy's complex division rounds differently.
     """
     # omega (theta + sigma eta), one rounding per step as written.
-    phase = np.multiply(eta, cfg.sigma, out=None if trig is None else eta)
+    phase = np.multiply(eta, cfg.sigma, out=eta)
     phase += cfg.theta
     phase *= cfg.omega
-    if trig is None:
-        trig = np.empty_like(phase)
     y = np.empty((len(phase), 2))
     y[:, 0] = np.cos(phase, out=trig).sum(axis=-1)
     y[:, 1] = np.sin(phase, out=trig).sum(axis=-1)

@@ -460,10 +460,10 @@ def analytic_omega(
     form leaves the float range, and where the table holds no equation
     for the family.
     """
-    sigma, P = real_number("sigma", sigma), real_number("P", P)
-    channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
+    sigma, P, nv, omega_min, omega_max = _checked_point(
+        sigma, P, channel_noise_var, power_mode, omega_min, omega_max
+    )
     mode = PowerMode(power_mode)
-    nv = effective_noise_var(mode, channel_noise_var)
     r = nv / P
     g = _target_gamma(target, gamma)
     family = model.family
@@ -480,12 +480,10 @@ def analytic_omega(
     if value is not None and not math.isfinite(value):
         raise ValueError(
             f"the {model.kind} {target} tuning equation overflows at sigma={sigma!r}, "
-            f"P={P!r}, channel_noise_var={channel_noise_var!r}, gamma={gamma!r}"
+            f"P={P!r}, channel_noise_var={float(channel_noise_var)!r}, gamma={gamma!r}"
         )
     # The numeric route runs last, so a closed form past the float range
     # is reported as such even where no probe of the curve is finite.
-    omega_min = real_number("omega_min", omega_min)
-    omega_max = real_number("omega_max", omega_max, omega_min)
     numeric, flag = _golden_section(family, sigma, P, nv, target, g, omega_min, omega_max)
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag

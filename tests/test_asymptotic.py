@@ -209,10 +209,7 @@ class TestGenericVsSandwich:
         omega in [1e-6, 1e2] and P in [1e-3, 1e3] log-uniform, with nv / P
         0 or log-uniform in [1e-12, 10]: the sandwich's diagonal is
         asv_generic's to 1e-9 and its correlation below 1e-9, or it raises
-        its documented ValueError; outside one class, pinned in
-        test_noise_free_small_scale_disagreement: at nv = 0 the Gaussian
-        and Laplace sandwich loses about eps / (sigma omega)^2 relative,
-        past 1e-9 below sigma omega of about 5e-4."""
+        its documented ValueError."""
         omega, nv = u / sigma, ratio * P
         try:
             C = asv_via_sandwich(model, phase / omega, sigma, omega, P, nv)
@@ -222,24 +219,26 @@ class TestGenericVsSandwich:
         (c00, c01), (_, c11) = C.tolist()
         diag = max(abs(c00 / rep.asv_theta - 1.0), abs(c11 / rep.asv_sigma - 1.0))
         correlation = abs(c01) / math.sqrt(c00) / math.sqrt(c11)
-        noise_free_small_scale = nv == 0.0 and model is not CAUCHY and u < 1e-3
-        assert (diag <= 1e-9 and correlation <= 1e-9) or noise_free_small_scale
+        assert diag <= 1e-9 and correlation <= 1e-9
 
-    def test_noise_free_small_scale_disagreement(self):
-        """Gaussian, sigma omega = 1e-5, omega theta = 0.7, nv = 0: the
-        sandwich's theta entry is off by about 1e-6 relative, while
+    @pytest.mark.parametrize("model", [GAUSSIAN, LAPLACE], ids=lambda m: m.kind)
+    def test_noise_free_small_scale_agreement(self, model):
+        """sigma omega = 1e-5, omega theta = 0.7, nv = 0: the covariance's
+        entries are of order (sigma omega)^2 and (sigma omega)^4, and the
+        sandwich, whitened in the frame where Sigma is diagonal, keeps
+        asv_generic's diagonal to 1e-12. Inverting the rotated Sigma lost
+        about eps / (sigma omega)^2 relative here. For the Gaussian,
         asv_generic matches the cancellation-free form (1 - e^{-2u}) /
-        (2 omega^2 e^{-u}), u = (sigma omega)^2, to 1e-15. Channel noise
-        of 1e-12 P restores agreement to 1e-9."""
+        (2 omega^2 e^{-u}), u = (sigma omega)^2, to 1e-15."""
         omega = 1e-5
-        u = omega * omega
-        exact = -math.expm1(-2.0 * u) / (2.0 * omega * omega * math.exp(-u))
-        assert math.isclose(asv_generic(GAUSSIAN, 1.0, omega, 1.0).asv_theta, exact, rel_tol=1e-15)
-        C = asv_via_sandwich(GAUSSIAN, 0.7 / omega, 1.0, omega, 1.0, 0.0)
-        assert 1e-8 < abs(C[0, 0] / exact - 1.0) < 1e-4
-        rep = asv_generic(GAUSSIAN, 1.0, omega, 1.0, 1e-12)
-        C = asv_via_sandwich(GAUSSIAN, 0.7 / omega, 1.0, omega, 1.0, 1e-12)
-        assert math.isclose(C[0, 0], rep.asv_theta, rel_tol=1e-9)
+        rep = asv_generic(model, 1.0, omega, 1.0)
+        if model is GAUSSIAN:
+            u = omega * omega
+            exact = -math.expm1(-2.0 * u) / (2.0 * omega * omega * math.exp(-u))
+            assert math.isclose(rep.asv_theta, exact, rel_tol=1e-15)
+        C = asv_via_sandwich(model, 0.7 / omega, 1.0, omega, 1.0, 0.0)
+        assert math.isclose(C[0, 0], rep.asv_theta, rel_tol=1e-12)
+        assert math.isclose(C[1, 1], rep.asv_sigma, rel_tol=1e-12)
 
 
 class TestAsvGeneric:

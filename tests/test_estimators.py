@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from cmphase import estimators, numkit
 from cmphase.estimators import (
     _GRID,
-    _ROWS,
     DegenerateScaleError,
     ZeroMagnitudeError,
     _grid_argmin,
@@ -43,7 +42,7 @@ ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
 # sha256 of float.hex (theta_hat, sigma_hat) of joint_minimum_variance over
 # _joint_points(), recorded from the full-grid search before the grid was
-# evaluated in row blocks.
+# evaluated on the rows its bound leaves.
 JOINT_DIGEST = "56d3433ca1b861421bbe56ad8145c61cd6210badc92414b0267626e9d1f33a07"
 
 
@@ -765,7 +764,7 @@ def _analysis_points():
 
 def _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model):
     """Oracle: the whole thetas x sigmas grid in one array, as the joint
-    search formed it before the row blocks, with numpy's argmin."""
+    search formed it before the row bound, with numpy's argmin."""
     c = np.cos(omega * thetas)
     s = np.sin(omega * thetas)
     a = P * model.phasor_cos_var(sigmas, omega) + 0.5 * nv
@@ -828,7 +827,7 @@ class TestGridArgmin:
         theta_pool, n_theta, sigma_exp, n_sigma, sigma_period,
     ):
         """Same cell as argmin over the whole grid. A repeated theta pool
-        or sigma period makes exact ties across rows, blocks and columns;
+        or sigma period makes exact ties across rows and columns;
         a tiny sigma at nv = 0 makes 1/a infinite, and z = sqrt(P) with
         theta = 0 then gives NaN cells."""
         root_p = math.sqrt(P)
@@ -903,7 +902,7 @@ class TestGridArgmin:
         [
             pytest.param([150, 170], id="nan-in-a-later-block-beats-an-earlier-minimum"),
             pytest.param([3, 9], id="first-nan-of-the-first-block"),
-            pytest.param([], id="ties-across-blocks"),
+            pytest.param([], id="ties-across-rows"),
         ],
     )
     def test_nan_and_tie_cells(self, nan_rows):
@@ -930,9 +929,10 @@ class TestGridArgmin:
         else:
             assert np.count_nonzero(q == q[i, j]) > 1 and i == 0
 
-    def test_least_cell_in_a_partial_last_block(self):
-        """190 theta rows leave a last block of 30; the phase of z lies
-        just past the last theta, so the least cell is in its last row."""
+    def test_least_cell_in_the_last_of_190_rows(self):
+        """190 theta rows, fewer than the joint search's 200; the phase of
+        z lies just past the last theta, so the least cell is in the last
+        row."""
         z, omega, P = 0.5 * cmath.exp(0.7j), 1.0, 1.0
         thetas = np.linspace(0.0, 0.69, 190)
         sigmas = np.linspace(0.01, 2.0, _GRID)
@@ -943,7 +943,7 @@ class TestGridArgmin:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_peak_memory_below_one_row_block(self, model):
         """On a clean point the row bound leaves one or two rows to form, so
-        a warm call peaks below one _ROWS-row block (64 KB), where forming
+        a warm call peaks below 40 rows of the grid (64 KB), where forming
         every row peaked at about 280 KB."""
         z, omega = mean_signal(1.3, 0.8, 0.8, 1.0, model), 0.8
         joint_minimum_variance(z, omega, 1.0, 1.0, model, math.pi / omega)
@@ -953,7 +953,7 @@ class TestGridArgmin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < _ROWS * _GRID * 8, peak
+        assert peak < 40 * 200 * 8, peak
 
     def test_peak_memory_below_one_grid(self):
         """A warm call allocates less than one 200 x 200 float64 grid; the

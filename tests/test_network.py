@@ -164,7 +164,7 @@ class TestSimulateSnapshot:
         coherent sum of the three unit-power phasors."""
         cfg = make_config(L=3, channel_noise_var=0.0, power_mode="per-sensor", P=4.0)
         eta = np.array([0.1, -0.2, 0.3])
-        y, z = network._received(cfg, eta[np.newaxis], None)
+        y, z = network._received(cfg, eta.copy()[np.newaxis], None, np.empty((1, 3)))
         expected = 2.0 * sum(
             cmath.exp(1j * cfg.omega * (cfg.theta + cfg.sigma * e)) for e in eta
         )
@@ -204,7 +204,7 @@ class TestSimulateSnapshot:
         assert snapshot_uniforms(cfg) == GAUSSIAN.uniforms_needed(8) == 8
         snap = simulate_snapshot(cfg, RandomStream(2))
         eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8)
-        y, z = network._received(cfg, eta[np.newaxis], None)
+        y, z = network._received(cfg, eta[np.newaxis], None, np.empty((1, 8)))
         assert (snap.y, snap.z) == (y[0], z[0])
 
     def test_block_shape_checked(self):
@@ -235,7 +235,7 @@ class TestSimulateSnapshot:
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
         channel = box_muller(uniforms_from_states(root.substream_states(0, 4000), 2))
-        y, _ = network._received(cfg, np.zeros((4000, 1)), channel)
+        y, _ = network._received(cfg, np.zeros((4000, 1)), channel, np.empty((4000, 1)))
         parts = np.stack([y.real - clean.real, y.imag - clean.imag], axis=-1)
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)
         np.testing.assert_allclose(parts.mean(axis=0), [0.0, 0.0], atol=0.05)
