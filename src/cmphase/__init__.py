@@ -10,99 +10,8 @@ sensing-noise characteristic function. The package provides the channel
 simulation, the phase/magnitude estimators and their joint
 minimum-variance counterpart, asymptotic variance expressions with
 verified closed forms, omega tuning, efficiency reports, and Monte
-Carlo drivers behind a CLI.
+Carlo drivers behind a CLI. Each name is imported from its module (see
+README, Layout), as in `from cmphase.tuning import optimal_omega`.
 """
 
-from .asymptotic import (
-    AsvReport,
-    asv_closed_form,
-    asv_generic,
-    asv_via_sandwich,
-    covariance_matrix,
-    jacobian,
-)
-from .efficiency import EfficiencyReport, asymptotic_relative_efficiency
-from .estimators import (
-    DegenerateScaleError,
-    EstimateSet,
-    ZeroMagnitudeError,
-    estimate_location,
-    estimate_scale,
-    estimate_snr,
-    joint_minimum_variance,
-    joint_objective,
-    simple_estimates,
-)
-from .montecarlo import (
-    AllTrialsSaturatedError,
-    McSummary,
-    SweepRow,
-    run_experiment,
-    sweep,
-    write_sweep_csv,
-)
-from .network import (
-    ConfigError,
-    NetworkConfig,
-    PowerMode,
-    Snapshot,
-    simulate_snapshot,
-)
-from .noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
-from .numkit import ConvergenceError, RandomStream
-from .tuning import (
-    AnalyticOmega,
-    OmegaOptima,
-    analytic_omega,
-    omega_optima,
-    optimal_omega,
-    resolve_omega,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "AsvReport",
-    "asv_closed_form",
-    "asv_generic",
-    "asv_via_sandwich",
-    "covariance_matrix",
-    "jacobian",
-    "EfficiencyReport",
-    "asymptotic_relative_efficiency",
-    "DegenerateScaleError",
-    "EstimateSet",
-    "ZeroMagnitudeError",
-    "estimate_location",
-    "estimate_scale",
-    "estimate_snr",
-    "joint_minimum_variance",
-    "joint_objective",
-    "simple_estimates",
-    "AllTrialsSaturatedError",
-    "McSummary",
-    "SweepRow",
-    "run_experiment",
-    "sweep",
-    "write_sweep_csv",
-    "ConfigError",
-    "NetworkConfig",
-    "PowerMode",
-    "Snapshot",
-    "simulate_snapshot",
-    "CAUCHY",
-    "GAUSSIAN",
-    "LAPLACE",
-    "MODEL_TOKENS",
-    "NoiseModel",
-    "noise_model",
-    "ConvergenceError",
-    "RandomStream",
-    "AnalyticOmega",
-    "OmegaOptima",
-    "analytic_omega",
-    "omega_optima",
-    "optimal_omega",
-    "resolve_omega",
-]

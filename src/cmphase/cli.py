@@ -229,6 +229,8 @@ def _cmd_opt_omega(args) -> int:
     targets = OMEGA_TARGETS if args.target == "all" else (args.target,)
     if "gamma" in targets and args.gamma is None:
         raise ConfigError("--target gamma (or all) requires --gamma")
+    if args.gamma is not None:  # checked for every target: the manifest records it
+        real_number("--gamma", args.gamma)
     results = {}
     for target in targets:
         operating_point = dict(

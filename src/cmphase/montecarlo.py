@@ -132,8 +132,9 @@ class SweepRow:
 
 
 def _stats(values: np.ndarray, truth: float, L: int) -> EstimandStats:
-    mean = float(np.mean(values))
-    var = float(np.var(values, ddof=1)) * L if values.size >= 2 else math.nan
+    with np.errstate(over="ignore"):  # an overflowing variance reads inf
+        mean = float(np.mean(values))
+        var = float(np.var(values, ddof=1)) * L if values.size >= 2 else math.nan
     return EstimandStats(mean=mean, variance_l=var, bias=mean - truth)
 
 
@@ -142,7 +143,8 @@ def _trimmed_variance_l(values: np.ndarray, L: int) -> float:
     kept = np.sort(values)[k : values.size - k]
     if kept.size < 2:
         return math.nan
-    return float(np.var(kept, ddof=1)) * L
+    with np.errstate(over="ignore"):  # an overflowing variance reads inf
+        return float(np.var(kept, ddof=1)) * L
 
 
 def _phase_deviation(theta_hats: np.ndarray, theta: float, omega: float) -> np.ndarray:
@@ -347,7 +349,9 @@ def write_sweep_csv(rows: list[SweepRow], destination, manifest: dict | None = N
     The optional manifest dict is embedded as a single '# manifest: ...'
     comment line above the header, serialized with sorted keys so equal
     inputs produce byte-identical files. emp_var_gamma is the trimmed
-    variant (the SNR ratio has heavy tails at finite L).
+    variant (the SNR ratio has heavy tails at finite L). An emp_var_*
+    value reads inf where the L-scaled sample variance overflows, as an
+    asv_* value reads inf where the component is not estimable.
     """
     lines = []
     if manifest is not None:

@@ -475,7 +475,7 @@ def analytic_omega(
         raise ValueError(
             f"no tuning equation for the {model.kind!r} family in {mode.value} mode"
         ) from None
-    value, note, details = equation(sigma, P, nv, r, gamma, curve)
+    value, note, details = equation(sigma, P, nv, r, g, curve)
 
     if value is not None and not math.isfinite(value):
         raise ValueError(

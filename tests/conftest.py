@@ -3,6 +3,11 @@
 import pytest
 
 from cmphase import tuning
+from cmphase.noise import MODEL_TOKENS, noise_model
+
+# Every registered noise family, in registry order, for tests that run
+# the same checks on each; family-specific expectations stay in the tests.
+ALL_MODELS = tuple(noise_model(k) for k in MODEL_TOKENS)
 
 
 def clear_tuning_caches():

@@ -33,8 +33,7 @@ from cmphase.network import NetworkConfig, PowerMode
 from cmphase.noise import noise_model
 from cmphase.numkit import lambert_w0
 from cmphase.tuning import analytic_omega, omega_optima, optimal_omega
-
-MODELS = ("gaussian", "laplace", "cauchy")
+from conftest import ALL_MODELS
 
 # Reference digits below were frozen from 40-digit evaluations of the
 # closed forms (Lambert W, polynomial radicals) and are used to check
@@ -91,8 +90,7 @@ def test_criterion_1_sandwich_identity(capsys):
     t0 = time.perf_counter()
     worst_diag = 0.0
     worst_off = 0.0
-    for name in MODELS:
-        model = noise_model(name)
+    for model in ALL_MODELS:
         for sigma in (0.5, 1.0, 2.0):
             for omega in np.linspace(0.1, 2.0, 20):
                 for nv in (0.0, 0.5, 1.0):
@@ -121,8 +119,7 @@ def test_criterion_2_joint_matches_simple(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for name in MODELS:
-        model = noise_model(name)
+    for model in ALL_MODELS:
         for _ in range(1000):
             omega = float(rng.uniform(0.3, 1.5))
             theta_R = math.pi / omega
@@ -210,8 +207,7 @@ def test_criterion_5_snr_optimum_betweenness(capsys):
     t0 = time.perf_counter()
     worst_viol = 0.0
     worst_cauchy_spread = 0.0
-    for name in MODELS:
-        model = noise_model(name)
+    for model in ALL_MODELS:
         for nv in (0.0, 0.5, 1.0, 2.0):
             for gamma in (0.1, 1.0, 10.0):
                 opt = omega_optima(model, 1.0, 1.0, nv, gamma=gamma)
@@ -219,7 +215,7 @@ def test_criterion_5_snr_optimum_betweenness(capsys):
                 hi = max(opt.omega_theta, opt.omega_sigma)
                 worst_viol = max(worst_viol, lo - opt.omega_gamma,
                                  opt.omega_gamma - hi)
-                if name == "cauchy":
+                if model.kind == "cauchy":
                     worst_cauchy_spread = max(
                         worst_cauchy_spread, hi - lo,
                         abs(opt.omega_gamma - opt.omega_theta))
@@ -234,8 +230,8 @@ def test_criterion_5_snr_optimum_betweenness(capsys):
 
 def test_criterion_6_efficiency_table(capsys):
     t0 = time.perf_counter()
-    rep = {(m, p): asymptotic_relative_efficiency(noise_model(m), p)
-           for m in MODELS for p in ("theta", "sigma")}
+    rep = {(m.kind, p): asymptotic_relative_efficiency(m, p)
+           for m in ALL_MODELS for p in ("theta", "sigma")}
     checks = [
         ("gaussian theta", abs(rep["gaussian", "theta"].are - 1.0) <= 1e-3),
         ("gaussian sigma", abs(rep["gaussian", "sigma"].are - 1.0) <= 1e-3),

@@ -32,6 +32,7 @@ from cmphase.asymptotic import (
 from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
 from cmphase.tuning import OMEGA_TARGETS
+from conftest import ALL_MODELS
 from test_noise import REFERENCE
 from test_numkit import WIDE, WIDE_SETTINGS
 
@@ -63,7 +64,6 @@ def gamma_outcome(curve, omega):
         return type(exc), str(exc)
 
 
-ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 
 GRID_SIGMAS = (0.5, 1.0, 2.0)
 GRID_OMEGAS = np.linspace(0.1, 2.0, 20)

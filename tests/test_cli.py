@@ -32,6 +32,11 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def reject_constant(name):
+    """json.loads hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} in the output")
+
+
 def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
@@ -455,6 +460,20 @@ class TestOptOmega:
         assert rc == 1
         assert "--gamma" in err
 
+    @pytest.mark.parametrize("target", ["theta", "sigma", "all"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1", "2"])
+    def test_gamma_is_checked_for_every_target(self, capsys, target, gamma):
+        """--target theta --gamma nan exited 0 and wrote "gamma": NaN, which
+        is not JSON, into the manifest: that target ignores gamma."""
+        rc, out, err = run(capsys, "opt-omega", "--target", target, "--gamma", gamma)
+        if gamma != "2":
+            assert rc == 1 and out == ""
+            assert err.startswith("cmphase: error: --gamma ") and err.count("\n") == 1
+            return
+        assert rc == 0, err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["manifest"]["config"]["gamma"] == 2.0
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -599,6 +618,21 @@ class TestSweep:
         )
         assert rc == 0, err
         assert out.splitlines()[2] == "sigma,1e+200,nan,nan,nan,nan,nan,nan,nan,0,0"
+
+    def test_overflowing_variance_reads_inf(self, capsys):
+        """The 1e-300 row's estimates are finite but far apart, so their
+        L-scaled variances overflow: numpy's overflow warning was the only
+        signal, and this suite makes it an error. The other row is as
+        before."""
+        rc, out, err = run(
+            capsys, "sweep", "--model", "cauchy", "--L", "100", "--axis", "omega",
+            "--grid", "1e-300,1", "--trials", "5",
+        )
+        assert rc == 0, err
+        assert out.splitlines()[2:] == [
+            "omega,1e-300,inf,inf,936152053,inf,inf,inf,0.4,5,100",
+            "omega,1,6.56651799,10.1784596,92.2890825,6.8890561,6.8890561,55.1124488,0,5,100",
+        ]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_bad_trial_count(self, capsys, trials):

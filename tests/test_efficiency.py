@@ -21,6 +21,7 @@ from cmphase.efficiency import (
     asymptotic_relative_efficiency,
 )
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
+from conftest import ALL_MODELS
 from test_numkit import WIDE, WIDE_SETTINGS
 
 CAUCHY_INF_ASV = 3.0882773047417402  # shared by theta and sigma, sigma = 1
@@ -79,7 +80,7 @@ class TestAreValues:
     def test_are_below_one(self):
         """A decentralized one-sample statistic cannot beat the
         centralized bound."""
-        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+        for model in ALL_MODELS:
             for parameter in ("theta", "sigma"):
                 rep = asymptotic_relative_efficiency(model, parameter)
                 assert rep.are <= 1.0 + 1e-9
@@ -134,7 +135,7 @@ class TestReportShape:
 class TestWideInputs:
     @settings(WIDE_SETTINGS, max_examples=150)
     @given(
-        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        model=st.sampled_from(ALL_MODELS),
         parameter=st.sampled_from(["theta", "sigma"]),
         omega_max=st.one_of(WIDE, st.floats(-4.1, 1.0).map(lambda e: 10.0**e)),
     )

@@ -36,9 +36,9 @@ from cmphase.estimators import (
 from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
 from cmphase.numkit import ConvergenceError
+from conftest import ALL_MODELS
 from test_numkit import WIDE, WIDE_SETTINGS, gn_outcome, numpy_gauss_newton_box
 
-ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 TWO_PI = 2.0 * math.pi
 # sha256 of float.hex (theta_hat, sigma_hat) of joint_minimum_variance over
 # _joint_points(), recorded from the full-grid search before the grid was

@@ -20,6 +20,7 @@ from cmphase import noise
 from cmphase.asymptotic import asv_generic
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
 from cmphase.numkit import RandomStream
+from conftest import ALL_MODELS
 
 LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 
@@ -44,7 +45,6 @@ def _char_fn_quad(kind, sigma, omega):
     return val
 
 
-ALL_MODELS = [GAUSSIAN, LAPLACE, CAUCHY]
 KERNELS = ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var")
 # Largest distance in ulps between a kernel's array and float results.
 # Measured: at most 3 (Gaussian phasor_cos_var; 2 for Laplace

@@ -1,0 +1,36 @@
+"""The package layout: each public name is imported from its own module,
+and importing one module loads only the modules it needs."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import cmphase
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(cmphase.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"cmphase.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_importing_noise_loads_only_numkit():
+    """The package __init__ imports no submodule, so a fresh interpreter
+    that imports cmphase.noise does not pay for the other seven."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cmphase.noise; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cmphase'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["cmphase", "cmphase.noise", "cmphase.numkit"])

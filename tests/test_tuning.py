@@ -33,7 +33,7 @@ from cmphase.tuning import (
     resolve_omega,
     rule_omega,
 )
-from conftest import clear_tuning_caches
+from conftest import ALL_MODELS, clear_tuning_caches
 from test_numkit import WIDE, WIDE_SETTINGS, sign_change_brackets
 
 TOTAL = PowerMode.TOTAL
@@ -161,7 +161,7 @@ class TestOptimalOmega:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
-        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        model=st.sampled_from(ALL_MODELS),
         mode=st.sampled_from([TOTAL, PER_SENSOR]),
         target=st.sampled_from(OMEGA_TARGETS),
         log_omega_max=st.floats(0.0, 300.0),
@@ -221,7 +221,7 @@ class TestTargetCurves:
 
         curves = [
             tuning._target_curve(model.family, 1.0, 1.0, nv, target, 2.0)
-            for model in (GAUSSIAN, LAPLACE, CAUCHY)
+            for model in ALL_MODELS
             for nv in (0.0, 0.5)
             for target in OMEGA_TARGETS
         ]
@@ -542,7 +542,7 @@ class TestAnalyticOmega:
         scales, recorded before the polynomial scan was vectorized: the
         quintic roots and everything derived from them keep their bits."""
         digest = hashlib.sha256()
-        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+        for model in ALL_MODELS:
             for mode, nv in ((TOTAL, 0.5), (TOTAL, 1.0), (TOTAL, 2.0), (PER_SENSOR, 0.0)):
                 for target in ("theta", "sigma", "gamma"):
                     for gamma in (0.1, 1.0, 10.0):
@@ -559,7 +559,7 @@ class TestAnalyticOmega:
         grid, which ANALYTIC_DIGEST leaves out, recorded before the
         equations moved into one table."""
         digest = hashlib.sha256()
-        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+        for model in ALL_MODELS:
             for mode, nv in ((TOTAL, 0.5), (TOTAL, 1.0), (TOTAL, 2.0), (PER_SENSOR, 0.0)):
                 for target in ("theta", "sigma", "gamma"):
                     for gamma in (0.1, 1.0, 10.0):
@@ -570,6 +570,20 @@ class TestAnalyticOmega:
                             line = f"{model.kind} {mode.value} {nv!r} {target} {gamma!r} "
                             digest.update(f"{line}{sigma!r} {a.note}\n".encode())
         assert digest.hexdigest() == NOTE_DIGEST
+
+    @pytest.mark.parametrize("mode", [TOTAL, PER_SENSOR], ids=lambda m: m.value)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_float32_gamma_gives_the_float_bits(self, model, mode):
+        """The closed forms take the checked gamma: given the float32 one,
+        the Laplace per-sensor form ran in float32 (0.68928296 against
+        0.68928277) and said nothing."""
+        gamma = np.float32(0.1)
+        single = analytic_omega(model, 1.0, 1.0, 0.5, "gamma", power_mode=mode, gamma=gamma)
+        clear_tuning_caches()  # a kept result would answer the float call
+        double = analytic_omega(
+            model, 1.0, 1.0, 0.5, "gamma", power_mode=mode, gamma=float(gamma)
+        )
+        assert repr(dataclasses.astuple(single)) == repr(dataclasses.astuple(double))
 
 
 class TestResolveOmega:
@@ -685,7 +699,7 @@ class TestWideInputs:
 
     @settings(WIDE_SETTINGS, max_examples=1000)  # 300 miss the Laplace gamma radical's defects
     @given(
-        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        model=st.sampled_from(ALL_MODELS),
         mode=st.sampled_from([TOTAL, PER_SENSOR]),
         target=st.sampled_from(OMEGA_TARGETS),
         point=st.tuples(WIDE, WIDE, WIDE, WIDE),
@@ -705,7 +719,7 @@ class TestWideInputs:
 
     @WIDE_SETTINGS
     @given(
-        model=st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+        model=st.sampled_from(ALL_MODELS),
         mode=st.sampled_from([TOTAL, PER_SENSOR]),
         point=st.tuples(WIDE, WIDE, WIDE, WIDE),
     )
@@ -793,7 +807,7 @@ class TestKeptSearches:
             with pytest.raises(ValueError, match="'students-t' family"):
                 solver(model, 1.0, 1.0, 1.0, "theta", gamma=math.nan)
 
-    @pytest.mark.parametrize("model", [GAUSSIAN, LAPLACE, CAUCHY], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_signed_zero_noise_shares_bits(self, model):
         """nv = +0.0 and -0.0 are one key; cold, they give the same bits."""
         for mode in (TOTAL, PER_SENSOR):
@@ -908,7 +922,7 @@ class TestKeptClosedForms:
     @given(
         steps=st.lists(
             st.tuples(
-                st.sampled_from([GAUSSIAN, LAPLACE, CAUCHY]),
+                st.sampled_from(ALL_MODELS),
                 st.sampled_from([TOTAL, PER_SENSOR]),
                 st.sampled_from(OMEGA_TARGETS),
                 st.one_of(
@@ -960,7 +974,7 @@ class TestAnalyticAgainstNumeric:
 
     def test_agreeing_triples_agree_on_the_pinned_grid(self):
         agreeing = []
-        for model in (GAUSSIAN, LAPLACE, CAUCHY):
+        for model in ALL_MODELS:
             for mode, nvs in ((TOTAL, (0.5, 1.0, 2.0)), (PER_SENSOR, (0.0,))):
                 for target in OMEGA_TARGETS:
                     if all(
