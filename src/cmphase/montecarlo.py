@@ -34,7 +34,8 @@ larger: fewer calls per trial. A process with one usable CPU or trials
 of fewer than _CONCURRENT_MIN_L sensor samples (where the GIL-bound
 per-trial generator construction dominates) run every block on the
 calling thread, in blocks of _BLOCK_SAMPLES, and build no pool; nor does
-a run whose trials fit in one concurrent block.
+a run whose trials fit in one concurrent block. A sweep of such trials
+spreads its rows over forked processes instead (see sweep).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import threading
 from dataclasses import asdict, dataclass
 
@@ -295,8 +297,15 @@ def sweep(
     a row's result depends only on its index and the seed: editing one
     grid value or appending points never changes the other rows. A point
     that fails validation or saturates entirely yields a row with the
-    error message instead of aborting the sweep; a bad axis, trial count
-    or omega_rule raises ValueError before any row runs.
+    error message instead of aborting the sweep; a bad axis, trial count,
+    grid value or omega_rule raises ValueError before any row runs.
+
+    With more than one row and usable CPU, L below _CONCURRENT_MIN_L (so
+    no row runs block threads), os.fork and no other thread alive, row i
+    runs in process i mod P of this one and P - 1 forked children, P =
+    min(CPUs, rows); otherwise the rows run here in turn. There is no
+    setting for this, and the rows are the same bits either way. A row
+    error other than those above propagates, the lowest row's first.
     """
     if axis not in ("omega", "sigma"):
         raise ValueError(f"axis must be 'omega' or 'sigma', got {axis!r}")
@@ -305,11 +314,11 @@ def sweep(
             raise ValueError("omega_rule applies only to sigma sweeps")
         rule_target(omega_rule)
     trials = whole_number("trials", trials, 1)
+    values = [float(raw) for raw in grid]
     root = RandomStream(cfg.seed)
 
-    rows: list[SweepRow] = []
-    for i, raw in enumerate(grid):
-        value = float(raw)
+    def row(i: int) -> SweepRow:
+        value = values[i]
         omega: float | None = None
         asv: AsvReport | None = None
         try:
@@ -331,10 +340,79 @@ def sweep(
             )
             summary = run_experiment(cfg_i, trials, root.substream(i))
         except (ConfigError, ValueError, AllTrialsSaturatedError) as exc:
-            rows.append(SweepRow(axis, value, omega, None, asv, str(exc)))
-            continue
-        rows.append(SweepRow(axis, value, omega, summary, asv, None))
-    return rows
+            return SweepRow(axis, value, omega, None, asv, str(exc))
+        return SweepRow(axis, value, omega, summary, asv, None)
+
+    procs = min(_usable_cpus(), len(values))
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    if cfg.L < _CONCURRENT_MIN_L and procs > 1 and forkable:
+        return _forked_rows(row, len(values), procs)
+    return [row(i) for i in range(len(values))]
+
+
+def _rows_of(row, start: int, n: int, step: int) -> list[tuple]:
+    """(i, row(i)) for i in range(start, n, step), up to the first (i, exception)."""
+    out = []
+    for i in range(start, n, step):
+        try:
+            out.append((i, row(i)))
+        except Exception as exc:
+            out.append((i, exc))
+            break
+    return out
+
+
+def _forked_rows(row, n: int, procs: int) -> list[SweepRow]:
+    """row(i) for i in range(n), process k of this one and procs - 1 forked
+    children giving _rows_of(row, k, n, procs), a child's through a pipe
+    (an exception that does not survive pickling as a RuntimeError naming
+    it). Every child is reaped before this returns, and killed first if
+    this process failed outside a row. The lowest row's exception, the
+    serial loop's, is raised."""
+    children, payloads, done = [], [], False  # children: (pid, pipe read end)
+    try:
+        for k in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: leaves by os._exit, never returns
+                try:
+                    out = _rows_of(row, k, n, procs)
+                    i, last = out[-1]
+                    try:
+                        pickle.loads(pickle.dumps(last))
+                    except Exception:
+                        name = type(last).__qualname__
+                        out[-1] = i, RuntimeError(f"sweep row {i} raised {name}: {last}")
+                    with open(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = _rows_of(row, 0, n, procs)
+        done = True
+    finally:
+        for pid, r in children:
+            if not done:
+                os.kill(pid, 9)  # SIGKILL, without importing signal
+            with open(r, "rb") as pipe:
+                payloads.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for (pid, _), (payload, status) in zip(children, payloads):
+        code = os.waitstatus_to_exitcode(status)  # 0 only once its rows are written
+        if code != 0:
+            raise RuntimeError(f"sweep child {pid} exited with status {code} before its rows")
+        outcomes += pickle.loads(payload)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return [out for _, out in outcomes]
 
 
 def _fmt(x) -> str:

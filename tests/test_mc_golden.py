@@ -17,21 +17,25 @@ trials and an error row.
 """
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmphase import montecarlo
+from cmphase import montecarlo, tuning
 from cmphase.estimators import simple_estimates
 from cmphase.montecarlo import run_experiment, sweep, write_sweep_csv
 from cmphase.network import NetworkConfig, simulate_snapshot
+from cmphase.noise import MODEL_TOKENS
 from cmphase.numkit import RandomStream
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -332,3 +336,217 @@ def test_summary_matches_one_trial_route(name, trials):
     cfg = make_config(**CASES[name][0])
     got = run_experiment(cfg, trials).to_json_dict()
     assert got == one_trial_summary(cfg, trials)
+
+
+# name -> (config fields, axis, grid, trials, omega_rule) of the sweeps run
+# on forked processes against the serial loop: every family on both axes,
+# the sigma axis with and without a tuning rule, omega = 1.2 past the cap
+# 2 pi / theta_R = 1 (an invalid-omega error row), and a row whose trials
+# all saturate (sigma = 40 leaves only the channel noise in z).
+FORK_CASES = {
+    f"{model}-{axis}" + (f"-{rule}" if rule else ""): (
+        dict(model=model, power_mode="total", L=10, channel_noise_var=0.5,
+             sigma=1.0, omega=0.8, seed=19),
+        axis, grid, 20, rule,
+    )
+    for model in MODEL_TOKENS
+    for axis, grid, rule in (
+        ("omega", [0.5, 1.2, 0.9, 0.3, 0.7], None),
+        ("sigma", [1.0, 0.5, 2.0, 0.8, 1.5], None),
+        ("sigma", [1.0, 0.5, 2.0, 0.8, 1.5], "auto:theta"),
+    )
+}
+FORK_CASES["gaussian-sigma-all-saturated"] = (
+    dict(model="gaussian", power_mode="total", L=1, channel_noise_var=4.0,
+         sigma=1.0, omega=0.8, seed=11),
+    "sigma", [0.5, 40.0, 1.0, 2.0, 0.8], 4, None,
+)
+
+
+def hexed(value):
+    """value with every float, nested ones included, as float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def counted_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call; returns the record."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(FORK_CASES))
+def test_forked_rows_match_serial(monkeypatch, name, rows):
+    """Rows spread over 2 or 3 processes (an uneven split where the rows
+    do not divide) carry the serial loop's bits in every field and give
+    its CSV bytes."""
+    fields, axis, grid, trials, rule = FORK_CASES[name]
+    cfg = make_config(**fields)
+    forks = counted_forks(monkeypatch)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+        forks.clear()
+        got = sweep(cfg, axis, grid[:rows], trials, omega_rule=rule)
+        assert len(forks) == min(cpus, rows) - 1
+        buf = io.StringIO()
+        write_sweep_csv(got, buf, manifest={"case": name})
+        results.append((hexed([dataclasses.astuple(row) for row in got]), buf.getvalue()))
+    assert_no_child_left()
+    assert results[1] == results[0] and results[2] == results[0]
+    full = sweep(cfg, axis, grid, trials, omega_rule=rule)  # the error rows are there
+    if axis == "omega":
+        assert "omega" in full[1].error
+    elif name.endswith("saturated"):
+        assert "saturated" in full[1].error
+        assert [row.error is None for row in full] == [True, False, True, True, True]
+
+
+def sigma_sweep(monkeypatch, cpus: int, rows: int, fail_row):
+    """A sigma sweep of the given rows at L = 4 on cpus processes, whose
+    rule_omega calls fail_row(row index) first."""
+    grid = [0.5 + 0.25 * i for i in range(rows)]
+
+    def failing(rule, model, sigma, *args):
+        fail_row(grid.index(sigma))
+        return tuning.rule_omega(rule, model, sigma, *args)
+
+    monkeypatch.setattr(montecarlo, "rule_omega", failing)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    cfg = make_config(model="laplace", power_mode="total", L=4, channel_noise_var=0.5,
+                      sigma=1.0, omega=0.8, seed=6)
+    return sweep(cfg, "sigma", grid, 5, omega_rule="auto:theta")
+
+
+@pytest.mark.parametrize("failing, lowest", [({2, 3, 4}, 2), ({3, 4, 5}, 3), ({1, 5}, 1)])
+def test_lowest_failed_row_is_raised(monkeypatch, failing, lowest):
+    """Rows 0 and 3 run here, 1 and 4 in the first child, 2 and 5 in the
+    second; with a row failing in each of several processes, the lowest
+    row's exception leaves sweep, as from the serial loop."""
+
+    def fail_row(i):
+        if i in failing:
+            raise ArithmeticError(f"row {i} failed")
+
+    with pytest.raises(ArithmeticError, match=f"^row {lowest} failed$"):
+        sigma_sweep(monkeypatch, 3, 6, fail_row)
+    assert_no_child_left()
+    with pytest.raises(ArithmeticError, match=f"^row {lowest} failed$"):
+        sigma_sweep(monkeypatch, 1, 6, fail_row)
+
+
+class LambdaHoldingError(Exception):
+    """Pickling fails: its state holds a lambda."""
+
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+class TwoArgumentError(Exception):
+    """Unpickling fails: args holds one value, __init__ takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize("error", [LambdaHoldingError, lambda: TwoArgumentError(1, 2)])
+def test_exception_that_cannot_cross_the_pipe(monkeypatch, error):
+    """A child's exception that does not survive pickling arrives as a
+    RuntimeError naming its type and message."""
+
+    def fail_row(i):
+        if i == 1:
+            raise error()
+
+    with pytest.raises(RuntimeError, match=r"sweep row 1 raised \w+Error: "):
+        sigma_sweep(monkeypatch, 2, 2, fail_row)
+    assert_no_child_left()
+
+
+def test_child_exiting_without_rows(monkeypatch):
+    """A child that leaves before sending its rows gives a RuntimeError
+    with its exit status."""
+    parent = os.getpid()
+
+    def fail_row(i):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exited with status 3 before its rows"):
+        sigma_sweep(monkeypatch, 2, 4, fail_row)
+    assert_no_child_left()
+
+
+def test_interrupt_kills_the_children(monkeypatch):
+    """A KeyboardInterrupt in this process's own row kills the children,
+    which would otherwise sleep for a minute, and reaps them."""
+    parent = os.getpid()
+
+    def fail_row(i):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif i == 0:
+            time.sleep(0.2)  # let the children start their rows
+            raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sigma_sweep(monkeypatch, 3, 3, fail_row)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+# case -> (usable CPUs, rows, L)
+SERIAL_CASES = {
+    "one-cpu": (1, 3, 10),
+    "one-row": (2, 1, 10),
+    "large-L": (2, 3, montecarlo._CONCURRENT_MIN_L),
+    "thread-alive": (2, 3, 10),
+    "no-fork": (2, 3, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIAL_CASES))
+def test_serial_rows_fork_nothing(monkeypatch, case):
+    """One usable CPU, one row, trials of _CONCURRENT_MIN_L samples or
+    more, another live thread, or no os.fork run the rows in turn here."""
+    cpus, rows, L = SERIAL_CASES[case]
+
+    def no_fork():
+        raise AssertionError("sweep forked")
+
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    cfg = make_config(model="cauchy", power_mode="total", L=L, channel_noise_var=0.5,
+                      sigma=1.0, omega=0.8, seed=9)
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, args=(30,))
+    if case == "thread-alive":
+        parked.start()
+    try:
+        got = sweep(cfg, "omega", [0.5, 0.7, 0.9][:rows], 2)
+    finally:
+        release.set()
+    if case == "thread-alive":
+        parked.join(timeout=30)
+        assert not parked.is_alive()
+    assert [row.error for row in got] == [None] * rows

@@ -370,6 +370,23 @@ class TestSweep:
             sweep(make_config(), "omega", [0.5, 0.9], trials=trials)
 
 
+    def test_bad_grid_value_rejected_before_rows(self, monkeypatch):
+        """A grid value that is not a number raised ValueError only after
+        the rows before it had run."""
+        calls = []
+        run = montecarlo.run_experiment
+
+        def counted(*args):
+            calls.append(1)
+            return run(*args)
+
+        monkeypatch.setattr(montecarlo, "run_experiment", counted)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        with pytest.raises(ValueError, match="could not convert"):
+            sweep(make_config(L=20), "omega", [0.5, 0.9, "fast"], trials=4)
+        assert calls == []
+
+
 class TestWriteSweepCsv:
     def test_header_and_formatting(self):
         cfg = make_config(L=100)
