@@ -40,6 +40,7 @@ REFERENCE_ARE = {
 }
 
 _BOUNDARY_U = 1e-4  # u = omega * sigma at which a boundary limit is read off
+_MAX_U = 2.0 * math.pi  # upper end of the search in u, above every interior optimum
 _INVARIANCE_RTOL = 1e-9
 _REFERENCE_ATOL = 0.01
 
@@ -58,23 +59,19 @@ class EfficiencyReport:
         return asdict(self)
 
 
-def _inf_asv(model: NoiseModel, parameter: str, sigma: float, omega_max: float) -> float:
-    """The clean-channel variance at optimal_omega's minimizer, or at
-    exactly u = _BOUNDARY_U where the infimum is the omega -> 0 limit, or
-    at exactly u = omega_max where it is on the upper edge (a probe
-    within the bracket of that edge would make the ratio depend on
-    sigma)."""
-    lo, hi = _BOUNDARY_U / sigma, omega_max / sigma
+def _inf_asv(model: NoiseModel, parameter: str, sigma: float) -> float:
+    """The clean-channel variance at optimal_omega's minimizer over u =
+    omega * sigma in [_BOUNDARY_U, _MAX_U], or at exactly u = _BOUNDARY_U
+    where the infimum is the omega -> 0 limit. No row's infimum lies on
+    the upper edge: one there would be read at the search's last probe,
+    which depends on sigma, and the check at sigma = 2 would raise."""
+    lo, hi = _BOUNDARY_U / sigma, _MAX_U / sigma
     w, flag = optimal_omega(model, sigma, 1.0, 0.0, parameter, omega_max=hi, omega_min=lo)
-    report = asv_generic(model, sigma, {"lower": lo, "upper": hi}.get(flag, w), 1.0)
+    report = asv_generic(model, sigma, lo if flag == "lower" else w, 1.0)
     return report.asv_theta if parameter == "theta" else report.asv_sigma
 
 
-def asymptotic_relative_efficiency(
-    model: NoiseModel,
-    parameter: str,
-    omega_max: float = 2.0 * math.pi,
-) -> EfficiencyReport:
+def asymptotic_relative_efficiency(model: NoiseModel, parameter: str) -> EfficiencyReport:
     """ARE of the phase scheme for one model and parameter.
 
     Defined under per-sensor power with a clean channel, where the
@@ -86,7 +83,7 @@ def asymptotic_relative_efficiency(
         raise ValueError(f"parameter must be 'theta' or 'sigma', got {parameter!r}")
 
     def are_at(sigma: float) -> tuple[float, float, float]:
-        inf_asv = _inf_asv(model, parameter, sigma, omega_max)
+        inf_asv = _inf_asv(model, parameter, sigma)
         fisher = (
             model.fisher_location(sigma)
             if parameter == "theta"

@@ -336,7 +336,10 @@ def joint_minimum_variance(
     theta_R is 2 pi (to 1e-12 relative) theta is periodic on the window:
     its box is instead the period centred on the best cell, and the
     result is reduced into (0, theta_R], so a theta near phase 0 is not
-    held at the edge theta_R. When sigma_max
+    held at the edge theta_R. When omega theta_R falls short of 2 pi by
+    less than a grid step and the best cell is in an edge row, the best
+    cell of the other edge row is refined too, and the refinement of
+    lower objective stands. When sigma_max
     is omitted it is taken as 10x the magnitude-inversion scale of z
     (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
     minimizer onto the sigma -> 0 boundary; they are flagged and not
@@ -379,20 +382,29 @@ def joint_minimum_variance(
     # At inputs far out in the float range, 1/a, the cells and the
     # residual's products overflow or turn NaN: the grid then forms every
     # row, and the refinement stops unconverged where r or J is not finite.
+    residual = _whitened_residual(z, omega, P, channel_noise_var, model)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
-        if math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12):
+        periodic = math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12)
+        if periodic:
             # theta enters only through omega theta: the window is one
             # period and has no theta edge.
             theta_lo, theta_hi = thetas[i] - 0.5 * theta_R, thetas[i] + 0.5 * theta_R
         else:
             theta_lo, theta_hi = 1e-12 * theta_R, theta_R
-        x, iterations, converged = gauss_newton_box(
-            _whitened_residual(z, omega, P, channel_noise_var, model),
-            (thetas[i], sigmas[j]),
-            (theta_lo, 1e-12 * sigma_max),
-            (theta_hi, sigma_max),
-        )
+        lo, hi = (theta_lo, 1e-12 * sigma_max), (theta_hi, sigma_max)
+        x, iterations, converged = gauss_newton_box(residual, (thetas[i], sigmas[j]), lo, hi)
+        near_wrap = not periodic and _TWO_PI - omega * theta_R < omega * theta_R / _GRID
+        if near_wrap and i in (0, _GRID - 1):
+            # Less than a grid step short of one period, the edge rows are
+            # phase neighbours across the wrap, and the box can hold a
+            # refinement from one of them at its edge. The refinement of
+            # lower objective stands, converged or not.
+            k = _GRID - 1 - i
+            j = _grid_argmin(z, thetas[k : k + 1], sigmas, omega, P, channel_noise_var, model)[1]
+            other = gauss_newton_box(residual, (thetas[k], sigmas[j]), lo, hi)
+            if np.sum(np.square(residual(other[0])[0])) < np.sum(np.square(residual(x)[0])):
+                x, iterations, converged = other
     if not converged:
         raise ConvergenceError(
             f"joint refinement did not converge in {iterations} iterations at z={z!r}"

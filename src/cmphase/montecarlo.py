@@ -184,7 +184,7 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
     block_samples = _BLOCK_SAMPLES * (_CONCURRENT_BLOCK_FACTOR if threaded else 1)
     per_block = max(1, block_samples // cfg.L)
     n = snapshot_uniforms(cfg)
-    states = root.substream_states(0, trials)
+    states = root.substream_states(trials)
     # Filled in place: per-block arrays kept alive until one concatenate
     # fragmented the heap (5x the page faults at L = 10^4).
     z = np.empty(trials, dtype=complex)
@@ -297,8 +297,9 @@ def sweep(
     a row's result depends only on its index and the seed: editing one
     grid value or appending points never changes the other rows. A point
     that fails validation or saturates entirely yields a row with the
-    error message instead of aborting the sweep; a bad axis, trial count,
-    grid value or omega_rule raises ValueError before any row runs.
+    error message instead of aborting the sweep; a bad axis, trial count
+    (at least 2, so that every sample variance is defined), grid value or
+    omega_rule raises ValueError before any row runs.
 
     With more than one row and usable CPU, L below _CONCURRENT_MIN_L (so
     no row runs block threads), os.fork and no other thread alive, row i
@@ -313,7 +314,7 @@ def sweep(
         if axis == "omega":
             raise ValueError("omega_rule applies only to sigma sweeps")
         rule_target(omega_rule)
-    trials = whole_number("trials", trials, 1)
+    trials = whole_number("trials", trials, 2)
     values = [float(raw) for raw in grid]
     root = RandomStream(cfg.seed)
 
@@ -345,9 +346,9 @@ def sweep(
 
     procs = min(_usable_cpus(), len(values))
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    if cfg.L < _CONCURRENT_MIN_L and procs > 1 and forkable:
-        return _forked_rows(row, len(values), procs)
-    return [row(i) for i in range(len(values))]
+    if not (cfg.L < _CONCURRENT_MIN_L and procs > 1 and forkable):
+        procs = 1
+    return _forked_rows(row, len(values), procs)
 
 
 def _rows_of(row, start: int, n: int, step: int) -> list[tuple]:
@@ -366,9 +367,9 @@ def _forked_rows(row, n: int, procs: int) -> list[SweepRow]:
     """row(i) for i in range(n), process k of this one and procs - 1 forked
     children giving _rows_of(row, k, n, procs), a child's through a pipe
     (an exception that does not survive pickling as a RuntimeError naming
-    it). Every child is reaped before this returns, and killed first if
-    this process failed outside a row. The lowest row's exception, the
-    serial loop's, is raised."""
+    it); with procs = 1 the rows run here in turn. Every child is reaped
+    before this returns, and killed first if this process failed outside
+    a row. The lowest failed row's exception is raised."""
     children, payloads, done = [], [], False  # children: (pid, pipe read end)
     try:
         for k in range(1, procs):

@@ -38,8 +38,6 @@ from .numkit import box_muller, buffer_view, real_number
 
 __all__ = ["Family", "NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
-MODEL_TOKENS = ("gaussian", "laplace", "cauchy")
-
 _LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 # The largest sigma * omega at which the denominator of the Laplace
 # phasor_cos_var, (1 + a)^2 (1 + 4a) with a = (sigma omega)^2 / 2, is
@@ -236,6 +234,7 @@ _FAMILIES = {
         fisher_scale=0.5,
     ),
 }
+MODEL_TOKENS = tuple(_FAMILIES)
 
 
 def _evaluate(kernel, sigma, omega):
@@ -292,12 +291,8 @@ class NoiseModel:
 
     @property
     def family(self) -> Family:
-        """The record of this family's formulas; ValueError naming a kind
-        that has none."""
-        try:
-            return _FAMILIES[self.kind]
-        except KeyError:
-            raise ValueError(f"no formulas for the {self.kind!r} family") from None
+        """The record of this family's formulas."""
+        return _FAMILIES[self.kind]
 
     def char_fn(self, sigma, omega):
         """Characteristic function of sigma * eta evaluated at omega.
@@ -385,11 +380,8 @@ def _fisher(unit: float, sigma: float) -> float:
     return info
 
 
-GAUSSIAN = NoiseModel("gaussian")
-LAPLACE = NoiseModel("laplace")
-CAUCHY = NoiseModel("cauchy")
-
-_BY_TOKEN = {"gaussian": GAUSSIAN, "laplace": LAPLACE, "cauchy": CAUCHY}
+_BY_TOKEN = {kind: NoiseModel(kind) for kind in MODEL_TOKENS}
+GAUSSIAN, LAPLACE, CAUCHY = _BY_TOKEN.values()
 
 
 def noise_model(token: str) -> NoiseModel:

@@ -42,6 +42,7 @@ __all__ = [
 
 _BRANCH_POINT = -math.exp(-1.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10  # minimize_quasiconvex: the bracket width at which it stops
 _EPS = 2.0 ** -52
 # gauss_newton_box: step tolerance relative to the box width, iteration cap.
 _GN_XTOL = 1e-10
@@ -205,9 +206,7 @@ def grid_roots(
         yield find_root_bracketed(f, lo, hi, tol=tol)
 
 
-def minimize_quasiconvex(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, str]:
+def minimize_quasiconvex(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, str]:
     """Golden-section minimizer of a quasi-convex f on [lo, hi].
 
     Returns (argmin, flag) with flag one of "interior", "lower", "upper".
@@ -215,10 +214,11 @@ def minimize_quasiconvex(
     and the matching boundary flag is set, signalling that the infimum is
     attained at (or beyond) that edge rather than at an interior point.
     The argmin is then the last probe, within 2 * width_goal inside the
-    edge (width_goal = max(tol, 4 ulps of the wider end)), not the edge:
-    an "upper" result lies up to 2 * width_goal below hi.
-    A true interior minimum closer than ~2*tol to an endpoint is reported
-    as a boundary; tol is small enough that this is harmless in practice.
+    edge (width_goal = max(_GOLDEN_TOL, 4 ulps of the wider end)), not
+    the edge: an "upper" result lies up to 2 * width_goal below hi.
+    A true interior minimum closer than ~2 * width_goal to an endpoint is
+    reported as a boundary; that is small enough to be harmless in
+    practice.
 
     Monotone curves that flatten out near an edge can stall the bisection
     in a machine-precision plateau, so an endpoint whose value is no worse
@@ -233,10 +233,8 @@ def minimize_quasiconvex(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     a, b = lo, hi
-    width_goal = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    width_goal = max(_GOLDEN_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -377,7 +375,10 @@ def real_number(name: str, value, minimum: float = 0.0, closed: bool = False) ->
     # float first: it spares floats the slower numbers.Real check.
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
     if math.isfinite(x) and (x >= minimum if closed else x > minimum):
         return x
     bound = f"{'>=' if closed else '>'} {minimum!r}"
@@ -565,26 +566,18 @@ class RandomStream:
         """Independent stream for (seed, self.key + key)."""
         return RandomStream(self.seed, self.key + key)
 
-    def substream_states(self, start: int, stop: int) -> np.ndarray:
-        """PCG64 seed words of substream(t) for t = start, ..., stop - 1.
+    def substream_states(self, n: int) -> np.ndarray:
+        """PCG64 seed words of substream(t) for t = 0, ..., n - 1, derived
+        in one vectorized pass.
 
-        Row t - start is SeedSequence(entropy=seed, spawn_key=key + (t,))
-        .generate_state(4, uint64). Indices below 2**64 take one or two
-        32-bit words and are derived in one vectorized pass per word
-        count; larger ones one at a time.
+        Row t is SeedSequence(entropy=seed, spawn_key=key + (t,))
+        .generate_state(4, uint64). ValueError for n of 2**32 or more,
+        which no run reaches: z alone would need 64 GB there.
         """
-        start = whole_number("start", start)
-        stop = whole_number("stop", stop, start)
-        shared = self._entropy()
-        out = np.empty((stop - start, 4), dtype=np.uint64)
-        for lo, hi in ((start, min(stop, 2**32)), (max(start, 2**32), min(stop, 2**64))):
-            if lo < hi:
-                t = np.arange(lo, hi, dtype=np.uint64)
-                words = [t & _MASK32, t >> 32] if lo >= 2**32 else [t]
-                out[lo - start : hi - start] = _seed_sequence_states(shared + words, hi - lo)
-        for t in range(max(start, 2**64), stop):
-            out[t - start] = _seed_sequence_states(shared + _words32(t), 1)[0]
-        return out
+        n = whole_number("n", n)
+        if n >= 2**32:
+            raise ValueError(f"n must be below 2**32, got {n!r}")
+        return _seed_sequence_states(self._entropy() + [np.arange(n, dtype=np.uint64)], n)
 
     def uniform(self, n: int) -> np.ndarray:
         """The first n uniforms of the stream."""

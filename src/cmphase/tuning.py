@@ -50,7 +50,6 @@ _BOUNDARY_OMEGA = 0.01  # stands in for an infimum at omega -> 0, which carries 
 _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
-_OMEGA_TOL = 1e-10  # golden-section bracket width at which optimal_omega stops
 _SCAN_STEPS = 2000  # steps of the uniform sign-change scan in _scan_root
 
 
@@ -114,7 +113,7 @@ def _checked_point(sigma, P, channel_noise_var, power_mode, omega_min, omega_max
 def _golden_section(family, sigma, P, nv, target, gamma, omega_min, omega_max):
     """optimal_omega's search on checked arguments; it says what is kept."""
     f = _target_curve(family, sigma, P, nv, target, gamma)
-    return minimize_quasiconvex(f, omega_min, omega_max, tol=_OMEGA_TOL)
+    return minimize_quasiconvex(f, omega_min, omega_max)
 
 
 def optimal_omega(
@@ -456,9 +455,10 @@ def analytic_omega(
     optimal_omega's on [omega_min, omega_max], kept from omega_optima at
     the same point if it ran last. agrees_with_numeric compares at 1e-4
     relative; a missing root (value None) agrees only when the numeric
-    search also lands on the lower boundary. ValueError where the closed
-    form leaves the float range, and where the table holds no equation
-    for the family.
+    search also lands on the lower boundary, and a value past omega_max
+    is compared as omega_max when the search ends on the upper one.
+    ValueError where the closed form leaves the float range, and where
+    the table holds no equation for the family.
     """
     sigma, P, nv, omega_min, omega_max = _checked_point(
         sigma, P, channel_noise_var, power_mode, omega_min, omega_max
@@ -466,15 +466,14 @@ def analytic_omega(
     mode = PowerMode(power_mode)
     r = nv / P
     g = _target_gamma(target, gamma)
-    family = model.family
-    curve = _target_curve(family, sigma, P, nv, target, g)
-
     try:
         equation = _EQUATIONS[model.kind, mode, target]
     except KeyError:
         raise ValueError(
             f"no tuning equation for the {model.kind!r} family in {mode.value} mode"
         ) from None
+    family = model.family
+    curve = _target_curve(family, sigma, P, nv, target, g)
     value, note, details = equation(sigma, P, nv, r, g, curve)
 
     if value is not None and not math.isfinite(value):
@@ -489,10 +488,13 @@ def analytic_omega(
     details["numeric_flag"] = flag
     if value is None:
         agrees = flag == "lower"
-    elif flag != "interior":
+    elif flag == "lower":
         agrees = False
     else:
-        agrees = math.isclose(value, numeric, rel_tol=_AGREE_RTOL, abs_tol=0.0)
+        # An "upper" search ends on its last probe below omega_max, which a
+        # closed form at or past omega_max agrees with.
+        edge = min(value, omega_max) if flag == "upper" else value
+        agrees = math.isclose(edge, numeric, rel_tol=_AGREE_RTOL, abs_tol=0.0)
     return AnalyticOmega(value, agrees, note, details)
 
 

@@ -8,12 +8,14 @@ variance curves.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmphase import efficiency
 from cmphase.asymptotic import asv_generic
 from cmphase.efficiency import (
     REFERENCE_ARE,
@@ -21,6 +23,7 @@ from cmphase.efficiency import (
     asymptotic_relative_efficiency,
 )
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE
+from cmphase.tuning import optimal_omega
 from conftest import ALL_MODELS
 from test_numkit import WIDE, WIDE_SETTINGS
 
@@ -85,6 +88,24 @@ class TestAreValues:
                 rep = asymptotic_relative_efficiency(model, parameter)
                 assert rep.are <= 1.0 + 1e-9
 
+    def test_no_row_ends_on_the_upper_edge(self):
+        """Over u = omega sigma in [1e-4, 2 pi], at sigma = 1 and 2, every
+        search ends on the lower edge (Gaussian) or inside, so no row reads
+        its infimum at the upper edge's last probe."""
+        flags = {
+            (model.kind, parameter, sigma): optimal_omega(
+                model, sigma, 1.0, 0.0, parameter,
+                omega_max=efficiency._MAX_U / sigma, omega_min=efficiency._BOUNDARY_U / sigma,
+            )[1]
+            for model in ALL_MODELS
+            for parameter in ("theta", "sigma")
+            for sigma in (1.0, 2.0)
+        }
+        assert {key for key, flag in flags.items() if flag == "lower"} == {
+            ("gaussian", parameter, sigma) for parameter in ("theta", "sigma") for sigma in (1, 2)
+        }
+        assert set(flags.values()) == {"lower", "interior"}
+
 
 class TestReportShape:
     def test_fields_and_json(self):
@@ -111,24 +132,32 @@ class TestReportShape:
         with pytest.raises(ValueError, match="parameter"):
             asymptotic_relative_efficiency(GAUSSIAN, "gamma")
 
-    def test_omega_range_insensitivity(self):
+    def test_omega_range_insensitivity(self, monkeypatch):
         """Doubling the search range must not move an interior optimum."""
         a = asymptotic_relative_efficiency(CAUCHY, "theta")
-        b = asymptotic_relative_efficiency(CAUCHY, "theta", omega_max=4.0 * math.pi)
+        monkeypatch.setattr(efficiency, "_MAX_U", 4.0 * math.pi)
+        b = asymptotic_relative_efficiency(CAUCHY, "theta")
         np.testing.assert_allclose(a.are, b.are, rtol=1e-9)
 
     @pytest.mark.parametrize("model", [LAPLACE, CAUCHY], ids=lambda m: m.kind)
     @pytest.mark.parametrize("parameter", ["theta", "sigma"])
     @pytest.mark.parametrize("omega_max", [2e-4, 0.01, 0.5])
-    def test_upper_edge_infimum(self, model, parameter, omega_max):
-        """Below the interior optimum the infimum is on the upper edge, and
-        is read off at u = omega_max exactly. The last golden-section probe
-        there, 1e-10 from the edge at both scales, made the ratio differ by
-        about 1e-8 between sigma = 1 and 2, and the call raised
-        RuntimeError (Cauchy at omega_max = 2e-4 and 0.01)."""
-        rep = asymptotic_relative_efficiency(model, parameter, omega_max=omega_max)
+    def test_upper_edge_infimum(self, monkeypatch, model, parameter, omega_max):
+        """A window whose upper end u = omega_max lies below the interior
+        optimum puts the infimum on that edge, which the window in use
+        never does (test_no_row_ends_on_the_upper_edge). It is read at the
+        last golden-section probe, 1e-10 inside the edge at both scales:
+        the value is the edge's to 1e-9, or the ratio moves by about 1e-8
+        between sigma = 1 and 2 and the scale check raises RuntimeError
+        (Cauchy at omega_max = 2e-4 and 0.01)."""
+        monkeypatch.setattr(efficiency, "_MAX_U", omega_max)
+        if model is CAUCHY and omega_max < 0.5:
+            with pytest.raises(RuntimeError, match="not scale-free"):
+                asymptotic_relative_efficiency(model, parameter)
+            return
+        rep = asymptotic_relative_efficiency(model, parameter)
         clean = asv_generic(model, 1.0, omega_max, 1.0)
-        assert rep.inf_asv == getattr(clean, f"asv_{parameter}")
+        assert math.isclose(rep.inf_asv, getattr(clean, f"asv_{parameter}"), rel_tol=1e-9)
         assert 0.0 < rep.are < 1.0
 
 
@@ -140,14 +169,16 @@ class TestWideInputs:
         omega_max=st.one_of(WIDE, st.floats(-4.1, 1.0).map(lambda e: 10.0**e)),
     )
     def test_finite_or_raise(self, capfd, model, parameter, omega_max):
-        """Over omega_max log-uniform in 1e-300..1e300, 0, and 10^-4.1..10
-        (around the interior optima), the ARE is finite and in (0, 1], or
-        the call raises ValueError (ConvergenceError where no probe of the
-        curve is finite); never NaN, RuntimeError, a RuntimeWarning or
-        output on stdout."""
+        """Over a window whose upper end u = omega_max is log-uniform in
+        1e-300..1e300, 0, or 10^-4.1..10 (around the interior optima), the
+        ARE is finite and in (0, 1], or the call raises ValueError
+        (ConvergenceError where no probe of the curve is finite) or, where
+        the infimum is on that edge, the scale check's RuntimeError; never
+        NaN, a RuntimeWarning or output on stdout."""
         try:
-            rep = asymptotic_relative_efficiency(model, parameter, omega_max=omega_max)
-        except ValueError:
+            with mock.patch.object(efficiency, "_MAX_U", omega_max):
+                rep = asymptotic_relative_efficiency(model, parameter)
+        except (ValueError, RuntimeError):
             pass
         else:
             assert 0.0 < rep.are <= 1.0 + 1e-9, (omega_max, rep)

@@ -215,8 +215,8 @@ class TestBlockLoopAllocations:
         per_block = montecarlo._BLOCK_SAMPLES // cfg.L
         trials = blocks * per_block
         root = RandomStream(cfg.seed)
-        states = root.substream_states(0, trials)
-        monkeypatch.setattr(RandomStream, "substream_states", lambda self, start, stop: states)
+        states = root.substream_states(trials)
+        monkeypatch.setattr(RandomStream, "substream_states", lambda self, n: states)
         montecarlo._received_z(cfg, trials, root)
         buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
         tracemalloc.start()
@@ -242,8 +242,8 @@ class TestBlockLoopAllocations:
         per_block = montecarlo._CONCURRENT_BLOCK_FACTOR * montecarlo._BLOCK_SAMPLES // L
         trials = 6 * per_block + 5
         root = RandomStream(cfg.seed)
-        states = root.substream_states(0, trials)
-        monkeypatch.setattr(RandomStream, "substream_states", lambda self, start, stop: states)
+        states = root.substream_states(trials)
+        monkeypatch.setattr(RandomStream, "substream_states", lambda self, n: states)
         montecarlo._received_z(cfg, trials, root)
         buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
         tracemalloc.start()

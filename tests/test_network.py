@@ -220,7 +220,7 @@ class TestSimulateSnapshot:
         cfg = make_config(L=5, model="laplace", channel_noise_var=0.4)
         root = RandomStream(4)
         n = snapshot_uniforms(cfg)
-        u = uniforms_from_states(root.substream_states(0, 3), n)
+        u = uniforms_from_states(root.substream_states(3), n)
         y, z = simulate_block(cfg, u)
         assert y.shape == z.shape == (3,)
         for t in range(3):
@@ -234,7 +234,7 @@ class TestSimulateSnapshot:
         cfg = make_config(L=1, channel_noise_var=0.8, power_mode="per-sensor")
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
-        channel = box_muller(uniforms_from_states(root.substream_states(0, 4000), 2))
+        channel = box_muller(uniforms_from_states(root.substream_states(4000), 2))
         y, _ = network._received(cfg, np.zeros((4000, 1)), channel, np.empty((4000, 1)))
         parts = np.stack([y.real - clean.real, y.imag - clean.imag], axis=-1)
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)
@@ -255,7 +255,7 @@ class TestSimulateSnapshot:
 
 def block_uniforms(cfg, trials):
     n = snapshot_uniforms(cfg)
-    return uniforms_from_states(RandomStream(cfg.seed).substream_states(0, trials), n)
+    return uniforms_from_states(RandomStream(cfg.seed).substream_states(trials), n)
 
 
 class TestBlockBuffers:

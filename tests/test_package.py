@@ -20,17 +20,34 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_importing_noise_loads_only_numkit():
-    """The package __init__ imports no submodule, so a fresh interpreter
-    that imports cmphase.noise does not pay for the other seven."""
+def fresh_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter on this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, cmphase.noise; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cmphase'))"
-    )
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(["cmphase", "cmphase.noise", "cmphase.numkit"])
+    return proc.stdout.strip()
+
+
+def test_importing_noise_loads_only_numkit():
+    """The package __init__ imports no submodule, so a fresh interpreter
+    that imports cmphase.noise does not pay for the other seven."""
+    out = fresh_python(
+        "import sys, cmphase.noise; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cmphase'))"
+    )
+    assert out == str(["cmphase", "cmphase.noise", "cmphase.numkit"])
+
+
+def test_importing_cli_binds_every_module():
+    """The benchmark imports cmphase.cli and then reads each module as an
+    attribute of cmphase (cm.tuning, cm.estimators, ...), so the CLI must
+    import all of them when it is imported, not per subcommand."""
+    names = ["noise", "network", "numkit", "estimators", "asymptotic", "tuning",
+             "efficiency", "montecarlo"]
+    out = fresh_python(
+        f"import cmphase, cmphase.cli; print([n for n in {names!r} if not hasattr(cmphase, n)])"
+    )
+    assert out == "[]"

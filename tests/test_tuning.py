@@ -795,16 +795,18 @@ class TestKeptSearches:
         assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
     def test_checks_come_before_the_family(self):
-        """The order of the ValueErrors: target, then gamma for the gamma
-        target, then the family (forced here: NoiseModel refuses it)."""
+        """The order of the errors: ValueErrors for the target, then gamma
+        for the gamma target, then the family (forced here: NoiseModel
+        refuses it), which the record lookup raises as a KeyError, and
+        analytic_omega's table as a ValueError."""
         model = object.__new__(NoiseModel)
         object.__setattr__(model, "kind", "students-t")
-        for solver in (optimal_omega, analytic_omega):
+        for solver, error in ((optimal_omega, KeyError), (analytic_omega, ValueError)):
             with pytest.raises(ValueError, match="target"):
                 solver(model, 1.0, 1.0, 1.0, "snr", gamma=math.nan)
             with pytest.raises(ValueError, match="gamma"):
                 solver(model, 1.0, 1.0, 1.0, "gamma", gamma=math.nan)
-            with pytest.raises(ValueError, match="'students-t' family"):
+            with pytest.raises(error, match="'students-t'"):
                 solver(model, 1.0, 1.0, 1.0, "theta", gamma=math.nan)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
@@ -997,38 +999,45 @@ class TestAnalyticAgainstNumeric:
     )
     def test_verdict_holds_off_the_grid(self, triple, sigma, nv, gamma):
         """sigma log-uniform in [0.1, 10], nv in [0, 4], gamma log-uniform
-        in [0.01, 100]: the verdict is True outside two classes of points,
-        each pinned in test_known_disagreements:
-        - the numeric search stops on the upper edge (flag "upper") and
-          the closed form lies at or past that edge: both routes put the
-          minimizer at omega_max or beyond, and the verdict says False;
-        - the Gaussian total-budget scan at r = nv / P below 1e-10 (seen
-          up to 3e-12): the equation's terms of order 1 cancel to order
-          r, and the scanned root is off."""
+        in [0.01, 100]: the verdict is True outside one class of points,
+        pinned in test_known_disagreements: the Gaussian total-budget scan
+        at r = nv / P below 1e-10 (seen up to 3e-12), where the equation's
+        terms of order 1 cancel to order r, and the scanned root is off."""
         model, mode, target = triple
         a = analytic_omega(model, sigma, 1.0, nv, target, power_mode=mode, gamma=gamma)
-        upper_edge = a.details["numeric_flag"] == "upper" and (
-            a.value is not None and a.value >= 2.0 * math.pi * (1.0 - 1e-4)
-        )
         cancelled = model is GAUSSIAN and mode is TOTAL and nv < 1e-10
-        assert a.agrees_with_numeric or upper_edge or cancelled, a
+        assert a.agrees_with_numeric or cancelled, a
+
+    @pytest.mark.parametrize(
+        "model, target, sigma, nv, gamma, value",
+        [
+            # the minimizer is past omega_max = 2 pi
+            (CAUCHY, "sigma", 0.10433016088770077, 3.5249354356886218, 5.571028968320553,
+             9.279409416576629),
+            # an interior minimizer 3e-5 relative below omega_max, within
+            # the golden section's plateau, so the search returns the edge
+            (CAUCHY, "gamma", 0.15404330987894205, 3.4895817412134265, 0.045806701757724035,
+             6.282999312101623),
+        ],
+        ids=["past-the-edge", "edge-plateau"],
+    )
+    def test_upper_edge_agrees(self, model, target, sigma, nv, gamma, value):
+        """A search that ends on the upper edge agrees with a closed form at
+        or past omega_max, or within 1e-4 of the edge's last probe."""
+        a = analytic_omega(model, sigma, 1.0, nv, target, gamma=gamma)
+        assert math.isclose(a.value, value, rel_tol=1e-9)
+        assert math.isclose(a.details["numeric_omega"], 2.0 * math.pi, rel_tol=1e-9)
+        assert (a.details["numeric_flag"], a.agrees_with_numeric) == ("upper", True)
 
     @pytest.mark.parametrize(
         "model, target, sigma, nv, gamma, value, numeric, flag",
         [
-            # the minimizer is past omega_max = 2 pi
-            (CAUCHY, "sigma", 0.10433016088770077, 3.5249354356886218, 5.571028968320553,
-             9.279409416576629, 2.0 * math.pi, "upper"),
-            # an interior minimizer 3e-5 relative below omega_max, within
-            # the golden section's plateau, so the search returns the edge
-            (CAUCHY, "gamma", 0.15404330987894205, 3.4895817412134265, 0.045806701757724035,
-             6.282999312101623, 2.0 * math.pi, "upper"),
             # the scan's beta is 1.2208e-5; the series root (1.5 r)^(1/3)
             # is 1.1447e-5, omega 0.0033834
             (GAUSSIAN, "theta", 1.0, 1e-15, None, 0.003493999320228305, 0.0033811456675619115,
              "interior"),
         ],
-        ids=["past-the-edge", "edge-plateau", "cancelled-scan"],
+        ids=["cancelled-scan"],
     )
     def test_known_disagreements(self, model, target, sigma, nv, gamma, value, numeric, flag):
         a = analytic_omega(model, sigma, 1.0, nv, target, gamma=gamma)
