@@ -298,6 +298,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) == 3:
             start, stop = (real_number("each value", float(v), -math.inf) for v in parts[:2])
             count = whole_number("count", float(parts[2]), 1)
+            if count >= 2**32:  # checked before the grid is allocated
+                raise ValueError(f"count must be below 2**32, got {count!r}")
             with np.errstate(all="ignore"):  # stop - start may overflow
                 values = np.linspace(start, stop, count).tolist()
         else:
@@ -387,8 +389,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AllTrialsSaturatedError, ValueError, OSError) as exc:
-        print(f"cmphase: error: {exc}", file=sys.stderr)
+    except (ConfigError, AllTrialsSaturatedError, ValueError, OSError, MemoryError) as exc:
+        print(f"cmphase: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -333,15 +333,13 @@ def joint_minimum_variance(
     the best cell on the whitened residual of the rotated frame, to 1e-10
     of the box width in each parameter; the box (1e-12 theta_R, theta_R]
     x (1e-12 sigma_max, sigma_max] is kept by projection. When omega
-    theta_R is 2 pi (to 1e-12 relative) theta is periodic on the window:
-    its box is instead the period centred on the best cell, and the
-    result is reduced into (0, theta_R], so a theta near phase 0 is not
-    held at the edge theta_R. When omega theta_R falls short of 2 pi by
-    less than a grid step and the best cell is in an edge row, the best
-    cell of the other edge row is refined too, and the refinement of
-    lower objective stands. When sigma_max
-    is omitted it is taken as 10x the magnitude-inversion scale of z
-    (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
+    theta_R falls short of 2 pi by less than a grid step (a window of one
+    period among them) and the best cell is in an edge row, the edge
+    rows are phase neighbours across the wrap: the best cell of the other
+    edge row is refined too, and the refinement of lower objective
+    stands, so a theta near phase 0 is not held at the edge theta_R. When
+    sigma_max is omitted it is taken as 10x the magnitude-inversion scale
+    of z (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
     minimizer onto the sigma -> 0 boundary; they are flagged and not
     searched.
 
@@ -385,21 +383,14 @@ def joint_minimum_variance(
     residual = _whitened_residual(z, omega, P, channel_noise_var, model)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
-        periodic = math.isclose(omega * theta_R, _TWO_PI, rel_tol=1e-12)
-        if periodic:
-            # theta enters only through omega theta: the window is one
-            # period and has no theta edge.
-            theta_lo, theta_hi = thetas[i] - 0.5 * theta_R, thetas[i] + 0.5 * theta_R
-        else:
-            theta_lo, theta_hi = 1e-12 * theta_R, theta_R
-        lo, hi = (theta_lo, 1e-12 * sigma_max), (theta_hi, sigma_max)
+        lo, hi = (1e-12 * theta_R, 1e-12 * sigma_max), (theta_R, sigma_max)
         x, iterations, converged = gauss_newton_box(residual, (thetas[i], sigmas[j]), lo, hi)
-        near_wrap = not periodic and _TWO_PI - omega * theta_R < omega * theta_R / _GRID
+        near_wrap = _TWO_PI - omega * theta_R < omega * theta_R / _GRID
         if near_wrap and i in (0, _GRID - 1):
-            # Less than a grid step short of one period, the edge rows are
-            # phase neighbours across the wrap, and the box can hold a
-            # refinement from one of them at its edge. The refinement of
-            # lower objective stands, converged or not.
+            # Less than a grid step short of one period (or at one), the
+            # edge rows are phase neighbours across the wrap, and the box
+            # can hold a refinement from one of them at its edge. The
+            # refinement of lower objective stands, converged or not.
             k = _GRID - 1 - i
             j = _grid_argmin(z, thetas[k : k + 1], sigmas, omega, P, channel_noise_var, model)[1]
             other = gauss_newton_box(residual, (thetas[k], sigmas[j]), lo, hi)
@@ -410,8 +401,4 @@ def joint_minimum_variance(
             f"joint refinement did not converge in {iterations} iterations at z={z!r}"
         )
     th, sg = float(x[0]), float(x[1])
-    if th <= 0.0:
-        th += theta_R
-    elif th > theta_R:
-        th -= theta_R
     return EstimateSet(th, sg, estimate_snr(th, sg), False)

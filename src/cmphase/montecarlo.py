@@ -428,9 +428,11 @@ def write_sweep_csv(rows: list[SweepRow], destination, manifest: dict | None = N
     The optional manifest dict is embedded as a single '# manifest: ...'
     comment line above the header, serialized with sorted keys so equal
     inputs produce byte-identical files. emp_var_gamma is the trimmed
-    variant (the SNR ratio has heavy tails at finite L). An emp_var_*
-    value reads inf where the L-scaled sample variance overflows, as an
-    asv_* value reads inf where the component is not estimable.
+    variant (the SNR ratio has heavy tails at finite L); it reads nan
+    where fewer than two trials escape saturation (sigma_hat > 0), the
+    only ones with an SNR estimate. An emp_var_* value reads inf where
+    the L-scaled sample variance overflows, as an asv_* value reads inf
+    where the component is not estimable.
     """
     lines = []
     if manifest is not None:

@@ -90,6 +90,8 @@ class NetworkConfig:
             object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.L >= 2**32:  # substream_states' bound; one float64 per sensor is 32 GiB
+            raise ConfigError(f"L must be below 2**32, got {self.L!r}")
         if not self.theta <= self.theta_R:
             raise ConfigError(
                 f"theta must lie in (0, theta_R]; got theta={self.theta}, theta_R={self.theta_R}"

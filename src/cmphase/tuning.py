@@ -39,7 +39,6 @@ __all__ = [
     "optimal_omega",
     "omega_optima",
     "analytic_omega",
-    "resolve_omega",
     "rule_omega",
     "rule_target",
     "OMEGA_TARGETS",
@@ -47,6 +46,7 @@ __all__ = [
 
 OMEGA_TARGETS = ("theta", "sigma", "gamma")
 _BOUNDARY_OMEGA = 0.01  # stands in for an infimum at omega -> 0, which carries no information
+_OMEGA_MIN, _OMEGA_MAX = 1e-4, 2.0 * math.pi  # the default omega search interval
 _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
@@ -124,8 +124,8 @@ def optimal_omega(
     target: str,
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
-    omega_max: float = 2.0 * math.pi,
-    omega_min: float = 1e-4,
+    omega_max: float = _OMEGA_MAX,
+    omega_min: float = _OMEGA_MIN,
 ) -> tuple[float, str]:
     """Numeric argmin of the target asymptotic variance over omega.
 
@@ -155,12 +155,12 @@ def omega_optima(
     channel_noise_var: float,
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
-    omega_max: float = 2.0 * math.pi,
-    omega_min: float = 1e-4,
 ) -> OmegaOptima:
-    """optimal_omega for theta, sigma and gamma (gamma needs gamma)."""
+    """optimal_omega for theta, sigma and gamma (gamma needs gamma) on
+    its default interval [1e-4, 2 pi], whose searches analytic_omega
+    reuses at the same point."""
     sigma, P, nv, omega_min, omega_max = _checked_point(
-        sigma, P, channel_noise_var, power_mode, omega_min, omega_max
+        sigma, P, channel_noise_var, power_mode, _OMEGA_MIN, _OMEGA_MAX
     )
     family = model.family
     out: dict[str, float] = {}
@@ -446,8 +446,8 @@ def analytic_omega(
     target: str,
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
-    omega_max: float = 2.0 * math.pi,
-    omega_min: float = 1e-4,
+    omega_max: float = _OMEGA_MAX,
+    omega_min: float = _OMEGA_MIN,
 ) -> AnalyticOmega:
     """Evaluate the bundled closed-form tuning equation for one target.
 
@@ -498,29 +498,6 @@ def analytic_omega(
     return AnalyticOmega(value, agrees, note, details)
 
 
-def resolve_omega(
-    model: NoiseModel,
-    sigma: float,
-    P: float,
-    channel_noise_var: float,
-    target: str,
-    power_mode: PowerMode = PowerMode.TOTAL,
-    gamma: float | None = None,
-    omega_max: float = 2.0 * math.pi,
-) -> tuple[float, bool]:
-    """Numeric omega for a target, with a lower-boundary infimum mapped to
-    _BOUNDARY_OMEGA (omega_max if less). Returns (omega, substituted). An
-    "upper" infimum is not mapped: it is optimal_omega's last probe, up to
-    twice its final bracket width below omega_max."""
-    w, flag = optimal_omega(
-        model, sigma, P, channel_noise_var, target,
-        power_mode=power_mode, gamma=gamma, omega_max=omega_max,
-    )
-    if flag == "lower":
-        return min(_BOUNDARY_OMEGA, omega_max), True
-    return w, False
-
-
 def rule_target(rule: str) -> str:
     """The target of the omega rule 'auto:<target>' (one of
     OMEGA_TARGETS); ValueError naming omega_rule for any other rule."""
@@ -541,12 +518,17 @@ def rule_omega(
     omega_max: float,
     gamma: float | None = None,
 ) -> tuple[float, dict]:
-    """The omega that the rule 'auto:<target>' picks at an operating point
-    (resolve_omega for the target; omega_max is 2 pi / theta_R, and an
-    infimum there gives the last probe below it), and the manifest notes
-    that record how. The gamma target is tuned at gamma if given, else at
-    the true SNR (theta / sigma)^2; theta is read, and must be positive
-    and finite, for that alone.
+    """The omega that the rule 'auto:<target>' picks at an operating point,
+    and the manifest notes that record how.
+
+    It is optimal_omega's for the target on [1e-4, omega_max] (omega_max
+    is 2 pi / theta_R), with an infimum on the lower edge mapped to
+    _BOUNDARY_OMEGA (omega_max if less) and noted as substituted. An
+    infimum on the upper edge is not mapped: it is optimal_omega's last
+    probe, up to twice its final bracket width below omega_max. The gamma
+    target is tuned at gamma if given, else at the true SNR (theta /
+    sigma)^2; theta is read, and must be positive and finite, for that
+    alone.
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
@@ -561,10 +543,13 @@ def rule_omega(
                 f"the true SNR gamma = (theta / sigma)^2 overflows at theta = {theta!r}, "
                 f"sigma = {sigma!r}"
             ) from None
-    omega, substituted = resolve_omega(
+    omega, flag = optimal_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,
     )
+    substituted = flag == "lower"
+    if substituted:
+        omega = min(_BOUNDARY_OMEGA, omega_max)
     notes = {"omega_rule": rule, "omega_substituted": substituted}
     if gamma is not None:
         notes["omega_rule_gamma"] = gamma

@@ -605,3 +605,26 @@ class TestDisagreementLedger:
             if s == 1.0:
                 shift = -2.0 * g * w**2 * P * math.exp(-2.0 * u) / den
                 assert math.isclose(bundled - rep.asv_gamma, shift, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 1.0, 3.0, 10.0])
+    def test_gaussian_scale_tuning_display(self, r):
+        """The printed Gaussian scale tuning equation in beta = (omega
+        sigma)^2, b ((r+1) e^{2b} - 1) - G with G = (r+1) e^{2b} - 2 e^b + 1,
+        has G once; the stationarity condition of asv_sigma has it twice.
+        G = r e^{2b} + (e^b - 1)^2 > 0, so at the printed root the direct
+        condition reads -G < 0 and the printed root lies below the direct
+        one. The direct root is optimal_omega's minimizer to 1e-7 (about
+        1e-8 measured); the printed one is 30-48% low."""
+        printed = tuning._gaussian_sigma_equation(r)
+        direct = tuning._gaussian_sigma_equation_fixed(r)
+        for b in np.linspace(0.01, 5.0, 50).tolist():
+            e1, e2 = math.exp(b), math.exp(2.0 * b)
+            g = (r + 1.0) * e2 - 2.0 * e1 + 1.0
+            assert math.isclose(g, r * e2 + (e1 - 1.0) ** 2, rel_tol=1e-12)
+            assert math.isclose(printed(b, e1, e2) - direct(b, e1, e2), g, rel_tol=1e-9)
+        for sigma in (0.5, 1.0, 2.0):
+            an = tuning.analytic_omega(GAUSSIAN, sigma, 1.0, r, "sigma")
+            numeric = an.details["numeric_omega"]
+            assert not an.agrees_with_numeric and an.details["numeric_flag"] == "interior"
+            assert math.isclose(an.details["stationarity_root_omega"], numeric, rel_tol=1e-7)
+            assert 0.30 < 1.0 - an.value / numeric < 0.48

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmphase import montecarlo, tuning
+from cmphase import cli, montecarlo, tuning
 from cmphase.cli import main
 from cmphase.noise import GAUSSIAN
 from cmphase.tuning import OMEGA_TARGETS, optimal_omega
@@ -124,6 +124,23 @@ class TestConfigRejections:
         rc, out, err = run(capsys, *argv)
         assert rc == 1 and out == ""
         assert key in err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("L", [2**32, 10**12, 1e300], ids=str)
+    def test_sensor_count_is_bounded(self, capsys, tmp_path, source, L):
+        """simulate --L 1000000000000 ended in numpy's MemoryError
+        traceback, and a config file's L = 1e300 in numpy's "Maximum
+        allowed dimension exceeded", which does not name L. Both are
+        refused at the config, before anything is allocated."""
+        if source == "flag":
+            argv = ["--L", str(int(L))]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"L": L}))
+            argv = ["--config", str(path)]
+        rc, out, err = run(capsys, "simulate", "--omega", "0.5", *argv)
+        assert rc == 1 and out == ""
+        assert "L must be below 2**32" in err
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -561,6 +578,33 @@ class TestSweep:
         rows = out.splitlines()[2:]
         assert [r.split(",")[1] for r in rows] == ["0.4", "0.6", "0.8"]
 
+    @pytest.mark.parametrize("grid", ["0:1:1e15", "0:1:4294967296"])
+    def test_grid_count_is_bounded_before_allocation(self, capsys, grid):
+        """--grid 0:1:1e15 ended in numpy's MemoryError traceback ("Unable
+        to allocate 7.11 PiB"); the count is now checked before the grid
+        is formed, at the bound of a row's substream."""
+        rc, out, err = run(capsys, "sweep", "--axis", "omega", f"--grid={grid}", "--trials", "4")
+        assert rc == 1 and out == ""
+        assert "--grid" in err and "count must be below 2**32" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "args, line", [(("Unable to allocate 8.00 EiB",), "Unable to allocate 8.00 EiB"),
+                       ((), "MemoryError")], ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, command, args, line):
+        """A MemoryError (raised here in place of the allocation) exits 1
+        with one 'cmphase: error:' line; a bare one names its type."""
+        def exhausted(*_, **__):
+            raise MemoryError(*args)
+
+        monkeypatch.setattr(cli, "simulate_snapshot" if command == "simulate" else "sweep",
+                            exhausted)
+        argv = [command, "--L", "20", "--omega", "0.5"]
+        if command == "sweep":
+            argv += ["--axis", "omega", "--grid", "0.5", "--trials", "4"]
+        assert run(capsys, *argv) == (1, "", f"cmphase: error: {line}\n")
+
     def test_bad_grid(self, capsys):
         rc, _, err = run(capsys, "sweep", "--axis", "omega", "--grid", "1:2")
         assert rc == 1
@@ -747,8 +791,9 @@ def _check_csv(text: str) -> None:
         if values["trials"] == 0:  # a failed row: no statistics
             assert all(math.isnan(values[k]) for k in ("emp_var_theta", "emp_var_sigma")), line
             continue
-        # A known, undocumented class, exempted by name: the trimmed SNR
-        # variance is nan where fewer than two trials escaped saturation.
+        # A known class, exempted by name and documented in README and
+        # write_sweep_csv: the trimmed SNR variance is nan where fewer than
+        # two trials escaped saturation.
         few_snr = round(values["trials"] * (1.0 - values["saturated_frac"])) < 2
         for key, value in values.items():
             inf_ok = key.startswith(("emp_var_", "asv_"))

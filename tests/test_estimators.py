@@ -506,19 +506,38 @@ class TestJointMinimumVariance:
     )
     def test_near_wrap_agrees(self, theta):
         """omega theta_R = 2 pi - 1e-3, less than a grid step short of a
-        period. At theta = 1e-3 the grid's best cell is in the last row,
-        whose phase is next to the true one across the wrap: the
-        refinement from the first row finds the true point, where the one
-        from the last row alone ended on theta_R at objective 3.4e-6
-        against 0. Next to theta_R from inside, the refinement from the
-        last row stands. Either way the joint estimate is the simple one."""
-        theta_R = TWO_PI - 1e-3
+        period, and 2 pi exactly, one period. At theta = 1e-3 the grid's
+        best cell is in the last row, whose phase is next to the true one
+        across the wrap: the refinement from the first row finds the true
+        point, where the one from the last row alone ended on theta_R at
+        objective 3.4e-6 against 0. Next to theta_R from inside, the
+        refinement from the last row stands. Either way the joint
+        estimate is the simple one."""
         z = mean_signal(theta, 1.0, 1.0, 1.0, GAUSSIAN)
         simple = simple_estimates(z, 1.0, 1.0, GAUSSIAN)
-        joint = joint_minimum_variance(z, 1.0, 1.0, 0.0, GAUSSIAN, theta_R)
         assert math.isclose(simple.theta_hat, theta, rel_tol=1e-12)
-        assert math.isclose(joint.theta_hat, simple.theta_hat, rel_tol=1e-9)
-        assert math.isclose(joint.sigma_hat, simple.sigma_hat, rel_tol=1e-9)
+        for theta_R in (TWO_PI - 1e-3, TWO_PI):
+            joint = joint_minimum_variance(z, 1.0, 1.0, 0.0, GAUSSIAN, theta_R)
+            assert math.isclose(joint.theta_hat, simple.theta_hat, rel_tol=1e-9)
+            assert math.isclose(joint.sigma_hat, simple.sigma_hat, rel_tol=1e-9)
+
+    def test_one_period_edge_row_refines_both_edge_rows(self, monkeypatch):
+        """A one-period window whose best cell is in an edge row (the last,
+        next to theta = 1e-3 across the wrap) takes the near-wrap rule:
+        the refinement from it and the one from the first row's best cell,
+        both in the box (1e-12 theta_R, theta_R]."""
+        calls = []
+
+        def counted(residual, x0, lo, hi):
+            calls.append((float(x0[0]), lo[0], hi[0]))
+            return gauss_newton_box(residual, x0, lo, hi)
+
+        gauss_newton_box = estimators.gauss_newton_box
+        monkeypatch.setattr(estimators, "gauss_newton_box", counted)
+        z = mean_signal(1e-3, 1.0, 1.0, 1.0, GAUSSIAN)
+        joint_minimum_variance(z, 1.0, 1.0, 0.0, GAUSSIAN, TWO_PI)
+        box = (1e-12 * TWO_PI, TWO_PI)
+        assert calls == [(TWO_PI, *box), (TWO_PI / 200, *box)]
 
     def test_known_disagreements(self):
         """flat-scale: Gaussian at sigma omega = 1.0034e-6, where eps /

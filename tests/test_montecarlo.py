@@ -26,7 +26,7 @@ from cmphase.montecarlo import (
 )
 from cmphase.network import NetworkConfig, snapshot_uniforms
 from cmphase.numkit import RandomStream
-from cmphase.tuning import resolve_omega
+from cmphase.tuning import rule_omega
 
 
 def make_config(**overrides):
@@ -335,9 +335,9 @@ class TestSweep:
     def test_sigma_axis_auto_rule(self):
         cfg = make_config(L=100, theta_R=math.pi, theta=1.0)
         rows = sweep(cfg, "sigma", [0.8], trials=8, omega_rule="auto:theta")
-        expected, _ = resolve_omega(
-            cfg.model, 0.8, cfg.P, cfg.channel_noise_var, "theta",
-            power_mode=cfg.power_mode, omega_max=2.0 * math.pi / cfg.theta_R,
+        expected, _ = rule_omega(
+            "auto:theta", cfg.model, 0.8, cfg.P, cfg.channel_noise_var, cfg.power_mode,
+            cfg.theta, 2.0 * math.pi / cfg.theta_R,
         )
         np.testing.assert_allclose(rows[0].omega, expected, rtol=1e-12)
 

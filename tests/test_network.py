@@ -60,6 +60,7 @@ class TestNetworkConfig:
         "overrides",
         [
             {"L": 0},
+            {"L": 2**32},  # past substream_states' bound; nothing is allocated
             {"theta": 0.0},
             {"theta": -1.0},
             {"theta": 7.0, "theta_R": 6.0},

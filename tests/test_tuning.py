@@ -30,7 +30,6 @@ from cmphase.tuning import (
     analytic_omega,
     omega_optima,
     optimal_omega,
-    resolve_omega,
     rule_omega,
 )
 from conftest import ALL_MODELS, clear_tuning_caches
@@ -587,22 +586,23 @@ class TestAnalyticOmega:
 
 
 class TestResolveOmega:
+    """How rule_omega turns the numeric optimum into the rule's omega."""
+
     def test_interior_passthrough(self):
-        w, substituted = resolve_omega(CAUCHY, 1.0, 1.0, 1.0, "theta")
-        assert not substituted
+        w, notes = rule_omega("auto:theta", CAUCHY, 1.0, 1.0, 1.0, TOTAL, None, 2.0 * math.pi)
+        assert notes["omega_substituted"] is False
+        assert (w, "interior") == optimal_omega(CAUCHY, 1.0, 1.0, 1.0, "theta")
         np.testing.assert_allclose(w, CAUCHY_TPC_R1, rtol=1e-6)
 
     def test_boundary_substitution(self):
-        w, substituted = resolve_omega(
-            GAUSSIAN, 1.0, 1.0, 1.0, "theta", power_mode=PER_SENSOR
+        w, notes = rule_omega(
+            "auto:theta", GAUSSIAN, 1.0, 1.0, 1.0, PER_SENSOR, None, 2.0 * math.pi
         )
-        assert substituted and w == 0.01
+        assert notes["omega_substituted"] is True and w == 0.01
 
     def test_substitute_respects_omega_max(self):
-        w, substituted = resolve_omega(
-            GAUSSIAN, 1.0, 1.0, 1.0, "theta", power_mode=PER_SENSOR, omega_max=0.005
-        )
-        assert substituted and w == 0.005
+        w, notes = rule_omega("auto:theta", GAUSSIAN, 1.0, 1.0, 1.0, PER_SENSOR, None, 0.005)
+        assert notes["omega_substituted"] is True and w == 0.005
 
     def test_upper_edge_is_the_last_probe(self):
         """An infimum on the upper edge is not mapped to omega_max: the
@@ -610,13 +610,10 @@ class TestResolveOmega:
         bracket (1e-10) below the edge. The laplace-total-auto-theta
         golden z digest and the omega-rule stdout digests pin these bits,
         so the behaviour is kept."""
-        w, substituted = resolve_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_max=0.5)
-        assert (substituted, optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_max=0.5)) == (
-            False, (w, "upper")
-        )
+        w, notes = rule_omega("auto:theta", GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, None, 0.5)
+        assert notes["omega_substituted"] is False
+        assert (w, "upper") == optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta", omega_max=0.5)
         assert 0.5 - 2e-10 <= w < 0.5
-        rule_w, notes = rule_omega("auto:theta", GAUSSIAN, 1.0, 1.0, 1.0, TOTAL, None, 0.5)
-        assert rule_w == w and notes["omega_substituted"] is False
 
 
 class TestRuleOmega:
@@ -663,8 +660,7 @@ class TestRuleOmega:
             rule_omega("auto:gamma", GAUSSIAN, 0.0, 1.0, 1.0, TOTAL, 1.0, 2.0 * math.pi)
 
 
-@pytest.mark.parametrize("solver", [optimal_omega, resolve_omega, analytic_omega],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solver", [optimal_omega, analytic_omega], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0], ids=str)
 def test_gamma_target_needs_positive_finite_gamma(solver, gamma):
     """A NaN gamma used to give a NaN curve, and golden section returned
@@ -673,7 +669,7 @@ def test_gamma_target_needs_positive_finite_gamma(solver, gamma):
         solver(GAUSSIAN, 1.0, 1.0, 1.0, "gamma", gamma=gamma)
 
 
-@pytest.mark.parametrize("solver", [optimal_omega, resolve_omega], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solver", [optimal_omega, analytic_omega], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
     "P, nv", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)], ids=str
 )

@@ -27,7 +27,7 @@ from cmphase.estimators import (
 )
 from cmphase.network import ConfigError, NetworkConfig
 from cmphase.noise import GAUSSIAN, LAPLACE
-from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, resolve_omega, rule_omega
+from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, rule_omega
 
 Z = 0.5 + 0.1j
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -81,10 +81,7 @@ ENTRY_POINTS = [
      ["sigma", "P", "channel_noise_var", "gamma", "omega_min", "omega_max"]),
     ("omega_optima", omega_optima,
      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, gamma=1.0),
-     ["sigma", "P", "channel_noise_var", "gamma", "omega_min", "omega_max"]),
-    ("resolve_omega", resolve_omega,
-     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
-     ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
+     ["sigma", "P", "channel_noise_var", "gamma"]),
     ("analytic_omega", analytic_omega,
      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
      ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
