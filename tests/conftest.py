@@ -1,13 +1,30 @@
 """Shared test setup."""
 
+import math
+
 import pytest
 
 from cmphase import tuning
+from cmphase.network import PowerMode
 from cmphase.noise import MODEL_TOKENS, noise_model
 
 # Every registered noise family, in registry order, for tests that run
 # the same checks on each; family-specific expectations stay in the tests.
 ALL_MODELS = tuple(noise_model(k) for k in MODEL_TOKENS)
+
+
+def resolve_omega(
+    model, sigma, P, channel_noise_var, target,
+    power_mode=PowerMode.TOTAL, gamma=None, omega_max=2.0 * math.pi,
+):
+    """rule_omega's resolution of the numeric optimum for a target, called
+    with the target and gamma directly and no theta: 'auto:<target>' at
+    the given gamma. Returns (omega, substituted)."""
+    omega, notes = tuning.rule_omega(
+        f"auto:{target}", model, sigma, P, channel_noise_var, power_mode, None, omega_max,
+        gamma=gamma,
+    )
+    return omega, notes["omega_substituted"]
 
 
 def clear_tuning_caches():

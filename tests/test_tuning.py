@@ -32,7 +32,7 @@ from cmphase.tuning import (
     optimal_omega,
     rule_omega,
 )
-from conftest import ALL_MODELS, clear_tuning_caches
+from conftest import ALL_MODELS, clear_tuning_caches, resolve_omega
 from test_numkit import WIDE, WIDE_SETTINGS, sign_change_brackets
 
 TOTAL = PowerMode.TOTAL
@@ -660,7 +660,8 @@ class TestRuleOmega:
             rule_omega("auto:gamma", GAUSSIAN, 0.0, 1.0, 1.0, TOTAL, 1.0, 2.0 * math.pi)
 
 
-@pytest.mark.parametrize("solver", [optimal_omega, analytic_omega], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solver", [optimal_omega, resolve_omega, analytic_omega],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0], ids=str)
 def test_gamma_target_needs_positive_finite_gamma(solver, gamma):
     """A NaN gamma used to give a NaN curve, and golden section returned
@@ -669,7 +670,9 @@ def test_gamma_target_needs_positive_finite_gamma(solver, gamma):
         solver(GAUSSIAN, 1.0, 1.0, 1.0, "gamma", gamma=gamma)
 
 
-@pytest.mark.parametrize("solver", [optimal_omega, analytic_omega], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "solver", [optimal_omega, resolve_omega, analytic_omega], ids=lambda f: f.__name__
+)
 @pytest.mark.parametrize(
     "P, nv", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)], ids=str
 )

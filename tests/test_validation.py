@@ -28,6 +28,7 @@ from cmphase.estimators import (
 from cmphase.network import ConfigError, NetworkConfig
 from cmphase.noise import GAUSSIAN, LAPLACE
 from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, rule_omega
+from conftest import resolve_omega
 
 Z = 0.5 + 0.1j
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -82,6 +83,10 @@ ENTRY_POINTS = [
     ("omega_optima", omega_optima,
      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, gamma=1.0),
      ["sigma", "P", "channel_noise_var", "gamma"]),
+    # rule_omega at an explicit gamma with no theta (conftest.resolve_omega).
+    ("resolve_omega", resolve_omega,
+     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
+     ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
     ("analytic_omega", analytic_omega,
      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, target="gamma", gamma=1.0),
      ["sigma", "P", "channel_noise_var", "gamma", "omega_max"]),
