@@ -31,7 +31,7 @@ says so, and the tests recompute every flag from asv_generic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class AsvReport:
     asv_sigma: float
     asv_gamma: float | None
     mode: PowerMode
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _phasor_variances(family: Family, sigma, omega, P, nv, xp):

@@ -7,10 +7,11 @@ Subcommands:
   are        asymptotic relative efficiency table
   sweep      Monte Carlo sweep along omega or sigma, emitted as CSV
 
-Every JSON output embeds a manifest (command, version, configuration,
-seed, output target) and the sweep CSV carries the same manifest as a
-leading comment line. Outputs contain no timestamps, so a rerun with
-identical inputs is byte-identical.
+Results are dataclasses, and this module is the one place they become
+JSON, through dataclasses.asdict. Every JSON output embeds a manifest
+(command, version, configuration, seed, output target) and the sweep CSV
+carries the same manifest as a leading comment line. Outputs contain no
+timestamps, so a rerun with identical inputs is byte-identical.
 
 Exit codes: 0 success, 1 usage or validation error, 2 under --strict: a
 saturated simulate snapshot or a failed sweep row. sweep names each
@@ -23,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -125,7 +127,7 @@ def _build_config(args) -> tuple[NetworkConfig, dict]:
         rule, cfg.model, cfg.sigma, cfg.P, cfg.channel_noise_var, cfg.power_mode,
         cfg.theta, 2.0 * math.pi / cfg.theta_R, gamma=args.gamma_guess,
     )
-    return cfg.with_updates(omega=omega), notes
+    return replace(cfg, omega=omega), notes
 
 
 def _manifest(command: str, config: dict, seed, output, **extra) -> dict:
@@ -146,23 +148,16 @@ def _emit(payload: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg, notes = _build_config(args)
-    snap = simulate_snapshot(cfg, RandomStream(cfg.seed))
+    y, z = simulate_snapshot(cfg, RandomStream(cfg.seed))
     if args.estimator == "joint":
         nv_eff = effective_noise_var(cfg.power_mode, cfg.channel_noise_var)
-        est = joint_minimum_variance(
-            snap.z, cfg.omega, cfg.P, nv_eff, cfg.model, cfg.theta_R
-        )
+        est = joint_minimum_variance(z, cfg.omega, cfg.P, nv_eff, cfg.model, cfg.theta_R)
     else:
-        est = simple_estimates(snap.z, cfg.omega, cfg.P, cfg.model)
+        est = simple_estimates(z, cfg.omega, cfg.P, cfg.model)
     payload = {
-        "y": {"re": snap.y.real, "im": snap.y.imag},
-        "z": {
-            "re": snap.z.real,
-            "im": snap.z.imag,
-            "abs": abs(snap.z),
-            "arg": math.atan2(snap.z.imag, snap.z.real),
-        },
-        "estimates": {"estimator": args.estimator, **est.to_json_dict()},
+        "y": {"re": y.real, "im": y.imag},
+        "z": {"re": z.real, "im": z.imag, "abs": abs(z), "arg": math.atan2(z.imag, z.real)},
+        "estimates": {"estimator": args.estimator, **asdict(est)},
         "manifest": _manifest(
             "simulate", cfg.to_json_dict(), cfg.seed, None, **notes
         ),
@@ -203,7 +198,7 @@ def _cmd_asv(args) -> int:
             raise ValueError(
                 f"{name} is inf (not estimable) at sigma={args.sigma!r}, omega={omega!r}"
             )
-    payload = {"asv": report.to_json_dict()}
+    payload = {"asv": asdict(report)}
     if args.closed_forms:
         forms = {}
         targets = ["theta", "sigma"] + (["gamma"] if args.theta is not None else [])
@@ -251,10 +246,10 @@ def _cmd_opt_omega(args) -> int:
             }
     payload: dict = {"results": results, "method": "golden-section"}
     if args.target == "all":
-        payload["optima"] = OmegaOptima(
+        payload["optima"] = asdict(OmegaOptima(
             *(results[t]["omega_star"] for t in OMEGA_TARGETS),
             flags={t: results[t]["flag"] for t in OMEGA_TARGETS},
-        ).to_json_dict()
+        ))
     config = _point_config(args, "target", "gamma", "omega_min", "omega_max")
     payload["manifest"] = _manifest("opt-omega", config, None, None)
     _emit(payload)
@@ -270,7 +265,7 @@ def _cmd_are(args) -> int:
     ]
     if args.json:
         payload = {
-            "reports": [r.to_json_dict() for r in reports],
+            "reports": [asdict(r) for r in reports],
             "manifest": _manifest("are", {"model": args.model}, None, None),
         }
         _emit(payload)

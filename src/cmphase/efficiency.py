@@ -21,7 +21,7 @@ the comparison honestly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .asymptotic import asv_generic
 from .noise import NoiseModel
@@ -54,9 +54,6 @@ class EfficiencyReport:
     are: float
     reference_are: float
     matches_reference: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _inf_asv(model: NoiseModel, parameter: str, sigma: float) -> float:

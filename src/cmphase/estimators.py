@@ -38,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,9 +86,6 @@ class EstimateSet:
     sigma_hat: float
     gamma_hat: float | None
     saturated: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _finite_z(z) -> complex:

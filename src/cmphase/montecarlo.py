@@ -8,8 +8,8 @@ expressions and the two can be overlaid directly.
 Reproducibility contract: trial t of row i always draws the first
 uniforms of RandomStream(cfg.seed, (i, t)), so results are independent
 of which rows of a sweep are run. cfg.seed is the one seed; another run
-is cfg.with_updates(seed=...). CSV output carries no timestamps; a
-rerun with the same inputs is byte-identical.
+is dataclasses.replace(cfg, seed=...). CSV output carries no
+timestamps; a rerun with the same inputs is byte-identical.
 
 Trials run in blocks. The substream seeds of all trials of a run are
 derived in one vectorized pass; a block's uniforms are drawn into one
@@ -45,7 +45,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class EstimandStats:
     variance_l: float  # L * sample variance (ddof=1); nan for < 2 samples
     bias: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class McSummary:
@@ -118,9 +115,6 @@ class McSummary:
     gamma_trimmed_variance_l: float  # trimmed variant of gamma.variance_l
     gamma_trials: int
     saturated: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -236,6 +230,8 @@ def run_experiment(
     estimate raises ValueError.
     """
     trials = whole_number("trials", trials, 1)
+    if trials >= 2**32:  # substream_states' bound
+        raise ValueError(f"trials must be below 2**32, got {trials!r}")
     if stream is None:
         stream = RandomStream(cfg.seed)
 
@@ -315,6 +311,8 @@ def sweep(
             raise ValueError("omega_rule applies only to sigma sweeps")
         rule_target(omega_rule)
     trials = whole_number("trials", trials, 2)
+    if trials >= 2**32:  # substream_states' bound, checked before any row
+        raise ValueError(f"trials must be below 2**32, got {trials!r}")
     values = [float(raw) for raw in grid]
     root = RandomStream(cfg.seed)
 
@@ -324,7 +322,7 @@ def sweep(
         asv: AsvReport | None = None
         try:
             if axis == "omega":
-                cfg_i = cfg.with_updates(omega=value)
+                cfg_i = replace(cfg, omega=value)
             else:
                 omega = cfg.omega
                 if omega_rule is not None:
@@ -332,7 +330,7 @@ def sweep(
                         omega_rule, cfg.model, value, cfg.P, cfg.channel_noise_var,
                         cfg.power_mode, cfg.theta, 2.0 * math.pi / cfg.theta_R,
                     )
-                cfg_i = cfg.with_updates(sigma=value, omega=omega)
+                cfg_i = replace(cfg, sigma=value, omega=omega)
             omega = cfg_i.omega
             asv = asv_generic(
                 cfg_i.model, cfg_i.sigma, cfg_i.omega, cfg_i.P,

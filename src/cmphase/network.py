@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "PowerMode",
     "ConfigError",
     "NetworkConfig",
-    "Snapshot",
     "effective_noise_var",
     "snapshot_uniforms",
     "block_work",
@@ -109,9 +108,6 @@ class NetworkConfig:
             return self.P / self.L
         return self.P
 
-    def with_updates(self, **changes) -> "NetworkConfig":
-        return replace(self, **changes)
-
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"model": self.model.kind}
 
@@ -125,14 +121,6 @@ class NetworkConfig:
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
         return cls(**data)
-
-
-@dataclass(eq=False)
-class Snapshot:
-    """One received sample: raw y and normalized z."""
-
-    y: complex
-    z: complex
 
 
 def _divisor(cfg: NetworkConfig) -> float:
@@ -203,11 +191,12 @@ def _received(
     return y.view(complex)[:, 0], z.view(complex)[:, 0]
 
 
-def simulate_snapshot(cfg: NetworkConfig, stream: RandomStream) -> Snapshot:
-    """The received sample for cfg drawn from the first
-    snapshot_uniforms(cfg) uniforms of stream: the block of one. A phase
-    past the float range gives a NaN z, without numpy's warnings."""
+def simulate_snapshot(cfg: NetworkConfig, stream: RandomStream) -> tuple[complex, complex]:
+    """The received sample (y, z) for cfg, raw and normalized, drawn from
+    the first snapshot_uniforms(cfg) uniforms of stream: the block of
+    one. A phase past the float range gives a NaN z, without numpy's
+    warnings."""
     u = stream.uniform(snapshot_uniforms(cfg))
     with np.errstate(over="ignore", invalid="ignore"):
         y, z = simulate_block(cfg, u[np.newaxis])
-    return Snapshot(y=complex(y[0]), z=complex(z[0]))
+    return complex(y[0]), complex(z[0])

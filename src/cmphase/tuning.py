@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class OmegaOptima:
     omega_gamma: float
     flags: dict
     method: str = "golden-section"
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -532,6 +529,8 @@ def rule_omega(
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
+    # Named for the CLI, whose commands set theta_R, not omega_max.
+    omega_max = real_number("omega_max = 2 pi / theta_R", omega_max, _OMEGA_MIN)
     if target != "gamma":
         gamma = None
     elif gamma is None:
@@ -539,10 +538,12 @@ def rule_omega(
         try:
             gamma = (theta / sigma) ** 2
         except OverflowError:
+            gamma = math.inf
+        if gamma == math.inf:  # theta / sigma may already be inf, which squares quietly
             raise ValueError(
                 f"the true SNR gamma = (theta / sigma)^2 overflows at theta = {theta!r}, "
                 f"sigma = {sigma!r}"
-            ) from None
+            )
     omega, flag = optimal_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,

@@ -7,6 +7,7 @@ agree/disagree status against the generic definition.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -375,7 +376,7 @@ class TestAsvGeneric:
 
     def test_json_shape(self):
         rep = asv_generic(GAUSSIAN, 1.0, 0.9, 1.0, 0.0, theta=1.0)
-        data = rep.to_json_dict()
+        data = dataclasses.asdict(rep)
         assert set(data) == {"omega", "asv_theta", "asv_sigma", "asv_gamma", "mode"}
         assert data["mode"] == "total"
 

@@ -142,6 +142,20 @@ class TestConfigRejections:
         assert rc == 1 and out == ""
         assert "L must be below 2**32" in err
 
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--axis", "sigma", "--grid", "1"]], ids=" ".join
+    )
+    def test_auto_rule_names_theta_r_past_the_omega_floor(self, capsys, command):
+        """At theta_R = 1e5 the rule's omega_max = 2 pi / theta_R is below
+        the 1e-4 search floor; the error named only omega_max, a flag these
+        commands do not have."""
+        rc, out, err = run(
+            capsys, *command, "--omega", "auto:theta", "--theta-R", "1e5", "--theta", "1"
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("cmphase: error: omega_max = 2 pi / theta_R must be > 0.0001")
+        assert err.count("\n") == 1
+
 
 def test_importing_the_cli_loads_no_scipy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -328,6 +342,28 @@ OMEGA_RULE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(OMEGA_RULE_DIGESTS))
 def test_omega_rule_stdout_digest(name):
     argv, expected = OMEGA_RULE_DIGESTS[name]
+    assert stdout_sha256(argv) == expected
+
+
+# sha256 of the are stdout, recorded before its reports went through
+# dataclasses.asdict in the CLI: the table and the JSON, all families and one.
+ARE_DIGESTS = {
+    "table": (
+        ["are"], "fb0ea4e271c76f8a7948342b3987dcda14f2c59cfba36b3db5864967473b884b",
+    ),
+    "json": (
+        ["are", "--json"], "8b3784d63194cf1c028674b659d1f65d5bce08157a56a9e89525f5e4d649b58d",
+    ),
+    "json-laplace": (
+        ["are", "--model", "laplace", "--json"],
+        "f989f0b400cd9dd0c4f3db4605b969e1e04ad288a6cc1121b37f166184c72a87",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARE_DIGESTS))
+def test_are_stdout_digest(name):
+    argv, expected = ARE_DIGESTS[name]
     assert stdout_sha256(argv) == expected
 
 
@@ -690,6 +726,16 @@ class TestSweep:
         assert rc == 1
         assert "trials must be an integer >= 2" in err
         assert out == ""
+
+    @pytest.mark.parametrize("trials", [str(2**32), str(10**15)])
+    def test_trial_count_is_bounded(self, capsys, trials):
+        """--trials 4294967296 wrote an all-NaN row and exited 0, with an
+        error naming n, the substream count, not trials."""
+        rc, out, err = run(
+            capsys, "sweep", "--axis", "omega", "--grid", "0.5", "--trials", trials, "--L", "1",
+        )
+        assert rc == 1 and out == ""
+        assert err == f"cmphase: error: trials must be below 2**32, got {trials}\n"
 
     def test_file_rerun_byte_identical(self, capsys, tmp_path):
         # The manifest line embeds the output path, so byte identity is

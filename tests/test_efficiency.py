@@ -7,6 +7,7 @@ optima whose values were frozen from 40-digit evaluations of the
 variance curves.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -113,7 +114,7 @@ class TestReportShape:
         assert isinstance(rep, EfficiencyReport)
         assert rep.model == "cauchy" and rep.parameter == "theta"
         assert rep.reference_are == 0.65
-        data = rep.to_json_dict()
+        data = dataclasses.asdict(rep)
         assert set(data) == {
             "model",
             "parameter",

@@ -262,7 +262,7 @@ class TestSimpleEstimates:
 
     def test_json_shape(self):
         est = simple_estimates(0.3 + 0.2j, 1.0, 1.0, GAUSSIAN)
-        assert set(est.to_json_dict()) == {
+        assert set(dataclasses.asdict(est)) == {
             "theta_hat",
             "sigma_hat",
             "gamma_hat",

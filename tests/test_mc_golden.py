@@ -108,9 +108,9 @@ def row_configs(name: str):
         if row.summary is None:
             continue
         if axis == "omega":
-            yield i, cfg.with_updates(omega=row.omega)
+            yield i, dataclasses.replace(cfg, omega=row.omega)
         else:
-            yield i, cfg.with_updates(sigma=row.value, omega=row.omega)
+            yield i, dataclasses.replace(cfg, sigma=row.value, omega=row.omega)
 
 
 def trial_z(cfg: NetworkConfig, trials: int, row: int) -> np.ndarray:
@@ -173,7 +173,7 @@ def test_block_size_independence(monkeypatch, fields, trials):
             if cpus > 1 and block < default:
                 assert len(blocks) > 1 and pools == [min(cpus, len(blocks)) - 1], (
                     block, cpus, pools, len(blocks))
-            summary = run_experiment(cfg, trials).to_json_dict()
+            summary = dataclasses.asdict(run_experiment(cfg, trials))
             results.append((z, summary))
     for z, summary in results[1:]:
         np.testing.assert_array_equal(z, results[0][0])
@@ -294,7 +294,7 @@ def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:
     one simple_estimates call per trial."""
     root = RandomStream(cfg.seed)
     ests = [
-        simple_estimates(simulate_snapshot(cfg, root.substream(t)).z, cfg.omega, cfg.P, cfg.model)
+        simple_estimates(simulate_snapshot(cfg, root.substream(t))[1], cfg.omega, cfg.P, cfg.model)
         for t in range(trials)
     ]
     theta = np.array([e.theta_hat for e in ests])
@@ -334,7 +334,7 @@ def test_summary_matches_one_trial_route(name, trials):
     carry included, equals the one-trial-at-a-time route exactly: a
     saturating, a noisy total-budget and a clean config."""
     cfg = make_config(**CASES[name][0])
-    got = run_experiment(cfg, trials).to_json_dict()
+    got = dataclasses.asdict(run_experiment(cfg, trials))
     assert got == one_trial_summary(cfg, trials)
 
 

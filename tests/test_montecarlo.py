@@ -6,6 +6,7 @@ near-misses; the tight asymptotic comparisons live in the acceptance
 suite at its stated sample sizes.
 """
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmphase import estimators, montecarlo, network
+from cmphase import estimators, montecarlo
 from cmphase.asymptotic import asv_generic
 from cmphase.montecarlo import (
     CSV_HEADER,
@@ -86,7 +87,7 @@ class TestRunExperiment:
         )
         assert (
             run_experiment(cfg, 32, RandomStream(4)).theta.mean
-            == run_experiment(cfg.with_updates(seed=4), 32).theta.mean
+            == run_experiment(dataclasses.replace(cfg, seed=4), 32).theta.mean
             != run_experiment(cfg, 32).theta.mean
         )
 
@@ -141,26 +142,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trials must be an integer"):
             run_experiment(make_config(), trials)
 
+    @pytest.mark.parametrize("trials", [2**32, 10**15, 2.0**64])
+    def test_trial_count_is_bounded(self, trials):
+        """The error named n, the substream count, not trials."""
+        with pytest.raises(ValueError, match=r"^trials must be below 2\*\*32"):
+            run_experiment(make_config(), trials)
+
     def test_integral_float_trial_count(self):
         cfg = make_config(L=10)
-        assert run_experiment(cfg, 8.0).to_json_dict() | {"wall_time_s": 0} == (
-            run_experiment(cfg, 8).to_json_dict() | {"wall_time_s": 0}
+        assert dataclasses.asdict(run_experiment(cfg, 8.0)) | {"wall_time_s": 0} == (
+            dataclasses.asdict(run_experiment(cfg, 8)) | {"wall_time_s": 0}
         )
 
     def test_builds_no_per_trial_objects(self, monkeypatch):
-        """The engine works on arrays and lists: no Snapshot and no
-        EstimateSet is built, in a saturating run either."""
+        """The engine works on arrays and lists: no EstimateSet is built,
+        in a saturating run either."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("per-trial object built")
 
-        monkeypatch.setattr(network, "Snapshot", forbidden)
         monkeypatch.setattr(estimators, "EstimateSet", forbidden)
         summary = run_experiment(make_config(L=1, sigma=0.05, omega=0.2, seed=5), 100)
         assert 0 < summary.saturated < 100
 
     def test_json_shape(self):
-        data = run_experiment(make_config(), 16).to_json_dict()
+        data = dataclasses.asdict(run_experiment(make_config(), 16))
         assert set(data) == {
             "trials", "L", "theta", "sigma", "gamma",
             "gamma_trimmed_variance_l", "gamma_trials", "saturated",
@@ -368,6 +374,17 @@ class TestSweep:
         numpy TypeError (2.5)."""
         with pytest.raises(ValueError, match="trials must be an integer"):
             sweep(make_config(), "omega", [0.5, 0.9], trials=trials)
+
+    def test_trial_count_bounded_before_rows(self, monkeypatch):
+        """trials = 2**32 used to reach every row, each failing on the
+        substream bound with an error naming n, not trials."""
+
+        def forbidden(*args):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", forbidden)
+        with pytest.raises(ValueError, match=r"^trials must be below 2\*\*32"):
+            sweep(make_config(L=1), "omega", [0.5, 0.9], trials=2**32)
 
 
     def test_bad_grid_value_rejected_before_rows(self, monkeypatch):

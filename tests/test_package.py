@@ -51,3 +51,24 @@ def test_importing_cli_binds_every_module():
         f"import cmphase, cmphase.cli; print([n for n in {names!r} if not hasattr(cmphase, n)])"
     )
     assert out == "[]"
+
+
+def test_record_inventory():
+    """The dataclasses that importing the CLI defines in cmphase, and the
+    one of them that writes its own JSON: every other result is turned
+    into JSON by dataclasses.asdict in the CLI."""
+    out = fresh_python(
+        "import dataclasses, sys, cmphase.cli\n"
+        "mods = [m for n, m in sorted(sys.modules.items()) if n.split('.')[0] == 'cmphase']\n"
+        "own = [c for m in mods for c in vars(m).values()"
+        " if isinstance(c, type) and c.__module__ == m.__name__]\n"
+        "print(sorted(c.__qualname__ for c in own if dataclasses.is_dataclass(c)))\n"
+        "print(sorted(c.__qualname__ for c in own if 'to_json_dict' in vars(c)))"
+    )
+    records, writers = out.splitlines()
+    assert records == str(sorted([
+        "AnalyticOmega", "AsvReport", "EfficiencyReport", "EstimandStats", "EstimateSet",
+        "Family", "McSummary", "NetworkConfig", "NoiseModel", "OmegaOptima", "RandomStream",
+        "SweepRow",
+    ]))
+    assert writers == str(["NetworkConfig"])

@@ -145,7 +145,7 @@ class TestOptimalOmega:
             rtol=1e-6,
         )
         assert opt.flags == {"theta": "interior", "sigma": "interior", "gamma": "interior"}
-        data = opt.to_json_dict()
+        data = dataclasses.asdict(opt)
         assert set(data) == {"omega_theta", "omega_sigma", "omega_gamma", "flags", "method"}
         assert data["method"] == "golden-section"
 

@@ -112,6 +112,12 @@ OVERFLOWS = [
      dict(rule="auto:gamma", model=GAUSSIAN, sigma=1e-100, P=1.0, channel_noise_var=1.0,
           power_mode="total", theta=1e200, omega_max=2.0 * math.pi),
      "gamma"),
+    # theta / sigma is already inf, which squares without an OverflowError:
+    # the error named gamma as if it were a given argument.
+    ("rule_omega-true-snr-quotient", rule_omega,
+     dict(rule="auto:gamma", model=GAUSSIAN, sigma=1e-300, P=1.0, channel_noise_var=1.0,
+          power_mode="total", theta=1e300, omega_max=2.0 * math.pi),
+     "theta"),
     # sigma * sigma underflowed to 0 and the quotient raised ZeroDivisionError.
     ("fisher_location-tiny-sigma", GAUSSIAN.fisher_location, dict(sigma=1e-200), "sigma"),
     ("fisher_scale-tiny-sigma", LAPLACE.fisher_scale, dict(sigma=1e-200), "sigma"),
