@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import PowerMode, effective_noise_var
-from .noise import Family, NoiseModel
+from .noise import NoiseModel
 from .numkit import real_number
 
 __all__ = [
@@ -63,15 +63,15 @@ class AsvReport:
     mode: PowerMode
 
 
-def _phasor_variances(family: Family, sigma, omega, P, nv, xp):
+def _phasor_variances(model: NoiseModel, sigma, omega, P, nv, xp):
     """(a, b) = (P v_c + nv/2, P v_s + nv/2): the fluctuation variances
-    along and across the mean phasor, from the family record's
+    along and across the mean phasor, from the model's
     cancellation-free phasor variance kernels on checked operands: floats
     with xp = math, or arrays, elementwise in sigma, with xp = numpy."""
     half_nv = 0.5 * nv
     return (
-        P * family.phasor_cos_var(sigma, omega, xp) + half_nv,
-        P * family.phasor_sin_var(sigma, omega, xp) + half_nv,
+        P * model.v_c(sigma, omega, xp) + half_nv,
+        P * model.v_s(sigma, omega, xp) + half_nv,
     )
 
 
@@ -93,7 +93,7 @@ def covariance_matrix(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    a, b = _phasor_variances(model.family, sigma, omega, P, channel_noise_var, math)
+    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var, math)
     s12 = (a - b) * s * c
     return np.array([[a * c * c + b * s * s, s12], [s12, a * s * s + b * c * c]])
 
@@ -104,9 +104,8 @@ def jacobian(
     """Jacobian of (Re zbar, Im zbar) with respect to (theta, sigma)."""
     theta = real_number("theta", theta)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
-    family = model.family
-    phi = family.char_fn(sigma, omega, math)
-    dphi = family.char_fn_dsigma(sigma, omega, math)
+    phi = model.phi(sigma, omega, math)
+    dphi = model.phi_s(sigma, omega, math)
     sp = math.sqrt(P)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
@@ -118,9 +117,9 @@ def jacobian(
     )
 
 
-def _asv_curves(family: Family, sigma: float, P: float, nv: float):
+def _asv_curves(model: NoiseModel, sigma: float, P: float, nv: float):
     """(asv_theta, asv_sigma) at one operating point as functions of a
-    float omega > 0, each from two of the family record's functions;
+    float omega > 0, each from two of the model's kernels;
     sigma, P and nv are the caller's to check.
 
     Where phi or its sigma-derivative underflow to zero (u = sigma*omega
@@ -131,8 +130,8 @@ def _asv_curves(family: Family, sigma: float, P: float, nv: float):
     kernels (2 P v_s + nv and 2 P v_c + nv) to stay accurate at small
     sigma * omega.
     """
-    char_fn, sin_var = family.char_fn, family.phasor_sin_var
-    dsigma, cos_var = family.char_fn_dsigma, family.phasor_cos_var
+    char_fn, sin_var = model.phi, model.v_s
+    dsigma, cos_var = model.phi_s, model.v_c
     two_p = 2.0 * P
 
     def asv_theta(omega: float) -> float:
@@ -207,7 +206,7 @@ def asv_generic(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
-    theta_curve, sigma_curve = _asv_curves(model.family, sigma, P, nv)
+    theta_curve, sigma_curve = _asv_curves(model, sigma, P, nv)
     asv_t, asv_s = theta_curve(omega), sigma_curve(omega)
     asv_g = None
     if theta is not None:
@@ -243,7 +242,7 @@ def asv_via_sandwich(
     J = jacobian(model, theta, sigma, omega, P)  # checks theta, sigma, omega and P
     theta, sigma, omega, P = float(theta), float(sigma), float(omega), float(P)
     nv = real_number("channel_noise_var", channel_noise_var, closed=True)
-    a, b = _phasor_variances(model.family, sigma, omega, P, nv, math)
+    a, b = _phasor_variances(model, sigma, omega, P, nv, math)
     det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(

@@ -106,6 +106,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _build_config(args) -> tuple[NetworkConfig, dict]:
     """The validated config of defaults, --config file and flags, and the
     manifest notes of its omega rule if the omega setting is one."""
+    if args.gamma_guess is not None:  # checked even where no rule reads it
+        real_number("--gamma-guess", args.gamma_guess)
     merged = dict(_CONFIG_DEFAULTS)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:

@@ -126,7 +126,7 @@ def estimate_scale(
     """
     sg, saturated = _scale(
         _finite_z(z), real_number("omega", omega), real_number("P", P),
-        model.family.inverse_abs_char_fn,
+        model.inverse_abs_char_fn,
     )
     if sg == math.inf:
         raise ValueError(f"sigma_hat overflows at z = {z!r}, omega = {omega!r}")
@@ -135,7 +135,7 @@ def estimate_scale(
 
 def _scale(z: complex, omega: float, P: float, inverse) -> tuple[float, bool]:
     """estimate_scale's inversion alone: no argument or overflow check;
-    inverse is the family record's inverse_abs_char_fn."""
+    inverse is the model's inverse_abs_char_fn."""
     m = abs(z)
     if m == 0.0:
         raise ZeroMagnitudeError("cannot estimate scale from z = 0")
@@ -201,7 +201,7 @@ def joint_objective(
     z, theta = _finite_z(z), real_number("theta", theta, -math.inf)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
-    a, b = _phasor_variances(model.family, sigma, omega, P, channel_noise_var, math)
+    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var, math)
     det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(
@@ -220,7 +220,7 @@ def _grid_argmin(
     model: NoiseModel,
 ) -> tuple[int, int]:
     """(i, j) of the least joint_objective on the grid thetas x sigmas
-    (sigmas > 0), from the family record's array kernels: the caller
+    (sigmas > 0), from the model's array kernels: the caller
     holds an errstate that ignores overflow, divide and invalid.
 
     In the frame rotated by omega theta, where Sigma = diag(a, b): cell
@@ -242,10 +242,9 @@ def _grid_argmin(
     """
     phase = omega * thetas
     c, s = np.cos(phase), np.sin(phase)
-    family = model.family
-    a, b = _phasor_variances(family, sigmas, omega, P, nv, np)
+    a, b = _phasor_variances(model, sigmas, omega, P, nv, np)
     u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
-    w, ra, rb = math.sqrt(P) * family.char_fn(sigmas, omega, np), 1.0 / a, 1.0 / b
+    w, ra, rb = math.sqrt(P) * model.phi(sigmas, omega, np), 1.0 / a, 1.0 / b
     rb_min = rb.min()
     if min(ra.min(), rb_min) > 0.0 and math.isfinite(np.concatenate((u, vsq, w, ra, rb)).sum()):
         lb = vsq * rb_min
@@ -281,10 +280,9 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
     and b = P v_s + nv/2 follow from v_s = (1 - phi(2 omega)) / 2 and
     v_c = 1/2 + phi(2 omega) / 2 - phi(omega)^2. Where a or b is 0 (no
     channel noise and an underflowed variance) r and J are NaN. The
-    kernels are the family record's, on floats.
+    kernels are the model's, on floats.
     """
-    sp, family = math.sqrt(P), model.family
-    char_fn, dsigma = family.char_fn, family.char_fn_dsigma
+    sp, char_fn, dsigma = math.sqrt(P), model.phi, model.phi_s
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta, sigma = float(x[0]), float(x[1])
@@ -292,7 +290,7 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
         s = math.sin(omega * theta)
         re = z.real * c + z.imag * s
         v = z.imag * c - z.real * s
-        a, b = _phasor_variances(family, sigma, omega, P, nv, math)
+        a, b = _phasor_variances(model, sigma, omega, P, nv, math)
         if not (a > 0.0 and b > 0.0):  # Sigma singular: no whitened residual
             return np.full(2, math.nan), np.full((2, 2), math.nan)
         phi = char_fn(sigma, omega, math)

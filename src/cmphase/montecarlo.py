@@ -235,7 +235,7 @@ def run_experiment(
     if stream is None:
         stream = RandomStream(cfg.seed)
 
-    omega, P, inverse = cfg.omega, cfg.P, cfg.model.family.inverse_abs_char_fn
+    omega, P, inverse = cfg.omega, cfg.P, cfg.model.inverse_abs_char_fn
     thetas: list[float] = []
     sigmas: list[float] = []
     gammas: list[float] = []  # trials with sigma_hat > 0 only, in trial order

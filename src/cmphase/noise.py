@@ -1,17 +1,17 @@
 """Sensing-noise families: the one place their formulas live.
 
 Three symmetric, zero-location families are supported, selected by string
-token: "gaussian", "laplace", "cauchy". Each is one Family record of plain
-functions, and a new family is one more record: the characteristic
-function phi(sigma omega), its sigma-derivative, the cos/sin phasor
-variance kernels (each one expression per family, serving floats and
-numpy arrays alike), the inverse of |phi| used by the magnitude
-estimator, the uniform-to-draw transform (uniforms_needed and
-from_uniforms, the only way to draw a family's noise: snapshots and Monte
-Carlo blocks apply it to a stream's uniforms) and the Fisher constants.
-The record's functions check nothing; NoiseModel, the public face of a
-family, checks its arguments once and calls them. Hot loops that have
-checked theirs (the tuning curves, the joint minimizer) call the record.
+token: "gaussian", "laplace", "cauchy". Each is one NoiseModel record,
+its token and its plain functions, and a new family is one more record:
+the characteristic function phi(sigma omega), its sigma-derivative, the
+cos/sin phasor variance kernels (each one expression per family, serving
+floats and numpy arrays alike), the inverse of |phi| used by the
+magnitude estimator, the uniform-to-draw transform (uniforms_needed and
+from_uniforms, the only way to draw a family's noise: snapshots and
+Monte Carlo blocks apply it to a stream's uniforms) and the Fisher
+constants. The record's methods check their arguments once and call its
+functions, which check nothing. Hot loops that have checked theirs (the
+tuning curves, the joint minimizer) call the functions.
 
 The scale conventions are fixed package-wide so that the characteristic
 function of sigma * eta (eta a standardized draw) takes the closed forms
@@ -36,7 +36,7 @@ import numpy as np
 
 from .numkit import box_muller, buffer_view, real_number
 
-__all__ = ["Family", "NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
+__all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
 _LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 # The largest sigma * omega at which the denominator of the Laplace
@@ -51,32 +51,6 @@ _GAUSS_T_MAX = 64.0
 # Below this omega (2^-511, about 1.49e-154) omega^2 is subnormal and the
 # direct char_fn_dsigma, -omega omega sigma ..., has lost bits.
 _W_SQUARE_NORMAL = 2.0**-511
-
-
-@dataclass(frozen=True, eq=False)
-class Family:
-    """The formulas of one noise family, as plain functions that check
-    nothing (NoiseModel's methods say what each computes). The records
-    are module singletons, hashed by identity.
-
-    char_fn, phasor_cos_var, phasor_sin_var and char_fn_dsigma take
-    (s, w, xp): sigma > 0 and omega > 0, as Python floats with xp = math
-    or as numpy arrays with xp = numpy, under an errstate that ignores
-    overflow, invalid and divide. inverse_abs_char_fn takes (m, P),
-    uniforms_needed n, and from_uniforms (u, n, work) with a work buffer.
-    fisher_location and fisher_scale are the informations at sigma = 1,
-    validated by numeric quadrature of the squared score in the tests.
-    """
-
-    char_fn: Callable
-    phasor_cos_var: Callable
-    phasor_sin_var: Callable
-    char_fn_dsigma: Callable
-    inverse_abs_char_fn: Callable
-    uniforms_needed: Callable
-    from_uniforms: Callable
-    fisher_location: float
-    fisher_scale: float
 
 
 # Gaussian.
@@ -199,44 +173,6 @@ def _cauchy_draws(u, n, work):
     return np.tan(e1, out=e1)
 
 
-_FAMILIES = {
-    "gaussian": Family(
-        char_fn=lambda s, w, xp: xp.exp(-0.5 * (s * w) * (s * w)),
-        phasor_cos_var=_gaussian_cos_var,
-        phasor_sin_var=lambda s, w, xp: -0.5 * xp.expm1(-2.0 * (s * w) * (s * w)),
-        char_fn_dsigma=_gaussian_dsigma,
-        inverse_abs_char_fn=_gaussian_inverse,
-        uniforms_needed=lambda n: 2 * ((n + 1) // 2),
-        from_uniforms=box_muller,
-        fisher_location=1.0,
-        fisher_scale=2.0,
-    ),
-    "laplace": Family(
-        char_fn=lambda s, w, xp: 1.0 / (1.0 + 0.5 * (s * w) * (s * w)),
-        phasor_cos_var=_laplace_cos_var,
-        phasor_sin_var=_laplace_sin_var,
-        char_fn_dsigma=_laplace_dsigma,
-        inverse_abs_char_fn=_laplace_inverse,
-        uniforms_needed=lambda n: 2 * n,
-        from_uniforms=_laplace_draws,
-        fisher_location=2.0,
-        fisher_scale=1.0,
-    ),
-    "cauchy": Family(
-        char_fn=lambda s, w, xp: xp.exp(-(s * w)),
-        phasor_cos_var=_cauchy_var,
-        phasor_sin_var=_cauchy_var,
-        char_fn_dsigma=lambda s, w, xp: -w * xp.exp(-(s * w)),
-        inverse_abs_char_fn=_cauchy_inverse,
-        uniforms_needed=lambda n: n,
-        from_uniforms=_cauchy_draws,
-        fisher_location=0.5,
-        fisher_scale=0.5,
-    ),
-}
-MODEL_TOKENS = tuple(_FAMILIES)
-
-
 def _evaluate(kernel, sigma, omega):
     """kernel(s, w, xp) on the checked (sigma, omega): floats with xp =
     math, or numpy arrays (when either argument is one) with xp = numpy,
@@ -273,26 +209,56 @@ def _evaluate(kernel, sigma, omega):
         return kernel(s, w, np)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NoiseModel:
-    """One noise family; construct via noise_model(token).
+    """One noise family: its token and its formulas. The three records
+    are module singletons, hashed by identity, that noise_model(token)
+    looks up; a pickle or copy of one is the singleton itself.
 
-    Each method checks its arguments and calls the family's record, so
-    every formula has exactly one definition, in that record.
+    phi, v_c, v_s and phi_s are the kernels of char_fn, phasor_cos_var,
+    phasor_sin_var and char_fn_dsigma, which check their arguments once
+    and call them. The kernels take (s, w, xp) and check nothing: sigma >
+    0 and omega > 0 as Python floats with xp = math or as numpy arrays
+    with xp = numpy, under an errstate that ignores overflow, invalid and
+    divide. Hot loops that have checked theirs (the tuning curves, the
+    joint minimizer) call the kernels.
+
+    inverse_abs_char_fn(m, P) is the t = sigma * omega that solves
+    sqrt(P) |phi(t)| = m, for 0 < m < sqrt(P), a range the caller checks.
+    Where the direct expression overflows (m * m underflows to 0, or
+    P / m^2 or sqrt(P) / m is inf) the same t comes from log(m) or
+    sqrt(m), so every finite direct result keeps its bits and no m > 0
+    gives inf.
+
+    from_uniforms(u, n, work) makes n standardized draws (zero location,
+    unit scale per the module conventions) from uniforms_needed(n)
+    uniforms over the last axis of u, so one call serves one draw vector
+    or a block: box_muller truncated to n (gaussian, 2 ceil(n/2)
+    uniforms), a difference of two unit exponentials (laplace, 2n) or the
+    tangent transform (cauchy, n). work is (2, s) float64 with s >=
+    2 ceil(n/2) per draw vector; the draws are a C-contiguous view of
+    work[0], work[1] is overwritten and u is not.
+
+    unit_fisher_location and unit_fisher_scale are the informations at
+    sigma = 1, checked by quadrature of the squared score in the tests.
     """
 
     kind: str
+    phi: Callable
+    v_c: Callable
+    v_s: Callable
+    phi_s: Callable
+    inverse_abs_char_fn: Callable
+    uniforms_needed: Callable
+    from_uniforms: Callable
+    unit_fisher_location: float
+    unit_fisher_scale: float
 
-    def __post_init__(self):
-        if self.kind not in _FAMILIES:
-            raise ValueError(
-                f"unknown noise model {self.kind!r}; expected one of {MODEL_TOKENS}"
-            )
+    def __repr__(self) -> str:
+        return f"NoiseModel(kind={self.kind!r})"
 
-    @property
-    def family(self) -> Family:
-        """The record of this family's formulas."""
-        return _FAMILIES[self.kind]
+    def __reduce__(self):
+        return noise_model, (self.kind,)
 
     def char_fn(self, sigma, omega):
         """Characteristic function of sigma * eta evaluated at omega.
@@ -300,7 +266,7 @@ class NoiseModel:
         Accepts scalars or numpy arrays (broadcast); always in (0, 1) for
         omega > 0 and strictly decreasing in omega.
         """
-        return _evaluate(self.family.char_fn, sigma, omega)
+        return _evaluate(self.phi, sigma, omega)
 
     def phasor_cos_var(self, sigma, omega):
         """Var cos(omega (x - theta)) = 1/2 + phi(2 omega)/2 - phi^2.
@@ -309,12 +275,12 @@ class NoiseModel:
         combination of char_fn values loses all precision for small
         sigma * omega, where this quantity is O((sigma omega)^4).
         """
-        return _evaluate(self.family.phasor_cos_var, sigma, omega)
+        return _evaluate(self.v_c, sigma, omega)
 
     def phasor_sin_var(self, sigma, omega):
         """Var sin(omega (x - theta)) = (1 - phi(2 omega)) / 2,
         cancellation-free for small sigma * omega."""
-        return _evaluate(self.family.phasor_sin_var, sigma, omega)
+        return _evaluate(self.v_s, sigma, omega)
 
     def char_fn_dsigma(self, sigma, omega):
         """Partial derivative of char_fn with respect to sigma (omega fixed).
@@ -328,46 +294,15 @@ class NoiseModel:
         subnormal (omega < 2^-511), a scaled form gives the same value,
         so every other finite nonzero direct result keeps its bits.
         """
-        return _evaluate(self.family.char_fn_dsigma, sigma, omega)
-
-    def inverse_abs_char_fn(self, m: float, P: float) -> float:
-        """The t = sigma * omega that solves sqrt(P) |phi(t)| = m.
-
-        Defined for 0 < m < sqrt(P); the caller checks that range. For m
-        so small that the direct expression overflows (m * m underflows
-        to 0, or P / m^2 or sqrt(P) / m is inf) the same t is computed
-        from log(m) or sqrt(m) instead, so every finite direct result is
-        kept bit for bit and no m > 0 gives inf.
-        """
-        return self.family.inverse_abs_char_fn(m, P)
-
-    def uniforms_needed(self, n: int) -> int:
-        """Uniforms that n standardized draws consume: 2 ceil(n/2)
-        (gaussian), 2n (laplace) or n (cauchy)."""
-        return self.family.uniforms_needed(n)
-
-    def from_uniforms(self, u: np.ndarray, n: int, work: np.ndarray | None = None) -> np.ndarray:
-        """n standardized draws (zero location, unit scale per the module
-        conventions) from uniforms_needed(n) uniforms, over the last axis
-        of u, so one call serves a single draw vector or a block of them:
-        box_muller truncated to n (gaussian), a difference of two unit
-        exponentials (laplace) or the tangent transform (cauchy).
-
-        Given work, (2, s) float64 with s >= 2 ceil(n/2) per draw vector,
-        the draws are a C-contiguous view of work[0] and work[1] is
-        overwritten; else they are a new array. u is not modified.
-        """
-        if work is None:
-            work = np.empty((2, u.size))
-        return self.family.from_uniforms(u, n, work)
+        return _evaluate(self.phi_s, sigma, omega)
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
-        return _fisher(self.family.fisher_location, sigma)
+        return _fisher(self.unit_fisher_location, sigma)
 
     def fisher_scale(self, sigma: float) -> float:
         """Fisher information for sigma in x = theta + sigma * eta."""
-        return _fisher(self.family.fisher_scale, sigma)
+        return _fisher(self.unit_fisher_scale, sigma)
 
 
 def _fisher(unit: float, sigma: float) -> float:
@@ -380,8 +315,44 @@ def _fisher(unit: float, sigma: float) -> float:
     return info
 
 
-_BY_TOKEN = {kind: NoiseModel(kind) for kind in MODEL_TOKENS}
-GAUSSIAN, LAPLACE, CAUCHY = _BY_TOKEN.values()
+GAUSSIAN = NoiseModel(
+    kind="gaussian",
+    phi=lambda s, w, xp: xp.exp(-0.5 * (s * w) * (s * w)),
+    v_c=_gaussian_cos_var,
+    v_s=lambda s, w, xp: -0.5 * xp.expm1(-2.0 * (s * w) * (s * w)),
+    phi_s=_gaussian_dsigma,
+    inverse_abs_char_fn=_gaussian_inverse,
+    uniforms_needed=lambda n: 2 * ((n + 1) // 2),
+    from_uniforms=box_muller,
+    unit_fisher_location=1.0,
+    unit_fisher_scale=2.0,
+)
+LAPLACE = NoiseModel(
+    kind="laplace",
+    phi=lambda s, w, xp: 1.0 / (1.0 + 0.5 * (s * w) * (s * w)),
+    v_c=_laplace_cos_var,
+    v_s=_laplace_sin_var,
+    phi_s=_laplace_dsigma,
+    inverse_abs_char_fn=_laplace_inverse,
+    uniforms_needed=lambda n: 2 * n,
+    from_uniforms=_laplace_draws,
+    unit_fisher_location=2.0,
+    unit_fisher_scale=1.0,
+)
+CAUCHY = NoiseModel(
+    kind="cauchy",
+    phi=lambda s, w, xp: xp.exp(-(s * w)),
+    v_c=_cauchy_var,
+    v_s=_cauchy_var,
+    phi_s=lambda s, w, xp: -w * xp.exp(-(s * w)),
+    inverse_abs_char_fn=_cauchy_inverse,
+    uniforms_needed=lambda n: n,
+    from_uniforms=_cauchy_draws,
+    unit_fisher_location=0.5,
+    unit_fisher_scale=0.5,
+)
+_BY_TOKEN = {model.kind: model for model in (GAUSSIAN, LAPLACE, CAUCHY)}
+MODEL_TOKENS = tuple(_BY_TOKEN)
 
 
 def noise_model(token: str) -> NoiseModel:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .asymptotic import _asv_curves, _composer
 from .network import PowerMode, effective_noise_var
-from .noise import Family, NoiseModel
+from .noise import NoiseModel
 from .numkit import grid_roots, lambert_w0, minimize_quasiconvex, real_number, uniform_grid
 
 __all__ = [
@@ -85,11 +85,11 @@ def _target_gamma(target: str, gamma) -> float | None:
     return real_number("gamma", gamma) if target == "gamma" else None
 
 
-def _target_curve(family: Family, sigma: float, P: float, nv: float, target: str, gamma):
+def _target_curve(model: NoiseModel, sigma: float, P: float, nv: float, target: str, gamma):
     """The target's asymptotic variance as a function of a float omega >
     0, at checked sigma, P, nv and gamma (_target_gamma): closures on the
-    family's record, so a probe makes no argument checks."""
-    asv_theta, asv_sigma = _asv_curves(family, sigma, P, nv)
+    model's kernels, so a probe makes no argument checks."""
+    asv_theta, asv_sigma = _asv_curves(model, sigma, P, nv)
     if target != "gamma":
         return asv_theta if target == "theta" else asv_sigma
     compose = _composer(math.sqrt(gamma) * sigma, sigma)
@@ -107,9 +107,9 @@ def _checked_point(sigma, P, channel_noise_var, power_mode, omega_min, omega_max
 
 
 @functools.lru_cache(maxsize=len(OMEGA_TARGETS))
-def _golden_section(family, sigma, P, nv, target, gamma, omega_min, omega_max):
+def _golden_section(model, sigma, P, nv, target, gamma, omega_min, omega_max):
     """optimal_omega's search on checked arguments; it says what is kept."""
-    f = _target_curve(family, sigma, P, nv, target, gamma)
+    f = _target_curve(model, sigma, P, nv, target, gamma)
     return minimize_quasiconvex(f, omega_min, omega_max)
 
 
@@ -133,8 +133,8 @@ def optimal_omega(
     finite at any probe, as when its finite part, near omega_min, is
     narrower than that bracket.
 
-    The last len(OMEGA_TARGETS) results are kept, keyed by the family's
-    record and the checked arguments with the effective nv (gamma None
+    The last len(OMEGA_TARGETS) results are kept, keyed by the model
+    and the checked arguments with the effective nv (gamma None
     where ignored; nv = +-0.0 share a key, with bit-identical optima), so
     analytic_omega after omega_optima reuses them. Nothing raised is kept.
     """
@@ -142,7 +142,7 @@ def optimal_omega(
         sigma, P, channel_noise_var, power_mode, omega_min, omega_max
     )
     gamma = _target_gamma(target, gamma)
-    return _golden_section(model.family, sigma, P, nv, target, gamma, omega_min, omega_max)
+    return _golden_section(model, sigma, P, nv, target, gamma, omega_min, omega_max)
 
 
 def omega_optima(
@@ -159,12 +159,11 @@ def omega_optima(
     sigma, P, nv, omega_min, omega_max = _checked_point(
         sigma, P, channel_noise_var, power_mode, _OMEGA_MIN, _OMEGA_MAX
     )
-    family = model.family
     out: dict[str, float] = {}
     flags: dict[str, str] = {}
     for target in OMEGA_TARGETS:
         out[target], flags[target] = _golden_section(
-            family, sigma, P, nv, target, _target_gamma(target, gamma), omega_min, omega_max
+            model, sigma, P, nv, target, _target_gamma(target, gamma), omega_min, omega_max
         )
     return OmegaOptima(out["theta"], out["sigma"], out["gamma"], flags)
 
@@ -469,8 +468,7 @@ def analytic_omega(
         raise ValueError(
             f"no tuning equation for the {model.kind!r} family in {mode.value} mode"
         ) from None
-    family = model.family
-    curve = _target_curve(family, sigma, P, nv, target, g)
+    curve = _target_curve(model, sigma, P, nv, target, g)
     value, note, details = equation(sigma, P, nv, r, g, curve)
 
     if value is not None and not math.isfinite(value):
@@ -480,7 +478,7 @@ def analytic_omega(
         )
     # The numeric route runs last, so a closed form past the float range
     # is reported as such even where no probe of the curve is finite.
-    numeric, flag = _golden_section(family, sigma, P, nv, target, g, omega_min, omega_max)
+    numeric, flag = _golden_section(model, sigma, P, nv, target, g, omega_min, omega_max)
     details["numeric_omega"] = numeric
     details["numeric_flag"] = flag
     if value is None:

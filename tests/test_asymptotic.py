@@ -340,13 +340,13 @@ class TestAsvGeneric:
                 underflowed += model.char_fn(sigma, omega) == 0.0
                 for P, nv in ((1.0, 0.0), (2.0, 0.5), (1e-3, 1e10)):
                     asv_t, asv_s = reference_components(model.kind, sigma, omega, P, nv)
-                    curves = _asv_curves(model.family, sigma, P, nv)
+                    curves = _asv_curves(model, sigma, P, nv)
                     assert [f(omega).hex() for f in curves] == [asv_t.hex(), asv_s.hex()]
                     rep = asv_generic(model, sigma, omega, P, nv)
                     assert (rep.asv_theta.hex(), rep.asv_sigma.hex()) == (asv_t.hex(), asv_s.hex())
                     for gamma in (1e-300, 0.5, 1e300):
                         theta = math.sqrt(gamma) * sigma
-                        curve = tuning._target_curve(model.family, sigma, P, nv, "gamma", gamma)
+                        curve = tuning._target_curve(model, sigma, P, nv, "gamma", gamma)
                         assert gamma_outcome(curve, omega) == gamma_outcome(
                             lambda _: compose_gamma(asv_t, asv_s, theta, sigma), omega
                         )

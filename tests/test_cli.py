@@ -156,6 +156,14 @@ class TestConfigRejections:
         assert err.startswith("cmphase: error: omega_max = 2 pi / theta_R must be > 0.0001")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("rule", ["auto:gamma", "auto:theta"])
+    def test_gamma_guess_named_where_it_enters(self, capsys, rule):
+        """A bad --gamma-guess is named as such: auto:gamma reported it as
+        gamma, a flag simulate does not have, and auto:theta ignored it."""
+        rc, out, err = run(capsys, "simulate", "--omega", rule, "--gamma-guess", "0")
+        assert rc == 1 and out == ""
+        assert err == "cmphase: error: --gamma-guess must be positive and finite, got 0.0\n"
+
 
 def test_importing_the_cli_loads_no_scipy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,8 +1,10 @@
 """Tests for configuration validation and channel simulation."""
 
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ class TestNetworkConfig:
         with pytest.raises(ConfigError, match=key):
             NetworkConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_keep_the_model_singleton(self, copy_of):
+        """A pickled or deep-copied config equals its original: the model
+        comes back as its module singleton, not as a copy."""
+        cfg = make_config()
+        got = copy_of(cfg)
+        assert got == cfg and got.model is GAUSSIAN
+
     def test_real_fields_stored_as_floats(self):
         cfg = make_config(theta=np.float32(1.0), P=2, channel_noise_var=np.int64(0))
         assert all(type(getattr(cfg, k)) is float for k in ("theta", "P", "channel_noise_var"))
@@ -194,7 +208,7 @@ class TestSimulateSnapshot:
 
         u = RandomStream(9).uniform(snapshot_uniforms(cfg))
         k = cfg.model.uniforms_needed(cfg.L)
-        eta = cfg.model.from_uniforms(u[:k], cfg.L)
+        eta = cfg.model.from_uniforms(u[:k], cfg.L, np.empty((2, k)))
         g = box_muller(u[k:])
         phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
         amp = math.sqrt(cfg.per_sensor_power)
@@ -206,7 +220,7 @@ class TestSimulateSnapshot:
         cfg = make_config(L=8, channel_noise_var=0.0)
         assert snapshot_uniforms(cfg) == GAUSSIAN.uniforms_needed(8) == 8
         snap = simulate_snapshot(cfg, RandomStream(2))
-        eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8)
+        eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8, np.empty((2, 8)))
         y, z = network._received(cfg, eta[np.newaxis], None, np.empty((1, 8)))
         assert snap == (y[0], z[0])
 

@@ -618,7 +618,8 @@ class TestFisherConstants:
 
 def draw(model, seed, n):
     """n standardized draws of model from the first uniforms of a stream."""
-    return model.from_uniforms(RandomStream(seed).uniform(model.uniforms_needed(n)), n)
+    u = RandomStream(seed).uniform(model.uniforms_needed(n))
+    return model.from_uniforms(u, n, np.empty((2, u.size)))
 
 
 class TestSampling:
@@ -650,7 +651,9 @@ class TestSampling:
         assert LAPLACE.uniforms_needed(5) == 10
         u = RandomStream(3).uniform(10)
         expected = [LAPLACE_B * (math.log1p(-u[5 + i]) - math.log1p(-u[i])) for i in range(5)]
-        np.testing.assert_allclose(LAPLACE.from_uniforms(u, 5), expected, rtol=1e-14)
+        np.testing.assert_allclose(
+            LAPLACE.from_uniforms(u, 5, np.empty((2, 10))), expected, rtol=1e-14
+        )
 
 
 class TestFactory:
@@ -670,6 +673,13 @@ class TestFactory:
             noise_model("students-t")
 
     def test_unknown_kind_rejected_at_construction(self):
-        """A direct construction must not fall through to another family."""
-        with pytest.raises(ValueError, match="unknown noise model"):
+        """A record carries its own formulas: one built from a token alone
+        raises, so it cannot fall through to another family's."""
+        with pytest.raises(TypeError, match="missing"):
             NoiseModel("student-t")
+
+    def test_repr_names_the_token_alone(self):
+        """No kernel, and so no memory address, in the repr."""
+        for model in ALL_MODELS:
+            assert repr(model) == f"NoiseModel(kind={model.kind!r})"
+        assert "0x" not in repr(GAUSSIAN)

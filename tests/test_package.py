@@ -68,7 +68,6 @@ def test_record_inventory():
     records, writers = out.splitlines()
     assert records == str(sorted([
         "AnalyticOmega", "AsvReport", "EfficiencyReport", "EstimandStats", "EstimateSet",
-        "Family", "McSummary", "NetworkConfig", "NoiseModel", "OmegaOptima", "RandomStream",
-        "SweepRow",
+        "McSummary", "NetworkConfig", "NoiseModel", "OmegaOptima", "RandomStream", "SweepRow",
     ]))
     assert writers == str(["NetworkConfig"])

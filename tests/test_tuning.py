@@ -177,22 +177,21 @@ class TestOptimalOmega:
             return
         assert 1e-4 <= w <= omega_max
         nv = 1.0 if mode is TOTAL else 0.0
-        curve = tuning._target_curve(model.family, 1.0, 1.0, nv, target, 2.0)
+        curve = tuning._target_curve(model, 1.0, 1.0, nv, target, 2.0)
         assert math.isfinite(curve(w))
 
 
 class TestTargetCurves:
     @pytest.mark.parametrize(
         "target, kernels",
-        [("theta", ["char_fn", "phasor_sin_var"]), ("sigma", ["char_fn_dsigma", "phasor_cos_var"])],
+        [("theta", ["phi", "v_s"]), ("sigma", ["phi_s", "v_c"])],
     )
     def test_one_probe_calls_two_kernels(self, target, kernels):
-        """A probe calls two of the family record's kernels, once each."""
+        """A probe calls two of the model's kernels, once each."""
         calls = []
-        record = GAUSSIAN.family
 
         def counted(name):
-            kernel = getattr(record, name)
+            kernel = getattr(GAUSSIAN, name)
 
             def call(s, w, xp):
                 calls.append(name)
@@ -200,14 +199,14 @@ class TestTargetCurves:
 
             return call
 
-        names = ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var")
-        counting = dataclasses.replace(record, **{name: counted(name) for name in names})
+        names = ("phi", "phi_s", "v_c", "v_s")
+        counting = dataclasses.replace(GAUSSIAN, **{name: counted(name) for name in names})
         curve = tuning._target_curve(counting, 1.0, 1.0, 0.5, target, None)
         curve(0.9)
         assert sorted(calls) == kernels
 
     def test_one_probe_calls_no_model_method(self, monkeypatch):
-        """A probe calls the family record's functions alone: no NoiseModel
+        """A probe calls the model's kernels alone: no NoiseModel
         method (its checks included) and no real_number, at any target."""
         calls = []
 
@@ -219,14 +218,13 @@ class TestTargetCurves:
             return call
 
         curves = [
-            tuning._target_curve(model.family, 1.0, 1.0, nv, target, 2.0)
+            tuning._target_curve(model, 1.0, 1.0, nv, target, 2.0)
             for model in ALL_MODELS
             for nv in (0.0, 0.5)
             for target in OMEGA_TARGETS
         ]
         for name in ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var"):
             monkeypatch.setattr(NoiseModel, name, refuse(name))
-        monkeypatch.setattr(NoiseModel, "family", property(refuse("family")))
         for module in (noise, numkit, tuning, asymptotic):
             monkeypatch.setattr(module, "real_number", refuse("real_number"))
         for omega in (1e-4, 0.9, 6.0, 1e200):
@@ -514,9 +512,8 @@ class TestAnalyticOmega:
     def test_unknown_family_raises(self):
         """A family with no entry raises ValueError naming it from both
         tables; it used to get Cauchy's variance forms and Laplace's tuning
-        equations. NoiseModel refuses the name, so it is forced here."""
-        model = object.__new__(NoiseModel)
-        object.__setattr__(model, "kind", "students-t")
+        equations."""
+        model = dataclasses.replace(GAUSSIAN, kind="students-t")
         with pytest.raises(ValueError, match="'students-t' family"):
             asymptotic.asv_closed_form(model, 1.0, 0.8, 1.0, 0.5, "theta")
         with pytest.raises(ValueError, match="'students-t' family"):
@@ -763,20 +760,18 @@ class TestKeptSearches:
             omega_optima(GAUSSIAN, sigma, 1.0, 0.5, gamma=2.0)
         assert tuning._golden_section.cache_info().hits == 0
 
-    def test_a_replaced_record_misses(self, monkeypatch):
-        """The key is the family's record: a record with another kernel
-        is searched afresh, and its kernel is the one probed."""
+    def test_a_replaced_record_misses(self):
+        """The key is the model: a record with another kernel is searched
+        afresh, and its kernel is the one probed."""
         calls = []
-        record = GAUSSIAN.family
 
-        def char_fn(s, w, xp):
+        def phi(s, w, xp):
             calls.append(w)
-            return record.char_fn(s, w, xp)
+            return GAUSSIAN.phi(s, w, xp)
 
         w, flag = optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta")
-        replaced = dataclasses.replace(record, char_fn=char_fn)
-        monkeypatch.setattr(NoiseModel, "family", property(lambda self: replaced))
-        assert optimal_omega(GAUSSIAN, 1.0, 1.0, 1.0, "theta") == (w, flag)
+        replaced = dataclasses.replace(GAUSSIAN, phi=phi)
+        assert optimal_omega(replaced, 1.0, 1.0, 1.0, "theta") == (w, flag)
         assert tuning._golden_section.cache_info().misses == 2 and calls
 
     def test_other_targets_ignore_an_unhashable_gamma(self):
@@ -795,18 +790,20 @@ class TestKeptSearches:
 
     def test_checks_come_before_the_family(self):
         """The order of the errors: ValueErrors for the target, then gamma
-        for the gamma target, then the family (forced here: NoiseModel
-        refuses it), which the record lookup raises as a KeyError, and
-        analytic_omega's table as a ValueError."""
-        model = object.__new__(NoiseModel)
-        object.__setattr__(model, "kind", "students-t")
-        for solver, error in ((optimal_omega, KeyError), (analytic_omega, ValueError)):
+        for the gamma target, then the family with no entry in
+        analytic_omega's table. optimal_omega looks nothing up: it runs
+        the record's own kernels."""
+        model = dataclasses.replace(GAUSSIAN, kind="students-t")
+        for solver in (optimal_omega, analytic_omega):
             with pytest.raises(ValueError, match="target"):
                 solver(model, 1.0, 1.0, 1.0, "snr", gamma=math.nan)
             with pytest.raises(ValueError, match="gamma"):
                 solver(model, 1.0, 1.0, 1.0, "gamma", gamma=math.nan)
-            with pytest.raises(error, match="'students-t'"):
-                solver(model, 1.0, 1.0, 1.0, "theta", gamma=math.nan)
+        with pytest.raises(ValueError, match="'students-t'"):
+            analytic_omega(model, 1.0, 1.0, 1.0, "theta", gamma=math.nan)
+        assert optimal_omega(model, 1.0, 1.0, 1.0, "theta", gamma=math.nan) == optimal_omega(
+            GAUSSIAN, 1.0, 1.0, 1.0, "theta"
+        )
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_signed_zero_noise_shares_bits(self, model):
