@@ -98,23 +98,25 @@ def covariance_matrix(
     return np.array([[a * c * c + b * s * s, s12], [s12, a * s * s + b * c * c]])
 
 
+def _jacobian_rows(model: NoiseModel, theta, sigma, omega, P):
+    """(c, s, (j00, j01), (j10, j11)) at checked float operands: the
+    cosine and sine of omega theta and the rows of the Jacobian of
+    (Re zbar, Im zbar) with respect to (theta, sigma), as Python floats."""
+    phi = model.phi(sigma, omega, math)
+    dphi = model.phi_s(sigma, omega, math)
+    sp = math.sqrt(P)
+    c = math.cos(omega * theta)
+    s = math.sin(omega * theta)
+    return c, s, (-omega * sp * s * phi, sp * c * dphi), (omega * sp * c * phi, sp * s * dphi)
+
+
 def jacobian(
     model: NoiseModel, theta: float, sigma: float, omega: float, P: float
 ) -> np.ndarray:
     """Jacobian of (Re zbar, Im zbar) with respect to (theta, sigma)."""
     theta = real_number("theta", theta)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
-    phi = model.phi(sigma, omega, math)
-    dphi = model.phi_s(sigma, omega, math)
-    sp = math.sqrt(P)
-    c = math.cos(omega * theta)
-    s = math.sin(omega * theta)
-    return np.array(
-        [
-            [-omega * sp * s * phi, sp * c * dphi],
-            [omega * sp * c * phi, sp * s * dphi],
-        ]
-    )
+    return np.array(_jacobian_rows(model, theta, sigma, omega, P)[2:])
 
 
 def _asv_curves(model: NoiseModel, sigma: float, P: float, nv: float):
@@ -233,15 +235,21 @@ def asv_via_sandwich(
     Kept as an independent route: its diagonal must reproduce asv_generic
     and its off-diagonal vanish, which the acceptance suite checks. It is
     formed in the frame rotated by omega theta, where Sigma = diag(a, b):
-    the rows of R^T J are whitened by 1/sqrt(a) and 1/sqrt(b) into W, and
-    W^T W = J^T Sigma^-1 J is inverted numerically. ValueError where
-    det Sigma = a b is not positive and finite, where J^T Sigma^-1 J or
-    its inverse is not finite, and (numpy's LinAlgError) where
-    J^T Sigma^-1 J is singular.
+    the rows of R^T J, formed numerically, are whitened by 1/sqrt(a) and
+    1/sqrt(b) into W, and the general M = W^T W = J^T Sigma^-1 J, off-
+    diagonal included, is inverted on Python floats. The inverse is
+    scaled by M's diagonal, with rho = m01 / sqrt(m00) / sqrt(m11) and
+    q = 1 - rho^2: cov00 = 1 / m00 / q, cov11 = 1 / m11 / q and
+    cov01 = -rho / sqrt(m00) / sqrt(m11) / q. The determinant
+    m00 m11 - m01^2 would underflow or overflow where these do not.
+    ValueError where det Sigma = a b is not positive and finite, and
+    where M is not finite, m00 or m11 is not positive, q is not positive
+    (M is singular to rounding) or the inverse is not finite.
     """
-    J = jacobian(model, theta, sigma, omega, P)  # checks theta, sigma, omega and P
-    theta, sigma, omega, P = float(theta), float(sigma), float(omega), float(P)
+    theta = real_number("theta", theta)
+    sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     nv = real_number("channel_noise_var", channel_noise_var, closed=True)
+    c, s, (j00, j01), (j10, j11) = _jacobian_rows(model, theta, sigma, omega, P)
     a, b = _phasor_variances(model, sigma, omega, P, nv, math)
     det = a * b
     if not 0.0 < det < math.inf:
@@ -249,16 +257,20 @@ def asv_via_sandwich(
             f"covariance matrix is singular or out of floating-point range at this "
             f"operating point (det = {det!r})"
         )
-    c = math.cos(omega * theta)
-    s = math.sin(omega * theta)
-    with np.errstate(all="ignore"):  # a non-finite M is refused below
-        W = np.array([[c, s], [-s, c]]) @ J / np.array([[math.sqrt(a)], [math.sqrt(b)]])
-        M = W.T @ W
-    # Python's isfinite on the four entries: a numpy reduction costs more here.
-    if all(map(math.isfinite, M.ravel().tolist())):
-        cov = np.linalg.inv(M)
-        if all(map(math.isfinite, cov.ravel().tolist())):
-            return cov
+    root_a, root_b = math.sqrt(a), math.sqrt(b)
+    w00, w01 = (c * j00 + s * j10) / root_a, (c * j01 + s * j11) / root_a
+    w10, w11 = (c * j10 - s * j00) / root_b, (c * j11 - s * j01) / root_b
+    m00, m11 = w00 * w00 + w10 * w10, w01 * w01 + w11 * w11
+    m01 = w00 * w01 + w10 * w11
+    if 0.0 < m00 < math.inf and 0.0 < m11 < math.inf:  # an inf or NaN m01 fails q > 0
+        root_00, root_11 = math.sqrt(m00), math.sqrt(m11)
+        rho = m01 / root_00 / root_11
+        q = 1.0 - rho * rho
+        if q > 0.0:
+            cov00, cov11 = 1.0 / m00 / q, 1.0 / m11 / q
+            cov01 = -rho / root_00 / root_11 / q
+            if cov00 < math.inf and cov11 < math.inf and abs(cov01) < math.inf:
+                return np.array([[cov00, cov01], [cov01, cov11]])
     raise ValueError(
         "J^T Sigma^-1 J or its inverse is out of floating-point range at this operating point"
     )

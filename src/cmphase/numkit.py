@@ -226,6 +226,11 @@ def minimize_quasiconvex(f: Callable[[float], float], lo: float, hi: float) -> t
     matching boundary flag. A genuine interior dip shallower than that is
     indistinguishable from flat and reported as the boundary it touches.
 
+    A tie of two probes goes to the left one, so where f is inf or NaN
+    at every probe and finite at hi (its finite part lies next to hi),
+    the search runs once more on the mirror image t -> f(-t) on
+    [-hi, -lo], whose ties go toward hi.
+
     Raises:
         ConvergenceError: if the best probe's value is not finite (f is
             inf or NaN at every probe, as on a wide interval whose finite
@@ -233,21 +238,13 @@ def minimize_quasiconvex(f: Callable[[float], float], lo: float, hi: float) -> t
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    a, b = lo, hi
     width_goal = max(_GOLDEN_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width_goal:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x, fx = (c, fc) if fc <= fd else (d, fd)
+    x, fx = _golden_probes(f, lo, hi, width_goal)
+    if not math.isfinite(fx) and math.isfinite(f(hi)):
+        # Every probe tied at inf or NaN and the ties went left, away from
+        # a finite hi: search the mirror image, where ties go right.
+        x, fx = _golden_probes(lambda t: f(-t), -hi, -lo, width_goal)
+        x = -x
     if not math.isfinite(fx):
         raise ConvergenceError(
             f"golden section saw no finite value on [{lo!r}, {hi!r}]; "
@@ -264,6 +261,24 @@ def minimize_quasiconvex(f: Callable[[float], float], lo: float, hi: float) -> t
     if f_hi <= fx + plateau:
         return hi, "upper"
     return x, "interior"
+
+
+def _golden_probes(f, a, b, width_goal):
+    """The golden-section loop of minimize_quasiconvex on [a, b]: (x, f(x))
+    at the better of the last two probes, a tie going to the left one."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > width_goal:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def gauss_newton_box(

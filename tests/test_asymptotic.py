@@ -23,6 +23,7 @@ from cmphase import tuning
 from cmphase.asymptotic import (
     AsvReport,
     _asv_curves,
+    _phasor_variances,
     asv_closed_form,
     asv_generic,
     asv_via_sandwich,
@@ -69,6 +70,17 @@ def gamma_outcome(curve, omega):
 GRID_SIGMAS = (0.5, 1.0, 2.0)
 GRID_OMEGAS = np.linspace(0.1, 2.0, 20)
 GRID_RATIOS = (0.0, 0.5, 1.0)  # channel_noise_var / P at P = 1
+
+
+def numpy_sandwich(model, theta, sigma, omega, P, nv):
+    """[J^T Sigma^-1 J]^-1 on numpy 2x2 matrices through np.linalg.inv,
+    as asv_via_sandwich formed it before it moved to Python floats: the
+    oracle for the float route at ordinary operating points."""
+    J = jacobian(model, theta, sigma, omega, P)
+    a, b = _phasor_variances(model, sigma, omega, P, nv, math)
+    c, s = math.cos(omega * theta), math.sin(omega * theta)
+    W = np.array([[c, s], [-s, c]]) @ J / np.array([[math.sqrt(a)], [math.sqrt(b)]])
+    return np.linalg.inv(W.T @ W)
 
 
 def mean_signal(model, theta, sigma, omega, P):
@@ -140,6 +152,47 @@ class TestGenericVsSandwich:
                     scale = math.sqrt(C[0, 0] * C[1, 1])
                     assert abs(C[0, 1]) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_float_route_matches_numpy_on_the_grid(self, model):
+        """On the grid the float route is numpy_sandwich's to 1e-12:
+        relative on the diagonal, in correlation units off it."""
+        for sigma, omega, nv in itertools.product(GRID_SIGMAS, GRID_OMEGAS.tolist(), GRID_RATIOS):
+            (c00, c01), (c10, c11) = asv_via_sandwich(model, 1.1, sigma, omega, 1.0, nv).tolist()
+            (n00, n01), (_, n11) = numpy_sandwich(model, 1.1, sigma, omega, 1.0, nv).tolist()
+            assert abs(c00 / n00 - 1.0) <= 1e-12 and abs(c11 / n11 - 1.0) <= 1e-12
+            assert c01 == c10 and abs(c01 - n01) <= 1e-12 * math.sqrt(n00 * n11)
+
+    def test_calls_no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv was called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        C = asv_via_sandwich(LAPLACE, 0.4, 1.0, 0.8, 1.0, 0.5)
+        rep = asv_generic(LAPLACE, 1.0, 0.8, 1.0, 0.5)
+        assert math.isclose(C[0, 0], rep.asv_theta, rel_tol=1e-12)
+        assert math.isclose(C[1, 1], rep.asv_sigma, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "theta,sigma,omega,P",
+        [
+            # LAPACK's inverse of J^T Sigma^-1 J read [[-4.7e-57, -4.9e-29],
+            # [-4.9e-29, -0.5]]: negative variances, and no error.
+            (2.4003201147164128e42, 1.3129787569506606e-08, 1.6393744509293111e-37,
+             9.57305374325404e118),
+            (1.486192229344248e299, 3.814129831657133e-61, 0.3640848240076418,
+             2.976295075385744e267),
+            # sigma omega ~ 19.4: an unscaled adjugate's m00 m11 - m01^2
+            # underflows to 1e-323 and puts both variances 13% low.
+            (0.5002811595069393, 34.78589703644102, 0.556263947144768, 0.020584013772512635),
+        ],
+        ids=["negative-variances", "negative-variances-wide", "adjugate-underflow"],
+    )
+    def test_diagonal_matches_generic_at_float_range_points(self, theta, sigma, omega, P):
+        C = asv_via_sandwich(GAUSSIAN, theta, sigma, omega, P, 0.0)
+        rep = asv_generic(GAUSSIAN, sigma, omega, P)
+        assert math.isclose(C[0, 0], rep.asv_theta, rel_tol=1e-9), (C, rep)
+        assert math.isclose(C[1, 1], rep.asv_sigma, rel_tol=1e-9), (C, rep)
+
     def test_sandwich_theta_invariance(self):
         a = asv_via_sandwich(LAPLACE, 0.4, 1.0, 0.8, 1.0, 0.5)
         b = asv_via_sandwich(LAPLACE, 4.0, 1.0, 0.8, 1.0, 0.5)
@@ -184,16 +237,16 @@ class TestGenericVsSandwich:
     )
     def test_wide_inputs_finite_or_raise(self, capfd, model, mode, point):
         """Over log-uniform 1e-300..1e300 inputs and 0, with the channel
-        noise of either power mode, every entry is finite or the call
-        raises ValueError; never NaN, a RuntimeWarning or output on
-        stdout (LAPACK's included)."""
+        noise of either power mode, every entry is finite and both
+        variances positive, or the call raises ValueError; never NaN, a
+        RuntimeWarning or output on stdout."""
         theta, sigma, omega, P, nv = point
         try:
             C = asv_via_sandwich(model, theta, sigma, omega, P, effective_noise_var(mode, nv))
         except ValueError:
             pass
         else:
-            assert np.isfinite(C).all(), (point, C)
+            assert np.isfinite(C).all() and C[0, 0] > 0.0 and C[1, 1] > 0.0, (point, C)
         assert capfd.readouterr().out == ""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -227,6 +227,14 @@ class TestSimulate:
             man["config"]["omega"], GAUSS_TPC_R1_THETA, rtol=1e-6
         )
 
+    def test_auto_omega_next_to_omega_max(self, capsys):
+        """At nv = 1e308 the theta curve is finite only from omega ~0.69 to
+        omega_max = 1. Every golden-section probe tied at inf and went
+        left, and the command failed: "golden section saw no finite value
+        on [0.0001, 1.0]"."""
+        payload = run_json(capsys, "simulate", "--channel-noise-var", "1e308")
+        assert 0.69 <= payload["manifest"]["config"]["omega"] <= 1.0
+
     def test_joint_estimator(self, capsys):
         payload = run_json(
             capsys, "simulate", "--omega", "0.9", "--L", "5000", "--estimator", "joint"

@@ -518,6 +518,14 @@ class TestMinimizeQuasiconvex:
         with pytest.raises(ValueError):
             minimize_quasiconvex(math.exp, 2.0, 1.0)
 
+    def test_finite_part_next_to_hi_is_found(self):
+        """f is inf below 0.9 and finite up to hi, with its minimum at
+        0.95: the first probes, near 0.38 and 0.62, tie at inf, and every
+        later tie went left, so the search raised ConvergenceError."""
+        x, flag = minimize_quasiconvex(lambda t: math.inf if t < 0.9 else (t - 0.95) ** 2, 1e-4, 1.0)
+        assert flag == "interior"
+        assert abs(x - 0.95) <= 1e-8
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_no_finite_probe_raises(self, value):
         """A curve finite only on [0, 1e-3] of [0, 1e20] is never probed
