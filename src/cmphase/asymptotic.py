@@ -103,7 +103,7 @@ def _jacobian_rows(model: NoiseModel, theta, sigma, omega, P):
     cosine and sine of omega theta and the rows of the Jacobian of
     (Re zbar, Im zbar) with respect to (theta, sigma), as Python floats."""
     phi = model.phi(sigma, omega, math)
-    dphi = model.phi_s(sigma, omega, math)
+    dphi = model.phi_s(sigma, omega)
     sp = math.sqrt(P)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
@@ -151,10 +151,13 @@ def _asv_curves(model: NoiseModel, sigma: float, P: float, nv: float):
         return (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
 
     def asv_sigma(omega: float) -> float:
-        dphi = dsigma(sigma, omega, math)
+        dphi = dsigma(sigma, omega)
         v_c = cos_var(sigma, omega, math)
         den_s = two_p * dphi * dphi
-        return (two_p * v_c + nv) / den_s if den_s > 0.0 else math.inf
+        if den_s < math.inf:
+            return (two_p * v_c + nv) / den_s if den_s > 0.0 else math.inf
+        # As for asv_theta: divide by dphi twice.
+        return (v_c + 0.5 * nv / P) / dphi / dphi if dphi != 0.0 else math.inf
 
     return asv_theta, asv_sigma
 

@@ -145,7 +145,9 @@ def _manifest(command: str, config: dict, seed, output, **extra) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    """Print payload as JSON; a non-finite float raises ValueError, which
+    main reports, so nothing is printed that strict JSON rejects."""
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _cmd_simulate(args) -> int:

@@ -294,8 +294,8 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
         if not (a > 0.0 and b > 0.0):  # Sigma singular: no whitened residual
             return np.full(2, math.nan), np.full((2, 2), math.nan)
         phi = char_fn(sigma, omega, math)
-        dphi = dsigma(sigma, omega, math)
-        dphi2 = dsigma(sigma, 2.0 * omega, math)
+        dphi = dsigma(sigma, omega)
+        dphi2 = dsigma(sigma, 2.0 * omega)
         da = P * (0.5 * dphi2 - 2.0 * phi * dphi)
         db = -0.5 * P * dphi2
         u = re - sp * phi

@@ -253,9 +253,10 @@ def run_experiment(
         n_sat += saturated
 
     if n_sat == trials:
+        phi = cfg.model.char_fn(cfg.sigma, omega)
         raise AllTrialsSaturatedError(
-            f"all {trials} trials saturated (|z| > sqrt(P)); "
-            "omega is likely too large for this sigma"
+            f"all {trials} trials saturated (|z| > sqrt(P)) at phi(sigma omega) = {phi:.6g}; "
+            "saturation grows as sigma * omega or L falls, or as the channel noise grows"
         )
 
     theta_hats, sigma_hats = np.array(thetas), np.array(sigmas)
@@ -425,7 +426,8 @@ def write_sweep_csv(rows: list[SweepRow], destination, manifest: dict | None = N
 
     The optional manifest dict is embedded as a single '# manifest: ...'
     comment line above the header, serialized with sorted keys so equal
-    inputs produce byte-identical files. emp_var_gamma is the trimmed
+    inputs produce byte-identical files; a non-finite float in it raises
+    ValueError before anything is written. emp_var_gamma is the trimmed
     variant (the SNR ratio has heavy tails at finite L); it reads nan
     where fewer than two trials escape saturation (sigma_hat > 0), the
     only ones with an SNR estimate. An emp_var_* value reads inf where
@@ -434,7 +436,7 @@ def write_sweep_csv(rows: list[SweepRow], destination, manifest: dict | None = N
     """
     lines = []
     if manifest is not None:
-        lines.append("# manifest: " + json.dumps(manifest, sort_keys=True))
+        lines.append("# manifest: " + json.dumps(manifest, sort_keys=True, allow_nan=False))
     lines.append(CSV_HEADER)
     for row in rows:
         s = row.summary

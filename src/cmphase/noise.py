@@ -3,15 +3,16 @@
 Three symmetric, zero-location families are supported, selected by string
 token: "gaussian", "laplace", "cauchy". Each is one NoiseModel record,
 its token and its plain functions, and a new family is one more record:
-the characteristic function phi(sigma omega), its sigma-derivative, the
-cos/sin phasor variance kernels (each one expression per family, serving
-floats and numpy arrays alike), the inverse of |phi| used by the
-magnitude estimator, the uniform-to-draw transform (uniforms_needed and
-from_uniforms, the only way to draw a family's noise: snapshots and
-Monte Carlo blocks apply it to a stream's uniforms) and the Fisher
-constants. The record's methods check their arguments once and call its
-functions, which check nothing. Hot loops that have checked theirs (the
-tuning curves, the joint minimizer) call the functions.
+the characteristic function phi(sigma omega) and the cos/sin phasor
+variance kernels (each one expression per family, serving floats and
+numpy arrays alike), its sigma-derivative (floats), the inverse of |phi|
+used by the magnitude estimator, the uniform-to-draw transform
+(uniforms_needed and from_uniforms, the only way to draw a family's
+noise: snapshots and Monte Carlo blocks apply it to a stream's uniforms)
+and the Fisher constants. The record's methods take floats, check them
+once and call its functions, which check nothing. Hot loops that have
+checked theirs (the tuning curves, the joint minimizer) call the
+functions.
 
 The scale conventions are fixed package-wide so that the characteristic
 function of sigma * eta (eta a standardized draw) takes the closed forms
@@ -62,19 +63,16 @@ def _gaussian_cos_var(s, w, xp):
     return 0.5 * e * e
 
 
-def _gaussian_dsigma(s, w, xp):
+def _gaussian_dsigma(s, w):
     t = s * w
-    d = -w * w * s * xp.exp(-0.5 * t * t)
-    if xp is math and -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
+    d = -w * w * s * math.exp(-0.5 * t * t)
+    if -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
         return d
     # Elsewhere -(omega e) (t e) with e = exp(-t^2 / 4), t clamped at
     # _GAUSS_T_MAX, past which the value is below the float range.
-    t = np.minimum(t, _GAUSS_T_MAX) if xp is np else min(t, _GAUSS_T_MAX)
-    e = xp.exp(-0.25 * t * t)
-    scaled = -(w * e) * (t * e)
-    if xp is math:
-        return scaled
-    return np.where(np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL), d, scaled)
+    t = min(t, _GAUSS_T_MAX)
+    e = math.exp(-0.25 * t * t)
+    return -(w * e) * (t * e)
 
 
 def _gaussian_inverse(m, P):
@@ -107,26 +105,22 @@ def _laplace_sin_var(s, w, xp):
     return 2.0 * a / (1.0 + 4.0 * a)
 
 
-def _laplace_dsigma(s, w, xp):
+def _laplace_dsigma(s, w):
     t = s * w
     den = 1.0 + 0.5 * t * t
     d = -w * w * s / (den * den)
-    if xp is math and -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
+    if -math.inf < d < 0.0 and w >= _W_SQUARE_NORMAL:
         return d
     # Elsewhere -(omega / den) (t / den), or, where den overflows (the 1
     # is then below rounding), -(2 omega / t / t) (2 / t), or, where
     # 2 omega overflows too (omega above about 9e307), -(omega / t / t)
     # (4 / t); t may be inf (sigma omega past the float range).
+    if den < math.inf:
+        return -(w / den) * (t / den)
     w2 = 2.0 * w
-    if xp is math:
-        if den < math.inf:
-            return -(w / den) * (t / den)
-        if w2 < math.inf:
-            return -(w2 / t / t) * (2.0 / t)
-        return -(w / t / t) * (4.0 / t)
-    tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
-    scaled = np.where(den < math.inf, -(w / den) * (t / den), tail)
-    return np.where(np.isfinite(d) & (d != 0.0) & (w >= _W_SQUARE_NORMAL), d, scaled)
+    if w2 < math.inf:
+        return -(w2 / t / t) * (2.0 / t)
+    return -(w / t / t) * (4.0 / t)
 
 
 def _laplace_inverse(m, P):
@@ -173,42 +167,6 @@ def _cauchy_draws(u, n, work):
     return np.tan(e1, out=e1)
 
 
-def _evaluate(kernel, sigma, omega):
-    """kernel(s, w, xp) on the checked (sigma, omega): floats with xp =
-    math, or numpy arrays (when either argument is one) with xp = numpy,
-    so each kernel writes one expression per family for both.
-
-    Every value must be > 0; the checks are written as `not x > 0.0` so
-    NaN is rejected too. An array is checked by one reduction (min
-    propagates NaN), a 0-d one as a float; an empty array passes.
-
-    On arrays overflow and inf * 0 are silent, as they are for floats:
-    t * t, and the Laplace den * den, reach inf at large sigma omega, and
-    what the formulas make of it (exp(-inf) = 0, 1 / inf = 0,
-    expm1(-inf) = -1) is the kernel's limit there. So is a division by a
-    zero t in a branch that np.where discards. Arrays and floats are
-    then finite at the same points and agree to a few ulps, not bit for
-    bit: numpy's exp, expm1 and power round differently from math's.
-    """
-    arrays = isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray)
-    if arrays:
-        s, w = np.asarray(sigma), np.asarray(omega)
-        s_ok, w_ok = (
-            float(a) > 0.0 if a.ndim == 0 else a.size == 0 or bool(a.min() > 0.0) for a in (s, w)
-        )
-    else:
-        s, w = float(sigma), float(omega)
-        s_ok, w_ok = s > 0.0, w > 0.0
-    if not s_ok:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not w_ok:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
-    if not arrays:
-        return kernel(s, w, math)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return kernel(s, w, np)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class NoiseModel:
     """One noise family: its token and its formulas. The three records
@@ -216,12 +174,18 @@ class NoiseModel:
     looks up; a pickle or copy of one is the singleton itself.
 
     phi, v_c, v_s and phi_s are the kernels of char_fn, phasor_cos_var,
-    phasor_sin_var and char_fn_dsigma, which check their arguments once
-    and call them. The kernels take (s, w, xp) and check nothing: sigma >
-    0 and omega > 0 as Python floats with xp = math or as numpy arrays
-    with xp = numpy, under an errstate that ignores overflow, invalid and
-    divide. Hot loops that have checked theirs (the tuning curves, the
-    joint minimizer) call the kernels.
+    phasor_sin_var and char_fn_dsigma. Each method checks sigma and omega
+    with real_number (finite reals > 0: arrays, NaN and +-inf raise) and
+    calls its kernel on the floats. The kernels check nothing. phi(s, w,
+    xp), v_c and v_s take sigma, omega > 0 as Python floats with xp =
+    math, or as numpy arrays with xp = numpy under the joint grid's
+    errstate (overflow, invalid and divide ignored): there an inf turns
+    into the formula's limit (exp(-inf) = 0, 1 / inf = 0, expm1(-inf) =
+    -1) as it does for floats, so both are finite at the same points and
+    agree to a few ulps (numpy's exp, expm1 and power round differently
+    from math's). phi_s(s, w) takes Python floats. Hot loops that have
+    checked theirs (the tuning curves, the joint minimizer) call the
+    kernels.
 
     inverse_abs_char_fn(m, P) is the t = sigma * omega that solves
     sqrt(P) |phi(t)| = m, for 0 < m < sqrt(P), a range the caller checks.
@@ -263,10 +227,9 @@ class NoiseModel:
     def char_fn(self, sigma, omega):
         """Characteristic function of sigma * eta evaluated at omega.
 
-        Accepts scalars or numpy arrays (broadcast); always in (0, 1) for
-        omega > 0 and strictly decreasing in omega.
+        Always in (0, 1) for omega > 0 and strictly decreasing in omega.
         """
-        return _evaluate(self.phi, sigma, omega)
+        return self.phi(real_number("sigma", sigma), real_number("omega", omega), math)
 
     def phasor_cos_var(self, sigma, omega):
         """Var cos(omega (x - theta)) = 1/2 + phi(2 omega)/2 - phi^2.
@@ -275,12 +238,12 @@ class NoiseModel:
         combination of char_fn values loses all precision for small
         sigma * omega, where this quantity is O((sigma omega)^4).
         """
-        return _evaluate(self.v_c, sigma, omega)
+        return self.v_c(real_number("sigma", sigma), real_number("omega", omega), math)
 
     def phasor_sin_var(self, sigma, omega):
         """Var sin(omega (x - theta)) = (1 - phi(2 omega)) / 2,
         cancellation-free for small sigma * omega."""
-        return _evaluate(self.v_s, sigma, omega)
+        return self.v_s(real_number("sigma", sigma), real_number("omega", omega), math)
 
     def char_fn_dsigma(self, sigma, omega):
         """Partial derivative of char_fn with respect to sigma (omega fixed).
@@ -294,7 +257,7 @@ class NoiseModel:
         subnormal (omega < 2^-511), a scaled form gives the same value,
         so every other finite nonzero direct result keeps its bits.
         """
-        return _evaluate(self.phi_s, sigma, omega)
+        return self.phi_s(real_number("sigma", sigma), real_number("omega", omega))
 
     def fisher_location(self, sigma: float) -> float:
         """Fisher information for the location of x = theta + sigma * eta."""
@@ -344,7 +307,7 @@ CAUCHY = NoiseModel(
     phi=lambda s, w, xp: xp.exp(-(s * w)),
     v_c=_cauchy_var,
     v_s=_cauchy_var,
-    phi_s=lambda s, w, xp: -w * xp.exp(-(s * w)),
+    phi_s=lambda s, w: -w * math.exp(-(s * w)),
     inverse_abs_char_fn=_cauchy_inverse,
     uniforms_needed=lambda n: n,
     from_uniforms=_cauchy_draws,

@@ -523,7 +523,8 @@ def rule_omega(
     probe, up to twice its final bracket width below omega_max. The gamma
     target is tuned at gamma if given, else at the true SNR (theta /
     sigma)^2; theta is read, and must be positive and finite, for that
-    alone.
+    alone, and a square that overflows or underflows to 0 raises a
+    ValueError naming theta and sigma.
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
@@ -537,9 +538,12 @@ def rule_omega(
             gamma = (theta / sigma) ** 2
         except OverflowError:
             gamma = math.inf
-        if gamma == math.inf:  # theta / sigma may already be inf, which squares quietly
+        # theta / sigma may already be inf, which squares quietly, and the
+        # square may underflow to 0, which is quiet too.
+        if not 0.0 < gamma < math.inf:
+            fault = "overflows" if gamma else "underflows to 0"
             raise ValueError(
-                f"the true SNR gamma = (theta / sigma)^2 overflows at theta = {theta!r}, "
+                f"the true SNR gamma = (theta / sigma)^2 {fault} at theta = {theta!r}, "
                 f"sigma = {sigma!r}"
             )
     omega, flag = optimal_omega(

@@ -41,7 +41,8 @@ from test_numkit import WIDE, WIDE_SETTINGS
 
 def reference_components(kind, sigma, omega, P, nv):
     """(asv_theta, asv_sigma) as each was formed from two kernels of the
-    reference model (test_noise.REFERENCE) before the tuning curves."""
+    reference model (test_noise.REFERENCE) before the tuning curves, each
+    divided by its factor twice where its denominator overflows."""
     model = REFERENCE[kind]
     phi, v_s = model.char_fn(sigma, omega), model.phasor_sin_var(sigma, omega)
     try:
@@ -55,7 +56,9 @@ def reference_components(kind, sigma, omega, P, nv):
         asv_t = (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
     dphi, v_c = model.char_fn_dsigma(sigma, omega), model.phasor_cos_var(sigma, omega)
     den_s = 2.0 * P * dphi * dphi
-    return asv_t, (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
+    if den_s < math.inf:
+        return asv_t, (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
+    return asv_t, (v_c + 0.5 * nv / P) / dphi / dphi if dphi != 0.0 else math.inf
 
 
 def gamma_outcome(curve, omega):
@@ -338,6 +341,21 @@ class TestAsvGeneric:
             )
         with pytest.raises(ValueError, match="asv_gamma"):
             compose_gamma(1.0, 1.0, 1.0, 1e-200)
+
+    @pytest.mark.parametrize(
+        "model, sigma, omega, P, nv, expected",
+        [
+            # 2 P overflows: asv_sigma was inf / inf = NaN. Its value at P = 1e300.
+            (GAUSSIAN, 1.0, 1.0, 1e308, 1.0, 0.5430806348152438),
+            # 2 P dphi^2 overflows while the quotient does not: asv_sigma
+            # read 0.0; the sandwich gives 7.590663237167288e-273.
+            (LAPLACE, 7.79264434153327e-137, 6.924036987890994e87, 3.514540825745785e285,
+             7.812834272813973e83, 7.590663237167291e-273),
+        ],
+        ids=["two-P-overflows", "denominator-overflows"],
+    )
+    def test_asv_sigma_past_the_denominator_range(self, model, sigma, omega, P, nv, expected):
+        assert asv_generic(model, sigma, omega, P, nv).asv_sigma == expected
 
     def test_deep_tail_returns_inf(self):
         """phi underflow far in the tail reports inf, not an exception."""

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,26 @@ class TestSimulate:
         assert rc == 1
         assert "sigma" in err
 
+    def test_sigma_rule_past_half_the_float_range(self, capsys):
+        """2 P overflows at P = 1e308: asv_sigma was NaN at every probe,
+        and the omega search failed with "golden section saw no finite
+        value"."""
+        rc, out, err = run(capsys, "simulate", "--P", "1e308", "--omega", "auto:sigma")
+        assert rc == 0, err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["manifest"]["omega_rule"] == "auto:sigma"
+
+    def test_auto_gamma_snr_underflow_names_theta_and_sigma(self, capsys):
+        """(theta / sigma)^2 underflows to 0 at theta = 1e-300: the error
+        read "gamma must be positive and finite, got 0.0", naming an
+        argument the user never passed."""
+        rc, out, err = run(capsys, "simulate", "--omega", "auto:gamma", "--theta", "1e-300")
+        assert rc == 1 and out == ""
+        assert err == (
+            "cmphase: error: the true SNR gamma = (theta / sigma)^2 underflows to 0 at"
+            " theta = 1e-300, sigma = 1.0\n"
+        )
+
     # sha256 of the simulate stdout, recorded before RandomStream stopped
     # building numpy's SeedSequence: all three families, a clean and a
     # noisy channel, odd L, the joint estimator and a seed >= 2**32.
@@ -464,6 +485,27 @@ class TestAsv:
         assert rc == 1
         assert "--theta" in err
 
+    @pytest.mark.parametrize("theta", [[], ["--theta", "1"]], ids=["no-theta", "theta"])
+    def test_power_past_half_the_float_range(self, capsys, theta):
+        """2 P dphi^2 overflows at P = 1e308: asv_sigma printed as NaN,
+        which is not JSON, with exit 0, and with --theta the error blamed
+        asv_gamma. asv_sigma is its value at P = 1e300."""
+        rc, out, err = run(capsys, "asv", "--P", "1e308", "--omega", "1", *theta)
+        assert rc == 0, err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["asv"]["asv_sigma"] == 0.5430806348152438
+
+    def test_non_finite_result_is_an_error(self, capsys, monkeypatch):
+        """A NaN in a payload is one error line and exit 1, not NaN on
+        stdout with exit 0."""
+        real = cli.asv_generic
+        monkeypatch.setattr(
+            cli, "asv_generic", lambda *a, **k: replace(real(*a, **k), asv_sigma=math.nan)
+        )
+        rc, out, err = run(capsys, "asv", "--omega", "1")
+        assert rc == 1 and out == ""
+        assert err.startswith("cmphase: error: ") and err.count("\n") == 1
+
 
 class TestOptOmega:
     def test_all_targets_bundle(self, capsys):
@@ -530,6 +572,15 @@ class TestOptOmega:
         rc, _, err = run(capsys, "opt-omega", "--target", "gamma")
         assert rc == 1
         assert "--gamma" in err
+
+    def test_power_past_half_the_float_range(self, capsys):
+        """2 P overflows at P = 1e308: asv_sigma was NaN at every probe,
+        and the sigma search failed with "golden section saw no finite
+        value"."""
+        rc, out, err = run(capsys, "opt-omega", "--P", "1e308", "--gamma", "1")
+        assert rc == 0, err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert set(payload["results"]) == set(OMEGA_TARGETS)
 
     @pytest.mark.parametrize("target", ["theta", "sigma", "all"])
     @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1", "2"])
@@ -702,6 +753,17 @@ class TestSweep:
             " (0, 2 pi / theta_R] = (0, 1]; got 1.2"
         ]
 
+    def test_saturation_hint_at_small_omega(self, capsys):
+        """Every trial saturates at omega = 1e-300, where phi(sigma omega)
+        is 1; the reason said "omega is likely too large for this sigma",
+        while saturation falls as omega grows."""
+        rc, _, err = run(
+            capsys, "sweep", "--axis", "omega", "--grid", "1e-300", "--trials", "2", "--L", "2"
+        )
+        assert rc == 0
+        assert "all 2 trials saturated" in err and "phi(sigma omega) = 1;" in err
+        assert "too large" not in err
+
     def test_strict_passes_a_clean_sweep(self, capsys):
         rc, out, err = run(
             capsys, "sweep", "--axis", "omega", "--grid", "0.5", "--trials", "8", "--L", "20",
@@ -791,9 +853,10 @@ class TestSweep:
 
 # The CLI and JSON boundary. Each flag draws half the time from values it
 # accepts and half the time from a pool of finite values, 0, negatives,
-# 1e+-300, nan, inf and words.
-def _pool(*good: str, bad=("0", "-0", "-1", "-0.5", "1e300", "-1e300", "1e-300", "nan", "inf",
-                          "-inf", "abc", "")):
+# 1e+-300, 1e308 (past half the float max, where 2 x overflows), nan, inf
+# and words.
+def _pool(*good: str, bad=("0", "-0", "-1", "-0.5", "1e300", "-1e300", "1e-300", "1e308", "nan",
+                          "inf", "-inf", "abc", "")):
     return st.sampled_from(good) | st.sampled_from(bad)
 
 
@@ -828,7 +891,7 @@ REQUIRED = {"asv": ["--omega"], "sweep": ["--axis", "--grid", "--trials"]}
 CONFIG = st.dictionaries(
     st.sampled_from(["L", "theta", "theta_R", "sigma", "model", "power_mode", "P",
                      "channel_noise_var", "omega", "seed", "snr"]),
-    st.sampled_from([3, 1, 0, -1, 0.5, 2.5, 1e300, 1e-300, -1e300, 10**400, math.nan, True,
+    st.sampled_from([3, 1, 0, -1, 0.5, 2.5, 1e300, 1e308, 1e-300, -1e300, 10**400, math.nan, True,
                      False, None, "gaussian", "per-sensor", "auto:theta", "auto:gamma", "1.0",
                      "abc", [1.0], {"sigma": 1.0}]),
     max_size=5,

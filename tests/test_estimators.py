@@ -787,9 +787,9 @@ def _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model):
     search formed it before the row bound, with numpy's argmin."""
     c = np.cos(omega * thetas)
     s = np.sin(omega * thetas)
-    a = P * model.phasor_cos_var(sigmas, omega) + 0.5 * nv
-    b = P * model.phasor_sin_var(sigmas, omega) + 0.5 * nv
-    q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.char_fn(sigmas, omega))
+    a = P * model.v_c(sigmas, omega, np) + 0.5 * nv
+    b = P * model.v_s(sigmas, omega, np) + 0.5 * nv
+    q = np.subtract.outer(z.real * c + z.imag * s, math.sqrt(P) * model.phi(sigmas, omega, np))
     q *= q
     q *= 1.0 / a
     q += np.multiply.outer(np.square(z.imag * c - z.real * s), 1.0 / b)
@@ -893,7 +893,7 @@ class TestGridArgmin:
         sigma_max = 10.0**sigma_exp
         sigmas = np.linspace(sigma_max / n_sigma, sigma_max, n_sigma)
         if on_cell:
-            w = math.sqrt(P) * model.char_fn(sigmas, omega)
+            w = math.sqrt(P) * model.phi(sigmas, omega, np)
             z = complex(w[column % n_sigma], 0.0)
         else:
             z = math.sqrt(P) * radius * cmath.exp(1j * phase)
@@ -912,7 +912,7 @@ class TestGridArgmin:
         thetas[[5, 77, 150]] = 0.0
         thetas[3] = 1e-200
         sigmas = np.linspace(0.01, 2.0, _GRID)
-        z = complex((math.sqrt(P) * GAUSSIAN.char_fn(sigmas, omega))[37], 0.0)
+        z = complex((math.sqrt(P) * GAUSSIAN.phi(sigmas, omega, np))[37], 0.0)
         (i, j), q = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN)
         assert (i, j) == (3, 37) and np.count_nonzero(q == 0.0) == 4
         assert _grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN) == (3, 37)

@@ -19,7 +19,7 @@ from scipy import integrate
 from cmphase import noise
 from cmphase.asymptotic import asv_generic
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel, noise_model
-from cmphase.numkit import RandomStream
+from cmphase.numkit import RandomStream, real_number
 from conftest import ALL_MODELS
 
 LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
@@ -46,12 +46,20 @@ def _char_fn_quad(kind, sigma, omega):
 
 
 KERNELS = ("char_fn", "char_fn_dsigma", "phasor_cos_var", "phasor_sin_var")
+# The checked methods whose kernels serve numpy arrays too, and those kernels.
+ARRAY_KERNELS = {"char_fn": "phi", "phasor_cos_var": "v_c", "phasor_sin_var": "v_s"}
 # Largest distance in ulps between a kernel's array and float results.
 # Measured: at most 3 (Gaussian phasor_cos_var; 2 for Laplace
-# phasor_cos_var and the char_fn_dsigma kernels) over 540,000 points with
+# phasor_cos_var) over 540,000 points with
 # omega and sigma omega log-uniform in [1e-300, 1e300], and at most 3 over
 # 360,000 points with omega and sigma log-uniform there, numpy 2.4 on x86-64.
 ARRAY_ULPS = 4
+
+
+def on_arrays(kernel, sigma, omega):
+    """kernel(sigma, omega, np) under the errstate the joint grid holds."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return kernel(sigma, omega, np)
 
 
 def ulp_distance(a, b):
@@ -66,43 +74,25 @@ def ulp_distance(a, b):
 # form the per-family records were derived from. Every public kernel must
 # equal it bit for bit, and raise what it raises.
 
-def _reference_operands(sigma, omega):
-    if isinstance(sigma, np.ndarray) or isinstance(omega, np.ndarray):
-        s, w, xp = np.asarray(sigma), np.asarray(omega), np
-        s_ok, w_ok = (
-            float(a) > 0.0 if a.ndim == 0 else a.size == 0 or bool(a.min() > 0.0) for a in (s, w)
-        )
-    else:
-        s, w, xp = float(sigma), float(omega), math
-        s_ok, w_ok = s > 0.0, w > 0.0
-    if not s_ok:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not w_ok:
-        raise ValueError(f"omega must be strictly positive, got {omega}")
-    return s, w, xp
-
-
-def _reference_kernel(formula):
-    def kernel(self, sigma, omega):
-        s, w, xp = _reference_operands(sigma, omega)
-        if xp is math:
-            return formula(self, s, w, xp)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return formula(self, s, w, xp)
-
-    return kernel
-
-
 def _reference_clamped(t, cap, xp):
     return np.minimum(t, cap) if xp is np else (cap if t > cap else t)
+
+
+def _checked(formula, *xp):
+    """The checked method of a reference formula: real_number on sigma and
+    omega, then the formula on the floats."""
+
+    def method(self, sigma, omega):
+        return formula(self, real_number("sigma", sigma), real_number("omega", omega), *xp)
+
+    return method
 
 
 class ReferenceNoiseModel:
     def __init__(self, kind):
         self.kind = kind
 
-    @_reference_kernel
-    def char_fn(self, s, w, xp):
+    def phi(self, s, w, xp):
         t = s * w
         if self.kind == "gaussian":
             return xp.exp(-0.5 * t * t)
@@ -110,8 +100,7 @@ class ReferenceNoiseModel:
             return 1.0 / (1.0 + 0.5 * t * t)
         return xp.exp(-t)
 
-    @_reference_kernel
-    def phasor_cos_var(self, s, w, xp):
+    def v_c(self, s, w, xp):
         t = s * w
         if self.kind == "gaussian":
             e = xp.expm1(-(t * t))
@@ -122,8 +111,7 @@ class ReferenceNoiseModel:
             return a * a * (5.0 + 2.0 * a) / ((1.0 + a) ** 2 * (1.0 + 4.0 * a))
         return -0.5 * xp.expm1(-2.0 * t)
 
-    @_reference_kernel
-    def phasor_sin_var(self, s, w, xp):
+    def v_s(self, s, w, xp):
         t = s * w
         if self.kind == "gaussian":
             return -0.5 * xp.expm1(-2.0 * t * t)
@@ -133,38 +121,33 @@ class ReferenceNoiseModel:
             return 2.0 * a / (1.0 + 4.0 * a)
         return -0.5 * xp.expm1(-2.0 * t)
 
-    @_reference_kernel
-    def char_fn_dsigma(self, s, w, xp):
+    def phi_s(self, s, w):
         t = s * w
         if self.kind == "gaussian":
-            d = -w * w * s * xp.exp(-0.5 * t * t)
+            d = -w * w * s * math.exp(-0.5 * t * t)
         elif self.kind == "laplace":
             den = 1.0 + 0.5 * t * t
             d = -w * w * s / (den * den)
         else:
-            return -w * xp.exp(-t)
-        if xp is math:
-            if -math.inf < d < 0.0 and w >= noise._W_SQUARE_NORMAL:
-                return d
-            return self._dsigma_scaled(w, t, xp)
-        keep = np.isfinite(d) & (d != 0.0) & (w >= noise._W_SQUARE_NORMAL)
-        return np.where(keep, d, self._dsigma_scaled(w, t, xp))
-
-    def _dsigma_scaled(self, w, t, xp):
+            return -w * math.exp(-t)
+        if -math.inf < d < 0.0 and w >= noise._W_SQUARE_NORMAL:
+            return d
         if self.kind == "gaussian":
-            t = _reference_clamped(t, noise._GAUSS_T_MAX, xp)
-            e = xp.exp(-0.25 * t * t)
+            t = _reference_clamped(t, noise._GAUSS_T_MAX, math)
+            e = math.exp(-0.25 * t * t)
             return -(w * e) * (t * e)
         den = 1.0 + 0.5 * t * t
         w2 = 2.0 * w
-        if xp is math:
-            if den < math.inf:
-                return -(w / den) * (t / den)
-            if w2 < math.inf:
-                return -(w2 / t / t) * (2.0 / t)
-            return -(w / t / t) * (4.0 / t)
-        tail = np.where(w2 < math.inf, -(w2 / t / t) * (2.0 / t), -(w / t / t) * (4.0 / t))
-        return np.where(den < math.inf, -(w / den) * (t / den), tail)
+        if den < math.inf:
+            return -(w / den) * (t / den)
+        if w2 < math.inf:
+            return -(w2 / t / t) * (2.0 / t)
+        return -(w / t / t) * (4.0 / t)
+
+    char_fn = _checked(phi, math)
+    phasor_cos_var = _checked(v_c, math)
+    phasor_sin_var = _checked(v_s, math)
+    char_fn_dsigma = _checked(phi_s)
 
     def inverse_abs_char_fn(self, m, P):
         if self.kind == "gaussian":
@@ -203,26 +186,27 @@ class TestAgainstTheReference:
     @given(
         model=st.sampled_from(ALL_MODELS),
         kernel=st.sampled_from(KERNELS),
-        sigma=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
-        omega=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
-        sigmas=st.lists(st.one_of(LOG_WIDE, st.just(0.0)), max_size=6),
+        sigma=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+        omega=st.one_of(LOG_WIDE, st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+        sigmas=st.lists(LOG_WIDE, max_size=6),
         omegas=st.lists(LOG_WIDE, min_size=1, max_size=6),
     )
     def test_kernels_match_bit_for_bit(self, model, kernel, sigma, omega, sigmas, omegas):
-        """For s and w log-uniform in 1e-300..1e300 (and out-of-range
-        values, which both must reject with the same message), on floats,
-        numpy scalars, arrays and broadcasts, and without warnings."""
+        """For s and w log-uniform in 1e-300..1e300, the checked methods on
+        floats and numpy scalars (and out-of-range values and 0-d arrays,
+        which both must reject with real_number's message), and the array
+        kernels phi, v_c and v_s on arrays and broadcasts under the joint
+        grid's errstate, without warnings."""
         got, ref = getattr(model, kernel), getattr(REFERENCE[model.kind], kernel)
-        s_arr, w_arr = np.array(sigmas), np.resize(np.array(omegas), len(sigmas))
-        for args in (
-            (sigma, omega),
-            (np.float64(sigma), omega),
-            (np.array(sigma), omega),
-            (s_arr, omega),
-            (s_arr, w_arr),
-            (s_arr[:, None], np.array(omegas)),
-        ):
+        for args in ((sigma, omega), (np.float64(sigma), omega), (np.array(sigma), omega)):
             assert kernel_outcome(got, *args) == kernel_outcome(ref, *args), args
+        if kernel not in ARRAY_KERNELS:
+            return
+        name = ARRAY_KERNELS[kernel]
+        got, ref = getattr(model, name), getattr(REFERENCE[model.kind], name)
+        s_arr, w_arr = np.array(sigmas), np.resize(np.array(omegas), len(sigmas))
+        for args in ((s_arr, omegas[0]), (s_arr, w_arr), (s_arr[:, None], np.array(omegas))):
+            assert kernel_outcome(on_arrays, got, *args) == kernel_outcome(on_arrays, ref, *args)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
@@ -257,21 +241,17 @@ class TestCharFn:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_range_and_monotone_in_omega(self, model):
         omegas = np.linspace(0.01, 8.0, 300)
-        vals = model.char_fn(1.3, omegas)
+        vals = model.phi(1.3, omegas, np)
         assert np.all(vals > 0.0) and np.all(vals < 1.0)
         assert np.all(np.diff(vals) < 0.0)
 
     def test_array_broadcast_matches_scalar(self):
+        """The array kernels against the checked methods on each float."""
         sigmas = np.array([0.5, 1.0, 2.0])
         for model in ALL_MODELS:
-            for kernel in (
-                model.char_fn,
-                model.char_fn_dsigma,
-                model.phasor_cos_var,
-                model.phasor_sin_var,
-            ):
-                arr = kernel(sigmas, 0.7)
-                scalars = [kernel(float(s), 0.7) for s in sigmas]
+            for method, kernel in ARRAY_KERNELS.items():
+                arr = getattr(model, kernel)(sigmas, 0.7, np)
+                scalars = [getattr(model, method)(float(s), 0.7) for s in sigmas]
                 np.testing.assert_allclose(arr, scalars, rtol=1e-15)
 
     def test_rejects_nonpositive_arguments(self):
@@ -299,42 +279,44 @@ class TestCharFn:
         ],
     )
     def test_rejects_nonpositive_array_elements(self, kernel, sigma, omega, name):
-        """Every element is checked, NaN and 0-d arrays included."""
-        with pytest.raises(ValueError, match=name):
-            getattr(LAPLACE, kernel)(sigma, omega)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_empty_arrays_accepted(self, kernel):
-        for sigma, omega in ((np.array([]), 1.0), (1.0, np.empty((0, 3)))):
-            assert getattr(GAUSSIAN, kernel)(sigma, omega).size == 0
+        """The checked methods take real numbers alone: an array, 0-d or
+        not, raises real_number's ValueError naming the argument it was
+        passed as, whatever its elements, and so does a numpy scalar out
+        of range. Each row passes its named argument with the other one
+        valid."""
+        value = sigma if name == "sigma" else omega
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            getattr(LAPLACE, kernel)(**{"sigma": 1.0, "omega": 1.0, name: value})
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         model=st.sampled_from(ALL_MODELS),
-        kernel=st.sampled_from(KERNELS),
+        kernel=st.sampled_from(sorted(ARRAY_KERNELS)),
         log_omega=st.floats(-300.0, 300.0),
         log_sigmas=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
     )
     def test_arrays_agree_with_floats_without_warnings(self, model, kernel, log_omega, log_sigmas):
         """For omega and sigma log-uniform in [1e-300, 1e300], so that
         sigma omega runs from below the least subnormal to past the float
-        range, the float and the array calls are all finite, raise no
-        RuntimeWarning and agree within ARRAY_ULPS: t * t, the Laplace
-        den * den and sigma omega itself overflow to inf there, silently
-        for floats.
+        range, the checked method on floats raises no RuntimeWarning, its
+        array kernel under the joint grid's errstate gives the same
+        finite values within ARRAY_ULPS: t * t, the Laplace den * den and
+        sigma omega itself overflow to inf there, silently for floats.
 
         They need not be equal: numpy's exp, expm1 and power round
         differently from math's, e.g. GAUSSIAN.char_fn(0.001, 1.0) is
         0.999999500000125 and its array value 0.9999995000001249. A scalar
         omega and the same omega broadcast as an array are bit-identical."""
-        f = getattr(model, kernel)
+        f, array_kernel = getattr(model, kernel), getattr(model, ARRAY_KERNELS[kernel])
         omega = 10.0**log_omega
         sigmas = [10.0**x for x in log_sigmas]
         scalars = np.array([f(s, omega) for s in sigmas])
-        arrays = f(np.array(sigmas), omega)
+        arrays = on_arrays(array_kernel, np.array(sigmas), omega)
         assert np.all(np.isfinite(scalars)) and np.all(np.isfinite(arrays))
-        assert arrays.tobytes() == f(np.array(sigmas), np.full(len(sigmas), omega)).tobytes()
-        for got in (arrays, np.array([f(np.array(s), omega) for s in sigmas])):
+        broadcast = on_arrays(array_kernel, np.array(sigmas), np.full(len(sigmas), omega))
+        assert arrays.tobytes() == broadcast.tobytes()
+        zero_d = np.array([on_arrays(array_kernel, np.array(s), omega) for s in sigmas])
+        for got in (arrays, zero_d):
             assert np.max(ulp_distance(got, scalars)) <= ARRAY_ULPS
 
 
@@ -349,8 +331,8 @@ class TestCharFnDsigma:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_strictly_negative(self, model):
-        omegas = np.linspace(0.01, 8.0, 100)
-        assert np.all(model.char_fn_dsigma(0.9, omegas) < 0.0)
+        for omega in np.linspace(0.01, 8.0, 100).tolist():
+            assert model.char_fn_dsigma(0.9, omega) < 0.0
 
     @pytest.mark.parametrize(
         "kind, sigma, omega, expected",
@@ -366,11 +348,9 @@ class TestCharFnDsigma:
         made the Gaussian and Laplace derivative nan or -inf; the value is
         -omega t e^{-t^2/2} and -omega t / (1 + t^2/2)^2 with t = sigma
         omega."""
-        model = noise_model(kind)
-        for got in (model.char_fn_dsigma(sigma, omega),
-                    model.char_fn_dsigma(np.array([sigma]), omega)[0]):
-            assert math.isfinite(got) and got <= 0.0
-            np.testing.assert_allclose(got, expected, rtol=1e-15)
+        got = noise_model(kind).char_fn_dsigma(sigma, omega)
+        assert math.isfinite(got) and got <= 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "kind, sigma, omega",
@@ -408,11 +388,9 @@ class TestCharFnDsigma:
             else:
                 exact = -w * w * s / (1 + t * t / 2) ** 2
             expected = float(exact)
-        model = noise_model(kind)
-        for got in (model.char_fn_dsigma(sigma, omega),
-                    model.char_fn_dsigma(np.array([sigma]), omega)[0]):
-            assert math.copysign(1.0, got) == -1.0
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        got = noise_model(kind).char_fn_dsigma(sigma, omega)
+        assert math.copysign(1.0, got) == -1.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1.0, 1e100])
     @pytest.mark.parametrize("omega", [1e308, sys.float_info.max])
@@ -420,9 +398,8 @@ class TestCharFnDsigma:
         """The Laplace tail form -(2 omega / t / t) (2 / t) gave -inf where
         2 omega overflows (omega above ~9e307, with den = 1 + t^2/2 past
         the float range); the value is about -4 / (sigma^3 omega^2),
-        -4e-166 at sigma 1e-150, omega 1e308, and -0.0 at sigma 1. Floats
-        and arrays, checked against 50-digit decimal arithmetic, without
-        warnings."""
+        -4e-166 at sigma 1e-150, omega 1e308, and -0.0 at sigma 1. Checked
+        against 50-digit decimal arithmetic, without warnings."""
         with localcontext() as ctx:
             ctx.prec = 50
             s, w = Decimal(sigma), Decimal(omega)
@@ -430,20 +407,18 @@ class TestCharFnDsigma:
             expected = float(-w * w * s / (1 + t * t / 2) ** 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [LAPLACE.char_fn_dsigma(sigma, omega),
-                   LAPLACE.char_fn_dsigma(np.array([sigma]), np.array([omega]))[0]]
-        for x in got:
-            assert math.copysign(1.0, x) == -1.0 and math.isfinite(x)
-            np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-323)
+            got = LAPLACE.char_fn_dsigma(sigma, omega)
+        assert math.copysign(1.0, got) == -1.0 and math.isfinite(got)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-323)
 
     def test_direct_form_kept_bit_for_bit(self):
         """Wherever the direct derivative is finite and nonzero it is the
-        result, for floats and arrays."""
+        result."""
 
-        def direct(kind, s, w, xp):
+        def direct(kind, s, w):
             t = s * w
             if kind == "gaussian":
-                return -w * w * s * xp.exp(-0.5 * t * t)
+                return -w * w * s * math.exp(-0.5 * t * t)
             den = 1.0 + 0.5 * t * t
             return -w * w * s / (den * den)
 
@@ -453,12 +428,8 @@ class TestCharFnDsigma:
                 s = t / omega
                 s = s[np.isfinite(s) & (s > 0.0)]
             for model in (GAUSSIAN, LAPLACE):
-                with np.errstate(all="ignore"):
-                    d = direct(model.kind, s, omega, np)
-                kept = np.isfinite(d) & (d != 0.0)
-                np.testing.assert_array_equal(model.char_fn_dsigma(s, omega)[kept], d[kept])
                 for x in s.tolist():
-                    dx = direct(model.kind, x, omega, math)
+                    dx = direct(model.kind, x, omega)
                     if math.isfinite(dx) and dx != 0.0:
                         assert model.char_fn_dsigma(x, omega) == dx
 
@@ -497,15 +468,15 @@ class TestPhasorVariances:
     def test_variance_sum_identity(self, model):
         """v_cos + v_sin = 1 - phi^2 (total phasor variance)."""
         omegas = np.linspace(0.05, 6.0, 120)
-        total = model.phasor_cos_var(1.1, omegas) + model.phasor_sin_var(1.1, omegas)
-        phi = model.char_fn(1.1, omegas)
+        total = model.v_c(1.1, omegas, np) + model.v_s(1.1, omegas, np)
+        phi = model.phi(1.1, omegas, np)
         np.testing.assert_allclose(total, 1.0 - phi * phi, rtol=1e-10)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_bounds(self, model):
         omegas = np.linspace(0.01, 10.0, 200)
-        vc = model.phasor_cos_var(0.8, omegas)
-        vs = model.phasor_sin_var(0.8, omegas)
+        vc = model.v_c(0.8, omegas, np)
+        vs = model.v_s(0.8, omegas, np)
         assert np.all(vc >= 0.0) and np.all(vc <= 1.0)
         assert np.all(vs >= 0.0) and np.all(vs <= 0.5)
 
@@ -515,12 +486,13 @@ class TestPhasorVariances:
         for floats, OverflowError or RuntimeWarning beyond); both
         variances must stay on their finite 1/2 limit, for floats and
         arrays alike."""
-        for kernel in (LAPLACE.phasor_cos_var, LAPLACE.phasor_sin_var):
-            scalar = kernel(t, 1.0)
-            array = kernel(np.array([t, 1.0]), 1.0)
+        for method, kernel in ((LAPLACE.phasor_cos_var, LAPLACE.v_c),
+                               (LAPLACE.phasor_sin_var, LAPLACE.v_s)):
+            scalar = method(t, 1.0)
+            array = kernel(np.array([t, 1.0]), 1.0, np)
             assert math.isfinite(scalar) and abs(scalar - 0.5) <= 1e-12
             assert np.all(np.isfinite(array)) and abs(array[0] - 0.5) <= 1e-12
-            assert array[1] == kernel(1.0, 1.0)
+            assert array[1] == method(1.0, 1.0)
 
     def test_laplace_scale_asv_past_the_overflow_is_not_nan(self):
         """asv_sigma grows as sigma^6 (3.1e298 at sigma omega = 1e50), so
@@ -538,8 +510,8 @@ class TestPhasorVariances:
             return 2.0 * a / (1.0 + 4.0 * a)
 
         t = np.logspace(-8, 50, 581)
-        np.testing.assert_array_equal(LAPLACE.phasor_cos_var(t, 1.0), cos_direct(0.5 * t * t))
-        np.testing.assert_array_equal(LAPLACE.phasor_sin_var(t, 1.0), sin_direct(0.5 * t * t))
+        np.testing.assert_array_equal(LAPLACE.v_c(t, 1.0, np), cos_direct(0.5 * t * t))
+        np.testing.assert_array_equal(LAPLACE.v_s(t, 1.0, np), sin_direct(0.5 * t * t))
         for x in t.tolist():
             assert LAPLACE.phasor_cos_var(x, 1.0) == cos_direct(0.5 * x * x)
             assert LAPLACE.phasor_sin_var(x, 1.0) == sin_direct(0.5 * x * x)
@@ -557,9 +529,7 @@ class TestPhasorVariances:
         """Both phasor components of the Cauchy family share one variance."""
         omegas = np.linspace(0.05, 5.0, 50)
         np.testing.assert_allclose(
-            CAUCHY.phasor_cos_var(1.0, omegas),
-            CAUCHY.phasor_sin_var(1.0, omegas),
-            rtol=1e-14,
+            CAUCHY.v_c(1.0, omegas, np), CAUCHY.v_s(1.0, omegas, np), rtol=1e-14
         )
 
 

@@ -193,9 +193,9 @@ class TestTargetCurves:
         def counted(name):
             kernel = getattr(GAUSSIAN, name)
 
-            def call(s, w, xp):
+            def call(*args):
                 calls.append(name)
-                return kernel(s, w, xp)
+                return kernel(*args)
 
             return call
 

@@ -97,6 +97,9 @@ ENTRY_POINTS = [
      dict(rule="auto:gamma", model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
           power_mode="total", theta=1.0, omega_max=2.0 * math.pi),
      ["sigma", "P", "channel_noise_var", "omega_max", "gamma", "theta"]),
+    # The checked noise methods, each a float in, a float out.
+    *((name, getattr(LAPLACE, name), dict(sigma=1.0, omega=1.0), ["sigma", "omega"])
+      for name in ("char_fn", "phasor_cos_var", "phasor_sin_var", "char_fn_dsigma")),
     ("fisher_location", GAUSSIAN.fisher_location, dict(sigma=1.0), ["sigma"]),
     ("fisher_scale", GAUSSIAN.fisher_scale, dict(sigma=1.0), ["sigma"]),
     ("NetworkConfig", NetworkConfig, CONFIG,
@@ -117,6 +120,12 @@ OVERFLOWS = [
     ("rule_omega-true-snr-quotient", rule_omega,
      dict(rule="auto:gamma", model=GAUSSIAN, sigma=1e-300, P=1.0, channel_noise_var=1.0,
           power_mode="total", theta=1e300, omega_max=2.0 * math.pi),
+     "theta"),
+    # (theta / sigma)^2 underflows to 0: the error named gamma, an
+    # argument the caller never passed.
+    ("rule_omega-true-snr-underflow", rule_omega,
+     dict(rule="auto:gamma", model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
+          power_mode="total", theta=1e-300, omega_max=2.0 * math.pi),
      "theta"),
     # sigma * sigma underflowed to 0 and the quotient raised ZeroDivisionError.
     ("fisher_location-tiny-sigma", GAUSSIAN.fisher_location, dict(sigma=1e-200), "sigma"),
