@@ -41,6 +41,8 @@ from .numkit import real_number
 
 __all__ = [
     "AsvReport",
+    "phasor_variances",
+    "asv_curves",
     "covariance_matrix",
     "jacobian",
     "asv_generic",
@@ -48,13 +50,17 @@ __all__ = [
     "asv_closed_form",
 ]
 
+_NORMAL = 2.0**-1022  # the least positive normal float
+# omega^2 is a normal float exactly where omega is in [_W_SQUARE_LO, _W_SQUARE_HI).
+_W_SQUARE_LO, _W_SQUARE_HI = 2.0**-511, 2.0**512
+
 
 @dataclass(frozen=True)
 class AsvReport:
     """Asymptotic variances at one operating point. A component reads inf
-    where it is not estimable there: phi (asv_theta) or its
-    sigma-derivative (asv_sigma) underflows, or the variance is past the
-    float range; asv_gamma is inf where either component is."""
+    where it is not estimable there: a kernel it is formed from underflows
+    or the variance is past the float range; asv_gamma is inf where
+    either component is."""
 
     omega: float
     asv_theta: float
@@ -63,7 +69,7 @@ class AsvReport:
     mode: PowerMode
 
 
-def _phasor_variances(model: NoiseModel, sigma, omega, P, nv, xp):
+def phasor_variances(model: NoiseModel, sigma, omega, P, nv, xp):
     """(a, b) = (P v_c + nv/2, P v_s + nv/2): the fluctuation variances
     along and across the mean phasor, from the model's
     cancellation-free phasor variance kernels on checked operands: floats
@@ -93,7 +99,7 @@ def covariance_matrix(
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     c = math.cos(omega * theta)
     s = math.sin(omega * theta)
-    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var, math)
+    a, b = phasor_variances(model, sigma, omega, P, channel_noise_var, math)
     s12 = (a - b) * s * c
     return np.array([[a * c * c + b * s * s, s12], [s12, a * s * s + b * c * c]])
 
@@ -119,18 +125,41 @@ def jacobian(
     return np.array(_jacobian_rows(model, theta, sigma, omega, P)[2:])
 
 
-def _asv_curves(model: NoiseModel, sigma: float, P: float, nv: float):
-    """(asv_theta, asv_sigma) at one operating point as functions of a
-    float omega > 0, each from two of the model's kernels;
-    sigma, P and nv are the caller's to check.
+def _quotient(v: float, d: float, P: float, nv: float) -> float:
+    """(2 P v + nv) / (2 P d^2) where the direct form is not safe: 2 P d^2
+    is not a positive normal float, or the numerator is not. It divides
+    v + nv / 2P by d twice, which overflows only where the quotient does.
+    Where nv / 2P overflows, v is negligible beside it and nv / (2 P d^2)
+    is formed from frexp mantissas and exponents, inf past the float max.
+    inf where d is 0 or v + nv / 2P is below the normal range: the
+    kernels have underflowed, and the variance is not estimable here."""
+    if d == 0.0:
+        return math.inf
+    half_r = 0.5 * nv / P
+    if half_r == math.inf:
+        (m_nv, e_nv), (m_p, e_p), (m_d, e_d) = math.frexp(nv), math.frexp(P), math.frexp(d)
+        try:
+            return math.ldexp(0.5 * m_nv / m_p / m_d / m_d, e_nv - e_p - 2 * e_d)
+        except OverflowError:
+            return math.inf
+    s = v + half_r
+    return s / d / d if s >= _NORMAL else math.inf
 
-    Where phi or its sigma-derivative underflow to zero (u = sigma*omega
-    deep in the tail) the variances are returned as inf rather than
-    raising, so omega searches can probe the whole interval, up to the
-    largest float. The numerators P + nv - P phi(2w) and
-    P + nv - 2 P phi^2 + P phi(2w) are formed from the phasor variance
-    kernels (2 P v_s + nv and 2 P v_c + nv) to stay accurate at small
-    sigma * omega.
+
+def asv_curves(model: NoiseModel, sigma: float, P: float, nv: float, theta: float | None = None):
+    """The asymptotic variance of each target as a function of a float
+    omega > 0, keyed "theta", "sigma" and, given theta, "gamma": closures
+    on the model's kernels, so a probe checks nothing (sigma, P, nv and
+    theta are the caller's to check). A component is inf where it is not
+    estimable (see AsvReport), so omega searches can probe up to the
+    largest float. Its numerator 2 P v + nv, from the phasor variance
+    kernel v (v_s for theta, v_c for sigma), stays accurate at small
+    sigma * omega; it is divided by 2 P d^2 (d = omega phi, phi_s)
+    directly where both are normal floats (and omega^2, which asv_theta
+    forms first), else by _quotient. The gamma curve composes the two by
+    the delta method; ValueError where gamma overflows, sigma^2
+    underflows or the product is 0 * inf (gamma underflows against an inf
+    component, or the prefactor overflows against a 0 sum).
     """
     char_fn, sin_var = model.phi, model.v_s
     dsigma, cos_var = model.phi_s, model.v_c
@@ -139,56 +168,41 @@ def _asv_curves(model: NoiseModel, sigma: float, P: float, nv: float):
     def asv_theta(omega: float) -> float:
         phi = char_fn(sigma, omega, math)
         v_s = sin_var(sigma, omega, math)
-        try:
-            den_t = two_p * omega**2 * phi * phi
-        except OverflowError:  # omega^2 past the float range, omega above ~1.34e154
-            den_t = math.inf
-        if den_t < math.inf:
-            return (two_p * v_s + nv) / den_t if den_t > 0.0 else math.inf
-        # The denominator is past the float range (or inf * 0): divide by
-        # omega phi twice, which overflows only where the quotient does.
-        w_phi = omega * phi
-        return (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+        num = two_p * v_s + nv
+        if _W_SQUARE_LO <= omega < _W_SQUARE_HI:
+            den = two_p * omega**2 * phi * phi
+            if _NORMAL <= den < math.inf and _NORMAL <= num < math.inf:
+                return num / den
+        return _quotient(v_s, omega * phi, P, nv)
 
     def asv_sigma(omega: float) -> float:
         dphi = dsigma(sigma, omega)
         v_c = cos_var(sigma, omega, math)
-        den_s = two_p * dphi * dphi
-        if den_s < math.inf:
-            return (two_p * v_c + nv) / den_s if den_s > 0.0 else math.inf
-        # As for asv_theta: divide by dphi twice.
-        return (v_c + 0.5 * nv / P) / dphi / dphi if dphi != 0.0 else math.inf
+        num = two_p * v_c + nv
+        den = two_p * dphi * dphi
+        if _NORMAL <= den < math.inf and _NORMAL <= num < math.inf:
+            return num / den
+        return _quotient(v_c, dphi, P, nv)
 
-    return asv_theta, asv_sigma
-
-
-def compose_gamma(asv_theta, asv_sigma, theta, sigma):
-    """Delta-method asymptotic variance of gamma = theta^2 / sigma^2; inf
-    where a component is inf or the result is past the float range.
-    ValueError where gamma overflows, sigma^2 underflows or the product
-    is 0 * inf (gamma underflows to 0 against an inf component, or the
-    prefactor overflows against a 0 sum)."""
-    return _composer(theta, sigma)(asv_theta, asv_sigma)
-
-
-def _composer(theta, sigma):
-    """compose_gamma at (theta, sigma) as a function of (asv_theta,
-    asv_sigma), gamma and the prefactor 4 gamma / sigma^2 formed once."""
+    curves = {"theta": asv_theta, "sigma": asv_sigma}
+    if theta is None:
+        return curves
     try:
         gamma = (theta / sigma) ** 2
         scale = 4.0 * gamma / sigma**2
     except (OverflowError, ZeroDivisionError):
         gamma = scale = math.nan
 
-    def compose(asv_theta: float, asv_sigma: float) -> float:
-        asv_gamma = scale * (asv_theta + gamma * asv_sigma)
-        if gamma < math.inf and asv_gamma == asv_gamma:  # both false for NaN
-            return asv_gamma
+    def asv_gamma(omega: float) -> float:
+        value = scale * (asv_theta(omega) + gamma * asv_sigma(omega))
+        if gamma < math.inf and value == value:  # both false for NaN
+            return value
         raise ValueError(
             f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
         )
 
-    return compose
+    curves["gamma"] = asv_gamma
+    return curves
 
 
 def asv_generic(
@@ -205,24 +219,16 @@ def asv_generic(
     Per-sensor mode evaluates the same expressions with the channel noise
     zeroed. asv_gamma requires theta and is None when theta is omitted.
     A component is inf where it is not estimable here (see AsvReport),
-    never NaN; ValueError where compose_gamma cannot form asv_gamma.
+    never NaN; ValueError where the gamma curve cannot form asv_gamma.
     """
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
     mode = PowerMode(power_mode)
     nv = effective_noise_var(mode, channel_noise_var)
-    theta_curve, sigma_curve = _asv_curves(model, sigma, P, nv)
-    asv_t, asv_s = theta_curve(omega), sigma_curve(omega)
-    asv_g = None
     if theta is not None:
-        asv_g = compose_gamma(asv_t, asv_s, real_number("theta", theta), sigma)
-    return AsvReport(
-        omega=float(omega),
-        asv_theta=float(asv_t),
-        asv_sigma=float(asv_s),
-        asv_gamma=None if asv_g is None else float(asv_g),
-        mode=mode,
-    )
+        theta = real_number("theta", theta)
+    values = {t: curve(omega) for t, curve in asv_curves(model, sigma, P, nv, theta).items()}
+    return AsvReport(omega, values["theta"], values["sigma"], values.get("gamma"), mode)
 
 
 def asv_via_sandwich(
@@ -253,7 +259,7 @@ def asv_via_sandwich(
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     nv = real_number("channel_noise_var", channel_noise_var, closed=True)
     c, s, (j00, j01), (j10, j11) = _jacobian_rows(model, theta, sigma, omega, P)
-    a, b = _phasor_variances(model, sigma, omega, P, nv, math)
+    a, b = phasor_variances(model, sigma, omega, P, nv, math)
     det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(
@@ -288,7 +294,7 @@ def asv_via_sandwich(
 # power, the effective channel noise variance, r = nv / P and the SNR
 # gamma. verified is True where the form matches asv_generic to 1e-9
 # relative on a fixed grid of operating points. The flags are frozen
-# data: the tests recompute them from asv_generic and compose_gamma.
+# data: the tests recompute them from asv_generic.
 
 def _cauchy_total_theta_sigma(w, s, u, a, P, nv, r, g):
     return (P + nv - P * math.exp(-2 * a)) / (2 * P * w**2 * math.exp(-2 * a))

@@ -1,7 +1,7 @@
 """Asymptotic relative efficiency of the phase scheme in clean channels.
 
 With per-sensor power and no channel noise the best achievable
-asymptotic variance over omega (asv_generic at optimal_omega's
+asymptotic variance over omega (its curve at optimal_omega's
 minimizer) is compared against the centralized Cramer-Rao bound (1 over
 the per-sample Fisher information). Both the infimum and the bound scale
 as sigma^2, so the ratio is scale-free; the computation asserts that
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotic import asv_generic
+from .asymptotic import asv_curves
 from .noise import NoiseModel
 from .tuning import optimal_omega
 
@@ -64,8 +64,7 @@ def _inf_asv(model: NoiseModel, parameter: str, sigma: float) -> float:
     which depends on sigma, and the check at sigma = 2 would raise."""
     lo, hi = _BOUNDARY_U / sigma, _MAX_U / sigma
     w, flag = optimal_omega(model, sigma, 1.0, 0.0, parameter, omega_max=hi, omega_min=lo)
-    report = asv_generic(model, sigma, lo if flag == "lower" else w, 1.0)
-    return report.asv_theta if parameter == "theta" else report.asv_sigma
+    return asv_curves(model, sigma, 1.0, 0.0)[parameter](lo if flag == "lower" else w)
 
 
 def asymptotic_relative_efficiency(model: NoiseModel, parameter: str) -> EfficiencyReport:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import _phasor_variances
+from .asymptotic import phasor_variances
 from .noise import NoiseModel
 from .numkit import ConvergenceError, gauss_newton_box, real_number
 
@@ -201,7 +201,7 @@ def joint_objective(
     z, theta = _finite_z(z), real_number("theta", theta, -math.inf)
     sigma, omega, P = real_number("sigma", sigma), real_number("omega", omega), real_number("P", P)
     channel_noise_var = real_number("channel_noise_var", channel_noise_var, closed=True)
-    a, b = _phasor_variances(model, sigma, omega, P, channel_noise_var, math)
+    a, b = phasor_variances(model, sigma, omega, P, channel_noise_var, math)
     det = a * b
     if not 0.0 < det < math.inf:
         raise ValueError(
@@ -242,7 +242,7 @@ def _grid_argmin(
     """
     phase = omega * thetas
     c, s = np.cos(phase), np.sin(phase)
-    a, b = _phasor_variances(model, sigmas, omega, P, nv, np)
+    a, b = phasor_variances(model, sigmas, omega, P, nv, np)
     u, vsq = z.real * c + z.imag * s, np.square(z.imag * c - z.real * s)
     w, ra, rb = math.sqrt(P) * model.phi(sigmas, omega, np), 1.0 / a, 1.0 / b
     rb_min = rb.min()
@@ -290,7 +290,7 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
         s = math.sin(omega * theta)
         re = z.real * c + z.imag * s
         v = z.imag * c - z.real * s
-        a, b = _phasor_variances(model, sigma, omega, P, nv, math)
+        a, b = phasor_variances(model, sigma, omega, P, nv, math)
         if not (a > 0.0 and b > 0.0):  # Sigma singular: no whitened residual
             return np.full(2, math.nan), np.full((2, 2), math.nan)
         phi = char_fn(sigma, omega, math)

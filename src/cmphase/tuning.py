@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotic import _asv_curves, _composer
+from .asymptotic import asv_curves
 from .network import PowerMode, effective_noise_var
 from .noise import NoiseModel
 from .numkit import grid_roots, lambert_w0, minimize_quasiconvex, real_number, uniform_grid
@@ -85,17 +85,6 @@ def _target_gamma(target: str, gamma) -> float | None:
     return real_number("gamma", gamma) if target == "gamma" else None
 
 
-def _target_curve(model: NoiseModel, sigma: float, P: float, nv: float, target: str, gamma):
-    """The target's asymptotic variance as a function of a float omega >
-    0, at checked sigma, P, nv and gamma (_target_gamma): closures on the
-    model's kernels, so a probe makes no argument checks."""
-    asv_theta, asv_sigma = _asv_curves(model, sigma, P, nv)
-    if target != "gamma":
-        return asv_theta if target == "theta" else asv_sigma
-    compose = _composer(math.sqrt(gamma) * sigma, sigma)
-    return lambda w: compose(asv_theta(w), asv_sigma(w))
-
-
 def _checked_point(sigma, P, channel_noise_var, power_mode, omega_min, omega_max):
     """optimal_omega's checks in its order: (sigma, P, nv, omega_min,
     omega_max) as checked floats, with the effective nv."""
@@ -109,8 +98,9 @@ def _checked_point(sigma, P, channel_noise_var, power_mode, omega_min, omega_max
 @functools.lru_cache(maxsize=len(OMEGA_TARGETS))
 def _golden_section(model, sigma, P, nv, target, gamma, omega_min, omega_max):
     """optimal_omega's search on checked arguments; it says what is kept."""
-    f = _target_curve(model, sigma, P, nv, target, gamma)
-    return minimize_quasiconvex(f, omega_min, omega_max)
+    theta = None if gamma is None else math.sqrt(gamma) * sigma
+    curve = asv_curves(model, sigma, P, nv, theta)[target]
+    return minimize_quasiconvex(curve, omega_min, omega_max)
 
 
 def optimal_omega(
@@ -468,7 +458,8 @@ def analytic_omega(
         raise ValueError(
             f"no tuning equation for the {model.kind!r} family in {mode.value} mode"
         ) from None
-    curve = _target_curve(model, sigma, P, nv, target, g)
+    theta = None if g is None else math.sqrt(g) * sigma
+    curve = asv_curves(model, sigma, P, nv, theta)[target]
     value, note, details = equation(sigma, P, nv, r, g, curve)
 
     if value is not None and not math.isfinite(value):

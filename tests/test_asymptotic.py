@@ -12,8 +12,10 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,13 @@ from hypothesis import strategies as st
 from cmphase import tuning
 from cmphase.asymptotic import (
     AsvReport,
-    _asv_curves,
-    _phasor_variances,
     asv_closed_form,
+    asv_curves,
     asv_generic,
     asv_via_sandwich,
-    compose_gamma,
     covariance_matrix,
     jacobian,
+    phasor_variances,
 )
 from cmphase.network import PowerMode, effective_noise_var
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, noise_model
@@ -39,26 +40,81 @@ from test_noise import REFERENCE
 from test_numkit import WIDE, WIDE_SETTINGS
 
 
+NORMAL = sys.float_info.min
+
+
+def reference_quotient(num, den, v, d, P, nv):
+    """(2 P v + nv) / (2 P d^2) from its numerator num and denominator den:
+    num / den where both are normal floats; elsewhere v + nv / 2P divided
+    by d twice, nv / (2 P d^2) on frexp parts where nv / 2P overflows, and
+    inf where d is 0 or v + nv / 2P is below the normal range."""
+    if NORMAL <= den < math.inf and NORMAL <= num < math.inf:
+        return num / den
+    if d == 0.0:
+        return math.inf
+    half_r = 0.5 * nv / P
+    if half_r == math.inf:
+        (m_nv, e_nv), (m_p, e_p), (m_d, e_d) = math.frexp(nv), math.frexp(P), math.frexp(d)
+        try:
+            return math.ldexp(0.5 * m_nv / m_p / m_d / m_d, e_nv - e_p - 2 * e_d)
+        except OverflowError:
+            return math.inf
+    s = v + half_r
+    return s / d / d if s >= NORMAL else math.inf
+
+
 def reference_components(kind, sigma, omega, P, nv):
-    """(asv_theta, asv_sigma) as each was formed from two kernels of the
-    reference model (test_noise.REFERENCE) before the tuning curves, each
-    divided by its factor twice where its denominator overflows."""
+    """(asv_theta, asv_sigma), each formed from two kernels of the
+    reference model (test_noise.REFERENCE) by reference_quotient."""
     model = REFERENCE[kind]
     phi, v_s = model.char_fn(sigma, omega), model.phasor_sin_var(sigma, omega)
-    try:
+    den_t = 0.0  # omega^2 not a normal float: reference_quotient's fallback
+    if 2.0**-511 <= omega < 2.0**512:
         den_t = 2.0 * P * omega**2 * phi * phi
-    except OverflowError:
-        den_t = math.inf
-    if den_t < math.inf:
-        asv_t = (2.0 * P * v_s + nv) / den_t if den_t > 0.0 else math.inf
-    else:
-        w_phi = omega * phi
-        asv_t = (v_s + 0.5 * nv / P) / w_phi / w_phi if w_phi > 0.0 else math.inf
+    asv_t = reference_quotient(2.0 * P * v_s + nv, den_t, v_s, omega * phi, P, nv)
     dphi, v_c = model.char_fn_dsigma(sigma, omega), model.phasor_cos_var(sigma, omega)
     den_s = 2.0 * P * dphi * dphi
-    if den_s < math.inf:
-        return asv_t, (2.0 * P * v_c + nv) / den_s if den_s > 0.0 else math.inf
-    return asv_t, (v_c + 0.5 * nv / P) / dphi / dphi if dphi != 0.0 else math.inf
+    return asv_t, reference_quotient(2.0 * P * v_c + nv, den_s, v_c, dphi, P, nv)
+
+
+def reference_gamma(asv_t, asv_s, theta, sigma):
+    """asv_gamma composed from the two components by the delta method,
+    4 gamma / sigma^2 (asv_theta + gamma asv_sigma), or the gamma curve's
+    ValueError where gamma or the prefactor leaves the float range or the
+    result is NaN."""
+    try:
+        gamma = (theta / sigma) ** 2
+        scale = 4.0 * gamma / sigma**2
+    except (OverflowError, ZeroDivisionError):
+        gamma = scale = math.nan
+    value = scale * (asv_t + gamma * asv_s)
+    if gamma < math.inf and value == value:
+        return value
+    raise ValueError(
+        f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
+    )
+
+
+def mp_components(kind, sigma, omega, P, nv):
+    """(asv_theta, asv_sigma) at 60 digits, from the family's characteristic
+    function phi, phi at 2 omega and the sigma-derivative of phi."""
+    with mpmath.workdps(60):
+        s, w, P, nv = (mpmath.mpf(x) for x in (sigma, omega, P, nv))
+        t = s * w
+        if kind == "gaussian":
+            phi, phi2 = mpmath.exp(-t * t / 2), mpmath.exp(-2 * t * t)
+            dphi = -w * t * phi
+        elif kind == "laplace":
+            phi, phi2 = 1 / (1 + t * t / 2), 1 / (1 + 2 * t * t)
+            dphi = -w * t * phi * phi
+        else:
+            phi, phi2 = mpmath.exp(-t), mpmath.exp(-2 * t)
+            dphi = -w * phi
+        v_s, v_c = (1 - phi2) / 2, (1 + phi2) / 2 - phi * phi
+        return (
+            (2 * P * v_s + nv) / (2 * P * w * w * phi * phi),
+            (2 * P * v_c + nv) / (2 * P * dphi * dphi),
+        )
 
 
 def gamma_outcome(curve, omega):
@@ -80,7 +136,7 @@ def numpy_sandwich(model, theta, sigma, omega, P, nv):
     as asv_via_sandwich formed it before it moved to Python floats: the
     oracle for the float route at ordinary operating points."""
     J = jacobian(model, theta, sigma, omega, P)
-    a, b = _phasor_variances(model, sigma, omega, P, nv, math)
+    a, b = phasor_variances(model, sigma, omega, P, nv, math)
     c, s = math.cos(omega * theta), math.sin(omega * theta)
     W = np.array([[c, s], [-s, c]]) @ J / np.array([[math.sqrt(a)], [math.sqrt(b)]])
     return np.linalg.inv(W.T @ W)
@@ -318,7 +374,7 @@ class TestAsvGeneric:
         rep = asv_generic(GAUSSIAN, 1.0, 0.9, 1.0, 0.0)
         assert rep.asv_gamma is None
         rep = asv_generic(GAUSSIAN, 1.0, 0.9, 1.0, 0.0, theta=1.5)
-        expected = compose_gamma(rep.asv_theta, rep.asv_sigma, 1.5, 1.0)
+        expected = 4.0 * 2.25 * (rep.asv_theta + 2.25 * rep.asv_sigma)
         np.testing.assert_allclose(rep.asv_gamma, expected, rtol=1e-14)
 
     def test_nonpositive_theta_rejected(self):
@@ -327,20 +383,22 @@ class TestAsvGeneric:
 
     def test_compose_gamma_formula(self):
         # gamma = 4, sigma = 0.5: prefactor 4 * 4 / 0.25 = 64
+        curves = asv_curves(LAPLACE, 0.5, 1.0, 0.25, 1.0)
+        asv_t, asv_s = curves["theta"](0.8), curves["sigma"](0.8)
         np.testing.assert_allclose(
-            compose_gamma(0.25, 0.125, 1.0, 0.5), 64.0 * (0.25 + 4.0 * 0.125), rtol=1e-15
+            curves["gamma"](0.8), 64.0 * (asv_t + 4.0 * asv_s), rtol=1e-15
         )
 
     def test_underflowing_sigma_squared_raises(self):
-        """sigma^2 underflows to 0 in compose_gamma, which raised a bare
-        ZeroDivisionError."""
+        """sigma^2 underflows to 0 in the gamma curve's prefactor, which
+        raised a bare ZeroDivisionError."""
         with pytest.raises(ValueError, match=r"asv_gamma .*sigma=7\.59545573258183e-249"):
             asv_generic(
                 CAUCHY, 7.59545573258183e-249, 5.737956565607304e-236, 9.352426153029314e203,
                 4.565468525855855e139, theta=1.311161403989803e-115,
             )
         with pytest.raises(ValueError, match="asv_gamma"):
-            compose_gamma(1.0, 1.0, 1.0, 1e-200)
+            asv_curves(GAUSSIAN, 1e-200, 1.0, 0.0, 1.0)["gamma"](1.0)
 
     @pytest.mark.parametrize(
         "model, sigma, omega, P, nv, expected",
@@ -356,6 +414,56 @@ class TestAsvGeneric:
     )
     def test_asv_sigma_past_the_denominator_range(self, model, sigma, omega, P, nv, expected):
         assert asv_generic(model, sigma, omega, P, nv).asv_sigma == expected
+
+    @pytest.mark.parametrize(
+        "model, sigma, omega, P, nv",
+        [
+            # omega^2 overflows, and nv / 2P with it: asv_theta read inf.
+            (GAUSSIAN, 1e-155, 1e155, 1e-300, 1e300),
+            (GAUSSIAN, 3.4152965063239704e-168, 7.328986571265788e166, 2.4641564391096757e-279,
+             5.482561608385198e227),
+            # 2 P phi_s^2 is subnormal: asv_sigma was 2.4% off.
+            (LAPLACE, 1.7258069063395868e89, 2.944654142383797e-91, 1.1349519945633713e-140,
+             1.0753754167487477e-65),
+            # omega^2 is subnormal and 2 P omega^2 phi^2 normal: asv_theta was 3.6e-11 off.
+            (GAUSSIAN, 1e-3 / 1e-157, 1e-157, 1e300, 1e-300),
+        ],
+        ids=["omega-squared-overflows", "nv-over-2P-overflows", "subnormal-denominator",
+             "subnormal-omega-squared"],
+    )
+    def test_quotient_out_of_the_direct_range(self, model, sigma, omega, P, nv):
+        rep = asv_generic(model, sigma, omega, P, nv)
+        exacts = mp_components(model.kind, sigma, omega, P, nv)
+        for got, exact in zip((rep.asv_theta, rep.asv_sigma), exacts):
+            assert abs(got / exact - 1) <= 1e-11, (got, exact)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        exponents=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+        log_u=st.floats(-3.0, 1.0),
+    )
+    def test_components_match_mpmath(self, model, exponents, log_u):
+        """P, nv and omega log-uniform in 1e+-300 and sigma omega in
+        [1e-3, 10]: each component is within 1e-11 relative of its
+        60-digit value wherever that value is a normal float. The
+        out-of-range quotient read inf for about 4% of such components,
+        and was 2.4% off on a few more."""
+        P, nv, omega = (10.0**e for e in exponents)
+        sigma = 10.0**log_u / omega
+        rep = asv_generic(model, sigma, omega, P, nv)
+        exacts = mp_components(model.kind, sigma, omega, P, nv)
+        for got, exact in zip((rep.asv_theta, rep.asv_sigma), exacts):
+            if NORMAL <= exact <= sys.float_info.max:
+                assert abs(got / exact - 1) <= 1e-11, (sigma, omega, P, nv, got, exact)
+
+    @pytest.mark.parametrize("model", [GAUSSIAN, LAPLACE], ids=lambda m: m.kind)
+    def test_underflowed_numerator_reads_inf(self, model):
+        """v_s underflows to 0 at sigma omega = 1e-170 while 2 P omega^2
+        phi^2 is normal at P = 1e300: asv_theta read 0.0, a zero variance.
+        Its value is about sigma^2 = 1e-20, which the kernels cannot give."""
+        rep = asv_generic(model, 1e-10, 1e-160, 1e300)
+        assert rep.asv_theta == math.inf
 
     def test_deep_tail_returns_inf(self):
         """phi underflow far in the tail reports inf, not an exception."""
@@ -398,12 +506,12 @@ class TestAsvGeneric:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_components_one_at_a_time(self, model):
-        """The curves of _asv_curves, which asv_generic and the tuning
+        """The curves of asv_curves, which asv_generic and the tuning
         probes evaluate, give the two-kernel components of
         reference_components bit for bit, from omega = 1e-300 to 1e300,
         past the omega^2 range and deep in the tail where phi underflows
-        to 0; the gamma tuning curve gives compose_gamma of them, or
-        raises its error."""
+        to 0; the gamma curve at theta = sqrt(gamma) sigma, as tuning
+        builds it, gives reference_gamma of them, or raises its error."""
         omegas = np.logspace(-300, 300, 61).tolist() + [38.0, 1.4e154, 2e154]
         underflowed = 0
         for sigma in (1e-300, 1e-3, 1.0, 8.0, 1e3):
@@ -411,15 +519,15 @@ class TestAsvGeneric:
                 underflowed += model.char_fn(sigma, omega) == 0.0
                 for P, nv in ((1.0, 0.0), (2.0, 0.5), (1e-3, 1e10)):
                     asv_t, asv_s = reference_components(model.kind, sigma, omega, P, nv)
-                    curves = _asv_curves(model, sigma, P, nv)
-                    assert [f(omega).hex() for f in curves] == [asv_t.hex(), asv_s.hex()]
+                    curves = asv_curves(model, sigma, P, nv)
+                    assert [f(omega).hex() for f in curves.values()] == [asv_t.hex(), asv_s.hex()]
                     rep = asv_generic(model, sigma, omega, P, nv)
                     assert (rep.asv_theta.hex(), rep.asv_sigma.hex()) == (asv_t.hex(), asv_s.hex())
                     for gamma in (1e-300, 0.5, 1e300):
                         theta = math.sqrt(gamma) * sigma
-                        curve = tuning._target_curve(model, sigma, P, nv, "gamma", gamma)
+                        curve = asv_curves(model, sigma, P, nv, theta)["gamma"]
                         assert gamma_outcome(curve, omega) == gamma_outcome(
-                            lambda _: compose_gamma(asv_t, asv_s, theta, sigma), omega
+                            lambda _: reference_gamma(asv_t, asv_s, theta, sigma), omega
                         )
         assert underflowed
 
@@ -486,7 +594,7 @@ class TestClosedForms:
     )
     def test_verified_flags_frozen(self, kind, which, mode):
         """Each verified flag, frozen in src, is what the oracle finds: the
-        form matches asv_generic (through compose_gamma for gamma) to 1e-9
+        form matches asv_generic (through its gamma curve for gamma) to 1e-9
         relative at every point of a 3 sigma x 20 omega x noise ratio x 3
         gamma grid at P = 1. CLOSED_FORM_AGREES keeps a second copy."""
         model = noise_model(kind)

@@ -854,10 +854,12 @@ class TestSweep:
 # The CLI and JSON boundary. Each flag draws half the time from values it
 # accepts and half the time from a pool of finite values, 0, negatives,
 # 1e+-300, 1e308 (past half the float max, where 2 x overflows), nan, inf
-# and words.
+# and words. A draw is (value, True) from the first pool, (value, False)
+# from the second.
 def _pool(*good: str, bad=("0", "-0", "-1", "-0.5", "1e300", "-1e300", "1e-300", "1e308", "nan",
                           "inf", "-inf", "abc", "")):
-    return st.sampled_from(good) | st.sampled_from(bad)
+    return (st.sampled_from(good).map(lambda v: (v, True))
+            | st.sampled_from(bad).map(lambda v: (v, False)))
 
 
 NUMBER = _pool("1", "0.5", "2.5")
@@ -896,6 +898,20 @@ CONFIG = st.dictionaries(
                      "abc", [1.0], {"sigma": 1.0}]),
     max_size=5,
 ) | st.sampled_from([[], "gaussian", 3, None])
+
+
+def _valid_point(command: str, values: dict) -> bool:
+    """Whether a draw of are, asv or opt-omega flags, each value from its
+    good pool, meets the cross-flag rules: --omega auto:gamma needs
+    --theta, a gamma or all target needs --gamma, and omega_min <
+    omega_max (defaults 1e-4 and 2 pi)."""
+    if command == "asv":
+        return values.get("--omega") != "auto:gamma" or "--theta" in values
+    if command == "opt-omega":
+        if values.get("--target", "all") in ("gamma", "all") and "--gamma" not in values:
+            return False
+        return float(values.get("--omega-min", 1e-4)) < float(values.get("--omega-max", 2 * math.pi))
+    return command == "are"
 
 
 def _strict_json(text: str):
@@ -938,19 +954,23 @@ def test_cli_boundary_property(monkeypatch, tmp_path, data):
     exit 0 with output that strict JSON accepts (or are's table, or a
     sweep CSV of finite values, documented inf and failed rows), or exit
     1 with one 'cmphase: error:' line (argparse's usage errors name the
-    subcommand). Never a traceback, a RuntimeWarning (an error under this
-    suite's filter) or NaN in a manifest. Rows run here, not in forked
-    children, so a warning in any row is seen."""
+    subcommand). An are, asv or opt-omega draw of good values alone that
+    meets the cross-flag rules (_valid_point) must exit 0. Never a
+    traceback, a RuntimeWarning (an error under this suite's filter) or
+    NaN in a manifest. Rows run here, not in forked children, so a
+    warning in any row is seen."""
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)), label="command")
     flags = SUBCOMMANDS[command]
     chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
-    argv = [command]
+    argv, values, good = [command], {}, True
     for flag in [*REQUIRED.get(command, ()), *chosen]:
         if flags[flag] is None:
             argv.append(flag)
         else:
-            argv.append(f"{flag}={data.draw(flags[flag], label=flag)}")
+            values[flag], from_good = data.draw(flags[flag], label=flag)
+            good = good and from_good
+            argv.append(f"{flag}={values[flag]}")
     if command in ("simulate", "sweep") and data.draw(st.booleans(), label="--config"):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data.draw(CONFIG, label="config")), encoding="utf-8")
@@ -962,6 +982,8 @@ def test_cli_boundary_property(monkeypatch, tmp_path, data):
         except SystemExit as exc:  # argparse
             rc = exc.code
     out, err = out.getvalue(), err.getvalue()
+    if good and _valid_point(command, values):
+        assert rc == 0, (argv, err)
     if rc == 0:
         if command == "sweep":
             _check_csv(out)

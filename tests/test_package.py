@@ -1,6 +1,7 @@
 """The package layout: each public name is imported from its own module,
 and importing one module loads only the modules it needs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -71,3 +72,17 @@ def test_record_inventory():
         "McSummary", "NetworkConfig", "NoiseModel", "OmegaOptima", "RandomStream", "SweepRow",
     ]))
     assert writers == str(["NetworkConfig"])
+
+
+def test_no_module_imports_a_private_asymptotic_name():
+    """asymptotic's consumers read its public names alone: no module of
+    the package imports a name starting with _ from it."""
+    src = os.path.dirname(cmphase.__file__)
+    private = []
+    for name in SUBMODULES:
+        with open(os.path.join(src, f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "asymptotic" and node.level == 1:
+                private += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

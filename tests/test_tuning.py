@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmphase import asymptotic, noise, numkit, tuning
+from cmphase.asymptotic import asv_curves
 from cmphase.network import PowerMode
 from cmphase.noise import CAUCHY, GAUSSIAN, LAPLACE, MODEL_TOKENS, NoiseModel
 from cmphase.numkit import ConvergenceError, find_root_bracketed
@@ -177,7 +178,7 @@ class TestOptimalOmega:
             return
         assert 1e-4 <= w <= omega_max
         nv = 1.0 if mode is TOTAL else 0.0
-        curve = tuning._target_curve(model, 1.0, 1.0, nv, target, 2.0)
+        curve = asv_curves(model, 1.0, 1.0, nv, math.sqrt(2.0))[target]
         assert math.isfinite(curve(w))
 
 
@@ -201,7 +202,7 @@ class TestTargetCurves:
 
         names = ("phi", "phi_s", "v_c", "v_s")
         counting = dataclasses.replace(GAUSSIAN, **{name: counted(name) for name in names})
-        curve = tuning._target_curve(counting, 1.0, 1.0, 0.5, target, None)
+        curve = asv_curves(counting, 1.0, 1.0, 0.5)[target]
         curve(0.9)
         assert sorted(calls) == kernels
 
@@ -218,7 +219,7 @@ class TestTargetCurves:
             return call
 
         curves = [
-            tuning._target_curve(model, 1.0, 1.0, nv, target, 2.0)
+            asv_curves(model, 1.0, 1.0, nv, math.sqrt(2.0))[target]
             for model in ALL_MODELS
             for nv in (0.0, 0.5)
             for target in OMEGA_TARGETS
