@@ -284,8 +284,7 @@ def _whitened_residual(z: complex, omega: float, P: float, nv: float, model: Noi
     """
     sp, char_fn, dsigma = math.sqrt(P), model.phi, model.phi_s
 
-    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta, sigma = float(x[0]), float(x[1])
+    def residual(theta: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         c = math.cos(omega * theta)
         s = math.sin(omega * theta)
         re = z.real * c + z.imag * s
@@ -379,7 +378,7 @@ def joint_minimum_variance(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         i, j = _grid_argmin(z, thetas, sigmas, omega, P, channel_noise_var, model)
         lo, hi = (1e-12 * theta_R, 1e-12 * sigma_max), (theta_R, sigma_max)
-        x, iterations, converged = gauss_newton_box(residual, (thetas[i], sigmas[j]), lo, hi)
+        (th, sg), iterations, converged = gauss_newton_box(residual, (thetas[i], sigmas[j]), lo, hi)
         near_wrap = _TWO_PI - omega * theta_R < omega * theta_R / _GRID
         if near_wrap and i in (0, _GRID - 1):
             # Less than a grid step short of one period (or at one), the
@@ -389,11 +388,10 @@ def joint_minimum_variance(
             k = _GRID - 1 - i
             j = _grid_argmin(z, thetas[k : k + 1], sigmas, omega, P, channel_noise_var, model)[1]
             other = gauss_newton_box(residual, (thetas[k], sigmas[j]), lo, hi)
-            if np.sum(np.square(residual(other[0])[0])) < np.sum(np.square(residual(x)[0])):
-                x, iterations, converged = other
+            if np.sum(np.square(residual(*other[0])[0])) < np.sum(np.square(residual(th, sg)[0])):
+                (th, sg), iterations, converged = other
     if not converged:
         raise ConvergenceError(
             f"joint refinement did not converge in {iterations} iterations at z={z!r}"
         )
-    th, sg = float(x[0]), float(x[1])
     return EstimateSet(th, sg, estimate_snr(th, sg), False)

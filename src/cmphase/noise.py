@@ -49,8 +49,8 @@ _LAPLACE_T_MAX = float.fromhex("0x1.c823e074ec129p+170")  # ~2.67e51
 # Past sigma * omega = 64 the Gaussian char_fn_dsigma, omega t e^{-t^2/2}
 # in magnitude, is below the least subnormal at every finite omega.
 _GAUSS_T_MAX = 64.0
-# Below this omega (2^-511, about 1.49e-154) omega^2 is subnormal and the
-# direct char_fn_dsigma, -omega omega sigma ..., has lost bits.
+# Below 2^-511 (about 1.49e-154) a square is subnormal and has lost bits:
+# omega^2 in the direct char_fn_dsigma, m^2 in the Gaussian inversion.
 _W_SQUARE_NORMAL = 2.0**-511
 
 
@@ -76,8 +76,8 @@ def _gaussian_dsigma(s, w):
 
 
 def _gaussian_inverse(m, P):
-    q = m * m
-    t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
+    # log P - 2 log m where m^2 is subnormal or P / m^2 overflows.
+    t = math.sqrt(math.log(P / (m * m))) if m >= _W_SQUARE_NORMAL else math.inf
     if t == math.inf:
         t = math.sqrt(math.log(P) - 2.0 * math.log(m))
     return t

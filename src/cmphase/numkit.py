@@ -5,12 +5,13 @@ Root finding and scalar minimization are deliberately bracket based
 steep exponentials with polynomials, and derivative-based iterations can
 escape their bracket there. grid_roots is the one root scan: it brackets
 the sign changes of a uniform grid and bisects each (find_root_bracketed).
-The one derivative-based minimizer,
-gauss_newton_box, serves a smooth least-squares problem on a box in two
-variables and keeps every iterate inside it. A random stream is a (seed,
-key) address of numpy's PCG64; its seed words are derived here for many
-substreams at once, and the draws of a seeded run reproduce bit-exactly
-on any platform.
+The one derivative-based minimizer, gauss_newton_box, serves a smooth
+least-squares problem on a box in two variables and keeps every iterate
+inside it. The scalar routines (lambert_w0, find_root_bracketed,
+minimize_quasiconvex, gauss_newton_box) take and return Python floats.
+A random stream is a (seed, key) address of numpy's PCG64; its seed
+words are derived here for many substreams at once, and the draws of a
+seeded run reproduce bit-exactly on any platform.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -282,24 +283,25 @@ def _golden_probes(f, a, b, width_goal):
 
 
 def gauss_newton_box(
-    residual: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x0: Sequence[float],
-    lo: Sequence[float],
-    hi: Sequence[float],
-) -> tuple[np.ndarray, int, bool]:
-    """Minimize |r(x)|^2 over the box lo <= x <= hi of the plane by damped
+    residual: Callable[[float, float], tuple[np.ndarray, np.ndarray]],
+    x0: tuple[float, float],
+    lo: tuple[float, float],
+    hi: tuple[float, float],
+) -> tuple[tuple[float, float], int, bool]:
+    """Minimize |r(p, q)|^2 over the box lo <= (p, q) <= hi by damped
     Gauss-Newton.
 
-    residual(x) returns (r, J): the residual vector and its Jacobian
-    dr/dx, x being a float64 array of shape (2,). Each iteration holds
-    fixed the variables that sit on a bound with the gradient J^T r
-    pushing outward (the active set) and takes the least-squares
-    Gauss-Newton step in the others. The trial point is
-    x + t step projected onto the box, and it must meet the Armijo
-    condition, so every accepted step descends (up to the rounding of
-    |r|^2): t = 1 is halved until it does, or else doubled while that
-    descends further, since where |r|^2 is nearly flat or concave along
-    the step (a large residual) Gauss-Newton steps fall far short.
+    x0, lo and hi are read as (p, q) pairs of floats. residual(p, q)
+    returns (r, J), the residual and its Jacobian dr/d(p, q) as float64
+    arrays. Each iteration holds fixed the variables that sit on a bound
+    with the gradient J^T r pushing outward (the active set) and takes
+    the least-squares Gauss-Newton step in the others. The trial point
+    is (p, q) + t step projected onto the box, and it must meet the
+    Armijo condition, so every accepted step descends (up to the
+    rounding of |r|^2): t = 1 is halved until it does, or else doubled
+    while that descends further, since where |r|^2 is nearly flat or
+    concave along the step (a large residual) Gauss-Newton steps fall
+    far short.
 
     The iteration has converged at a step no larger than 1e-10 times the
     box width in every coordinate, or one for which the linear model
@@ -313,26 +315,25 @@ def gauss_newton_box(
     reproduce: r @ r, J^T r, J step and g @ (x_t - x) go through BLAS
     (ddot, dgemv), whose kernels fuse multiply-adds on FMA hardware, and
     the step is LAPACK gelsd's least-squares solution (np.linalg.lstsq),
-    of J itself when both variables are free. So x, the iteration count
-    and the verdict are those of the numpy-array iteration that the tests
-    keep as the oracle (numpy_gauss_newton_box in tests/test_numkit.py).
+    of J itself when both variables are free. So (p, q), the iteration
+    count and the verdict are those of the numpy-array iteration that the
+    tests keep as the oracle (numpy_gauss_newton_box in tests/test_numkit.py).
 
-    Returns (x, iterations, converged). converged is False when 50
+    Returns ((p, q), iterations, converged). converged is False when 50
     iterations pass, no step length along the Gauss-Newton direction is
     accepted, or r or J at the iterate is not finite, before the
-    tolerance is met; x is then the last accepted iterate.
+    tolerance is met; (p, q) is then the last accepted iterate.
     """
-    (lo_p, lo_q), (hi_p, hi_q) = map(float, lo), map(float, hi)
-    p, q = _clip(float(x0[0]), lo_p, hi_p), _clip(float(x0[1]), lo_q, hi_q)
+    (p, q), (lo_p, lo_q), (hi_p, hi_q) = map(float, x0), map(float, lo), map(float, hi)
+    p, q = _clip(p, lo_p, hi_p), _clip(q, lo_q, hi_q)
     tol_p, tol_q = _GN_XTOL * (hi_p - lo_p), _GN_XTOL * (hi_q - lo_q)
-    max_iter = _GN_MAX_ITER
-    r, J = residual(np.array((p, q)))
+    r, J = residual(p, q)
     f = float(r @ r)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _GN_MAX_ITER + 1):
         if f == 0.0:
-            return np.array((p, q)), iteration - 1, True
+            return (p, q), iteration - 1, True
         if not all(map(math.isfinite, r.tolist() + J.ravel().tolist())):
-            return np.array((p, q)), iteration - 1, False
+            return (p, q), iteration - 1, False
         g = J.T @ r  # half the gradient of |r|^2
         g_p, g_q = g.tolist()
         free_p = not ((p <= lo_p and g_p > 0.0) or (p >= hi_p and g_p < 0.0))
@@ -352,7 +353,7 @@ def gauss_newton_box(
         def trial(t):
             """(p, q, r, J, |r|^2) at step length t, or None if not Armijo."""
             p_t, q_t = _clip(p + t * dp, lo_p, hi_p), _clip(q + t * dq, lo_q, hi_q)
-            r_t, J_t = residual(np.array((p_t, q_t)))
+            r_t, J_t = residual(p_t, q_t)
             f_t = float(r_t @ r_t)
             if f_t <= bound + 2e-4 * float(g @ np.array((p_t - p, q_t - q))):
                 return p_t, q_t, r_t, J_t, f_t
@@ -363,7 +364,7 @@ def gauss_newton_box(
             t *= 0.5
             best = trial(t)
         if best is None:
-            return np.array((p, q)), iteration, small
+            return (p, q), iteration, small
         while t >= 1.0 and not small and t < 2.0**60:
             longer = trial(2.0 * t)
             if longer is None or longer[4] >= best[4]:
@@ -371,8 +372,8 @@ def gauss_newton_box(
             t, best = 2.0 * t, longer
         p, q, r, J, f = best
         if small:
-            return np.array((p, q)), iteration, True
-    return np.array((p, q)), max_iter, False
+            return (p, q), iteration, True
+    return (p, q), _GN_MAX_ITER, False
 
 
 def _clip(v: float, lo: float, hi: float) -> float:

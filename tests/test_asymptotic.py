@@ -288,6 +288,25 @@ class TestGenericVsSandwich:
         with pytest.raises(ValueError, match=r"J\^T Sigma\^-1 J or its inverse is out of"):
             asv_via_sandwich(*point)
 
+    def test_documented_disagreement_where_a_is_far_below_b(self):
+        """Outside the oracle's domain, named in asv_via_sandwich's
+        docstring: a / b is about 2e-39 here, and at theta 2.0 the rounding
+        residual of the rotated R^T J's exact-zero entry, whitened by
+        1/sqrt(a), puts the sandwich's C[1,1] at 2.315e-35 against
+        asv_generic's 9.155e-42. At theta 1.1 that entry rounds to 0 and
+        the two agree."""
+        sigma, omega = 4.279111465014103e-21, 15.149866015298576
+        P, nv = 2.273551850763549e159, 1.4632321964860432e-211
+        a, b = phasor_variances(GAUSSIAN, sigma, omega, P, nv, math)
+        assert a < 1e-38 * b
+        rep = asv_generic(GAUSSIAN, sigma, omega, P, nv)
+        assert math.isclose(rep.asv_sigma, 9.155e-42, rel_tol=1e-3)
+        far = asv_via_sandwich(GAUSSIAN, 2.0, sigma, omega, P, nv)
+        assert math.isclose(far[1, 1], 2.315e-35, rel_tol=1e-3)
+        near = asv_via_sandwich(GAUSSIAN, 1.1, sigma, omega, P, nv)
+        assert math.isclose(near[0, 0], rep.asv_theta, rel_tol=1e-9)
+        assert math.isclose(near[1, 1], rep.asv_sigma, rel_tol=1e-9)
+
     @WIDE_SETTINGS
     @given(
         model=st.sampled_from(ALL_MODELS),

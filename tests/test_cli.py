@@ -997,3 +997,24 @@ def test_cli_boundary_property(monkeypatch, tmp_path, data):
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert lines[0].startswith(("cmphase: error: ", f"cmphase {command}: error: ")), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asv", "--P", "1e308", "--omega", "1"],
+        ["asv", "--P", "1e308", "--omega", "1", "--theta", "1"],
+        ["opt-omega", "--P", "1e308", "--gamma", "1"],
+        ["opt-omega", "--P", "1e308", "--gamma", "1", "--analytic"],
+        ["asv", "--channel-noise-var", "1e308", "--omega", "1"],
+        ["simulate", "--channel-noise-var", "1e308"],
+    ],
+    ids=" ".join,
+)
+def test_valid_extremes_exit_0(capsys, argv):
+    """The exit-0 oracle of test_cli_boundary_property on valid inputs at
+    the top of the float range, where 2 P or 2 nv overflows: its pools
+    hold 1e308 among the bad values, so there it may also exit 1."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    _strict_json(out)

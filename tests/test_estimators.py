@@ -15,9 +15,10 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmphase import estimators, numkit
@@ -178,8 +179,9 @@ class TestEstimateScale:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_inversion_unchanged_where_direct_form_finite(self, model):
-        """Wherever the direct closed form is finite the result is that
-        form, bit for bit (the Monte Carlo digests rest on it)."""
+        """Wherever the direct closed form is finite, and for the Gaussian
+        m^2 is normal, the result is that form, bit for bit (the Monte
+        Carlo digests rest on it)."""
         direct = {
             "gaussian": lambda m, P: math.sqrt(math.log(P / (m * m))),
             "laplace": lambda m, P: math.sqrt(2.0 * (math.sqrt(P) / m - 1.0)),
@@ -188,6 +190,8 @@ class TestEstimateScale:
         compared = 0
         for P in (0.5, 1.0, 4.0):
             for m in np.geomspace(sys.float_info.min, 0.999 * math.sqrt(P), 400).tolist():
+                if model is GAUSSIAN and m * m < sys.float_info.min:
+                    continue  # a subnormal m^2 has lost bits: log m then
                 try:
                     expected = direct(m, P)
                 except ZeroDivisionError:
@@ -196,6 +200,41 @@ class TestEstimateScale:
                     assert model.inverse_abs_char_fn(m, P) == expected
                     compared += 1
         assert compared >= 600
+
+    @pytest.mark.parametrize(
+        "m, P",
+        [(2.488124037682828e-162, 4.507726e-317), (1.8988359028911657e-160, 1.2483624237185962e-268)],
+    )
+    def test_gaussian_inversion_where_m_squared_is_subnormal(self, m, P):
+        """m^2 is subnormal at both points, and log(P / m^2) gave 4.003297
+        against 3.975026 and sigma_hat 10.893747932 against 10.893749375."""
+        with mpmath.workdps(60):
+            exact = mpmath.sqrt(mpmath.log(P) - 2 * mpmath.log(m))
+        assert math.isclose(GAUSSIAN.inverse_abs_char_fn(m, P), exact, rel_tol=1e-12)
+        sigma_hat, saturated = estimate_scale(complex(m, 0.0), 1.0, P, GAUSSIAN)
+        assert math.isclose(sigma_hat, exact, rel_tol=1e-12) and not saturated
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(log2_m=st.floats(-545.0, -511.0, exclude_max=True), log_d=st.floats(-6.0, 3.0))
+    def test_gaussian_inversion_where_m_squared_is_subnormal_property(self, log2_m, log_d):
+        """m below 2^-511, where m^2 is subnormal or 0, and P = m^2 e^D
+        rounded, with D log-uniform in [1e-6, 1e3], against 60-digit
+        mpmath. t = sqrt(D) with D = ln P - 2 ln m is computed as
+        sqrt(fl(ln P) - 2 fl(ln m)). With u = 2^-53 and each math.log
+        within 1 ulp (2u relative), that difference is off by at most
+        2u (|ln P| + 2 |ln m|) + u D, so t is off by at most that over 2D,
+        plus u for the square root. The bound allows 1% on top for the
+        second-order terms (D is at least 1e-6, so they are below 1e-6
+        of it) and the reference's own rounding."""
+        m = 2.0**log2_m
+        P = float(mpmath.mpf(m) ** 2 * mpmath.exp(10.0**log_d))
+        with mpmath.workdps(60):
+            d = mpmath.log(P) - 2 * mpmath.log(m) if P > 0.0 else 0.0
+            assume(d >= 1e-6)
+            u = 2.0**-53
+            bound = (2 * u * (abs(math.log(P)) + 2 * abs(math.log(m))) + u * d) / (2 * d) + u
+            error = abs(GAUSSIAN.inverse_abs_char_fn(m, P) / mpmath.sqrt(d) - 1)
+        assert error <= 1.01 * bound, (m, P, error, bound)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(

@@ -151,8 +151,8 @@ class ReferenceNoiseModel:
 
     def inverse_abs_char_fn(self, m, P):
         if self.kind == "gaussian":
-            q = m * m
-            t = math.sqrt(math.log(P / q)) if q > 0.0 else math.inf
+            q = m * m  # a subnormal q has lost bits: log m then
+            t = math.sqrt(math.log(P / q)) if q >= sys.float_info.min else math.inf
             if t == math.inf:
                 t = math.sqrt(math.log(P) - 2.0 * math.log(m))
             return t

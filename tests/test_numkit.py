@@ -244,19 +244,20 @@ class TestLambertW:
 def numpy_gauss_newton_box(residual, x0, lo, hi):
     """numkit.gauss_newton_box as it iterated on numpy arrays: the oracle
     whose x bits, iteration count and verdict the Python-float iteration
-    must reproduce. It reads numkit's tolerance and cap at call time."""
+    must reproduce. It reads numkit's tolerance and cap at call time and
+    calls residual(p, q) with the Python floats of x."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     width = hi - lo
     max_iter = numkit._GN_MAX_ITER
-    r, J = residual(x)
+    r, J = residual(*x.tolist())
     f = float(r @ r)
     for iteration in range(1, max_iter + 1):
         if f == 0.0:
-            return x, iteration - 1, True
+            return tuple(x.tolist()), iteration - 1, True
         if not (np.isfinite(r).all() and np.isfinite(J).all()):
-            return x, iteration - 1, False
+            return tuple(x.tolist()), iteration - 1, False
         g = J.T @ r  # half the gradient of |r|^2
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         step = np.zeros_like(x)
@@ -273,7 +274,7 @@ def numpy_gauss_newton_box(residual, x0, lo, hi):
         def trial(t):
             """(x, r, J, |r|^2) at step length t, or None if not Armijo."""
             x_t = np.minimum(np.maximum(x + t * step, lo), hi)
-            r_t, J_t = residual(x_t)
+            r_t, J_t = residual(*x_t.tolist())
             f_t = float(r_t @ r_t)
             if f_t <= bound + 2e-4 * float(g @ (x_t - x)):
                 return x_t, r_t, J_t, f_t
@@ -284,7 +285,7 @@ def numpy_gauss_newton_box(residual, x0, lo, hi):
             t *= 0.5
             best = trial(t)
         if best is None:
-            return x, iteration, small
+            return tuple(x.tolist()), iteration, small
         while t >= 1.0 and not small and t < 2.0**60:
             longer = trial(2.0 * t)
             if longer is None or longer[3] >= best[3]:
@@ -292,24 +293,23 @@ def numpy_gauss_newton_box(residual, x0, lo, hi):
             t, best = 2.0 * t, longer
         x, r, J, f = best
         if small:
-            return x, iteration, True
-    return x, max_iter, False
+            return tuple(x.tolist()), iteration, True
+    return tuple(x.tolist()), max_iter, False
 
 
 def gn_outcome(minimize, residual, x0, lo, hi):
     """The bits of x, the iteration count and the verdict of one run."""
     x, iterations, converged = minimize(residual, x0, lo, hi)
-    return [v.hex() for v in x.tolist()], iterations, converged
+    return [v.hex() for v in x], iterations, converged
 
 
 def _feature_residual(m, c, bad):
     """r = M f(x) + c over the features f = (p, q, p q, sin p, cos q, p^2)
-    of x = (p, q), and its Jacobian M df/dx. bad = (calls, k, value)
+    of (p, q), and its Jacobian M df/d(p, q). bad = (calls, k, value)
     writes value into r (k < 2) or J (k >= 2) from that call on."""
     m, c, calls = np.array(m).reshape(2, 6), np.array(c), [0]
 
-    def residual(x):
-        p, q = x
+    def residual(p, q):
         f = np.array([p, q, p * q, math.sin(p), math.cos(q), p * p])
         df = np.array(
             [[1.0, 0.0], [0.0, 1.0], [q, p], [math.cos(p), 0.0], [0.0, -math.sin(q)], [2 * p, 0.0]]
@@ -324,9 +324,9 @@ def _feature_residual(m, c, bad):
     return residual
 
 
-def _rosenbrock(x):
-    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+def _rosenbrock(p, q):
+    r = np.array([10.0 * (q - p * p), 1.0 - p])
+    jac = np.array([[-20.0 * p, 10.0], [-1.0, 0.0]])
     return r, jac
 
 
@@ -341,22 +341,23 @@ class TestGaussNewtonBox:
     def test_minimum_outside_the_box_lands_on_its_face(self):
         """|x - (2, -1)|^2 on [0, 1]^2: both coordinates end on a bound."""
 
-        def shifted(x):
-            return x - np.array([2.0, -1.0]), np.eye(2)
+        def shifted(p, q):
+            return np.array([p - 2.0, q + 1.0]), np.eye(2)
 
         x, iterations, converged = gauss_newton_box(shifted, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0))
         assert converged
-        assert x.tolist() == [1.0, 0.0]
+        assert x == (1.0, 0.0)
 
     def test_iterates_stay_in_the_box(self):
         seen = []
 
-        def recording(x):
-            seen.append(x.copy())
-            return _rosenbrock(x)
+        def recording(p, q):
+            seen.append((p, q))
+            return _rosenbrock(p, q)
 
         gauss_newton_box(recording, (-1.2, 1.0), (-1.5, 0.5), (1.5, 1.2))
-        assert all(np.all(p >= [-1.5, 0.5]) and np.all(p <= [1.5, 1.2]) for p in seen)
+        assert seen and all(type(p) is type(q) is float for p, q in seen)
+        assert all(-1.5 <= p <= 1.5 and 0.5 <= q <= 1.2 for p, q in seen)
 
     def test_reports_non_convergence_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(numkit, "_GN_MAX_ITER", 2)
@@ -372,14 +373,14 @@ class TestGaussNewtonBox:
         """A non-finite r or J used to reach lstsq, which raised LinAlgError
         after LAPACK printed DLASCL complaints to stdout."""
 
-        def broken(x):
-            r, jac = _rosenbrock(x)
+        def broken(p, q):
+            r, jac = _rosenbrock(p, q)
             (r if bad == "residual" else jac)[0] = value
             return r, jac
 
         x, iterations, converged = gauss_newton_box(broken, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0))
         assert not converged and iterations == 0
-        assert x.tolist() == [-1.2, 1.0]
+        assert x == (-1.2, 1.0)
         assert capfd.readouterr().out == ""
 
 
@@ -432,8 +433,8 @@ class TestGaussNewtonBox:
         variables are held."""
         a = np.array([[2.0, 0.5], [0.25, 1.0]])
 
-        def residual(x):
-            return a @ (x - np.array(c)), a.copy()
+        def residual(p, q):
+            return a @ (np.array((p, q)) - np.array(c)), a.copy()
 
         shapes = set()
         lstsq = np.linalg.lstsq
