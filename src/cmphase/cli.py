@@ -36,7 +36,9 @@ from .montecarlo import AllTrialsSaturatedError, sweep, write_sweep_csv
 from .network import ConfigError, NetworkConfig, PowerMode, effective_noise_var, simulate_snapshot
 from .noise import MODEL_TOKENS, noise_model
 from .numkit import RandomStream, real_number, whole_number
-from .tuning import OMEGA_TARGETS, OmegaOptima, analytic_omega, optimal_omega, rule_omega
+from .tuning import (
+    OMEGA_MAX, OMEGA_MIN, OMEGA_TARGETS, OmegaOptima, analytic_omega, optimal_omega, rule_omega,
+)
 
 _CONFIG_DEFAULTS = {
     "L": 100,
@@ -189,7 +191,7 @@ def _cmd_asv(args) -> int:
             raise ConfigError("--omega auto:gamma requires --theta")
         omega, notes = rule_omega(
             omega, model, args.sigma, args.P, args.channel_noise_var, mode,
-            args.theta, 2.0 * math.pi,
+            args.theta, OMEGA_MAX,
         )
     report = asv_generic(
         model, args.sigma, omega, args.P,
@@ -358,8 +360,8 @@ def build_parser() -> _Parser:
     _add_point_flags(p, _CONFIG_DEFAULTS)
     p.add_argument("--target", choices=[*OMEGA_TARGETS, "all"], default="all")
     p.add_argument("--gamma", type=float, help="SNR value for the gamma target")
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=1e-4)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=2.0 * math.pi)
+    p.add_argument("--omega-min", dest="omega_min", type=float, default=OMEGA_MIN)
+    p.add_argument("--omega-max", dest="omega_max", type=float, default=OMEGA_MAX)
     p.add_argument("--analytic", action="store_true",
                    help="include the closed-form tuning equations and agreement flags")
     p.set_defaults(func=_cmd_opt_omega)

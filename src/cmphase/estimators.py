@@ -319,30 +319,28 @@ def joint_minimum_variance(
     channel_noise_var: float,
     model: NoiseModel,
     theta_R: float,
-    sigma_max: float | None = None,
 ) -> EstimateSet:
-    """Minimize joint_objective over (0, theta_R] x (0, sigma_max].
+    """Minimize joint_objective over (0, theta_R] x (0, S].
 
-    Coarse 200 x 200 grid, then numkit.gauss_newton_box from
-    the best cell on the whitened residual of the rotated frame, to 1e-10
-    of the box width in each parameter; the box (1e-12 theta_R, theta_R]
-    x (1e-12 sigma_max, sigma_max] is kept by projection. When omega
-    theta_R falls short of 2 pi by less than a grid step (a window of one
-    period among them) and the best cell is in an edge row, the edge
-    rows are phase neighbours across the wrap: the best cell of the other
-    edge row is refined too, and the refinement of lower objective
-    stands, so a theta near phase 0 is not held at the edge theta_R. When
-    sigma_max is omitted it is taken as 10x the magnitude-inversion scale
-    of z (at least 1e-2 / omega). Saturated samples (|z| > sqrt(P)) push the
+    S = 10 max(sigma_hat, 1e-3 / omega), from the magnitude-inversion
+    scale sigma_hat of z. Coarse 200 x 200 grid, then
+    numkit.gauss_newton_box from the best cell on the whitened residual
+    of the rotated frame, to 1e-10 of the box width in each parameter;
+    the box (1e-12 theta_R, theta_R] x (1e-12 S, S] is kept by
+    projection. When omega theta_R falls short of 2 pi by less than a
+    grid step (a window of one period among them) and the best cell is
+    in an edge row, the edge rows are phase neighbours across the wrap:
+    the best cell of the other edge row is refined too, and the
+    refinement of lower objective stands, so a theta near phase 0 is not
+    held at the edge theta_R. Saturated samples (|z| > sqrt(P)) push the
     minimizer onto the sigma -> 0 boundary; they are flagged and not
     searched.
 
     Raises:
         ValueError: if omega theta_R > 2 pi (to 1e-12 relative), where
-            distinct theta share a phase, or if |z| < 1e-100 sqrt(P +
-            channel_noise_var), where the objective underflows or its
-            kernels overflow, or where gamma_hat overflows (a small
-            sigma_max).
+            distinct theta share a phase, if S overflows, or if |z| <
+            1e-100 sqrt(P + channel_noise_var), where the objective
+            underflows or its kernels overflow.
         ConvergenceError: if the refinement does not converge, also
             where the residual or its Jacobian is not finite.
     """
@@ -352,25 +350,22 @@ def joint_minimum_variance(
         raise ValueError(
             f"theta_R must satisfy omega theta_R <= 2 pi, got theta_R={theta_R!r} at omega={omega!r}"
         )
-    if sigma_max is not None:
-        sigma_max = real_number("sigma_max", sigma_max)
 
     theta_hat = estimate_location(z, omega)
     sigma_inv, saturated = estimate_scale(z, omega, P, model)
     if saturated:
         return EstimateSet(min(theta_hat, theta_R), 0.0, None, True)
 
-    if sigma_max is None:
-        sigma_max = real_number("sigma_max", 10.0 * max(sigma_inv, 1e-3 / omega))
+    sigma_max = 10.0 * max(sigma_inv, 1e-3 / omega)
+    if not sigma_max < math.inf:
+        raise ValueError(f"the sigma search box overflows at z = {z!r}, omega = {omega!r}")
     if not abs(z) >= _Z_FLOOR * math.sqrt(P + channel_noise_var):
         raise ValueError(
             f"|z| = {abs(z)!r} is below {_Z_FLOOR} sqrt(P + channel_noise_var): the joint "
             "objective is out of floating-point range there"
         )
     thetas = np.linspace(theta_R / _GRID, theta_R, _GRID)
-    sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)
-    if not sigmas[0] > 0.0:  # sigma_max / _GRID underflows to 0
-        raise ValueError(f"sigma must be positive, got {sigmas}")
+    sigmas = np.linspace(sigma_max / _GRID, sigma_max, _GRID)  # sigma_max >= 1e-2 / omega > 5e-311
     # At inputs far out in the float range, 1/a, the cells and the
     # residual's products overflow or turn NaN: the grid then forms every
     # row, and the refinement stops unconverged where r or J is not finite.

@@ -133,8 +133,11 @@ def find_root_bracketed(
 ) -> float:
     """Bisection root of f on [lo, hi].
 
-    Unconditionally convergent and deterministic given (f, lo, hi, tol).
-    Requires f(lo) and f(hi) to have opposite signs (an endpoint equal to
+    Unconditionally convergent and deterministic given (f, lo, hi, tol):
+    it stops once hi - lo <= tol or lo and hi are adjacent floats, which
+    about 2100 halvings reach from any finite bracket. The midpoint is
+    0.5 (lo + hi), or 0.5 lo + 0.5 hi where lo + hi overflows. Requires
+    f(lo) and f(hi) to have opposite signs (an endpoint equal to
     zero is returned directly, so [x, x] is a valid bracket of a zero at x).
 
     Raises:
@@ -155,10 +158,12 @@ def find_root_bracketed(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(400):
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer representable
+        if not lo < mid < hi:
+            mid = 0.5 * lo + 0.5 * hi  # lo + hi overflowed, or lo and hi are adjacent
+            if not lo < mid < hi:
+                break
         fmid = f(mid)
         if fmid != fmid:
             raise ValueError(f"f({mid}) is nan")
@@ -170,7 +175,8 @@ def find_root_bracketed(
             hi = mid
         if hi - lo <= tol:
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid if abs(mid) < math.inf else 0.5 * lo + 0.5 * hi
 
 
 def uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:

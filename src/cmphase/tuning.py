@@ -42,11 +42,13 @@ __all__ = [
     "rule_omega",
     "rule_target",
     "OMEGA_TARGETS",
+    "OMEGA_MIN",
+    "OMEGA_MAX",
 ]
 
 OMEGA_TARGETS = ("theta", "sigma", "gamma")
 _BOUNDARY_OMEGA = 0.01  # stands in for an infimum at omega -> 0, which carries no information
-_OMEGA_MIN, _OMEGA_MAX = 1e-4, 2.0 * math.pi  # the default omega search interval
+OMEGA_MIN, OMEGA_MAX = 1e-4, 2.0 * math.pi  # the default omega search interval
 _BETA_LO = 1e-9
 _BETA_HI = 50.0
 _AGREE_RTOL = 1e-4
@@ -111,8 +113,8 @@ def optimal_omega(
     target: str,
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
-    omega_max: float = _OMEGA_MAX,
-    omega_min: float = _OMEGA_MIN,
+    omega_max: float = OMEGA_MAX,
+    omega_min: float = OMEGA_MIN,
 ) -> tuple[float, str]:
     """Numeric argmin of the target asymptotic variance over omega.
 
@@ -147,7 +149,7 @@ def omega_optima(
     its default interval [1e-4, 2 pi], whose searches analytic_omega
     reuses at the same point."""
     sigma, P, nv, omega_min, omega_max = _checked_point(
-        sigma, P, channel_noise_var, power_mode, _OMEGA_MIN, _OMEGA_MAX
+        sigma, P, channel_noise_var, power_mode, OMEGA_MIN, OMEGA_MAX
     )
     out: dict[str, float] = {}
     flags: dict[str, str] = {}
@@ -432,8 +434,8 @@ def analytic_omega(
     target: str,
     power_mode: PowerMode = PowerMode.TOTAL,
     gamma: float | None = None,
-    omega_max: float = _OMEGA_MAX,
-    omega_min: float = _OMEGA_MIN,
+    omega_max: float = OMEGA_MAX,
+    omega_min: float = OMEGA_MIN,
 ) -> AnalyticOmega:
     """Evaluate the bundled closed-form tuning equation for one target.
 
@@ -520,7 +522,7 @@ def rule_omega(
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
     # Named for the CLI, whose commands set theta_R, not omega_max.
-    omega_max = real_number("omega_max = 2 pi / theta_R", omega_max, _OMEGA_MIN)
+    omega_max = real_number("omega_max = 2 pi / theta_R", omega_max, OMEGA_MIN)
     if target != "gamma":
         gamma = None
     elif gamma is None:

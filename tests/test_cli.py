@@ -561,6 +561,22 @@ class TestOptOmega:
             assert payload["results"][target]["omega_star"] == w
             assert payload["results"][target]["flag"] == flag
 
+    def test_omega_interval_is_tunings(self, capsys, monkeypatch):
+        """The --omega-min and --omega-max defaults and the bound of asv's
+        auto rule are tuning's default interval, defined there once."""
+        args = cli.build_parser().parse_args(["opt-omega"])
+        assert (args.omega_min, args.omega_max) == (tuning.OMEGA_MIN, tuning.OMEGA_MAX)
+        bounds = []
+
+        def recording(*args):
+            bounds.append(args[7])
+            return rule_omega(*args)
+
+        rule_omega = cli.rule_omega
+        monkeypatch.setattr(cli, "rule_omega", recording)
+        run_json(capsys, "asv", "--omega", "auto:theta")
+        assert bounds == [tuning.OMEGA_MAX]
+
     def test_no_finite_probe_exits_1(self, capsys):
         """The theta curve is inf at every probe of [1e-4, 1e20]; the
         command printed 21180.05 flagged "lower"."""

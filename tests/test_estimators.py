@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmphase import estimators, numkit
+from cmphase.asymptotic import phasor_variances
 from cmphase.estimators import (
     _GRID,
     DegenerateScaleError,
@@ -387,12 +388,28 @@ class TestJointObjective:
 
 class TestJointMinimumVariance:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
-    def test_sigma_grid_underflow_raises(self, model):
-        """sigma_max / 200 underflows to 0 below about 1e-321, and the grid
-        is checked once for it, with the kernels' own message, which names
-        the grid."""
-        with pytest.raises(ValueError, match=r"^sigma must be positive, got \[0\.0e\+000"):
-            joint_minimum_variance(0.5 + 0.3j, 1.0, 1.0, 1.0, model, math.pi, sigma_max=1e-322)
+    def test_largest_omega_stops_unconverged(self, capfd, model):
+        """The sigma box is (1e-12 S, S] with S = 10 max(sigma_hat, 1e-3 /
+        omega) >= 1e-2 / omega, so the grid's least sigma S / 200 is
+        smallest at the largest omega: at least 2.8e-313 for any z, about
+        3e-310 here, and positive. There the Jacobian's sigma column is
+        NaN and the refinement stops with ConvergenceError, quietly."""
+        z, omega = 0.5 * cmath.exp(0.1j), sys.float_info.max
+        assert 1e-2 / omega / _GRID > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match="did not converge in 0 iterations"):
+                joint_minimum_variance(z, omega, 1.0, 1.0, model, TWO_PI / omega)
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_sigma_box_overflow_names_z_and_omega(self, model):
+        """At omega = 1e-308, sigma_hat is about 1e308 and S = 10
+        max(sigma_hat, 1e-3 / omega) overflows. The error used to name the
+        box's bound as if it were an argument, which the caller never
+        passed."""
+        with pytest.raises(ValueError, match=r"\bz = .*, omega = 1e-308$"):
+            joint_minimum_variance(0.5 * cmath.exp(0.1j), 1e-308, 1.0, 1.0, model, 1.0)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("nv", [0.0, 1.0])
@@ -441,7 +458,7 @@ class TestJointMinimumVariance:
         np.testing.assert_allclose(joint.sigma_hat, simple.sigma_hat, rtol=1e-8)
 
     def test_sigma_beyond_former_cap_matches_simple(self):
-        """The default sigma_max used to be capped at 1e3, below the simple
+        """The sigma search box used to be capped at 1e3, below the simple
         sigma 4227.1, and the estimate came back as sigma = 1000."""
         z, omega = 0.001 + 0.0005j, 0.01
         simple = simple_estimates(z, omega, 1.0, LAPLACE)
@@ -602,14 +619,15 @@ class TestJointMinimumVariance:
         wrap). The estimate must be at least as good as every point of a
         dense joint_objective grid, lie within one cell of its best point,
         and satisfy the projected first-order conditions."""
-        omega, P, nv, sigma_max = 0.8, 1.0, 1.0, 5.0
+        omega, P, nv = 0.8, 1.0, 1.0
         theta_R = math.pi / omega
         z = 0.9 * mean_signal(beyond * theta_R, 0.7, omega, P, model)
         assert estimate_location(z, omega) > theta_R
-        est = joint_minimum_variance(z, omega, P, nv, model, theta_R, sigma_max=sigma_max)
+        est = joint_minimum_variance(z, omega, P, nv, model, theta_R)
         x = np.array([est.theta_hat, est.sigma_hat])
-        lo = np.array([1e-12 * theta_R, 1e-12 * sigma_max])
-        hi = np.array([theta_R, sigma_max])
+        S = 10.0 * max(estimate_scale(z, omega, P, model)[0], 1e-3 / omega)
+        lo = np.array([1e-12 * theta_R, 1e-12 * S])
+        hi = np.array([theta_R, S])
 
         def q(theta, sigma):
             return joint_objective(z, theta, sigma, omega, P, nv, model)
@@ -657,22 +675,11 @@ class TestJointMinimumVariance:
                 ValueError, "theta_R must satisfy omega theta_R <= 2 pi",
                 id="gaussian-window-product-overflows",
             ),
-            pytest.param(
-                (0.5 + 0.5j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI, 1e-300),
-                ValueError, r"SNR estimate overflows at theta_hat=.*, sigma_hat=",
-                id="gaussian-snr-overflows-at-sigma-max-1e-300",
-            ),
-            pytest.param(
-                (0.5 + 0.5j, 1.0, 1.0, 1.0, GAUSSIAN, TWO_PI, 1e-160),
-                ValueError, r"SNR estimate overflows at theta_hat=.*, sigma_hat=",
-                id="gaussian-snr-overflows-at-sigma-max-1e-160",
-            ),
         ],
     )
     def test_extreme_points_raise_documented_errors(self, capfd, args, error, message):
         """These raised LinAlgError after six LAPACK DLASCL lines on stdout,
-        a bare OverflowError from gamma = (theta / sigma)^2, and an
-        overflow RuntimeWarning from the grid."""
+        and an overflow RuntimeWarning from the grid."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(error, match=message):
@@ -689,11 +696,8 @@ class TestJointMinimumVariance:
         window=st.one_of(WIDE.map(lambda v: ("theta_R", v)), st.floats(0.0, 1.0).map(
             lambda v: ("share of the period", v)
         )),
-        sigma_max=st.one_of(st.none(), WIDE),
     )
-    def test_wide_inputs_finite_or_raise(
-        self, capfd, model, z_parts, omega, P, nv, window, sigma_max
-    ):
+    def test_wide_inputs_finite_or_raise(self, capfd, model, z_parts, omega, P, nv, window):
         """Over log-uniform 1e-300..1e300 inputs and 0 (theta_R drawn as
         such, or as a share of the phase period 2 pi / omega), the estimate
         is finite, or ValueError or ConvergenceError is raised; never NaN,
@@ -705,8 +709,7 @@ class TestJointMinimumVariance:
             warnings.simplefilter("error", RuntimeWarning)
             try:
                 est = joint_minimum_variance(
-                    complex(re_sign * re_z, im_sign * im_z), omega, P, nv, model, theta_R,
-                    sigma_max=sigma_max,
+                    complex(re_sign * re_z, im_sign * im_z), omega, P, nv, model, theta_R
                 )
             except (ValueError, ConvergenceError):
                 pass
@@ -719,56 +722,68 @@ class TestJointMinimumVariance:
         "args, error",
         [
             pytest.param(
-                (-7.8502843677752e130 + 0j, 6.638950688723613e-108, 1.557732791741283e273, 0.0,
-                 LAPLACE, 2.2035725740313587e106, 0.0004745345630564868),
+                (1.2559141511408392e-141 + 3.940429567758407e-142j, 7.375746449669196e57,
+                 1.7325902068235254e-282, 0.0, LAPLACE, 3.878496404089838e-58),
                 ConvergenceError, id="laplace-variance-underflows-to-zero",
             ),
             pytest.param(
-                (-4.793452622609864e77 + 0j, 1.7694429014226364e-203, 2.922767741095824e229, 0.0,
-                 GAUSSIAN, 2.5200868495476233e203, 5.8035460953596386e-207),
+                (5.7020893342241945e-149 + 1.3684003462450426e-148j, 1.9420346902766524e-168,
+                 2.1976577354115513e-296, 0.0, GAUSSIAN, 7.173732657315239e167),
                 ConvergenceError, id="gaussian-variance-underflows-to-zero",
             ),
             pytest.param(
-                (-2691808279.8610005 - 24839547637315.51j, 1.4675645522568438e-13,
-                 1.134352640899475e58, 0.0, CAUCHY, 6403272046476.162, 6.345547473972886e-191),
+                (3.502454972329644e-67 - 2.2422379878353365e-67j, 1.3939287049003711e305,
+                 1.7294822028203238e-133, 0.0, CAUCHY, 2.713611553145069e-305),
                 ConvergenceError, id="cauchy-gradient-overflows",
             ),
             pytest.param(
-                (-5.332434550596829e51j, 9.240935205659373e-286, 1.9104511066875963e216,
-                 4.94775000611786e88, GAUSSIAN, 456920.2169842166, 3.433509725281733e-122),
+                (-2.1008171969796348e151 - 1.2227622565800448e151j, 1.4347106820969774e-298,
+                 1.2492527489401292e303, 0.0, GAUSSIAN, 4.7452850118762845e297),
                 None, id="gaussian-linear-model-is-nan",
             ),
             pytest.param(
-                (1.753110730807359e-43 - 1.3735893549805875e68j, 5.182943384309274e-140,
-                 6.106217849661867e196, 1.714528993278682e-214, GAUSSIAN, 6.114465804456207e-168,
-                 1.40563254854839e-55),
-                None, id="gaussian-row-bound-overflows",
-            ),
-            pytest.param(
-                (-1.7802870372388577e-128 - 3.5824112576859374e39j, 6.893793394071381e-26,
-                 9.526136271277988e182, 9.47740608457887e-295, LAPLACE, 7.371447440148861e25,
-                 3.245933521298814e-95),
+                (2.6104946868292383e153 - 6.374511568936568e153j, 6.954366511474637e-184,
+                 4.744911540432592e307, 3.3329395954569536e269, LAPLACE, 3.5860238243768335e183),
                 None, id="laplace-cells-overflow",
             ),
         ],
     )
     def test_float_range_edges_are_quiet(self, capfd, args, error):
-        """Far out in the float range 1/a, the grid's cells, the row bound
-        and the refinement's products overflow or turn NaN. Each point
-        raised an overflow, divide or invalid RuntimeWarning. With warnings
-        ignored, the first two then raised ZeroDivisionError from the
-        residual, the third ConvergenceError, and the last three gave the
-        finite estimates they give now, with no warning."""
+        """Far out in the float range a variance underflows to 0 (the
+        residual is NaN there), J^T r overflows, r + J step turns NaN, and
+        1/a and the grid's cells overflow. Each class was first seen as a
+        RuntimeWarning or a ZeroDivisionError; these points were found
+        again by a seeded search of the six arguments, |z| / sqrt(P)
+        log-uniform down to the |z| floor. The first three stop with
+        ConvergenceError, the last two give finite estimates, and none
+        warns."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if error is None:
-                est = joint_minimum_variance(*args[:-1], sigma_max=args[-1])
+                est = joint_minimum_variance(*args)
                 assert math.isfinite(est.theta_hat) and math.isfinite(est.sigma_hat)
                 assert math.isfinite(est.gamma_hat) and not est.saturated
             else:
                 with pytest.raises(error):
-                    joint_minimum_variance(*args[:-1], sigma_max=args[-1])
+                    joint_minimum_variance(*args)
         assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("model", [GAUSSIAN, LAPLACE], ids=lambda m: m.kind)
+    def test_residual_is_nan_where_a_variance_is_zero(self, model):
+        """With no channel noise, P v_c underflows to 0 at sigma omega =
+        1e-10 and P = 1e-300: Sigma is singular, the whitened residual and
+        its Jacobian are NaN, and the refinement started there stops
+        unconverged, without iterating."""
+        omega, P, sigma = 1.0, 1e-300, 1e-10
+        a, _ = phasor_variances(model, sigma, omega, P, 0.0, math)
+        assert a == 0.0
+        residual = estimators._whitened_residual(
+            mean_signal(1.0, 0.5, omega, P, model), omega, P, 0.0, model
+        )
+        r, J = residual(1.0, sigma)
+        assert np.isnan(r).all() and np.isnan(J).all()
+        outcome = numkit.gauss_newton_box(residual, (1.0, sigma), (1e-12, 1e-22), (TWO_PI, 1.0))
+        assert outcome == ((1.0, sigma), 0, False)
 
     def test_window_at_one_period_is_accepted(self):
         """theta_R = 2 pi / omega, one phase period, is the largest window,
@@ -892,8 +907,8 @@ class TestGridArgmin:
         root_p = math.sqrt(P)
         z = complex(root_p, 0.0) if exact_z else root_p * radius * cmath.exp(1j * phase)
         thetas = np.resize(np.array(theta_pool), n_theta)
-        sigma_max = 10.0**sigma_exp
-        sigmas = np.resize(np.linspace(sigma_max / sigma_period, sigma_max, sigma_period), n_sigma)
+        sigma_top = 10.0**sigma_exp
+        sigmas = np.resize(np.linspace(sigma_top / sigma_period, sigma_top, sigma_period), n_sigma)
         with np.errstate(all="ignore"):
             expected, _ = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, model)
             got = _grid_argmin(z, thetas, sigmas, omega, P, nv, model)
@@ -929,8 +944,8 @@ class TestGridArgmin:
         and across rows. A tiny sigma at nv = 0 makes 1/a or 1/b
         infinite, and every row is formed."""
         thetas = np.resize(np.array(theta_pool), n_theta)
-        sigma_max = 10.0**sigma_exp
-        sigmas = np.linspace(sigma_max / n_sigma, sigma_max, n_sigma)
+        sigma_top = 10.0**sigma_exp
+        sigmas = np.linspace(sigma_top / n_sigma, sigma_top, n_sigma)
         if on_cell:
             w = math.sqrt(P) * model.phi(sigmas, omega, np)
             z = complex(w[column % n_sigma], 0.0)
@@ -987,6 +1002,26 @@ class TestGridArgmin:
             assert np.isfinite(q).any()
         else:
             assert np.count_nonzero(q == q[i, j]) > 1 and i == 0
+
+    def test_row_bound_overflow_keeps_the_full_grid_cell(self):
+        """A sigma grid far below any search box (sigma omega ~ 1e-195,
+        where S omega >= 1e-2): b is about P (sigma omega)^2, the row bound
+        v^2 min(1/b) overflows on finite operands, and the grid's cell is
+        still the full grid's. The joint search cannot reach this: there
+        v^2 <= 2 |z|^2 <= 2 P and b >= P v_s(1e-2), so the bound stays
+        below about 1e9."""
+        z = 1.753110730807359e-43 - 1.3735893549805875e68j
+        omega, P, nv = 5.182943384309274e-140, 6.106217849661867e196, 1.714528993278682e-214
+        thetas = np.linspace(6.114465804456207e-168 / _GRID, 6.114465804456207e-168, _GRID)
+        sigmas = np.linspace(1.40563254854839e-55 / _GRID, 1.40563254854839e-55, _GRID)
+        with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            vsq = np.square(z.imag * np.cos(omega * thetas) - z.real * np.sin(omega * thetas))
+            rb = 1.0 / phasor_variances(GAUSSIAN, sigmas, omega, P, nv, np)[1]
+            assert np.isfinite(vsq).all() and np.isfinite(rb).all()
+            assert (vsq * rb.min() == math.inf).any()
+            (i, j), _ = _full_grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN)
+            assert _grid_argmin(z, thetas, sigmas, omega, P, nv, GAUSSIAN) == (i, j)
 
     def test_least_cell_in_the_last_of_190_rows(self):
         """190 theta rows, fewer than the joint search's 200; the phase of

@@ -475,6 +475,22 @@ class TestFindRootBracketed:
         with pytest.raises(ValueError, match="nan"):
             find_root_bracketed(f, 0.0, 1.0)
 
+    def test_wide_bracket_reaches_the_tolerance(self):
+        """About 1000 halvings separate 1e300 from the tolerance: a cap of
+        400 returned the midpoint 1.936e179 as the root of x - 1."""
+        assert abs(find_root_bracketed(lambda x: x - 1.0, 0.0, 1e300) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "root, lo, hi",
+        [(1.5e308, 1e308, 1.7e308), (-1.5e308, -1.7e308, -1e308), (1e308, -1.7e308, 1.7e308)],
+    )
+    def test_midpoint_near_the_float_max(self, root, lo, hi):
+        """lo + hi overflows, and 0.5 (lo + hi) returned inf. The bracket
+        ends at adjacent floats around the root, since no float step there
+        is within the tolerance."""
+        got = find_root_bracketed(lambda x: x - root, lo, hi)
+        assert math.isfinite(got) and abs(got - root) <= math.ulp(root)
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)])
     def test_nan_at_an_endpoint_raises(self, lo, hi):
         def f(x):

@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1041,3 +1042,27 @@ class TestAnalyticAgainstNumeric:
         assert math.isclose(a.value, value, rel_tol=1e-9)
         assert math.isclose(a.details["numeric_omega"], numeric, rel_tol=1e-9)
         assert (a.details["numeric_flag"], a.agrees_with_numeric) == (flag, False)
+
+    @pytest.mark.parametrize(
+        "nv, pinned, low, high",
+        [(1e-15, 3.429735897535335e-4, 0.03, 0.04), (1e-12, 1.8617253662529833e-3, 4e-5, 5e-5)],
+        ids=["r-1e-15", "r-1e-12"],
+    )
+    def test_known_disagreements_of_the_direct_sigma_root(self, nv, pinned, low, high):
+        """The Gaussian total-budget direct-sigma stationarity root
+        (details["stationarity_root_beta"]) is off at small r = nv / P:
+        the equation's r-free part, b (e^{2b} - 1) - 2 (e^b - 1)^2, is
+        about b^4 / 6 and cancels from order b^2. Against the root of the
+        same equation in 60-digit mpmath it is 3.6% off at r = 1e-15 and
+        4.5e-5 at r = 1e-12."""
+        a = analytic_omega(GAUSSIAN, 1.0, 1.0, nv, "sigma")
+        beta = a.details["stationarity_root_beta"]
+        assert math.isclose(beta, pinned, rel_tol=1e-9)
+        with mpmath.workdps(60):
+            r = mpmath.mpf(nv)
+            root = mpmath.findroot(
+                lambda b: b * ((r + 1) * mpmath.exp(2 * b) - 1)
+                - 2 * ((r + 1) * mpmath.exp(2 * b) - 2 * mpmath.exp(b) + 1),
+                (12 * r) ** 0.25,  # b^4 / 6 = 2 r to leading order
+            )
+            assert low < abs(beta / root - 1) < high

@@ -57,8 +57,8 @@ ENTRY_POINTS = [
      ["z", "omega", "P"]),
     ("joint_minimum_variance", joint_minimum_variance,
      dict(z=Z, omega=1.0, P=1.0, channel_noise_var=1.0, model=GAUSSIAN,
-          theta_R=2.0 * math.pi, sigma_max=10.0),
-     ["z", "omega", "P", "channel_noise_var", "theta_R", "sigma_max"]),
+          theta_R=2.0 * math.pi),
+     ["z", "omega", "P", "channel_noise_var", "theta_R"]),
     ("joint_objective", joint_objective,
      dict(z=Z, theta=1.0, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0, model=GAUSSIAN),
      ["z", "theta", "sigma", "omega", "P", "channel_noise_var"]),
@@ -170,8 +170,8 @@ def test_valid_calls_pass():
         fn(**kwargs)
 
 
-def test_joint_names_p_before_the_derived_sigma_max():
-    """P = inf was reported as a bad sigma: the check ran on the sigma_max
-    derived from the infinite P."""
+def test_joint_names_p_before_the_derived_search_box():
+    """P = inf was reported as a bad sigma: the check ran on the sigma
+    search box derived from the infinite P."""
     with pytest.raises(ValueError, match=r"^P must be positive and finite, got inf$"):
         joint_minimum_variance(Z, 1.0, math.inf, 1.0, GAUSSIAN, 2.0 * math.pi)
