@@ -15,27 +15,24 @@ Trials run in blocks. The substream seeds of all trials of a run are
 derived in one vectorized pass; a block's uniforms are drawn into one
 array, and the draw transforms, phasor sums and channel noise run over
 the whole block, giving z as a complex array, checked finite once. Each
-thread allocates its uniform array and scratch (network.block_work) once
-per run and forms every block it takes in them: no block allocates. The
-inversions then run per trial over z.tolist() through the unchecked
+process allocates its uniform array and scratch (network.block_work)
+once per run and forms every block it runs in them: no block allocates.
+The inversions then run per trial over z.tolist() through the unchecked
 scalar steps of estimate_location and estimate_scale (numpy's arctan2,
 abs and log on arrays may differ from math's in the last bit); no
 per-trial object is built.
 
-Blocks run concurrently on the CPUs this process may use: the calling
-thread and a pool of one thread per further CPU, built for the run and
-joined when it ends, each take the next block. A block reads its own
-substream states and writes only its own slice of z, so the samples do
-not depend on the block size, the worker count or the scheduling. The
-kernels that take a block's time (the PCG64 fill, the draw transforms,
-cos, sin and the sums) release the GIL, but every numpy call also hands
-the GIL over, so concurrent blocks are _CONCURRENT_BLOCK_FACTOR times
-larger: fewer calls per trial. A process with one usable CPU or trials
-of fewer than _CONCURRENT_MIN_L sensor samples (where the GIL-bound
-per-trial generator construction dominates) run every block on the
-calling thread, in blocks of _BLOCK_SAMPLES, and build no pool; nor does
-a run whose trials fit in one concurrent block. A sweep of such trials
-spreads its rows over forked processes instead (see sweep).
+Work is spread over the usable CPUs one way, by _forked: tasks run in
+this process and in children made by os.fork, which send their results
+back pickled through a pipe. A sweep of more than one row forks its
+rows; a one-row sweep or a direct run_experiment forks contiguous
+ranges of its trials, each run in blocks in its own process. A process
+running a share of forked tasks forks nothing more, so forks never
+nest. A process with one usable CPU, one item (one row, or one block of
+trials), no os.fork or another live thread runs serially. A task writes
+only its own results, so the samples do not depend on the block size,
+the process count or the scheduling, and there is no setting for any of
+this.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import numpy as np
 from .asymptotic import AsvReport, asv_generic
 from .estimators import _location, _scale, estimate_snr
 from .network import ConfigError, NetworkConfig, block_work, simulate_block, snapshot_uniforms
-from .numkit import RandomStream, uniforms_from_states, whole_number
+from .numkit import RandomStream, real_number, uniforms_from_states, whole_number
 from .tuning import rule_omega, rule_target
 
 __all__ = [
@@ -72,26 +69,13 @@ CSV_HEADER = (
 )
 
 _TRIM_FRACTION = 0.01  # two-sided trim on the SNR sample before its variance
-# Sensor samples per block of trials on the calling thread alone (at least
-# one trial per block), which sizes its buffers. At L = 100, 2^13 ran 3-6%
-# faster than 2^12 or 2^14; every run maps the 256 KB buffers of 2^14
-# afresh (about 770 minor page faults per 8-row sweep against 3).
+# Sensor samples per block of trials (at least one trial per block), which
+# sizes a process's buffers. At L = 100, 2^13 ran 3-6% faster than 2^12 or
+# 2^14; every run maps the 256 KB buffers of 2^14 afresh (about 770 minor
+# page faults per 8-row sweep against 3).
 _BLOCK_SAMPLES = 1 << 13
-# Blocks run concurrently hold this many times _BLOCK_SAMPLES. Each block
-# makes a few dozen numpy calls, each releasing and retaking the GIL; with
-# one trial per block at L = 10^4 two threads spent much of a block on
-# that handoff. On two CPUs 2^15-sample blocks (three trials at L = 10^4)
-# cut the acceptance points' time by 23% (bench mc-large-L wall_s 0.442 s
-# to 0.340 s, medians of ten pairs) for 0.96 MB more peak RSS; 2^16 ran
-# 4% faster again but cost 1.9 MB more, +7% peak RSS over one-trial
-# blocks.
-_CONCURRENT_BLOCK_FACTOR = 4
-# Sensor samples per trial from which blocks run concurrently. Below it
-# the per-trial PCG64 construction, which holds the GIL, is a large share
-# of a block, and a second thread contending for the GIL made L = 100
-# sweeps 15-40% slower on two CPUs; from L = 1000 on they ran 35-40%
-# faster.
-_CONCURRENT_MIN_L = 1000
+# True while this process runs a share of tasks spread by _forked.
+_sharing = False
 
 
 class AllTrialsSaturatedError(RuntimeError):
@@ -156,62 +140,47 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _processes(items: int) -> int:
+    """The processes that items of work may use: min(usable CPUs, items),
+    or 1 where os.fork is missing, another thread is alive (forking a
+    process with threads is unsafe) or this process runs a forked share."""
+    if _sharing or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), items)
+
+
 def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarray:
     """Normalized received samples z of trials 0, ..., trials - 1, trial t
-    drawn from root.substream(t), simulated block by block, the blocks
-    spread over the usable CPUs.
+    drawn from root.substream(t), simulated block by block.
 
-    A block holds _BLOCK_SAMPLES sensor samples, _CONCURRENT_BLOCK_FACTOR
-    times as many where blocks may run concurrently (L of at least
-    _CONCURRENT_MIN_L and more than one usable CPU), and at least one
-    trial. The calling thread and, for a concurrent run, workers - 1
-    threads of a pool built for this run each take the next block start
-    under a lock. Each thread allocates one uniform array and one
-    block_work of min(trials, per_block) rows and refills them for every
-    block it takes, a shorter last block their first rows. The pool is
-    joined before the first exception raised by any block is re-raised.
-    Each thread sets its own numpy errstate, which pool threads do not
-    inherit: a phase past the float range gives a NaN z without a
-    warning, for run_experiment to reject.
+    A block holds _BLOCK_SAMPLES sensor samples and at least one trial.
+    The trials are cut into P = _processes(blocks) contiguous ranges, one
+    per process of _forked. Each range allocates one uniform array and
+    one block_work of min(its trials, per_block) rows and refills them
+    for every block, a shorter last block their first rows. A phase past
+    the float range gives a NaN z without a warning, for run_experiment
+    to reject.
     """
-    threaded = cfg.L >= _CONCURRENT_MIN_L and _usable_cpus() > 1
-    block_samples = _BLOCK_SAMPLES * (_CONCURRENT_BLOCK_FACTOR if threaded else 1)
-    per_block = max(1, block_samples // cfg.L)
+    per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
     states = root.substream_states(trials)
-    # Filled in place: per-block arrays kept alive until one concatenate
-    # fragmented the heap (5x the page faults at L = 10^4).
-    z = np.empty(trials, dtype=complex)
-    starts = range(0, trials, per_block)
-    workers = min(_usable_cpus(), len(starts)) if threaded else 1
-    lock = threading.Lock()
-    pending = iter(starts)
+    procs = _processes(-(-trials // per_block))
 
-    def drain() -> None:
-        rows = min(per_block, trials)
+    def share(k: int) -> np.ndarray:
+        lo, hi = trials * k // procs, trials * (k + 1) // procs
+        # Filled in place: per-block arrays kept alive until one concatenate
+        # fragmented the heap (5x the page faults at L = 10^4).
+        z = np.empty(hi - lo, dtype=complex)
+        rows = min(per_block, hi - lo)
         u, work = np.empty((rows, n)), block_work(cfg, rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                with lock:
-                    start = next(pending, None)
-                if start is None:
-                    return
-                m = min(per_block, trials - start)
+            for start in range(lo, hi, per_block):
+                m = min(per_block, hi - start)
                 uniforms_from_states(states[start : start + m], n, out=u[:m])
-                z[start : start + m] = simulate_block(cfg, u[:m], work)[1]
-
-    if workers == 1:
-        drain()
+                z[start - lo : start - lo + m] = simulate_block(cfg, u[:m], work)[1]
         return z
-    # Imported here so that importing cmphase does not import it.
-    from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cmphase-block") as pool:
-        futures = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-    for future in futures:
-        future.result()
-    return z
+    return np.concatenate(_forked(share, procs))
 
 
 def run_experiment(
@@ -298,12 +267,11 @@ def sweep(
     (at least 2, so that every sample variance is defined), grid value or
     omega_rule raises ValueError before any row runs.
 
-    With more than one row and usable CPU, L below _CONCURRENT_MIN_L (so
-    no row runs block threads), os.fork and no other thread alive, row i
-    runs in process i mod P of this one and P - 1 forked children, P =
-    min(CPUs, rows); otherwise the rows run here in turn. There is no
-    setting for this, and the rows are the same bits either way. A row
-    error other than those above propagates, the lowest row's first.
+    The rows run through _forked, which spreads them over forked
+    processes where it can; a one-row sweep runs its row here, and that
+    row's run_experiment spreads its trials instead. There is no setting
+    for this, and the rows are the same bits either way. A row error
+    other than those above propagates, the lowest row's first.
     """
     if axis not in ("omega", "sigma"):
         raise ValueError(f"axis must be 'omega' or 'sigma', got {axis!r}")
@@ -314,7 +282,7 @@ def sweep(
     trials = whole_number("trials", trials, 2)
     if trials >= 2**32:  # substream_states' bound, checked before any row
         raise ValueError(f"trials must be below 2**32, got {trials!r}")
-    values = [float(raw) for raw in grid]
+    values = [real_number("grid value", raw, -math.inf) for raw in grid]
     root = RandomStream(cfg.seed)
 
     def row(i: int) -> SweepRow:
@@ -343,34 +311,35 @@ def sweep(
             return SweepRow(axis, value, omega, None, asv, str(exc))
         return SweepRow(axis, value, omega, summary, asv, None)
 
-    procs = min(_usable_cpus(), len(values))
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    if not (cfg.L < _CONCURRENT_MIN_L and procs > 1 and forkable):
-        procs = 1
-    return _forked_rows(row, len(values), procs)
+    return _forked(row, len(values))
 
 
-def _rows_of(row, start: int, n: int, step: int) -> list[tuple]:
-    """(i, row(i)) for i in range(start, n, step), up to the first (i, exception)."""
+def _tasks_of(task, start: int, n: int, step: int) -> list[tuple]:
+    """(i, task(i)) for i in range(start, n, step), up to the first (i, exception)."""
     out = []
     for i in range(start, n, step):
         try:
-            out.append((i, row(i)))
+            out.append((i, task(i)))
         except Exception as exc:
             out.append((i, exc))
             break
     return out
 
 
-def _forked_rows(row, n: int, procs: int) -> list[SweepRow]:
-    """row(i) for i in range(n), process k of this one and procs - 1 forked
-    children giving _rows_of(row, k, n, procs), a child's through a pipe
-    (an exception that does not survive pickling as a RuntimeError naming
-    it); with procs = 1 the rows run here in turn. Every child is reaped
-    before this returns, and killed first if this process failed outside
-    a row. The lowest failed row's exception is raised."""
+def _forked(task, n: int) -> list:
+    """[task(i) for i in range(n)]: process k of this one and P - 1 forked
+    children, P = _processes(n), gives _tasks_of(task, k, n, P), a child's
+    through a pipe (an exception that does not survive pickling as a
+    RuntimeError naming it); with P = 1 the tasks run here in turn. While
+    P > 1 every process is flagged as running a share, so a task forks
+    nothing more. Every child is reaped before this returns, and killed
+    first if this process failed outside a task. The lowest failed task's
+    exception is raised."""
+    global _sharing
+    procs, outer = _processes(n), _sharing
     children, payloads, done = [], [], False  # children: (pid, pipe read end)
     try:
+        _sharing = outer or procs > 1
         for k in range(1, procs):
             r, w = os.pipe()
             try:
@@ -381,13 +350,13 @@ def _forked_rows(row, n: int, procs: int) -> list[SweepRow]:
                 raise
             if pid == 0:  # the child: leaves by os._exit, never returns
                 try:
-                    out = _rows_of(row, k, n, procs)
+                    out = _tasks_of(task, k, n, procs)
                     i, last = out[-1]
                     try:
                         pickle.loads(pickle.dumps(last))
                     except Exception:
                         name = type(last).__qualname__
-                        out[-1] = i, RuntimeError(f"sweep row {i} raised {name}: {last}")
+                        out[-1] = i, RuntimeError(f"forked task {i} raised {name}: {last}")
                     with open(w, "wb") as pipe:
                         pipe.write(pickle.dumps(out))
                     os._exit(0)
@@ -395,18 +364,19 @@ def _forked_rows(row, n: int, procs: int) -> list[SweepRow]:
                     os._exit(1)
             os.close(w)
             children.append((pid, r))
-        outcomes = _rows_of(row, 0, n, procs)
+        outcomes = _tasks_of(task, 0, n, procs)
         done = True
     finally:
+        _sharing = outer
         for pid, r in children:
             if not done:
                 os.kill(pid, 9)  # SIGKILL, without importing signal
             with open(r, "rb") as pipe:
                 payloads.append((pipe.read(), os.waitpid(pid, 0)[1]))
     for (pid, _), (payload, status) in zip(children, payloads):
-        code = os.waitstatus_to_exitcode(status)  # 0 only once its rows are written
+        code = os.waitstatus_to_exitcode(status)  # 0 only once its results are written
         if code != 0:
-            raise RuntimeError(f"sweep child {pid} exited with status {code} before its rows")
+            raise RuntimeError(f"forked child {pid} exited with status {code} before its results")
         outcomes += pickle.loads(payload)
     outcomes.sort(key=lambda outcome: outcome[0])
     for _, out in outcomes:

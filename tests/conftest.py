@@ -1,6 +1,7 @@
 """Shared test setup."""
 
 import math
+import os
 
 import pytest
 
@@ -40,3 +41,13 @@ def _cold_tuning_caches():
     """Every test starts with no kept tuning result, so a test that counts
     or patches a kept computation sees its own calls."""
     clear_tuning_caches()
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """A test that forks (a Monte Carlo run on more than one usable CPU
+    may) reaps every child before it ends: a child left running or
+    unreaped fails it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

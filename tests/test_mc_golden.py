@@ -16,14 +16,12 @@ than one block, trial counts that leave a partial last block, saturated
 trials and an error row.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
-import sys
 import threading
 import time
 from pathlib import Path
@@ -139,40 +137,21 @@ def test_trial_z_matches_golden(name):
 )
 def test_block_size_independence(monkeypatch, fields, trials):
     """One trial per block, a prime block size (13, 9 and 32 trials per
-    block here on the serial loop, 55, 38 and 129 in concurrent blocks,
-    each leaving a partial last block) and the default, each run on 1, 2
-    and 3 usable CPUs (the serial loop, then the calling thread and one
-    or two pool threads, whatever the host has), give the same samples
-    and the same summary. Below the default block size every run on more
-    than one CPU builds a pool and drains more than one block through
-    it, rather than falling back to the serial loop."""
+    block, each leaving a partial last block) and the default, each run
+    on 1, 2 and 3 usable CPUs, give the same samples and the same summary.
+    A run of more than one block on more than one CPU forks min(CPUs,
+    blocks) - 1 trial ranges, rather than running every block here."""
     cfg = make_config(sigma=1.0, omega=0.8, seed=12, **fields)
+    forks = counted_forks(monkeypatch)
     results = []
-    pools, blocks = [], []
-    executor, simulate_block = concurrent.futures.ThreadPoolExecutor, montecarlo.simulate_block
-
-    def counted_pool(workers, **kwargs):
-        pools.append(workers)
-        return executor(workers, **kwargs)
-
-    def counted_block(*args):
-        blocks.append(len(args[1]))
-        return simulate_block(*args)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
-    monkeypatch.setattr(montecarlo, "simulate_block", counted_block)
-    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
-    default = montecarlo._BLOCK_SAMPLES
-    for block in (1, 97, default):
+    for block in (1, 97, montecarlo._BLOCK_SAMPLES):
         monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
+        blocks = -(-trials // max(1, block // cfg.L))
         for cpus in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
-            pools.clear()
-            blocks.clear()
+            forks.clear()
             z = trial_z(cfg, trials, 0)
-            if cpus > 1 and block < default:
-                assert len(blocks) > 1 and pools == [min(cpus, len(blocks)) - 1], (
-                    block, cpus, pools, len(blocks))
+            assert len(forks) == min(cpus, blocks) - 1, (block, cpus, blocks)
             summary = dataclasses.asdict(run_experiment(cfg, trials))
             results.append((z, summary))
     for z, summary in results[1:]:
@@ -184,109 +163,91 @@ def test_block_size_independence(monkeypatch, fields, trials):
     "model, L", [("gaussian", 1001), ("laplace", 1000), ("cauchy", 1000)],
 )
 def test_default_concurrent_blocks_match_serial(monkeypatch, model, L):
-    """With the default block constants, 70 trials at L = 1000 on two CPUs
-    run in blocks of 32 trials (two full, one partial) and give the z of
-    the serial loop on one CPU (blocks of 8 trials) bit for bit."""
+    """With the default block size, 70 trials at L = 1000 (blocks of 8
+    trials) on two CPUs fork exactly once, for trials 35-69, in
+    _received_z, a direct run_experiment and a one-row sweep alike, and
+    give the z, the summary and the row of one CPU bit for bit."""
     cfg = make_config(model=model, power_mode="total", L=L, channel_noise_var=0.5,
                       sigma=1.0, omega=0.8, seed=30)
+    forks = counted_forks(monkeypatch)
+    runs = (
+        lambda: trial_z(cfg, 70, 0).tobytes(),
+        lambda: hexed(dataclasses.astuple(run_experiment(cfg, 70))),
+        lambda: hexed(dataclasses.astuple(sweep(cfg, "omega", [0.8], 70)[0])),
+    )
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+        for run in runs:
+            forks.clear()
+            results.append(run())
+            assert len(forks) == cpus - 1
+    assert results[3:] == results[:3]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_large_L_rows_do_not_nest_forks(monkeypatch, cpus):
+    """A 3-row sweep at L = 10^4, each row three one-trial blocks, forks
+    min(CPUs, rows) - 1 children for its rows and nothing more: a row's
+    trials run where the row runs (os.fork raises in a child, and the
+    count covers the rows this process runs), with the serial bits."""
+    cfg = make_config(model="laplace", power_mode="total", L=10_000, channel_noise_var=0.5,
+                      sigma=1.0, omega=0.8, seed=23)
+    grid = [0.5, 0.7, 0.9]
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    serial = trial_z(cfg, 70, 0)
-    rows = []
-    simulate_block = montecarlo.simulate_block
+    serial = hexed([dataclasses.astuple(row) for row in sweep(cfg, "omega", grid, 3)])
+    parent, fork, forks = os.getpid(), os.fork, []
 
-    def counted_block(cfg_b, u, work):
-        rows.append(len(u))
-        return simulate_block(cfg_b, u, work)
+    def counted():
+        if os.getpid() != parent:
+            raise AssertionError("a forked child forked")
+        forks.append(1)
+        return fork()
 
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(montecarlo, "simulate_block", counted_block)
-    concurrent = trial_z(cfg, 70, 0)
-    assert sorted(rows) == [6, 32, 32]
-    np.testing.assert_array_equal(concurrent, serial)
-
-
-def test_many_threads_many_switches(monkeypatch):
-    """Eight threads on however many cores, a 1 us switch interval and 600
-    one-trial blocks give the serial loop's z: no block is left unfilled
-    (a slice of np.empty) and none is written from another's uniforms."""
-    cfg = make_config(model="laplace", power_mode="total", L=3, channel_noise_var=0.5,
-                      sigma=1.0, omega=0.8, seed=21)
-    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 1)
-    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    serial = trial_z(cfg, 600, 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        concurrent = trial_z(cfg, 600, 0)
-    finally:
-        sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(concurrent, serial)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    got = hexed([dataclasses.astuple(row) for row in sweep(cfg, "omega", grid, 3)])
+    assert len(forks) == min(cpus, len(grid)) - 1
+    assert got == serial
 
 
 @pytest.mark.parametrize(
-    "cpus, L, trials",
-    [(1, 20000, 4), (2, 20000, 1), (2, 100, 400)],
-    ids=["one-cpu", "one-block", "small-L"],
+    "cpus, trials", [(1, 4), (2, 1)], ids=["one-cpu", "one-block"],
 )
-def test_plain_loop_builds_no_pool(monkeypatch, cpus, L, trials):
-    """One usable CPU, a single block, or trials below _CONCURRENT_MIN_L
-    samples run every block on the calling thread."""
-    cfg = make_config(model="cauchy", power_mode="total", L=L, channel_noise_var=0.0,
+def test_plain_loop_forks_nothing(monkeypatch, cpus, trials):
+    """One usable CPU or a single block of trials run every block here."""
+    cfg = make_config(model="cauchy", power_mode="total", L=20000, channel_noise_var=0.0,
                       sigma=1.0, omega=0.8, seed=4)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a block pool was requested")
+    def no_fork():
+        raise AssertionError("run_experiment forked")
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run_experiment(cfg, trials).trials == trials
 
 
-def block_threads() -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name.startswith("cmphase-block")]
-
-
-def test_pool_joined_when_the_run_returns(monkeypatch):
-    """A concurrent run leaves no pool thread alive once it returns."""
-    cfg = make_config(model="cauchy", power_mode="total", L=4, channel_noise_var=0.0,
-                      sigma=1.0, omega=0.8, seed=3)
-    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
-    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    assert run_experiment(cfg, 20).trials == 20
-    assert block_threads() == []
-
-
-@pytest.mark.parametrize("raiser", ["calling", "pool"])
+@pytest.mark.parametrize("raiser", ["calling", "forked"])
 def test_block_exception_propagates(monkeypatch, raiser):
-    """An exception raised in a block on the calling thread or on a pool
-    thread leaves run_experiment, rather than a z with an unfilled slice,
-    and only after the pool has been joined. Each thread waits at a
-    barrier in its first block, so both threads run blocks."""
+    """An exception raised in a block of the calling process's trial range
+    or of the forked child's leaves run_experiment, rather than a z with
+    an unfilled slice, and leaves no child behind (conftest checks)."""
     cfg = make_config(model="cauchy", power_mode="total", L=4, channel_noise_var=0.0,
                       sigma=1.0, omega=0.8, seed=3)
-    barrier = threading.Barrier(2, timeout=30)
-    started = threading.local()
-    simulate_block = montecarlo.simulate_block
+    parent, simulate_block = os.getpid(), montecarlo.simulate_block
 
     def failing(cfg_b, *args):
-        if not getattr(started, "value", False):
-            started.value = True
-            barrier.wait()
-        calling = threading.current_thread() is threading.main_thread()
-        if calling == (raiser == "calling"):
+        if (os.getpid() == parent) == (raiser == "calling"):
             raise ArithmeticError("block failed")
         return simulate_block(cfg_b, *args)
 
+    forks = counted_forks(monkeypatch)
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 4)
-    monkeypatch.setattr(montecarlo, "_CONCURRENT_MIN_L", 1)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(montecarlo, "simulate_block", failing)
     with pytest.raises(ArithmeticError, match="block failed"):
         run_experiment(cfg, 20)
-    assert block_threads() == []
+    assert len(forks) == 1
 
 
 def one_trial_summary(cfg: NetworkConfig, trials: int) -> dict:
@@ -384,11 +345,6 @@ def counted_forks(monkeypatch) -> list:
     return forks
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", sorted(FORK_CASES))
 def test_forked_rows_match_serial(monkeypatch, name, rows):
@@ -407,7 +363,6 @@ def test_forked_rows_match_serial(monkeypatch, name, rows):
         buf = io.StringIO()
         write_sweep_csv(got, buf, manifest={"case": name})
         results.append((hexed([dataclasses.astuple(row) for row in got]), buf.getvalue()))
-    assert_no_child_left()
     assert results[1] == results[0] and results[2] == results[0]
     full = sweep(cfg, axis, grid, trials, omega_rule=rule)  # the error rows are there
     if axis == "omega":
@@ -445,7 +400,6 @@ def test_lowest_failed_row_is_raised(monkeypatch, failing, lowest):
 
     with pytest.raises(ArithmeticError, match=f"^row {lowest} failed$"):
         sigma_sweep(monkeypatch, 3, 6, fail_row)
-    assert_no_child_left()
     with pytest.raises(ArithmeticError, match=f"^row {lowest} failed$"):
         sigma_sweep(monkeypatch, 1, 6, fail_row)
 
@@ -474,9 +428,8 @@ def test_exception_that_cannot_cross_the_pipe(monkeypatch, error):
         if i == 1:
             raise error()
 
-    with pytest.raises(RuntimeError, match=r"sweep row 1 raised \w+Error: "):
+    with pytest.raises(RuntimeError, match=r"forked task 1 raised \w+Error: "):
         sigma_sweep(monkeypatch, 2, 2, fail_row)
-    assert_no_child_left()
 
 
 def test_child_exiting_without_rows(monkeypatch):
@@ -488,9 +441,8 @@ def test_child_exiting_without_rows(monkeypatch):
         if os.getpid() != parent:
             os._exit(3)
 
-    with pytest.raises(RuntimeError, match="exited with status 3 before its rows"):
+    with pytest.raises(RuntimeError, match="exited with status 3 before its results"):
         sigma_sweep(monkeypatch, 2, 4, fail_row)
-    assert_no_child_left()
 
 
 def test_interrupt_kills_the_children(monkeypatch):
@@ -509,14 +461,12 @@ def test_interrupt_kills_the_children(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         sigma_sweep(monkeypatch, 3, 3, fail_row)
     assert time.monotonic() - start < 30
-    assert_no_child_left()
 
 
 # case -> (usable CPUs, rows, L)
 SERIAL_CASES = {
     "one-cpu": (1, 3, 10),
     "one-row": (2, 1, 10),
-    "large-L": (2, 3, montecarlo._CONCURRENT_MIN_L),
     "thread-alive": (2, 3, 10),
     "no-fork": (2, 3, 10),
 }
@@ -524,8 +474,8 @@ SERIAL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SERIAL_CASES))
 def test_serial_rows_fork_nothing(monkeypatch, case):
-    """One usable CPU, one row, trials of _CONCURRENT_MIN_L samples or
-    more, another live thread, or no os.fork run the rows in turn here."""
+    """One usable CPU, one row, another live thread, or no os.fork run the
+    rows in turn here."""
     cpus, rows, L = SERIAL_CASES[case]
 
     def no_fork():

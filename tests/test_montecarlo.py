@@ -9,6 +9,7 @@ suite at its stated sample sizes.
 import dataclasses
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -234,31 +235,43 @@ class TestBlockLoopAllocations:
         assert peak <= buffers + z.nbytes + 16 * 1024, (peak, buffers, z.nbytes)
 
     @pytest.mark.parametrize("model, L", [("laplace", 1000), ("gaussian", 1001), ("cauchy", 1000)])
-    def test_concurrent_blocks_reuse_their_buffers(self, monkeypatch, model, L):
-        """A warm run on two CPUs at L = 1000, in the default concurrent
-        blocks, holds at most one set of block buffers per worker, z and
-        16 KB per worker of small arrays and pool objects: the larger
-        concurrent blocks cost their buffers and nothing per block. The
-        slack is per worker because two blocks' generator objects (about
-        5 KB each) are alive at once beside the pool's threads, futures
-        and locks (about 8.5 KB), 15-17 KB in all; a block-sized array is
-        256 KB."""
+    def test_concurrent_blocks_reuse_their_buffers(self, monkeypatch, tmp_path, model, L):
+        """A warm run on two CPUs at L = 1000 forks one trial range, and
+        each process holds at most one set of block buffers, z and 16 KB
+        of small arrays, however many blocks it runs: after every block a
+        process logs its traced peak (a child inherits the tracing)."""
         cfg = make_config(model=model, L=L, channel_noise_var=1.0, omega=0.8)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        per_block = montecarlo._CONCURRENT_BLOCK_FACTOR * montecarlo._BLOCK_SAMPLES // L
-        trials = 6 * per_block + 5
+        per_block = montecarlo._BLOCK_SAMPLES // L
+        trials = 12 * per_block + 5
         root = RandomStream(cfg.seed)
         states = root.substream_states(trials)
         monkeypatch.setattr(RandomStream, "substream_states", lambda self, n: states)
         montecarlo._received_z(cfg, trials, root)
         buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
+        simulate_block = montecarlo.simulate_block
+        log = os.open(tmp_path / "peaks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def logged(*args):
+            result = simulate_block(*args)
+            os.write(log, f"{os.getpid()} {tracemalloc.get_traced_memory()[1]}\n".encode())
+            return result
+
+        monkeypatch.setattr(montecarlo, "simulate_block", logged)
         tracemalloc.start()
         try:
             z = montecarlo._received_z(cfg, trials, root)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * (buffers + 16 * 1024) + z.nbytes, (peak, buffers, z.nbytes)
+            os.close(log)
+        peaks = {}
+        for line in (tmp_path / "peaks").read_text().splitlines():
+            pid, value = map(int, line.split())
+            peaks[pid] = max(peaks.get(pid, 0), value)
+        assert len(peaks) == 2, peaks
+        bound = buffers + z.nbytes + 16 * 1024
+        assert max(peaks.values()) <= bound and peak <= bound, (peaks, peak, bound)
 
     def test_no_block_allocates(self, monkeypatch):
         """What one block of a warm run allocates, from its uniforms to its
@@ -266,6 +279,7 @@ class TestBlockLoopAllocations:
         would not tell buffers held for the run from buffers allocated
         and freed by every block."""
         cfg = make_config(model="laplace", L=100, channel_noise_var=1.0, omega=0.8)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)  # every block here
         trials = 8 * (montecarlo._BLOCK_SAMPLES // cfg.L) + 5
         montecarlo._received_z(cfg, trials, RandomStream(cfg.seed))
         grown = []
@@ -399,9 +413,19 @@ class TestSweep:
 
         monkeypatch.setattr(montecarlo, "run_experiment", counted)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        with pytest.raises(ValueError, match="could not convert"):
+        with pytest.raises(ValueError, match="grid value must be a real number, got 'fast'"):
             sweep(make_config(L=20), "omega", [0.5, 0.9, "fast"], trials=4)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "raw", [True, "0.5", b"0.5", math.nan, -math.inf], ids=["bool", "str", "bytes", "nan", "-inf"]
+    )
+    def test_wrongly_typed_grid_value_rejected(self, raw):
+        """A bool, a str or bytes of a number, NaN or an infinity is not a
+        grid value: True ran a row at 1.0 and "0.5" and b"0.5" at 0.5, as
+        float() read them; real_number rejects them at every other entry."""
+        with pytest.raises(ValueError, match="^grid value must be"):
+            sweep(make_config(L=20), "omega", [0.5, raw], trials=4)
 
 
 class TestWriteSweepCsv:
