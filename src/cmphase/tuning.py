@@ -225,26 +225,21 @@ def _gaussian_gamma_equation(r: float, gamma: float):
     return lambda b, e1, e2: first(b, e1, e2) + gamma * fixed(b, e1, e2)
 
 
-@functools.lru_cache(maxsize=3)
-def _gaussian_root(equation, r: float) -> float | None:
-    """_scan_root(equation(r)) for a Gaussian equation that depends on
-    the point only through r = nv / P (theta, printed sigma, direct
-    sigma): the last r's three roots are kept; each call maps beta to
-    omega itself."""
-    return _scan_root(equation(r))
-
-
 @functools.lru_cache(maxsize=1)
-def _gaussian_gamma_terms(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The gamma equation's two terms on _scan_tables, the g-free one and
-    the direct-sigma equation that g multiplies, read-only; kept for the
-    last r."""
+def _gaussian_record(r: float) -> tuple:
+    """What the Gaussian forms need of the point through r = nv / P alone,
+    kept for the last r: the theta, printed-sigma and direct-sigma roots
+    in beta (_scan_root's) and, read-only on _scan_tables, the gamma
+    equation's g-free term and the direct-sigma values that g multiplies,
+    which are also the direct-sigma scan's."""
     b, e1, e2 = _scan_tables()
     with np.errstate(all="ignore"):
-        terms = _gaussian_gamma_first(r)(b, e1, e2), _gaussian_sigma_equation_fixed(r)(b, e1, e2)
-    for term in terms:
-        term.flags.writeable = False
-    return terms
+        first, fixed = _gaussian_gamma_first(r)(b, e1, e2), _gaussian_sigma_equation_fixed(r)(b, e1, e2)
+    first.flags.writeable = fixed.flags.writeable = False
+    theta_root = _scan_root(_gaussian_theta_equation(r))
+    printed_root = _scan_root(_gaussian_sigma_equation(r))
+    direct_root = _scan_root(_gaussian_sigma_equation_fixed(r), fixed)
+    return theta_root, printed_root, direct_root, first, fixed
 
 
 def _laplace_sigma_quintic(r: float) -> list[float]:
@@ -292,12 +287,11 @@ def _beta_omega(beta, sigma, note, details):
 
 
 def _gaussian_theta_omega(sigma, P, nv, r, g, curve):
-    return _beta_omega(_gaussian_root(_gaussian_theta_equation, r), sigma, "", {})
+    return _beta_omega(_gaussian_record(r)[0], sigma, "", {})
 
 
 def _gaussian_sigma_omega(sigma, P, nv, r, g, curve):
-    beta = _gaussian_root(_gaussian_sigma_equation, r)
-    fixed = _gaussian_root(_gaussian_sigma_equation_fixed, r)
+    _, beta, fixed, _, _ = _gaussian_record(r)
     if fixed is None:
         return _beta_omega(beta, sigma, "", {})
     note = (
@@ -312,7 +306,7 @@ def _gaussian_sigma_omega(sigma, P, nv, r, g, curve):
 
 
 def _gaussian_gamma_omega(sigma, P, nv, r, g, curve):
-    first, fixed = _gaussian_gamma_terms(r)
+    first, fixed = _gaussian_record(r)[3:]
     with np.errstate(all="ignore"):
         values = first + g * fixed  # the operations of _gaussian_gamma_equation, so its bits
     return _beta_omega(_scan_root(_gaussian_gamma_equation(r, g), values), sigma, "", {})

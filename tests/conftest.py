@@ -30,7 +30,8 @@ def resolve_omega(
 
 def clear_tuning_caches():
     """Drop every kept result in cmphase.tuning: each of its lru_caches,
-    the golden sections and the r-keyed closed-form work alike."""
+    the golden sections, the Gaussian record of one r and the Laplace
+    quintic roots alike."""
     for value in vars(tuning).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()

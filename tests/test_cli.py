@@ -166,42 +166,29 @@ class TestConfigRejections:
         assert err == "cmphase: error: --gamma-guess must be positive and finite, got 0.0\n"
 
 
-def test_importing_the_cli_loads_no_scipy():
+def imported_with_the_cli(*modules: str) -> list[str]:
+    """Those of modules that a fresh interpreter has after importing
+    cmphase.cli."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, cmphase.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code = f"import sys, cmphase.cli; print(*(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def imported_with_the_cli(module: str) -> bool:
-    """Whether a fresh interpreter that imports cmphase.cli has module."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, cmphase.cli; print({module!r} in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return proc.stdout.split()
 
 
 def test_importing_the_cli_defers_numpy_random():
     """numpy.random is imported by the first random draw, not with the
     package, so commands that draw nothing do not pay for it."""
-    assert not imported_with_the_cli("numpy.random")
+    assert imported_with_the_cli("numpy.random") == []
 
 
-def test_importing_the_cli_defers_concurrent_futures():
-    """The Monte Carlo block pool imports concurrent.futures when a run
-    first spreads its blocks over several CPUs, not with the package."""
-    assert not imported_with_the_cli("concurrent.futures")
+def test_importing_the_cli_loads_no_test_only_package():
+    """numpy is the one runtime dependency (pyproject.toml); the packages
+    that only the tests use stay out of a CLI run."""
+    assert imported_with_the_cli("scipy", "mpmath", "hypothesis") == []
 
 
 class TestSimulate:

@@ -217,6 +217,15 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-1.0 / math.e - 1e-6)
 
+    def test_one_ulp_below_the_branch_point(self):
+        """Representation error at -1/e is forgiven: the branch value."""
+        assert lambert_w0(math.nextafter(-math.exp(-1.0), -math.inf)) == -1.0
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            lambert_w0(x)
+
     def test_monotone(self):
         xs = np.linspace(-1.0 / math.e + 1e-9, 5.0, 200)
         ws = [lambert_w0(float(x)) for x in xs]
@@ -457,6 +466,19 @@ class TestFindRootBracketed:
 
     def test_endpoint_root(self):
         assert find_root_bracketed(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert find_root_bracketed(lambda x: x - 2.0, 0.0, 2.0) == 2.0
+
+    def test_reversed_bracket_raises(self):
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            find_root_bracketed(lambda x: x, 1.0, 0.0)
+
+    def test_tolerance_below_one_ulp_stops_at_adjacent_floats(self):
+        """Near 1e6 a float step is 1.2e-10, above the default 1e-12: the
+        search ends on the two floats around a sign change that no float
+        zeroes."""
+        step = 1e6 + 0.3
+        got = find_root_bracketed(lambda x: -1.0 if x <= step else 1.0, 0.0, 2e6)
+        assert got in (step, math.nextafter(step, math.inf))
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
@@ -788,6 +810,18 @@ class TestSubstreamStates:
         for shape in [(3, 8), (4, 9), (27,)]:
             with pytest.raises(ValueError, match="shape"):
                 uniforms_from_states(states, 9, out=np.empty(shape))
+
+    def test_seed_words_serve_only_pcg64s_request(self):
+        """The precomputed words answer generate_state(4, uint64), the one
+        request PCG64 makes, and refuse any other."""
+        words = RandomStream(5).substream_states(1)[0]
+        seed_words = numkit._seed_words_type()(words)
+        assert seed_words.generate_state(4, np.uint64) is words
+        for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+            with pytest.raises(ValueError, match="generate_state"):
+                seed_words.generate_state(n_words, dtype)
+        with pytest.raises(ValueError, match="generate_state"):
+            seed_words.generate_state(4)
 
     def test_bad_range_rejected(self):
         """A negative count, and one of 2**32 or more, which no run

@@ -824,8 +824,7 @@ class TestKeptSearches:
 
 _KEPT = {
     "_golden_section": len(OMEGA_TARGETS),
-    "_gaussian_root": 3,
-    "_gaussian_gamma_terms": 1,
+    "_gaussian_record": 1,
     "_quintic_roots": 2,
 }
 
@@ -850,8 +849,9 @@ def _bits(a):
 
 class TestKeptClosedForms:
     """analytic_omega keeps the r = nv / P part of the closed forms: the
-    Gaussian r-only scans, the gamma equation's two r-only terms and the
-    Laplace quintic roots per coefficient tuple."""
+    Gaussian record of one r (its three r-only roots and the gamma
+    equation's two r-only terms) and the Laplace quintic roots per
+    coefficient tuple."""
 
     def test_maxsizes(self):
         for name, maxsize in _KEPT.items():
@@ -868,17 +868,59 @@ class TestKeptClosedForms:
             for P, nv, sigma, gamma in points:
                 for target in OMEGA_TARGETS:
                     analytic_omega(model, sigma, P, nv, target, gamma=gamma)
-        assert _counts("_gaussian_root", "_gaussian_gamma_terms", "_quintic_roots") == [
-            (6, 3), (2, 1), (2, 4)
-        ]
+        assert _counts("_gaussian_record", "_quintic_roots") == [(8, 1), (2, 4)]
 
     def test_alternating_r_never_hits(self):
-        for model in (GAUSSIAN, LAPLACE):
-            for nv in (0.5, 1.0, 0.5, 1.0):
-                for target in OMEGA_TARGETS:
+        """Each target at r cycling through three values: the record keeps
+        one r and the quintics two, so no call is served."""
+        for target in OMEGA_TARGETS:
+            for model in (GAUSSIAN, LAPLACE):
+                for nv in (0.5, 1.0, 2.0, 0.5, 1.0, 2.0):
                     analytic_omega(model, 1.0, 1.0, nv, target, gamma=2.0)
-        counts = _counts("_gaussian_root", "_gaussian_gamma_terms", "_quintic_roots")
-        assert [hits for hits, _ in counts] == [0, 0, 0]
+        counts = _counts("_gaussian_record", "_quintic_roots")
+        assert [hits for hits, _ in counts] == [0, 0]
+
+    def test_an_analysis_pass_shares_the_work(self):
+        """The benchmark's analysis tuning pass: 3 families x 4 (power
+        mode, nv) x 3 gammas, each point at its own sigma running
+        omega_optima and then analytic_omega for the three targets."""
+        modes = ((TOTAL, 0.5), (TOTAL, 1.0), (TOTAL, 2.0), (PER_SENSOR, 0.0))
+        points = [
+            (model, mode, nv, gamma)
+            for model in (GAUSSIAN, LAPLACE, CAUCHY)
+            for mode, nv in modes
+            for gamma in (0.1, 1.0, 10.0)
+        ]
+        for k, (model, mode, nv, gamma) in enumerate(points):
+            sigma = 0.5 + k / 24.0
+            omega_optima(model, sigma, 1.0, nv, power_mode=mode, gamma=gamma)
+            for target in OMEGA_TARGETS:
+                analytic_omega(model, sigma, 1.0, nv, target, power_mode=mode, gamma=gamma)
+        assert _counts("_golden_section", "_gaussian_record", "_quintic_roots") == [
+            (108, 108), (32, 4), (6, 12)
+        ]
+
+    def test_the_direct_sigma_grid_is_formed_once_per_r(self, monkeypatch):
+        """The direct-sigma equation meets the scan grid once per r: its
+        values serve both its own scan and the gamma equation's term."""
+        grid_passes = []
+        direct = tuning._gaussian_sigma_equation_fixed
+
+        def counted(r):
+            equation = direct(r)
+
+            def on_grid(b, e1, e2):
+                if isinstance(b, np.ndarray):
+                    grid_passes.append(r)
+                return equation(b, e1, e2)
+
+            return on_grid
+
+        monkeypatch.setattr(tuning, "_gaussian_sigma_equation_fixed", counted)
+        for nv in (0.5, 1.0):
+            for target in OMEGA_TARGETS:
+                analytic_omega(GAUSSIAN, 1.0, 1.0, nv, target, gamma=2.0)
+        assert grid_passes == [0.5, 1.0]
 
     def test_a_nearby_r_is_not_served(self):
         """r = 0.5 + 1e-9 after r = 0.5 gets its own roots and terms."""
@@ -890,17 +932,18 @@ class TestKeptClosedForms:
                 cold = analytic_omega(model, 1.0, 1.0, 0.5 + 1e-9, target, gamma=2.0)
                 assert _bits(warm) == _bits(cold) and warm.value != before.value
 
-    def test_a_raising_scan_is_not_kept(self):
-        """A scan that raises (here a NaN at a bisection probe) raises on
-        every call, and nothing is kept."""
+    def test_a_raising_scan_is_not_kept(self, monkeypatch):
+        """A scan of the record that raises (here a NaN at a bisection
+        probe) raises on every call, and nothing is kept."""
 
         def nan_between(r):
             return lambda b, e1, e2: b - 1.0 if isinstance(b, np.ndarray) else math.nan
 
+        monkeypatch.setattr(tuning, "_gaussian_theta_equation", nan_between)
         for _ in range(3):
             with pytest.raises(ValueError, match="is nan"):
-                tuning._gaussian_root(nan_between, 1.0)
-        info = tuning._gaussian_root.cache_info()
+                tuning._gaussian_record(1.0)
+        info = tuning._gaussian_record.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
     def test_results_do_not_share_kept_state(self):
@@ -914,7 +957,7 @@ class TestKeptClosedForms:
         assert again.details["beta_roots"] == cold and cold
         assert _counts("_quintic_roots") == [(1, 1)]
         assert isinstance(tuning._quintic_roots(tuple(tuning._laplace_sigma_quintic(0.5))), tuple)
-        for term in tuning._gaussian_gamma_terms(0.5):
+        for term in tuning._gaussian_record(0.5)[3:]:
             with pytest.raises(ValueError, match="read-only"):
                 term[0] = 0.0
 
