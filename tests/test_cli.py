@@ -185,10 +185,22 @@ def test_importing_the_cli_defers_numpy_random():
     assert imported_with_the_cli("numpy.random") == []
 
 
+def test_importing_the_cli_defers_concurrent_futures():
+    """Parallel Monte Carlo forks its workers with os.fork; no module
+    imports concurrent.futures, so a CLI run does not pay for it."""
+    assert imported_with_the_cli("concurrent.futures") == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is a test-only package (pyproject.toml): the tests check
+    the closed forms against it, the CLI never loads it."""
+    assert imported_with_the_cli("scipy") == []
+
+
 def test_importing_the_cli_loads_no_test_only_package():
-    """numpy is the one runtime dependency (pyproject.toml); the packages
-    that only the tests use stay out of a CLI run."""
-    assert imported_with_the_cli("scipy", "mpmath", "hypothesis") == []
+    """numpy is the one runtime dependency (pyproject.toml); the other
+    packages that only the tests use stay out of a CLI run too."""
+    assert imported_with_the_cli("mpmath", "hypothesis") == []
 
 
 class TestSimulate:
