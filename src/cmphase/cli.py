@@ -38,6 +38,7 @@ from .noise import MODEL_TOKENS, noise_model
 from .numkit import RandomStream, real_number, whole_number
 from .tuning import (
     OMEGA_MAX, OMEGA_MIN, OMEGA_TARGETS, OmegaOptima, analytic_omega, optimal_omega, rule_omega,
+    true_snr,
 )
 
 _CONFIG_DEFAULTS = {
@@ -184,19 +185,18 @@ def _point_config(args, *extra: str) -> dict:
 
 def _cmd_asv(args) -> int:
     model = noise_model(args.model)
-    mode = PowerMode(args.power_mode)
     omega, notes = args.omega, {}
     if isinstance(omega, str):
         if args.theta is None and omega == "auto:gamma":
             raise ConfigError("--omega auto:gamma requires --theta")
         omega, notes = rule_omega(
-            omega, model, args.sigma, args.P, args.channel_noise_var, mode,
+            omega, model, args.sigma, args.P, args.channel_noise_var, args.power_mode,
             args.theta, OMEGA_MAX,
         )
     report = asv_generic(
         model, args.sigma, omega, args.P,
         channel_noise_var=args.channel_noise_var,
-        theta=args.theta, power_mode=mode,
+        theta=args.theta, power_mode=args.power_mode,
     )
     for name in ("asv_theta", "asv_sigma", "asv_gamma"):
         value = getattr(report, name)
@@ -209,12 +209,10 @@ def _cmd_asv(args) -> int:
         forms = {}
         targets = ["theta", "sigma"] + (["gamma"] if args.theta is not None else [])
         for which in targets:
-            gamma = None
-            if which == "gamma":
-                gamma = (args.theta / args.sigma) ** 2
+            gamma = true_snr(args.theta, args.sigma) if which == "gamma" else None
             value, verified = asv_closed_form(
                 model, args.sigma, omega, args.P, args.channel_noise_var,
-                which, power_mode=mode, gamma=gamma,
+                which, power_mode=args.power_mode, gamma=gamma,
             )
             forms[which] = {"value": value, "verified": verified}
         payload["closed_forms"] = forms
@@ -226,7 +224,6 @@ def _cmd_asv(args) -> int:
 
 def _cmd_opt_omega(args) -> int:
     model = noise_model(args.model)
-    mode = PowerMode(args.power_mode)
     targets = OMEGA_TARGETS if args.target == "all" else (args.target,)
     if "gamma" in targets and args.gamma is None:
         raise ConfigError("--target gamma (or all) requires --gamma")
@@ -237,7 +234,7 @@ def _cmd_opt_omega(args) -> int:
         operating_point = dict(
             model=model, sigma=args.sigma, P=args.P,
             channel_noise_var=args.channel_noise_var, target=target,
-            power_mode=mode, gamma=args.gamma,
+            power_mode=args.power_mode, gamma=args.gamma,
             omega_max=args.omega_max, omega_min=args.omega_min,
         )
         # analytic_omega first, so its overflow errors win; its search is kept.

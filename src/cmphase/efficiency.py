@@ -73,10 +73,15 @@ def asymptotic_relative_efficiency(model: NoiseModel, parameter: str) -> Efficie
     Defined under per-sensor power with a clean channel, where the
     received statistic carries one noise-free sample of the sensor
     characteristic function. Computed at sigma = 1 and revalidated at
-    sigma = 2; a scale dependence beyond 1e-9 relative raises.
+    sigma = 2; a scale dependence beyond 1e-9 relative raises, and a
+    family outside REFERENCE_ARE raises a ValueError before any search.
     """
     if parameter not in ("theta", "sigma"):
         raise ValueError(f"parameter must be 'theta' or 'sigma', got {parameter!r}")
+    try:
+        ref = REFERENCE_ARE[model.kind, parameter]
+    except KeyError:
+        raise ValueError(f"no reference ARE for the {model.kind!r} family") from None
 
     def are_at(sigma: float) -> tuple[float, float, float]:
         inf_asv = _inf_asv(model, parameter, sigma)
@@ -96,7 +101,6 @@ def asymptotic_relative_efficiency(model: NoiseModel, parameter: str) -> Efficie
             f"{are!r} at sigma=1 vs {are_check!r} at sigma=2"
         )
 
-    ref = REFERENCE_ARE[(model.kind, parameter)]
     return EfficiencyReport(
         model=model.kind,
         parameter=parameter,

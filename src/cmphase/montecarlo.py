@@ -141,12 +141,12 @@ def _usable_cpus() -> int:
 
 
 def _processes(items: int) -> int:
-    """The processes that items of work may use: min(usable CPUs, items),
-    or 1 where os.fork is missing, another thread is alive (forking a
-    process with threads is unsafe) or this process runs a forked share."""
+    """The processes that items of work may use: min(usable CPUs, items)
+    but at least 1, and 1 where os.fork is missing, another thread is alive
+    (forking a process with threads is unsafe) or this process runs a forked share."""
     if _sharing or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(_usable_cpus(), items)
+    return max(min(_usable_cpus(), items), 1)
 
 
 def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarray:
@@ -409,25 +409,11 @@ def write_sweep_csv(rows: list[SweepRow], destination, manifest: dict | None = N
         lines.append("# manifest: " + json.dumps(manifest, sort_keys=True, allow_nan=False))
     lines.append(CSV_HEADER)
     for row in rows:
-        s = row.summary
-        a = row.asv
-        lines.append(
-            ",".join(
-                [
-                    row.axis,
-                    _fmt(row.value),
-                    _fmt(s.theta.variance_l if s else None),
-                    _fmt(s.sigma.variance_l if s else None),
-                    _fmt(s.gamma_trimmed_variance_l if s else None),
-                    _fmt(a.asv_theta if a else None),
-                    _fmt(a.asv_sigma if a else None),
-                    _fmt(a.asv_gamma if a and a.asv_gamma is not None else None),
-                    _fmt(s.saturated / s.trials if s else None),
-                    str(s.trials if s else 0),
-                    str(s.L if s else 0),
-                ]
-            )
-        )
+        s, a = row.summary, row.asv
+        emp = (s.theta.variance_l, s.sigma.variance_l, s.gamma_trimmed_variance_l) if s else (None,) * 3
+        asv = (a.asv_theta, a.asv_sigma, a.asv_gamma) if a else (None,) * 3
+        counts = (_fmt(s.saturated / s.trials), str(s.trials), str(s.L)) if s else ("nan", "0", "0")
+        lines.append(",".join([row.axis, *map(_fmt, (row.value, *emp, *asv)), *counts]))
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

@@ -36,8 +36,14 @@ __all__ = [
 
 
 class PowerMode(str, enum.Enum):
+    """The power budget; PowerMode(value) refuses any other value by name."""
+
     TOTAL = "total"
     PER_SENSOR = "per-sensor"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"power_mode must be 'total' or 'per-sensor', got {value!r}")
 
 
 def effective_noise_var(power_mode, channel_noise_var: float) -> float:
@@ -49,13 +55,6 @@ def effective_noise_var(power_mode, channel_noise_var: float) -> float:
 
 class ConfigError(ValueError):
     """A NetworkConfig field violates its constraint."""
-
-
-def _power_mode(value) -> PowerMode:
-    try:
-        return PowerMode(value)
-    except ValueError:
-        raise ValueError(f"power_mode must be 'total' or 'per-sensor', got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class NetworkConfig:
         try:
             if not isinstance(self.model, NoiseModel):
                 object.__setattr__(self, "model", noise_model(self.model))
-            object.__setattr__(self, "power_mode", _power_mode(self.power_mode))
+            object.__setattr__(self, "power_mode", PowerMode(self.power_mode))
             for name in ("theta", "theta_R", "sigma", "P", "channel_noise_var", "omega"):
                 value = real_number(name, getattr(self, name), closed=name == "channel_noise_var")
                 object.__setattr__(self, name, value)

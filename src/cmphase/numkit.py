@@ -113,9 +113,7 @@ def lambert_w0(x: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        wp1 = w + 1.0
-        if wp1 <= 0.0:
-            wp1 = 1e-300  # cannot occur for x > branch point, pure guard
+        wp1 = w + 1.0  # positive: every iterate stays at least about 1e-4 above -1
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step

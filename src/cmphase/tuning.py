@@ -41,6 +41,7 @@ __all__ = [
     "analytic_omega",
     "rule_omega",
     "rule_target",
+    "true_snr",
     "OMEGA_TARGETS",
     "OMEGA_MIN",
     "OMEGA_MAX",
@@ -489,6 +490,26 @@ def rule_target(rule: str) -> str:
     return target
 
 
+def true_snr(theta: float, sigma: float) -> float:
+    """The true SNR gamma = (theta / sigma)^2. theta and sigma must be
+    positive and finite, and a square that overflows or underflows to 0
+    raises a ValueError naming theta and sigma."""
+    theta, sigma = real_number("theta", theta), real_number("sigma", sigma)
+    try:
+        gamma = (theta / sigma) ** 2
+    except OverflowError:
+        gamma = math.inf
+    # theta / sigma may already be inf, which squares quietly, and the
+    # square may underflow to 0, which is quiet too.
+    if not 0.0 < gamma < math.inf:
+        fault = "overflows" if gamma else "underflows to 0"
+        raise ValueError(
+            f"the true SNR gamma = (theta / sigma)^2 {fault} at theta = {theta!r}, "
+            f"sigma = {sigma!r}"
+        )
+    return gamma
+
+
 def rule_omega(
     rule: str,
     model: NoiseModel,
@@ -509,9 +530,7 @@ def rule_omega(
     infimum on the upper edge is not mapped: it is optimal_omega's last
     probe, up to twice its final bracket width below omega_max. The gamma
     target is tuned at gamma if given, else at the true SNR (theta /
-    sigma)^2; theta is read, and must be positive and finite, for that
-    alone, and a square that overflows or underflows to 0 raises a
-    ValueError naming theta and sigma.
+    sigma)^2 of true_snr; theta is read for that alone.
     """
     target = rule_target(rule)
     sigma = real_number("sigma", sigma)
@@ -520,19 +539,7 @@ def rule_omega(
     if target != "gamma":
         gamma = None
     elif gamma is None:
-        theta = real_number("theta", theta)
-        try:
-            gamma = (theta / sigma) ** 2
-        except OverflowError:
-            gamma = math.inf
-        # theta / sigma may already be inf, which squares quietly, and the
-        # square may underflow to 0, which is quiet too.
-        if not 0.0 < gamma < math.inf:
-            fault = "overflows" if gamma else "underflows to 0"
-            raise ValueError(
-                f"the true SNR gamma = (theta / sigma)^2 {fault} at theta = {theta!r}, "
-                f"sigma = {sigma!r}"
-            )
+        gamma = true_snr(theta, sigma)
     omega, flag = optimal_omega(
         model, sigma, P, channel_noise_var, target,
         power_mode=power_mode, gamma=gamma, omega_max=omega_max,

@@ -278,6 +278,18 @@ class TestSimulate:
             " theta = 1e-300, sigma = 1.0\n"
         )
 
+    def test_closed_form_snr_underflow_names_theta_and_sigma(self, capsys):
+        """asv --closed-forms forms the gamma row at the true SNR, whose
+        square underflows to 0 here: the error read "gamma must be positive
+        and finite, got 0.0", although asv has no gamma flag."""
+        rc, out, err = run(capsys, "asv", "--omega", "100000", "--theta", "1e-170",
+                           "--sigma", "1e-5", "--closed-forms")
+        assert rc == 1 and out == ""
+        assert err == (
+            "cmphase: error: the true SNR gamma = (theta / sigma)^2 underflows to 0 at"
+            " theta = 1e-170, sigma = 1e-05\n"
+        )
+
     # sha256 of the simulate stdout, recorded before RandomStream stopped
     # building numpy's SeedSequence: all three families, a clean and a
     # noisy channel, odd L, the joint estimator and a seed >= 2**32.

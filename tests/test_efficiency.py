@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmphase import efficiency
+from cmphase import efficiency, tuning
 from cmphase.asymptotic import asv_generic
 from cmphase.efficiency import (
     REFERENCE_ARE,
@@ -132,6 +132,15 @@ class TestReportShape:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="parameter"):
             asymptotic_relative_efficiency(GAUSSIAN, "gamma")
+
+    def test_family_without_reference_is_named_before_any_search(self):
+        """A family outside REFERENCE_ARE ran both golden sections and then
+        raised a bare KeyError: ('students-t', 'theta')."""
+        family = dataclasses.replace(GAUSSIAN, kind="students-t")
+        with pytest.raises(ValueError, match="^no reference ARE for the 'students-t' family$"):
+            asymptotic_relative_efficiency(family, "theta")
+        info = tuning._golden_section.cache_info()
+        assert info.hits + info.misses == 0
 
     def test_omega_range_insensitivity(self, monkeypatch):
         """Doubling the search range must not move an interior optimum."""

@@ -401,6 +401,19 @@ class TestSweep:
             sweep(make_config(L=1), "omega", [0.5, 0.9], trials=2**32)
 
 
+    def test_empty_grid_gives_no_rows(self, monkeypatch):
+        """_processes(0) was 0, which _forked used as a range step: a sweep
+        over no grid values raised "range() arg 3 must not be zero". It
+        returns no rows and forks nothing, as _forked(task, 0) does."""
+
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        assert montecarlo._forked(lambda i: i, 0) == []
+        assert sweep(make_config(L=20), "sigma", [], 10) == []
+
     def test_bad_grid_value_rejected_before_rows(self, monkeypatch):
         """A grid value that is not a number raised ValueError only after
         the rows before it had run."""
@@ -458,6 +471,13 @@ class TestWriteSweepCsv:
         fields = buf.getvalue().splitlines()[1].split(",")
         assert fields[2:9] == ["nan"] * 7
         assert fields[9] == "0" and fields[10] == "0"
+
+    def test_empty_sweep_writes_manifest_and_header(self):
+        """A sweep over no grid values gives a file of its manifest and
+        header alone."""
+        buf = io.StringIO()
+        write_sweep_csv(sweep(make_config(L=20), "omega", [], 10), buf, manifest={"grid": []})
+        assert buf.getvalue() == '# manifest: {"grid": []}\n' + CSV_HEADER + "\n"
 
     def test_reruns_are_byte_identical(self):
         """Separate sweep + write passes produce the same bytes: no

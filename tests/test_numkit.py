@@ -239,6 +239,19 @@ class TestLambertW:
         assert w >= -1.0
         assert math.isclose(w * math.exp(w), x, rel_tol=1e-12, abs_tol=1e-300)
 
+    def test_iterates_stay_above_minus_one(self, monkeypatch):
+        """The Halley step divides by w + 1 with no guard: from the edge of
+        the branch-point series (p = 1e-4) up, every iterate (each one is
+        passed to exp) stays at least about 1e-4 above -1."""
+        iterates = []
+        recording = types.SimpleNamespace(**vars(math))
+        recording.exp = lambda w: iterates.append(w) or math.exp(w)
+        monkeypatch.setattr(numkit, "math", recording)
+        ps = np.logspace(-4, 0.2, 4000)
+        for x in [*((ps * ps / 2.0 - 1.0) / math.e).tolist(), *np.logspace(-8, 300, 400)]:
+            lambert_w0(float(x))
+        assert min(iterates) + 1.0 > 0.9e-4
+
     def test_non_convergence_raises(self, monkeypatch):
         """A residual that never settles (exp perturbed on every call)
         must end in an error, not in the last iterate."""

@@ -6,11 +6,15 @@ NetworkConfig) whose message names that argument. All other arguments
 are valid, so the error can only come from the one under test.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 
 import pytest
 
+import cmphase
 from cmphase.asymptotic import (
     asv_closed_form,
     asv_generic,
@@ -25,9 +29,9 @@ from cmphase.estimators import (
     joint_objective,
     simple_estimates,
 )
-from cmphase.network import ConfigError, NetworkConfig
+from cmphase.network import ConfigError, NetworkConfig, effective_noise_var
 from cmphase.noise import GAUSSIAN, LAPLACE
-from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, rule_omega
+from cmphase.tuning import analytic_omega, omega_optima, optimal_omega, rule_omega, true_snr
 from conftest import resolve_omega
 
 Z = 0.5 + 0.1j
@@ -97,6 +101,7 @@ ENTRY_POINTS = [
      dict(rule="auto:gamma", model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
           power_mode="total", theta=1.0, omega_max=2.0 * math.pi),
      ["sigma", "P", "channel_noise_var", "omega_max", "gamma", "theta"]),
+    ("true_snr", true_snr, dict(theta=1.0, sigma=1.0), ["theta", "sigma"]),
     # The checked noise methods, each a float in, a float out.
     *((name, getattr(LAPLACE, name), dict(sigma=1.0, omega=1.0), ["sigma", "omega"])
       for name in ("char_fn", "phasor_cos_var", "phasor_sin_var", "char_fn_dsigma")),
@@ -133,6 +138,71 @@ OVERFLOWS = [
     # sigma * sigma is subnormal: the quotient overflows to inf.
     ("fisher_location-subnormal-square", GAUSSIAN.fisher_location, dict(sigma=1e-160), "sigma"),
 ]
+
+
+# Valid keyword arguments, power_mode aside, of every public callable with
+# a power_mode parameter; test_every_power_mode_entry_is_listed keeps the
+# table complete.
+POWER_MODE_ENTRIES = {
+    "asv_generic": (asv_generic, dict(model=GAUSSIAN, sigma=1.0, omega=1.0, P=1.0)),
+    "asv_closed_form": (asv_closed_form,
+                        dict(model=GAUSSIAN, sigma=1.0, omega=1.0, P=1.0, channel_noise_var=1.0,
+                             which="theta")),
+    "optimal_omega": (optimal_omega,
+                      dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
+                           target="theta")),
+    "omega_optima": (omega_optima,
+                     dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0, gamma=1.0)),
+    "analytic_omega": (analytic_omega,
+                       dict(model=GAUSSIAN, sigma=1.0, P=1.0, channel_noise_var=1.0,
+                            target="theta")),
+    "rule_omega": (rule_omega,
+                   dict(rule="auto:theta", model=GAUSSIAN, sigma=1.0, P=1.0,
+                        channel_noise_var=1.0, theta=1.0, omega_max=2.0 * math.pi)),
+    "effective_noise_var": (effective_noise_var, dict(channel_noise_var=1.0)),
+    "NetworkConfig": (NetworkConfig, {k: v for k, v in CONFIG.items() if k != "power_mode"}),
+}
+BAD_POWER_MODES = {"bogus": "bogus", "None": None, "3": 3, "list": ["total"]}
+
+
+def _power_mode_entries() -> set[str]:
+    """The public callables of the package, by name in their module's
+    __all__, whose signature has a power_mode parameter (a constant or an
+    exception class has no signature to read)."""
+    found = set()
+    for info in pkgutil.iter_modules(cmphase.__path__):
+        module = importlib.import_module(f"cmphase.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            try:
+                parameters = inspect.signature(getattr(module, name)).parameters
+            except (TypeError, ValueError):
+                continue
+            if "power_mode" in parameters:
+                found.add(name)
+    return found
+
+
+def test_every_power_mode_entry_is_listed():
+    assert _power_mode_entries() == set(POWER_MODE_ENTRIES)
+
+
+@pytest.mark.parametrize("mode", ["total", "per-sensor"])
+@pytest.mark.parametrize("label", sorted(POWER_MODE_ENTRIES))
+def test_valid_power_mode_passes(label, mode):
+    fn, kwargs = POWER_MODE_ENTRIES[label]
+    fn(**kwargs, power_mode=mode)
+
+
+@pytest.mark.parametrize("value", BAD_POWER_MODES.values(), ids=BAD_POWER_MODES)
+@pytest.mark.parametrize("label", sorted(POWER_MODE_ENTRIES))
+def test_bad_power_mode_is_named(label, value):
+    """Every entry parses power_mode through PowerMode, whose refusal names
+    the argument: the library entries said "'bogus' is not a valid
+    PowerMode"."""
+    fn, kwargs = POWER_MODE_ENTRIES[label]
+    with pytest.raises(ConfigError if fn is NetworkConfig else ValueError) as info:
+        fn(**kwargs, power_mode=value)
+    assert str(info.value) == f"power_mode must be 'total' or 'per-sensor', got {value!r}"
 
 
 def _cases():
