@@ -157,9 +157,9 @@ def asv_curves(model: NoiseModel, sigma: float, P: float, nv: float, theta: floa
     sigma * omega; it is divided by 2 P d^2 (d = omega phi, phi_s)
     directly where both are normal floats (and omega^2, which asv_theta
     forms first), else by _quotient. The gamma curve composes the two by
-    the delta method; ValueError where gamma overflows, sigma^2
-    underflows or the product is 0 * inf (gamma underflows against an inf
-    component, or the prefactor overflows against a 0 sum).
+    the delta method; ValueError where gamma overflows or underflows to
+    0, sigma^2 underflows or the product is 0 * inf (the prefactor
+    overflows against a 0 sum).
     """
     char_fn, sin_var = model.phi, model.v_s
     dsigma, cos_var = model.phi_s, model.v_c
@@ -195,7 +195,7 @@ def asv_curves(model: NoiseModel, sigma: float, P: float, nv: float, theta: floa
 
     def asv_gamma(omega: float) -> float:
         value = scale * (asv_theta(omega) + gamma * asv_sigma(omega))
-        if gamma < math.inf and value == value:  # both false for NaN
+        if 0.0 < gamma < math.inf and value == value:  # both false for NaN
             return value
         raise ValueError(
             f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"

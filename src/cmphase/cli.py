@@ -193,6 +193,9 @@ def _cmd_asv(args) -> int:
             omega, model, args.sigma, args.P, args.channel_noise_var, args.power_mode,
             args.theta, OMEGA_MAX,
         )
+    gamma = None  # the closed-form SNR row's truth, checked first to name theta and sigma
+    if args.closed_forms and args.theta is not None:
+        gamma = true_snr(args.theta, args.sigma)
     report = asv_generic(
         model, args.sigma, omega, args.P,
         channel_noise_var=args.channel_noise_var,
@@ -207,12 +210,11 @@ def _cmd_asv(args) -> int:
     payload = {"asv": asdict(report)}
     if args.closed_forms:
         forms = {}
-        targets = ["theta", "sigma"] + (["gamma"] if args.theta is not None else [])
+        targets = ["theta", "sigma"] + (["gamma"] if gamma is not None else [])
         for which in targets:
-            gamma = true_snr(args.theta, args.sigma) if which == "gamma" else None
             value, verified = asv_closed_form(
                 model, args.sigma, omega, args.P, args.channel_noise_var,
-                which, power_mode=args.power_mode, gamma=gamma,
+                which, power_mode=args.power_mode, gamma=gamma if which == "gamma" else None,
             )
             forms[which] = {"value": value, "verified": verified}
         payload["closed_forms"] = forms

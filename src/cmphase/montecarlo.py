@@ -12,15 +12,15 @@ is dataclasses.replace(cfg, seed=...). CSV output carries no
 timestamps; a rerun with the same inputs is byte-identical.
 
 Trials run in blocks. The substream seeds of all trials of a run are
-derived in one vectorized pass; a block's uniforms are drawn into one
+derived in one vectorized pass; a block's uniforms are drawn into a new
 array, and the draw transforms, phasor sums and channel noise run over
-the whole block, giving z as a complex array, checked finite once. Each
-process allocates its uniform array and scratch (network.block_work)
-once per run and forms every block it runs in them: no block allocates.
-The inversions then run per trial over z.tolist() through the unchecked
-scalar steps of estimate_location and estimate_scale (numpy's arctan2,
-abs and log on arrays may differ from math's in the last bit); no
-per-trial object is built.
+the whole block in new arrays, giving z as a complex array, checked
+finite once. No block's arrays outlive it, so a process holds one
+block's worth however many blocks it runs. The inversions then run per
+trial over z.tolist() through the unchecked scalar steps of
+estimate_location and estimate_scale (numpy's arctan2, abs and log on
+arrays may differ from math's in the last bit); no per-trial object is
+built.
 
 Work is spread over the usable CPUs one way, by _forked: tasks run in
 this process and in children made by os.fork, which send their results
@@ -48,9 +48,9 @@ import numpy as np
 
 from .asymptotic import AsvReport, asv_generic
 from .estimators import _location, _scale, estimate_snr
-from .network import ConfigError, NetworkConfig, block_work, simulate_block, snapshot_uniforms
+from .network import ConfigError, NetworkConfig, simulate_block, snapshot_uniforms
 from .numkit import RandomStream, real_number, uniforms_from_states, whole_number
-from .tuning import rule_omega, rule_target
+from .tuning import rule_omega, rule_target, true_snr
 
 __all__ = [
     "EstimandStats",
@@ -69,10 +69,10 @@ CSV_HEADER = (
 )
 
 _TRIM_FRACTION = 0.01  # two-sided trim on the SNR sample before its variance
-# Sensor samples per block of trials (at least one trial per block), which
-# sizes a process's buffers. At L = 100, 2^13 ran 3-6% faster than 2^12 or
-# 2^14; every run maps the 256 KB buffers of 2^14 afresh (about 770 minor
-# page faults per 8-row sweep against 3).
+# Sensor samples per block of trials (at least one trial per block). At
+# L = 100, 2^12 ran 2-7% slower per trial than 2^13, 2^14 from 4% faster
+# to 11% slower by family, and 2^14 maps its block arrays afresh on every
+# run (97 minor page faults per 500 trials against none at 2^13).
 _BLOCK_SAMPLES = 1 << 13
 # True while this process runs a share of tasks spread by _forked.
 _sharing = False
@@ -155,11 +155,10 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
 
     A block holds _BLOCK_SAMPLES sensor samples and at least one trial.
     The trials are cut into P = _processes(blocks) contiguous ranges, one
-    per process of _forked. Each range allocates one uniform array and
-    one block_work of min(its trials, per_block) rows and refills them
-    for every block, a shorter last block their first rows. A phase past
-    the float range gives a NaN z without a warning, for run_experiment
-    to reject.
+    per process of _forked. Each range draws every block's uniforms
+    afresh and writes the block's z into its own slice of one array. A
+    phase past the float range gives a NaN z without a warning, for
+    run_experiment to reject.
     """
     per_block = max(1, _BLOCK_SAMPLES // cfg.L)
     n = snapshot_uniforms(cfg)
@@ -171,13 +170,11 @@ def _received_z(cfg: NetworkConfig, trials: int, root: RandomStream) -> np.ndarr
         # Filled in place: per-block arrays kept alive until one concatenate
         # fragmented the heap (5x the page faults at L = 10^4).
         z = np.empty(hi - lo, dtype=complex)
-        rows = min(per_block, hi - lo)
-        u, work = np.empty((rows, n)), block_work(cfg, rows)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(lo, hi, per_block):
-                m = min(per_block, hi - start)
-                uniforms_from_states(states[start : start + m], n, out=u[:m])
-                z[start - lo : start - lo + m] = simulate_block(cfg, u[:m], work)[1]
+                stop = min(start + per_block, hi)
+                u = uniforms_from_states(states[start:stop], n)
+                z[start - lo : stop - lo] = simulate_block(cfg, u)[1]
         return z
 
     return np.concatenate(_forked(share, procs))
@@ -195,8 +192,8 @@ def run_experiment(
     2*pi/omega: the reported deviation is the wrapped one nearest zero,
     so a truth near the interval edge does not show a spurious O(theta_R)
     error. Scale statistics include saturated trials (sigma_hat = 0);
-    SNR statistics cover only non-saturated trials. A non-finite z or
-    estimate raises ValueError.
+    SNR statistics cover only non-saturated trials. A non-finite z, true
+    SNR (theta / sigma)^2 or estimate raises ValueError, in that order.
     """
     trials = whole_number("trials", trials, 1)
     if trials >= 2**32:  # substream_states' bound
@@ -212,6 +209,7 @@ def run_experiment(
     zs = _received_z(cfg, trials, stream)
     if not np.isfinite(zs).all():
         raise ValueError(f"non-finite z at sigma={cfg.sigma!r}, omega={cfg.omega!r}")
+    gamma_truth = true_snr(cfg.theta, cfg.sigma)
     for z in zs.tolist():
         theta_t = _location(z, omega)
         sigma_t, saturated = _scale(z, omega, P, inverse)
@@ -234,7 +232,6 @@ def run_experiment(
     theta_unwrapped = cfg.theta + _phase_deviation(theta_hats, cfg.theta, cfg.omega) / cfg.omega
 
     gamma_vals = np.array(gammas)
-    gamma_truth = estimate_snr(cfg.theta, cfg.sigma)
     gamma_stats = _stats(gamma_vals, gamma_truth, cfg.L) if gamma_vals.size else None
     trimmed = _trimmed_variance_l(gamma_vals, cfg.L) if gamma_vals.size else math.nan
 

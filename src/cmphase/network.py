@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .noise import NoiseModel, noise_model
-from .numkit import RandomStream, box_muller, buffer_view, real_number, whole_number
+from .numkit import RandomStream, box_muller, real_number, whole_number
 
 __all__ = [
     "PowerMode",
@@ -29,7 +29,6 @@ __all__ = [
     "NetworkConfig",
     "effective_noise_var",
     "snapshot_uniforms",
-    "block_work",
     "simulate_block",
     "simulate_snapshot",
 ]
@@ -137,38 +136,25 @@ def snapshot_uniforms(cfg: NetworkConfig) -> int:
     return cfg.model.uniforms_needed(cfg.L) + channel
 
 
-def block_work(cfg: NetworkConfig, rows: int) -> np.ndarray:
-    """Scratch for simulate_block on up to rows snapshots: two flat arrays
-    of rows * L float64 (L rounded up to even for the Gaussian pairs)."""
-    return np.empty((2, rows * (cfg.L + cfg.L % 2)))
-
-
-def simulate_block(
-    cfg: NetworkConfig, u: np.ndarray, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_block(cfg: NetworkConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Received samples (y, z), each a complex array of shape (B,), one
     per row of u, a (B, snapshot_uniforms(cfg)) block of uniforms laid
-    out in each snapshot's consumption order. Every (B, L) intermediate
-    is formed in work (block_work(cfg, rows), rows >= B) or a new one."""
+    out in each snapshot's consumption order; u is left as it was."""
     n = snapshot_uniforms(cfg)
     if u.ndim != 2 or u.shape[1] != n:
         raise ValueError(f"uniform block must have shape (B, {n}), got {u.shape}")
-    if work is None:
-        work = block_work(cfg, len(u))
     k = cfg.model.uniforms_needed(cfg.L)
-    eta = cfg.model.from_uniforms(u[:, :k], cfg.L, work)
+    eta = cfg.model.from_uniforms(u[:, :k], cfg.L)
     channel = box_muller(u[:, k:]) if cfg.channel_noise_var > 0.0 else None
-    return _received(cfg, eta, channel, buffer_view(work[1], eta.shape))
+    return _received(cfg, eta, channel)
 
 
 def _received(
-    cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None, trig: np.ndarray
+    cfg: NetworkConfig, eta: np.ndarray, channel: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y, z) from standardized sensing noise eta, shape (B, L), and, for
-    a noisy channel, standard normal pairs channel, shape (B, 2).
-
-    The phase overwrites eta, and trig (float64, eta's shape) takes the
-    cosines, then the sines.
+    a noisy channel, standard normal pairs channel, shape (B, 2). The
+    phase overwrites eta.
 
     y and z are built as (B, 2) arrays of real and imaginary parts by
     real operations, then viewed as complex. For finite values these give
@@ -181,7 +167,8 @@ def _received(
     phase += cfg.theta
     phase *= cfg.omega
     y = np.empty((len(phase), 2))
-    y[:, 0] = np.cos(phase, out=trig).sum(axis=-1)
+    trig = np.cos(phase)
+    y[:, 0] = trig.sum(axis=-1)
     y[:, 1] = np.sin(phase, out=trig).sum(axis=-1)
     y *= math.sqrt(cfg.per_sensor_power)
     if channel is not None:

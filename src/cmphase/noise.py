@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numkit import box_muller, buffer_view, real_number
+from .numkit import box_muller, real_number
 
 __all__ = ["NoiseModel", "noise_model", "GAUSSIAN", "LAPLACE", "CAUCHY", "MODEL_TOKENS"]
 
@@ -131,18 +131,14 @@ def _laplace_inverse(m, P):
     return t
 
 
-def _laplace_draws(u, n, work):
+def _laplace_draws(u, n):
     """Differences of two unit exponentials -log(1 - u), scaled by
     1/sqrt(2): the first n uniforms give the first exponential, the last
     n the second."""
-    shape = u.shape[:-1] + (n,)
-    e1, e2 = buffer_view(work[0], shape), buffer_view(work[1], shape)
-    e1[...], e2[...] = u[..., :n], u[..., n:]
-    for e in (e1, e2):  # -log1p(-u) for each half, in place
-        np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
-    e1 -= e2
-    e1 *= _LAPLACE_B
-    return e1
+    e = np.log1p(-u[..., n:])  # log(1 - u_2) - log(1 - u_1) = e_1 - e_2
+    e -= np.log1p(-u[..., :n])
+    e *= _LAPLACE_B
+    return e
 
 
 # Cauchy: both phasor components share one variance.
@@ -158,13 +154,9 @@ def _cauchy_inverse(m, P):
     return t
 
 
-def _cauchy_draws(u, n, work):
+def _cauchy_draws(u, n):
     """The tangent transform tan(pi (u - 1/2))."""
-    e1 = buffer_view(work[0], u.shape[:-1] + (n,))
-    e1[...] = u[..., :n]
-    e1 -= 0.5
-    e1 *= math.pi
-    return np.tan(e1, out=e1)
+    return np.tan(math.pi * (u[..., :n] - 0.5))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -194,14 +186,13 @@ class NoiseModel:
     sqrt(m), so every finite direct result keeps its bits and no m > 0
     gives inf.
 
-    from_uniforms(u, n, work) makes n standardized draws (zero location,
-    unit scale per the module conventions) from uniforms_needed(n)
-    uniforms over the last axis of u, so one call serves one draw vector
-    or a block: box_muller truncated to n (gaussian, 2 ceil(n/2)
-    uniforms), a difference of two unit exponentials (laplace, 2n) or the
-    tangent transform (cauchy, n). work is (2, s) float64 with s >=
-    2 ceil(n/2) per draw vector; the draws are a C-contiguous view of
-    work[0], work[1] is overwritten and u is not.
+    from_uniforms(u, n) makes n standardized draws (zero location, unit
+    scale per the module conventions) from uniforms_needed(n) uniforms
+    over the last axis of u, so one call serves one draw vector or a
+    block: box_muller truncated to n (gaussian, 2 ceil(n/2) uniforms), a
+    difference of two unit exponentials (laplace, 2n) or the tangent
+    transform (cauchy, n). The draws are a new C-contiguous array, and u
+    is left as it was.
 
     unit_fisher_location and unit_fisher_scale are the informations at
     sigma = 1, checked by quadrature of the squared score in the tests.

@@ -10,8 +10,10 @@ least-squares problem on a box in two variables and keeps every iterate
 inside it. The scalar routines (lambert_w0, find_root_bracketed,
 minimize_quasiconvex, gauss_newton_box) take and return Python floats.
 A random stream is a (seed, key) address of numpy's PCG64; its seed
-words are derived here for many substreams at once, and the draws of a
-seeded run reproduce bit-exactly on any platform.
+words are derived here for many substreams at once. Its uniforms are
+bit-identical on any platform; what box_muller and the noise draws make
+of them, per numpy build and SIMD dispatch level, since numpy's log1p
+and tan loops round differently at each level.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "gauss_newton_box",
     "real_number",
     "whole_number",
-    "buffer_view",
     "box_muller",
     "uniforms_from_states",
     "RandomStream",
@@ -425,39 +426,22 @@ def whole_number(name: str, value, minimum: int = 0) -> int:
     return int(value)
 
 
-def buffer_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous view of shape on the start of the 1-D array buf.
-    Contiguous operands spare numpy's ufuncs their iteration buffers."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def box_muller(u: np.ndarray, n: int | None = None, work: np.ndarray | None = None) -> np.ndarray:
+def box_muller(u: np.ndarray, n: int | None = None) -> np.ndarray:
     """Standard normals from uniforms by the paired trigonometric
-    (Box-Muller) transform, over the last axis of u.
+    (Box-Muller) transform, over the last axis of u, as a new array.
 
     For a last axis of even length 2m, the first m uniforms feed the
     radius and the last m the angle: r = sqrt(-2 log(1 - u_i)), and the
     output interleaves (r cos(2 pi u_{m+i}), r sin(2 pi u_{m+i})),
     truncated to its first n <= 2m entries (all 2m by default).
-
-    Given work, (2, s) float64 with s >= u.size, the normals are a view
-    of work[0] and work[1] is overwritten; else they are a new array. u
-    is not modified.
     """
     m = u.shape[-1] // 2
-    if work is None:
-        work = np.empty((2, u.size))
-    half = u.shape[:-1] + (m,)
-    r, cos = buffer_view(work[0], half), buffer_view(work[1], half)
-    ang = buffer_view(work[1, cos.size :], half)
-    r[...], ang[...] = u[..., :m], u[..., m:]
-    np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
-    ang *= 2.0 * math.pi
-    np.multiply(r, np.cos(ang, out=cos), out=cos)
-    np.multiply(r, np.sin(ang, out=ang), out=ang)
-    n = 2 * m if n is None else n  # the normals overwrite the spent r
-    out = buffer_view(work[0], u.shape[:-1] + (n,))
-    out[..., 0::2], out[..., 1::2] = cos[..., : (n + 1) // 2], ang[..., : n // 2]
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+    ang = (2.0 * math.pi) * u[..., m:]
+    n = 2 * m if n is None else n
+    out = np.empty(u.shape[:-1] + (n,))
+    out[..., 0::2] = (r * np.cos(ang))[..., : (n + 1) // 2]
+    out[..., 1::2] = (r * np.sin(ang))[..., : n // 2]
     return out
 
 
@@ -514,17 +498,14 @@ def _seed_sequence_states(entropy: list, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def uniforms_from_states(states: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def uniforms_from_states(states: np.ndarray, n: int) -> np.ndarray:
     """The first n uniforms of the stream seeded by each row of states
     (RandomStream.substream_states), one row per stream: row r equals
     RandomStream(seed, key + (t,)).uniform(n) for the t of that row, bit
     for bit, since numpy's PCG64 still does the seeding and the double
-    conversion. They fill out, (len(states), n) float64, if given."""
+    conversion."""
     seed_words = _seed_words_type()
-    if out is None:
-        out = np.empty((len(states), n))
-    elif out.shape != (len(states), n):
-        raise ValueError(f"out must have shape {(len(states), n)}, got {out.shape}")
+    out = np.empty((len(states), n))
     for row, words in zip(out, states):
         np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
     return out

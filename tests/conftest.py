@@ -3,6 +3,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cmphase import tuning
@@ -12,6 +13,22 @@ from cmphase.noise import MODEL_TOKENS, noise_model
 # Every registered noise family, in registry order, for tests that run
 # the same checks on each; family-specific expectations stay in the tests.
 ALL_MODELS = tuple(noise_model(k) for k in MODEL_TOKENS)
+
+
+def simd_levels() -> list[str]:
+    """numpy's dispatch targets, ascending, that this host runs and
+    NPY_DISABLE_CPU_FEATURES leaves on."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        umath = np.core._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def simd_level() -> str:
+    """The last of simd_levels(), or "baseline". The bits of z follow it:
+    the SIMD loops of np.log1p and np.tan round differently at each level."""
+    return (simd_levels() or ["baseline"])[-1]
 
 
 def resolve_omega(

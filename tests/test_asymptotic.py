@@ -80,15 +80,15 @@ def reference_components(kind, sigma, omega, P, nv):
 def reference_gamma(asv_t, asv_s, theta, sigma):
     """asv_gamma composed from the two components by the delta method,
     4 gamma / sigma^2 (asv_theta + gamma asv_sigma), or the gamma curve's
-    ValueError where gamma or the prefactor leaves the float range or the
-    result is NaN."""
+    ValueError where gamma or the prefactor leaves the float range, gamma
+    underflows to 0 or the result is NaN."""
     try:
         gamma = (theta / sigma) ** 2
         scale = 4.0 * gamma / sigma**2
     except (OverflowError, ZeroDivisionError):
         gamma = scale = math.nan
     value = scale * (asv_t + gamma * asv_s)
-    if gamma < math.inf and value == value:
+    if 0.0 < gamma < math.inf and value == value:
         return value
     raise ValueError(
         f"asv_gamma is out of floating-point range at theta={theta!r}, sigma={sigma!r}"
@@ -407,6 +407,14 @@ class TestAsvGeneric:
         np.testing.assert_allclose(
             curves["gamma"](0.8), 64.0 * (asv_t + 4.0 * asv_s), rtol=1e-15
         )
+
+    def test_underflowing_gamma_raises(self):
+        """gamma = (theta / sigma)^2 = 1e-340 underflows to 0 at theta =
+        1e-200, sigma = 1e-30, where the 60-digit asv_gamma is 2.0e-280, a
+        normal float: asv_gamma read 0.0."""
+        message = r"^asv_gamma is out of floating-point range at theta=1e-200, sigma=1e-30$"
+        with pytest.raises(ValueError, match=message):
+            asv_generic(GAUSSIAN, 1e-30, 1.0, 1.0, 1.0, theta=1e-200)
 
     def test_underflowing_sigma_squared_raises(self):
         """sigma^2 underflows to 0 in the gamma curve's prefactor, which

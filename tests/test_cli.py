@@ -24,6 +24,7 @@ from cmphase import cli, montecarlo, tuning
 from cmphase.cli import main
 from cmphase.noise import GAUSSIAN
 from cmphase.tuning import OMEGA_TARGETS, optimal_omega
+from conftest import simd_level
 
 GAUSS_TPC_R1_THETA = 0.9081137742012796
 CAUCHY_TPC_R1 = 0.9207028302184803
@@ -390,7 +391,7 @@ OMEGA_RULE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(OMEGA_RULE_DIGESTS))
 def test_omega_rule_stdout_digest(name):
     argv, expected = OMEGA_RULE_DIGESTS[name]
-    assert stdout_sha256(argv) == expected
+    assert stdout_sha256(argv) == expected, f"recorded at AVX512_SPR, run at {simd_level()}"
 
 
 # sha256 of the are stdout, recorded before its reports went through
@@ -473,6 +474,16 @@ class TestAsv:
         rc, out, err = run(capsys, "asv", "--sigma", "1e200", "--omega", "1e-200", "--theta", "1")
         assert rc == 1 and out == ""
         assert "asv_gamma" in err and "sigma=1e+200" in err
+
+    def test_underflowing_true_snr_is_an_error(self, capsys):
+        """(theta / sigma)^2 underflows to 0: asv exited 0 with "asv_gamma":
+        0.0, where the true value is 2.0e-280."""
+        rc, out, err = run(capsys, "asv", "--omega", "1", "--theta", "1e-200", "--sigma", "1e-30")
+        assert rc == 1 and out == ""
+        assert err == (
+            "cmphase: error: asv_gamma is out of floating-point range at theta=1e-200,"
+            " sigma=1e-30\n"
+        )
 
     def test_inf_component_is_an_error(self, capsys):
         """phi underflows at sigma omega = 40: asv_theta is inf, which

@@ -64,13 +64,27 @@ class TestRunExperiment:
 
     def test_overflowing_snr_truth_raises(self):
         """The true SNR (theta / sigma)^2 overflows at sigma = 1e-200: the
-        run raised a bare OverflowError from it after every trial ran."""
+        run raised a bare OverflowError from it after every trial ran, then
+        an error naming theta_hat and sigma_hat, estimates never made."""
         cfg = NetworkConfig(
             L=10, sigma=1e-200, theta=1.0, omega=1.0, model="gaussian", seed=1,
             theta_R=3.0, power_mode="total", P=1.0, channel_noise_var=1.0,
         )
-        with pytest.raises(ValueError, match=r"overflows at theta_hat=1\.0, sigma_hat=1e-200"):
+        match = r"the true SNR gamma = \(theta / sigma\)\^2 overflows at theta = 1\.0, sigma = 1e-200"
+        with pytest.raises(ValueError, match=match):
             run_experiment(cfg, 8)
+
+    def test_underflowing_snr_truth_raises_before_any_estimate(self, monkeypatch):
+        """The true SNR (theta / sigma)^2 underflows to 0 at theta = 1e-200,
+        sigma = 1e-30: the run computed the SNR bias against 0.0."""
+
+        def no_estimate(*args):
+            raise AssertionError("an estimate was made")
+
+        monkeypatch.setattr(montecarlo, "_location", no_estimate)
+        match = r"^the true SNR gamma = \(theta / sigma\)\^2 underflows to 0 at theta = 1e-200"
+        with pytest.raises(ValueError, match=match + r", sigma = 1e-30$"):
+            run_experiment(make_config(theta=1e-200, sigma=1e-30), 8)
 
     def test_reproducible(self):
         cfg = make_config()
@@ -207,17 +221,25 @@ class TestPhaseDeviation:
         assert (low[0], high[0]) == (-math.pi, math.pi)
 
 
+def block_bound(cfg: NetworkConfig, per_block: int) -> int:
+    """Bytes a process may hold at its traced peak besides z: one block's
+    uniforms, three (B, L) float64 arrays and 16 KB of small arrays. The
+    serial peaks measured at the shapes below (Laplace L = 100: 320 KB;
+    Gaussian L = 101: 261 KB; Cauchy L = 100: 197 KB) sit 14, 13 and
+    73 KB under it, at 4 blocks and at 40 alike."""
+    return per_block * (snapshot_uniforms(cfg) + 3 * cfg.L) * 8 + 16 * 1024
+
+
 class TestBlockLoopAllocations:
     @pytest.mark.parametrize("blocks", [4, 40])
     @pytest.mark.parametrize("model, L", [("laplace", 100), ("gaussian", 101), ("cauchy", 100)])
     def test_blocks_reuse_their_buffers(self, monkeypatch, model, L, blocks):
         """A warm run at the mc-small-L shape (Laplace, L = 100, a noisy
-        channel), and Gaussian pairs at odd L, holds at most one set of
-        block buffers (the uniforms and two (B, L) scratch arrays, L
-        rounded up to even), z and 16 KB of small arrays, however many
-        blocks it drains: no block allocates a block-sized array. The
-        substream states are derived before tracing, since their
-        derivation allocates about 100 B per trial."""
+        channel), and Gaussian pairs at odd L, holds at its traced peak z
+        and at most block_bound, at 4 blocks and at 40 alike: memory does
+        not grow with the number of blocks. The substream states are
+        derived before tracing, since their derivation allocates about
+        100 B per trial."""
         cfg = make_config(model=model, L=L, channel_noise_var=1.0, omega=0.8)
         per_block = montecarlo._BLOCK_SAMPLES // cfg.L
         trials = blocks * per_block
@@ -225,21 +247,20 @@ class TestBlockLoopAllocations:
         states = root.substream_states(trials)
         monkeypatch.setattr(RandomStream, "substream_states", lambda self, n: states)
         montecarlo._received_z(cfg, trials, root)
-        buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
         tracemalloc.start()
         try:
             z = montecarlo._received_z(cfg, trials, root)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= buffers + z.nbytes + 16 * 1024, (peak, buffers, z.nbytes)
+        assert peak - z.nbytes <= block_bound(cfg, per_block), (peak, z.nbytes)
 
     @pytest.mark.parametrize("model, L", [("laplace", 1000), ("gaussian", 1001), ("cauchy", 1000)])
     def test_concurrent_blocks_reuse_their_buffers(self, monkeypatch, tmp_path, model, L):
         """A warm run on two CPUs at L = 1000 forks one trial range, and
-        each process holds at most one set of block buffers, z and 16 KB
-        of small arrays, however many blocks it runs: after every block a
-        process logs its traced peak (a child inherits the tracing)."""
+        each process holds at its traced peak z and at most block_bound,
+        however many blocks it runs: after every block a process logs its
+        traced peak (a child inherits the tracing)."""
         cfg = make_config(model=model, L=L, channel_noise_var=1.0, omega=0.8)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         per_block = montecarlo._BLOCK_SAMPLES // L
@@ -248,7 +269,6 @@ class TestBlockLoopAllocations:
         states = root.substream_states(trials)
         monkeypatch.setattr(RandomStream, "substream_states", lambda self, n: states)
         montecarlo._received_z(cfg, trials, root)
-        buffers = per_block * (snapshot_uniforms(cfg) + 2 * (L + L % 2)) * 8
         simulate_block = montecarlo.simulate_block
         log = os.open(tmp_path / "peaks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
@@ -270,29 +290,33 @@ class TestBlockLoopAllocations:
             pid, value = map(int, line.split())
             peaks[pid] = max(peaks.get(pid, 0), value)
         assert len(peaks) == 2, peaks
-        bound = buffers + z.nbytes + 16 * 1024
+        bound = block_bound(cfg, per_block) + z.nbytes
         assert max(peaks.values()) <= bound and peak <= bound, (peaks, peak, bound)
 
     def test_no_block_allocates(self, monkeypatch):
-        """What one block of a warm run allocates, from its uniforms to its
-        z, stays below 16 KB at the mc-small-L shape: a peak over the run
-        would not tell buffers held for the run from buffers allocated
+        """No block keeps what it allocates, at the mc-small-L shape: the
+        traced memory as each block from the second on draws its uniforms
+        (the previous block's are alive there) is the same to 1 KB, the
+        records this test appends, and what one block adds, from its
+        uniforms to its z, stays within block_bound. A peak over the run
+        would not tell memory held across blocks from memory allocated
         and freed by every block."""
         cfg = make_config(model="laplace", L=100, channel_noise_var=1.0, omega=0.8)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)  # every block here
-        trials = 8 * (montecarlo._BLOCK_SAMPLES // cfg.L) + 5
+        per_block = montecarlo._BLOCK_SAMPLES // cfg.L
+        trials = 8 * per_block + 5
         montecarlo._received_z(cfg, trials, RandomStream(cfg.seed))
-        grown = []
+        held, grown = [], []
         fill, simulate = montecarlo.uniforms_from_states, montecarlo.simulate_block
 
         def traced_fill(*args, **kwargs):
-            grown.append(tracemalloc.get_traced_memory()[0])
+            held.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
             return fill(*args, **kwargs)
 
         def traced_simulate(*args, **kwargs):
             result = simulate(*args, **kwargs)
-            grown[-1] = tracemalloc.get_traced_memory()[1] - grown[-1]
+            grown.append(tracemalloc.get_traced_memory()[1] - held[-1])
             return result
 
         monkeypatch.setattr(montecarlo, "uniforms_from_states", traced_fill)
@@ -302,7 +326,8 @@ class TestBlockLoopAllocations:
             montecarlo._received_z(cfg, trials, RandomStream(cfg.seed))
         finally:
             tracemalloc.stop()
-        assert len(grown) == 9 and max(grown) <= 16 * 1024, grown
+        assert len(grown) == 9 and max(held[1:]) - min(held[1:]) <= 1024, held
+        assert max(grown) <= block_bound(cfg, per_block), grown
 
 
 class TestSweep:
@@ -321,6 +346,14 @@ class TestSweep:
         rows_b = sweep(cfg, "sigma", [0.8, 1.2], trials=32)
         for a, b in zip(rows_a, rows_b):
             assert a.summary.theta.mean == b.summary.theta.mean
+
+    def test_underflowing_snr_truth_is_a_row_error(self):
+        """A sigma row where (theta / sigma)^2 underflows to 0 wrote 0.0 for
+        asv_gamma, against a true 2.0e-280; the row now carries the error."""
+        cfg = make_config(L=20, theta=1e-200, omega=1.0)
+        (row,) = sweep(cfg, "sigma", [1e-30], trials=4)
+        assert row.summary is None and row.asv is None
+        assert row.error == "asv_gamma is out of floating-point range at theta=1e-200, sigma=1e-30"
 
     def test_error_row_does_not_abort(self):
         """An invalid grid point yields an error row; later rows are fine."""

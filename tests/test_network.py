@@ -14,7 +14,6 @@ from cmphase.network import (
     ConfigError,
     NetworkConfig,
     PowerMode,
-    block_work,
     simulate_block,
     simulate_snapshot,
     snapshot_uniforms,
@@ -183,7 +182,7 @@ class TestSimulateSnapshot:
         coherent sum of the three unit-power phasors."""
         cfg = make_config(L=3, channel_noise_var=0.0, power_mode="per-sensor", P=4.0)
         eta = np.array([0.1, -0.2, 0.3])
-        y, z = network._received(cfg, eta.copy()[np.newaxis], None, np.empty((1, 3)))
+        y, z = network._received(cfg, eta.copy()[np.newaxis], None)
         expected = 2.0 * sum(
             cmath.exp(1j * cfg.omega * (cfg.theta + cfg.sigma * e)) for e in eta
         )
@@ -208,7 +207,7 @@ class TestSimulateSnapshot:
 
         u = RandomStream(9).uniform(snapshot_uniforms(cfg))
         k = cfg.model.uniforms_needed(cfg.L)
-        eta = cfg.model.from_uniforms(u[:k], cfg.L, np.empty((2, k)))
+        eta = cfg.model.from_uniforms(u[:k], cfg.L)
         g = box_muller(u[k:])
         phase = cfg.omega * (cfg.theta + cfg.sigma * eta)
         amp = math.sqrt(cfg.per_sensor_power)
@@ -220,8 +219,8 @@ class TestSimulateSnapshot:
         cfg = make_config(L=8, channel_noise_var=0.0)
         assert snapshot_uniforms(cfg) == GAUSSIAN.uniforms_needed(8) == 8
         snap = simulate_snapshot(cfg, RandomStream(2))
-        eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8, np.empty((2, 8)))
-        y, z = network._received(cfg, eta[np.newaxis], None, np.empty((1, 8)))
+        eta = GAUSSIAN.from_uniforms(RandomStream(2).uniform(8), 8)
+        y, z = network._received(cfg, eta[np.newaxis], None)
         assert snap == (y[0], z[0])
 
     def test_block_shape_checked(self):
@@ -233,17 +232,22 @@ class TestSimulateSnapshot:
 
     def test_block_rows_are_snapshots(self):
         """Row t of a block holds the uniforms of numpy's generator for
-        substream t and gives that stream's snapshot."""
-        cfg = make_config(L=5, model="laplace", channel_noise_var=0.4)
+        substream t and gives that stream's snapshot, in every family;
+        u is left as it was."""
         root = RandomStream(4)
-        n = snapshot_uniforms(cfg)
-        u = uniforms_from_states(root.substream_states(3), n)
-        y, z = simulate_block(cfg, u)
-        assert y.shape == z.shape == (3,)
-        for t in range(3):
-            seq = np.random.SeedSequence(entropy=4, spawn_key=(t,))
-            np.testing.assert_array_equal(u[t], np.random.Generator(np.random.PCG64(seq)).random(n))
-            assert (y[t], z[t]) == simulate_snapshot(cfg, root.substream(t))
+        for model in ("gaussian", "laplace", "cauchy"):
+            cfg = make_config(L=5, model=model, channel_noise_var=0.4)
+            n = snapshot_uniforms(cfg)
+            u = uniforms_from_states(root.substream_states(3), n)
+            kept = u.copy()
+            y, z = simulate_block(cfg, u)
+            np.testing.assert_array_equal(u, kept)
+            assert y.shape == z.shape == (3,)
+            for t in range(3):
+                seq = np.random.SeedSequence(entropy=4, spawn_key=(t,))
+                generator = np.random.Generator(np.random.PCG64(seq))
+                np.testing.assert_array_equal(u[t], generator.random(n))
+                assert (y[t], z[t]) == simulate_snapshot(cfg, root.substream(t))
 
     def test_channel_noise_variance(self):
         """Real and imaginary noise parts each carry noise_var / 2."""
@@ -251,7 +255,7 @@ class TestSimulateSnapshot:
         clean = cmath.exp(1j * cfg.omega * cfg.theta)
         root = RandomStream(13)
         channel = box_muller(uniforms_from_states(root.substream_states(4000), 2))
-        y, _ = network._received(cfg, np.zeros((4000, 1)), channel, np.empty((4000, 1)))
+        y, _ = network._received(cfg, np.zeros((4000, 1)), channel)
         parts = np.stack([y.real - clean.real, y.imag - clean.imag], axis=-1)
         np.testing.assert_allclose(parts.var(axis=0), [0.4, 0.4], rtol=0.1)
         np.testing.assert_allclose(parts.mean(axis=0), [0.0, 0.0], atol=0.05)
@@ -275,42 +279,23 @@ def block_uniforms(cfg, trials):
 
 
 class TestBlockBuffers:
-    """simulate_block given reused buffers against simulate_block without."""
+    """simulate_block on row ranges of a block against the whole block in
+    one call: the Monte Carlo loop cuts its trials into blocks, and the
+    cut must not move a bit."""
 
     @pytest.mark.parametrize("model", ["gaussian", "laplace", "cauchy"])
     @pytest.mark.parametrize("power_mode", ["total", "per-sensor"])
     @pytest.mark.parametrize("nv", [0.0, 0.6])
     @pytest.mark.parametrize("L", [1, 6, 7])
     def test_matches_the_unbuffered_block(self, model, power_mode, nv, L):
-        """Bit for bit, for a full block and for a partial last block in
-        the leading rows of the same buffers, which held NaN at first;
-        odd L truncates the Gaussian pairs. u is left as it was."""
+        """Bit for bit, for a full block of 5 rows and a partial last block
+        of 4; odd L truncates the Gaussian pairs. u is left as it was."""
         cfg = make_config(model=model, power_mode=power_mode, channel_noise_var=nv, L=L, seed=6)
         u = block_uniforms(cfg, 9)
         kept = u.copy()
         expected = simulate_block(cfg, u)
-        work = np.full(block_work(cfg, 5).shape, np.nan)
         for rows in (slice(0, 5), slice(5, 9)):
-            got = simulate_block(cfg, u[rows], work)
+            got = simulate_block(cfg, u[rows])
             np.testing.assert_array_equal(got[0], expected[0][rows])
             np.testing.assert_array_equal(got[1], expected[1][rows])
         np.testing.assert_array_equal(u, kept)
-
-    def test_no_stale_values_across_configs(self):
-        """One work array serves two configs in a row, the second with a
-        different family, L, channel and block size, and each result
-        equals a fresh call: nothing the first block left is read."""
-        first = make_config(model="gaussian", L=9, channel_noise_var=0.5, seed=1)
-        second = make_config(model="laplace", L=4, channel_noise_var=0.0, sigma=2.0, seed=2)
-        work = np.full(block_work(first, 6).shape, np.nan)
-        for cfg, trials in ((first, 6), (second, 11), (first, 3)):
-            u = block_uniforms(cfg, trials)
-            expected = simulate_block(cfg, u)
-            got = simulate_block(cfg, u, work)
-            np.testing.assert_array_equal(got[1], expected[1])
-            np.testing.assert_array_equal(got[0], expected[0])
-
-    def test_too_small_work_refused(self):
-        cfg = make_config(L=6)
-        with pytest.raises(ValueError):
-            simulate_block(cfg, block_uniforms(cfg, 4), block_work(cfg, 3))

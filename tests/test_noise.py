@@ -589,7 +589,7 @@ class TestFisherConstants:
 def draw(model, seed, n):
     """n standardized draws of model from the first uniforms of a stream."""
     u = RandomStream(seed).uniform(model.uniforms_needed(n))
-    return model.from_uniforms(u, n, np.empty((2, u.size)))
+    return model.from_uniforms(u, n)
 
 
 class TestSampling:
@@ -622,7 +622,7 @@ class TestSampling:
         u = RandomStream(3).uniform(10)
         expected = [LAPLACE_B * (math.log1p(-u[5 + i]) - math.log1p(-u[i])) for i in range(5)]
         np.testing.assert_allclose(
-            LAPLACE.from_uniforms(u, 5, np.empty((2, 10))), expected, rtol=1e-14
+            LAPLACE.from_uniforms(u, 5), expected, rtol=1e-14
         )
 
 
